@@ -281,6 +281,11 @@ def _spmv_chunk_cost(bases, rects, scalars, machine: MachineConfig):
     indptr = bases[0]
     total_rows = bases[4].shape[0]
     index_bytes = float(scalars[0]) if scalars else 8.0
+    # The halo term is the same for every rank: priced once per chunk.
+    halo_seconds = 0.0
+    if machine.num_gpus > 1:
+        halo_bytes = min(total_rows, 2 * int(np.sqrt(max(1, total_rows)))) * 8.0
+        halo_seconds = machine.point_to_point_time(halo_bytes)
     seconds = []
     for lo, hi in rects[4]:
         row_lo, row_hi = lo[0], hi[0]
@@ -296,8 +301,7 @@ def _spmv_chunk_cost(bases, rects, scalars, machine: MachineConfig):
             flops / machine.gpu_peak_flops,
         )
         if machine.num_gpus > 1:
-            halo_bytes = min(total_rows, 2 * int(np.sqrt(max(1, total_rows)))) * 8.0
-            rank_seconds += machine.point_to_point_time(halo_bytes)
+            rank_seconds += halo_seconds
         seconds.append(rank_seconds)
     return seconds
 

@@ -1,80 +1,51 @@
 """Functional execution of index tasks over region fields.
 
-The executor materialises each point task of a launched index task,
-gathers NumPy views of its sub-stores, runs either the compiled KIR kernel
-or the task's opaque implementation, folds reduction partials into their
-target stores, and returns the analytically-modelled execution time of the
-launch (the maximum over GPUs of the per-GPU kernel time).
+Every launch — eager or replayed, compiled or opaque — takes the same
+four steps:
 
-The launch loop is the hottest path of the simulator: every iteration of
-an application replays the same partitions, points and rectangles with
-only the store identities changing.  Sub-store rectangles are therefore
-memoized per ``(partition, point, store shape)`` — partitions are small
-frozen value objects, so the cache key is exact — and the NumPy views of
-those rectangles are memoized on each region field.  Setting
-``REPRO_HOTPATH_CACHE=0`` disables both caches and restores the seed
-code path (the baseline of ``benchmarks/perf_wallclock.py``).
+1. **Prepare** a :class:`ChunkWork`: the launch's rows ``(key, region
+   field, is_reduction, per-rank rect table)``, a local runner over a
+   contiguous rank range, and what a worker process would need to run
+   the same range.  There are four kinds: compiled per-rank, compiled
+   element-wise (one merged closure call per chunk — the rect tables
+   tile every buffer contiguously in rank order and the kernel reduces
+   nothing, so the merged call is element-for-element the per-rank
+   loop), epoch super-kernel (built by the plan scheduler), and opaque
+   (one library call per rank, or one per chunk when the operator
+   registers a chunk implementation; see ``runtime/opaque.py``).
+2. **Run the chunks** down one substrate ladder
+   (:meth:`TaskExecutor.run_chunks`): resident worker processes, then
+   per-chunk worker processes, then the shared thread pool, then inline.
+   A rung returns per-chunk ``(partials_by_rank, seconds_by_rank)``
+   results in chunk order, or declines and records why
+   (``Profiler.record_decline``).
+3. **Fold** reduction partials and per-GPU simulated seconds in recorded
+   rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
+   are bit-identical for every substrate and dispatch width.
+4. **Account** the launch: the caller's job (``LegionRuntime`` for eager
+   launches, ``PlanScheduler._account`` for replayed ones).
 
-Intra-launch point dispatch (``REPRO_POINT_WORKERS`` > 1) partitions the
-per-rank point tasks of one launch into contiguous rank chunks executed
-across the shared worker pool: each launch is *prepared once* (scalar
-bindings, region fields, rect tables), each chunk runs with its own
-buffer dict over disjoint write tiles, and reduction partials plus
-per-GPU simulated seconds are folded at the launch's join point in
-recorded rank order — so buffers and simulated time are bit-identical
-for every dispatch width.  Width 1 (the default) takes the serial
-per-rank loop unchanged.
-
-Two further dispatch refinements compose with chunking:
-
-* **Element-wise chunk batching** — a launch whose rect tables tile
-  every buffer contiguously in rank order and whose kernel performs no
-  reductions is executed with *one merged closure call per chunk* over
-  the chunk's contiguous span instead of one call per rank.  NumPy
-  ufuncs are element-wise, the tiles are disjoint and consecutive, so
-  the merged call is element-for-element identical to the per-rank loop
-  while paying one set of ufunc invocations per chunk; per-rank
-  simulated seconds still come from the per-rank volumes, so time
-  accounting is untouched.  Gated (with the other hot-path work) behind
-  ``REPRO_HOTPATH_CACHE`` so the seed baseline stays honest.
-* **Process dispatch** (``REPRO_DISPATCH_BACKEND=process``) — chunks of
-  compiled launches whose region fields live in the shared-memory arena
-  are shipped to the persistent worker-process pool
-  (``runtime/procpool.py``) instead of the thread pool, removing the
-  GIL from the chunk compute entirely.  Workers return per-rank
-  reduction partials and modelled seconds which fold at the same join
-  point, so results are bit-identical to the thread substrate; launches
-  that cannot ship (non-shm fields, opaque operators without a
-  registered chunk implementation) fall back to threads.
-* **Chunk-level opaque execution** (``REPRO_OPAQUE_CHUNKS``) — an
-  opaque launch whose operator registers a chunk-level implementation
-  (``runtime/opaque.py``) executes with *one library call per rank
-  chunk* over the merged span (a single GEMV over a multi-rank row
-  block) instead of one call per rank.  The chunk contract is
-  pipe-safe — full base arrays, per-rank wire rects and the scalar
-  tuple, no task objects — so the same chunks ship to the process pool
-  (workers resolve the operator from the registry by name) and ride
-  resident plans.  Chunk implementations return per-rank partials and
-  per-rank modelled seconds that fold at the same join point, so
-  buffers and simulated time are bit-identical to the per-rank path.
+``REPRO_HOTPATH_CACHE=0`` is the seed path ``benchmarks/e2e``'s
+``expected.json`` is generated through; it forks in one place,
+:meth:`TaskExecutor._binder`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import config
 from repro.config import hotpath_cache_enabled
-from repro.ir.domain import Rect
 from repro.ir.privilege import Privilege, ReductionOp, numpy_ufunc_for
 from repro.ir.task import IndexTask, StoreArg
 from repro.kernel.compiler import CompiledKernel
 from repro.kernel.lowering import ReductionPartial
-from repro.runtime import telemetry
+from repro.runtime import procpool, telemetry
 from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
 from repro.runtime.pool import (
@@ -85,6 +56,7 @@ from repro.runtime.pool import (
     point_chunks,
     worker_pool,
 )
+from repro.runtime.profiler import Profiler
 from repro.runtime.region import RegionManager
 
 #: Minimum total elements a launch must touch before its point tasks are
@@ -97,6 +69,92 @@ MIN_POINT_DISPATCH_VOLUME = 16384
 #: Entries the opaque-binding LRU retains (distinct launch geometries).
 OPAQUE_BINDING_MEMO_LIMIT = 1024
 
+#: One chunk's result: per-rank reduction partials (a dict, or ``None``)
+#: and per-rank modelled seconds (empty when the caller charges captured
+#: seconds instead).  Super-kernel chunks return one dict of per-target
+#: partial *lists*; :meth:`TaskExecutor.fold` takes both shapes.
+ChunkResult = Tuple[list, Sequence[float]]
+
+#: A prepared row: ``(key, region field, is_reduction, rect table)``.
+#: The key is the kernel's buffer name, or the argument index of an
+#: opaque launch; replayed reduction rows carry no field.
+Row = Tuple[object, object, bool, list]
+
+
+class RectTable(list):
+    """An interned per-rank ``(rect, volume)`` table.
+
+    Interned tables are immortal and immutable once published, so the
+    geometry facts derived from them are memoized on the table itself:
+    whether it tiles a 1-D span contiguously in rank order, and the wire
+    form of each rank range shipped to worker processes, ``(start, stop)
+    -> (stable wire-table id, rect list)`` — the id names the list in
+    the workers' intern caches so one geometry crosses a pipe once per
+    worker.  Tables rebuilt per launch (``REPRO_HOTPATH_CACHE=0``) are
+    plain lists: they never batch and their rects always travel inline.
+    """
+
+    __slots__ = ("contiguous", "wire")
+
+
+@dataclass
+class ChunkWork:
+    """One launch prepared for dispatch (see the module docstring)."""
+
+    rows: Sequence[Row]
+    num_points: int
+    #: Ranks ``[start, stop)`` -> :data:`ChunkResult`.  Pure compute,
+    #: safe on any thread: writes land in place through disjoint views,
+    #: partials and seconds come back unapplied for the join-point fold.
+    run: Callable[[int, int], ChunkResult]
+    #: Reduction keys the fold keeps (``None`` keeps every key).
+    wanted: Optional[object] = None
+    #: What ships to a worker process: the compiled (or fused) kernel,
+    #: or the opaque operator with a chunk implementation.  Neither
+    #: means the work only runs in this process.
+    kernel: Optional[object] = None
+    impl: Optional[OpaqueTaskImpl] = None
+    #: Scalars by name (compiled) or the positional tuple (opaque).
+    scalars: object = None
+    elementwise: bool = False
+    #: Cost descriptor for worker-side per-rank seconds; ``None`` for
+    #: replayed compiled steps, which charge their captured seconds.
+    cost: Optional[object] = None
+    #: ``(ResidentPlan, step index)`` when workers hold a template.
+    resident: Optional[tuple] = None
+
+
+def bind_views(rows: Sequence[Row], start: int, stop: int) -> List[dict]:
+    """Per-rank buffer dicts of ranks ``[start, stop)`` over cached views."""
+    return [
+        {
+            key: None if is_reduction else field.view(table[rank][0])
+            for key, field, is_reduction, table in rows
+        }
+        for rank in range(start, stop)
+    ]
+
+
+def compiled_ranks(
+    kernel_fn, rows: Sequence[Row], scalars, start: int, stop: int,
+    elementwise: bool = False, bind=bind_views,
+) -> list:
+    """Run ranks ``[start, stop)`` of a compiled launch; per-rank partials.
+
+    With ``elementwise`` the range executes as one merged closure call
+    over its contiguous span (the caller proved the launch batchable).
+    """
+    if elementwise and stop > start:
+        kernel_fn(
+            {
+                key: field.view(merged_table_span(table, start, stop))
+                for key, field, _is_reduction, table in rows
+            },
+            scalars,
+        )
+        return [None] * (stop - start)
+    return [kernel_fn(buffers, scalars) for buffers in bind(rows, start, stop)]
+
 
 class TaskExecutor:
     """Executes index tasks functionally and models their kernel time."""
@@ -105,661 +163,214 @@ class TaskExecutor:
         self,
         regions: RegionManager,
         machine: MachineConfig,
-        profiler=None,
+        profiler: Optional[Profiler] = None,
     ) -> None:
         self.regions = regions
         self.machine = machine
-        #: Optional profiler receiving point-dispatch statistics.
-        self.profiler = profiler
-        self.use_caches = hotpath_cache_enabled()
-        #: (partition, launch-domain shape, store shape) -> per-rank
-        #: ``(rect, volume)`` list in launch-domain iteration order.
-        #: Insertion is serialised so plan-scheduler workers resolving the
-        #: same launch geometry concurrently agree on one canonical table
-        #: (lookups stay lock-free; tables are immutable once published).
-        self._rect_table_cache: Dict[Tuple, List[Tuple[Rect, int]]] = {}
+        self.profiler = profiler if profiler is not None else Profiler()
+        #: (partition, launch-domain shape, store shape) -> interned
+        #: table.  Insertion is serialised so concurrent plan-scheduler
+        #: workers agree on one canonical table (lookups are lock-free).
+        self._rect_table_cache: Dict[Tuple, RectTable] = {}
         self._rect_table_lock = threading.Lock()
-        #: Rect-table geometry -> is-contiguous-elementwise verdict,
-        #: keyed by the identities of the interned rect tables (the
-        #: tables are immortal in ``_rect_table_cache``, so ids are
-        #: stable; the memo is only consulted when the caches are on,
-        #: which is also when tables are interned).
-        self._elementwise_cache: Dict[Tuple[int, ...], bool] = {}
-        #: (table id, start, stop) -> (pinning table ref, stable wire
-        #: table id, wire rects): the chunk rect lists shipped to
-        #: process-pool workers are pure functions of immutable tables,
-        #: so they are built once per geometry instead of once per
-        #: launch (the pinned reference keeps the ``id()`` key
-        #: collision-free, like the SpMV caches).  The stable id names
-        #: the list in the workers' intern caches so the same geometry
-        #: crosses the pipe once per worker, not once per chunk.
-        self._wire_rect_cache: Dict[
-            Tuple[int, int, int], Tuple[object, Optional[int], list]
-        ] = {}
         #: Per-argument (field id, rect-table id, is-reduction) signature
         #: plus rank count -> (pinned field tuple, per-rank buffer dicts).
         #: A replayed opaque launch re-resolves the same fields and
-        #: interned rect tables every epoch (the replay task object itself
-        #: is fresh — scalars are rebound per iteration — so the key is
-        #: structural, not task identity), and ``field.view`` hands back
-        #: one canonical view per rect, so the per-rank buffer dicts are
-        #: identical across epochs and are built once.  Each rank's dict
-        #: is shallow-copied before use, preserving the per-launch
-        #: contract that an implementation may mutate its buffer dict
-        #: freely.  The value pins the fields (rect tables are immortal in
-        #: ``_rect_table_cache``), so the ids in live keys cannot be
-        #: recycled; ``RegionManager.attach`` swaps in a whole new field
-        #: object, which changes the key and forces a rebuild.  A bounded
-        #: LRU (:data:`OPAQUE_BINDING_MEMO_LIMIT`): hits move to the
-        #: recent end, inserts evict at most one stalest entry.
+        #: interned tables every epoch, and ``field.view`` hands back one
+        #: canonical view per rect, so the dicts are built once and
+        #: shallow-copied per use (an implementation may mutate its
+        #: buffer dict).  The value pins the fields, so the ids in live
+        #: keys cannot be recycled; ``RegionManager.attach`` swaps in a
+        #: new field object, which changes the key.  A bounded LRU.
         self._opaque_binding_memo: "OrderedDict[Tuple, Tuple[tuple, list]]" = (
             OrderedDict()
         )
+        self.launch_rects, self._bind_ranks, self._bind_opaque_ranks = self._binder()
 
     # ------------------------------------------------------------------
-    # Sub-store geometry.
+    # Prepare: geometry, rows and the four kinds of work.
     # ------------------------------------------------------------------
-    def _launch_rects(self, arg: StoreArg, task: IndexTask) -> List[Tuple[Rect, int]]:
-        """Per-rank sub-store rects of one argument.
+    def _binder(self):
+        """The one fork on ``REPRO_HOTPATH_CACHE``.
 
-        The table is indexed by the rank of the point in launch-domain
-        iteration order, so the per-point lookup in the launch loop is a
-        plain list index with no hashing at all.  With the hot-path
-        caches enabled the table is memoized on (partition, launch
-        domain, store shape) — everything the geometry depends on — and
-        replayed across launches; otherwise it is rebuilt per launch,
-        matching the seed's per-point rect computation count.
+        Returns ``(launch_rects, bind, bind_opaque)``: the per-rank rect
+        table of one argument — indexed by the rank of the point in
+        launch-domain iteration order, a pure function of (partition,
+        launch domain, store shape), all part of the trace key — and the
+        per-rank buffer-dict binders of compiled and opaque launches.
+        With the caches on tables are interned and views come from the
+        fields' view caches (opaque launches memoize whole launches);
+        off, the seed path rebuilds tables per launch and slices every
+        view afresh.
         """
-        key = None
-        if self.use_caches:
+
+        def build(arg: StoreArg, task: IndexTask) -> list:
+            shape = arg.store.shape
+            table = []
+            for point in task.launch_domain.points():
+                rect = arg.partition.sub_store_rect(point, shape)
+                table.append((rect, rect.volume))
+            return table
+
+        if not hotpath_cache_enabled():
+
+            def slice_ranks(rows, start, stop):
+                return [
+                    {
+                        key: None if is_reduction else field.data[table[rank][0].slices()]
+                        for key, field, is_reduction, table in rows
+                    }
+                    for rank in range(start, stop)
+                ]
+
+            return build, slice_ranks, slice_ranks
+
+        def interned(arg: StoreArg, task: IndexTask) -> RectTable:
             key = (arg.partition, task.launch_domain.shape, arg.store.shape)
             table = self._rect_table_cache.get(key)
-            if table is not None:
-                return table
-        shape = arg.store.shape
-        table = []
-        for point in task.launch_domain.points():
-            rect = arg.partition.sub_store_rect(point, shape)
-            table.append((rect, rect.volume))
-        if key is not None:
-            with self._rect_table_lock:
-                table = self._rect_table_cache.setdefault(key, table)
-        return table
+            if table is None:
+                table = RectTable(build(arg, task))
+                table.contiguous = contiguous_elementwise_tables((table,), len(table))
+                table.wire = {}
+                with self._rect_table_lock:
+                    table = self._rect_table_cache.setdefault(key, table)
+            return table
 
-    def launch_rects(self, arg: StoreArg, task: IndexTask) -> List[Tuple[Rect, int]]:
-        """Public accessor for the per-rank rect table of one argument.
+        def memoized_ranks(rows, start, stop):
+            memo = self._opaque_binding_rows(rows, len(rows[0][3]) if rows else stop)
+            return [dict(buffers) for buffers in memo[start:stop]]
 
-        The trace recorder captures these tables into execution plans;
-        they depend only on (partition, launch domain, store shape), all
-        of which are part of the trace key, so a captured table is valid
-        for every replay of the plan.
-        """
-        return self._launch_rects(arg, task)
+        return interned, bind_views, memoized_ranks
 
-    # ------------------------------------------------------------------
-    # Point dispatch (shared by the compiled and opaque paths).
-    # ------------------------------------------------------------------
-    def point_chunk_plan(self, num_points: int, prepared) -> List[Tuple[int, int]]:
-        """Rank chunks of one launch under the point-dispatch config.
-
-        A single ``(0, num_points)`` chunk means the serial per-rank
-        loop.  Dispatch is suppressed for launches whose total touched
-        volume is below :data:`MIN_POINT_DISPATCH_VOLUME`, and — under
-        the *thread* backend only — on pool worker threads, where nested
-        dispatch would block the pool on its own queue.  The process
-        substrate cannot deadlock the thread pool (its chunks queue on
-        the worker pipes), so steps running on pool workers still chunk
-        there and ship to the process pool; if a launch then degrades to
-        threads, :meth:`_dispatch_chunks` runs its chunks serially
-        inline instead of re-entering the pool.
-        """
-        width = config.point_worker_count()
-        if width <= 1 or num_points <= 1:
-            return [(0, num_points)]
-        if in_pool_worker() and config.dispatch_backend() != "process":
-            return [(0, num_points)]
-        total = 0
-        for entry in prepared:
-            for _rect, volume in entry[3]:
-                total += volume
-        if total < MIN_POINT_DISPATCH_VOLUME:
-            return [(0, num_points)]
-        return point_chunks(num_points, width, config.point_min_ranks())
-
-    def _dispatch_chunks(
-        self,
-        chunks: Sequence[Tuple[int, int]],
-        run: Callable[[int, int], object],
-    ) -> List[object]:
-        """Run chunk closures across the shared pool in rank order.
-
-        On a pool worker thread (a launch that chunked for the process
-        substrate but degraded to threads) the chunks run serially
-        inline — submitting from a worker back to its own pool could
-        deadlock it.  Results are bit-identical either way.
-        """
-        if telemetry.enabled():
-            inner = run
-
-            def run(start: int, stop: int, _inner=inner):
-                with telemetry.span("point.chunk", f"ranks=[{start}:{stop})"):
-                    return _inner(start, stop)
-
-        if in_pool_worker():
-            return [run(start, stop) for start, stop in chunks]
-        return dispatch_chunks(worker_pool(), list(chunks), run)
-
-    def _record_point_dispatch(
-        self, ranks: int, chunk_count: int, backend: str = "thread"
-    ) -> None:
-        if self.profiler is not None:
-            self.profiler.record_point_dispatch(
-                ranks=ranks,
-                chunks=chunk_count,
-                width=config.point_worker_count(),
-                backend=backend,
+    def _rows(self, task: IndexTask, keyed_args) -> Tuple[Row, ...]:
+        """Resolve everything about a launch that no rank depends on."""
+        return tuple(
+            (
+                key,
+                self.regions.field(arg.store),
+                arg.privilege is Privilege.REDUCE,
+                self.launch_rects(arg, task),
             )
+            for key, arg in keyed_args
+        )
 
-    def _record_elementwise_batch(self, calls: int) -> None:
-        if self.profiler is not None:
-            self.profiler.record_elementwise_batch(calls)
-
-    def _record_opaque_calls(
-        self, rank_calls: int = 0, chunk_calls: int = 0, process_chunks: int = 0
-    ) -> None:
-        if self.profiler is not None:
-            self.profiler.record_opaque_execution(
-                rank_calls=rank_calls,
-                chunk_calls=chunk_calls,
-                process_chunks=process_chunks,
-            )
-
-    # ------------------------------------------------------------------
-    # Element-wise batching and process routing.
-    # ------------------------------------------------------------------
-    def _elementwise_launch(self, kernel: CompiledKernel, prepared, num_points: int) -> bool:
-        """True when the launch may execute as merged contiguous calls.
+    def _elementwise_launch(self, kernel: CompiledKernel, rows, num_points: int) -> bool:
+        """True when an eager launch may execute as merged contiguous calls.
 
         Requirements: more than one rank, a kernel with no reductions
-        anywhere (partials are per-rank state), and every buffer's rect
-        table passing :func:`pool.contiguous_elementwise_tables` — the
-        same predicate the trace recorder's capture-time verdict uses.
-        The geometry verdict is memoized on the interned rect tables'
-        identities.
+        anywhere (partials are per-rank state), and every row's interned
+        table tiling a span contiguously in rank order — the predicate
+        the trace recorder's capture-time verdict uses.
         """
-        if num_points <= 1 or not prepared or not self.use_caches:
+        if num_points <= 1 or not rows:
             return False
         if any(loop.has_reduction for loop in kernel.cost.loops):
             return False
-        if any(entry[2] for entry in prepared):  # REDUCE-privilege args
-            return False
-        key = tuple(id(entry[3]) for entry in prepared)
-        cached = self._elementwise_cache.get(key)
-        if cached is None:
-            cached = contiguous_elementwise_tables(
-                (entry[3] for entry in prepared), num_points
-            )
-            self._elementwise_cache[key] = cached
-        return cached
-
-    def _process_chunks_compiled(
-        self,
-        kernel: CompiledKernel,
-        prepared,
-        scalars: Dict[str, float],
-        chunks: Sequence[Tuple[int, int]],
-        elementwise: bool,
-        with_cost: bool = True,
-    ):
-        """Ship a compiled launch's chunks to the worker-process pool.
-
-        Returns the per-chunk ``(partials_by_rank, seconds_by_rank)``
-        results in chunk order, or ``None`` when the launch cannot ship
-        (a region field without a shared-memory descriptor — allocated
-        before the backend flag flipped, or attached host data under the
-        thread backend).  ``with_cost=False`` skips the worker-side time
-        model (plan replay charges captured seconds instead).
-        """
-        descriptors = []
-        for _name, field, is_reduction, _table in prepared:
-            if is_reduction:
-                descriptors.append(None)
-                continue
-            descriptor = getattr(field, "shm_descriptor", None)
-            if descriptor is None:
-                return None
-            descriptors.append(descriptor)
-
-        from repro.runtime import procpool
-
-        kernel_id = procpool.kernel_spec_id(kernel)
-        spec = procpool.spec_for(kernel)
-        # Epoch super-kernels carry a per-buffer calling convention the
-        # workers must reproduce (merged span view vs per-rank list).
-        modes = getattr(kernel, "binding_modes", None)
-        requests = []
-        for start, stop in chunks:
-            buffers = []
-            for entry, descriptor in zip(prepared, descriptors):
-                table_id, wire = self._wire_chunk_rects(entry[3], start, stop)
-                buffers.append((entry[0], entry[2], descriptor, table_id, wire))
-            requests.append(
-                procpool.ChunkRequest(
-                    kernel_id=kernel_id,
-                    spec=None,
-                    scalars=scalars,
-                    buffers=tuple(buffers),
-                    start=start,
-                    stop=stop,
-                    elementwise=elementwise,
-                    cost=kernel.cost if with_cost else None,
-                    machine=self.machine if with_cost else None,
-                    modes=modes,
-                )
-            )
-        pool = procpool.process_pool()
-        pool.begin_call_meter()
-        with telemetry.span(
-            "wire.roundtrip", f"kernel={kernel_id} chunks={len(requests)}"
-        ):
-            try:
-                return pool.run_chunks(kernel_id, spec, requests)
-            except procpool.ProcessPoolBrokenError:
-                # A worker died (not a kernel error — those re-raise with
-                # their own type): the pool tore itself down; degrade this
-                # launch to the thread substrate and let the next launch
-                # rebuild a fresh pool.
-                return None
-            finally:
-                self._record_wire_traffic(pool)
-
-    def _record_wire_traffic(self, pool) -> None:
-        """Report a dispatch's pipe traffic to the profiler.
-
-        Reads the pool's thread-local call meter (armed before the
-        dispatch), so concurrent dispatches from several threads — wide
-        levels ship steps to the pool simultaneously — each report
-        exactly their own traffic.
-        """
-        wire_bytes, wire_requests = pool.end_call_meter()
-        if self.profiler is not None:
-            self.profiler.record_wire_traffic(wire_bytes, wire_requests)
-
-    def _wire_chunk_rects(self, table, start: int, stop: int) -> Tuple[Optional[int], list]:
-        """The pipe form of ranks ``[start, stop)`` of a rect table.
-
-        Returns ``(stable wire-table id, rect list)``, memoized per
-        (table identity, range): the tables are immutable and the wire
-        lists are rebuilt on every launch of every replay otherwise.
-        The cached table reference pins the ``id()`` key; the stable id
-        (assigned once per distinct geometry) keys the worker-side
-        intern caches.  With the hot-path caches off the rect tables are
-        rebuilt per launch, so no stable id is assigned and the rects
-        always travel inline (interning ``id()``-unstable tables would
-        grow the worker caches without bound).
-        """
-        if not self.use_caches:
-            return None, [
-                (table[rank][0].lo, table[rank][0].hi) for rank in range(start, stop)
-            ]
-        key = (id(table), start, stop)
-        entry = self._wire_rect_cache.get(key)
-        if entry is not None and entry[0] is table:
-            return entry[1], entry[2]
-        from repro.runtime import procpool
-
-        wire = [(table[rank][0].lo, table[rank][0].hi) for rank in range(start, stop)]
-        table_id = procpool.next_wire_table_id()
-        self._wire_rect_cache[key] = (table, table_id, wire)
-        return table_id, wire
-
-    # ------------------------------------------------------------------
-    # Plan-resident replay (``REPRO_RESIDENT_PLANS``).
-    # ------------------------------------------------------------------
-    def resident_step_template(
-        self,
-        kernel: CompiledKernel,
-        prepared,
-        num_points: int,
-        scalar_names: Tuple[str, ...],
-        elementwise: bool,
-        chunks: Sequence[Tuple[int, int]],
-    ):
-        """Build one compiled step's worker-resident template.
-
-        Returns ``None`` when the step cannot ship (a non-reduction
-        field without a shared-memory descriptor), mirroring the
-        shippability test of :meth:`_process_chunks_compiled`.  The
-        template carries the *full* rank-indexed wire rect table of
-        every argument (workers slice chunk ranges from it locally) and
-        the step's chunk plan, which the pool cuts per worker at ship
-        time so dispatches never re-send rank ranges.
-        """
-        from repro.runtime import procpool
-
-        buffers = []
-        for name, field, is_reduction, table in prepared:
-            if is_reduction:
-                descriptor = None
-            else:
-                descriptor = getattr(field, "shm_descriptor", None)
-                if descriptor is None:
-                    return None
-            table_id, wire = self._wire_chunk_rects(table, 0, num_points)
-            buffers.append((name, is_reduction, descriptor, table_id, wire))
-        return procpool.ResidentStep(
-            kernel_id=procpool.kernel_spec_id(kernel),
-            spec=procpool.spec_for(kernel),
-            buffers=tuple(buffers),
-            scalar_names=scalar_names,
-            elementwise=elementwise,
-            modes=getattr(kernel, "binding_modes", None),
-            chunks=tuple(chunks),
+        return all(
+            not is_reduction
+            and len(table) == num_points
+            and getattr(table, "contiguous", False)
+            for _key, _field, is_reduction, table in rows
         )
 
-    def _process_chunks_resident(
-        self,
-        resident,
-        step_index: int,
-        prepared,
-        scalars: Dict[str, float],
-        chunks: Sequence[Tuple[int, int]],
-    ):
-        """Run one resident step's chunks on the worker-process pool.
+    def compiled_work(
+        self, kernel, rows, scalars, num_points: int, elementwise: bool,
+        wanted, cost=None,
+    ) -> ChunkWork:
+        """Work of a compiled launch (per-rank, or merged element-wise).
 
-        ``prepared`` is the *epoch's* resolved bindings: frontends bind
-        fresh stores (hence fresh arena blocks) to a slot every epoch,
-        so the step's current shared-memory descriptors are re-derived
-        here per dispatch and the pool syncs them as per-worker-interned
-        ids.  Returns per-chunk results in chunk order like
-        :meth:`_process_chunks_compiled` (with empty seconds — replay
-        charges captured seconds parent-side), or ``None`` when the step
-        cannot ship this epoch (a field without a descriptor, or a chunk
-        plan that disagrees with the ranges baked into the workers'
-        templates) or the pool broke, in which case the caller degrades
-        to the per-chunk protocol (rebuilding a fresh pool) and the plan
-        re-ships there.
+        ``cost`` makes the runner model per-rank seconds (eager
+        launches); replay passes none and charges captured seconds.
+        Interior tiles share one shape, so the modelled time is memoized
+        per tuple of sub-store volumes; the memo is shared by concurrent
+        chunks — ``estimate_seconds`` is a pure function of the volumes,
+        so a racing duplicate stores the same value.
         """
-        from repro.runtime import procpool
-
-        template = resident.steps[step_index]
-        if tuple(chunks) != template.chunks:
-            return None
-        descriptors = []
-        for _name, field, is_reduction, _table in prepared:
-            if is_reduction:
-                descriptors.append(None)
-                continue
-            descriptor = getattr(field, "shm_descriptor", None)
-            if descriptor is None:
-                return None
-            descriptors.append(descriptor)
-        values = tuple(scalars[name] for name in template.scalar_names)
-        pool = procpool.process_pool()
-        pool.begin_call_meter()
-        with telemetry.span(
-            "wire.roundtrip",
-            f"resident plan={resident.plan_id} step={step_index}",
-        ):
-            try:
-                return pool.run_resident_chunks(
-                    resident, step_index, values, tuple(descriptors), chunks
-                )
-            except procpool.ProcessPoolBrokenError:
-                return None
-            finally:
-                self._record_wire_traffic(pool)
-
-    # ------------------------------------------------------------------
-    # Compiled (KIR) execution.
-    # ------------------------------------------------------------------
-    def execute_compiled(self, task: IndexTask, kernel: CompiledKernel) -> float:
-        """Run a task through its compiled kernel; returns kernel seconds."""
-        per_gpu_seconds: Dict[int, float] = {}
-        reduction_totals: Dict[int, List[ReductionPartial]] = {}
-        binding = kernel.binding
-        buffer_order = binding.buffer_order or tuple(binding.buffer_args.items())
-        args = task.args
-        num_gpus = max(1, self.machine.num_gpus)
-        use_caches = self.use_caches
-
-        # Everything that does not depend on the launch point is resolved
-        # once per launch: scalar bindings, the region field and reduction
-        # flag of every buffer argument.
-        scalars = {
-            name: task.scalar_args[index]
-            for name, index in binding.scalar_args.items()
-        }
-        prepared = tuple(
-            (
-                name,
-                self.regions.field(args[arg_index].store),
-                args[arg_index].privilege is Privilege.REDUCE,
-                self._launch_rects(args[arg_index], task),
-            )
-            for name, arg_index in buffer_order
-        )
-        if prepared:
-            num_points = len(prepared[0][3])
-        else:
-            num_points = task.launch_domain.volume
-        # Interior tiles share one shape, so the analytic kernel time is
-        # memoized per distinct tuple of sub-store volumes.  The memo is
-        # shared across concurrent chunks: dict get/set are atomic in
-        # CPython and ``estimate_seconds`` is a pure function of the
-        # volumes, so a racing duplicate computation stores the same
-        # value.
-        seconds_by_volumes: Dict[Tuple[int, ...], float] = {}
-
-        chunks = self.point_chunk_plan(num_points, prepared)
-        elementwise = self._elementwise_launch(kernel, prepared, num_points)
-        results = None
-        dispatch_backend = None
-        if len(chunks) > 1:
-            if config.dispatch_backend() == "process":
-                results = self._process_chunks_compiled(
-                    kernel, prepared, scalars, chunks, elementwise
-                )
-                if results is not None:
-                    dispatch_backend = "process"
-            if results is None:
-                results = self._dispatch_chunks(
-                    chunks,
-                    lambda start, stop: self._compiled_ranks(
-                        kernel,
-                        prepared,
-                        scalars,
-                        start,
-                        stop,
-                        seconds_by_volumes,
-                        elementwise,
-                    ),
-                )
-                dispatch_backend = "thread"
-        elif elementwise:
-            # Serial width, batchable launch: one merged closure call
-            # instead of ``num_points`` per-rank calls (seconds still
-            # accumulate per rank below, so time is unchanged).
-            results = [
-                self._compiled_ranks(
-                    kernel, prepared, scalars, 0, num_points,
-                    seconds_by_volumes, True,
-                )
-            ]
-        if results is not None:
-            # Join point: fold reduction partials and per-GPU seconds in
-            # recorded rank order — bit-identical to the serial loop.
-            rank = 0
-            for partials_by_rank, seconds_by_rank in results:
-                for partials, seconds in zip(partials_by_rank, seconds_by_rank):
-                    for name, partial in partials.items():
-                        arg_index = binding.buffer_args.get(name)
-                        if arg_index is None:
-                            continue
-                        reduction_totals.setdefault(arg_index, []).append(partial)
-                    gpu = rank % num_gpus
-                    per_gpu_seconds[gpu] = per_gpu_seconds.get(gpu, 0.0) + seconds
-                    rank += 1
-            if dispatch_backend is not None:
-                self._record_point_dispatch(
-                    num_points, len(chunks), dispatch_backend
-                )
-            if elementwise:
-                self._record_elementwise_batch(len(results))
-        else:
-            # The serial per-rank loop (``REPRO_POINT_WORKERS=1``); one
-            # buffer dict is reused across points (executors only read
-            # it during the call).
-            buffers: Dict[str, Optional[np.ndarray]] = {}
-            for rank in range(num_points):
-                volumes: List[int] = []
-                for name, field, is_reduction, rect_table in prepared:
-                    rect, volume = rect_table[rank]
-                    volumes.append(volume)
-                    if is_reduction:
-                        buffers[name] = None
-                    elif use_caches:
-                        buffers[name] = field.view(rect)
-                    else:
-                        buffers[name] = field.data[rect.slices()]
-
-                partials = kernel.executor(buffers, scalars)
-                for name, partial in partials.items():
-                    arg_index = binding.buffer_args.get(name)
-                    if arg_index is None:
-                        continue
-                    reduction_totals.setdefault(arg_index, []).append(partial)
-
-                volume_key = tuple(volumes)
-                seconds = seconds_by_volumes.get(volume_key) if use_caches else None
-                if seconds is None:
-                    element_counts = {
-                        entry[0]: volume for entry, volume in zip(prepared, volumes)
-                    }
-                    seconds = kernel.cost.estimate_seconds(element_counts, self.machine)
-                    if use_caches:
-                        seconds_by_volumes[volume_key] = seconds
-                gpu = rank % num_gpus
-                per_gpu_seconds[gpu] = per_gpu_seconds.get(gpu, 0.0) + seconds
-
-        self._apply_reductions(task, reduction_totals)
-        return max(per_gpu_seconds.values()) if per_gpu_seconds else 0.0
-
-    def _compiled_ranks(
-        self,
-        kernel: CompiledKernel,
-        prepared,
-        scalars: Dict[str, float],
-        start: int,
-        stop: int,
-        seconds_memo: Dict[Tuple[int, ...], float],
-        elementwise: bool = False,
-    ) -> Tuple[List[Dict[str, ReductionPartial]], List[float]]:
-        """Execute ranks ``[start, stop)`` of a prepared compiled launch.
-
-        Pure compute, safe on any worker: kernels write their disjoint
-        output views in place through a chunk-local buffer dict; partials
-        and the per-rank modelled seconds are returned unapplied in rank
-        order for the caller's join-point fold.
-
-        With ``elementwise`` the chunk executes as one merged closure
-        call over its contiguous span (the caller proved the launch
-        batchable); the per-rank time model below is unaffected.
-        """
-        use_caches = self.use_caches
-        machine = self.machine
         kernel_fn = kernel.executor
-        cost = kernel.cost
-        buffers: Dict[str, Optional[np.ndarray]] = {}
-        partials_by_rank: List[Dict[str, ReductionPartial]] = []
-        seconds_by_rank: List[float] = []
-        if elementwise and stop > start:
-            for name, field, _is_reduction, rect_table in prepared:
-                buffers[name] = field.view(merged_table_span(rect_table, start, stop))
-            kernel_fn(buffers, scalars)
-            partials_by_rank = [{} for _ in range(start, stop)]
-            for rank in range(start, stop):
-                volumes = [entry[3][rank][1] for entry in prepared]
-                volume_key = tuple(volumes)
-                seconds = seconds_memo.get(volume_key)
-                if seconds is None:
-                    element_counts = {
-                        entry[0]: volume
-                        for entry, volume in zip(prepared, volumes)
-                    }
-                    seconds = cost.estimate_seconds(element_counts, machine)
-                    seconds_memo[volume_key] = seconds
-                seconds_by_rank.append(seconds)
-            return partials_by_rank, seconds_by_rank
-        for rank in range(start, stop):
-            volumes: List[int] = []
-            for name, field, is_reduction, rect_table in prepared:
-                rect, volume = rect_table[rank]
-                volumes.append(volume)
-                if is_reduction:
-                    buffers[name] = None
-                elif use_caches:
-                    buffers[name] = field.view(rect)
-                else:
-                    buffers[name] = field.data[rect.slices()]
-            partials_by_rank.append(kernel_fn(buffers, scalars))
-            volume_key = tuple(volumes)
-            seconds = seconds_memo.get(volume_key) if use_caches else None
-            if seconds is None:
-                element_counts = {
-                    entry[0]: volume for entry, volume in zip(prepared, volumes)
-                }
-                seconds = cost.estimate_seconds(element_counts, machine)
-                if use_caches:
-                    seconds_memo[volume_key] = seconds
-            seconds_by_rank.append(seconds)
-        return partials_by_rank, seconds_by_rank
+        bind = self._bind_ranks
+        machine = self.machine
+        memo: Dict[Tuple[int, ...], float] = {}
 
-    # ------------------------------------------------------------------
-    # Opaque execution.
-    # ------------------------------------------------------------------
-    def execute_opaque(
-        self,
-        task: IndexTask,
-        impl: OpaqueTaskImpl,
-        resident=None,
-        resident_step: Optional[int] = None,
-    ) -> float:
-        """Run a task through its opaque implementation; returns kernel seconds."""
-        seconds, reduction_totals = self.execute_opaque_deferred(
-            task, impl, resident=resident, resident_step=resident_step
-        )
-        self._apply_reductions(task, reduction_totals)
-        return seconds
-
-    def prepare_opaque_bindings(self, task: IndexTask):
-        """Resolve an opaque launch's per-argument fields and rect tables.
-
-        One ``(arg index, region field, is_reduction, rect table)`` tuple
-        per argument — the prepared form shared by the per-rank loop, the
-        chunk fast path and the resident-template builder.
-        """
-        return tuple(
-            (
-                index,
-                self.regions.field(arg.store),
-                arg.privilege is Privilege.REDUCE,
-                self._launch_rects(arg, task),
+        def run(start: int, stop: int) -> ChunkResult:
+            partials = compiled_ranks(
+                kernel_fn, rows, scalars, start, stop, elementwise, bind
             )
-            for index, arg in enumerate(task.args)
+            if cost is None:
+                return partials, ()
+            seconds = []
+            for rank in range(start, stop):
+                volumes = tuple(row[3][rank][1] for row in rows)
+                modelled = memo.get(volumes)
+                if modelled is None:
+                    counts = {row[0]: volume for row, volume in zip(rows, volumes)}
+                    modelled = memo[volumes] = cost.estimate_seconds(counts, machine)
+                seconds.append(modelled)
+            return partials, seconds
+
+        return ChunkWork(
+            rows, num_points, run, wanted, kernel=kernel, scalars=scalars,
+            elementwise=elementwise, cost=cost,
         )
 
-    def _opaque_binding_rows(self, prepared, num_points: int):
+    def opaque_work(
+        self, impl: OpaqueTaskImpl, rows, num_points: int, scalars, task_of: Callable
+    ) -> ChunkWork:
+        """Work of an opaque launch (rows keyed by argument index).
+
+        With ``REPRO_OPAQUE_CHUNKS`` on and a chunk-level implementation
+        registered, a rank range is one library call over the pipe-safe
+        chunk contract (full base arrays, per-rank wire rects, the
+        scalar tuple), which also ships to worker processes.  The chunk
+        cost runs after the execute — sound because registered chunk
+        cost functions never read data the chunk wrote.  Otherwise each
+        rank is one call on the launch's task (``task_of()``; replay
+        only rebuilds it here) with its own buffer dict, its cost
+        modelled right after its execute so data-dependent costs observe
+        the buffer state the serial loop would show them.
+        """
+        machine = self.machine
+        if num_points > 1 and impl.chunk is not None and config.opaque_chunks_enabled():
+            scalars = tuple(scalars)
+            chunk = impl.chunk
+
+            def run(start: int, stop: int) -> ChunkResult:
+                bases = {
+                    index: None if is_reduction else field.data
+                    for index, field, is_reduction, _table in rows
+                }
+                rects = {
+                    row[0]: self._wire_chunk_rects(row[3], start, stop)[1]
+                    for row in rows
+                }
+                with telemetry.span(
+                    "opaque.chunk", f"op={impl.name} ranks=[{start}:{stop})"
+                ):
+                    partials = chunk.execute(bases, rects, scalars)
+                return partials or (), chunk.cost_seconds(bases, rects, scalars, machine)
+
+            return ChunkWork(rows, num_points, run, impl=impl, scalars=scalars)
+
+        task = task_of()
+        points = list(task.launch_domain.points())
+        bind = self._bind_opaque_ranks
+
+        def run(start: int, stop: int) -> ChunkResult:
+            partials, seconds = [], []
+            for point, buffers in zip(points[start:stop], bind(rows, start, stop)):
+                partials.append(impl.execute(task, point, buffers))
+                seconds.append(impl.cost_seconds(task, point, buffers, machine))
+            return partials, seconds
+
+        return ChunkWork(rows, num_points, run)
+
+    def _opaque_binding_rows(self, rows, num_points: int) -> List[dict]:
         """The per-rank buffer dicts of an opaque launch, memoized.
 
-        Returns a list with one dict per rank mapping argument index to
-        its canonical sub-store view (``None`` for reductions).  Callers
-        must shallow-copy a rank's dict before handing it to the task
-        implementation.  Only consulted when the hot-path caches are on.
+        One dict per rank mapping argument index to its canonical
+        sub-store view (``None`` for reductions).  Callers shallow-copy
+        a rank's dict before handing it to the task implementation.
         """
-        key = (num_points,) + tuple(
-            (id(entry[1]), id(entry[3]), entry[2]) for entry in prepared
-        )
+        key = (num_points,) + tuple((id(row[1]), id(row[3]), row[2]) for row in rows)
         cached = self._opaque_binding_memo.get(key)
         if cached is not None:
             # LRU touch; tolerates concurrent chunk workers racing an
@@ -769,15 +380,7 @@ class TaskExecutor:
             except KeyError:
                 pass
             return cached[1]
-        rows = []
-        for rank in range(num_points):
-            buffers: Dict[int, Optional[np.ndarray]] = {}
-            for index, field, is_reduction, rect_table in prepared:
-                if is_reduction:
-                    buffers[index] = None
-                else:
-                    buffers[index] = field.view(rect_table[rank][0])
-            rows.append(buffers)
+        bound = bind_views(rows, 0, num_points)
         if len(self._opaque_binding_memo) >= OPAQUE_BINDING_MEMO_LIMIT:
             # Single least-recently-used eviction; tolerates concurrent
             # chunk workers racing on the same launch (both build
@@ -786,422 +389,384 @@ class TaskExecutor:
                 self._opaque_binding_memo.popitem(last=False)
             except (KeyError, RuntimeError):
                 pass
-        fields = tuple(entry[1] for entry in prepared)
-        self._opaque_binding_memo[key] = (fields, rows)
-        return rows
+        self._opaque_binding_memo[key] = (tuple(row[1] for row in rows), bound)
+        return bound
 
-    def execute_opaque_deferred(
-        self,
-        task: IndexTask,
-        impl: OpaqueTaskImpl,
-        resident=None,
-        resident_step: Optional[int] = None,
-    ) -> Tuple[float, Dict[int, List[ReductionPartial]]]:
-        """Run an opaque task but defer folding its reduction partials.
+    def point_chunk_plan(
+        self, num_points: int, rows, width: Optional[int] = None
+    ) -> List[Tuple[int, int]]:
+        """Rank chunks of one launch at dispatch ``width``.
 
-        The plan scheduler executes independent steps concurrently and
-        folds each step's partials at its dependence level's join point
-        (in recorded order), so the compute part must not touch the
-        target stores.  Returns ``(kernel seconds, partials per argument
-        index)``; :meth:`execute_opaque` is the fold-immediately wrapper
-        used by the eager pipeline and the serial replay path.
-
-        With ``REPRO_OPAQUE_CHUNKS`` on and a chunk-level implementation
-        registered, the launch executes with one library call per rank
-        chunk (one call total at dispatch width 1); under the process
-        backend the chunks ship to the worker pool — through the lean
-        resident protocol when the plan scheduler passes this step's
-        ``(resident plan, step index)`` and the workers hold its
-        template.  Every route folds per-rank partials and seconds at
-        the same join point in recorded rank order, so buffers and
-        simulated time are bit-identical to the per-rank loop.
+        ``width`` defaults to ``REPRO_POINT_WORKERS``.  A single ``(0,
+        num_points)`` chunk means the launch runs inline.  Dispatch is
+        declined for launches whose total touched volume is below
+        :data:`MIN_POINT_DISPATCH_VOLUME`, and — under the *thread*
+        backend only — on pool worker threads, where nested dispatch
+        would block the pool on its own queue.  Process chunks queue on
+        the worker pipes instead, so steps on pool workers still chunk
+        there; if such a launch degrades to threads its chunks run
+        inline (:meth:`_dispatch_chunks`).
         """
-        per_gpu_seconds: Dict[int, float] = {}
-        reduction_totals: Dict[int, List[ReductionPartial]] = {}
-        num_gpus = max(1, self.machine.num_gpus)
-
-        use_caches = self.use_caches
-        prepared = self.prepare_opaque_bindings(task)
-        points = list(task.launch_domain.points())
-        num_points = len(points)
-
-        chunks = self.point_chunk_plan(num_points, prepared)
-        chunked = (
-            num_points > 1
-            and impl.chunk is not None
-            and config.opaque_chunks_enabled()
-        )
-        if chunked:
-            scalars = tuple(task.scalar_args)
-            results = None
-            dispatch_backend = None
-            if len(chunks) > 1 and config.dispatch_backend() == "process":
-                if resident is not None and resident_step in resident.steps:
-                    results = self._process_chunks_resident_opaque(
-                        resident, resident_step, prepared, scalars, chunks
-                    )
-                if results is None:
-                    results = self._process_chunks_opaque(
-                        impl, prepared, scalars, chunks
-                    )
-                if results is not None:
-                    dispatch_backend = "process"
-            if results is None:
-                if len(chunks) > 1:
-                    results = self._dispatch_chunks(
-                        chunks,
-                        lambda start, stop: self._opaque_chunk_ranks(
-                            impl, prepared, scalars, start, stop
-                        ),
-                    )
-                    dispatch_backend = "thread"
-                else:
-                    # Serial width: one chunk-level library call replaces
-                    # the whole per-rank loop (per-rank seconds still
-                    # accumulate below, so time is unchanged).
-                    results = [
-                        self._opaque_chunk_ranks(
-                            impl, prepared, scalars, 0, num_points
-                        )
-                    ]
-            # Join point: fold partials and per-GPU seconds in recorded
-            # rank order — bit-identical to the per-rank loop.
-            rank = 0
-            for partials_by_rank, seconds_by_rank in results:
-                for partials, seconds in zip(partials_by_rank, seconds_by_rank):
-                    if partials:
-                        for arg_index, partial in partials.items():
-                            reduction_totals.setdefault(arg_index, []).append(partial)
-                    gpu = rank % num_gpus
-                    per_gpu_seconds[gpu] = per_gpu_seconds.get(gpu, 0.0) + seconds
-                    rank += 1
-            if dispatch_backend is not None:
-                self._record_point_dispatch(
-                    num_points, len(chunks), dispatch_backend
-                )
-            self._record_opaque_calls(
-                chunk_calls=len(results),
-                process_chunks=len(results) if dispatch_backend == "process" else 0,
-            )
-        elif len(chunks) > 1:
-            results = self._dispatch_chunks(
-                chunks,
-                lambda start, stop: self._opaque_ranks(
-                    task, impl, prepared, points, start, stop
-                ),
-            )
-            # Join point: fold partials and per-GPU seconds in recorded
-            # rank order — bit-identical to the serial loop.
-            rank = 0
-            for partials_by_rank, seconds_by_rank in results:
-                for partials, seconds in zip(partials_by_rank, seconds_by_rank):
-                    if partials:
-                        for arg_index, partial in partials.items():
-                            reduction_totals.setdefault(arg_index, []).append(partial)
-                    gpu = rank % num_gpus
-                    per_gpu_seconds[gpu] = per_gpu_seconds.get(gpu, 0.0) + seconds
-                    rank += 1
-            self._record_point_dispatch(num_points, len(chunks))
-            self._record_opaque_calls(rank_calls=num_points)
+        if width is None:
+            width = config.point_worker_count()
+        if width <= 1 or num_points <= 1:
+            return [(0, num_points)]
+        if in_pool_worker() and config.dispatch_backend() != "process":
+            self._decline("nested_dispatch")
+        elif (
+            sum(volume for row in rows for _rect, volume in row[3])
+            < MIN_POINT_DISPATCH_VOLUME
+        ):
+            self._decline("below_volume")
         else:
-            rows = (
-                self._opaque_binding_rows(prepared, num_points)
-                if use_caches
-                else None
-            )
-            for rank, point in enumerate(points):
-                if rows is not None:
-                    buffers = dict(rows[rank])
-                else:
-                    buffers = {}
-                    for index, field, is_reduction, rect_table in prepared:
-                        rect, _ = rect_table[rank]
-                        if is_reduction:
-                            buffers[index] = None
-                        else:
-                            buffers[index] = field.data[rect.slices()]
-                partials = impl.execute(task, point, buffers)
-                if partials:
-                    for arg_index, partial in partials.items():
-                        reduction_totals.setdefault(arg_index, []).append(partial)
+            return point_chunks(num_points, width, config.point_min_ranks())
+        return [(0, num_points)]
 
-                gpu = rank % num_gpus
-                seconds = impl.cost_seconds(task, point, buffers, self.machine)
-                per_gpu_seconds[gpu] = per_gpu_seconds.get(gpu, 0.0) + seconds
-            self._record_opaque_calls(rank_calls=num_points)
+    # ------------------------------------------------------------------
+    # Run chunks: the substrate ladder.
+    # ------------------------------------------------------------------
+    def _decline(self, reason: str) -> None:
+        """Record why a rung of the ladder declined (and return ``None``)."""
+        self.profiler.record_decline(reason)
 
-        kernel_seconds = max(per_gpu_seconds.values()) if per_gpu_seconds else 0.0
-        return kernel_seconds, reduction_totals
+    def run_chunks(
+        self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int
+    ) -> Tuple[List[ChunkResult], Optional[str]]:
+        """Per-chunk results in chunk order, and the substrate that ran them.
 
-    def _opaque_ranks(
-        self,
-        task: IndexTask,
-        impl: OpaqueTaskImpl,
-        prepared,
-        points,
-        start: int,
-        stop: int,
-    ) -> Tuple[List[Optional[Dict[int, ReductionPartial]]], List[float]]:
-        """Execute ranks ``[start, stop)`` of a prepared opaque launch.
-
-        Pure compute with a chunk-local buffer dict per rank; the cost
-        model runs after the rank's execute exactly as in the serial
-        loop, so data-dependent costs observe the same buffer state.
+        One chunk runs inline (substrate ``None``).  Several go to the
+        worker processes under ``REPRO_DISPATCH_BACKEND=process`` —
+        resident protocol first, then per-chunk — and to the shared
+        thread pool when that declines; ``width`` is the dispatch width
+        the chunk plan was cut for (recorded with the dispatch).
         """
-        use_caches = self.use_caches
-        machine = self.machine
-        rows = (
-            self._opaque_binding_rows(prepared, len(points))
-            if use_caches
-            else None
+        if len(chunks) == 1:
+            return [work.run(*chunks[0])], None
+        results = None
+        if config.dispatch_backend() == "process":
+            results = self._ship(work, chunks)
+        backend = "thread" if results is None else "process"
+        if results is None:
+            results = self._dispatch_chunks(chunks, work.run)
+        self.profiler.record_point_dispatch(
+            ranks=work.num_points, chunks=len(chunks), width=width, backend=backend
         )
-        partials_by_rank: List[Optional[Dict[int, ReductionPartial]]] = []
-        seconds_by_rank: List[float] = []
-        for rank in range(start, stop):
-            if rows is not None:
-                buffers = dict(rows[rank])
-            else:
-                buffers = {}
-                for index, field, is_reduction, rect_table in prepared:
-                    rect, _ = rect_table[rank]
-                    if is_reduction:
-                        buffers[index] = None
-                    else:
-                        buffers[index] = field.data[rect.slices()]
-            point = points[rank]
-            partials_by_rank.append(impl.execute(task, point, buffers))
-            seconds_by_rank.append(impl.cost_seconds(task, point, buffers, machine))
-        return partials_by_rank, seconds_by_rank
+        return results, backend
 
-    def _opaque_chunk_ranks(
-        self,
-        impl: OpaqueTaskImpl,
-        prepared,
-        scalars: tuple,
-        start: int,
-        stop: int,
-    ) -> Tuple[List[Optional[Dict[int, ReductionPartial]]], List[float]]:
-        """Execute ranks ``[start, stop)`` with one chunk-level call.
+    def _dispatch_chunks(
+        self, chunks: Sequence[Tuple[int, int]], run: Callable[[int, int], object]
+    ) -> List[object]:
+        """The thread rung: chunk runners across the shared pool, in order.
 
-        Builds the pipe-safe chunk contract (full base arrays + per-rank
-        wire rects) and invokes the operator's chunk implementation once
-        over the whole range.  The chunk cost runs after the execute —
-        sound because registered chunk cost functions never read data the
-        chunk wrote (a registry contract; see ``runtime/opaque.py``).
+        On a pool worker thread (a step dispatched into a wide level
+        whose process rungs declined) the chunks run inline —
+        submitting from a worker back to its own pool could deadlock it.
         """
-        bases: Dict[int, Optional[np.ndarray]] = {}
-        rects: Dict[int, list] = {}
-        for index, field, is_reduction, rect_table in prepared:
-            bases[index] = None if is_reduction else field.data
-            _table_id, wire = self._wire_chunk_rects(rect_table, start, stop)
-            rects[index] = wire
-        with telemetry.span(
-            "opaque.chunk", f"op={impl.name} ranks=[{start}:{stop})"
-        ):
-            partials = impl.chunk.execute(bases, rects, scalars)
-        seconds = impl.chunk.cost_seconds(bases, rects, scalars, self.machine)
-        if partials is None:
-            partials = [None] * (stop - start)
-        return partials, seconds
+        if telemetry.enabled():
+            inner = run
 
-    def _process_chunks_opaque(
-        self,
-        impl: OpaqueTaskImpl,
-        prepared,
-        scalars: tuple,
-        chunks: Sequence[Tuple[int, int]],
-    ):
-        """Ship an opaque launch's rank chunks to the worker-process pool.
+            def run(start: int, stop: int):
+                with telemetry.span("point.chunk", f"ranks=[{start}:{stop})"):
+                    return inner(start, stop)
 
-        Returns per-chunk ``(partials_by_rank, seconds_by_rank)`` results
-        in chunk order, or ``None`` when the launch cannot ship: the
-        operator is not resolvable by name in a worker (hand-built impl
-        with no defining module, or not the registry's instance for its
-        name), or a non-reduction field has no shared-memory descriptor.
-        A broken pool also returns ``None`` — the caller degrades to the
-        thread substrate.
+        if in_pool_worker():
+            self._decline("nested_dispatch")
+            return [run(start, stop) for start, stop in chunks]
+        return dispatch_chunks(worker_pool(), list(chunks), run)
+
+    def _shippable(self, work: ChunkWork) -> Optional[list]:
+        """The rows' shared-memory descriptors, or ``None`` with a reason.
+
+        A work ships when a worker can resolve what to run — a kernel
+        spec, or an opaque operator that is the registry's instance for
+        its name and has a defining module and a chunk implementation —
+        and every non-reduction field lives in the shared arena (fields
+        allocated before the backend flag flipped do not).
         """
-        registry = default_opaque_registry()
-        if (
-            impl.module is None
-            or not registry.has(impl.name)
-            or registry.get(impl.name) is not impl
-        ):
-            return None
+        impl = work.impl
+        if work.kernel is None:
+            registry = default_opaque_registry()
+            if (
+                impl is None
+                or impl.module is None
+                or not registry.has(impl.name)
+                or registry.get(impl.name) is not impl
+            ):
+                return self._decline("unshippable_operator")
         descriptors = []
-        for _index, field, is_reduction, _table in prepared:
-            if is_reduction:
-                descriptors.append(None)
-                continue
-            descriptor = getattr(field, "shm_descriptor", None)
-            if descriptor is None:
-                return None
-            descriptors.append(descriptor)
-
-        from repro.runtime import procpool
-
-        requests = []
-        for start, stop in chunks:
-            buffers = []
-            for entry, descriptor in zip(prepared, descriptors):
-                table_id, wire = self._wire_chunk_rects(entry[3], start, stop)
-                buffers.append((entry[0], entry[2], descriptor, table_id, wire))
-            requests.append(
-                procpool.OpaqueChunkRequest(
-                    op=impl.name,
-                    module=impl.module,
-                    scalars=scalars,
-                    buffers=tuple(buffers),
-                    start=start,
-                    stop=stop,
-                    machine=self.machine,
-                )
-            )
-        pool = procpool.process_pool()
-        pool.begin_call_meter()
-        with telemetry.span(
-            "wire.roundtrip", f"opaque op={impl.name} chunks={len(requests)}"
-        ):
-            try:
-                return pool.run_opaque_chunks(requests)
-            except procpool.ProcessPoolBrokenError:
-                return None
-            finally:
-                self._record_wire_traffic(pool)
-
-    def resident_opaque_template(
-        self,
-        impl: OpaqueTaskImpl,
-        prepared,
-        num_points: int,
-        chunks: Sequence[Tuple[int, int]],
-    ):
-        """Build one opaque step's worker-resident template.
-
-        Mirrors :meth:`resident_step_template` for opaque operators: the
-        template names the operator (workers resolve it from their own
-        registry) and carries every argument's full rank-indexed wire
-        rect table plus the baked chunk plan.  Returns ``None`` when the
-        step cannot ship — no chunk implementation, an operator that is
-        not resolvable by name, or a field without a shared-memory
-        descriptor.
-        """
-        registry = default_opaque_registry()
-        if (
-            impl.chunk is None
-            or impl.module is None
-            or not registry.has(impl.name)
-            or registry.get(impl.name) is not impl
-        ):
-            return None
-
-        from repro.runtime import procpool
-
-        buffers = []
-        for index, field, is_reduction, table in prepared:
-            if is_reduction:
-                descriptor = None
-            else:
+        for _key, field, is_reduction, _table in work.rows:
+            descriptor = None
+            if not is_reduction:
                 descriptor = getattr(field, "shm_descriptor", None)
                 if descriptor is None:
-                    return None
-            table_id, wire = self._wire_chunk_rects(table, 0, num_points)
-            buffers.append((index, is_reduction, descriptor, table_id, wire))
-        return procpool.OpaqueResidentStep(
-            op=impl.name,
-            module=impl.module,
-            machine=self.machine,
-            buffers=tuple(buffers),
-            chunks=tuple(chunks),
+                    return self._decline("no_shm_descriptor")
+            descriptors.append(descriptor)
+        return descriptors
+
+    def _wire_chunk_rects(self, table, start: int, stop: int) -> Tuple[Optional[int], list]:
+        """``(stable wire-table id, rect list)`` of ranks ``[start, stop)``."""
+        cache = getattr(table, "wire", None)
+        entry = None if cache is None else cache.get((start, stop))
+        if entry is None:
+            entry = (None, [(rect.lo, rect.hi) for rect, _volume in table[start:stop]])
+            if cache is not None:
+                entry = cache.setdefault(
+                    (start, stop), (procpool.next_wire_table_id(), entry[1])
+                )
+        return entry
+
+    def _wire_buffers(self, work: ChunkWork, descriptors, start: int, stop: int) -> tuple:
+        """The wire form of a work's rows over ranks ``[start, stop)``."""
+        return tuple(
+            (row[0], row[2], descriptor, *self._wire_chunk_rects(row[3], start, stop))
+            for row, descriptor in zip(work.rows, descriptors)
         )
 
-    def _process_chunks_resident_opaque(
-        self,
-        resident,
-        step_index: int,
-        prepared,
-        scalars: tuple,
-        chunks: Sequence[Tuple[int, int]],
-    ):
-        """Run one resident opaque step's chunks on the worker pool.
+    def _roundtrip(self, label: str, send: Callable):
+        """One metered pool round trip; ``None`` when the pool broke.
 
-        Like :meth:`_process_chunks_resident`, but opaque replay
-        re-computes per-rank seconds worker-side (the machine model rides
-        the template) rather than charging captured seconds parent-side —
-        opaque costs may be data-dependent.  Returns ``None`` when the
-        step cannot ship this epoch (descriptor missing, chunk plan
-        disagreeing with the baked template, non-numeric scalars) or the
-        pool broke; the caller falls back to the per-chunk protocol.
+        A dead or hung worker (not a kernel error — those re-raise with
+        their own type) tears the pool down; this launch degrades to the
+        next rung and the next launch builds a fresh pool.  The pool's
+        call meter is thread-local, so concurrent dispatches from the
+        steps of a wide level each report exactly their own traffic.
         """
-        from repro.runtime import procpool
-
-        template = resident.steps[step_index]
-        if not isinstance(template, procpool.OpaqueResidentStep):
-            return None
-        if tuple(chunks) != template.chunks:
-            return None
-        descriptors = []
-        for _index, field, is_reduction, _table in prepared:
-            if is_reduction:
-                descriptors.append(None)
-                continue
-            descriptor = getattr(field, "shm_descriptor", None)
-            if descriptor is None:
-                return None
-            descriptors.append(descriptor)
-        try:
-            values = tuple(float(value) for value in scalars)
-        except (TypeError, ValueError):
-            return None
         pool = procpool.process_pool()
         pool.begin_call_meter()
-        with telemetry.span(
-            "wire.roundtrip",
-            f"resident opaque plan={resident.plan_id} step={step_index}",
-        ):
+        with telemetry.span("wire.roundtrip", label):
             try:
-                return pool.run_resident_chunks(
-                    resident, step_index, values, tuple(descriptors), chunks
-                )
+                return send(pool)
             except procpool.ProcessPoolBrokenError:
-                return None
+                return self._decline("worker_lost")
             finally:
-                self._record_wire_traffic(pool)
+                self.profiler.record_wire_traffic(*pool.end_call_meter())
 
-    def apply_deferred_reductions(
-        self, task: IndexTask, totals: Dict[int, List[ReductionPartial]]
-    ) -> None:
-        """Fold partials returned by :meth:`execute_opaque_deferred`."""
-        self._apply_reductions(task, totals)
+    def _ship(self, work: ChunkWork, chunks) -> Optional[List[ChunkResult]]:
+        """The process rungs: the resident protocol, then per-chunk requests.
 
-    # ------------------------------------------------------------------
-    # Helpers.
-    # ------------------------------------------------------------------
-    def _apply_reductions(
-        self,
-        task: IndexTask,
-        totals: Dict[int, List[ReductionPartial]],
-    ) -> None:
-        """Fold per-point reduction partials into their target stores.
-
-        The partials of a launch are folded with one vectorised
-        ``ufunc.reduce`` over the partial values (the operators are
-        associative and commutative by construction), then combined with
-        the store's current value.
+        Resident run messages carry only the epoch's scalars and field
+        descriptors (frontends bind fresh stores, hence fresh arena
+        blocks, every epoch); the workers hold everything else.  It
+        declines when the chunk plan disagrees with the ranges baked
+        into the workers' templates or an opaque launch's scalars are
+        not numeric, and the per-chunk protocol takes over (as it does
+        after a broken pool; the plan re-ships to the fresh one).
         """
-        for arg_index, partials in totals.items():
-            if not partials:
-                continue
-            arg = task.args[arg_index]
-            redop = arg.redop if arg.redop is not None else ReductionOp.ADD
-            self.apply_reduction_partials(arg.store, redop, partials)
+        descriptors = self._shippable(work)
+        if descriptors is None:
+            return None
+        impl, scalars = work.impl, work.scalars
+        if work.resident is not None:
+            plan, index = work.resident
+            template = plan.steps[index]
+            values = None
+            if tuple(chunks) != template.chunks:
+                self._decline("template_mismatch")
+            elif impl is None:
+                values = tuple(scalars[name] for name in template.scalar_names)
+            else:
+                try:
+                    values = tuple(float(value) for value in scalars)
+                except (TypeError, ValueError):
+                    self._decline("non_numeric_scalars")
+            if values is not None:
+                results = self._roundtrip(
+                    f"resident plan={plan.plan_id} step={index}",
+                    lambda pool: pool.run_resident_chunks(
+                        plan, index, values, tuple(descriptors), chunks
+                    ),
+                )
+                if results is not None:
+                    return results
+        parts = [
+            (start, stop, self._wire_buffers(work, descriptors, start, stop))
+            for start, stop in chunks
+        ]
+        if impl is not None:
+            requests = [
+                procpool.OpaqueChunkRequest(
+                    impl.name, impl.module, scalars, buffers, start, stop, self.machine
+                )
+                for start, stop, buffers in parts
+            ]
+            return self._roundtrip(
+                f"opaque op={impl.name} chunks={len(requests)}",
+                lambda pool: pool.run_opaque_chunks(requests),
+            )
+        kernel_id, spec, modes = self._kernel_wire(work.kernel)
+        machine = None if work.cost is None else self.machine
+        requests = [
+            procpool.ChunkRequest(
+                kernel_id, None, scalars, buffers, start, stop,
+                work.elementwise, work.cost, machine, modes,
+            )
+            for start, stop, buffers in parts
+        ]
+        return self._roundtrip(
+            f"kernel={kernel_id} chunks={len(requests)}",
+            lambda pool: pool.run_chunks(kernel_id, spec, requests),
+        )
+
+    @staticmethod
+    def _kernel_wire(kernel) -> tuple:
+        """``(kernel id, shippable spec, binding modes)`` of a kernel.
+
+        Epoch super-kernels carry a per-buffer calling convention the
+        workers must reproduce (merged span view vs per-rank list).
+        """
+        return (
+            procpool.kernel_spec_id(kernel),
+            procpool.spec_for(kernel),
+            getattr(kernel, "binding_modes", None),
+        )
+
+    def resident_template(self, work: ChunkWork, chunks):
+        """One plan step's worker-resident template, or ``None``.
+
+        The template carries the *full* rank-indexed wire rect table of
+        every row (workers slice chunk ranges locally) and the step's
+        chunk plan, which the pool cuts per worker at ship time so
+        dispatches never re-send rank ranges.  The descriptors are
+        placeholders: every run message syncs the epoch's own.
+        """
+        descriptors = self._shippable(work)
+        if descriptors is None:
+            return None
+        buffers = self._wire_buffers(work, descriptors, 0, work.num_points)
+        impl = work.impl
+        if impl is not None:
+            return procpool.OpaqueResidentStep(
+                impl.name, impl.module, self.machine, buffers, tuple(chunks)
+            )
+        kernel_id, spec, modes = self._kernel_wire(work.kernel)
+        return procpool.ResidentStep(
+            kernel_id, spec, buffers, tuple(work.scalars), work.elementwise,
+            modes, tuple(chunks),
+        )
+
+    # ------------------------------------------------------------------
+    # Fold.
+    # ------------------------------------------------------------------
+    def fold(
+        self, results: Sequence[ChunkResult], wanted=None
+    ) -> Tuple[float, Dict[object, List[ReductionPartial]]]:
+        """Fold chunk results in recorded rank order.
+
+        Returns the launch's kernel seconds (the maximum over GPUs of
+        the per-GPU sums, ranks dealt round-robin) and its reduction
+        partials per key, in rank order — bit-identical to the serial
+        per-rank loop for every chunking.  Keys outside ``wanted`` and
+        empty partial lists are dropped.
+        """
+        totals: Dict[object, List[ReductionPartial]] = {}
+        seconds: List[float] = []
+        for partials_by_rank, seconds_by_rank in results:
+            seconds.extend(seconds_by_rank)
+            for partials in partials_by_rank:
+                if not partials:
+                    continue
+                for key, partial in partials.items():
+                    if partial and (wanted is None or key in wanted):
+                        if type(partial) is list:
+                            totals.setdefault(key, []).extend(partial)
+                        else:
+                            totals.setdefault(key, []).append(partial)
+        num_gpus = max(1, self.machine.num_gpus)
+        if len(seconds) <= num_gpus:
+            # One rank per GPU (the paper's execution model): each GPU's
+            # sum is ``0.0 + seconds``, which is ``seconds`` exactly.
+            return max(seconds, default=0.0), totals
+        per_gpu = [0.0] * num_gpus
+        for rank, rank_seconds in enumerate(seconds):
+            per_gpu[rank % num_gpus] += rank_seconds
+        return max(per_gpu), totals
+
+    def launch(
+        self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int
+    ) -> Tuple[float, Dict[object, List[ReductionPartial]]]:
+        """Run a prepared launch's chunks and fold them.
+
+        Returns ``(kernel seconds, reduction partials per key)`` with
+        the partials still unapplied: the plan scheduler folds each
+        step's partials into their stores at its level's join, in
+        recorded order.
+        """
+        results, backend = self.run_chunks(work, chunks, width)
+        if work.elementwise:
+            self.profiler.record_elementwise_batch(len(chunks))
+        elif work.kernel is None and work.impl is None:
+            self.profiler.record_opaque_execution(rank_calls=work.num_points)
+        elif work.kernel is None:
+            self.profiler.record_opaque_execution(
+                chunk_calls=len(chunks),
+                process_chunks=len(chunks) if backend == "process" else 0,
+            )
+        return self.fold(results, work.wanted)
+
+    # ------------------------------------------------------------------
+    # The eager entry points.
+    # ------------------------------------------------------------------
+    def execute_compiled(self, task: IndexTask, kernel: CompiledKernel) -> float:
+        """Run a task through its compiled kernel; returns kernel seconds."""
+        binding = kernel.binding
+        args = task.args
+        scalars = {
+            name: task.scalar_args[index]
+            for name, index in binding.scalar_args.items()
+        }
+        buffer_order = binding.buffer_order or tuple(binding.buffer_args.items())
+        rows = self._rows(task, ((name, args[index]) for name, index in buffer_order))
+        num_points = len(rows[0][3]) if rows else task.launch_domain.volume
+        work = self.compiled_work(
+            kernel, rows, scalars, num_points,
+            self._elementwise_launch(kernel, rows, num_points),
+            binding.buffer_args, kernel.cost,
+        )
+        seconds, totals = self.launch(
+            work, self.point_chunk_plan(num_points, rows), config.point_worker_count()
+        )
+        self._apply_reductions(args, totals, binding.buffer_args)
+        return seconds
+
+    def execute_opaque(self, task: IndexTask, impl: OpaqueTaskImpl) -> float:
+        """Run a task through its opaque implementation; returns kernel seconds."""
+        seconds, totals = self.execute_opaque_deferred(task, impl)
+        self._apply_reductions(task.args, totals)
+        return seconds
+
+    def execute_opaque_deferred(
+        self, task: IndexTask, impl: OpaqueTaskImpl
+    ) -> Tuple[float, Dict[int, List[ReductionPartial]]]:
+        """Run an opaque task but leave its reduction partials unapplied.
+
+        Returns ``(kernel seconds, partials per argument index)``.
+        """
+        work = self.opaque_work(
+            impl, self._rows(task, enumerate(task.args)),
+            task.launch_domain.volume, task.scalar_args, lambda: task,
+        )
+        return self.launch(
+            work,
+            self.point_chunk_plan(work.num_points, work.rows),
+            config.point_worker_count(),
+        )
+
+    def _apply_reductions(self, args, totals, index_of=None) -> None:
+        """Fold a launch's partials into the stores of its arguments."""
+        for key, partials in totals.items():
+            arg = args[key if index_of is None else index_of[key]]
+            self.apply_reduction_partials(
+                arg.store, arg.redop or ReductionOp.ADD, partials
+            )
 
     def apply_reduction_partials(self, store, redop: ReductionOp, partials) -> None:
         """Fold a launch's reduction partials into a target store.
 
-        Shared by the eager submit path and the trace-replay path (which
-        resolves targets through captured slot bindings instead of task
-        arguments).
+        The partials are folded with one vectorised ``ufunc.reduce``
+        (the operators are associative and commutative by construction),
+        then combined with the store's current value.  Shared by the
+        eager path and plan replay (which resolves targets through
+        captured slot bindings instead of task arguments).
         """
         field = self.regions.field(store)
         accumulator = field.read_scalar()

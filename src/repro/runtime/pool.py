@@ -5,9 +5,9 @@ oversubscription:
 
 * the **plan scheduler** (``runtime/scheduler.py``) hands independent
   steps of a captured :class:`ExecutionPlan` to it, and
-* the **intra-launch point dispatcher** (``runtime/executor.py`` and the
-  scheduler's compiled-step chunking) hands contiguous rank chunks of a
-  single launch to it.
+* the **intra-launch point dispatcher** (the thread rung of
+  ``runtime/executor.py``'s substrate ladder) hands contiguous rank
+  chunks of a single launch to it.
 
 The pool is sized for the wider of the two levels
 (``max(REPRO_WORKERS, REPRO_POINT_WORKERS)``) and is resized lazily when
@@ -120,8 +120,7 @@ def dispatch_chunks(
 ) -> List[object]:
     """Run rank-chunk closures across the pool, the first one inline.
 
-    The single order-sensitive join protocol shared by the executor's
-    point dispatcher and the plan scheduler's inline compiled steps:
+    The order-sensitive join protocol of the executor's thread rung:
     results come back in chunk (and therefore rank) order, so join-point
     folds reproduce the serial accumulation order exactly.
     """
@@ -174,9 +173,9 @@ def merged_table_span(table: Sequence, start: int, stop: int) -> Rect:
     """The merged 1-D rect covering ranks ``[start, stop)`` of a table.
 
     Only valid for tables that satisfied
-    :func:`contiguous_elementwise_tables`; shared by the executor's and
-    the plan scheduler's merged-call paths (the process-pool workers
-    build the same span from the wire form of the chunk's rects).
+    :func:`contiguous_elementwise_tables`; used by the merged-call
+    paths of compiled launches and super-kernels (the process-pool
+    workers build the same span from the wire form of the chunk's rects).
     """
     return Rect(table[start][0].lo, table[stop - 1][0].hi)
 

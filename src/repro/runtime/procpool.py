@@ -138,6 +138,13 @@ from repro.runtime.shm import BlockDescriptor, attach_view, close_attachments
 #: (half-open), lean enough to pickle by the thousand.
 WireRect = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
+#: How long a dispatch waits for its replies before it declares the pool
+#: hung: the workers are killed and :class:`ProcessPoolBrokenError` sends
+#: the launch down to the thread substrate.  Far above any chunk this
+#: runtime ships (milliseconds to seconds), so only a stuck worker —
+#: stopped, deadlocked, swapped out — ever meets it.
+REPLY_DEADLINE_SECONDS = 60.0
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -933,19 +940,34 @@ class ProcessWorkerPool:
 
         Raises :class:`ProcessPoolBrokenError` (after dropping this
         call's entries) when the pool breaks with ids still outstanding
-        — a reply whose request died with its worker will never come.
+        — a reply whose request died with its worker will never come —
+        or when :data:`REPLY_DEADLINE_SECONDS` pass without them: a hung
+        worker is killed rather than waited for (a stopped process
+        ignores everything but ``SIGKILL``), so it cannot hang the
+        parent.
         """
+        deadline = time.monotonic() + REPLY_DEADLINE_SECONDS
         with self._done:
             while True:
                 if all(rid in self._completions for rid in request_ids):
                     return [self._completions.pop(rid) for rid in request_ids]
-                if self.closed:
+                remaining = deadline - time.monotonic()
+                if self.closed or remaining <= 0.0:
                     for rid in request_ids:
                         self._completions.pop(rid, None)
+                    if self.closed:
+                        raise ProcessPoolBrokenError(
+                            "process-pool worker died mid-chunk (transport closed)"
+                        )
+                    self.closed = True
+                    for process in self._processes:
+                        process.kill()
+                    self._done.notify_all()
                     raise ProcessPoolBrokenError(
-                        "process-pool worker died mid-chunk (transport closed)"
+                        "process-pool worker sent no reply within "
+                        f"{REPLY_DEADLINE_SECONDS:g} s (hung worker killed)"
                     )
-                self._done.wait()
+                self._done.wait(remaining)
 
     def _transport_failed(self, failure: BaseException) -> None:
         """Send-side transport error: break the pool and raise."""
@@ -1295,7 +1317,7 @@ class ProcessWorkerPool:
             for process in self._processes:
                 process.join(timeout=2.0)
                 if process.is_alive():  # pragma: no cover - stuck worker
-                    process.terminate()
+                    process.kill()
                     process.join(timeout=1.0)
             for connection in self._connections:
                 try:

@@ -14,6 +14,19 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+#: Why a rung of the chunk-dispatch ladder (``runtime/executor.py``)
+#: declined a launch.  A launch (or, for the chunk plan of a replayed
+#: step, a plan under one flag setting) counts once per declining rung.
+DECLINE_REASONS = (
+    "below_volume",  # touches fewer elements than the dispatch threshold
+    "nested_dispatch",  # already on a pool thread (thread backend)
+    "no_shm_descriptor",  # a field lives outside the shared-memory arena
+    "unshippable_operator",  # opaque operator a worker cannot resolve by name
+    "template_mismatch",  # chunk plan differs from the resident template
+    "non_numeric_scalars",  # opaque scalars do not fit the resident frame
+    "worker_lost",  # a pool worker died or missed the reply deadline
+)
+
 
 @dataclass
 class TaskRecord:
@@ -123,6 +136,8 @@ class Profiler:
         #: send time) — the figure plan-resident replay exists to shrink.
         self.wire_bytes: int = 0
         self.wire_requests: int = 0
+        #: Declined ladder rungs by reason (:data:`DECLINE_REASONS`).
+        self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
         self._current_iteration: Optional[IterationRecord] = None
         #: Serialises the counter updates that can arrive from pool
         #: worker threads (point dispatch, opaque calls, wire traffic):
@@ -294,6 +309,11 @@ class Profiler:
             self.wire_bytes += bytes_sent
             self.wire_requests += requests
 
+    def record_decline(self, reason: str) -> None:
+        """Record one declined ladder rung (thread-safe like the above)."""
+        with self._lock:
+            self.declines[reason] += 1
+
     @property
     def wire_bytes_per_epoch(self) -> float:
         """Average wire bytes shipped to workers per replayed epoch."""
@@ -455,6 +475,8 @@ class Profiler:
                 "wire_bytes": self.wire_bytes,
                 "wire_requests": self.wire_requests,
             }
+            for reason, count in self.declines.items():
+                counters[f"decline_{reason}"] = count
         counters["trace_hit_rate"] = self.trace_hit_rate
         counters["plan_average_width"] = self.plan_average_width
         counters["worker_utilization"] = self.worker_utilization
@@ -499,4 +521,5 @@ class Profiler:
         self.replay_closure_calls = 0
         self.wire_bytes = 0
         self.wire_requests = 0
+        self.declines = dict.fromkeys(DECLINE_REASONS, 0)
         self._current_iteration = None

@@ -21,6 +21,7 @@ exits, so runs never leak ``/dev/shm`` segments.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import weakref
 from typing import Dict, Optional
@@ -31,6 +32,40 @@ from repro import config
 from repro.ir.domain import Rect
 from repro.ir.store import Store
 from repro.runtime.shm import BlockDescriptor, SharedArena
+
+#: The allocator policy: glibc ``mallopt(parameter, value)`` pairs
+#: (parameter numbers from ``malloc.h``).
+_MALLOPT_POLICY = (
+    (-1, 1 << 30),  # M_TRIM_THRESHOLD: keep up to 1 GiB of freed heap top
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD: blocks below 32 MiB (glibc's limit) stay on the heap
+)
+
+
+def _keep_freed_memory_mapped() -> bool:
+    """Stop the allocator handing array memory back to the OS.
+
+    glibc trims the heap top and unmaps every block of 128 KiB or more
+    on ``free``, so each whole-tile temporary and each fresh region
+    field is page-faulted in again on its next use — whether a given
+    phase pays depends on incidental heap layout, which made identical
+    commits measure 2x apart.  Legion reserves its instance pools at
+    start-up and never returns them; this is the same policy for the
+    one address space of the simulator: freed blocks up to tens of MiB
+    stay mapped and are reused.  Pinned once, here, where region storage
+    is created (forked pool workers inherit it); a silent no-op on
+    platforms whose C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(parameter, value) == 1 for parameter, value in _MALLOPT_POLICY)
+
+
+#: Whether the policy took (the allocator tests skip where it did not).
+KEEPS_FREED_MEMORY_MAPPED = _keep_freed_memory_mapped()
 
 
 class RegionField:

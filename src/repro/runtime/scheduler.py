@@ -1,78 +1,41 @@
 """Dependence-partitioned execution of captured execution plans.
 
-PR 2's trace layer resolves every launch of a repeated epoch ahead of
-execution, but still replays the captured :class:`ExecutionPlan` strictly
-step by step.  This module supplies the missing half of the paper's
-runtime story (Section 4): independent launches overlap across the
-machine.  It is organised as two phases, mirroring runtime dependence-
-graph schedulers of fused array operations (Kristensen et al.,
-arXiv:1601.05400) and the horizontal-fusion argument of Li et al.
-(arXiv:2007.01277):
+The trace layer (``runtime/trace.py``) resolves every launch of a
+repeated epoch ahead of execution; this module replays the captured
+:class:`ExecutionPlan` with independent launches overlapping across the
+machine (paper Section 4), in the manner of runtime dependence-graph
+schedulers of fused array operations (Kristensen et al.,
+arXiv:1601.05400; Li et al., arXiv:2007.01277):
 
-1. **Plan analysis** (:func:`analyze_plan`) — computed once per captured
-   plan and cached on it.  The read/write/reduce store footprints
-   recorded in every :class:`CompiledStep` / :class:`OpaqueStep` induce
-   the step-level dependence DAG (RAW, WAR and WAW hazards over
-   canonical slots; reductions count as mutations).  The DAG is
-   levelized: steps in one level are pairwise independent.
-2. **Dispatch** (:class:`PlanScheduler.execute`) — executes the levels in
-   order.  Within a level, steps large enough to amortise handoff run
-   concurrently on the shared worker pool (``REPRO_WORKERS``); the
-   rest run inline in recorded order.  Workers only *compute*: they run
-   kernels over region-field views (write sets of a level are disjoint
-   by construction) and collect reduction partials.  All side effects
-   that carry ordering semantics are folded at join points **in recorded
+1. **Plan analysis** (:func:`analyze_plan`) — once per captured plan,
+   cached on it.  The read/write/reduce slot footprints recorded in
+   every step induce the step-level dependence DAG (RAW, WAR and WAW
+   hazards; reductions count as mutations), which is levelized: steps
+   in one level are pairwise independent.
+2. **Dispatch decisions** (:func:`_plan_dispatch`) — once per plan and
+   flag setting, cached on the schedule: which steps of a wide level
+   are handed to the shared worker pool (``REPRO_WORKERS``), the point
+   width each step may use so the two parallelism levels never
+   oversubscribe the pool, and each step's rank-chunk plan.  The
+   resident-process registration (``REPRO_RESIDENT_PLANS``,
+   :meth:`PlanScheduler._resident_plan`) bakes the same chunk plans
+   into the workers' templates.
+3. **One plan loop** (:meth:`PlanScheduler.execute`) — executes the
+   levels in order.  Every step is prepared into a
+   :class:`~repro.runtime.executor.ChunkWork` on the scheduling thread
+   and launched through the executor's one substrate ladder, inline or
+   on a pool worker.  Workers only *compute*; all side effects that
+   carry ordering semantics are folded at join points **in recorded
    order** — reduction partials at each level's join, profiler records
-   and simulated-seconds accounting after the last level — so buffers
-   and simulated time are bit-identical to serial replay for every
-   worker count.
+   and simulated seconds after the last level (:meth:`_account`, the
+   only place a replayed step is recorded) — so buffers and simulated
+   time are bit-identical for every ``REPRO_WORKERS`` ×
+   ``REPRO_POINT_WORKERS`` × substrate combination.  A chain-shaped
+   plan is the same loop with every level inline.
 
-With ``REPRO_POINT_WORKERS`` > 1 the dispatcher additionally splits the
-per-rank point tasks of each sufficiently large step into contiguous
-rank chunks (the launch's rank count was recorded into the plan at
-capture time) and co-schedules the chunks on the same pool: a step that
-runs *inline* — in particular every step of a chain-shaped plan, the
-flagship apps' common case — uses the full point width, while steps
-dispatched alongside other steps of a wide level split a per-step width
-of ``pool_size // dispatched_steps`` so the two parallelism levels never
-oversubscribe the pool.  Chunk results are concatenated in rank order at
-the step's join, so buffers and simulated seconds stay bit-identical for
-every ``REPRO_POINT_WORKERS`` × ``REPRO_WORKERS`` combination.  Opaque
-steps point-dispatch inside :meth:`TaskExecutor.execute_opaque_deferred`
-when they execute inline; when handed to a pool worker under the
-*thread* backend the nested-dispatch guard (``runtime/pool.py``) keeps
-them serial.
-
-Under ``REPRO_DISPATCH_BACKEND=process`` the guard is lifted: a step
-dispatched into a wide level still chunks at its step width, and its
-chunks ship to the worker-*process* pool from the pool worker thread —
-the process substrate queues on per-worker pipes and cannot deadlock
-the thread pool.  Several in-flight steps of one level multiplex their
-chunk requests over the same pipes concurrently (parent-assigned
-request ids; see ``runtime/procpool.py``), which is where wide plans
-earn their speedup: every rank chunk of every step of the level runs
-GIL-free at once.  A step that cannot ship (non-shm fields, broken
-pool) degrades to running its chunks serially inline on its worker
-thread — never back onto the thread pool — so results stay
-bit-identical in every degradation.
-
-Under ``REPRO_DISPATCH_BACKEND=process`` with ``REPRO_RESIDENT_PLANS=1``
-(the default) the scheduler additionally registers each replayed plan
-with the worker-process pool on first replay
-(:meth:`PlanScheduler._ensure_resident_plan`): every shippable compiled
-step's kernel spec, full rect tables, shared-memory descriptors and
-calling convention become worker-resident under a parent-assigned plan
-id, and later replays dispatch with lean ``(plan id, step, scalars,
-rank ranges)`` messages instead of rebuilding per-chunk requests — see
-``runtime/procpool.py`` for the protocol and its staleness story.
-
-``REPRO_WORKERS=1`` with ``REPRO_POINT_WORKERS=1`` (and the overlap
-model off) takes none of this machinery: :func:`_execute_plan_serial`
-is the PR-2 replay path, kept verbatim.
-
-With ``REPRO_OVERLAP_MODEL=1`` the scheduler additionally switches the
-*simulated* time accounting to the overlap-aware model: each dependence
-level is charged the maximum of its steps' modelled times
+With ``REPRO_OVERLAP_MODEL=1`` the *simulated* time accounting switches
+to the overlap-aware model: each dependence level is charged the maximum
+of its steps' modelled times
 (:meth:`MachineConfig.overlapped_level_seconds`) instead of their sum.
 This deliberately changes simulated seconds and is therefore off by
 default; buffers remain bit-identical.
@@ -81,22 +44,17 @@ default; buffers remain bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import config
+from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
 from repro.ir.task import IndexTask, StoreArg
 from repro.runtime import executor as executor_module
-from repro.runtime import telemetry
-from repro.runtime.pool import (
-    dispatch_chunks,
-    guarded,
-    merged_table_span,
-    point_chunks,
-    shared_pool_size,
-    submit_guarded,
-    worker_pool,
-)
+from repro.runtime import procpool, telemetry
+from repro.runtime.executor import ChunkWork
+from repro.runtime.pool import guarded, submit_guarded, worker_pool
 from repro.runtime.superkernel import (
     SuperKernelStep,
     maybe_lower_plan,
@@ -140,6 +98,10 @@ class ScheduledStep:
     #: scalar rebinding plan — the stream key pins every task's scalar
     #: count, so the flat-offset arithmetic is done once per plan.
     scalar_binds: Tuple[Tuple[str, int, int], ...] = ()
+    #: ``(key, slot, is_reduction, rect table)`` per buffer: a compiled
+    #: step's captured bindings, or — filled in by :func:`_bindings` on
+    #: first use — an opaque step's arguments by index.
+    bindings: Optional[tuple] = None
 
 
 @dataclass
@@ -151,12 +113,12 @@ class PlanSchedule:
     #: ``steps`` in recorded order (so join-point folds are ordered).
     levels: Tuple[Tuple[int, ...], ...]
     width: int
+    #: Step count of every level, in level order.
+    level_widths: Tuple[int, ...]
     #: ``plan.steps`` position -> index into ``steps`` (accounting fold).
     index_by_plan: Dict[int, int]
-
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
+    #: ``(flag values, per-step decisions)`` of :func:`_plan_dispatch`.
+    dispatch: Optional[tuple] = None
 
 
 def analyze_plan(
@@ -210,6 +172,7 @@ def analyze_plan(
                 volume=_step_volume(step, slot_stores),
                 num_points=step.num_points,
                 scalar_binds=_scalar_binds(step, tasks) if compiled else (),
+                bindings=step.buffer_bindings if compiled else None,
             )
         )
 
@@ -218,12 +181,13 @@ def analyze_plan(
     for index, level in enumerate(levels_of):
         level_lists[level].append(index)
     levels = tuple(tuple(level) for level in level_lists)
-    width = max((len(level) for level in levels), default=0)
+    level_widths = tuple(len(level) for level in levels)
     index_by_plan = {entry.plan_index: index for index, entry in enumerate(scheduled)}
     return PlanSchedule(
         steps=tuple(scheduled),
         levels=levels,
-        width=width,
+        width=max(level_widths, default=0),
+        level_widths=level_widths,
         index_by_plan=index_by_plan,
     )
 
@@ -268,295 +232,6 @@ def _step_volume(step: object, slot_stores: Sequence[Store]) -> int:
     return total
 
 
-def _traced_chunk_runner(run_chunk: Callable) -> Callable:
-    """Wrap a chunk runner in a point-chunk span (identity when off).
-
-    Returned unchanged with telemetry disabled, so thread-dispatched
-    chunks pay nothing; armed, each chunk executes inside a
-    ``point.chunk`` span recorded on the worker thread that ran it.
-    """
-    if not telemetry.enabled():
-        return run_chunk
-
-    def traced(start: int, stop: int):
-        with telemetry.span("point.chunk", f"ranks=[{start}:{stop})"):
-            return run_chunk(start, stop)
-
-    return traced
-
-
-# ----------------------------------------------------------------------
-# The serial replay path (PR-2 semantics, kept verbatim).
-# ----------------------------------------------------------------------
-def _execute_plan_serial(
-    plan: ExecutionPlan,
-    engine,
-    slot_stores: Sequence[Store],
-    tasks: Sequence[IndexTask],
-) -> None:
-    """Replay a captured plan step by step (``REPRO_WORKERS=1``)."""
-    runtime = engine.runtime
-    executor = runtime.executor
-    regions = runtime.regions
-    profiler = runtime.profiler
-
-    for step in plan.steps:
-        if isinstance(step, AnalysisCharge):
-            runtime.add_simulated_seconds(step.seconds)
-            profiler.record_analysis_time(step.seconds)
-            profiler.add_iteration_seconds(step.seconds)
-            continue
-        if isinstance(step, SuperKernelStep):
-            scalars = _bind_scalars(step, tasks)
-            with telemetry.span(
-                "plan.step",
-                f"{step.task_name} ranks={step.num_points}",
-                sim=runtime.simulated_seconds,
-            ):
-                totals = _run_compiled(step, regions, slot_stores, scalars)
-            _fold_compiled(step, executor, slot_stores, totals)
-            profiler.record_superkernel_calls(1)
-            profiler.add_replay_closure_calls(1)
-            _account_fused_constituents(step, runtime, profiler)
-            continue
-        if isinstance(step, CompiledStep):
-            profiler.add_replay_closure_calls(
-                1 if step.elementwise else step.num_points
-            )
-            scalars = _bind_scalars(step, tasks)
-            with telemetry.span(
-                "plan.step",
-                f"{step.task_name} ranks={step.num_points}",
-                sim=runtime.simulated_seconds,
-            ):
-                totals = _run_compiled(step, regions, slot_stores, scalars)
-            _fold_compiled(step, executor, slot_stores, totals)
-            if step.elementwise and step.num_points > 1:
-                profiler.record_elementwise_batch(1)
-            record = profiler.record_task(
-                name=step.task_name,
-                constituents=step.constituents,
-                kernel_seconds=step.kernel_seconds,
-                communication_seconds=step.communication_seconds,
-                overhead_seconds=step.overhead_seconds,
-                launches=step.launches,
-                fused=step.fused,
-                replayed=True,
-            )
-        else:
-            task = _rebuild_opaque_task(step, slot_stores, tasks)
-            with telemetry.span(
-                "plan.step",
-                f"{step.task_name} (opaque)",
-                sim=runtime.simulated_seconds,
-            ):
-                kernel_seconds = executor.execute_opaque(task, step.impl)
-            record = profiler.record_task(
-                name=step.task_name,
-                constituents=1,
-                kernel_seconds=kernel_seconds,
-                communication_seconds=step.communication_seconds,
-                overhead_seconds=step.overhead_seconds,
-                launches=1,
-                fused=False,
-                replayed=True,
-            )
-        runtime.simulated_seconds += record.total_seconds
-
-    _apply_plan_epilogue(plan, engine, slot_stores)
-
-
-def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Store]) -> None:
-    """Apply captured coherence transitions and statistics wholesale."""
-    coherence = engine.runtime.coherence
-    for slot, state_key in plan.exit_states:
-        coherence.apply_state_key(slot_stores[slot], state_key)
-    if plan.bytes_moved:
-        coherence.add_bytes_moved(plan.bytes_moved)
-
-    stats = engine.stats
-    stats.forwarded_tasks += plan.forwarded_tasks
-    stats.fused_tasks += plan.fused_tasks
-    stats.fused_constituents += plan.fused_constituents
-    stats.temporaries_eliminated += plan.temporaries_eliminated
-
-
-def _account_fused_constituents(step: "SuperKernelStep", runtime, profiler) -> None:
-    """Charge a super-kernel's recorded constituents in recorded order.
-
-    The fused unit executed as one closure call, but its time accounting
-    replays the captured constituent subsequence (analysis charges and
-    compiled steps) exactly as serial replay would have: same records,
-    same floating-point accumulation order, bit-identical simulated
-    seconds.  Lowering is skipped under the overlap model, so fused
-    units only ever take this non-overlap accounting.
-    """
-    for fused in step.fused_steps:
-        if isinstance(fused, AnalysisCharge):
-            runtime.add_simulated_seconds(fused.seconds)
-            profiler.record_analysis_time(fused.seconds)
-            profiler.add_iteration_seconds(fused.seconds)
-            continue
-        if fused.elementwise and fused.num_points > 1:
-            profiler.record_elementwise_batch(1)
-        record = profiler.record_task(
-            name=fused.task_name,
-            constituents=fused.constituents,
-            kernel_seconds=fused.kernel_seconds,
-            communication_seconds=fused.communication_seconds,
-            overhead_seconds=fused.overhead_seconds,
-            launches=fused.launches,
-            fused=fused.fused,
-            replayed=True,
-        )
-        runtime.simulated_seconds += record.total_seconds
-
-
-# ----------------------------------------------------------------------
-# Step compute helpers (shared by the serial and scheduled paths).
-# ----------------------------------------------------------------------
-def _bind_scalars(step: CompiledStep, tasks: Sequence[IndexTask]) -> Dict[str, float]:
-    """Rebind the current epoch's scalar arguments into a compiled step."""
-    scalars: Dict[str, float] = {}
-    if step.scalar_order:
-        flat: List[float] = []
-        for position in step.scalar_positions:
-            flat.extend(tasks[position].scalar_args)
-        for name, index in step.scalar_order:
-            scalars[name] = flat[index]
-    return scalars
-
-
-def _prepare_compiled_bindings(
-    step: CompiledStep,
-    regions,
-    slot_stores: Sequence[Store],
-    fields: Optional[Dict[int, object]] = None,
-) -> List[Tuple[str, object, bool, list]]:
-    """Resolve a compiled step's region fields once per execution.
-
-    ``fields`` optionally memoizes slot→field resolution across the
-    steps of one replay; resolution happens on the scheduling thread so
-    workers never mutate the shared memo dict.
-    """
-    prepared = []
-    for name, slot, is_reduction, table in step.buffer_bindings:
-        if is_reduction:
-            resolved = None
-        elif fields is None:
-            resolved = regions.field(slot_stores[slot])
-        else:
-            resolved = fields.get(slot)
-            if resolved is None:
-                resolved = regions.field(slot_stores[slot])
-                fields[slot] = resolved
-        prepared.append((name, resolved, is_reduction, table))
-    return prepared
-
-
-def _run_compiled_ranks(
-    step: CompiledStep,
-    prepared: Sequence[Tuple[str, object, bool, list]],
-    scalars: Dict[str, float],
-    start: int,
-    stop: int,
-) -> Dict[str, list]:
-    """Run ranks ``[start, stop)`` of a prepared compiled step.
-
-    Pure compute, safe on any worker: kernels write their (disjoint)
-    output views in place through a chunk-local buffer dict; reduction
-    partials are returned unapplied, keyed by buffer name and ordered by
-    launch rank within the chunk.
-    """
-    if isinstance(step, SuperKernelStep):
-        return run_superkernel_ranks(step, prepared, scalars, start, stop)
-    kernel_fn = step.kernel.executor
-    reductions = step.reductions
-    totals: Dict[str, list] = {}
-    buffers: Dict[str, Optional[object]] = {}
-    if step.elementwise and stop > start:
-        # One merged closure call over the chunk's contiguous span —
-        # element-for-element identical to the per-rank loop (the
-        # recorder proved the launch element-wise with no reductions).
-        for name, resolved, _is_reduction, table in prepared:
-            buffers[name] = resolved.view(merged_table_span(table, start, stop))
-        kernel_fn(buffers, scalars)
-        return totals
-    for rank in range(start, stop):
-        for name, resolved, is_reduction, table in prepared:
-            if is_reduction:
-                buffers[name] = None
-            else:
-                buffers[name] = resolved.view(table[rank][0])
-        partials = kernel_fn(buffers, scalars)
-        if partials:
-            for name, partial in partials.items():
-                if name in reductions:
-                    totals.setdefault(name, []).append(partial)
-    return totals
-
-
-def _merge_chunk_totals(chunk_totals: Sequence[Dict[str, list]]) -> Dict[str, list]:
-    """Concatenate per-chunk reduction partials in rank order."""
-    if len(chunk_totals) == 1:
-        return chunk_totals[0]
-    merged: Dict[str, list] = {}
-    for totals in chunk_totals:
-        for name, partials in totals.items():
-            merged.setdefault(name, []).extend(partials)
-    return merged
-
-
-def _merge_process_totals(step: CompiledStep, chunk_results) -> Dict[str, list]:
-    """Fold worker-process chunk replies into step totals, in rank order.
-
-    Process workers return raw per-rank partial dicts; this applies the
-    same reduction-name filter and rank-order concatenation as
-    :func:`_run_compiled_ranks` + :func:`_merge_chunk_totals`, so the
-    join-point fold is bit-identical to the thread substrate.
-    """
-    reductions = step.reductions
-    totals: Dict[str, list] = {}
-    for partials_by_rank, _seconds in chunk_results:
-        for partials in partials_by_rank:
-            if partials:
-                for name, partial in partials.items():
-                    if name in reductions:
-                        bucket = totals.setdefault(name, [])
-                        if isinstance(partial, list):
-                            # Super-kernel chunks return whole per-target
-                            # partial lists (already rank-ordered within
-                            # the chunk) instead of one partial per rank.
-                            bucket.extend(partial)
-                        else:
-                            bucket.append(partial)
-    return totals
-
-
-def _run_compiled(
-    step: CompiledStep,
-    regions,
-    slot_stores: Sequence[Store],
-    scalars: Dict[str, float],
-    fields: Optional[Dict[int, object]] = None,
-) -> Dict[str, list]:
-    """Run a compiled step's kernel over every launch point (serially)."""
-    prepared = _prepare_compiled_bindings(step, regions, slot_stores, fields)
-    return _run_compiled_ranks(step, prepared, scalars, 0, step.num_points)
-
-
-def _fold_compiled(
-    step: CompiledStep,
-    executor,
-    slot_stores: Sequence[Store],
-    totals: Dict[str, list],
-) -> None:
-    """Fold a compiled step's reduction partials (join-point side effect)."""
-    for name, partials in totals.items():
-        slot, redop = step.reductions[name]
-        executor.apply_reduction_partials(slot_stores[slot], redop, partials)
-
-
 def _rebuild_opaque_task(
     step: OpaqueStep,
     slot_stores: Sequence[Store],
@@ -573,6 +248,95 @@ def _rebuild_opaque_task(
         args=args,
         scalar_args=tasks[step.position].scalar_args,
     )
+
+
+def _bindings(entry: ScheduledStep, executor, slot_stores, tasks) -> tuple:
+    """A step's buffer bindings; an opaque step's are decided on first use.
+
+    Shapes, partitions and launch domains are part of the trace key, so
+    the rect tables an opaque launch resolved once hold for every replay.
+    """
+    if entry.bindings is None:
+        task = _rebuild_opaque_task(entry.step, slot_stores, tasks)
+        entry.bindings = tuple(
+            (index, spec[0], arg.privilege is Privilege.REDUCE, executor.launch_rects(arg, task))
+            for index, (spec, arg) in enumerate(zip(entry.step.arg_specs, task.args))
+        )
+    return entry.bindings
+
+
+def _plan_dispatch(
+    schedule: PlanSchedule,
+    executor,
+    slot_stores: Sequence[Store],
+    tasks: Sequence[IndexTask],
+) -> List[Tuple[bool, int, List[Tuple[int, int]]]]:
+    """Per-step ``(dispatched, point width, rank chunks)`` decisions.
+
+    None of this depends on the epoch's stores or scalars (shapes and
+    partitions are part of the trace key), so it is decided once per
+    flag setting and cached on the schedule.  A level with several
+    steps hands those big enough to amortise the handoff to the worker
+    pool (``REPRO_WORKERS`` > 1); each dispatched compiled step may
+    then split into at most ``pool size // dispatched steps`` chunks,
+    and the small steps beside them stay serial.  Steps of a level with
+    nothing dispatched — every step of a chain plan — own the whole
+    point width.  Opaque steps of a shared level keep the full width
+    under the process backend, whose chunks queue on the worker pipes
+    instead of the pool, and run serially under the thread backend.
+    """
+    workers, point_width = config.worker_count(), config.point_worker_count()
+    process = config.dispatch_backend() == "process"
+    flags = (
+        workers, point_width, process, config.point_min_ranks(),
+        MIN_DISPATCH_VOLUME, executor_module.MIN_POINT_DISPATCH_VOLUME,
+    )
+    if schedule.dispatch is not None and schedule.dispatch[0] == flags:
+        return schedule.dispatch[1]
+    pool_size = max(workers, point_width)
+    decisions: List[Optional[tuple]] = [None] * len(schedule.steps)
+    for level in schedule.levels:
+        dispatched: Sequence[int] = ()
+        if workers > 1 and len(level) > 1:
+            dispatched = [
+                index for index in level
+                if schedule.steps[index].volume >= MIN_DISPATCH_VOLUME
+            ]
+        for index in level:
+            entry = schedule.steps[index]
+            if not dispatched:
+                width = point_width
+            elif not entry.compiled:
+                width = point_width if process else 1
+            elif index in dispatched:
+                width = max(1, min(point_width, pool_size // len(dispatched)))
+            else:
+                width = 1
+            rows: Sequence = ()
+            if width > 1 and entry.num_points > 1:
+                rows = _bindings(entry, executor, slot_stores, tasks)
+            decisions[index] = (
+                index in dispatched,
+                width,
+                executor.point_chunk_plan(entry.num_points, rows, width),
+            )
+    schedule.dispatch = (flags, decisions)
+    return decisions
+
+
+def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Store]) -> None:
+    """Apply captured coherence transitions and statistics wholesale."""
+    coherence = engine.runtime.coherence
+    for slot, state_key in plan.exit_states:
+        coherence.apply_state_key(slot_stores[slot], state_key)
+    if plan.bytes_moved:
+        coherence.add_bytes_moved(plan.bytes_moved)
+
+    stats = engine.stats
+    stats.forwarded_tasks += plan.forwarded_tasks
+    stats.fused_tasks += plan.fused_tasks
+    stats.fused_constituents += plan.fused_constituents
+    stats.temporaries_eliminated += plan.temporaries_eliminated
 
 
 # ----------------------------------------------------------------------
@@ -592,624 +356,244 @@ class PlanScheduler:
         tasks: Sequence[IndexTask],
     ) -> None:
         """Replay ``plan`` against the current epoch's stores."""
+        runtime = self.runtime
+        executor, profiler = runtime.executor, runtime.profiler
         # Replay accounting must not interleave with a pending eager
         # overlap group (a no-op unless the overlap model is on).
-        self.runtime.flush_overlap_accounting()
-        workers = config.worker_count()
-        point_width = config.point_worker_count()
+        runtime.flush_overlap_accounting()
         overlap = config.overlap_model_enabled()
-        backend = config.default_backend()
-        if config.superkernel_enabled() and not overlap and backend != "interpreter":
+        if config.superkernel_enabled() and not overlap:
             # Lower the plan into epoch super-kernels (cached on the
-            # plan; the differential backend lowers in verify mode).
-            # The overlap model keeps the unfused plan: its per-level
-            # max-time accounting needs the individual step records.
-            lowered = maybe_lower_plan(
-                plan, tasks, backend, self.runtime.profiler
-            )
-            if lowered is not None:
-                plan = lowered
-        if workers <= 1 and point_width <= 1 and not overlap:
-            _execute_plan_serial(plan, engine, slot_stores, tasks)
-            return
-
+            # plan).  The overlap model keeps the unfused plan: its
+            # per-level max-time accounting needs the step records.
+            plan = maybe_lower_plan(plan, tasks, profiler) or plan
         schedule = plan.schedule
         if schedule is None:
-            schedule = analyze_plan(plan, slot_stores, tasks)
-            plan.schedule = schedule
-        if schedule.width <= 1 and point_width <= 1 and not overlap:
-            # A pure dependence chain has nothing to overlap at either
-            # level: record the DAG statistics and take the
-            # (bit-identical) serial path, skipping the per-step closure
-            # and fold machinery.
-            self.runtime.profiler.record_plan_execution(
-                steps=len(schedule.steps),
-                levels=schedule.level_count,
-                width=schedule.width,
-                dispatched=0,
-                level_widths=tuple(len(level) for level in schedule.levels),
-            )
-            _execute_plan_serial(plan, engine, slot_stores, tasks)
-            return
-        self._execute_scheduled(
-            plan, schedule, engine, slot_stores, tasks, workers, overlap
-        )
-
-    # ------------------------------------------------------------------
-    def _execute_scheduled(
-        self,
-        plan: ExecutionPlan,
-        schedule: PlanSchedule,
-        engine,
-        slot_stores: Sequence[Store],
-        tasks: Sequence[IndexTask],
-        workers: int,
-        overlap: bool,
-    ) -> None:
-        runtime = self.runtime
-        executor = runtime.executor
-        regions = runtime.regions
-        profiler = runtime.profiler
-
-        point_width = config.point_worker_count()
-        pool_size = shared_pool_size()
+            schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
+        decisions = _plan_dispatch(schedule, executor, slot_stores, tasks)
+        steps = schedule.steps
+        #: Per-replay slot -> region field memo shared by all steps.
+        prepare = partial(self._step_work, slot_stores, tasks, {})
+        workers, point_width = config.worker_count(), config.point_worker_count()
         resident = None
-        if config.dispatch_backend() == "process" and point_width > 1:
+        if point_width > 1 and config.dispatch_backend() == "process":
             # Materialise the worker-process pool now, while no thread
             # futures are in flight: forking from a quiescent point
             # avoids inheriting another thread's lock state mid-level.
-            from repro.runtime import procpool
-
             procpool.process_pool()
             if config.resident_plans_enabled():
-                resident = self._ensure_resident_plan(
-                    plan, schedule, regions, slot_stores, tasks
-                )
-        #: Per-replay slot -> region field memo shared across all steps.
-        fields: Dict[int, object] = {}
-        #: Per-step compute results, indexed like ``schedule.steps``.
-        results: List[object] = [None] * len(schedule.steps)
+                resident = self._resident_plan(plan, steps, decisions, prepare)
+
+        #: Per-step ``(kernel seconds, reduction partials per key)``.
+        results: List[Optional[tuple]] = [None] * len(steps)
         dispatched = 0
-        pool = worker_pool(pool_size) if pool_size > 1 else None
-
+        recorder = telemetry.active()
         for level_index, level in enumerate(schedule.levels):
-            # Level spans are recorded as manual begin/end pairs (the
-            # body below is the whole level); a replay failure unwinds
-            # past the end record, but it also tears down the run, so
-            # exported traces only ever hold completed levels.
-            telemetry_recorder = telemetry.active()
-            if telemetry_recorder is not None:
-                telemetry_recorder.record(
-                    "B",
-                    "plan.level",
-                    f"level={level_index} width={len(level)}",
-                    runtime.simulated_seconds,
-                )
-            # Steps big enough for whole-step dispatch; only meaningful
-            # when the level has independent steps and step workers are
-            # enabled.
-            dispatchable = set()
-            if pool is not None and workers > 1 and len(level) > 1:
-                dispatchable = {
-                    index
-                    for index in level
-                    if schedule.steps[index].volume >= MIN_DISPATCH_VOLUME
-                }
-            # Concurrently-running steps share the pool: each dispatched
-            # step may split into at most pool_size // steps chunks so
-            # the two parallelism levels never oversubscribe.
-            step_width = point_width
-            if dispatchable:
-                step_width = max(1, min(point_width, pool_size // len(dispatchable)))
-
-            #: (step index, chunk futures, assembler).
-            pending: List[Tuple[int, List[object], Callable[[List[object]], object]]] = []
+            # Level spans are manual begin/end pairs (the body below is
+            # the whole level); a replay failure unwinds past the end
+            # record, but it also tears down the run, so exported traces
+            # only ever hold completed levels.
+            if recorder is not None:
+                label = f"level={level_index} width={len(level)}"
+                recorder.record("B", "plan.level", label, runtime.simulated_seconds)
+            shared = len(level) > 1 and any(decisions[index][0] for index in level)
+            pending: List[Tuple[int, object]] = []
             for index in level:
-                entry = schedule.steps[index]
-                if index in dispatchable:
-                    width = step_width
-                elif not dispatchable:
-                    # Inline steps of a level with no concurrent steps
-                    # (in particular every step of a chain plan) own the
-                    # whole point width.
-                    width = point_width
-                else:
-                    # Inline steps beside dispatched ones are the small
-                    # (below-threshold) launches; keep them serial.
-                    width = 1
-
+                entry = steps[index]
+                is_dispatched, width, chunks = decisions[index]
+                work = prepare(entry)
+                if resident is not None and index in resident.steps:
+                    work.resident = (resident, index)
                 if entry.compiled:
-                    chunks, run_chunk, prepared, scalars = self._compiled_point_work(
-                        entry, regions, slot_stores, tasks, fields, width
-                    )
+                    calls = len(chunks)
                     if isinstance(entry.step, SuperKernelStep):
-                        profiler.record_superkernel_calls(len(chunks))
-                        profiler.add_replay_closure_calls(len(chunks))
-                    elif entry.step.elementwise:
-                        profiler.add_replay_closure_calls(len(chunks))
-                    else:
-                        profiler.add_replay_closure_calls(entry.num_points)
-                    # ``run_chunk`` is rebound on every loop iteration, and
-                    # dispatched futures outlive the iteration — capture it
-                    # by value or a worker could run a *later* step's
-                    # runner over this step's rank range.
-                    if index in dispatchable:
-                        if len(chunks) > 1 and config.dispatch_backend() == "process":
-                            # Wide-level process routing: one future per
-                            # step.  The worker thread ships the step's
-                            # rank chunks to the worker-process pool —
-                            # over the resident protocol when the
-                            # workers hold this step's template — so
-                            # several steps of the level keep chunks in
-                            # flight concurrently on the multiplexed
-                            # pipes.  An unshippable step runs its
-                            # chunks serially inline on its worker
-                            # thread, never back onto the thread pool.
-                            def process_step(
-                                idx=index,
-                                step=entry.step,
-                                prepared=prepared,
-                                scalars=scalars,
-                                step_chunks=chunks,
-                                rc=run_chunk,
-                            ):
-                                with telemetry.span(
-                                    "plan.step",
-                                    f"{step.task_name} step={idx} "
-                                    f"chunks={len(step_chunks)}",
-                                ):
-                                    proc_results = None
-                                    if resident is not None and idx in resident.steps:
-                                        proc_results = executor._process_chunks_resident(
-                                            resident, idx, prepared, scalars, step_chunks
-                                        )
-                                    if proc_results is None:
-                                        proc_results = executor._process_chunks_compiled(
-                                            step.kernel,
-                                            prepared,
-                                            scalars,
-                                            step_chunks,
-                                            step.elementwise,
-                                            with_cost=False,
-                                        )
-                                    if proc_results is not None:
-                                        return (
-                                            "process",
-                                            _merge_process_totals(step, proc_results),
-                                        )
-                                    return (
-                                        "thread",
-                                        _merge_chunk_totals(
-                                            [rc(s, e) for s, e in step_chunks]
-                                        ),
-                                    )
-
-                            def assemble_process(
-                                replies,
-                                ranks=entry.num_points,
-                                chunk_count=len(chunks),
-                                step_point_width=width,
-                            ):
-                                backend, totals = replies[0]
-                                # Recorded at the join on the scheduling
-                                # thread, with the substrate the step
-                                # actually took.
-                                profiler.record_point_dispatch(
-                                    ranks=ranks,
-                                    chunks=chunk_count,
-                                    width=step_point_width,
-                                    backend=backend,
-                                )
-                                return totals
-
-                            pending.append(
-                                (
-                                    index,
-                                    [submit_guarded(pool, process_step)],
-                                    assemble_process,
-                                )
-                            )
-                        else:
-                            traced_run = _traced_chunk_runner(run_chunk)
-                            futures = [
-                                submit_guarded(
-                                    pool,
-                                    lambda s=start, e=stop, rc=traced_run: rc(s, e),
-                                )
-                                for start, stop in chunks
-                            ]
-                            pending.append((index, futures, _merge_chunk_totals))
-                            if len(chunks) > 1:
-                                profiler.record_point_dispatch(
-                                    ranks=entry.num_points,
-                                    chunks=len(chunks),
-                                    width=width,
-                                )
-                        dispatched += 1
-                    elif len(chunks) > 1 and pool is not None:
-                        totals = None
-                        chunk_backend = "thread"
-                        if config.dispatch_backend() == "process":
-                            proc_results = None
-                            if resident is not None and index in resident.steps:
-                                # Resident route: the workers hold this
-                                # step's spec, geometry and rank ranges
-                                # already — the dispatch sends only
-                                # (plan id, step, scalars) plus the
-                                # epoch's field descriptors as interned
-                                # per-worker ids.
-                                proc_results = executor._process_chunks_resident(
-                                    resident, index, prepared, scalars, chunks
-                                )
-                            if proc_results is None:
-                                # Per-chunk protocol: first resident
-                                # replay, unshippable step, or a broken
-                                # pool being rebuilt (the resident plan
-                                # re-ships to the fresh pool next
-                                # replay).  Replay steps ship no cost
-                                # model: their simulated seconds were
-                                # captured at record time and charged by
-                                # the accounting fold.
-                                proc_results = executor._process_chunks_compiled(
-                                    entry.step.kernel,
-                                    prepared,
-                                    scalars,
-                                    chunks,
-                                    entry.step.elementwise,
-                                    with_cost=False,
-                                )
-                            if proc_results is not None:
-                                totals = _merge_process_totals(
-                                    entry.step, proc_results
-                                )
-                                chunk_backend = "process"
-                        if totals is None:
-                            totals = _merge_chunk_totals(
-                                dispatch_chunks(
-                                    pool, chunks, _traced_chunk_runner(run_chunk)
-                                )
-                            )
-                        results[index] = totals
-                        profiler.record_point_dispatch(
-                            ranks=entry.num_points,
-                            chunks=len(chunks),
-                            width=width,
-                            backend=chunk_backend,
-                        )
-                    else:
-                        with telemetry.span(
-                            "plan.step",
-                            f"{entry.step.task_name} ranks={entry.num_points}",
-                            sim=runtime.simulated_seconds,
-                        ):
-                            results[index] = run_chunk(*chunks[0])
-                    if entry.step.elementwise and entry.num_points > 1:
-                        profiler.record_elementwise_batch(len(chunks))
+                        profiler.record_superkernel_calls(calls)
+                    elif not entry.step.elementwise:
+                        calls = entry.num_points
+                    profiler.add_replay_closure_calls(calls)
+                run = executor.launch
+                if recorder is not None:
+                    run = partial(self._traced_launch, entry)
+                if not shared:
+                    results[index] = run(work, chunks, width)
+                    continue
+                launch = partial(run, work, chunks, width)
+                if not is_dispatched:
+                    # Beside dispatched steps the pool is spoken for: if
+                    # the process rungs decline, stay off it.
+                    results[index] = guarded(launch)()
+                elif entry.compiled:
+                    # The step's chunks fit the level's share of the
+                    # pool, so it may fan them out from its worker.
+                    pending.append((index, worker_pool().submit(launch)))
                 else:
-                    work = self._opaque_work(
-                        entry, slot_stores, tasks, resident, index
-                    )
-                    if index in dispatchable:
-                        # Whole-step handoff.  Under the thread backend
-                        # the nested-dispatch guard keeps the executor's
-                        # point dispatcher serial on the worker; under
-                        # the process backend the step still chunks at
-                        # its width and ships to the worker-process pool
-                        # from the worker thread (thread degradation
-                        # runs the chunks serially inline there).
-                        pending.append(
-                            (index, [submit_guarded(pool, work)], lambda rs: rs[0])
-                        )
-                        dispatched += 1
-                    elif not dispatchable:
-                        # Inline opaque steps of an all-inline level
-                        # point-dispatch inside
-                        # ``execute_opaque_deferred`` (unguarded thread).
-                        results[index] = work()
-                    else:
-                        # Beside dispatched steps the pool is already
-                        # spoken for: run under the guard so the
-                        # executor's point dispatcher stays serial
-                        # (matching this step's computed width of 1).
-                        results[index] = guarded(work)()
-            for index, futures, assemble in pending:
-                results[index] = assemble([future.result() for future in futures])
+                    pending.append((index, submit_guarded(worker_pool(), launch)))
+            for index, future in pending:
+                results[index] = future.result()
+            dispatched += len(pending)
             # Join point: fold the level's reduction partials in recorded
             # order so dependent levels (and the final buffers) are
             # bit-identical to serial replay.
             for index in level:
-                entry = schedule.steps[index]
-                if entry.compiled:
-                    _fold_compiled(entry.step, executor, slot_stores, results[index])
-                else:
-                    task, _seconds, totals = results[index]
-                    executor.apply_deferred_reductions(task, totals)
-            if telemetry_recorder is not None:
-                telemetry_recorder.record(
-                    "E",
-                    "plan.level",
-                    f"level={level_index} width={len(level)}",
-                    runtime.simulated_seconds,
-                )
+                entry = steps[index]
+                for key, partials in results[index][1].items():
+                    if entry.compiled:
+                        slot, redop = entry.step.reductions[key]
+                    else:
+                        slot, _partition, _privilege, redop = entry.step.arg_specs[key]
+                    executor.apply_reduction_partials(
+                        slot_stores[slot], redop or ReductionOp.ADD, partials
+                    )
+            if recorder is not None:
+                recorder.record("E", "plan.level", label, runtime.simulated_seconds)
 
-        self._account(plan, schedule, results, runtime, profiler, overlap)
+        self._account(plan, schedule, results, overlap)
         _apply_plan_epilogue(plan, engine, slot_stores)
-        profiler.record_plan_execution(
-            steps=len(schedule.steps),
-            levels=schedule.level_count,
-            width=schedule.width,
-            dispatched=dispatched,
-            level_widths=tuple(len(level) for level in schedule.levels),
-        )
-
-    def _ensure_resident_plan(
-        self,
-        plan: ExecutionPlan,
-        schedule: PlanSchedule,
-        regions,
-        slot_stores: Sequence[Store],
-        tasks: Sequence[IndexTask],
-    ):
-        """Register ``plan`` for resident process replay (cached on it).
-
-        Builds a worker-resident template for every compiled step — and,
-        with ``REPRO_OPAQUE_CHUNKS``, every chunk-capable opaque step —
-        that can both chunk (multi-rank, above the dispatch-volume
-        floor) and ship (all non-reduction fields shared-memory backed;
-        opaque operators additionally resolvable by name), assigns a
-        parent-assigned plan id, and caches the result on the plan.
-        Compiled templates bake the chunk plan of the width their
-        dispatch site will use — including the partial step width of
-        steps dispatched into wide levels — so wide levels ride the
-        fixed binary resident frame instead of degrading to the
-        per-chunk protocol; opaque templates bake the full point width
-        (``point_chunk_plan`` chunks them at full width on the worker).  The
-        pool ships the whole template set to each worker at most once;
-        :func:`procpool.resident_generation` bumps (descriptor swaps,
-        store releases, flag reloads) retire the cache so the next
-        replay rebuilds against fresh descriptors under a fresh id.
-        Returns ``None`` when nothing in the plan is shippable (cached
-        as an empty registration so the scan runs once per generation).
-        """
-        from repro.runtime import procpool
-
-        generation = procpool.resident_generation()
-        resident = plan.resident
-        if resident is not None and resident.generation == generation:
-            return resident if resident.steps else None
-        executor = self.runtime.executor
-        templates: Dict[int, object] = {}
-        point_width = config.point_worker_count()
-        pool_size = shared_pool_size()
-        workers = config.worker_count()
-        # Replicate the dispatch site's per-level width computation (the
-        # same deterministic inputs: schedule shape, volumes, flags) so
-        # every compiled template bakes the exact chunk plan its
-        # dispatch will use — dispatched steps of wide levels chunk at
-        # the level's step width, inline steps at the full point width,
-        # inline-beside-dispatched steps at width 1 (those never
-        # process-route, so they get no template).  The dispatch site
-        # still degrades to the per-chunk protocol if its chunks ever
-        # disagree with the baked plan.
-        widths: Dict[int, int] = {}
-        for level in schedule.levels:
-            dispatchable = set()
-            if pool_size > 1 and workers > 1 and len(level) > 1:
-                dispatchable = {
-                    i
-                    for i in level
-                    if schedule.steps[i].volume >= MIN_DISPATCH_VOLUME
-                }
-            step_width = point_width
-            if dispatchable:
-                step_width = max(
-                    1, min(point_width, pool_size // len(dispatchable))
-                )
-            for i in level:
-                if i in dispatchable:
-                    widths[i] = step_width
-                elif not dispatchable:
-                    widths[i] = point_width
-                else:
-                    widths[i] = 1
-        for index, entry in enumerate(schedule.steps):
-            if entry.num_points <= 1:
-                continue
-            if entry.volume < executor_module.MIN_POINT_DISPATCH_VOLUME:
-                # Never chunked at replay, so never dispatched to the
-                # pool — shipping a template would be dead weight.
-                continue
-            if not entry.compiled:
-                # Opaque step: resident only when the chunk fast path
-                # could route it (flag on, chunk-level implementation
-                # registered); the template builder re-checks name
-                # resolvability and descriptor coverage.
-                if not config.opaque_chunks_enabled():
-                    continue
-                impl = entry.step.impl
-                if getattr(impl, "chunk", None) is None:
-                    continue
-                task = _rebuild_opaque_task(entry.step, slot_stores, tasks)
-                prepared = executor.prepare_opaque_bindings(task)
-                chunks = point_chunks(
-                    entry.num_points, point_width, config.point_min_ranks()
-                )
-                template = executor.resident_opaque_template(
-                    impl, prepared, entry.num_points, chunks
-                )
-                if template is not None:
-                    templates[index] = template
-                continue
-            width = widths.get(index, point_width)
-            if width <= 1:
-                # Inline-beside-dispatched steps run serially (width 1)
-                # and never reach the process pool — no template.
-                continue
-            step = entry.step
-            prepared = _prepare_compiled_bindings(step, regions, slot_stores)
-            scalar_names = tuple(name for name, _index in step.scalar_order or ())
-            # The chunk plan the resident dispatch will use: this
-            # mirrors ``_compiled_point_work`` with the same width the
-            # dispatch site computes for this step — the full point
-            # width for inline steps, the level's step width for steps
-            # dispatched into wide levels.
-            chunks = point_chunks(
-                entry.num_points, width, config.point_min_ranks()
+        if workers > 1 or point_width > 1 or overlap:
+            profiler.record_plan_execution(
+                steps=len(steps),
+                levels=len(schedule.levels),
+                width=schedule.width,
+                dispatched=dispatched,
+                level_widths=schedule.level_widths,
             )
-            template = executor.resident_step_template(
-                step.kernel,
-                prepared,
-                entry.num_points,
-                scalar_names,
-                step.elementwise,
-                chunks,
-            )
-            if template is not None:
-                templates[index] = template
-        resident = procpool.ResidentPlan(
-            plan_id=procpool.next_resident_plan_id() if templates else 0,
-            generation=generation,
-            steps=templates,
-        )
-        plan.resident = resident
-        return resident if templates else None
 
-    def _compiled_point_work(
+    def _step_work(
         self,
-        entry: ScheduledStep,
-        regions,
         slot_stores: Sequence[Store],
         tasks: Sequence[IndexTask],
         fields: Dict[int, object],
-        width: int,
-    ):
-        """Prepare a compiled step once and build its chunk runner.
-
-        Everything order-sensitive (scalar rebinding, field resolution)
-        happens here on the scheduling thread; the returned runner only
-        computes over ``[start, stop)`` rank ranges and is safe on any
-        worker.  The chunk plan uses the rank count recorded into the
-        plan at capture time.  The prepared bindings and rebound scalars
-        are returned as well so the caller can reroute the chunks to the
-        worker-process pool without re-preparing.
-        """
-        step = entry.step
-        if entry.scalar_binds:
-            scalars = {
-                name: tasks[position].scalar_args[inner]
-                for name, position, inner in entry.scalar_binds
-            }
-        else:
-            scalars = _bind_scalars(step, tasks)
-        prepared = _prepare_compiled_bindings(step, regions, slot_stores, fields)
-
-        num_points = entry.num_points
-        if (
-            width > 1
-            and num_points > 1
-            and entry.volume >= executor_module.MIN_POINT_DISPATCH_VOLUME
-        ):
-            chunks = point_chunks(num_points, width, config.point_min_ranks())
-        else:
-            chunks = [(0, num_points)]
-
-        def run_chunk(start: int, stop: int) -> Dict[str, list]:
-            return _run_compiled_ranks(step, prepared, scalars, start, stop)
-
-        return chunks, run_chunk, prepared, scalars
-
-    def _opaque_work(
-        self,
         entry: ScheduledStep,
-        slot_stores: Sequence[Store],
-        tasks: Sequence[IndexTask],
-        resident=None,
-        index: Optional[int] = None,
-    ) -> Callable[[], object]:
-        """Build an opaque step's compute closure on the scheduling thread.
+    ) -> ChunkWork:
+        """Prepare one step on the scheduling thread.
 
-        ``resident``/``index`` thread the plan's resident registration
-        through to the executor so a chunked opaque step whose template
-        the workers hold replays over the lean resident protocol.
+        Everything order-sensitive happens here — scalar rebinding from
+        the epoch's tasks (the flat-offset arithmetic was done once, in
+        :func:`analyze_plan`) and slot→field resolution through the
+        per-replay ``fields`` memo — so the work's runner only computes
+        and workers never touch shared state.  Replayed compiled steps
+        carry no cost model: their seconds were captured at record time.
         """
         step = entry.step
-        task = _rebuild_opaque_task(step, slot_stores, tasks)
         executor = self.runtime.executor
-
-        def opaque_work() -> object:
-            seconds, totals = executor.execute_opaque_deferred(
-                task, step.impl, resident=resident, resident_step=index
+        rows = []
+        regions = self.runtime.regions
+        for key, slot, is_reduction, table in _bindings(entry, executor, slot_stores, tasks):
+            resolved = None
+            if not is_reduction:
+                resolved = fields.get(slot)
+                if resolved is None:
+                    resolved = fields[slot] = regions.field(slot_stores[slot])
+            rows.append((key, resolved, is_reduction, table))
+        if not entry.compiled:
+            return executor.opaque_work(
+                step.impl, rows, entry.num_points, tasks[step.position].scalar_args,
+                partial(_rebuild_opaque_task, step, slot_stores, tasks),
             )
-            return (task, seconds, totals)
+        scalars = {
+            name: tasks[position].scalar_args[inner]
+            for name, position, inner in entry.scalar_binds
+        }
+        if isinstance(step, SuperKernelStep):
+            return ChunkWork(
+                rows,
+                entry.num_points,
+                lambda start, stop: run_superkernel_ranks(step, rows, scalars, start, stop),
+                step.reductions,
+                kernel=step.kernel,
+                scalars=scalars,
+            )
+        return executor.compiled_work(
+            step.kernel, rows, scalars, entry.num_points, step.elementwise,
+            step.reductions,
+        )
 
-        return opaque_work
+    def _traced_launch(self, entry: ScheduledStep, work: ChunkWork, chunks, width: int):
+        """``executor.launch`` inside a ``plan.step`` span (telemetry on)."""
+        label = f"{entry.step.task_name} ranks={entry.num_points} chunks={len(chunks)}"
+        with telemetry.span("plan.step", label, sim=self.runtime.simulated_seconds):
+            return self.runtime.executor.launch(work, chunks, width)
 
-    # ------------------------------------------------------------------
+    def _resident_plan(self, plan: ExecutionPlan, steps, decisions, prepare: Callable):
+        """Register ``plan`` for resident process replay (cached on it).
+
+        Every step whose decided chunk plan has several chunks and whose
+        work ships (see ``TaskExecutor.resident_template``) gets a
+        worker-resident template baking exactly that chunk plan, so the
+        dispatch can only disagree with it after a flag change.  The
+        pool ships the template set to each worker at most once;
+        :func:`procpool.resident_generation` bumps (descriptor swaps,
+        store releases, flag reloads) retire the registration so the
+        next replay rebuilds it under a fresh id.  Returns ``None`` when
+        nothing in the plan ships (cached as an empty registration so
+        the scan runs once per generation).
+        """
+        generation = procpool.resident_generation()
+        resident = plan.resident
+        if resident is None or resident.generation != generation:
+            templates = {}
+            for index, (_dispatched, _width, chunks) in enumerate(decisions):
+                if len(chunks) > 1:
+                    template = self.runtime.executor.resident_template(
+                        prepare(steps[index]), chunks
+                    )
+                    if template is not None:
+                        templates[index] = template
+            resident = plan.resident = procpool.ResidentPlan(
+                plan_id=procpool.next_resident_plan_id() if templates else 0,
+                generation=generation,
+                steps=templates,
+            )
+        return resident if resident.steps else None
+
     def _account(
-        self,
-        plan: ExecutionPlan,
-        schedule: PlanSchedule,
-        results: List[object],
-        runtime,
-        profiler,
-        overlap: bool,
+        self, plan: ExecutionPlan, schedule: PlanSchedule, results, overlap: bool
     ) -> None:
         """Fold the plan's time accounting in recorded order.
 
-        With the overlap model off this reproduces the serial replay's
-        accumulation order exactly (bit-identical simulated seconds);
-        with it on, each dependence level is charged its max step time.
+        A fused unit executed as one closure call but charges its
+        recorded constituent subsequence (compiled steps and interior
+        analysis charges), so records, floating-point accumulation order
+        and simulated seconds are bit-identical to unfused, serial
+        replay.  With the overlap model on (which skips lowering) each
+        dependence level is charged its max step time instead.
         """
-        step_records: Dict[int, object] = {}
-        entry_by_plan_index = schedule.index_by_plan
-
+        runtime = self.runtime
+        profiler = runtime.profiler
+        records: Dict[int, object] = {}
         for plan_index, step in enumerate(plan.steps):
-            if isinstance(step, AnalysisCharge):
-                runtime.add_simulated_seconds(step.seconds)
-                profiler.record_analysis_time(step.seconds)
-                profiler.add_iteration_seconds(step.seconds)
-                continue
-            if isinstance(step, SuperKernelStep):
-                # Fused units charge their recorded constituents in
-                # recorded order (lowering is skipped under overlap).
-                _account_fused_constituents(step, runtime, profiler)
-                continue
-            index = entry_by_plan_index[plan_index]
-            if isinstance(step, CompiledStep):
+            fused = isinstance(step, SuperKernelStep)
+            for part in step.fused_steps if fused else (step,):
+                if isinstance(part, AnalysisCharge):
+                    runtime.add_simulated_seconds(part.seconds)
+                    profiler.record_analysis_time(part.seconds)
+                    profiler.add_iteration_seconds(part.seconds)
+                    continue
+                if fused and part.elementwise and part.num_points > 1:
+                    profiler.record_elementwise_batch(1)
+                compiled = isinstance(part, CompiledStep)
+                index = schedule.index_by_plan[plan_index]
                 record = profiler.record_task(
-                    name=step.task_name,
-                    constituents=step.constituents,
-                    kernel_seconds=step.kernel_seconds,
-                    communication_seconds=step.communication_seconds,
-                    overhead_seconds=step.overhead_seconds,
-                    launches=step.launches,
-                    fused=step.fused,
+                    name=part.task_name,
+                    constituents=part.constituents if compiled else 1,
+                    # Opaque steps are re-timed through their cost model
+                    # (their time may depend on data).
+                    kernel_seconds=part.kernel_seconds if compiled else results[index][0],
+                    communication_seconds=part.communication_seconds,
+                    overhead_seconds=part.overhead_seconds,
+                    launches=part.launches if compiled else 1,
+                    fused=compiled and part.fused,
                     replayed=True,
                     accumulate_iteration=not overlap,
                 )
-            else:
-                _task, kernel_seconds, _totals = results[index]
-                record = profiler.record_task(
-                    name=step.task_name,
-                    constituents=1,
-                    kernel_seconds=kernel_seconds,
-                    communication_seconds=step.communication_seconds,
-                    overhead_seconds=step.overhead_seconds,
-                    launches=1,
-                    fused=False,
-                    replayed=True,
-                    accumulate_iteration=not overlap,
-                )
-            if overlap:
-                step_records[index] = record
-            else:
-                runtime.simulated_seconds += record.total_seconds
-
+                if overlap:
+                    records[index] = record
+                else:
+                    runtime.simulated_seconds += record.total_seconds
         if overlap:
-            machine = runtime.machine
             for level in schedule.levels:
-                level_seconds = machine.overlapped_level_seconds(
-                    [step_records[index].total_seconds for index in level]
+                level_seconds = runtime.machine.overlapped_level_seconds(
+                    [records[index].total_seconds for index in level]
                 )
                 runtime.simulated_seconds += level_seconds
                 profiler.add_iteration_seconds(level_seconds)

@@ -60,6 +60,7 @@ from repro.kernel.codegen import SuperKernelSection, generate_superkernel_source
 from repro.kernel.kir import assignment_loads_buffers, sole_buffer_assignment
 from repro.kernel.lowering import BackendDivergenceError
 from repro.runtime import telemetry
+from repro.runtime.executor import compiled_ranks
 from repro.runtime.pool import merged_table_span
 from repro.runtime.trace import AnalysisCharge, CompiledStep, ExecutionPlan
 
@@ -479,20 +480,21 @@ def _build_unit(
     )
 
 
-def maybe_lower_plan(
-    plan: ExecutionPlan, tasks, backend: str, profiler=None
-) -> Optional[ExecutionPlan]:
+def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[ExecutionPlan]:
     """The super-kernel lowering of ``plan``, or None when nothing fuses.
 
     The lowering is computed once per plan and cached on it (retired by
     :func:`config.reload_flags` via the registered callback).  The
-    caller gates on the ``REPRO_SUPERKERNEL`` flag, the interpreter
-    backend and the overlap model; the differential backend lowers in
-    verify mode.
+    caller gates on the ``REPRO_SUPERKERNEL`` flag and the overlap
+    model; the interpreter backend never lowers and the differential
+    backend lowers in verify mode.
     """
     cached = plan.superkernel
     if cached is not None:
         return None if cached is _NO_UNITS else cached
+    backend = config.default_backend()
+    if backend == "interpreter":
+        return None
 
     units = _collect_units(plan)
     if not units:
@@ -544,23 +546,26 @@ def run_superkernel_ranks(
     scalars: Dict[str, float],
     start: int,
     stop: int,
-) -> Dict[str, list]:
+) -> Tuple[list, tuple]:
     """Run rank chunk ``[start, stop)`` of a fused unit (one closure call).
 
-    Merged bindings hand the closure one contiguous span view; ranked
-    bindings hand it the chunk's per-rank view list.  Non-chunkable
-    units ignore the chunk range and execute every rank.  The returned
-    totals have the same shape and order as the per-step fold loop would
-    accumulate, so the scheduler's join points need no special casing.
+    The local runner of a super-kernel :class:`~repro.runtime.executor
+    .ChunkWork`.  Merged bindings hand the closure one contiguous span
+    view; ranked bindings hand it the chunk's per-rank view list.
+    Non-chunkable units ignore the chunk range and execute every rank.
+    Returns the chunk result shape every substrate returns: the
+    closure's partials — per reduction target, a rank-ordered list —
+    as the chunk's single entry, and no seconds (replay charges the
+    captured ones).
 
     Binding slices the resolved fields' backing arrays directly with the
     slice tuples precomputed at lowering time (``step.binding_plan``) —
     NumPy basic slicing always yields a view, so writes land in place
-    exactly as through the memoized per-rect view path the per-step
-    replay loop uses, without its per-rank cache lookups.
+    exactly as through the memoized per-rect views of the per-step
+    path, without its per-rank cache lookups.
     """
     if step.verify:
-        return _run_verify(step, prepared, scalars)
+        return [_run_verify(step, prepared, scalars)], ()
     buffers: Dict[str, object] = {}
     chunked = step.chunkable
     for (name, resolved, _is_reduction, table), (kind, payload) in zip(
@@ -577,15 +582,10 @@ def run_superkernel_ranks(
         else:
             buffers[name] = resolved.data[payload]
     with telemetry.span(
-        "superkernel.call", f"{step.task_name} ranks=[{start}:{stop})"
+        "superkernel.call",
+        f"{step.task_name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
     ):
-        partials = step.kernel.executor(buffers, scalars)
-    totals: Dict[str, list] = {}
-    reductions = step.reductions
-    for name, partial_list in partials.items():
-        if name in reductions and partial_list:
-            totals[name] = list(partial_list)
-    return totals
+        return [step.kernel.executor(buffers, scalars)], ()
 
 
 def _run_verify(
@@ -593,15 +593,13 @@ def _run_verify(
     prepared: Sequence[Tuple[str, object, bool, list]],
     scalars: Dict[str, float],
 ) -> Dict[str, list]:
-    """Differential execution of a fused unit.
+    """Differential execution of a fused unit; returns the fused partials.
 
     Runs the constituent steps first (the reference — themselves under
     their own differential executors), snapshots the written fields,
     rewinds to the pre-state, runs the fused closure, and demands
     bitwise agreement on every written field and reduction partial.
     """
-    from repro.runtime import scheduler as scheduler_module
-
     resolved_by_slot: Dict[int, object] = {}
     for (name, slot, _is_red, _table), (_n, resolved, _r, _t) in zip(
         step.buffer_bindings, prepared
@@ -626,11 +624,13 @@ def _run_verify(
         member_scalars = {
             name: scalars[info.prefix + name] for name, _index in member.scalar_order
         }
-        totals = scheduler_module._run_compiled_ranks(
-            member, member_prepared, member_scalars, 0, member.num_points
-        )
-        for name, partial_list in totals.items():
-            reference[info.prefix + name] = partial_list
+        for partials in compiled_ranks(
+            member.kernel.executor, member_prepared, member_scalars,
+            0, member.num_points, member.elementwise,
+        ):
+            for name, partial in (partials or {}).items():
+                if name in member.reductions:
+                    reference.setdefault(info.prefix + name, []).append(partial)
 
     post = {slot: np.array(resolved_by_slot[slot].data, copy=True) for slot in pre}
     for slot, snapshot in pre.items():
@@ -658,11 +658,11 @@ def _run_verify(
                 f"super-kernel '{step.task_name}': fused and constituent "
                 f"execution disagree on slot {slot}"
             )
-    totals: Dict[str, list] = {}
-    reductions = step.reductions
-    for name, partial_list in partials.items():
-        if name in reductions and partial_list:
-            totals[name] = list(partial_list)
+    totals = {
+        name: partial_list
+        for name, partial_list in partials.items()
+        if name in step.reductions and partial_list
+    }
     if set(totals) != set(reference):
         raise BackendDivergenceError(
             f"super-kernel '{step.task_name}': reduction targets differ "
@@ -684,4 +684,4 @@ def _run_verify(
                     f"super-kernel '{step.task_name}': reduction partial "
                     f"'{name}' diverged ({expected} vs {actual})"
                 )
-    return totals
+    return partials

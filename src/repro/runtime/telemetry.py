@@ -73,27 +73,29 @@ class SpanRecorder:
         """Events lost to ring wrap-around."""
         return max(0, self._count - self.capacity)
 
+    def _live(self) -> List[Event]:
+        """Live events, oldest first (caller holds the lock)."""
+        used = min(self._count, self.capacity)
+        start = self._count % self.capacity if self._count > used else 0
+        return self._events[start:used] + self._events[:start]
+
     def events(self) -> List[Event]:
         """Live events, oldest first."""
         with self._lock:
-            count = self._count
-            if count <= self.capacity:
-                return [e for e in self._events[:count] if e is not None]
-            start = count % self.capacity
-            ring = self._events[start:] + self._events[:start]
-            return [e for e in ring if e is not None]
+            return self._live()
 
     def drain(self) -> List[Event]:
-        """Return the live events and clear the ring (capacity kept)."""
+        """Return the live events, oldest first, and clear the ring.
+
+        Pool workers drain once per reply, so this costs what was
+        recorded, not the ring's capacity: an empty ring returns at
+        once, and only the slots in use are cleared, in place.
+        """
         with self._lock:
-            count = self._count
-            if count <= self.capacity:
-                out = [e for e in self._events[:count] if e is not None]
-            else:
-                start = count % self.capacity
-                ring = self._events[start:] + self._events[:start]
-                out = [e for e in ring if e is not None]
-            self._events = [None] * self.capacity
+            if not self._count:
+                return []
+            out = self._live()
+            self._events[: len(out)] = [None] * len(out)
             self._count = 0
             return out
 

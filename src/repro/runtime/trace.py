@@ -465,8 +465,7 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # Replay lives in ``repro.runtime.scheduler``: the plan scheduler builds
 # each plan's step-level dependence DAG from the captured footprints and
-# dispatches independent steps to a worker pool (``REPRO_WORKERS=1``
-# restores the serial replay path this module used to implement).
+# dispatches independent steps to a worker pool.
 # ----------------------------------------------------------------------
 # The controller: deferred stream + trace cache.
 # ----------------------------------------------------------------------

@@ -1,0 +1,448 @@
+"""One chunk-dispatch path (``runtime/executor.py``): every kind of work
+on every substrate gives the eager interpreter's answer.
+
+The equivalence matrix is work kind (compiled per-rank, element-wise,
+super-kernel, opaque per-rank, opaque chunk) × substrate (inline,
+thread, per-chunk process, resident process) × ``REPRO_WORKERS`` {1, 4}
+× kernel backend (codegen, differential): buffers, checksum AND
+the simulated seconds of every replayed iteration must equal an eager
+(``REPRO_TRACE=0``) interpreter run bit for bit, and the kind and the
+substrate under test must really have run.  The rest of the file pins the seams of the ladder: every
+decline reason on a constructed launch, a hung worker, and the
+allocator policy that keeps array memory mapped between launches.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import signal
+
+import numpy as np
+import pytest
+
+from repro import config
+from repro.apps.base import build_application
+from repro.experiments.harness import scaled_machine
+from repro.frontend.cunumeric.array import ndarray as cn_ndarray
+from repro.frontend.legate.context import RuntimeContext, set_context
+from repro.ir.partition import Replication, natural_tiling
+from repro.ir.privilege import Privilege
+from repro.ir.task import IndexTask, StoreArg
+from repro.runtime import procpool, region
+from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
+from repro.runtime.pool import submit_guarded, worker_pool
+
+
+@pytest.fixture(autouse=True)
+def _reload_flags_after():
+    yield
+    procpool.shutdown_process_pool()
+    config.reload_flags()
+
+
+@pytest.fixture
+def force_dispatch(monkeypatch):
+    """Zero both dispatch thresholds so tiny launches reach the pools."""
+    import repro.runtime.executor as executor_module
+    import repro.runtime.scheduler as scheduler_module
+
+    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
+    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+
+
+# ----------------------------------------------------------------------
+# The equivalence matrix.
+# ----------------------------------------------------------------------
+#: kind -> (app, app arguments, extra flags, "this kind ran" predicate).
+KINDS = {
+    "compiled-per-rank": (
+        "cg", dict(grid_points_per_gpu=12), {"REPRO_SUPERKERNEL": "0"},
+        lambda p: p.superkernel_calls == 0 and p.replay_closure_calls > p.trace_hits,
+    ),
+    "element-wise": (
+        "black-scholes", dict(elements_per_gpu=128), {},
+        lambda p: p.batched_launches > 0,
+    ),
+    "super-kernel": (
+        "cg", dict(grid_points_per_gpu=12), {},
+        lambda p: p.superkernel_calls > 0,
+    ),
+    "opaque-per-rank": (
+        "two-matvec", dict(rows_per_gpu=16), {"REPRO_OPAQUE_CHUNKS": "0"},
+        lambda p: p.opaque_rank_calls > 0 and p.opaque_chunk_calls == 0,
+    ),
+    "opaque-chunk": (
+        "two-matvec", dict(rows_per_gpu=16), {},
+        lambda p: p.opaque_chunk_calls > 0 and p.opaque_rank_calls == 0,
+    ),
+}
+
+#: substrate -> (flags, "this substrate ran" predicate).
+SUBSTRATES = {
+    "inline": (
+        {"REPRO_POINT_WORKERS": "1", "REPRO_DISPATCH_BACKEND": "thread"},
+        lambda p: p.point_launches == 0,
+    ),
+    "thread": (
+        {"REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "thread"},
+        lambda p: p.point_thread_chunks > 0 and p.point_process_chunks == 0,
+    ),
+    "process-per-chunk": (
+        {
+            "REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "process",
+            "REPRO_RESIDENT_PLANS": "0",
+        },
+        lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
+    ),
+    "process-resident": (
+        {
+            "REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "process",
+            "REPRO_RESIDENT_PLANS": "1",
+        },
+        lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
+    ),
+}
+
+ITERATIONS = 5
+
+
+def _run(monkeypatch, app_name, kwargs, flags):
+    defaults = {
+        "REPRO_TRACE": "1", "REPRO_WORKERS": "1", "REPRO_POINT_WORKERS": "1",
+        "REPRO_DISPATCH_BACKEND": "thread", "REPRO_KERNEL_BACKEND": "codegen",
+        "REPRO_SUPERKERNEL": "1", "REPRO_OPAQUE_CHUNKS": "1",
+        "REPRO_RESIDENT_PLANS": "1", "REPRO_HOTPATH_CACHE": "1",
+    }
+    for name, value in {**defaults, **flags}.items():
+        monkeypatch.setenv(name, value)
+    config.reload_flags()
+    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+    set_context(context)
+    try:
+        app = build_application(app_name, context=context, **kwargs)
+        app.run(ITERATIONS)
+        checksum = app.checksum()
+        state = {
+            name: value.to_numpy()
+            for name, value in vars(app).items()
+            if isinstance(value, cn_ndarray)
+        }
+    finally:
+        set_context(None)
+    return context, state, checksum
+
+
+_REFERENCES = {}
+
+
+def _reference(monkeypatch, app_name, kwargs):
+    """The eager interpreter run (memoized per app; it never varies)."""
+    key = (app_name, tuple(sorted(kwargs.items())))
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _run(
+            monkeypatch, app_name, kwargs,
+            {"REPRO_TRACE": "0", "REPRO_KERNEL_BACKEND": "interpreter"},
+        )
+    return _REFERENCES[key]
+
+
+@pytest.mark.parametrize("kernel_backend", ["codegen", "differential"])
+@pytest.mark.parametrize("workers", ["1", "4"])
+@pytest.mark.parametrize("substrate", list(SUBSTRATES))
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
+    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch
+):
+    app_name, kwargs, kind_flags, kind_ran = KINDS[kind]
+    substrate_flags, substrate_ran = SUBSTRATES[substrate]
+    ctx_ref, state_ref, checksum_ref = _reference(monkeypatch, app_name, kwargs)
+    flags = {
+        **kind_flags, **substrate_flags,
+        "REPRO_WORKERS": workers, "REPRO_KERNEL_BACKEND": kernel_backend,
+    }
+    ctx, state, checksum = _run(monkeypatch, app_name, kwargs, flags)
+
+    assert checksum == checksum_ref
+    assert set(state) == set(state_ref)
+    for name in state_ref:
+        assert np.array_equal(state[name], state_ref[name]), name
+    # Simulated seconds of every replayed iteration (the first epochs run
+    # eagerly in both, but under differently grown fusion windows).
+    profiler = ctx.profiler
+    assert profiler.trace_hits > 0
+    first_replayed = min(r.iteration for r in profiler.records if r.replayed)
+    seconds, seconds_ref = profiler.iteration_seconds(), ctx_ref.profiler.iteration_seconds()
+    assert first_replayed < ITERATIONS - 1
+    assert len(seconds) == len(seconds_ref) == ITERATIONS
+    assert seconds[first_replayed:] == seconds_ref[first_replayed:]
+
+    assert kind_ran(profiler), profiler.snapshot()
+    if kind == "opaque-per-rank" and substrate.startswith("process"):
+        # Per-rank operators have nothing a worker could resolve: the
+        # process rungs decline them by name and threads take over.
+        assert profiler.declines["unshippable_operator"] > 0
+        assert profiler.point_thread_chunks > 0
+    else:
+        assert substrate_ran(profiler), profiler.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Every declined rung says why.
+# ----------------------------------------------------------------------
+def _context(monkeypatch, backend, point_workers="4"):
+    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+    monkeypatch.setenv("REPRO_POINT_WORKERS", point_workers)
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    monkeypatch.setenv("REPRO_TRACE", "0")
+    monkeypatch.setenv("REPRO_OPAQUE_CHUNKS", "1")
+    monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
+    config.reload_flags()
+    return RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+
+
+def _gemv_launch(context, scalars=()):
+    """A constructed 4-rank GEMV launch over known data; returns
+    ``(task, expected result, output field)``."""
+    import repro.frontend.cunumeric.linalg  # noqa: F401 - registers "gemv"
+
+    matrix = context.create_store((16, 8))
+    vector = context.create_store((8,))
+    out = context.create_store((16,))
+    regions = context.legion.regions
+    regions.field(matrix).data[...] = np.arange(128.0).reshape(16, 8)
+    regions.field(vector).data[...] = np.linspace(1.0, 2.0, 8)
+    launch = context.launch_domain(1)
+    task = IndexTask(
+        "gemv",
+        launch,
+        [
+            StoreArg(matrix, context.row_partition(matrix, 16), Privilege.READ),
+            StoreArg(vector, Replication(), Privilege.READ),
+            StoreArg(out, natural_tiling((16,), launch), Privilege.WRITE),
+        ],
+        scalar_args=scalars,
+    )
+    expected = np.einsum(
+        "ij,j->i", np.arange(128.0).reshape(16, 8), np.linspace(1.0, 2.0, 8)
+    )
+    return task, expected, regions.field(out)
+
+
+class TestDeclineReasons:
+    def test_below_volume(self, monkeypatch):
+        context = _context(monkeypatch, "thread")
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context)
+        # 16*8 + 4*8 + 16 elements: far below MIN_POINT_DISPATCH_VOLUME.
+        executor.execute_opaque(task, default_opaque_registry().get("gemv"))
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["below_volume"] == 1
+        assert executor.profiler.point_launches == 0
+
+    def test_nested_on_a_pool_thread(self, monkeypatch, force_dispatch):
+        context = _context(monkeypatch, "thread")
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context)
+        impl = default_opaque_registry().get("gemv")
+        future = submit_guarded(
+            worker_pool(4), lambda: executor.execute_opaque(task, impl)
+        )
+        future.result(timeout=30)
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["nested_dispatch"] == 1
+        assert executor.profiler.point_launches == 0
+
+    def test_field_without_shm_descriptor(self, monkeypatch, force_dispatch):
+        context = _context(monkeypatch, "thread")
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context)  # private-heap fields
+        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
+        config.reload_flags()
+        executor.execute_opaque(task, default_opaque_registry().get("gemv"))
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["no_shm_descriptor"] == 1
+        assert executor.profiler.point_thread_chunks == 4
+        assert executor.profiler.point_process_chunks == 0
+
+    def test_operator_not_resolvable_by_name(self, monkeypatch, force_dispatch):
+        context = _context(monkeypatch, "process")
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context)
+        registered = default_opaque_registry().get("gemv")
+        hand_built = OpaqueTaskImpl(
+            name="gemv", execute=registered.execute,
+            cost_seconds=registered.cost_seconds, chunk=registered.chunk, module=None,
+        )
+        executor.execute_opaque(task, hand_built)
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["unshippable_operator"] == 1
+        assert executor.profiler.opaque_chunk_calls == 4
+        assert executor.profiler.opaque_process_chunks == 0
+
+    def _resident_work(self, context, scalars=()):
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context, scalars)
+        work = executor.opaque_work(
+            default_opaque_registry().get("gemv"),
+            executor._rows(task, enumerate(task.args)),
+            task.launch_domain.volume, task.scalar_args, lambda: task,
+        )
+        chunks = executor.point_chunk_plan(work.num_points, work.rows)
+        assert len(chunks) == 4
+        template = executor.resident_template(work, chunks)
+        assert template is not None
+        plan = procpool.ResidentPlan(
+            plan_id=procpool.next_resident_plan_id(),
+            generation=procpool.resident_generation(),
+            steps={0: template},
+        )
+        work.resident = (plan, 0)
+        return executor, work, chunks, expected, out
+
+    def test_chunk_plan_differs_from_the_resident_template(
+        self, monkeypatch, force_dispatch
+    ):
+        context = _context(monkeypatch, "process")
+        executor, work, chunks, expected, out = self._resident_work(context)
+        # The baked plan rides the resident protocol ...
+        _results, backend = executor.run_chunks(work, chunks, 4)
+        assert backend == "process"
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["template_mismatch"] == 0
+        # ... any other plan declines it and ships per chunk instead.
+        out.data[...] = 0.0
+        _results, backend = executor.run_chunks(work, [(0, 1), (1, 4)], 4)
+        assert backend == "process"
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["template_mismatch"] == 1
+
+    def test_non_numeric_scalars(self, monkeypatch, force_dispatch):
+        context = _context(monkeypatch, "process")
+        executor, work, chunks, expected, out = self._resident_work(
+            context, scalars=("not-a-number",)
+        )
+        _results, backend = executor.run_chunks(work, chunks, 4)
+        assert backend == "process"  # the per-chunk protocol pickles anything
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["non_numeric_scalars"] == 1
+
+    def test_lost_worker(self, monkeypatch, force_dispatch):
+        """A worker that takes the request and never answers (a worker
+        that died *before* the dispatch just gets a fresh pool built)."""
+        monkeypatch.setattr(procpool, "REPLY_DEADLINE_SECONDS", 0.3)
+        context = _context(monkeypatch, "process")
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context)
+        pool = procpool.process_pool()
+        children = list(pool._processes)
+        for child in children:
+            os.kill(child.pid, signal.SIGSTOP)
+        executor.execute_opaque(task, default_opaque_registry().get("gemv"))
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["worker_lost"] == 1
+        assert executor.profiler.point_thread_chunks == 4
+        assert pool.closed
+        for child in children:
+            child.join(timeout=5.0)
+            assert not child.is_alive()
+
+    def test_snapshot_has_one_flat_key_per_reason(self):
+        from repro.runtime.profiler import DECLINE_REASONS, Profiler
+
+        snapshot = Profiler().snapshot()
+        assert len(DECLINE_REASONS) == 7
+        for reason in DECLINE_REASONS:
+            assert snapshot[f"decline_{reason}"] == 0
+
+
+# ----------------------------------------------------------------------
+# A hung worker cannot hang the parent.
+# ----------------------------------------------------------------------
+def _shm_entries():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+    except OSError:
+        return set()
+
+
+def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch):
+    """``SIGSTOP`` a worker mid-run: the reply deadline passes, the pool
+    is torn down (stopped worker included), the launch degrades to the
+    thread substrate bit-identically, and the next run builds a fresh
+    pool."""
+    app_name, kwargs = "two-matvec", dict(rows_per_gpu=16)
+    thread_flags = {"REPRO_POINT_WORKERS": "4", "REPRO_WORKERS": "4"}
+    ctx_thread, state_thread, checksum_thread = _run(
+        monkeypatch, app_name, kwargs, thread_flags
+    )
+
+    monkeypatch.setattr(procpool, "REPLY_DEADLINE_SECONDS", 0.5)
+    for name, value in {**thread_flags, "REPRO_DISPATCH_BACKEND": "process"}.items():
+        monkeypatch.setenv(name, value)
+    config.reload_flags()
+    shm_before = _shm_entries()
+    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+    set_context(context)
+    try:
+        app = build_application(app_name, context=context, **kwargs)
+        app.run(3)
+        pool = procpool.process_pool()
+        children = list(pool._processes)
+        assert context.profiler.point_process_chunks > 0
+        os.kill(children[0].pid, signal.SIGSTOP)
+        app.run(ITERATIONS - 3)
+        checksum = app.checksum()
+        state = {
+            name: value.to_numpy()
+            for name, value in vars(app).items()
+            if isinstance(value, cn_ndarray)
+        }
+        assert context.profiler.declines["worker_lost"] >= 1
+        assert pool.closed
+        for child in children:
+            child.join(timeout=5.0)
+            assert not child.is_alive()
+        # The launches after the degraded one went to a fresh pool.
+        fresh = procpool.process_pool()
+        assert fresh is not pool and not fresh.closed
+    finally:
+        set_context(None)
+        procpool.shutdown_process_pool()
+    assert checksum == checksum_thread
+    for name in state_thread:
+        assert np.array_equal(state[name], state_thread[name]), name
+    assert context.legion.simulated_seconds == ctx_thread.legion.simulated_seconds
+    del context, app
+    import gc
+
+    gc.collect()
+    assert _shm_entries() <= shm_before
+
+
+# ----------------------------------------------------------------------
+# Array memory stays mapped between launches.
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(
+    not region.KEEPS_FREED_MEMORY_MAPPED, reason="no glibc mallopt on this platform"
+)
+def test_second_round_of_bigtile_iterations_takes_no_page_faults(monkeypatch):
+    """glibc hands freed blocks >= 128 KiB back to the OS by default, so
+    every whole-tile temporary is page-faulted in again (> 10,000 minor
+    faults per round here); ``runtime/region.py`` pins the allocator so
+    they stay mapped."""
+    for name in list(os.environ):
+        if name.startswith("REPRO_"):
+            monkeypatch.delenv(name)
+    config.reload_flags()
+    context = RuntimeContext(num_gpus=4, fusion=True)
+    set_context(context)
+    try:
+        app = build_application("black-scholes", context=context, elements_per_gpu=65536)
+        app.run(3)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        app.run(3)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    finally:
+        set_context(None)
+    assert faults < 256, faults

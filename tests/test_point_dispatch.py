@@ -285,6 +285,13 @@ class TestWideAppParity:
             def result(self):
                 return self._fn()
 
+        class _DeferredPool:
+            def submit(self, fn):
+                return _DeferredFuture(fn)
+
+        # Both submission routes of the plan loop: compiled steps go to
+        # the pool directly, opaque ones under the nested-dispatch guard.
+        monkeypatch.setattr(scheduler_module, "worker_pool", lambda: _DeferredPool())
         monkeypatch.setattr(
             scheduler_module, "submit_guarded", lambda pool, fn: _DeferredFuture(fn)
         )

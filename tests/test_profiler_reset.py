@@ -67,6 +67,7 @@ def _dirty(profiler: Profiler) -> None:
     profiler.replay_closure_calls = 40
     profiler.wire_bytes = 4096
     profiler.wire_requests = 17
+    profiler.record_decline("below_volume")
 
 
 def test_reset_equals_fresh_field_by_field():
@@ -105,6 +106,8 @@ def test_snapshot_reflects_counters_and_reset():
     assert snapshot["trace_hits"] == 7
     assert snapshot["plan_level_widths"] == {1: 4, 3: 2}
     assert snapshot["wire_bytes"] == 4096
+    assert snapshot["decline_below_volume"] == 1
+    assert snapshot["decline_worker_lost"] == 0
     assert snapshot["total_index_tasks"] == 1
     assert snapshot["total_constituent_tasks"] == 3
     assert snapshot["trace_hit_rate"] == 7 / 9

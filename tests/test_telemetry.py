@@ -146,6 +146,33 @@ class TestSpanRecorder:
         assert recorder.events() == []
         assert recorder.recorded == 0
 
+    def test_drain_costs_what_was_recorded_not_the_capacity(self):
+        """Workers drain once per reply: no per-call ring re-allocation."""
+        recorder = SpanRecorder(1 << 16)
+        ring = recorder._events
+        assert recorder.drain() == []
+        recorder.record("I", "k", "only", 0.0)
+        assert [e[2] for e in recorder.drain()] == ["only"]
+        assert recorder._events is ring
+        assert ring[0] is None and len(ring) == 1 << 16
+        # The ring keeps working after an in-place clear.
+        recorder.record("I", "k", "again", 0.0)
+        assert [(e[2], e[6]) for e in recorder.drain()] == [("again", 0)]
+
+    def test_wrapped_ring_drains_oldest_first(self):
+        recorder = SpanRecorder(4)
+        ring = recorder._events
+        for index in range(6):
+            recorder.record("I", "k", str(index), 0.0)
+        assert recorder.dropped == 2
+        drained = recorder.drain()
+        # The two overwritten events are gone; their loss shows as the
+        # gap before the first surviving sequence number.
+        assert [e[6] for e in drained] == [2, 3, 4, 5]
+        assert [e[2] for e in drained] == ["2", "3", "4", "5"]
+        assert recorder._events is ring and ring == [None] * 4
+        assert recorder.recorded == 0
+
     def test_span_context_manager_pairs(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         config.reload_flags()
