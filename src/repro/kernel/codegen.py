@@ -1,18 +1,33 @@
-"""Code generation: KIR kernels compiled to straight-line NumPy closures.
+"""Code generation: KIR kernels compiled to blocked single-pass NumPy closures.
 
 The paper's Diffuse JIT-compiles fused MLIR kernels to real device code so
 that a memoized replay round executes pre-compiled kernels with no
-per-statement interpretation.  This module plays that role for the
-reproduction: a KIR :class:`~repro.kernel.kir.Function` is translated to
-Python source whose statements are vectorised NumPy expressions, compiled
-with the builtin ``compile`` exactly once, and wrapped in a
+per-statement interpretation, and so that task-local temporaries become
+register values: a fused kernel reads its inputs once and writes its
+outputs once.  This module plays that role for the reproduction: a KIR
+:class:`~repro.kernel.kir.Function` is translated to Python source,
+compiled with the builtin ``compile`` exactly once, and wrapped in a
 :class:`CodegenExecutor` with the same calling convention as the
 tree-walking interpreter.
 
-The emitted code mirrors the interpreter operation for operation — the
-same NumPy calls in the same order — so results are bit-identical, which
-the differential backend (``REPRO_KERNEL_BACKEND=differential``) asserts
-on every kernel invocation.
+A KIR ``Load`` is an element-wise load at the current loop index, so any
+schedule that visits every index once is a faithful execution of a loop.
+The generated code visits one cache-sized *block* of the tile at a time:
+per loop it slices the tile-shaped buffers along axis 0 and runs every
+statement of the loop over that block as ``ufunc(..., out)`` calls on a
+few block-sized scratch registers owned by the call, buffer assignments
+writing straight into the target slice.  An extent of at most one block
+— or a call whose buffer windows make a block loop illegal, see
+:func:`_plan_blocks` — runs the same body once over the unsliced
+buffers with ``out=None``, which is whole-tile evaluation.
+
+The emitted code performs the same per-element operations in the same
+order as the interpreter, and reductions by the same call over the same
+full-length operand (a reduced expression is evaluated block by block
+into one full-length scratch and reduced once after the loop), so
+results are bit-identical, which the differential backend
+(``REPRO_KERNEL_BACKEND=differential``) asserts on every kernel
+invocation.  ``docs/architecture.md`` ("Kernel tier") has the details.
 
 Compiled functions are cached by source text at module level.  Two
 kernels with the same canonical form produce identical source, so a
@@ -26,13 +41,13 @@ regression tests assert on.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.kernel.kir import (
-    Alloc,
     Assign,
     BinOp,
     BinOpKind,
@@ -42,7 +57,6 @@ from repro.kernel.kir import (
     Load,
     LocalRef,
     Loop,
-    Param,
     ParamKind,
     Reduce,
     ReduceKind,
@@ -60,52 +74,52 @@ class CodegenError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Operator spellings.  Each entry mirrors the corresponding lambda in
-# ``kir._BINOP_EVAL`` / ``kir._UNOP_EVAL`` so the generated code performs
-# the exact same NumPy calls as the interpreter.
+# Operator spellings, mirroring the lambdas of ``kir._BINOP_EVAL`` /
+# ``kir._UNOP_EVAL``: the ufunc the operator dispatches to (array
+# operands, ``out=`` form), and the spelling of a sub-expression whose
+# operands are all scalars, which stays Python-level ``np.float64``
+# arithmetic.
 # ----------------------------------------------------------------------
-_BINOP_FMT: Dict[BinOpKind, str] = {
-    BinOpKind.ADD: "({lhs} + {rhs})",
-    BinOpKind.SUB: "({lhs} - {rhs})",
-    BinOpKind.MUL: "({lhs} * {rhs})",
-    BinOpKind.DIV: "({lhs} / {rhs})",
-    BinOpKind.POW: "np.power({lhs}, {rhs})",
-    BinOpKind.MAX: "np.maximum({lhs}, {rhs})",
-    BinOpKind.MIN: "np.minimum({lhs}, {rhs})",
-    BinOpKind.LT: "({lhs} < {rhs}).astype(np.float64)",
-    BinOpKind.GT: "({lhs} > {rhs}).astype(np.float64)",
-    BinOpKind.LE: "({lhs} <= {rhs}).astype(np.float64)",
-    BinOpKind.GE: "({lhs} >= {rhs}).astype(np.float64)",
-    BinOpKind.EQ: "({lhs} == {rhs}).astype(np.float64)",
+_BINOPS: Dict[BinOpKind, Tuple[str, str]] = {
+    BinOpKind.ADD: ("add", "({lhs} + {rhs})"),
+    BinOpKind.SUB: ("subtract", "({lhs} - {rhs})"),
+    BinOpKind.MUL: ("multiply", "({lhs} * {rhs})"),
+    BinOpKind.DIV: ("divide", "({lhs} / {rhs})"),
+    BinOpKind.POW: ("power", "np.power({lhs}, {rhs})"),
+    BinOpKind.MAX: ("maximum", "np.maximum({lhs}, {rhs})"),
+    BinOpKind.MIN: ("minimum", "np.minimum({lhs}, {rhs})"),
+    BinOpKind.LT: ("less", "({lhs} < {rhs}).astype(np.float64)"),
+    BinOpKind.GT: ("greater", "({lhs} > {rhs}).astype(np.float64)"),
+    BinOpKind.LE: ("less_equal", "({lhs} <= {rhs}).astype(np.float64)"),
+    BinOpKind.GE: ("greater_equal", "({lhs} >= {rhs}).astype(np.float64)"),
+    BinOpKind.EQ: ("equal", "({lhs} == {rhs}).astype(np.float64)"),
 }
 
-_UNOP_FMT: Dict[UnOpKind, str] = {
-    UnOpKind.NEG: "(-{operand})",
-    UnOpKind.SQRT: "np.sqrt({operand})",
-    UnOpKind.EXP: "np.exp({operand})",
-    UnOpKind.LOG: "np.log({operand})",
-    UnOpKind.ABS: "np.abs({operand})",
-    UnOpKind.ERF: "_erf({operand})",
-    UnOpKind.SIN: "np.sin({operand})",
-    UnOpKind.COS: "np.cos({operand})",
-    UnOpKind.TANH: "np.tanh({operand})",
-    UnOpKind.RECIP: "(1.0 / {operand})",
+#: Comparisons yield float64 0.0/1.0: a float64 ``out`` receives exactly
+#: the values of ``.astype(np.float64)``, which a fresh (boolean) result
+#: still needs.
+_COMPARISONS = {BinOpKind.LT, BinOpKind.GT, BinOpKind.LE, BinOpKind.GE, BinOpKind.EQ}
+
+#: ``ERF`` and ``RECIP`` have no ufunc of their own (see ``_operation``).
+_UNOPS: Dict[UnOpKind, Tuple[Optional[str], str]] = {
+    UnOpKind.NEG: ("negative", "(-{operand})"),
+    UnOpKind.SQRT: ("sqrt", "np.sqrt({operand})"),
+    UnOpKind.EXP: ("exp", "np.exp({operand})"),
+    UnOpKind.LOG: ("log", "np.log({operand})"),
+    UnOpKind.ABS: ("absolute", "np.abs({operand})"),
+    UnOpKind.ERF: (None, "_erf({operand})"),
+    UnOpKind.SIN: ("sin", "np.sin({operand})"),
+    UnOpKind.COS: ("cos", "np.cos({operand})"),
+    UnOpKind.TANH: ("tanh", "np.tanh({operand})"),
+    UnOpKind.RECIP: (None, "(1.0 / {operand})"),
 }
 
+#: ``ufunc.reduce`` spellings.  For array operands ``np.sum``/``np.prod``/
+#: ``np.max``/``np.min`` all dispatch to exactly these calls
+#: (``fromnumeric._wrapreduction`` with ``axis=None``), so the reduced
+#: values are bit-identical to the interpreter's while the Python dispatch
+#: wrapper is skipped.
 _REDUCE_FMT: Dict[ReduceKind, str] = {
-    ReduceKind.SUM: "float(np.sum({value}))",
-    ReduceKind.PROD: "float(np.prod({value}))",
-    ReduceKind.MAX: "float(np.max({value}))",
-    ReduceKind.MIN: "float(np.min({value}))",
-}
-
-#: Direct ``ufunc.reduce`` spellings used inside super-kernel rank loops.
-#: For array operands ``np.sum``/``np.prod``/``np.max``/``np.min`` all
-#: dispatch to exactly these calls (``fromnumeric._wrapreduction`` with
-#: ``axis=None``), so the reduced values are bit-identical while the
-#: Python dispatch wrapper — paid once per rank inside the fused loop —
-#: is skipped.
-_REDUCE_FMT_DIRECT: Dict[ReduceKind, str] = {
     ReduceKind.SUM: "float(np.add.reduce({value}, axis=None))",
     ReduceKind.PROD: "float(np.multiply.reduce({value}, axis=None))",
     ReduceKind.MAX: "float(np.maximum.reduce({value}, axis=None))",
@@ -121,13 +135,15 @@ _COMBINE_FMT: Dict[ReduceKind, str] = {
     ReduceKind.MIN: "float(min({acc}, {new}))",
 }
 
-#: Globals shared by every generated kernel function.
-_KERNEL_ENV: Dict[str, object] = {
-    "np": np,
-    "_erf": _erf,
-    "ReductionPartial": ReductionPartial,
-    "ReduceKind": ReduceKind,
-}
+#: Elements per block of a generated block loop: the best point of the
+#: sweep recorded in ``docs/architecture.md`` (2 Ki–64 Ki elements on the
+#: Black-Scholes kernel).  A handful of 128 KiB registers plus the tile
+#: slices stay resident in L2, while each ufunc call still covers enough
+#: elements to amortise its ~0.5 µs dispatch.
+BLOCK = 16384
+
+#: The block sequence of a loop that runs once over its unsliced buffers.
+_WHOLE = (None,)
 
 #: Source text -> compiled kernel entry point.  Keyed on the full module
 #: source so that two structurally-identical kernels (the same canonical
@@ -141,13 +157,18 @@ class CodegenCounters:
 
     source_compilations: int = 0
     source_cache_hits: int = 0
+    #: Closure calls that ran at least one loop as more than one block.
+    multi_block_calls: int = 0
 
     def reset(self) -> None:
         self.source_compilations = 0
         self.source_cache_hits = 0
+        self.multi_block_calls = 0
 
 
 _COUNTERS = CodegenCounters()
+#: Closures run on pool threads; ``+=`` on a shared counter is not atomic.
+_MULTI_BLOCK_LOCK = threading.Lock()
 
 
 def codegen_stats() -> CodegenCounters:
@@ -161,162 +182,75 @@ def clear_function_cache() -> None:
     _COUNTERS.reset()
 
 
+def _plan_blocks(reference, whole, written: int, registers: int, first: bool):
+    """Plan one loop of a generated kernel as a sequence of blocks.
+
+    Called by generated code for a loop whose ``reference`` buffer holds
+    more than :data:`BLOCK` elements.  ``whole`` are the tile buffers the
+    loop touches, the ``written`` ones first.  Returns :data:`_WHOLE`
+    when the loop must run as one block of the full extent, else one
+    tuple per block: its axis-0 slice, every buffer of ``whole`` cut to
+    it and ``registers`` block-shaped scratch arrays.  The scratch
+    belongs to this call — the compiled closure is shared process-wide
+    by pool threads.
+
+    A block loop is legal when every index is computed from its own
+    index alone, from the operands whole-tile evaluation would see:
+
+    * Every buffer spans the reference index space.  A rank-0 buffer
+      would be legal to broadcast, but a register filled from rank-0
+      operands is an array where whole-tile evaluation has a scalar, and
+      NumPy computes ``power(x, 0.5)`` differently for the two.
+    * Every written window is identical to or disjoint from every other.
+      Whole-tile ``target[...] = value`` holds under any aliasing because
+      NumPy buffers overlapping operands; a block loop does not
+      (``x[1:] = x[:-1]``: block *k*'s write changes what block *k+1*
+      reads).
+    """
+    shape = reference.shape
+    extent = shape[0]
+    rows = max(1, BLOCK // (reference.size // extent))
+    if rows >= extent:
+        return _WHOLE
+    for buffer in whole:
+        if buffer is not None and buffer.shape != shape:
+            return _WHOLE
+    for target in whole[:written]:
+        for other in whole:
+            if other is None or other is target or not np.may_share_memory(target, other):
+                continue
+            if (
+                other.strides != target.strides
+                or other.__array_interface__["data"] != target.__array_interface__["data"]
+            ):
+                return _WHOLE
+    if first:
+        with _MULTI_BLOCK_LOCK:
+            _COUNTERS.multi_block_calls += 1
+    scratch = np.empty((registers, rows) + shape[1:])
+    block_registers = tuple(scratch)
+    blocks = []
+    for start in range(0, extent, rows):
+        cut = slice(start, start + rows)
+        cuts = [None if b is None else b[cut] for b in whole]
+        blocks.append((cut, *cuts, *block_registers))
+    ragged = extent % rows
+    if ragged:
+        blocks[-1] = (cut, *cuts, *scratch[:, :ragged])
+    return blocks
+
+
+#: Globals shared by every generated kernel function.
+_KERNEL_ENV: Dict[str, object] = {
+    "np": np,
+    "_erf": _erf,
+    "_plan_blocks": _plan_blocks,
+    "_WHOLE": _WHOLE,
+    "ReductionPartial": ReductionPartial,
+    "ReduceKind": ReduceKind,
+}
+
 _IDENT_RE = re.compile(r"\W")
-
-
-# ----------------------------------------------------------------------
-# Single-use temporary folding.
-#
-# The composed kernels materialise every intermediate value: scalarised
-# temporaries become one generated statement each and surviving
-# task-local allocations become ``np.zeros_like`` + a full-array copy.
-# A temporary that is assigned once and consumed once can instead be
-# folded into its consumer's expression — the same NumPy operations run
-# in the same order on the same operands, so results stay bit-identical
-# (asserted by the differential backend on every invocation), while the
-# kernel executes fewer statements and, for folded allocations, skips
-# the zero-fill and the copy pass entirely.
-# ----------------------------------------------------------------------
-def _count_expr_refs(expr: Expr, buffer_loads, local_refs) -> None:
-    """Count Load/LocalRef occurrences (with multiplicity) in ``expr``."""
-    if isinstance(expr, Load):
-        buffer_loads[expr.buffer] = buffer_loads.get(expr.buffer, 0) + 1
-    elif isinstance(expr, LocalRef):
-        local_refs[expr.name] = local_refs.get(expr.name, 0) + 1
-    elif isinstance(expr, BinOp):
-        _count_expr_refs(expr.lhs, buffer_loads, local_refs)
-        _count_expr_refs(expr.rhs, buffer_loads, local_refs)
-    elif isinstance(expr, UnOp):
-        _count_expr_refs(expr.operand, buffer_loads, local_refs)
-
-
-def _transitive_refs(
-    expr: Expr, plan: Dict[Tuple[str, str], Expr]
-) -> Tuple[Set[str], Set[str]]:
-    """(buffers, locals) the expression reads once folded temps are inlined.
-
-    Folded names resolve recursively through their defining expressions;
-    the returned sets contain only names that will actually be evaluated
-    at the fold site, which is what the hazard analysis must guard.
-    """
-    loads: Dict[str, int] = {}
-    locals_: Dict[str, int] = {}
-    _count_expr_refs(expr, loads, locals_)
-    buffers: Set[str] = set()
-    local_refs: Set[str] = set()
-    for name in loads:
-        if ("b", name) in plan:
-            inner_buffers, inner_locals = _transitive_refs(plan[("b", name)], plan)
-            buffers |= inner_buffers
-            local_refs |= inner_locals
-        else:
-            buffers.add(name)
-    for name in locals_:
-        if ("l", name) in plan:
-            inner_buffers, inner_locals = _transitive_refs(plan[("l", name)], plan)
-            buffers |= inner_buffers
-            local_refs |= inner_locals
-        else:
-            local_refs.add(name)
-    return buffers, local_refs
-
-
-def _statement_refs(stmt) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """(buffer loads, local refs) of one loop statement's expression."""
-    loads: Dict[str, int] = {}
-    locals_: Dict[str, int] = {}
-    _count_expr_refs(stmt.expr, loads, locals_)
-    return loads, locals_
-
-
-def _fold_plan(function: Function, buffer_params: Set[str]) -> Dict[Tuple[str, str], Expr]:
-    """Decide which single-use temporaries fold into their consumer.
-
-    Returns ``(kind, name) -> defining expression`` where ``kind`` is
-    ``"l"`` for loop-local scalars and ``"b"`` for task-local (alloc'd)
-    buffers.  A temporary folds when it is defined exactly once, used
-    exactly once *after* its definition in the same loop, and no buffer
-    its (transitively folded) definition loads is written between the
-    definition and the use — folding moves evaluation to the use site,
-    so intervening writes would change the observed values.
-    """
-    alloc_names = {s.name for s in function.body if isinstance(s, Alloc)}
-    alloc_likes = {s.like for s in function.body if isinstance(s, Alloc)}
-
-    buffer_writes: Dict[str, int] = {}
-    buffer_loads: Dict[str, int] = {}
-    local_defs: Dict[str, int] = {}
-    local_uses: Dict[str, int] = {}
-    reduce_targets: Set[str] = set()
-    index_buffers: Set[str] = set()
-    loops = [stmt for stmt in function.body if isinstance(stmt, Loop)]
-    for loop in loops:
-        index_buffers.add(loop.index_buffer)
-        for inner in loop.body:
-            if isinstance(inner, Assign):
-                if inner.is_local:
-                    local_defs[inner.target] = local_defs.get(inner.target, 0) + 1
-                else:
-                    buffer_writes[inner.target] = buffer_writes.get(inner.target, 0) + 1
-                _count_expr_refs(inner.expr, buffer_loads, local_uses)
-            elif isinstance(inner, Reduce):
-                reduce_targets.add(inner.target)
-                _count_expr_refs(inner.expr, buffer_loads, local_uses)
-
-    plan: Dict[Tuple[str, str], Expr] = {}
-    for loop in loops:
-        body = loop.body
-        for index, stmt in enumerate(body):
-            if not isinstance(stmt, Assign):
-                continue
-            name = stmt.target
-            if stmt.is_local:
-                if local_defs.get(name) != 1 or local_uses.get(name) != 1:
-                    continue
-                kind = "l"
-            else:
-                if name not in alloc_names or name in buffer_params:
-                    continue
-                if buffer_writes.get(name) != 1 or buffer_loads.get(name) != 1:
-                    continue
-                if name in alloc_likes or name in index_buffers or name in reduce_targets:
-                    continue
-                kind = "b"
-
-            use_at = None
-            for later in range(index + 1, len(body)):
-                loads, locals_ = _statement_refs(body[later])
-                refs = locals_ if kind == "l" else loads
-                if name in refs:
-                    use_at = later
-                    break
-            if use_at is None:
-                continue
-
-            loaded, local_refs = _transitive_refs(stmt.expr, plan)
-            if kind == "b" and not loaded:
-                # A load-free definition may be zero-dimensional; the
-                # materialised buffer would have the allocation's full
-                # shape, so folding could change reduction semantics.
-                continue
-            hazard = False
-            for between in range(index + 1, use_at):
-                other = body[between]
-                if not isinstance(other, Assign):
-                    continue
-                # Folding moves evaluation to the use site: a write to
-                # any buffer — or a reassignment of any (unfolded) local
-                # — that the expression reads would change its value.
-                if other.is_local:
-                    if other.target in local_refs:
-                        hazard = True
-                        break
-                elif other.target in loaded:
-                    hazard = True
-                    break
-            if not hazard:
-                plan[(kind, name)] = stmt.expr
-    return plan
 
 
 class _NameTable:
@@ -356,54 +290,531 @@ class _PrefixedNames:
 
 
 class _SourceWriter:
-    """Accumulates indented Python source lines."""
+    """Accumulates the indented source lines of one generated function.
+
+    Block loops share the function's scratch names (``_o<i>`` register
+    outputs, ``_u<i>`` full-length scratch slices): each loop resets the
+    ones it bound, so they are initialised to ``None`` once, where
+    :meth:`reserve_scratch_init` was called.
+    """
 
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.indent = 0
+        self.registers = 0
+        self.fulls = 0
+        self.plans = False
+        self._scratch_at: Optional[Tuple[int, int]] = None
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
+    def reserve_scratch_init(self) -> None:
+        self._scratch_at = (len(self.lines), self.indent)
+
     def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        lines = list(self.lines)
+        scratch = [f"_o{i}" for i in range(self.registers)]
+        scratch += [f"_u{i}" for i in range(self.fulls)]
+        at, indent = self._scratch_at
+        pad = "    " * indent
+        if scratch:
+            lines.insert(at, pad + " = ".join(scratch) + " = None")
+        if self.plans:
+            lines.insert(at, pad + "_first = True")
+        return "\n".join(lines) + "\n"
 
 
-def _emit_expr(
-    expr: Expr,
-    names: _NameTable,
-    folded: Optional[Dict[Tuple[str, str], Expr]] = None,
-) -> str:
-    """Render an expression tree as Python source.
+@dataclass
+class _Value:
+    """A rendered operand of the block body."""
 
-    References to folded single-use temporaries are replaced by their
-    (recursively rendered) defining expressions; every rendered form is
-    self-delimiting, so substitution needs no extra parentheses.
+    text: str
+    #: All-scalar sub-expression: Python-level ``np.float64`` arithmetic.
+    scalar: bool = False
+    #: The scratch register holding it, if any.
+    register: Optional[int] = None
+    #: The tile buffer it views unchanged (a bare load or an alias of one).
+    buffer: Optional[str] = None
+
+
+class _ReduceHazard(Exception):
+    """A reduction reads a buffer the same loop writes afterwards."""
+
+
+def _block_local_allocs(function: Function, buffer_params: Set[str]) -> Dict[str, str]:
+    """Task-local allocations that live in a block-sized register: name -> like.
+
+    An allocation never leaves the kernel, so it needs its full extent
+    only when it outlives one block of one loop: accessed from two
+    loops, read before the block wrote it (the zero fill is observable),
+    another allocation's reference buffer, a loop's index buffer or a
+    reduction target.  Every other one is filled where it is defined and
+    read back inside the same block, whatever its use count.
     """
-    if isinstance(expr, Const):
-        # repr() round-trips doubles exactly; np.float64 mirrors the
-        # interpreter's Const evaluation.
-        return f"np.float64({expr.value!r})"
-    if isinstance(expr, ScalarRef):
-        return names.get("s", expr.name)
-    if isinstance(expr, Load):
-        if folded is not None and ("b", expr.buffer) in folded:
-            return _emit_expr(folded[("b", expr.buffer)], names, folded)
-        return names.get("b", expr.buffer)
+    allocs = {s.name: s.like for s in function.allocs if s.name not in buffer_params}
+    for stmt in function.allocs:
+        allocs.pop(stmt.like, None)
+    home: Dict[str, int] = {}
+    for position, loop in enumerate(function.loops):
+        allocs.pop(loop.index_buffer, None)
+        written: Set[str] = set()
+        for stmt in loop.body:
+            escaped = stmt.buffers_read() - written
+            if isinstance(stmt, Reduce):
+                escaped.add(stmt.target)
+            for name in stmt.buffers_read() | stmt.buffers_written():
+                if home.setdefault(name, position) != position:
+                    escaped.add(name)
+            written |= stmt.buffers_written()
+            for name in escaped:
+                allocs.pop(name, None)
+    return allocs
+
+
+def _count_local_refs(expr: Expr, counts: Dict[str, int]) -> None:
+    """Count the ``LocalRef`` occurrences of ``expr`` (with multiplicity)."""
     if isinstance(expr, LocalRef):
-        if folded is not None and ("l", expr.name) in folded:
-            return _emit_expr(folded[("l", expr.name)], names, folded)
-        return names.get("l", expr.name)
-    if isinstance(expr, BinOp):
-        return _BINOP_FMT[expr.op].format(
-            lhs=_emit_expr(expr.lhs, names, folded),
-            rhs=_emit_expr(expr.rhs, names, folded),
+        counts[expr.name] = counts.get(expr.name, 0) + 1
+    elif isinstance(expr, BinOp):
+        _count_local_refs(expr.lhs, counts)
+        _count_local_refs(expr.rhs, counts)
+    elif isinstance(expr, UnOp):
+        _count_local_refs(expr.operand, counts)
+
+
+class _LoopEmitter:
+    """Renders one KIR loop as a block body over scratch registers.
+
+    Each statement is linearised in post-order into ``ufunc(a, b, out)``
+    calls.  An operation's result goes to the lowest free register (its
+    operands' registers are released first, so a dying operand is
+    overwritten in place), the last operation of a buffer assignment
+    writes straight into the target, and a loop-local value keeps its
+    register up to its last reference.  With ``defer`` the reductions are
+    finished after the block loop; without it the loop is not blockable
+    and they run where they stand.
+    """
+
+    def __init__(self, kernel: "_KernelEmitter", loop: Loop, defer: bool) -> None:
+        self.kernel = kernel
+        self.loop = loop
+        self.defer = defer
+        self.body: List[str] = []
+        self.post: List[str] = []
+        self.locals: Dict[str, _Value] = {}
+        #: References to each local still to be rendered.
+        self.uses: Dict[str, int] = {}
+        self.pins: Dict[int, int] = {}
+        self.free: Set[int] = set()
+        self.registers = 0
+        #: Tile buffers the loop touches (insertion-ordered) and writes.
+        self.tiles: Dict[str, None] = {}
+        self.written: Dict[str, None] = {}
+        self.allocs: Dict[str, None] = {}
+        #: Names that receive a full-length value (reduced expressions,
+        #: cross-section locals), by scratch index.
+        self.fulls: List[str] = []
+        self.reduces: List[Tuple[Reduce, str]] = []
+        for stmt in loop.body:
+            _count_local_refs(stmt.expr, self.uses)
+
+    # -- registers -----------------------------------------------------
+    def _acquire(self) -> int:
+        if self.free:
+            register = min(self.free)
+            self.free.remove(register)
+            return register
+        self.registers += 1
+        return self.registers - 1
+
+    def _pin(self, value: _Value, count: int = 1) -> None:
+        """Hold ``value``'s register for ``count`` more consumers."""
+        if value.register is not None:
+            self.pins[value.register] = self.pins.get(value.register, 0) + count
+
+    def _release(self, value: _Value) -> None:
+        """One holder of ``value`` is done; the last one frees its register."""
+        if value.register is not None:
+            self.pins[value.register] -= 1
+            if not self.pins[value.register]:
+                self.free.add(value.register)
+
+    def _unbind(self, name: str) -> None:
+        value = self.locals.pop(name, None)
+        if value is not None:
+            self._release(value)
+
+    # -- expressions ---------------------------------------------------
+    def _op(self, ufunc, operands, dest=None, result=None, cast=False) -> _Value:
+        """Emit one ufunc call; ``result`` is named when ``dest`` may be None."""
+        for operand in operands:
+            self._release(operand)
+        register = None
+        if dest is None:
+            register = self._acquire()
+            self.pins[register] = 1  # held for the one consumer of the result
+            dest, result = f"_o{register}", f"_t{register}"
+        # Positional ``out`` is the cheaper call; NumPy deprecates it for
+        # exactly these two ufuncs.
+        keyword = "out=" if ufunc in ("maximum", "minimum") else ""
+        call = f"np.{ufunc}({', '.join(v.text for v in operands)}, {keyword}{dest})"
+        if result is None:
+            self.body.append(call)
+            return _Value(dest)
+        if cast:
+            call += ".astype(np.float64, copy=False)"
+        self.body.append(f"{result} = {call}")
+        return _Value(result, register=register)
+
+    def _leaf(self, expr: Expr) -> _Value:
+        kernel = self.kernel
+        if isinstance(expr, Const):
+            # repr() round-trips doubles exactly; np.float64 mirrors the
+            # interpreter's Const evaluation.
+            return _Value(f"np.float64({expr.value!r})", scalar=True)
+        if isinstance(expr, ScalarRef):
+            return _Value(kernel.names.get("s", expr.name), scalar=True)
+        if isinstance(expr, LocalRef):
+            if expr.name not in self.locals:
+                raise CodegenError(
+                    f"local '{expr.name}' is read before it is defined in "
+                    f"kernel '{kernel.function.name}'"
+                )
+            value = self.locals[expr.name]
+            self._pin(value)  # held until this reference is consumed
+            self.uses[expr.name] -= 1
+            if not self.uses[expr.name]:
+                # The last reference: its consumer frees the register
+                # (and may overwrite it in place).
+                self._unbind(expr.name)
+            return value
+        if isinstance(expr, Load):
+            ident = kernel.names.get("b", expr.buffer)
+            if expr.buffer in kernel.block_allocs:
+                self.allocs[expr.buffer] = None
+                return _Value(ident)
+            self.tiles[expr.buffer] = None
+            return _Value(ident, buffer=expr.buffer)
+        raise CodegenError(f"unknown expression {expr!r}")
+
+    def _operation(self, expr: Expr, dest, result) -> _Value:
+        if isinstance(expr, BinOp):
+            ufunc, scalar_fmt = _BINOPS[expr.op]
+            lhs, rhs = self._value(expr.lhs), self._value(expr.rhs)
+            if lhs.scalar and rhs.scalar:
+                return _Value(scalar_fmt.format(lhs=lhs.text, rhs=rhs.text), scalar=True)
+            return self._op(ufunc, (lhs, rhs), dest, result, expr.op in _COMPARISONS)
+        ufunc, scalar_fmt = _UNOPS[expr.op]
+        operand = self._value(expr.operand)
+        if operand.scalar:
+            return _Value(scalar_fmt.format(operand=operand.text), scalar=True)
+        if expr.op is UnOpKind.ERF:
+            return self._erf(operand, dest, result)
+        if expr.op is UnOpKind.RECIP:
+            return self._op("divide", (_Value("1.0", scalar=True), operand), dest, result)
+        return self._op(ufunc, (operand,), dest, result)
+
+    def _erf(self, x: _Value, dest, result) -> _Value:
+        """``kir._erf`` operation for operation, ``copysign`` last."""
+
+        def const(value: float) -> _Value:
+            return _Value(repr(value), scalar=True)
+
+        self._pin(x, 2)  # three consumers: sign, absolute, copysign
+        sign = self._op("sign", (x,))
+        ax = self._op("absolute", (x,))
+        self._pin(ax, 2)
+        t = self._op("multiply", (const(0.3275911), ax))
+        t = self._op("add", (const(1.0), t))
+        t = self._op("divide", (const(1.0), t))
+        self._pin(t, 4)
+        poly = self._op("multiply", (t, const(1.061405429)))
+        for coefficient in (-1.453152027, 1.421413741, -0.284496736, 0.254829592):
+            poly = self._op("add", (const(coefficient), poly))
+            poly = self._op("multiply", (t, poly))
+        tail = self._op("negative", (ax,))
+        tail = self._op("multiply", (tail, ax))
+        tail = self._op("exp", (tail,))
+        poly = self._op("multiply", (poly, tail))
+        poly = self._op("subtract", (const(1.0), poly))
+        poly = self._op("multiply", (sign, poly))
+        return self._op("copysign", (poly, x), dest, result)
+
+    def _value(self, expr: Expr, dest=None, result=None) -> _Value:
+        """Render ``expr``; with ``dest`` its value lands there.
+
+        ``dest`` alone is a buffer: the last operation writes into it, a
+        bare value is copied.  ``dest`` with ``result`` is scratch that
+        is ``None`` when the loop runs as one block: the value comes back
+        fresh under the name ``result``.
+        """
+        if isinstance(expr, (BinOp, UnOp)):
+            value = self._operation(expr, dest, result)
+            if not value.scalar:
+                return value
+        else:
+            value = self._leaf(expr)
+        return value if dest is None else self._copy(value, dest, result)
+
+    def _copy(self, value: _Value, dest: str, result) -> _Value:
+        """Copy a bare value into ``dest`` (see :meth:`_value`)."""
+        self._release(value)
+        if result is None:
+            self.body.append(f"{dest}[...] = {value.text}")
+            return _Value(dest)
+        self.body.append(f"{result} = np.positive({value.text}, {dest})")
+        return _Value(result)
+
+    def _full(self, result: str) -> Tuple[str, str]:
+        """Claim full-length scratch for a value named ``result``: (dest, result)."""
+        self.fulls.append(result)
+        return f"_u{len(self.fulls) - 1}", result
+
+    # -- statements ----------------------------------------------------
+    def run(self) -> "_LoopEmitter":
+        for index, stmt in enumerate(self.loop.body):
+            if isinstance(stmt, Assign):
+                self._assign(stmt)
+            elif isinstance(stmt, Reduce):
+                self._reduce(index, stmt)
+            else:  # pragma: no cover - no other loop statement kinds
+                raise CodegenError(f"unknown loop statement {stmt!r}")
+        if self.defer:
+            for stmt, operand in self.reduces:
+                self._finish_reduce(stmt, operand, self.post)
+        return self
+
+    def _assign(self, stmt: Assign) -> None:
+        kernel = self.kernel
+        if stmt.is_local:
+            value = self._value(stmt.expr)
+            self._unbind(stmt.target)
+            if self.uses.get(stmt.target):
+                self.locals[stmt.target] = value  # now the local's hold
+            else:
+                self._release(value)
+        elif stmt.target in kernel.fold_writes:
+            # A dead cross-section intermediate lives only as a local of
+            # the generated function (never as a region field).
+            self._value(stmt.expr, *self._full(kernel.fold_writes[stmt.target]))
+        elif stmt.target in kernel.block_allocs:
+            self.allocs[stmt.target] = None
+            self._value(stmt.expr, dest=kernel.names.get("b", stmt.target))
+        elif stmt.target in kernel.tiles:
+            self.tiles[stmt.target] = self.written[stmt.target] = None
+            self._value(stmt.expr, dest=kernel.names.get("b", stmt.target))
+        else:
+            raise CodegenError(
+                f"assignment to unknown buffer '{stmt.target}' in "
+                f"kernel '{kernel.function.name}'"
+            )
+
+    def _reduce(self, index: int, stmt: Reduce) -> None:
+        if isinstance(stmt.expr, (BinOp, UnOp)):
+            operand = f"_v{len(self.fulls)}"
+            self._value(stmt.expr, *self._full(operand))
+        else:
+            leaf = self._leaf(stmt.expr)
+            if leaf.scalar:
+                operand = leaf.text
+            elif leaf.buffer is not None:
+                # A bare buffer is reduced as it stands, so the reduction
+                # can wait for the end of the block loop only if nothing
+                # writes the buffer in between.
+                later = self.loop.body[index + 1 :]
+                if self.defer and any(leaf.buffer in s.buffers_written() for s in later):
+                    raise _ReduceHazard
+                operand = leaf.text
+            else:
+                operand = f"_v{len(self.fulls)}"
+                self._copy(leaf, *self._full(operand))
+        if self.defer:
+            self.reduces.append((stmt, operand))
+        else:
+            self._finish_reduce(stmt, operand, self.body)
+
+    def _finish_reduce(self, stmt: Reduce, operand: str, lines: List[str]) -> None:
+        kernel = self.kernel
+        index = self.loop.index_buffer
+        if index in kernel.tiles:
+            # Mirror the interpreter's runtime broadcast exactly: a 0-d
+            # value (loop-invariant expression, or a load from a rank-0
+            # buffer) is broadcast over the index space so e.g. summing
+            # a constant counts elements.
+            index_ident = kernel.names.get("b", index)
+            tmp = kernel.temp()
+            lines.append(f"{tmp} = np.asarray({operand})")
+            lines.append(f"if {tmp}.ndim == 0 and {index_ident} is not None:")
+            lines.append(f"    {tmp} = np.broadcast_to({tmp}, {index_ident}.shape)")
+            operand = tmp
+        reduced = _REDUCE_FMT[stmt.kind].format(value=operand)
+        existing = kernel.partials.get(stmt.target)
+        if existing is None:
+            acc = f"_p{kernel.tag}{len(kernel.partials)}"
+            lines.append(f"{acc} = {reduced}")
+        else:
+            acc, tmp = existing[0], kernel.temp()
+            lines.append(f"{tmp} = {reduced}")
+            lines.append(f"{acc} = " + _COMBINE_FMT[stmt.kind].format(acc=acc, new=tmp))
+        kernel.partials[stmt.target] = (acc, stmt.kind)
+
+    # -- the block loop around the body --------------------------------
+    def write(self, out: _SourceWriter) -> None:
+        kernel = self.kernel
+        names = kernel.names
+        allocs = [
+            (names.get("b", name), names.get("b", kernel.block_allocs[name]))
+            for name in self.allocs
+        ]
+        out.registers = max(out.registers, self.registers)
+        out.fulls = max(out.fulls, len(self.fulls))
+        if not (self.defer and self.body and self.tiles):
+            # Nothing to block over (or not blockable): one flat pass.
+            for ident, like in allocs:
+                out.emit(f"{ident} = np.empty_like({like})")
+            for line in self.body + self.post:
+                out.emit(line)
+            return
+        index = self.loop.index_buffer
+        reference = index if index in self.tiles else next(iter(self.written or self.tiles))
+        reference = names.get("b", reference)
+        if index in kernel.tiles:
+            # Full-length scratch takes the reference shape, which the
+            # reduction broadcast rule expects to be the index space.
+            self.tiles[index] = None
+        ordered = list(self.written) + [t for t in self.tiles if t not in self.written]
+        idents = [names.get("b", name) for name in ordered]
+        scratch = [f"_o{i}" for i in range(self.registers)]
+        fulls = range(len(self.fulls))
+        out.plans = True
+        out.emit("_blocks = _WHOLE")
+        out.emit(f"if {reference}.size > {BLOCK}:")
+        out.indent += 1
+        out.emit(f"_whole = ({', '.join(idents)},)")
+        out.emit(
+            f"_blocks = _plan_blocks({reference}, _whole, {len(self.written)}, "
+            f"{len(scratch) + len(allocs)}, _first)"
         )
-    if isinstance(expr, UnOp):
-        return _UNOP_FMT[expr.op].format(
-            operand=_emit_expr(expr.operand, names, folded)
-        )
-    raise CodegenError(f"unknown expression {expr!r}")
+        out.emit("_first = _first and _blocks is _WHOLE")
+        if self.fulls:
+            out.emit("if _blocks is not _WHOLE:")
+            for i in fulls:
+                out.emit(f"    _q{i} = np.empty({reference}.shape)")
+        out.indent -= 1
+        if allocs:
+            out.emit("if _blocks is _WHOLE:")
+            for ident, like in allocs:
+                out.emit(f"    {ident} = np.empty_like({like})")
+        out.emit("for _blk in _blocks:")
+        out.indent += 1
+        out.emit("if _blk is not None:")
+        unpack = ["_cut"] + idents + scratch + [ident for ident, _like in allocs]
+        out.emit(f"    {', '.join(unpack)} = _blk")
+        for i in fulls:
+            out.emit(f"    _u{i} = _q{i}[_cut]")
+        for line in self.body:
+            out.emit(line)
+        out.indent -= 1
+        out.emit("if _blocks is not _WHOLE:")
+        out.indent += 1
+        out.emit(f"{', '.join(idents)}, = _whole")
+        reset = scratch + [f"_u{i}" for i in fulls]
+        if reset:
+            out.emit(" = ".join(reset) + " = None")
+        for i, result in enumerate(self.fulls):
+            out.emit(f"{result} = _q{i}")
+        out.indent -= 1
+        for line in self.post:
+            out.emit(line)
+
+
+class _KernelEmitter:
+    """Emits the Alloc/Assign/Reduce body of one KIR function.
+
+    The one emission path behind :func:`generate_source` and every
+    section of :func:`generate_superkernel_source`; parameter binding,
+    rank loops and the shape of the returned partials are the callers'.
+    """
+
+    def __init__(
+        self,
+        out: _SourceWriter,
+        names,
+        function: Function,
+        *,
+        tag: str = "",
+        may_be_none: Optional[Set[str]] = None,
+        fold_writes: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self.out = out
+        self.names = names
+        self.function = function
+        #: Disambiguates accumulator/temporary names between sections.
+        self.tag = tag
+        #: Buffer parameters that may be bound to ``None`` (every one,
+        #: unless the caller knows better): guarded before use.
+        self.may_be_none = may_be_none
+        self.fold_writes = fold_writes or {}
+        params = {p.name for p in function.buffer_params}
+        self.block_allocs = _block_local_allocs(function, params)
+        #: Names bound to tile-shaped arrays: parameters and allocations
+        #: that keep their full extent.
+        self.tiles: Set[str] = params - set(self.fold_writes)
+        #: Reduction partial accumulators: target -> (ident, last ReduceKind).
+        self.partials: Dict[str, Tuple[str, ReduceKind]] = {}
+        self._temps = 0
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"_r{self.tag}{self._temps - 1}"
+
+    def _guard(self, name: str, message: str) -> None:
+        if self.may_be_none is None or name in self.may_be_none:
+            self.out.emit(f"if {self.names.get('b', name)} is None:")
+            self.out.emit(f"    raise RuntimeError({message!r})")
+
+    def emit(self) -> Dict[str, Tuple[str, ReduceKind]]:
+        function, out, names = self.function, self.out, self.names
+        # Task-local allocations.  The reference buffer must be materialised
+        # (reduction targets are handed to the executor as None).
+        for stmt in function.allocs:
+            if stmt.like not in self.tiles:
+                raise CodegenError(
+                    f"allocation '{stmt.name}' references unknown buffer "
+                    f"'{stmt.like}' in kernel '{function.name}'"
+                )
+            self._guard(
+                stmt.like,
+                f"allocation '{stmt.name}' has no reference buffer '{stmt.like}'",
+            )
+            if stmt.name not in self.block_allocs:
+                like = names.get("b", stmt.like)
+                out.emit(f"{names.get('b', stmt.name)} = np.zeros_like({like})")
+                self.tiles.add(stmt.name)
+        unknown_loads = function.buffers_read() - self.tiles - set(self.block_allocs)
+        if unknown_loads:
+            raise CodegenError(
+                f"kernel '{function.name}' loads undeclared buffers "
+                f"{sorted(unknown_loads)}"
+            )
+        guarded: Set[str] = set()
+        for loop in function.loops:
+            for stmt in loop.body:
+                if (
+                    isinstance(stmt, Assign)
+                    and not stmt.is_local
+                    and stmt.target in self.tiles
+                    and stmt.target not in guarded
+                ):
+                    guarded.add(stmt.target)
+                    self._guard(stmt.target, f"buffer '{stmt.target}' is not materialised")
+            try:
+                emitter = _LoopEmitter(self, loop, defer=True).run()
+            except _ReduceHazard:
+                emitter = _LoopEmitter(self, loop, defer=False).run()
+            emitter.write(out)
+        return self.partials
 
 
 def generate_source(function: Function) -> str:
@@ -411,145 +822,27 @@ def generate_source(function: Function) -> str:
 
     The generated function takes the executor's ``(buffers, scalars)``
     dictionaries and returns the reduction partials, exactly like the
-    interpreter.  Statement order, operation order and operand spellings
-    all match the interpreter so results are bit-identical.
+    interpreter.  Statement order, per-element operation order and
+    reduction calls all match the interpreter so results are
+    bit-identical.
     """
     names = _NameTable()
     out = _SourceWriter()
     out.emit(f"def __kernel__(buffers, scalars):  # kernel {function.name!r}")
     out.indent += 1
-
-    buffer_names: Set[str] = set()
     for param in function.params:
         if param.kind is ParamKind.BUFFER:
-            ident = names.get("b", param.name)
-            out.emit(f"{ident} = buffers[{param.name!r}]")
-            buffer_names.add(param.name)
+            out.emit(f"{names.get('b', param.name)} = buffers[{param.name!r}]")
         else:
             ident = names.get("s", param.name)
             out.emit(f"{ident} = np.float64(scalars[{param.name!r}])")
-
-    # Single-use temporaries folded into their consumer expressions:
-    # their definitions are never emitted and folded allocations skip
-    # materialisation (no zero-fill, no copy pass).
-    folded = _fold_plan(function, buffer_names)
-    folded_allocs = {name for kind, name in folded if kind == "b"}
-
-    # Task-local allocations.  The reference buffer must be materialised
-    # (reduction targets are handed to the executor as None).
-    for stmt in function.body:
-        if not isinstance(stmt, Alloc):
-            continue
-        if stmt.name in folded_allocs:
-            continue
-        if stmt.like not in buffer_names:
-            raise CodegenError(
-                f"allocation '{stmt.name}' references unknown buffer '{stmt.like}' "
-                f"in kernel '{function.name}'"
-            )
-        like = names.get("b", stmt.like)
-        out.emit(f"if {like} is None:")
-        out.indent += 1
-        out.emit(
-            "raise RuntimeError("
-            f"\"allocation '{stmt.name}' has no reference buffer '{stmt.like}'\")"
-        )
-        out.indent -= 1
-        out.emit(f"{names.get('b', stmt.name)} = np.zeros_like({like})")
-        buffer_names.add(stmt.name)
-
-    unknown_loads = function.buffers_read() - buffer_names - folded_allocs
-    if unknown_loads:
-        raise CodegenError(
-            f"kernel '{function.name}' loads undeclared buffers "
-            f"{sorted(unknown_loads)}"
-        )
-
-    #: Buffers already guarded against a missing materialisation.
-    guarded: Set[str] = set()
-    #: Reduction partial accumulators: target -> (ident, last ReduceKind).
-    partials: Dict[str, Tuple[str, ReduceKind]] = {}
-    temp_counter = 0
-
-    for stmt in function.body:
-        if isinstance(stmt, Alloc):
-            continue
-        if not isinstance(stmt, Loop):  # pragma: no cover - no other kinds
-            raise CodegenError(f"unknown statement {stmt!r}")
-        index_ident = (
-            names.get("b", stmt.index_buffer)
-            if stmt.index_buffer in buffer_names
-            else None
-        )
-        for inner in stmt.body:
-            if isinstance(inner, Assign):
-                fold_key = ("l" if inner.is_local else "b", inner.target)
-                if fold_key in folded:
-                    # Deferred: the expression is rendered inline at the
-                    # temporary's single use site.
-                    continue
-                value = _emit_expr(inner.expr, names, folded)
-                if inner.is_local:
-                    out.emit(f"{names.get('l', inner.target)} = {value}")
-                    continue
-                if inner.target not in buffer_names:
-                    raise CodegenError(
-                        f"assignment to unknown buffer '{inner.target}' in "
-                        f"kernel '{function.name}'"
-                    )
-                target = names.get("b", inner.target)
-                if inner.target not in guarded:
-                    guarded.add(inner.target)
-                    out.emit(f"if {target} is None:")
-                    out.indent += 1
-                    out.emit(
-                        "raise RuntimeError("
-                        f"\"buffer '{inner.target}' is not materialised\")"
-                    )
-                    out.indent -= 1
-                out.emit(f"{target}[...] = {value}")
-            elif isinstance(inner, Reduce):
-                value = _emit_expr(inner.expr, names, folded)
-                if index_ident:
-                    # Mirror the interpreter's runtime broadcast exactly:
-                    # a 0-d value (loop-invariant expression, or a load
-                    # from a rank-0 buffer) is broadcast over the index
-                    # space so e.g. summing a constant counts elements.
-                    tmp = f"_r{temp_counter}"
-                    temp_counter += 1
-                    out.emit(f"{tmp} = np.asarray({value})")
-                    out.emit(f"if {tmp}.ndim == 0 and {index_ident} is not None:")
-                    out.indent += 1
-                    out.emit(f"{tmp} = np.broadcast_to({tmp}, {index_ident}.shape)")
-                    out.indent -= 1
-                    value = tmp
-                reduced = _REDUCE_FMT[inner.kind].format(value=value)
-                existing = partials.get(inner.target)
-                if existing is None:
-                    acc = f"_p{len(partials)}"
-                    partials[inner.target] = (acc, inner.kind)
-                    out.emit(f"{acc} = {reduced}")
-                else:
-                    acc, _ = existing
-                    partials[inner.target] = (acc, inner.kind)
-                    tmp = f"_r{temp_counter}"
-                    temp_counter += 1
-                    out.emit(f"{tmp} = {reduced}")
-                    out.emit(
-                        f"{acc} = "
-                        + _COMBINE_FMT[inner.kind].format(acc=acc, new=tmp)
-                    )
-            else:  # pragma: no cover - no other loop statement kinds
-                raise CodegenError(f"unknown loop statement {inner!r}")
-
-    if partials:
-        items = ", ".join(
-            f"{target!r}: ReductionPartial(kind=ReduceKind.{kind.name}, value={acc})"
-            for target, (acc, kind) in partials.items()
-        )
-        out.emit(f"return {{{items}}}")
-    else:
-        out.emit("return {}")
+    out.reserve_scratch_init()
+    partials = _KernelEmitter(out, names, function).emit()
+    items = ", ".join(
+        f"{target!r}: ReductionPartial(kind=ReduceKind.{kind.name}, value={acc})"
+        for target, (acc, kind) in partials.items()
+    )
+    out.emit(f"return {{{items}}}")
     return out.source()
 
 
@@ -566,8 +859,8 @@ class SuperKernelSection:
     ``merged``
         The step was captured element-wise; ``buffers[prefix+name]`` is a
         single merged view spanning the chunk's contiguous tiles and the
-        body is emitted once, straight-line (identical to the per-step
-        merged call).
+        body is emitted once, blocked over the merged span (identical to
+        the per-step merged call).
 
     ``ranked``
         ``buffers[prefix+name]`` is the list of per-rank views (``None``
@@ -597,11 +890,10 @@ def generate_superkernel_source(
 ) -> str:
     """Emit one ``__kernel__`` running every section in recorded order.
 
-    Statement order, operation order and operand spellings within each
-    section match :func:`generate_source` exactly (same `_emit_expr`,
-    same fold plan, same guard and partial-accumulator emission), so the
-    fused function is bit-identical to running the constituent kernels
-    back to back.  Reduction partials are returned as
+    Each section's body comes from the same emitter as
+    :func:`generate_source` and keeps its own block loops, so the fused
+    function is bit-identical to running the constituent kernels back to
+    back.  Reduction partials are returned as
     ``{prefixed target: [per-rank ReductionPartial, ...]}`` with keys in
     section (and within a section, first-occurrence) order — the same
     order the scheduler's per-step fold loop would observe.
@@ -611,70 +903,43 @@ def generate_superkernel_source(
     out.emit(f"def __kernel__(buffers, scalars):  # super-kernel {name!r}")
     out.indent += 1
     out.emit("_partials = {}")
+    out.reserve_scratch_init()
 
     partial_list_count = 0
     for section_index, section in enumerate(sections):
         function = section.function
         prefix = section.prefix
         pnames = _PrefixedNames(names, prefix)
-        fold_write_map = dict(section.fold_writes)
-        fold_read_map = dict(section.fold_reads)
-        for param, ident in section.fold_writes:
-            names.seed("b", prefix + param, ident)
-        for param, ident in section.fold_reads:
+        folded = dict(section.fold_writes + section.fold_reads)
+        for param, ident in folded.items():
             names.seed("b", prefix + param, ident)
 
         out.emit(f"# section {section_index}: kernel {function.name!r}")
-        for param in function.params:
-            if param.kind is ParamKind.SCALAR:
-                ident = pnames.get("s", param.name)
-                out.emit(
-                    f"{ident} = np.float64(scalars[{prefix + param.name!r}])"
-                )
+        for param in function.scalar_params:
+            ident = pnames.get("s", param.name)
+            out.emit(f"{ident} = np.float64(scalars[{prefix + param.name!r}])")
 
         ranked = section.mode == "ranked"
-        buffer_names: Set[str] = {
-            p.name for p in function.params if p.kind is ParamKind.BUFFER
-        }
-        folded = _fold_plan(function, set(buffer_names))
-        folded_allocs = {n for kind, n in folded if kind == "b"}
-
-        unknown_loads = (
-            function.buffers_read()
-            - buffer_names
-            - {s.name for s in function.body if isinstance(s, Alloc)}
-        )
-        if unknown_loads:
-            raise CodegenError(
-                f"super-kernel section '{function.name}' loads undeclared "
-                f"buffers {sorted(unknown_loads)}"
-            )
-
         if ranked:
             # Per-rank view lists arrive under the prefixed buffer names;
             # the section's reduction partials accumulate per rank into
             # lists registered (in first-occurrence order) up front.
-            length_ident = None
-            for param in function.buffer_params:
-                if param.name in fold_write_map or param.name in fold_read_map:
-                    raise CodegenError(
-                        f"super-kernel section '{function.name}': folded "
-                        f"parameter '{param.name}' in a ranked section"
-                    )
-                list_ident = names.get("v", prefix + param.name)
-                out.emit(f"{list_ident} = buffers[{prefix + param.name!r}]")
-                if length_ident is None and param.name not in section.reduction_params:
-                    length_ident = list_ident
-            if length_ident is None:
+            views = [
+                param.name
+                for param in function.buffer_params
+                if param.name not in section.reduction_params
+            ]
+            if not views:
                 raise CodegenError(
                     f"super-kernel section '{function.name}' has no "
                     "non-reduction buffer to derive its rank count from"
                 )
+            for param in function.buffer_params:
+                list_ident = names.get("v", prefix + param.name)
+                out.emit(f"{list_ident} = buffers[{prefix + param.name!r}]")
             reduce_lists: Dict[str, str] = {}
-            for stmt in function.body:
-                if not isinstance(stmt, Loop):
-                    continue
-                for inner in stmt.body:
+            for loop in function.loops:
+                for inner in loop.body:
                     if (
                         isinstance(inner, Reduce)
                         and inner.target in section.reduction_params
@@ -684,152 +949,41 @@ def generate_superkernel_source(
                         partial_list_count += 1
                         reduce_lists[inner.target] = list_ident
                         out.emit(f"{list_ident} = []")
-                        out.emit(
-                            f"_partials[{prefix + inner.target!r}] = {list_ident}"
-                        )
-            rank_ident = f"_rk{section_index}"
+                        out.emit(f"_partials[{prefix + inner.target!r}] = {list_ident}")
             # Reduction parameters bind to ``None`` for the whole call —
             # their results come back through ``_partials`` — so they are
             # hoisted out of the rank loop.  Every other parameter arrives
             # as a per-rank view list that is never ``None``, so the loop
-            # body indexes it unconditionally.
-            for param in function.buffer_params:
-                if param.name in section.reduction_params:
-                    out.emit(f"{pnames.get('b', param.name)} = None")
-            out.emit(f"for {rank_ident} in range(len({length_ident})):")
+            # body indexes (and writes) it unguarded.
+            for param in section.reduction_params:
+                out.emit(f"{pnames.get('b', param)} = None")
+            rank_ident = f"_rk{section_index}"
+            out.emit(
+                f"for {rank_ident} in range(len({names.get('v', prefix + views[0])})):"
+            )
             out.indent += 1
-            for param in function.buffer_params:
-                if param.name in section.reduction_params:
-                    continue
-                list_ident = names.get("v", prefix + param.name)
-                ident = pnames.get("b", param.name)
-                out.emit(f"{ident} = {list_ident}[{rank_ident}]")
+            for param in views:
+                list_ident = names.get("v", prefix + param)
+                out.emit(f"{pnames.get('b', param)} = {list_ident}[{rank_ident}]")
         else:
-            reduce_lists = {}
             if any(loop.has_reduction for loop in function.loops):
                 raise CodegenError(
                     f"super-kernel section '{function.name}': reductions "
                     "in a merged section"
                 )
             for param in function.buffer_params:
-                if param.name in fold_write_map or param.name in fold_read_map:
-                    continue
-                ident = pnames.get("b", param.name)
-                out.emit(f"{ident} = buffers[{prefix + param.name!r}]")
+                if param.name not in folded:
+                    ident = pnames.get("b", param.name)
+                    out.emit(f"{ident} = buffers[{prefix + param.name!r}]")
 
-        for stmt in function.body:
-            if not isinstance(stmt, Alloc):
-                continue
-            if stmt.name in folded_allocs:
-                continue
-            if stmt.like not in buffer_names:
-                raise CodegenError(
-                    f"allocation '{stmt.name}' references unknown buffer "
-                    f"'{stmt.like}' in super-kernel section '{function.name}'"
-                )
-            like = pnames.get("b", stmt.like)
-            # Ranked sections bind every non-reduction parameter to a real
-            # view, so the missing-reference guard only matters when the
-            # reference could legitimately be ``None``.
-            if not ranked or stmt.like in section.reduction_params:
-                out.emit(f"if {like} is None:")
-                out.indent += 1
-                out.emit(
-                    "raise RuntimeError("
-                    f"\"allocation '{stmt.name}' has no reference buffer "
-                    f"'{stmt.like}'\")"
-                )
-                out.indent -= 1
-            out.emit(f"{pnames.get('b', stmt.name)} = np.zeros_like({like})")
-            buffer_names.add(stmt.name)
-
-        guarded: Set[str] = set()
-        partials: Dict[str, Tuple[str, ReduceKind]] = {}
-        temp_counter = 0
-        for stmt in function.body:
-            if isinstance(stmt, Alloc):
-                continue
-            if not isinstance(stmt, Loop):  # pragma: no cover - no other kinds
-                raise CodegenError(f"unknown statement {stmt!r}")
-            index_ident = (
-                pnames.get("b", stmt.index_buffer)
-                if stmt.index_buffer in buffer_names
-                else None
-            )
-            for inner in stmt.body:
-                if isinstance(inner, Assign):
-                    fold_key = ("l" if inner.is_local else "b", inner.target)
-                    if fold_key in folded:
-                        continue
-                    value = _emit_expr(inner.expr, pnames, folded)
-                    if inner.is_local:
-                        out.emit(f"{pnames.get('l', inner.target)} = {value}")
-                        continue
-                    if inner.target not in buffer_names:
-                        raise CodegenError(
-                            f"assignment to unknown buffer '{inner.target}' "
-                            f"in super-kernel section '{function.name}'"
-                        )
-                    target = pnames.get("b", inner.target)
-                    if inner.target in fold_write_map:
-                        # The dead intermediate lives only as this local:
-                        # operator results are fresh arrays, a bare load
-                        # is copied so later writes to the source buffer
-                        # cannot alias through the fold.
-                        if isinstance(inner.expr, (BinOp, UnOp)):
-                            out.emit(f"{target} = {value}")
-                        else:
-                            out.emit(
-                                f"{target} = np.array({value}, dtype=np.float64)"
-                            )
-                        continue
-                    # Ranked sections never bind a writable parameter to
-                    # ``None`` (only reduction targets are, and those are
-                    # reduced, not assigned), so the per-rank guard of the
-                    # step-by-step emission is dead there.
-                    if not ranked and inner.target not in guarded:
-                        guarded.add(inner.target)
-                        out.emit(f"if {target} is None:")
-                        out.indent += 1
-                        out.emit(
-                            "raise RuntimeError("
-                            f"\"buffer '{inner.target}' is not materialised\")"
-                        )
-                        out.indent -= 1
-                    out.emit(f"{target}[...] = {value}")
-                elif isinstance(inner, Reduce):
-                    value = _emit_expr(inner.expr, pnames, folded)
-                    if index_ident:
-                        tmp = f"_r{section_index}_{temp_counter}"
-                        temp_counter += 1
-                        out.emit(f"{tmp} = np.asarray({value})")
-                        out.emit(
-                            f"if {tmp}.ndim == 0 and {index_ident} is not None:"
-                        )
-                        out.indent += 1
-                        out.emit(
-                            f"{tmp} = np.broadcast_to({tmp}, {index_ident}.shape)"
-                        )
-                        out.indent -= 1
-                        value = tmp
-                    reduced = _REDUCE_FMT_DIRECT[inner.kind].format(value=value)
-                    existing = partials.get(inner.target)
-                    if existing is None:
-                        acc = f"_p{section_index}_{len(partials)}"
-                        partials[inner.target] = (acc, inner.kind)
-                        out.emit(f"{acc} = {reduced}")
-                    else:
-                        acc, _ = existing
-                        partials[inner.target] = (acc, inner.kind)
-                        tmp = f"_r{section_index}_{temp_counter}"
-                        temp_counter += 1
-                        out.emit(f"{tmp} = {reduced}")
-                        out.emit(
-                            f"{acc} = "
-                            + _COMBINE_FMT[inner.kind].format(acc=acc, new=tmp)
-                        )
-                else:  # pragma: no cover - no other loop statement kinds
-                    raise CodegenError(f"unknown loop statement {inner!r}")
+        partials = _KernelEmitter(
+            out,
+            pnames,
+            function,
+            tag=f"{section_index}_",
+            may_be_none=set(section.reduction_params) if ranked else None,
+            fold_writes=dict(section.fold_writes),
+        ).emit()
 
         if ranked:
             for target, (acc, kind) in partials.items():
@@ -840,11 +994,6 @@ def generate_superkernel_source(
                         f"kind=ReduceKind.{kind.name}, value={acc}))"
                     )
             out.indent -= 1
-        elif partials:  # pragma: no cover - merged sections reject reductions
-            raise CodegenError(
-                f"super-kernel section '{function.name}' produced partials "
-                "in merged mode"
-            )
 
     out.emit("return _partials")
     return out.source()

@@ -162,9 +162,14 @@ class InterpreterExecutor(KernelExecutor):
 class DifferentialExecutor(KernelExecutor):
     """Runs interpreter and codegen side by side, asserting bit-equality.
 
-    The interpreter runs on private copies of the buffers so both backends
-    observe identical inputs; the codegen backend runs on the real buffers
-    so its results are the ones the runtime keeps.
+    Both backends run on the *real* buffers, one after the other from
+    the same initial state, so whatever windows of one store the
+    arguments alias (``x[1:] = x[:-1]``) alias for both: codegen runs
+    first and its results are set aside, the written buffers are rewound
+    — every change went through one of them — and the interpreter runs.
+    Private copies would hide exactly the overlap that decides whether
+    the generated block loop is legal.  The buffers keep the
+    interpreter's results, which are the codegen's or the call raises.
     """
 
     backend = "differential"
@@ -181,28 +186,35 @@ class DifferentialExecutor(KernelExecutor):
         buffers: Dict[str, Optional[np.ndarray]],
         scalars: Dict[str, float],
     ) -> Dict[str, ReductionPartial]:
-        shadow = {
+        initial = {
+            name: buffers[name].copy()
+            for name in self.function.buffers_written()
+            if buffers.get(name) is not None
+        }
+        actual = self.codegen(buffers, scalars)
+        observed = {
             name: None if array is None else array.copy()
             for name, array in buffers.items()
         }
-        expected = self.interpreter(shadow, scalars)
-        actual = self.codegen(buffers, scalars)
-        self._compare(buffers, shadow, expected, actual)
+        for name, array in initial.items():
+            buffers[name][...] = array
+        expected = self.interpreter(buffers, scalars)
+        self._compare(buffers, observed, expected, actual)
         return actual
 
     def _compare(
         self,
         buffers: Dict[str, Optional[np.ndarray]],
-        shadow: Dict[str, Optional[np.ndarray]],
+        observed: Dict[str, Optional[np.ndarray]],
         expected: Dict[str, ReductionPartial],
         actual: Dict[str, ReductionPartial],
     ) -> None:
         name = self.function.name
         for buffer, array in buffers.items():
-            reference = shadow[buffer]
-            if array is None or reference is None:
+            other = observed[buffer]
+            if array is None or other is None:
                 continue
-            if not np.array_equal(array, reference, equal_nan=True):
+            if not np.array_equal(array, other, equal_nan=True):
                 raise BackendDivergenceError(
                     f"kernel '{name}': codegen and interpreter disagree on "
                     f"buffer '{buffer}'"

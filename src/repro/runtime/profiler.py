@@ -14,6 +14,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.kernel.codegen import codegen_stats
+
 #: Why a rung of the chunk-dispatch ladder (``runtime/executor.py``)
 #: declined a launch.  A launch (or, for the chunk plan of a replayed
 #: step, a plan under one flag setting) counts once per declining rung.
@@ -138,6 +140,10 @@ class Profiler:
         self.wire_requests: int = 0
         #: Declined ladder rungs by reason (:data:`DECLINE_REASONS`).
         self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
+        #: Where the process-wide ``codegen_stats().multi_block_calls``
+        #: stood when this profiler was created or reset (compiled
+        #: closures are shared between contexts, so the count is too).
+        self._multi_block_base: int = codegen_stats().multi_block_calls
         self._current_iteration: Optional[IterationRecord] = None
         #: Serialises the counter updates that can arrive from pool
         #: worker threads (point dispatch, opaque calls, wire traffic):
@@ -428,6 +434,16 @@ class Profiler:
             return 0.0
         return len(seconds) / sum(seconds)
 
+    @property
+    def multi_block_calls(self) -> int:
+        """Generated-kernel calls that ran more than one block.
+
+        Counted in this process since the profiler was created or reset
+        (worker processes keep their own count); zero says every tile
+        fit one block of the kernel tier's block loop.
+        """
+        return max(0, codegen_stats().multi_block_calls - self._multi_block_base)
+
     def snapshot(self) -> Dict[str, object]:
         """A structured dict of every counter plus the derived figures.
 
@@ -474,6 +490,7 @@ class Profiler:
                 "replay_closure_calls": self.replay_closure_calls,
                 "wire_bytes": self.wire_bytes,
                 "wire_requests": self.wire_requests,
+                "multi_block_calls": self.multi_block_calls,
             }
             for reason, count in self.declines.items():
                 counters[f"decline_{reason}"] = count
@@ -522,4 +539,5 @@ class Profiler:
         self.wire_bytes = 0
         self.wire_requests = 0
         self.declines = dict.fromkeys(DECLINE_REASONS, 0)
+        self._multi_block_base = codegen_stats().multi_block_calls
         self._current_iteration = None

@@ -7,7 +7,9 @@ thread, per-chunk process, resident process) × ``REPRO_WORKERS`` {1, 4}
 × kernel backend (codegen, differential): buffers, checksum AND
 the simulated seconds of every replayed iteration must equal an eager
 (``REPRO_TRACE=0``) interpreter run bit for bit, and the kind and the
-substrate under test must really have run.  The rest of the file pins the seams of the ladder: every
+substrate under test must really have run.  Two kinds repeat at a work
+size of several blocks per rank (the kernel tier's block loop, with its
+per-call scratch, under every substrate).  The rest of the file pins the seams of the ladder: every
 decline reason on a constructed launch, a hung worker, and the
 allocator policy that keeps array memory mapped between launches.
 """
@@ -29,6 +31,7 @@ from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.ir.partition import Replication, natural_tiling
 from repro.ir.privilege import Privilege
 from repro.ir.task import IndexTask, StoreArg
+from repro.kernel import codegen
 from repro.runtime import procpool, region
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
 from repro.runtime.pool import submit_guarded, worker_pool
@@ -76,7 +79,25 @@ KINDS = {
         "two-matvec", dict(rows_per_gpu=16), {},
         lambda p: p.opaque_chunk_calls > 0 and p.opaque_rank_calls == 0,
     ),
+    # The block loop of generated kernels: an element-wise chain and a
+    # reduction-bearing one (CG's fused axpy + dot) at >= 4 blocks per
+    # rank.  The compiled closure is shared process-wide, so concurrent
+    # calls from pool threads must never share its scratch.
+    "element-wise-blocked": (
+        "black-scholes", dict(elements_per_gpu=128), {},
+        lambda p: p.batched_launches > 0,
+    ),
+    "super-kernel-blocked": (
+        "cg", dict(grid_points_per_gpu=12), {},
+        lambda p: p.superkernel_calls > 0,
+    ),
 }
+
+#: Kinds run with ``codegen.BLOCK`` shrunk to this many elements, for
+#: this many iterations.
+BLOCKED_KINDS = ("element-wise-blocked", "super-kernel-blocked")
+BLOCKED_BLOCK = 32
+BLOCKED_ITERATIONS = 20
 
 #: substrate -> (flags, "this substrate ran" predicate).
 SUBSTRATES = {
@@ -107,7 +128,7 @@ SUBSTRATES = {
 ITERATIONS = 5
 
 
-def _run(monkeypatch, app_name, kwargs, flags):
+def _run(monkeypatch, app_name, kwargs, flags, iterations=ITERATIONS):
     defaults = {
         "REPRO_TRACE": "1", "REPRO_WORKERS": "1", "REPRO_POINT_WORKERS": "1",
         "REPRO_DISPATCH_BACKEND": "thread", "REPRO_KERNEL_BACKEND": "codegen",
@@ -121,7 +142,7 @@ def _run(monkeypatch, app_name, kwargs, flags):
     set_context(context)
     try:
         app = build_application(app_name, context=context, **kwargs)
-        app.run(ITERATIONS)
+        app.run(iterations)
         checksum = app.checksum()
         state = {
             name: value.to_numpy()
@@ -136,13 +157,14 @@ def _run(monkeypatch, app_name, kwargs, flags):
 _REFERENCES = {}
 
 
-def _reference(monkeypatch, app_name, kwargs):
+def _reference(monkeypatch, app_name, kwargs, iterations):
     """The eager interpreter run (memoized per app; it never varies)."""
-    key = (app_name, tuple(sorted(kwargs.items())))
+    key = (app_name, tuple(sorted(kwargs.items())), iterations)
     if key not in _REFERENCES:
         _REFERENCES[key] = _run(
             monkeypatch, app_name, kwargs,
             {"REPRO_TRACE": "0", "REPRO_KERNEL_BACKEND": "interpreter"},
+            iterations,
         )
     return _REFERENCES[key]
 
@@ -156,12 +178,18 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
 ):
     app_name, kwargs, kind_flags, kind_ran = KINDS[kind]
     substrate_flags, substrate_ran = SUBSTRATES[substrate]
-    ctx_ref, state_ref, checksum_ref = _reference(monkeypatch, app_name, kwargs)
+    iterations = ITERATIONS
+    if kind in BLOCKED_KINDS:
+        iterations = BLOCKED_ITERATIONS
+        monkeypatch.setattr(codegen, "BLOCK", BLOCKED_BLOCK)
+        # Workers are forked: a pool started now inherits the block size.
+        procpool.shutdown_process_pool()
+    ctx_ref, state_ref, checksum_ref = _reference(monkeypatch, app_name, kwargs, iterations)
     flags = {
         **kind_flags, **substrate_flags,
         "REPRO_WORKERS": workers, "REPRO_KERNEL_BACKEND": kernel_backend,
     }
-    ctx, state, checksum = _run(monkeypatch, app_name, kwargs, flags)
+    ctx, state, checksum = _run(monkeypatch, app_name, kwargs, flags, iterations)
 
     assert checksum == checksum_ref
     assert set(state) == set(state_ref)
@@ -173,11 +201,14 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
     assert profiler.trace_hits > 0
     first_replayed = min(r.iteration for r in profiler.records if r.replayed)
     seconds, seconds_ref = profiler.iteration_seconds(), ctx_ref.profiler.iteration_seconds()
-    assert first_replayed < ITERATIONS - 1
-    assert len(seconds) == len(seconds_ref) == ITERATIONS
+    assert first_replayed < iterations - 1
+    assert len(seconds) == len(seconds_ref) == iterations
     assert seconds[first_replayed:] == seconds_ref[first_replayed:]
 
     assert kind_ran(profiler), profiler.snapshot()
+    if kind in BLOCKED_KINDS and not substrate.startswith("process"):
+        # (Worker processes keep their own count.)
+        assert profiler.multi_block_calls > 0
     if kind == "opaque-per-rank" and substrate.startswith("process"):
         # Per-rank operators have nothing a worker could resolve: the
         # process rungs decline them by name and threads take over.

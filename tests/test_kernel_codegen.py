@@ -446,15 +446,24 @@ class TestRegionViewCache:
         np.testing.assert_array_equal(fresh, field.data[2:6])
 
 
-class TestSingleUseTemporaryFolding:
-    """Single-use temporaries fold into their consumer expressions.
+class TestTaskLocalTemporaries:
+    """Task-local temporaries are block registers, filled where defined.
 
-    The generated source must skip the definition statement (and, for
-    task-local allocations, the zeros_like materialisation and the copy
-    pass) while staying bit-identical to the interpreter — folding only
-    reorders *where* the same NumPy expression is evaluated, never what
-    it computes.
+    A loop-local value or a non-escaping allocation lives in a
+    block-sized scratch register: nothing of full length is allocated
+    for it, and because the register is written at the temporary's
+    *definition* (never re-evaluated at a use site), later writes to the
+    buffers it was computed from cannot change it.  ``BLOCK`` is shrunk
+    so every case runs both as one block and as several.
     """
+
+    EXTENTS = (8, 37)  # one block, several blocks with a ragged tail
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        from repro.kernel import codegen
+
+        monkeypatch.setattr(codegen, "BLOCK", 8)
 
     def _alloc_chain(self, middle=()):
         """t = x * y (t alloc'd), [middle...], out = t + y."""
@@ -485,60 +494,67 @@ class TestSingleUseTemporaryFolding:
             body=body,
         )
 
-    def test_single_use_local_folded(self):
+    def _assert_identical_at_every_extent(self, function, seed):
+        for size in self.EXTENTS:
+            rng = np.random.default_rng(seed)
+            _assert_identical(function, *_make_buffers(function, rng, size=size))
+
+    def test_single_use_local(self):
         builder = KernelBuilder("fold_local")
         builder.buffers("x", "y", "out")
         builder.loop("out")
         local = builder.let("t", KernelBuilder.mul("x", "y"))
         builder.assign("out", KernelBuilder.add(local, "y"))
         builder.end_loop()
-        function = builder.build()
-        source = generate_source(function)
-        # No local definition statement survives: the expression is
-        # rendered inline at its single use.
-        assert " = " in source
-        assert not any(
-            line.strip().startswith("_l") for line in source.splitlines()
-        ), source
-        rng = np.random.default_rng(3)
-        _assert_identical(function, *_make_buffers(function, rng))
+        self._assert_identical_at_every_extent(builder.build(), 3)
 
-    def test_multi_use_local_kept(self):
+    def test_multi_use_local(self):
         builder = KernelBuilder("keep_local")
         builder.buffers("x", "out")
         builder.loop("out")
         local = builder.let("t", KernelBuilder.mul("x", "x"))
         builder.assign("out", KernelBuilder.add(local, local))
         builder.end_loop()
-        function = builder.build()
-        source = generate_source(function)
-        assert any(
-            line.strip().startswith("_l") for line in source.splitlines()
-        ), source
-        rng = np.random.default_rng(4)
-        _assert_identical(function, *_make_buffers(function, rng))
+        self._assert_identical_at_every_extent(builder.build(), 4)
 
-    def test_single_use_alloc_folded(self):
+    def test_non_escaping_alloc_is_never_allocated_at_full_length(self, monkeypatch):
+        import tracemalloc
+
+        from repro.kernel import codegen
+
         function = self._alloc_chain()
-        source = generate_source(function)
-        assert "zeros_like" not in source, source
-        rng = np.random.default_rng(5)
-        _assert_identical(function, *_make_buffers(function, rng))
+        self._assert_identical_at_every_extent(function, 5)
+        # Behaviour, not spelling: at the real block size, a call over
+        # 2 MiB tiles allocates a few 128 KiB registers and nothing of
+        # the tiles' length (NumPy reports its buffers to tracemalloc).
+        monkeypatch.setattr(codegen, "BLOCK", 16384)
+        size = 1 << 18
+        executor = lower(function, KernelBinding(), backend="codegen")
+        buffers = {name: np.ones(size) for name in ("x", "y", "out")}
+        tracemalloc.start()
+        try:
+            executor(buffers, {})
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers["x"].nbytes // 2, peak
+        np.testing.assert_array_equal(buffers["out"], np.full(size, 2.0))
 
-    def test_intervening_write_prevents_folding(self):
-        # t = x * y; y[...] = x; out = t + y — folding t would read the
-        # *new* y, so t must stay materialised.
+    def test_intervening_write_does_not_reach_the_temporary(self):
+        # t = x * y; y[...] = x; out = t + y — t holds the *old* y.
         middle = (Assign(target="y", expr=Load("x")),)
         function = self._alloc_chain(middle)
-        source = generate_source(function)
-        assert "zeros_like" in source, source
-        rng = np.random.default_rng(6)
-        _assert_identical(function, *_make_buffers(function, rng))
+        self._assert_identical_at_every_extent(function, 6)
+        for size in self.EXTENTS:
+            x, y = np.arange(1.0, size + 1.0), np.full(size, 3.0)
+            buffers = {"x": x.copy(), "y": y.copy(), "out": np.zeros(size)}
+            lower(function, KernelBinding(), backend="codegen")(buffers, {})
+            np.testing.assert_array_equal(buffers["out"], x * y + x)
 
-    def test_load_free_alloc_not_folded(self):
-        # A definition without any buffer load may evaluate to a 0-d
-        # value; the materialised buffer has full shape, so folding
-        # could change downstream reduction semantics.
+    def test_load_free_definition_keeps_full_shape_semantics(self):
+        # A definition without any buffer load evaluates to a 0-d value;
+        # the allocation it is assigned to has the loop's full shape, so
+        # reducing it counts every element.
         function = Function(
             name="scalar_alloc",
             params=(Param.buffer("x"), Param.buffer("acc")),
@@ -553,13 +569,14 @@ class TestSingleUseTemporaryFolding:
                 ),
             ),
         )
-        source = generate_source(function)
-        assert "zeros_like" in source, source
-        buffers = {"x": np.arange(8.0), "acc": None}
-        _assert_identical(function, buffers, {})
+        for size in self.EXTENTS:
+            buffers = {"x": np.arange(float(size)), "acc": None}
+            _assert_identical(function, buffers, {})
+            partials = lower(function, KernelBinding(), backend="codegen")(buffers, {})
+            assert partials["acc"].value == 6.0 * size
 
     def test_fused_application_kernels_still_identical(self, monkeypatch):
-        """End-to-end: folding leaves app checksums bit-identical."""
+        """End-to-end: app checksums stay bit-identical."""
         scale = ExperimentScale({"elements_per_gpu": 128}, 4e-5, 3, 2)
         results = {}
         try:
@@ -576,9 +593,9 @@ class TestSingleUseTemporaryFolding:
             config.reload_flags()
         assert results["interpreter"] == results["codegen"]
 
-    def test_local_reassignment_prevents_folding(self):
+    def test_local_reassignment_does_not_reach_the_temporary(self):
         # t = l * y with l reassigned between t's definition and use:
-        # folding t to the use site would read the *new* l.
+        # t was computed from the *old* l.
         from repro.kernel.kir import BinOp, BinOpKind, LocalRef
 
         function = Function(

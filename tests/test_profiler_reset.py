@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.kernel.codegen import codegen_stats
 from repro.runtime.profiler import Profiler
 
 
@@ -68,6 +69,8 @@ def _dirty(profiler: Profiler) -> None:
     profiler.wire_bytes = 4096
     profiler.wire_requests = 17
     profiler.record_decline("below_volume")
+    # Process-wide: the profiler reports the calls since its own baseline.
+    codegen_stats().multi_block_calls += 2
 
 
 def test_reset_equals_fresh_field_by_field():
@@ -108,6 +111,7 @@ def test_snapshot_reflects_counters_and_reset():
     assert snapshot["wire_bytes"] == 4096
     assert snapshot["decline_below_volume"] == 1
     assert snapshot["decline_worker_lost"] == 0
+    assert snapshot["multi_block_calls"] == 2
     assert snapshot["total_index_tasks"] == 1
     assert snapshot["total_constituent_tasks"] == 3
     assert snapshot["trace_hit_rate"] == 7 / 9
