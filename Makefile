@@ -5,13 +5,15 @@
 #                 fails if the codegen and interpreter backends diverge
 #   make bench-full - full wall-clock harness (enforces the 3x CG gate)
 #   make diff-test  - tier-1 suite with the differential kernel backend
+#   make poison-test - tier-1 suite with every uninitialised region-field
+#                 allocation poisoned (NaN bytes; tests/conftest.py)
 #   make trace  - smoke-mode CG run with telemetry armed; writes the
 #                 Perfetto-loadable TRACE_cg.json (parent + worker lanes)
 
 PYTHON ?= python
 PYTHONPATH_ARG = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-full diff-test trace
+.PHONY: test bench bench-full diff-test poison-test trace
 
 test:
 	$(PYTHONPATH_ARG) $(PYTHON) -m pytest -x -q
@@ -24,6 +26,9 @@ bench-full: test
 
 diff-test:
 	$(PYTHONPATH_ARG) REPRO_KERNEL_BACKEND=differential $(PYTHON) -m pytest -x -q tests/
+
+poison-test:
+	$(PYTHONPATH_ARG) $(PYTHON) -m pytest -x -q --poison-fields
 
 trace:
 	$(PYTHONPATH_ARG) $(PYTHON) -m repro.tools.tracedump --app cg --smoke --output TRACE_cg.json

@@ -50,7 +50,7 @@ end-to-end (fusion enabled) under these configurations:
 
 ``superkernel``
     ``scheduler`` plus ``REPRO_SUPERKERNEL=1``: captured plans are
-    lowered to epoch super-kernels at capture time (the PR-6 tentpole) —
+    lowered to epoch super-kernels once replayed (the PR-6 tentpole) —
     producer→consumer compiled steps splice into one generated function
     and independent same-shape steps merge horizontally, so a steady
     replay epoch runs a handful of fused closure calls instead of one
@@ -123,6 +123,12 @@ equality between all timed runs is asserted as well.  Trace hit counts, hit rate
 statistics (DAG width, worker utilisation), point-dispatch statistics
 (width, chunk counts, utilisation) and scalar-pattern-flip counts are
 recorded, and every iterative app must report >0 trace hits.
+A mode's speedup column is a statement about its layer, so the
+``point``, ``process`` and ``resident`` speedups are ``null`` (console:
+"not engaged"), with ``point_engaged`` / ``process_engaged`` /
+``resident_engaged`` false beside them, for an app on which the layer
+never ran — no dispatched point chunks, no point or opaque chunks on
+the worker processes, no resident process chunks.
 Results are written to ``BENCH_wallclock.json``.
 
 Usage::
@@ -624,6 +630,21 @@ def _measure(app: str, spec: dict, mode: str, repeats: int):
     return statistics.median(times), result
 
 
+def _engaged_speedup(engaged: bool, baseline_seconds: float, seconds: float) -> Optional[float]:
+    """``baseline / seconds``, or ``None`` when the mode's layer never ran."""
+    if not engaged:
+        return None
+    return baseline_seconds / seconds if seconds > 0 else float("inf")
+
+
+def _rounded(speedup: Optional[float]) -> Optional[float]:
+    return None if speedup is None else round(speedup, 3)
+
+
+def _speedup_text(speedup: Optional[float]) -> str:
+    return "not engaged" if speedup is None else f"{speedup:.2f}x"
+
+
 def _measure_pair(app: str, spec: dict, mode_a: str, mode_b: str, repeats: int):
     """Paired comparison of two modes: interleaved runs, per-pair ratios.
 
@@ -840,14 +861,18 @@ def run_harness(
             if superkernel_seconds > 0
             else float("inf")
         )
-        point_speedup = (
-            baseline_seconds / point_seconds if point_seconds > 0 else float("inf")
+        # A speedup is only a statement about a layer that ran: a mode
+        # whose layer never engaged is the mode below it timed again.
+        point_speedup = _engaged_speedup(
+            point.point_chunks > 0, baseline_seconds, point_seconds
         )
-        process_speedup = (
-            baseline_seconds / process_seconds if process_seconds > 0 else float("inf")
+        process_speedup = _engaged_speedup(
+            process.point_process_chunks > 0 or process.opaque_process_chunks > 0,
+            baseline_seconds,
+            process_seconds,
         )
-        resident_speedup = (
-            baseline_seconds / resident_seconds if resident_seconds > 0 else float("inf")
+        resident_speedup = _engaged_speedup(
+            resident.point_process_chunks > 0, baseline_seconds, resident_seconds
         )
         all_checksums_equal = (
             baseline.checksum
@@ -878,9 +903,12 @@ def run_harness(
             "speedup": round(speedup, 3),
             "scheduler_speedup": round(scheduler_speedup, 3),
             "superkernel_speedup": round(superkernel_speedup, 3),
-            "point_speedup": round(point_speedup, 3),
-            "process_speedup": round(process_speedup, 3),
-            "resident_speedup": round(resident_speedup, 3),
+            "point_speedup": _rounded(point_speedup),
+            "point_engaged": point_speedup is not None,
+            "process_speedup": _rounded(process_speedup),
+            "process_engaged": process_speedup is not None,
+            "resident_speedup": _rounded(resident_speedup),
+            "resident_engaged": resident_speedup is not None,
             "process_vs_point": round(
                 point_seconds / process_seconds if process_seconds > 0 else float("inf"),
                 3,
@@ -979,9 +1007,9 @@ def run_harness(
             f"fusions, closures/epoch "
             f"{scheduler.closure_calls_per_epoch:.2f}->"
             f"{superkernel.closure_calls_per_epoch:.2f})  point "
-            f"{point_seconds:.4f}s ({point_speedup:.2f}x)  process "
-            f"{process_seconds:.4f}s ({process_speedup:.2f}x)  resident "
-            f"{resident_seconds:.4f}s ({resident_speedup:.2f}x, "
+            f"{point_seconds:.4f}s ({_speedup_text(point_speedup)})  process "
+            f"{process_seconds:.4f}s ({_speedup_text(process_speedup)})  resident "
+            f"{resident_seconds:.4f}s ({_speedup_text(resident_speedup)}, "
             f"wire/epoch {process.wire_bytes_per_epoch:.0f}->"
             f"{resident.wire_bytes_per_epoch:.0f}B)",
             flush=True,

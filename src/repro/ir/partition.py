@@ -21,7 +21,7 @@ query at the heart of the fusion constraints (paper Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.ir.domain import (
     Domain,
@@ -32,6 +32,16 @@ from repro.ir.domain import (
     point_mul,
 )
 from repro.ir.projection import ProjectionFunction, identity_projection
+
+
+def rects_cover(rects: Iterable[Rect], store_shape: Sequence[int]) -> bool:
+    """True when the distinct ``rects`` add up to the volume of the store.
+
+    Tiles produced by a single partition are disjoint for distinct
+    projected points, so summing distinct-tile volumes gives the exact
+    covered volume.
+    """
+    return sum(rect.volume for rect in set(rects)) >= Rect.from_shape(store_shape).volume
 
 
 class Partition:
@@ -199,21 +209,24 @@ class Tiling(Partition):
         return rect
 
     def covers(self, store_shape: Sequence[int], launch_domain: Domain) -> bool:
-        store_rect = Rect.from_shape(store_shape)
-        if store_rect.volume == 0:
-            return True
-        covered = 0
-        seen = set()
-        for point in launch_domain.points():
-            rect = self.sub_store_rect(point, store_shape)
-            if rect.empty or rect in seen:
-                continue
-            seen.add(rect)
-            covered += rect.volume
-        # Tiles produced by a single Tiling partition are disjoint for
-        # distinct projected points, so summing distinct-tile volumes gives
-        # the exact covered volume.
-        return covered >= store_rect.volume
+        # A pure function of an immutable tiling, asked over and over
+        # with the one (shape, domain) pair the tiling was built for:
+        # the last answer is kept on the instance.  The frontend interns
+        # tilings (off under ``REPRO_HOTPATH_CACHE=0``, where every
+        # launch builds its own and this never hits).
+        key = (tuple(store_shape), launch_domain.shape)
+        try:
+            last_key, covered = self._covers
+            if last_key == key:
+                return covered
+        except AttributeError:
+            pass
+        covered = rects_cover(
+            (self.sub_store_rect(point, store_shape) for point in launch_domain.points()),
+            store_shape,
+        )
+        object.__setattr__(self, "_covers", (key, covered))
+        return covered
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -40,6 +40,7 @@ regression tests assert on.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -470,9 +471,13 @@ class _LoopEmitter:
     def _leaf(self, expr: Expr) -> _Value:
         kernel = self.kernel
         if isinstance(expr, Const):
-            # repr() round-trips doubles exactly; np.float64 mirrors the
-            # interpreter's Const evaluation.
-            return _Value(f"np.float64({expr.value!r})", scalar=True)
+            # repr() round-trips finite doubles exactly; ``inf`` and
+            # ``nan`` are not names in the generated module, so they are
+            # spelled as the strings np.float64 parses.  np.float64
+            # mirrors the interpreter's Const evaluation.
+            value = expr.value
+            text = repr(value) if math.isfinite(value) else repr(str(float(value)))
+            return _Value(f"np.float64({text})", scalar=True)
         if isinstance(expr, ScalarRef):
             return _Value(kernel.names.get("s", expr.name), scalar=True)
         if isinstance(expr, LocalRef):

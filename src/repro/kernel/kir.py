@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -498,6 +498,36 @@ def sole_buffer_assignment(function: Function, target: str) -> Optional[Assign]:
                             return None
                         found = inner
     return found
+
+
+def buffers_defined_first(function: Function) -> FrozenSet[str]:
+    """Buffer parameters the kernel assigns whole before anything observes them.
+
+    One pass over the body in statement order: a buffer qualifies when
+    its first occurrence is the target of a non-local :class:`Assign`
+    whose value does not load it.  Both executors write every element of
+    an ``Assign`` target's tile (``target[...] = value``, or a final
+    ``ufunc(..., out=target)`` per block whose blocks partition the
+    tile), so a tile of such a buffer never shows its prior contents and
+    the region manager may hand it out uninitialised
+    (``RegionManager.field``).  An earlier load, a :class:`Reduce` into
+    the buffer or an :class:`Alloc` shadowing its name disqualifies it;
+    ``Alloc.like`` and ``Loop.index_buffer`` only read a shape.
+    """
+    first: Dict[str, bool] = {}
+    for stmt in function.body:
+        if isinstance(stmt, Alloc):
+            first.setdefault(stmt.name, False)
+        elif isinstance(stmt, Loop):
+            for inner in stmt.body:
+                for name in inner.buffers_read():
+                    first.setdefault(name, False)
+                if isinstance(inner, Reduce):
+                    first.setdefault(inner.target, False)
+                elif not inner.is_local:
+                    first.setdefault(inner.target, True)
+    params = {param.name for param in function.buffer_params}
+    return frozenset(name for name, defined in first.items() if defined and name in params)
 
 
 def assignment_loads_buffers(function: Function, stmt: Assign) -> bool:

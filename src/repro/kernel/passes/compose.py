@@ -15,7 +15,7 @@ to hand the right sub-store slices to the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ir.partition import Partition
 from repro.ir.store import Store
@@ -28,6 +28,7 @@ from repro.kernel.kir import (
     Param,
     ParamKind,
     Stmt,
+    buffers_defined_first,
     substitute_stmt,
 )
 
@@ -60,6 +61,10 @@ class KernelBinding:
     buffer_order: Tuple[Tuple[str, int], ...] = ()
     #: ``scalar_args`` items in declaration order.
     scalar_order: Tuple[Tuple[str, int], ...] = ()
+    #: Buffer parameters the kernel assigns whole before anything
+    #: observes them (``kir.buffers_defined_first``): condition (2) of
+    #: the uninitialised-allocation rule of ``RegionManager.field``.
+    defined_first: FrozenSet[str] = frozenset()
 
     def arg_index_for(self, param_name: str) -> Optional[int]:
         """The task argument index backing a kernel parameter, if any."""
@@ -79,6 +84,7 @@ class KernelBinding:
         self.scalar_order = tuple(
             item for item in self.scalar_args.items() if item[0] in names
         )
+        self.defined_first = buffers_defined_first(function)
 
 
 class CompositionError(RuntimeError):

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro import config
 from repro.config import hotpath_cache_enabled
+from repro.ir.partition import rects_cover
 from repro.ir.privilege import Privilege, ReductionOp, numpy_ufunc_for
 from repro.ir.task import IndexTask, StoreArg
 from repro.kernel.compiler import CompiledKernel
@@ -86,15 +87,17 @@ class RectTable(list):
 
     Interned tables are immortal and immutable once published, so the
     geometry facts derived from them are memoized on the table itself:
-    whether it tiles a 1-D span contiguously in rank order, and the wire
-    form of each rank range shipped to worker processes, ``(start, stop)
-    -> (stable wire-table id, rect list)`` — the id names the list in
-    the workers' intern caches so one geometry crosses a pipe once per
-    worker.  Tables rebuilt per launch (``REPRO_HOTPATH_CACHE=0``) are
-    plain lists: they never batch and their rects always travel inline.
+    whether it tiles a 1-D span contiguously in rank order, whether its
+    rects cover the whole store (``ir.partition.rects_cover``), and the
+    wire form of each rank range shipped to worker processes, ``(start,
+    stop) -> (stable wire-table id, rect list)`` — the id names the
+    list in the workers' intern caches so one geometry crosses a pipe
+    once per worker.  Tables rebuilt per launch
+    (``REPRO_HOTPATH_CACHE=0``) are plain lists: they never batch, never
+    vouch for a cover and their rects always travel inline.
     """
 
-    __slots__ = ("contiguous", "wire")
+    __slots__ = ("contiguous", "covers", "wire")
 
 
 @dataclass
@@ -231,6 +234,7 @@ class TaskExecutor:
             if table is None:
                 table = RectTable(build(arg, task))
                 table.contiguous = contiguous_elementwise_tables((table,), len(table))
+                table.covers = rects_cover((rect for rect, _volume in table), key[2])
                 table.wire = {}
                 with self._rect_table_lock:
                     table = self._rect_table_cache.setdefault(key, table)
@@ -242,16 +246,38 @@ class TaskExecutor:
 
         return interned, bind_views, memoized_ranks
 
-    def _rows(self, task: IndexTask, keyed_args) -> Tuple[Row, ...]:
-        """Resolve everything about a launch that no rank depends on."""
-        return tuple(
-            (
-                key,
-                self.regions.field(arg.store),
-                arg.privilege is Privilege.REDUCE,
-                self.launch_rects(arg, task),
+    def _rows(self, task: IndexTask, keyed_args, defined_first=frozenset()) -> Tuple[Row, ...]:
+        """Resolve everything about a launch that no rank depends on.
+
+        ``defined_first`` names the keys a compiled kernel assigns
+        whole before use; their fields may be allocated uninitialised.
+        """
+        rows = []
+        for key, arg in keyed_args:
+            table = self.launch_rects(arg, task)
+            field = self.regions.field(
+                arg.store, key in defined_first and self.defines_store(task, arg, table)
             )
-            for key, arg in keyed_args
+            rows.append((key, field, arg.privilege is Privilege.REDUCE, table))
+        return tuple(rows)
+
+    @staticmethod
+    def defines_store(task: IndexTask, arg: StoreArg, table) -> bool:
+        """Condition (3) of the uninitialised-allocation rule.
+
+        Given a buffer its kernel assigns whole before use
+        (``KernelBinding.defined_first``): do the launch's tiles of it
+        add up to the whole store, and is it the launch's only view of
+        the store?  A second view (another partition of the same store)
+        is another kernel buffer, which the kernel may load first.
+        """
+        if not getattr(table, "covers", False):
+            return False
+        store, partition = arg.store, arg.partition
+        return all(
+            other.partition is partition or other.partition == partition
+            for other in task.args
+            if other.store is store
         )
 
     def _elementwise_launch(self, kernel: CompiledKernel, rows, num_points: int) -> bool:
@@ -715,7 +741,11 @@ class TaskExecutor:
             for name, index in binding.scalar_args.items()
         }
         buffer_order = binding.buffer_order or tuple(binding.buffer_args.items())
-        rows = self._rows(task, ((name, args[index]) for name, index in buffer_order))
+        rows = self._rows(
+            task,
+            ((name, args[index]) for name, index in buffer_order),
+            binding.defined_first,
+        )
         num_points = len(rows[0][3]) if rows else task.launch_domain.volume
         work = self.compiled_work(
             kernel, rows, scalars, num_points,

@@ -140,6 +140,14 @@ class Profiler:
         self.wire_requests: int = 0
         #: Declined ladder rungs by reason (:data:`DECLINE_REASONS`).
         self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
+        #: Replays the super-kernel gate ran un-lowered: the plan had a
+        #: fusible unit but no speculation slot and was not yet at its
+        #: break-even replay count (``superkernel.lower_when_earned``).
+        self.plans_not_hot: int = 0
+        #: Region fields allocated uninitialised (the allocating launch
+        #: defines every element before anything loads it) and zero-filled.
+        self.fields_uninitialised: int = 0
+        self.fields_zero_filled: int = 0
         #: Where the process-wide ``codegen_stats().multi_block_calls``
         #: stood when this profiler was created or reset (compiled
         #: closures are shared between contexts, so the count is too).
@@ -320,6 +328,21 @@ class Profiler:
         with self._lock:
             self.declines[reason] += 1
 
+    def record_plan_not_hot(self) -> None:
+        """Record one replay that ran un-lowered for want of a slot."""
+        self.plans_not_hot += 1
+
+    def record_field_allocation(self, uninitialised: bool) -> None:
+        """Record one region-field allocation.
+
+        Called under the region manager's allocation lock, which
+        serialises the pool threads that can allocate.
+        """
+        if uninitialised:
+            self.fields_uninitialised += 1
+        else:
+            self.fields_zero_filled += 1
+
     @property
     def wire_bytes_per_epoch(self) -> float:
         """Average wire bytes shipped to workers per replayed epoch."""
@@ -494,6 +517,9 @@ class Profiler:
             }
             for reason, count in self.declines.items():
                 counters[f"decline_{reason}"] = count
+            counters["decline_plan_not_hot"] = self.plans_not_hot
+            counters["fields_uninitialised"] = self.fields_uninitialised
+            counters["fields_zero_filled"] = self.fields_zero_filled
         counters["trace_hit_rate"] = self.trace_hit_rate
         counters["plan_average_width"] = self.plan_average_width
         counters["worker_utilization"] = self.worker_utilization
@@ -539,5 +565,8 @@ class Profiler:
         self.wire_bytes = 0
         self.wire_requests = 0
         self.declines = dict.fromkeys(DECLINE_REASONS, 0)
+        self.plans_not_hot = 0
+        self.fields_uninitialised = 0
+        self.fields_zero_filled = 0
         self._multi_block_base = codegen_stats().multi_block_calls
         self._current_iteration = None

@@ -86,6 +86,12 @@ class RegionField:
     worker processes; otherwise the field is a plain private array and
     the descriptor is ``None`` (the process dispatcher falls back to
     threads for launches touching such fields).
+
+    The one allocation site of region storage.  The contract is that no
+    element is observable before it is written and an element nothing
+    wrote reads zero, so storage is zero-filled unless it is about to be
+    overwritten whole: by ``initial``, or — ``uninitialised`` — by the
+    launch it is allocated for (``RegionManager.field`` has the rule).
     """
 
     def __init__(
@@ -93,6 +99,7 @@ class RegionField:
         store: Store,
         initial: Optional[np.ndarray] = None,
         arena: Optional[SharedArena] = None,
+        uninitialised: bool = False,
     ) -> None:
         self.store = store
         self.shm_descriptor: Optional[BlockDescriptor] = None
@@ -104,16 +111,15 @@ class RegionField:
                     f"initial data shape {initial.shape} does not match store "
                     f"shape {store.shape}"
                 )
+        zero = initial is None and not uninitialised
         if arena is not None:
             self.data, self.shm_descriptor = arena.allocate(
-                store.shape, store.dtype
+                store.shape, store.dtype, zero
             )
-            if initial is not None:
-                self.data[...] = initial
-        elif initial is not None:
-            self.data = np.array(initial, dtype=store.dtype, copy=True)
         else:
-            self.data = np.zeros(store.shape, dtype=store.dtype)
+            self.data = (np.zeros if zero else np.empty)(store.shape, dtype=store.dtype)
+        if initial is not None:
+            self.data[...] = initial
         self._view_cache: Dict[Rect, np.ndarray] = {}
 
     def view(self, rect: Rect) -> np.ndarray:
@@ -159,8 +165,10 @@ class RegionField:
 class RegionManager:
     """Allocates and tracks the region field of every store."""
 
-    def __init__(self) -> None:
+    def __init__(self, profiler=None) -> None:
         self._fields: Dict[int, RegionField] = {}
+        #: Told of every first-use allocation (``record_field_allocation``).
+        self._profiler = profiler
         # First-use allocation must be serialised: two plan-scheduler
         # workers racing to create the same field would otherwise write
         # through different backing arrays.
@@ -202,15 +210,34 @@ class RegionManager:
         self._arena = None
 
     # ------------------------------------------------------------------
-    def field(self, store: Store) -> RegionField:
-        """The region field of ``store``, allocated on first use."""
+    def field(self, store: Store, uninitialised: bool = False) -> RegionField:
+        """The region field of ``store``, allocated on first use.
+
+        A fresh field is zero-filled: host reads, scalar reads and
+        writes, reduction folds, opaque operators (stencils write
+        interiors only) and every launch that reads a store before
+        writing it, or writes only part of it (``y[1:] = x[:-1]`` on a
+        fresh ``y``), observe zeros where nothing wrote.
+        ``uninitialised`` skips the fill and is only consulted when this
+        call allocates.  A launch passes it when all of: (1) it runs a
+        compiled kernel; (2) in the kernel's optimised KIR the buffer is
+        assigned before anything loads it or reduces into it
+        (``kir.buffers_defined_first``); (3) the argument's interned
+        rect table covers the store (``RectTable.covers``) and is the
+        launch's only view of it (``TaskExecutor.defines_store``).
+        Replayed plans carry the verdict per slot, decided at capture.
+        """
         existing = self._fields.get(store.uid)
         if existing is None:
             with self._allocate_lock:
                 existing = self._fields.get(store.uid)
                 if existing is None:
-                    existing = RegionField(store, arena=self._field_arena())
+                    existing = RegionField(
+                        store, arena=self._field_arena(), uninitialised=uninitialised
+                    )
                     self._fields[store.uid] = existing
+                    if self._profiler is not None:
+                        self._profiler.record_field_allocation(uninitialised)
         return existing
 
     def attach(self, store: Store, data: np.ndarray) -> RegionField:

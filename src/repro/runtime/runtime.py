@@ -61,9 +61,9 @@ class LegionRuntime:
         opaque_registry: Optional[OpaqueTaskRegistry] = None,
     ) -> None:
         self.machine = machine or MachineConfig()
-        self.regions = RegionManager()
-        self.coherence = CoherenceTracker(self.machine)
         self.profiler = Profiler()
+        self.regions = RegionManager(self.profiler)
+        self.coherence = CoherenceTracker(self.machine)
         self.executor = TaskExecutor(self.regions, self.machine, self.profiler)
         self.opaque_registry = opaque_registry or default_opaque_registry()
         # Per-task kernels correspond to the libraries' pre-compiled task

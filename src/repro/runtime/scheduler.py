@@ -57,7 +57,7 @@ from repro.runtime.executor import ChunkWork
 from repro.runtime.pool import guarded, submit_guarded, worker_pool
 from repro.runtime.superkernel import (
     SuperKernelStep,
-    maybe_lower_plan,
+    lower_when_earned,
     run_superkernel_ranks,
 )
 from repro.runtime.trace import (
@@ -347,6 +347,9 @@ class PlanScheduler:
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
+        #: Speculative super-kernel lowerings outstanding among this
+        #: scheduler's plans (``superkernel.lower_when_earned``).
+        self.speculating = 0
 
     def execute(
         self,
@@ -363,17 +366,18 @@ class PlanScheduler:
         runtime.flush_overlap_accounting()
         overlap = config.overlap_model_enabled()
         if config.superkernel_enabled() and not overlap:
-            # Lower the plan into epoch super-kernels (cached on the
-            # plan).  The overlap model keeps the unfused plan: its
-            # per-level max-time accounting needs the step records.
-            plan = maybe_lower_plan(plan, tasks, profiler) or plan
+            # Replay the plan's epoch super-kernels once it has earned
+            # them (lowered once, cached on the plan).  The overlap
+            # model keeps the unfused plan: its per-level max-time
+            # accounting needs the step records.
+            plan = lower_when_earned(plan, tasks, self, profiler) or plan
         schedule = plan.schedule
         if schedule is None:
             schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
         decisions = _plan_dispatch(schedule, executor, slot_stores, tasks)
         steps = schedule.steps
         #: Per-replay slot -> region field memo shared by all steps.
-        prepare = partial(self._step_work, slot_stores, tasks, {})
+        prepare = partial(self._step_work, slot_stores, tasks, {}, plan.uninitialised_slots)
         workers, point_width = config.worker_count(), config.point_worker_count()
         resident = None
         if point_width > 1 and config.dispatch_backend() == "process":
@@ -463,6 +467,7 @@ class PlanScheduler:
         slot_stores: Sequence[Store],
         tasks: Sequence[IndexTask],
         fields: Dict[int, object],
+        uninitialised,
         entry: ScheduledStep,
     ) -> ChunkWork:
         """Prepare one step on the scheduling thread.
@@ -483,7 +488,9 @@ class PlanScheduler:
             if not is_reduction:
                 resolved = fields.get(slot)
                 if resolved is None:
-                    resolved = fields[slot] = regions.field(slot_stores[slot])
+                    resolved = fields[slot] = regions.field(
+                        slot_stores[slot], slot in uninitialised
+                    )
             rows.append((key, resolved, is_reduction, table))
         if not entry.compiled:
             return executor.opaque_work(

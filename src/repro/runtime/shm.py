@@ -84,9 +84,15 @@ class SharedArena:
     # Allocation.
     # ------------------------------------------------------------------
     def allocate(
-        self, shape: Tuple[int, ...], dtype
+        self, shape: Tuple[int, ...], dtype, zero: bool = True
     ) -> Tuple[np.ndarray, BlockDescriptor]:
-        """A zero-filled shared array plus its shippable descriptor."""
+        """A shared array plus its shippable descriptor.
+
+        Zero-filled unless the caller passes ``zero=False`` because it
+        writes every element before anything reads one (see
+        ``RegionManager.field``): segments are recycled, so a reused
+        hole still holds the previous block's bytes.
+        """
         dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(shape, dtype=np.int64))) * dtype.itemsize
         size = _align(nbytes)
@@ -106,9 +112,8 @@ class SharedArena:
                 "shm.alloc", f"segment={name} offset={offset} bytes={size}"
             )
         array = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=offset)
-        # Segments are recycled: a reused hole still holds the previous
-        # block's bytes, and region fields are defined to start zeroed.
-        array.fill(0)
+        if zero:
+            array.fill(0)
         return array, descriptor
 
     def _find_hole(self, size: int) -> Optional[Tuple[str, int]]:

@@ -5,11 +5,13 @@ Kernel fusion (PR 1) stops at the fusion-window boundary, so a captured
 compiled launches — each a separate Python-level closure call with its
 own buffer materialisation, and each non-element-wise launch one call
 *per rank*.  This module extends fusion across those launch boundaries:
-at first replay of a plan (and once per plan), maximal contiguous runs
-of :class:`CompiledStep`\\ s are spliced into a single generated
-``__kernel__`` (:func:`repro.kernel.codegen.generate_superkernel_source`)
-that executes the constituent kernels section by section in recorded
-order.  Element-wise steps become straight-line *merged* sections;
+once per plan — at its first replay while a speculation slot is free,
+else at its break-even replay (:func:`lower_when_earned`) — maximal
+contiguous runs of :class:`CompiledStep`\\ s are spliced into a single
+generated ``__kernel__``
+(:func:`repro.kernel.codegen.generate_superkernel_source`) that
+executes the constituent kernels section by section in recorded order.
+Element-wise steps become straight-line *merged* sections;
 non-element-wise steps become *ranked* sections whose per-rank closure
 calls collapse into an internal Python loop — one closure call per plan
 step run, instead of one per step per rank.
@@ -59,7 +61,7 @@ from repro.kernel import codegen
 from repro.kernel.codegen import SuperKernelSection, generate_superkernel_source
 from repro.kernel.kir import assignment_loads_buffers, sole_buffer_assignment
 from repro.kernel.lowering import BackendDivergenceError
-from repro.runtime import telemetry
+from repro.runtime import procpool, telemetry
 from repro.runtime.executor import compiled_ranks
 from repro.runtime.pool import merged_table_span
 from repro.runtime.trace import AnalysisCharge, CompiledStep, ExecutionPlan
@@ -155,9 +157,8 @@ def _reload_superkernels() -> None:
     reload hook already bumps the resident generation — this drop is
     hygiene so a discarded lowering cannot keep a dead registration (and
     its parent-side template tuples) alive through the plan it hangs off.
+    A retired speculative lowering returns its slot.
     """
-    from repro.runtime import procpool
-
     for ref in _LOWERED_PLANS:
         plan = ref()
         if plan is not None:
@@ -166,6 +167,7 @@ def _reload_superkernels() -> None:
                 procpool.retire_resident_plan(cached)
             procpool.retire_resident_plan(plan)
             plan.superkernel = None
+            _repay(plan)
     _LOWERED_PLANS.clear()
 
 
@@ -480,14 +482,24 @@ def _build_unit(
     )
 
 
+def _fusible_units(plan: ExecutionPlan) -> List[List[int]]:
+    """:func:`_collect_units` of a plan with no lowering; "none" is cached on it."""
+    units = _collect_units(plan)
+    if not units:
+        plan.superkernel = _NO_UNITS
+        _register_lowered(plan)
+    return units
+
+
 def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[ExecutionPlan]:
     """The super-kernel lowering of ``plan``, or None when nothing fuses.
 
     The lowering is computed once per plan and cached on it (retired by
     :func:`config.reload_flags` via the registered callback).  The
     caller gates on the ``REPRO_SUPERKERNEL`` flag and the overlap
-    model; the interpreter backend never lowers and the differential
-    backend lowers in verify mode.
+    model, and :func:`lower_when_earned` on the plan having earned it;
+    the interpreter backend never lowers and the differential backend
+    lowers in verify mode.
     """
     cached = plan.superkernel
     if cached is not None:
@@ -496,10 +508,8 @@ def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[Exec
     if backend == "interpreter":
         return None
 
-    units = _collect_units(plan)
+    units = _fusible_units(plan)
     if not units:
-        plan.superkernel = _NO_UNITS
-        _register_lowered(plan)
         return None
 
     verify = backend == "differential"
@@ -531,9 +541,70 @@ def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[Exec
         temporaries_eliminated=plan.temporaries_eliminated,
         task_count=plan.task_count,
         liveness=plan.liveness,
+        uninitialised_slots=plan.uninitialised_slots,
     )
     plan.superkernel = lowered
     _register_lowered(plan)
+    return lowered
+
+
+# ----------------------------------------------------------------------
+# The gate: when the one lowering runs.
+# ----------------------------------------------------------------------
+#: ``B``, the break-even replay count: lowering a plan costs about what
+#: ``B`` replays of its super-kernel save (the sweep is in
+#: ``docs/architecture.md``, "Cold path").  A plan that has replayed
+#: ``B`` times is lowered unconditionally — buying at break-even costs
+#: at most twice the optimum whatever the plan's lifetime (ski rental).
+BREAK_EVEN_REPLAYS = 6
+
+#: ``N``, the speculation budget: how many plans of one scheduler may
+#: hold a lowering built *before* their ``B``-th replay.  A speculative
+#: lowering is repaid — its slot returned — when its plan reaches ``B``.
+#: At least the three plans of a CG iteration, so an application's
+#: handful of hot plans lower at first replay as they always did, while
+#: a stream of short-lived plans stops paying for lowerings it never
+#: amortises once ``N`` of them are outstanding.
+SPECULATIVE_LOWERINGS = 4
+
+
+def _repay(plan: ExecutionPlan) -> None:
+    """Return the speculation slot ``plan``'s lowering holds, if any."""
+    lender = plan.speculative
+    if lender is not None:
+        lender.speculating -= 1
+        plan.speculative = None
+
+
+def lower_when_earned(plan: ExecutionPlan, tasks, lender, profiler) -> Optional[ExecutionPlan]:
+    """Count one replay of ``plan``; its lowering, if it may have one yet.
+
+    ``lender`` is the plan scheduler replaying the plan and
+    ``lender.speculating`` its count of outstanding speculative
+    lowerings.  A plan is lowered (:func:`maybe_lower_plan`, the one
+    lowering routine) at its first replay while a slot is free, and at
+    its ``B``-th replay otherwise; a replay that runs un-lowered for
+    want of a slot records ``decline_plan_not_hot``.  Plans with no
+    fusible unit take no slot.  The state is all counts, so which
+    replay lowers which plan repeats exactly from run to run.
+    """
+    plan.replays += 1
+    earned = plan.replays >= BREAK_EVEN_REPLAYS
+    if earned:
+        _repay(plan)
+    fresh = plan.superkernel is None
+    if fresh and not earned and lender.speculating >= SPECULATIVE_LOWERINGS:
+        if config.default_backend() != "interpreter" and _fusible_units(plan):
+            profiler.record_plan_not_hot()
+        return None
+    lowered = maybe_lower_plan(plan, tasks, profiler)
+    if fresh and lowered is not None:
+        # The un-lowered plan may have replayed resident under the
+        # process backend: one live registration per plan.
+        procpool.retire_resident_plan(plan)
+        if not earned:
+            plan.speculative = lender
+            lender.speculating += 1
     return lowered
 
 

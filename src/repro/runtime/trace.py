@@ -46,7 +46,7 @@ Correctness notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.ir.domain import Domain
 from repro.ir.partition import Partition
@@ -182,6 +182,9 @@ class CompiledStep:
     #: which both batches the launch and still lets point dispatch split
     #: it — the composition the PR-4 whole-domain batching precluded.
     elementwise: bool = False
+    #: Slots this launch assigns whole before anything observes them
+    #: (the uninitialised-allocation rule of ``RegionManager.field``).
+    defined_slots: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -247,11 +250,23 @@ class ExecutionPlan:
     #: the trace key, re-exposed here so the super-kernel lowering can
     #: fold dead intermediate slots without re-deriving liveness).
     liveness: Tuple[bool, ...] = ()
+    #: Slots whose field, when a replay has to allocate it, may be
+    #: allocated uninitialised: the first step touching the slot in
+    #: recorded order defines it whole (``CompiledStep.defined_slots``).
+    #: Every other step touching the slot depends on that step, so any
+    #: level order runs it first.  Decided once, at capture.
+    uninitialised_slots: FrozenSet[int] = frozenset()
     #: Cached super-kernel lowering (``runtime.superkernel``): the
     #: lowered plan, or a module-private sentinel when nothing fused.
     #: Retired on ``config.reload_flags()`` so flag flips cannot replay
     #: stale fused closures.
     superkernel: Optional[object] = None
+    #: Replays of this plan the super-kernel gate has counted, and — while
+    #: the plan's lowering is still a speculation (built before the plan
+    #: reached its break-even replay count) — the plan scheduler whose
+    #: speculation slot it holds (``runtime.superkernel.lower_when_earned``).
+    replays: int = 0
+    speculative: Optional[object] = None
     #: Cached resident-process registration (``runtime.procpool``): the
     #: :class:`ResidentPlan` whose parent-assigned id names this plan's
     #: worker-resident templates, tagged with the resident generation it
@@ -323,19 +338,16 @@ class TraceRecorder:
 
         buffer_order = binding.buffer_order or tuple(binding.buffer_args.items())
         bindings = []
+        defined_slots = []
         num_points = 0
         for name, arg_index in buffer_order:
             arg = args[arg_index]
             table = executor.launch_rects(arg, task)
             num_points = len(table)
-            bindings.append(
-                (
-                    name,
-                    slot_of_uid[arg.store.uid],
-                    arg.privilege is Privilege.REDUCE,
-                    table,
-                )
-            )
+            slot = slot_of_uid[arg.store.uid]
+            bindings.append((name, slot, arg.privilege is Privilege.REDUCE, table))
+            if name in binding.defined_first and executor.defines_store(task, arg, table):
+                defined_slots.append(slot)
         if not bindings:
             num_points = sum(1 for _ in task.launch_domain.points())
 
@@ -371,6 +383,7 @@ class TraceRecorder:
             communication_seconds=record.communication_seconds,
             overhead_seconds=record.overhead_seconds,
             elementwise=elementwise,
+            defined_slots=tuple(defined_slots),
         )
 
     def _footprint(self, args) -> StepFootprint:
@@ -448,6 +461,17 @@ class TraceRecorder:
             for slot, store in enumerate(self.stream.slot_stores)
         )
         forwarded, fused, fused_constituents, temporaries = stats_deltas
+        touched: set = set()
+        uninitialised = set()
+        for step in self.steps:
+            if isinstance(step, AnalysisCharge):
+                continue
+            defined = getattr(step, "defined_slots", ())
+            for slot, _reads, _writes, _reduces in step.footprint:
+                if slot not in touched:
+                    touched.add(slot)
+                    if slot in defined:
+                        uninitialised.add(slot)
         return ExecutionPlan(
             steps=tuple(self.steps),
             exit_states=exit_states,
@@ -459,6 +483,7 @@ class TraceRecorder:
             temporaries_eliminated=temporaries,
             task_count=len(self.stream.position_of_uid),
             liveness=tuple(self.stream.stream_key[1]),
+            uninitialised_slots=frozenset(uninitialised),
         )
 
 
@@ -648,8 +673,8 @@ class TraceController:
         joined, so a store with no application handle, no buffered task
         and no runtime reference can never be observed again — its
         field is reclaimed (the store object itself stays registered;
-        should code ever touch it again it gets a fresh zeroed field,
-        the defined initial state).
+        should code ever touch it again it gets a fresh field, zeroed
+        unless the launch it is allocated for defines it whole).
         """
         regions = self.engine.runtime.regions
         watch = self._reclaim_watch

@@ -12,6 +12,49 @@ from repro.ir.privilege import Privilege
 from repro.ir.store import StoreManager
 from repro.ir.task import IndexTask, StoreArg
 from repro.runtime.machine import MachineConfig
+from repro.runtime.region import RegionField
+
+
+# ----------------------------------------------------------------------
+# The poisoned-allocation lever (the safety net of the allocation rule).
+# ----------------------------------------------------------------------
+def _poisoned_region_field_init():
+    """``RegionField.__init__`` whose uninitialised storage arrives poisoned.
+
+    Storage allocated without a zero-fill (``RegionManager.field``'s
+    rule said the allocating launch defines every element first) is
+    filled with 0xFF bytes — a NaN as ``float64``, -1 as an integer —
+    instead of whatever the heap held, which under the pinned allocator
+    is usually a plausible-looking earlier array.  A wrong verdict then
+    shows as a NaN in a result rather than as a rare wrong digit.
+    """
+    original = RegionField.__init__
+
+    def poisoned(self, store, initial=None, arena=None, uninitialised=False):
+        original(self, store, initial, arena, uninitialised)
+        if uninitialised:
+            self.data.reshape(-1).view(np.uint8)[:] = 0xFF
+
+    return poisoned
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--poison-fields",
+        action="store_true",
+        help="poison every uninitialised region-field allocation for the whole run",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--poison-fields"):
+        RegionField.__init__ = _poisoned_region_field_init()
+
+
+@pytest.fixture
+def poison_fields(monkeypatch):
+    """Arm the poisoned-allocation lever for one test."""
+    monkeypatch.setattr(RegionField, "__init__", _poisoned_region_field_init())
 
 
 @pytest.fixture(autouse=True, scope="session")

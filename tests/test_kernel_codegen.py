@@ -29,6 +29,9 @@ from repro.kernel.generators import default_registry
 from repro.kernel.kir import (
     Alloc,
     Assign,
+    BinOp,
+    BinOpKind,
+    Const,
     Function,
     Load,
     Loop,
@@ -217,6 +220,53 @@ class TestFusedKernelDifferential:
         rng = np.random.default_rng(13)
         buffers, scalars = _make_buffers(function, rng)
         _assert_identical(function, buffers, scalars)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=str)
+class TestNonFiniteConstants:
+    """``Const(inf)`` / ``Const(nan)`` must generate source that compiles.
+
+    ``repr(float("inf"))`` is ``inf``, which is not a name in the
+    generated module: the backends disagreed by ``NameError``.
+    """
+
+    def test_elementwise_operand(self, value):
+        function = Function(
+            name="clamp",
+            params=(Param.buffer("x"), Param.buffer("out")),
+            body=(
+                Loop(
+                    index_buffer="out",
+                    body=(
+                        Assign("out", BinOp(BinOpKind.MIN, Load("x"), Const(value))),
+                    ),
+                ),
+            ),
+        )
+        buffers = {"x": np.array([-np.inf, -1.0, 0.0, 2.5, np.inf]), "out": np.zeros(5)}
+        _assert_identical(function, buffers, {})
+
+    @pytest.mark.parametrize("kind", list(ReduceKind), ids=lambda kind: kind.name)
+    def test_reduction_operand(self, value, kind):
+        function = Function(
+            name="reduce_const",
+            params=(Param.buffer("x"), Param.buffer("bare"), Param.buffer("mixed")),
+            body=(
+                Loop(
+                    index_buffer="x",
+                    body=(
+                        Reduce(target="bare", kind=kind, expr=Const(value)),
+                        Reduce(
+                            target="mixed",
+                            kind=kind,
+                            expr=BinOp(BinOpKind.MAX, Load("x"), Const(value)),
+                        ),
+                    ),
+                ),
+            ),
+        )
+        buffers = {"x": np.arange(1.0, 5.0), "bare": None, "mixed": None}
+        _assert_identical(function, buffers, {})
 
 
 class TestCodegenContract:

@@ -69,6 +69,9 @@ def _dirty(profiler: Profiler) -> None:
     profiler.wire_bytes = 4096
     profiler.wire_requests = 17
     profiler.record_decline("below_volume")
+    profiler.record_plan_not_hot()
+    profiler.record_field_allocation(uninitialised=True)
+    profiler.record_field_allocation(uninitialised=False)
     # Process-wide: the profiler reports the calls since its own baseline.
     codegen_stats().multi_block_calls += 2
 
@@ -111,6 +114,9 @@ def test_snapshot_reflects_counters_and_reset():
     assert snapshot["wire_bytes"] == 4096
     assert snapshot["decline_below_volume"] == 1
     assert snapshot["decline_worker_lost"] == 0
+    assert snapshot["decline_plan_not_hot"] == 1
+    assert snapshot["fields_uninitialised"] == 1
+    assert snapshot["fields_zero_filled"] == 1
     assert snapshot["multi_block_calls"] == 2
     assert snapshot["total_index_tasks"] == 1
     assert snapshot["total_constituent_tasks"] == 3
