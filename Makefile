@@ -1,9 +1,9 @@
 # Developer entry points for the reproduction.
 #
 #   make test   - tier-1 test suite (the driver's acceptance gate)
-#   make bench  - tier-1 suite + wall-clock perf harness in smoke mode;
-#                 fails if the codegen and interpreter backends diverge
-#   make bench-full - full wall-clock harness (enforces the 3x CG gate)
+#   make bench  - tier-1 suite + the end-to-end benchmark, three sessions
+#                 per workload (engagement guards, hygiene, expected.json;
+#                 benchmarks/e2e/README.md)
 #   make diff-test  - tier-1 suite with the differential kernel backend
 #   make poison-test - tier-1 suite with every uninitialised region-field
 #                 allocation poisoned (NaN bytes; tests/conftest.py)
@@ -13,16 +13,13 @@
 PYTHON ?= python
 PYTHONPATH_ARG = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-full diff-test poison-test trace
+.PHONY: test bench diff-test poison-test trace
 
 test:
 	$(PYTHONPATH_ARG) $(PYTHON) -m pytest -x -q
 
 bench: test
-	$(PYTHONPATH_ARG) $(PYTHON) benchmarks/perf_wallclock.py --smoke
-
-bench-full: test
-	$(PYTHONPATH_ARG) $(PYTHON) benchmarks/perf_wallclock.py
+	python3 benchmarks/e2e/run.py --sessions 3
 
 diff-test:
 	$(PYTHONPATH_ARG) REPRO_KERNEL_BACKEND=differential $(PYTHON) -m pytest -x -q tests/

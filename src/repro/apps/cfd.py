@@ -43,7 +43,7 @@ from repro.runtime.opaque import register_opaque_task
 # so computing any sub-block — one rank's tile or a chunk's merged tiles
 # — performs the exact per-element float operations of the full-grid
 # expression.  That is what licenses the chunk-level implementation
-# below (``REPRO_OPAQUE_CHUNKS``): one vectorised call per rank tile of
+# below: one vectorised call per rank tile of
 # the chunk, no reduction partials to fold.
 # ----------------------------------------------------------------------
 def _rhs_block(u, v, out, lo, hi, scalars) -> None:

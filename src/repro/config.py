@@ -1,525 +1,188 @@
-"""Process-level configuration flags for the execution hot path.
+"""Process-level configuration: nine environment variables, one table.
 
-Several environment variables tune how the reproduction executes
-kernels; all are read lazily so tests and the wall-clock perf harness
-can flip them between runs in one process:
+Every ``REPRO_*`` variable the reproduction reads is a row of
+:data:`FLAGS` — ``env var -> (default, parser)``.  What each one does is
+documented once, in the "Configuration flags" table of
+``docs/architecture.md`` (a test keeps the two in step).  Values are
+parsed on first use and memoized, because the getters sit on
+per-point-task code paths; after changing a variable inside a running
+process call :func:`reload_flags` (and build a fresh ``RuntimeContext``:
+the Diffuse layer samples the trace flag once per engine).  Buffers and
+simulated seconds are bit-identical for every combination of values.
 
-``REPRO_KERNEL_BACKEND``
-    ``codegen`` (default) executes kernels through NumPy closures
-    compiled once per canonical kernel; ``interpreter`` uses the
-    tree-walking reference evaluator; ``differential`` runs both on
-    every invocation and raises on any bitwise divergence.
-
-``REPRO_HOTPATH_CACHE``
-    ``1`` (default) enables the submit→fuse→execute caches: sub-store
-    rect memoization, region-field view caching, partition interning,
-    per-task canonical signatures and SpMV index-conversion caching.
-    ``0`` disables all of them, restoring the seed caching behaviour;
-    ``benchmarks/perf_wallclock.py`` uses that as its baseline.  A few
-    micro-changes remain unconditional (vectorised reduction folding,
-    memoized StoreArgs, lazy hash caching) — the baseline was validated
-    within a few percent of a checkout of the actual seed commit.
-
-``REPRO_TRACE``
-    ``1`` (default) enables the deferred task stream with iteration-trace
-    capture and replay (``repro.runtime.trace``): the Diffuse layer
-    buffers each epoch of the task stream (delimited by the scalar reads
-    and flushes the applications already perform), hashes its canonical
-    form, records the fully-resolved sequence of fused launches on the
-    first steady occurrence, and replays that :class:`ExecutionPlan`
-    directly through the task executor on every later occurrence —
-    bypassing window buffering, dependence analysis, memoization lookups
-    and per-task coherence recomputation.  ``0`` restores the eager
-    per-task submission path.
-
-``REPRO_WORKERS``
-    Size of the persistent worker pool used by the plan scheduler
-    (``repro.runtime.scheduler``) to execute independent steps of a
-    captured :class:`ExecutionPlan` concurrently.  Unset defaults to
-    ``os.cpu_count()`` bounded to 8; ``1`` restores the serial replay
-    path of the trace layer.  Results are bit-identical for every value.
-
-``REPRO_POINT_WORKERS``
-    Width of *intra-launch* point-task dispatch: the per-rank point
-    tasks of one compiled or opaque launch are partitioned into
-    contiguous rank chunks and executed across the shared worker pool
-    (write tiles are disjoint by construction; reduction partials and
-    per-GPU simulated seconds are folded in recorded rank order at the
-    launch's join point, so buffers and simulated time are bit-identical
-    for every width).  ``1`` (default) keeps the serial per-rank launch
-    loop.
-
-``REPRO_POINT_MIN_RANKS``
-    Minimum number of launch ranks per dispatched chunk (default ``1``).
-    Bounds how finely a launch is split: a launch of ``R`` ranks
-    produces at most ``R // REPRO_POINT_MIN_RANKS`` chunks.
-
-``REPRO_OVERLAP_MODEL``
-    ``1`` switches simulated time to overlap-aware accounting: the plan
-    scheduler charges each dependence level of a replayed plan the
-    maximum over its steps rather than their sum, and the eager path
-    charges each greedy group of consecutive pairwise-independent
-    launches its maximum.  ``0`` (default) keeps the serial time
-    accounting, which is bit-identical to eager execution.
-
-``REPRO_NORMALIZE``
-    ``1`` (default) enables the algebraic normalisation pass that runs
-    before CSE (bit-exact negation pushing through division and the odd
-    ``erf``) together with value-based scalar-parameter deduplication in
-    fused kernels.  ``0`` restores the PR-2 kernel shapes (used by the
-    wall-clock harness to time the historical trace path).
-
-``REPRO_DISPATCH_BACKEND``
-    Substrate that executes dispatched point-task rank chunks.
-    ``thread`` (default) runs chunks on the shared in-process thread
-    pool; ``process`` runs chunks of *compiled* launches on a persistent
-    pool of worker processes (``repro.runtime.procpool``) over
-    zero-copy shared-memory region fields (``repro.runtime.shm``),
-    removing the GIL ceiling for interpreter-heavy and small-tile
-    kernels.  Buffers and simulated seconds are bit-identical between
-    the two backends for every worker/width combination.  Opaque
-    launches ship too when their operator is registered with a
-    chunk-level implementation (``REPRO_OPAQUE_CHUNKS``, below); opaque
-    launches without one — and non-shm fields — fall back to the thread
-    substrate.
-
-``REPRO_SHM_SEGMENT_BYTES``
-    Size of each shared-memory segment the region-field arena carves
-    block allocations out of (default 16 MiB; allocations larger than a
-    segment get a dedicated segment).  Only meaningful with
-    ``REPRO_DISPATCH_BACKEND=process``.
-
-``REPRO_RESIDENT_PLANS``
-    ``1`` (default) makes captured execution plans *resident* in the
-    worker processes of the process dispatch backend
-    (``repro.runtime.procpool``): the first resident replay ships each
-    plan's kernel specs, rect tables, shared-memory descriptors and
-    calling conventions to each worker once under a parent-assigned plan
-    id, and every later replay sends only ``(plan id, step, epoch
-    scalars, rank ranges)`` per dispatch — the per-chunk wire traffic of
-    a steady epoch collapses to a few dozen bytes per message.  Buffers
-    and simulated seconds stay bit-identical to both the per-chunk
-    protocol and the thread backend.  ``0`` restores the per-chunk
-    protocol; the flag is only meaningful with
-    ``REPRO_DISPATCH_BACKEND=process``.
-
-``REPRO_SUPERKERNEL``
-    ``1`` (default) enables the plan→super-kernel lowering pass
-    (``repro.runtime.superkernel``): contiguous compiled-step runs of a
-    captured :class:`ExecutionPlan` are spliced into one generated
-    function that executes the whole run — every per-rank launch of
-    every constituent step — in a single compiled-closure call, with
-    dead cross-launch intermediates folded into locals that skip field
-    materialisation entirely.  Buffers, simulated seconds and profiler
-    accounting are bit-identical to the unfused replay.  ``0`` restores
-    step-by-step plan replay.
-
-``REPRO_OPAQUE_CHUNKS``
-    ``1`` (default) executes opaque launches whose operator registers a
-    chunk-level implementation (``repro.runtime.opaque``) with one
-    library call per contiguous rank chunk — a single merged-span GEMV/
-    SpMV/transfer instead of one call per rank — and lets those chunks
-    ship to the worker-process pool and ride resident plans (opaque
-    operators are importable by name, so workers resolve them from
-    their own registry).  Reduction partials and per-rank modelled
-    seconds still fold at the launch join in recorded rank order, so
-    buffers and simulated time are bit-identical to the per-rank path.
-    ``0`` restores the one-call-per-rank execution of every opaque
-    launch.
-
-``REPRO_TELEMETRY``
-    ``1`` enables the span/event flight recorder
-    (``repro.runtime.telemetry``): epoch capture/replay, scheduler
-    levels and steps, point chunks, super-kernel and opaque chunk
-    calls, wire traffic and shared-memory arena activity are recorded
-    as begin/end spans into a preallocated ring buffer, exportable as
-    Chrome trace-event JSON (``python -m repro.tools.tracedump``).
-    Process-pool workers record into their own recorder and ship spans
-    back piggybacked on reply frames.  ``0`` (default) leaves every
-    instrumentation site on a module-level no-op fast path; buffers and
-    simulated seconds are bit-identical either way.
-
-``REPRO_TELEMETRY_EVENTS``
-    Capacity (number of events) of the telemetry ring buffer (default
-    65536).  When a run records more events than fit, the oldest are
-    overwritten and the export reports the drop count.
+Three layers are always on and have no variable: algebraic
+normalisation, epoch super-kernels and chunk-level opaque operators.
+Their reference paths remain (they are what the fused paths are verified
+against); tests reach them by flipping :data:`NORMALIZE`,
+:data:`SUPERKERNEL` or :data:`OPAQUE_CHUNKS` with ``monkeypatch.setattr``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List
+from typing import Callable, Dict, List, Tuple
 
-#: Environment variable selecting the kernel execution backend.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Recognised backend names.
+#: Recognised kernel backend names (``repro.kernel.lowering.lower``
+#: rejects anything else).
 BACKENDS = ("codegen", "interpreter", "differential")
-
-#: Environment variable gating the hot-path caches.
-HOTPATH_CACHE_ENV_VAR = "REPRO_HOTPATH_CACHE"
-
-#: Environment variable gating trace capture and replay.
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: Environment variable sizing the plan-scheduler worker pool.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable sizing intra-launch point-task dispatch.
-POINT_WORKERS_ENV_VAR = "REPRO_POINT_WORKERS"
-
-#: Environment variable bounding the smallest dispatched rank chunk.
-POINT_MIN_RANKS_ENV_VAR = "REPRO_POINT_MIN_RANKS"
-
-#: Environment variable enabling overlap-aware simulated-time accounting.
-OVERLAP_MODEL_ENV_VAR = "REPRO_OVERLAP_MODEL"
-
-#: Environment variable gating algebraic normalisation before CSE.
-NORMALIZE_ENV_VAR = "REPRO_NORMALIZE"
-
-#: Environment variable selecting the point-dispatch substrate.
-DISPATCH_BACKEND_ENV_VAR = "REPRO_DISPATCH_BACKEND"
 
 #: Recognised dispatch backend names.
 DISPATCH_BACKENDS = ("thread", "process")
 
-#: Environment variable sizing shared-memory arena segments.
-SHM_SEGMENT_ENV_VAR = "REPRO_SHM_SEGMENT_BYTES"
-
-#: Default shared-memory segment size (bytes).
-DEFAULT_SHM_SEGMENT_BYTES = 16 * 1024 * 1024
-
-#: Environment variable gating plan→super-kernel lowering.
-SUPERKERNEL_ENV_VAR = "REPRO_SUPERKERNEL"
-
-#: Environment variable gating plan-resident process replay.
-RESIDENT_PLANS_ENV_VAR = "REPRO_RESIDENT_PLANS"
-
-#: Environment variable gating chunk-level opaque operator execution.
-OPAQUE_CHUNKS_ENV_VAR = "REPRO_OPAQUE_CHUNKS"
-
-#: Environment variable gating the span/event flight recorder.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
-
-#: Environment variable sizing the telemetry ring buffer (events).
-TELEMETRY_EVENTS_ENV_VAR = "REPRO_TELEMETRY_EVENTS"
+#: Upper bound on the default worker count (explicit settings may exceed it).
+MAX_DEFAULT_WORKERS = 8
 
 #: Default telemetry ring-buffer capacity (events).
 DEFAULT_TELEMETRY_EVENTS = 65536
 
-#: Upper bound on the default worker count (explicit settings may exceed it).
-MAX_DEFAULT_WORKERS = 8
+#: Test levers for the always-on layers (see the module docstring).
+NORMALIZE = True
+SUPERKERNEL = True
+OPAQUE_CHUNKS = True
 
 
-def default_backend() -> str:
-    """The backend selected by the environment (``codegen`` by default)."""
-    backend = os.environ.get(BACKEND_ENV_VAR, "codegen").strip().lower()
-    return backend or "codegen"
+# ----------------------------------------------------------------------
+# Parsers: (stripped, lower-cased, non-empty raw value, default) -> value.
+# ----------------------------------------------------------------------
+def _switch(raw: str, default: bool) -> bool:
+    """An on/off flag; anything unrecognised keeps the default."""
+    if raw in ("0", "off", "false"):
+        return False
+    if raw in ("1", "on", "true"):
+        return True
+    return default
 
 
-_hotpath_cache_flag: bool | None = None
-
-
-def hotpath_cache_enabled() -> bool:
-    """True unless ``REPRO_HOTPATH_CACHE`` disables the launch caches.
-
-    The flag is read from the environment once and memoized — it sits on
-    per-point-task code paths.  Call :func:`reload_flags` after changing
-    the environment variable inside a running process (the perf harness
-    and the backend tests do).
-    """
-    global _hotpath_cache_flag
-    if _hotpath_cache_flag is None:
-        _hotpath_cache_flag = os.environ.get(
-            HOTPATH_CACHE_ENV_VAR, "1"
-        ).strip().lower() not in ("0", "off", "false")
-    return _hotpath_cache_flag
-
-
-_trace_flag: bool | None = None
-
-
-def trace_enabled() -> bool:
-    """True unless ``REPRO_TRACE`` disables trace capture and replay.
-
-    Memoized like :func:`hotpath_cache_enabled`; the Diffuse layer
-    additionally samples it once per engine, so call
-    :func:`reload_flags` *and* build a fresh context after changing the
-    environment variable inside a running process.
-    """
-    global _trace_flag
-    if _trace_flag is None:
-        _trace_flag = os.environ.get(
-            TRACE_ENV_VAR, "1"
-        ).strip().lower() not in ("0", "off", "false")
-    return _trace_flag
-
-
-def _positive_int_env(env_var: str, default: int) -> int:
-    """Parse a positive-integer flag, clamping explicit values to ≥ 1.
-
-    The single parser behind every ``REPRO_*`` worker/width knob, so
-    junk values degrade to the serial behaviour consistently.
-    """
-    raw = os.environ.get(env_var, "").strip()
-    if not raw:
-        return default
+def _positive_int(raw: str, default: int) -> int:
+    """A worker/width knob: clamped to >= 1, junk degrades to serial."""
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
 
 
-_worker_count: int | None = None
+def _dispatch_backend(raw: str, default: str) -> str:
+    return raw if raw in DISPATCH_BACKENDS else default
 
 
-def worker_count() -> int:
-    """Size of the plan-scheduler worker pool (``REPRO_WORKERS``).
+def _ring_capacity(raw: str, default: int) -> int:
+    """Junk or non-positive values keep the default; the floor of 16
+    leaves room for at least a handful of nested spans."""
+    try:
+        value = int(raw)
+    except ValueError:
+        return default
+    return max(16, value) if value > 0 else default
 
-    Unset defaults to ``os.cpu_count()`` bounded to
-    :data:`MAX_DEFAULT_WORKERS`; explicit values are clamped to at least
-    1.  ``1`` restores the serial trace-replay path.  Memoized like the
-    other flags — call :func:`reload_flags` after changing the variable.
+
+def _name(raw: str, default: str) -> str:
+    return raw
+
+
+#: Every environment variable the reproduction reads.
+FLAGS: Dict[str, Tuple[object, Callable]] = {
+    "REPRO_KERNEL_BACKEND": ("codegen", _name),
+    "REPRO_HOTPATH_CACHE": (True, _switch),
+    "REPRO_TRACE": (True, _switch),
+    "REPRO_WORKERS": (max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)), _positive_int),
+    "REPRO_POINT_WORKERS": (1, _positive_int),
+    "REPRO_DISPATCH_BACKEND": ("thread", _dispatch_backend),
+    "REPRO_RESIDENT_PLANS": (True, _switch),
+    "REPRO_TELEMETRY": (False, _switch),
+    "REPRO_TELEMETRY_EVENTS": (DEFAULT_TELEMETRY_EVENTS, _ring_capacity),
+}
+
+#: Parsed values, filled on first use; :func:`reload_flags` clears it.
+_MEMO: Dict[str, object] = {}
+
+
+def _read(name: str):
+    """Parse ``name`` from the environment (unset or empty: its default)."""
+    default, parse = FLAGS[name]
+    raw = os.environ.get(name, "").strip().lower()
+    return parse(raw, default) if raw else default
+
+
+def _getter(name: str, doc: str) -> Callable:
+    """The memoized accessor of one :data:`FLAGS` row: a single dict
+    read once parsed, with no ``os.environ`` access per call."""
+
+    def get():
+        try:
+            return _MEMO[name]
+        except KeyError:
+            value = _MEMO[name] = _read(name)
+            return value
+
+    get.__doc__ = doc
+    return get
+
+
+def default_backend() -> str:
+    """The kernel backend (``REPRO_KERNEL_BACKEND``).
+
+    Read from the environment on every call rather than memoized: it is
+    consulted once per kernel or plan lowering, never per point task, and
+    a stale ``differential`` would silently change what later runs check.
     """
-    global _worker_count
-    if _worker_count is None:
-        _worker_count = _positive_int_env(
-            WORKERS_ENV_VAR,
-            max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)),
-        )
-    return _worker_count
+    return _read("REPRO_KERNEL_BACKEND")
 
 
-_point_worker_count: int | None = None
-
-
-def point_worker_count() -> int:
-    """Width of intra-launch point dispatch (``REPRO_POINT_WORKERS``).
-
-    ``1`` (the default) keeps the serial per-rank launch loop; larger
-    values partition each launch's point tasks into that many contiguous
-    rank chunks executed across the shared worker pool.  Results are
-    bit-identical for every value.  Memoized like the other flags — call
-    :func:`reload_flags` after changing the variable.
-    """
-    global _point_worker_count
-    if _point_worker_count is None:
-        _point_worker_count = _positive_int_env(POINT_WORKERS_ENV_VAR, 1)
-    return _point_worker_count
-
-
-_point_min_ranks: int | None = None
-
-
-def point_min_ranks() -> int:
-    """Minimum launch ranks per dispatched chunk (``REPRO_POINT_MIN_RANKS``)."""
-    global _point_min_ranks
-    if _point_min_ranks is None:
-        _point_min_ranks = _positive_int_env(POINT_MIN_RANKS_ENV_VAR, 1)
-    return _point_min_ranks
-
-
-_overlap_model_flag: bool | None = None
-
-
-def overlap_model_enabled() -> bool:
-    """True when ``REPRO_OVERLAP_MODEL`` enables level-max time accounting."""
-    global _overlap_model_flag
-    if _overlap_model_flag is None:
-        _overlap_model_flag = os.environ.get(
-            OVERLAP_MODEL_ENV_VAR, "0"
-        ).strip().lower() in ("1", "on", "true")
-    return _overlap_model_flag
-
-
-_normalize_flag: bool | None = None
+hotpath_cache_enabled = _getter(
+    "REPRO_HOTPATH_CACHE", "True unless the launch caches are off (the seed path)."
+)
+trace_enabled = _getter(
+    "REPRO_TRACE", "True unless trace capture and replay are off (eager submission)."
+)
+worker_count = _getter("REPRO_WORKERS", "Size of the plan-scheduler worker pool.")
+point_worker_count = _getter(
+    "REPRO_POINT_WORKERS", "Width of intra-launch point dispatch (1 = serial rank loop)."
+)
+dispatch_backend = _getter(
+    "REPRO_DISPATCH_BACKEND", "Substrate of dispatched rank chunks: thread or process."
+)
+resident_plans_enabled = _getter(
+    "REPRO_RESIDENT_PLANS", "True unless process replay uses the per-chunk protocol."
+)
+telemetry_enabled = _getter("REPRO_TELEMETRY", "True when the span flight recorder is armed.")
+telemetry_event_capacity = _getter(
+    "REPRO_TELEMETRY_EVENTS", "Capacity (events) of the telemetry ring buffer."
+)
 
 
 def normalize_enabled() -> bool:
-    """True unless ``REPRO_NORMALIZE`` disables algebraic normalisation."""
-    global _normalize_flag
-    if _normalize_flag is None:
-        _normalize_flag = os.environ.get(
-            NORMALIZE_ENV_VAR, "1"
-        ).strip().lower() not in ("0", "off", "false")
-    return _normalize_flag
-
-
-_dispatch_backend: str | None = None
-
-
-def dispatch_backend() -> str:
-    """The point-dispatch substrate (``REPRO_DISPATCH_BACKEND``).
-
-    ``thread`` (the default) or ``process``; unrecognised values degrade
-    to ``thread``.  Memoized like the other flags — call
-    :func:`reload_flags` after changing the variable.
-    """
-    global _dispatch_backend
-    if _dispatch_backend is None:
-        raw = os.environ.get(DISPATCH_BACKEND_ENV_VAR, "thread").strip().lower()
-        _dispatch_backend = raw if raw in DISPATCH_BACKENDS else "thread"
-    return _dispatch_backend
-
-
-_shm_segment_bytes: int | None = None
-
-
-def shm_segment_bytes() -> int:
-    """Shared-memory arena segment size (``REPRO_SHM_SEGMENT_BYTES``)."""
-    global _shm_segment_bytes
-    if _shm_segment_bytes is None:
-        raw = os.environ.get(SHM_SEGMENT_ENV_VAR, "").strip()
-        try:
-            value = int(raw) if raw else DEFAULT_SHM_SEGMENT_BYTES
-        except ValueError:
-            value = DEFAULT_SHM_SEGMENT_BYTES
-        # Floor of one page: a smaller segment cannot hold anything and
-        # SharedMemory rounds up to a page anyway.
-        _shm_segment_bytes = max(4096, value)
-    return _shm_segment_bytes
-
-
-_superkernel_flag: bool | None = None
+    """Algebraic normalisation before CSE (:data:`NORMALIZE`)."""
+    return NORMALIZE
 
 
 def superkernel_enabled() -> bool:
-    """True unless ``REPRO_SUPERKERNEL`` disables super-kernel lowering.
-
-    Memoized like the other flags — call :func:`reload_flags` after
-    changing the variable inside a running process.  Lowering is
-    additionally skipped (regardless of this flag) for the interpreter
-    backend and under ``REPRO_OVERLAP_MODEL=1``; see
-    ``repro.runtime.superkernel``.
-    """
-    global _superkernel_flag
-    if _superkernel_flag is None:
-        _superkernel_flag = os.environ.get(
-            SUPERKERNEL_ENV_VAR, "1"
-        ).strip().lower() not in ("0", "off", "false")
-    return _superkernel_flag
-
-
-_resident_plans_flag: bool | None = None
-
-
-def resident_plans_enabled() -> bool:
-    """True unless ``REPRO_RESIDENT_PLANS`` disables plan-resident replay.
-
-    On by default; only consulted by the process dispatch backend (the
-    thread backend has no wire protocol to amortise).  Memoized like the
-    other flags — call :func:`reload_flags` after changing the variable
-    inside a running process.
-    """
-    global _resident_plans_flag
-    if _resident_plans_flag is None:
-        _resident_plans_flag = os.environ.get(
-            RESIDENT_PLANS_ENV_VAR, "1"
-        ).strip().lower() not in ("0", "off", "false")
-    return _resident_plans_flag
-
-
-_opaque_chunks_flag: bool | None = None
+    """Plan -> super-kernel lowering (:data:`SUPERKERNEL`)."""
+    return SUPERKERNEL
 
 
 def opaque_chunks_enabled() -> bool:
-    """True unless ``REPRO_OPAQUE_CHUNKS`` disables chunk-level opaque calls.
-
-    On by default; only takes effect for operators registered with a
-    chunk-level implementation.  Memoized like the other flags — call
-    :func:`reload_flags` after changing the variable inside a running
-    process.
-    """
-    global _opaque_chunks_flag
-    if _opaque_chunks_flag is None:
-        _opaque_chunks_flag = os.environ.get(
-            OPAQUE_CHUNKS_ENV_VAR, "1"
-        ).strip().lower() not in ("0", "off", "false")
-    return _opaque_chunks_flag
+    """Chunk-level opaque operator calls (:data:`OPAQUE_CHUNKS`)."""
+    return OPAQUE_CHUNKS
 
 
-_telemetry_flag: bool | None = None
-
-
-def telemetry_enabled() -> bool:
-    """True when ``REPRO_TELEMETRY`` enables the span flight recorder.
-
-    Off by default — the instrumentation sites then reduce to one
-    module-global read in ``repro.runtime.telemetry``.  Memoized like
-    the other flags — call :func:`reload_flags` after changing the
-    variable inside a running process.
-    """
-    global _telemetry_flag
-    if _telemetry_flag is None:
-        _telemetry_flag = os.environ.get(
-            TELEMETRY_ENV_VAR, "0"
-        ).strip().lower() in ("1", "on", "true")
-    return _telemetry_flag
-
-
-_telemetry_events: int | None = None
-
-
-def telemetry_event_capacity() -> int:
-    """Telemetry ring-buffer capacity (``REPRO_TELEMETRY_EVENTS``).
-
-    Junk or non-positive values degrade to the default; a floor of 16
-    keeps the ring usable for at least a handful of nested spans.
-    """
-    global _telemetry_events
-    if _telemetry_events is None:
-        raw = os.environ.get(TELEMETRY_EVENTS_ENV_VAR, "").strip()
-        try:
-            value = int(raw) if raw else DEFAULT_TELEMETRY_EVENTS
-        except ValueError:
-            value = DEFAULT_TELEMETRY_EVENTS
-        if value <= 0:
-            value = DEFAULT_TELEMETRY_EVENTS
-        _telemetry_events = max(16, value)
-    return _telemetry_events
-
-
-#: Callbacks invoked by :func:`reload_flags` after the memoized flags are
-#: reset.  The worker pools register themselves here so a flag flip
-#: (worker counts, dispatch backend) retires a now-stale pool singleton
-#: instead of letting the next launch reuse it (``runtime/pool.py`` and
-#: ``runtime/procpool.py``).  Registration deduplicates by identity so a
-#: re-import cannot double-register.
+# ----------------------------------------------------------------------
+# Reload.
+# ----------------------------------------------------------------------
+#: Callbacks invoked by :func:`reload_flags` after the memo is cleared.
+#: The worker pools, the telemetry ring and the super-kernel cache
+#: register here so a flag flip retires state built under the old values
+#: instead of letting the next launch reuse it.
 _RELOAD_CALLBACKS: List[Callable[[], None]] = []
 
 
 def register_reload_callback(callback: Callable[[], None]) -> None:
-    """Run ``callback`` on every :func:`reload_flags` (pool invalidation)."""
+    """Run ``callback`` on every :func:`reload_flags` (deduplicated)."""
     if callback not in _RELOAD_CALLBACKS:
         _RELOAD_CALLBACKS.append(callback)
 
 
 def reload_flags() -> None:
-    """Re-read the memoized environment flags on next access.
-
-    Also notifies the registered reload callbacks (the shared thread
-    pool and the process pool) so singletons sized from the old flag
-    values are retired rather than reused by the next launch.
-    """
-    global _hotpath_cache_flag, _trace_flag, _worker_count
-    global _overlap_model_flag, _normalize_flag
-    global _point_worker_count, _point_min_ranks
-    global _dispatch_backend, _shm_segment_bytes, _superkernel_flag
-    global _resident_plans_flag, _opaque_chunks_flag
-    global _telemetry_flag, _telemetry_events
-    _telemetry_flag = None
-    _telemetry_events = None
-    _superkernel_flag = None
-    _resident_plans_flag = None
-    _opaque_chunks_flag = None
-    _hotpath_cache_flag = None
-    _trace_flag = None
-    _worker_count = None
-    _overlap_model_flag = None
-    _normalize_flag = None
-    _point_worker_count = None
-    _point_min_ranks = None
-    _dispatch_backend = None
-    _shm_segment_bytes = None
+    """Re-read every flag on next access and notify the reload callbacks."""
+    _MEMO.clear()
     for callback in _RELOAD_CALLBACKS:
         callback()

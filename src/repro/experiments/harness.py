@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
-from repro import config as repro_config
 from repro.apps.base import build_application
 from repro.baselines.petsc import KSP, PetscMachineModel, Vec, poisson_2d_aij
 from repro.frontend.legate.context import RuntimeContext, set_context
@@ -104,81 +103,22 @@ class RunResult:
     compile_seconds: float
     #: Scalar application checksum, for cross-configuration validation.
     checksum: float
-    #: Trace subsystem counters (zero when tracing is disabled).
-    trace_hits: int = 0
-    trace_misses: int = 0
-    trace_replayed_tasks: int = 0
-    trace_hit_rate: float = 0.0
-    #: Plan-scheduler counters (zero when ``REPRO_WORKERS=1``).
-    plan_replays: int = 0
-    plan_width_max: int = 0
-    plan_average_width: float = 0.0
-    worker_utilization: float = 0.0
-    #: Level-width histogram of every replayed schedule: step count of a
-    #: dependence level -> number of levels replayed at that width.  The
-    #: wide-dispatch machinery only engages on widths >= 2; a promoted
-    #: wide app whose histogram holds only width 1 is silently
-    #: unexercised, which the bench width gate rejects.
-    plan_level_widths: Dict[int, int] = field(default_factory=dict)
-    #: Intra-launch point-dispatch counters (zero when
-    #: ``REPRO_POINT_WORKERS=1``).
-    point_dispatch_width: int = 1
-    point_launches: int = 0
-    point_chunks: int = 0
-    point_width_max: int = 0
-    point_chunks_per_launch: float = 0.0
-    point_utilization: float = 0.0
-    #: Dispatch substrate (``REPRO_DISPATCH_BACKEND``) and the per-
-    #: substrate split of the dispatched chunks.
-    dispatch_backend: str = "thread"
-    point_thread_chunks: int = 0
-    point_process_chunks: int = 0
-    #: Process-pool wire traffic (zero under the thread backend): bytes
-    #: and request messages pickled onto worker pipes, and their
-    #: per-replayed-epoch rates — the figure plan-resident replay
-    #: (``REPRO_RESIDENT_PLANS``) exists to shrink.
-    wire_bytes: int = 0
-    wire_requests: int = 0
-    wire_bytes_per_epoch: float = 0.0
-    wire_requests_per_epoch: float = 0.0
-    #: Steady-state wire rates: traffic of the *measured* iterations
-    #: only, excluding warm-up — and with it the one-time kernel-spec,
-    #: geometry and resident-plan ships, which the whole-run rates above
-    #: amortise.  This is the figure the resident-replay wire gate
-    #: compares: what one more epoch costs on the pipes.
-    steady_wire_bytes_per_epoch: float = 0.0
-    steady_wire_requests_per_epoch: float = 0.0
-    #: Element-wise batching: launches executed as merged chunk calls.
-    batched_launches: int = 0
-    batched_calls: int = 0
-    #: Opaque-operator call counters (``REPRO_OPAQUE_CHUNKS``):
-    #: per-rank library calls, chunk-level library calls, the subset of
-    #: chunk calls the worker-process pool ran, and the steady per-epoch
-    #: rate of total opaque library calls over the measured iterations —
-    #: the figure the opaque-chunking gate compares.
-    opaque_rank_calls: int = 0
-    opaque_chunk_calls: int = 0
-    opaque_process_chunks: int = 0
-    steady_opaque_calls_per_epoch: float = 0.0
-    #: Trace re-records forced by a scalar-equality-pattern flip.
-    scalar_pattern_flips: int = 0
-    #: Epoch super-kernels (``REPRO_SUPERKERNEL``): fused units built at
-    #: plan capture, constituent steps absorbed, fused closure calls and
-    #: the per-replay-epoch compiled-closure call rate they reduce.
-    superkernel_fusions: int = 0
-    superkernel_fused_steps: int = 0
-    superkernel_calls: int = 0
-    replay_closure_calls: int = 0
-    closure_calls_per_epoch: float = 0.0
-    #: True when the run charged overlap-aware simulated time
-    #: (``REPRO_OVERLAP_MODEL=1``); such throughputs are not comparable
-    #: with serial-accounting runs.
-    overlap_model: bool = False
+    #: ``Profiler.snapshot()`` at the end of the run — every runtime
+    #: counter and derived rate — and the same snapshot taken after the
+    #: warm-up iterations (empty for runs without a profiler).
+    counters: Dict[str, object] = field(default_factory=dict)
+    warmup_counters: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def throughput_per_gpu(self) -> float:
-        """Throughput normalised per GPU (the paper's y-axis)."""
-        return self.throughput
+    def steady_per_epoch(self, *names: str) -> float:
+        """Growth of the summed counters ``names`` over the measured
+        iterations, per epoch replayed in them.
+
+        What one more steady epoch costs: the warm-up's one-time traffic
+        (kernel specs, resident-plan ships, capture) is excluded.
+        """
+        epochs = self.counters["trace_hits"] - self.warmup_counters["trace_hits"]
+        growth = sum(self.counters[n] - self.warmup_counters[n] for n in names)
+        return growth / epochs if epochs else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +134,17 @@ def run_application_experiment(
     scale: Optional[ExperimentScale] = None,
     fusion_config: Optional[FusionConfig] = None,
     app_kwargs: Optional[Dict] = None,
+    machine: Optional[MachineConfig] = None,
 ) -> RunResult:
-    """Run one application and collect the paper's metrics."""
+    """Run one application and collect the paper's metrics.
+
+    ``machine`` defaults to :func:`scaled_machine` at the scale's
+    bandwidth factor.
+    """
     scale = scale or default_scale_for(app_name)
     iterations = iterations if iterations is not None else scale.iterations
     warmup = warmup_iterations if warmup_iterations is not None else scale.warmup_iterations
-    machine = scaled_machine(num_gpus, scale.bandwidth_scale)
+    machine = machine or scaled_machine(num_gpus, scale.bandwidth_scale)
     context = RuntimeContext(
         num_gpus=num_gpus,
         fusion=fusion,
@@ -215,20 +160,11 @@ def run_application_experiment(
         # Warm-up iterations: includes all JIT compilation and analysis.
         application.run(warmup)
         # Charge any pending eager overlap group to the last warm-up
-        # iteration before sampling its seconds (a no-op unless
-        # REPRO_OVERLAP_MODEL=1 and the iteration ended mid-group).
+        # iteration before sampling its seconds (a no-op unless the
+        # machine overlaps launches and the iteration ended mid-group).
         context.legion.flush_overlap_accounting()
         warmup_seconds = sum(context.profiler.iteration_seconds()[:warmup])
-        # Snapshot wire counters so the steady rates cover the measured
-        # iterations alone (warm-up absorbs the one-time spec/geometry/
-        # plan ships of the process backend).
-        warmup_wire_bytes = context.profiler.wire_bytes
-        warmup_wire_requests = context.profiler.wire_requests
-        warmup_trace_hits = context.profiler.trace_hits
-        warmup_opaque_calls = (
-            context.profiler.opaque_rank_calls
-            + context.profiler.opaque_chunk_calls
-        )
+        warmup_counters = context.profiler.snapshot()
         # Measured iterations.
         application.run(iterations)
         checksum = application.checksum()
@@ -236,12 +172,6 @@ def run_application_experiment(
         set_context(None)
 
     profiler = context.profiler
-    steady_epochs = profiler.trace_hits - warmup_trace_hits
-    steady_wire_bytes = profiler.wire_bytes - warmup_wire_bytes
-    steady_wire_requests = profiler.wire_requests - warmup_wire_requests
-    steady_opaque_calls = (
-        profiler.opaque_rank_calls + profiler.opaque_chunk_calls
-    ) - warmup_opaque_calls
     return RunResult(
         app=app_name,
         configuration=configuration or ("fused" if fusion else "unfused"),
@@ -256,49 +186,8 @@ def run_application_experiment(
         warmup_seconds=warmup_seconds,
         compile_seconds=profiler.compile_seconds,
         checksum=checksum,
-        trace_hits=profiler.trace_hits,
-        trace_misses=profiler.trace_misses,
-        trace_replayed_tasks=profiler.trace_replayed_tasks,
-        trace_hit_rate=profiler.trace_hit_rate,
-        plan_replays=profiler.plan_replays,
-        plan_width_max=profiler.plan_width_max,
-        plan_average_width=profiler.plan_average_width,
-        worker_utilization=profiler.worker_utilization,
-        plan_level_widths=dict(profiler.plan_level_widths),
-        point_dispatch_width=repro_config.point_worker_count(),
-        point_launches=profiler.point_launches,
-        point_chunks=profiler.point_chunks,
-        point_width_max=profiler.point_width_max,
-        point_chunks_per_launch=profiler.point_chunks_per_launch,
-        point_utilization=profiler.point_utilization,
-        dispatch_backend=repro_config.dispatch_backend(),
-        point_thread_chunks=profiler.point_thread_chunks,
-        point_process_chunks=profiler.point_process_chunks,
-        wire_bytes=profiler.wire_bytes,
-        wire_requests=profiler.wire_requests,
-        wire_bytes_per_epoch=profiler.wire_bytes_per_epoch,
-        wire_requests_per_epoch=profiler.wire_requests_per_epoch,
-        steady_wire_bytes_per_epoch=(
-            steady_wire_bytes / steady_epochs if steady_epochs else 0.0
-        ),
-        steady_wire_requests_per_epoch=(
-            steady_wire_requests / steady_epochs if steady_epochs else 0.0
-        ),
-        batched_launches=profiler.batched_launches,
-        batched_calls=profiler.batched_calls,
-        opaque_rank_calls=profiler.opaque_rank_calls,
-        opaque_chunk_calls=profiler.opaque_chunk_calls,
-        opaque_process_chunks=profiler.opaque_process_chunks,
-        steady_opaque_calls_per_epoch=(
-            steady_opaque_calls / steady_epochs if steady_epochs else 0.0
-        ),
-        scalar_pattern_flips=profiler.scalar_pattern_flips,
-        superkernel_fusions=profiler.superkernel_fusions,
-        superkernel_fused_steps=profiler.superkernel_fused_steps,
-        superkernel_calls=profiler.superkernel_calls,
-        replay_closure_calls=profiler.replay_closure_calls,
-        closure_calls_per_epoch=profiler.closure_calls_per_epoch,
-        overlap_model=repro_config.overlap_model_enabled(),
+        counters=profiler.snapshot(),
+        warmup_counters=warmup_counters,
     )
 
 

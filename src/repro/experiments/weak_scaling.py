@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro import config as repro_config
 from repro.experiments.harness import (
     ExperimentScale,
     RunResult,
     default_scale_for,
     run_application_experiment,
     run_petsc_experiment,
+    scaled_machine,
 )
 from repro.fusion.engine import FusionConfig
 
@@ -111,39 +110,31 @@ def run_overlap_study(
     """Weak-scale an application under serial vs overlap-aware accounting.
 
     Quantifies the paper's launch-overlap claim outside replay: the same
-    fused executions are charged once with ``REPRO_OVERLAP_MODEL=0``
-    (every launch's modelled time accumulates serially) and once with
-    ``=1`` (each greedy group of independent launches — and each
-    dependence level of a replayed plan — costs the max of its members).
-    Buffers and checksums are bit-identical between the two series; only
-    simulated time, and therefore throughput, differs.  The flag is
-    restored to its ambient value afterwards.
+    fused executions are charged once serially (every launch's modelled
+    time accumulates) and once on a machine with
+    ``MachineConfig.overlap_launches`` (each greedy group of independent
+    launches — and each dependence level of a replayed plan — costs the
+    max of its members).  Buffers and checksums are bit-identical
+    between the two series; only simulated time, and therefore
+    throughput, differs.
     """
     scale = scale or default_scale_for(app_name)
     series: Dict[str, WeakScalingSeries] = {}
-    previous = os.environ.get(repro_config.OVERLAP_MODEL_ENV_VAR)
-    try:
-        for label, value in (("Serial accounting", "0"), ("Overlap-aware", "1")):
-            os.environ[repro_config.OVERLAP_MODEL_ENV_VAR] = value
-            repro_config.reload_flags()
-            line = WeakScalingSeries(label=label)
-            for num_gpus in gpu_counts:
-                line.add(
-                    run_application_experiment(
-                        app_name,
-                        num_gpus=num_gpus,
-                        configuration=label,
-                        scale=scale,
-                        iterations=iterations,
-                    )
+    for label, overlap in (("Serial accounting", False), ("Overlap-aware", True)):
+        line = WeakScalingSeries(label=label)
+        for num_gpus in gpu_counts:
+            machine = scaled_machine(num_gpus, scale.bandwidth_scale)
+            line.add(
+                run_application_experiment(
+                    app_name,
+                    num_gpus=num_gpus,
+                    configuration=label,
+                    scale=scale,
+                    iterations=iterations,
+                    machine=replace(machine, overlap_launches=overlap),
                 )
-            series[label] = line
-    finally:
-        if previous is None:
-            os.environ.pop(repro_config.OVERLAP_MODEL_ENV_VAR, None)
-        else:
-            os.environ[repro_config.OVERLAP_MODEL_ENV_VAR] = previous
-        repro_config.reload_flags()
+            )
+        series[label] = line
     return series
 
 

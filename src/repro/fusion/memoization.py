@@ -89,8 +89,7 @@ def canonicalize_window(tasks: Sequence[IndexTask]) -> Tuple[Hashable, Dict[int,
     quadratic equality scan without changing which partitions dedup.
     Per-task signatures are cached on the tasks themselves, so a replay
     round only pays for the window-dependent index translation.  Setting
-    ``REPRO_HOTPATH_CACHE=0`` restores the seed canonicalisation path
-    (used as the baseline by ``benchmarks/perf_wallclock.py``).
+    ``REPRO_HOTPATH_CACHE=0`` restores the seed canonicalisation path.
     """
     if not _hotpath_cache_enabled():
         return _canonicalize_window_uncached(tasks)

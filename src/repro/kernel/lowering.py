@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config import BACKEND_ENV_VAR, BACKENDS, default_backend
+from repro.config import BACKENDS, default_backend
 from repro.kernel.kir import (
     Alloc,
     Assign,
@@ -256,5 +256,5 @@ def lower(
         return DifferentialExecutor(function=function, binding=binding)
     raise ValueError(
         f"unknown kernel backend '{backend}' (expected one of {BACKENDS}); "
-        f"check the {BACKEND_ENV_VAR} environment variable"
+        "check the REPRO_KERNEL_BACKEND environment variable"
     )

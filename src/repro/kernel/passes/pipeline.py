@@ -4,7 +4,8 @@ The default pipeline mirrors the order described in the paper: compose
 (performed by the compiler before the pipeline runs), then loop fusion,
 temporary scalarisation, algebraic normalisation, CSE, DCE, and
 parallelisation.  Individual passes can be disabled for the ablation
-benchmarks; normalisation is additionally gated by ``REPRO_NORMALIZE``.
+benchmarks; normalisation is additionally gated by ``config.NORMALIZE``
+(a test lever).
 """
 
 from __future__ import annotations

@@ -343,12 +343,13 @@ class TaskExecutor:
     ) -> ChunkWork:
         """Work of an opaque launch (rows keyed by argument index).
 
-        With ``REPRO_OPAQUE_CHUNKS`` on and a chunk-level implementation
-        registered, a rank range is one library call over the pipe-safe
-        chunk contract (full base arrays, per-rank wire rects, the
-        scalar tuple), which also ships to worker processes.  The chunk
-        cost runs after the execute — sound because registered chunk
-        cost functions never read data the chunk wrote.  Otherwise each
+        With a chunk-level implementation registered (and
+        ``config.OPAQUE_CHUNKS``, a test lever), a rank range is one
+        library call over the pipe-safe chunk contract (full base
+        arrays, per-rank wire rects, the scalar tuple), which also ships
+        to worker processes.  The chunk cost runs after the execute —
+        sound because registered chunk cost functions never read data
+        the chunk wrote.  Otherwise each
         rank is one call on the launch's task (``task_of()``; replay
         only rebuilds it here) with its own buffer dict, its cost
         modelled right after its execute so data-dependent costs observe
@@ -445,7 +446,7 @@ class TaskExecutor:
         ):
             self._decline("below_volume")
         else:
-            return point_chunks(num_points, width, config.point_min_ranks())
+            return point_chunks(num_points, width)
         return [(0, num_points)]
 
     # ------------------------------------------------------------------

@@ -45,6 +45,14 @@ class MachineConfig:
     #: One-way network latency (seconds).
     network_latency: float = 5e-6
 
+    #: Overlap-aware simulated time: independent launches (a dependence
+    #: level of a replayed plan, a greedy hazard-free group of eager
+    #: launches) cost the maximum of their modelled times instead of the
+    #: sum.  Buffers are unchanged; simulated seconds are not comparable
+    #: with serial-accounting runs, so this sits outside the
+    #: bit-identity invariant and only ``run_overlap_study`` turns it on.
+    overlap_launches: bool = False
+
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
             raise ValueError("the machine needs at least one GPU")
@@ -110,7 +118,7 @@ class MachineConfig:
     def overlapped_level_seconds(self, step_seconds) -> float:
         """Simulated time of one dependence level of a replayed plan.
 
-        Under ``REPRO_OVERLAP_MODEL=1`` the runtime overlaps independent
+        With :attr:`overlap_launches` on the runtime overlaps independent
         launches across the machine, so a level costs the *maximum* of
         its steps' modelled times rather than their sum (the serial
         model).  Steps within one level are provably independent — the

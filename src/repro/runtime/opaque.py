@@ -8,8 +8,8 @@ kernel, but they still flow through the same execution and profiling
 paths.  An :class:`OpaqueTaskImpl` supplies the functional NumPy
 implementation and the analytic cost of one point task.
 
-Chunk-level implementations (``REPRO_OPAQUE_CHUNKS``)
------------------------------------------------------
+Chunk-level implementations
+---------------------------
 A registered operator may additionally carry an
 :class:`OpaqueChunkImpl`: one library call over the merged span of a
 contiguous rank chunk ``[start, stop)`` (e.g. a single NumPy GEMV over
@@ -106,7 +106,7 @@ class OpaqueTaskImpl:
     name: str
     execute: ExecuteFn
     cost_seconds: CostFn
-    #: Optional chunk-level implementation (``REPRO_OPAQUE_CHUNKS``).
+    #: Optional chunk-level implementation.
     chunk: Optional[OpaqueChunkImpl] = None
     #: Module whose import registers this operator — what makes the
     #: operator importable by name in worker processes.  ``None`` for

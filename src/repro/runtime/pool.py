@@ -180,7 +180,7 @@ def merged_table_span(table: Sequence, start: int, stop: int) -> Rect:
     return Rect(table[start][0].lo, table[stop - 1][0].hi)
 
 
-def point_chunks(num_points: int, width: int, min_ranks: int) -> List[Tuple[int, int]]:
+def point_chunks(num_points: int, width: int, min_ranks: int = 1) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` rank chunks of one launch.
 
     The chunk count is bounded by the dispatch ``width`` and by the

@@ -53,7 +53,7 @@ that id on receipt, and the parent ships ``None`` in place of a list a
 worker already holds — identical rect tables cross the pipe once per
 worker, not once per chunk.
 
-Opaque launches (``REPRO_OPAQUE_CHUNKS``) ship as
+Opaque launches with a chunk-level implementation ship as
 :class:`OpaqueChunkRequest` instead: no kernel spec travels — the
 request names a registered operator and its defining module, and the
 worker resolves the implementation from its *own* registry
@@ -210,7 +210,7 @@ ChunkResult = Tuple[List[Dict[str, object]], List[float]]
 
 @dataclass
 class OpaqueChunkRequest:
-    """One rank chunk of one opaque launch (``REPRO_OPAQUE_CHUNKS``).
+    """One rank chunk of one opaque launch.
 
     Opaque operators ship no kernel spec: the worker resolves ``op``
     from its own registry (:func:`repro.runtime.opaque
@@ -315,8 +315,8 @@ class ResidentPlan:
     plan_id: int
     #: :func:`resident_generation` value the templates were built under.
     generation: int
-    #: Schedule-step index -> template (shippable compiled steps and,
-    #: with ``REPRO_OPAQUE_CHUNKS``, shippable chunked opaque steps).
+    #: Schedule-step index -> template (shippable compiled steps and
+    #: shippable chunked opaque steps).
     steps: Dict[int, object]  # ResidentStep | OpaqueResidentStep
 
 

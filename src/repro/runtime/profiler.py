@@ -112,7 +112,7 @@ class Profiler:
         #: total merged calls they produced.
         self.batched_launches: int = 0
         self.batched_calls: int = 0
-        #: Opaque-operator execution counters (``REPRO_OPAQUE_CHUNKS``):
+        #: Opaque-operator execution counters:
         #: library calls made one-per-rank, library calls made
         #: one-per-chunk by chunk-level implementations, and how many of
         #: the chunk calls ran on the worker-process pool.

@@ -14,7 +14,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import config
 from repro.ir.store import Store
 from repro.ir.task import IndexTask
 from repro.kernel.compiler import CompiledKernel, JITCompiler
@@ -77,7 +76,7 @@ class LegionRuntime:
         #: the trace subsystem can capture the epoch's execution plan.
         self.trace_recorder = None
         self._plan_scheduler = None
-        #: Eager-path overlap accounting (``REPRO_OVERLAP_MODEL=1``): the
+        #: Eager-path overlap accounting (``machine.overlap_launches``): the
         #: pending greedy group of consecutive pairwise-independent
         #: launches, charged its *maximum* modelled time at the next
         #: conflict or synchronisation point.
@@ -133,7 +132,7 @@ class LegionRuntime:
                 launches = 1
 
         overhead = self.machine.task_launch_overhead
-        overlap = config.overlap_model_enabled()
+        overlap = self.machine.overlap_launches
         record = self.profiler.record_task(
             name=task.task_name,
             constituents=task.constituent_count(),
@@ -180,7 +179,7 @@ class LegionRuntime:
         return kernel
 
     # ------------------------------------------------------------------
-    # Eager overlap accounting (``REPRO_OVERLAP_MODEL=1``).
+    # Eager overlap accounting (``MachineConfig.overlap_launches``).
     # ------------------------------------------------------------------
     def _overlap_note(self, task: IndexTask, seconds: float) -> None:
         """Add one eager launch to the pending overlap group.
@@ -217,7 +216,7 @@ class LegionRuntime:
         array reads, host writes, fills), iteration boundary and before
         plan replay, so group accounting never crosses an ordering
         point.  A no-op when no group is pending (and in particular
-        whenever ``REPRO_OVERLAP_MODEL`` is off).
+        whenever ``machine.overlap_launches`` is off).
         """
         if not self._overlap_seconds:
             return

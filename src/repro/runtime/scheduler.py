@@ -33,9 +33,9 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    ``REPRO_POINT_WORKERS`` × substrate combination.  A chain-shaped
    plan is the same loop with every level inline.
 
-With ``REPRO_OVERLAP_MODEL=1`` the *simulated* time accounting switches
-to the overlap-aware model: each dependence level is charged the maximum
-of its steps' modelled times
+With ``MachineConfig.overlap_launches`` the *simulated* time accounting
+switches to the overlap-aware model: each dependence level is charged
+the maximum of its steps' modelled times
 (:meth:`MachineConfig.overlapped_level_seconds`) instead of their sum.
 This deliberately changes simulated seconds and is therefore off by
 default; buffers remain bit-identical.
@@ -288,7 +288,7 @@ def _plan_dispatch(
     workers, point_width = config.worker_count(), config.point_worker_count()
     process = config.dispatch_backend() == "process"
     flags = (
-        workers, point_width, process, config.point_min_ranks(),
+        workers, point_width, process,
         MIN_DISPATCH_VOLUME, executor_module.MIN_POINT_DISPATCH_VOLUME,
     )
     if schedule.dispatch is not None and schedule.dispatch[0] == flags:
@@ -364,7 +364,7 @@ class PlanScheduler:
         # Replay accounting must not interleave with a pending eager
         # overlap group (a no-op unless the overlap model is on).
         runtime.flush_overlap_accounting()
-        overlap = config.overlap_model_enabled()
+        overlap = runtime.machine.overlap_launches
         if config.superkernel_enabled() and not overlap:
             # Replay the plan's epoch super-kernels once it has earned
             # them (lowered once, cached on the plan).  The overlap

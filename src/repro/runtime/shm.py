@@ -12,7 +12,7 @@ direction.
 Layout
 ------
 The arena is a slab allocator: it creates segments of
-``REPRO_SHM_SEGMENT_BYTES`` (allocations larger than a segment get a
+:data:`SEGMENT_BYTES` (allocations larger than a segment get a
 dedicated segment) and carves 64-byte-aligned blocks out of them with a
 first-fit free list (freed blocks coalesce with their neighbours, so
 region churn — e.g. eliminated temporaries — does not leak segment
@@ -44,8 +44,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import config
 from repro.runtime import telemetry
+
+#: Size of each segment the arena carves block allocations out of.
+SEGMENT_BYTES = 16 * 1024 * 1024
 
 #: Block alignment inside a segment (one cache line, and a multiple of
 #: every NumPy itemsize in use).
@@ -70,7 +72,7 @@ class SharedArena:
     """Slab allocator over named shared-memory segments."""
 
     def __init__(self, segment_bytes: Optional[int] = None) -> None:
-        self.segment_bytes = segment_bytes or config.shm_segment_bytes()
+        self.segment_bytes = segment_bytes or SEGMENT_BYTES
         #: Unique prefix so two arenas (or two processes) never collide.
         self._prefix = f"repro-{uuid.uuid4().hex[:12]}"
         self._segments: Dict[str, shared_memory.SharedMemory] = {}

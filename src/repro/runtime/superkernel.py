@@ -138,9 +138,9 @@ class SuperKernelStep(CompiledStep):
 _NO_UNITS = object()
 
 #: Weak references to plans carrying a cached lowering, retired on config
-#: reloads so flag flips (backend, ``REPRO_SUPERKERNEL``) cannot replay
-#: stale fused closures.  A plain weakref list because ``ExecutionPlan``
-#: is an unhashable (eq-comparing) dataclass.
+#: reloads so a backend flip cannot replay stale fused closures.  A plain
+#: weakref list because ``ExecutionPlan`` is an unhashable (eq-comparing)
+#: dataclass.
 _LOWERED_PLANS: List["weakref.ref"] = []
 
 
@@ -496,7 +496,7 @@ def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[Exec
 
     The lowering is computed once per plan and cached on it (retired by
     :func:`config.reload_flags` via the registered callback).  The
-    caller gates on the ``REPRO_SUPERKERNEL`` flag and the overlap
+    caller gates on ``config.SUPERKERNEL`` (a test lever) and the overlap
     model, and :func:`lower_when_earned` on the plan having earned it;
     the interpreter backend never lowers and the differential backend
     lowers in verify mode.

@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import config
@@ -320,6 +321,43 @@ def export_chrome_trace() -> Dict[str, Any]:
             "dropped_events": dropped_events(),
         },
     }
+
+
+def span_summary() -> Tuple[int, Dict[str, List[float]]]:
+    """Where the replayed epochs went, from the recorder's own events.
+
+    Returns the number of ``epoch.replay`` spans and, per span kind,
+    ``[count, total seconds, self seconds]`` over the spans (and
+    instants) that began inside one — on any thread or worker process
+    (:func:`merged_events` aligns their clocks).  Self time is a span's
+    duration minus the spans nested in it on its own thread, so a parent
+    waiting on pool threads or workers keeps the wait.  Ends whose begin
+    the ring already dropped are skipped.
+    """
+    spans: List[Tuple[str, float, float, float]] = []  # kind, begin, total, self
+    stacks: Dict[Tuple[int, int], List[list]] = {}
+    for pid, _worker, (phase, kind, _label, wall, tid, _sim, _seq) in merged_events():
+        stack = stacks.setdefault((pid, tid), [])
+        if phase == "B":
+            stack.append([kind, wall, 0.0])
+        elif phase == "I":
+            spans.append((kind, wall, 0.0, 0.0))
+        elif stack and stack[-1][0] == kind:
+            _kind, begin, nested = stack.pop()
+            if stack:
+                stack[-1][2] += wall - begin
+            spans.append((kind, begin, wall - begin, wall - begin - nested))
+    replays = sorted((b, b + total) for kind, b, total, _s in spans if kind == "epoch.replay")
+    starts = [begin for begin, _end in replays]
+    table: Dict[str, List[float]] = {}
+    for kind, begin, total, self_seconds in spans:
+        index = bisect_right(starts, begin) - 1
+        if index >= 0 and begin <= replays[index][1]:
+            row = table.setdefault(kind, [0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += total
+            row[2] += self_seconds
+    return len(replays), table
 
 
 def write_chrome_trace(path: str) -> Dict[str, Any]:

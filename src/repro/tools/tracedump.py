@@ -13,6 +13,12 @@ Usage::
 
     PYTHONPATH=src python -m repro.tools.tracedump --app cg --smoke \
         --output TRACE_cg.json
+    PYTHONPATH=src python -m repro.tools.tracedump --app cg --summary
+
+``--summary`` answers "where did a replayed epoch go" as a table instead
+of a Perfetto session: count, total and self time per span kind per
+replayed epoch (:func:`telemetry.span_summary`); no trace file is
+written unless ``--output`` names one.
 
 By default the run uses the full replay stack on the worker-process
 substrate (trace capture, plan scheduler, point dispatch,
@@ -27,20 +33,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict, List
 
+import repro.apps  # noqa: F401 - registers the applications
 from repro import config
-from repro.apps.base import build_application
-from repro.experiments.harness import (
-    default_scale_for,
-    scaled_machine,
-)
-from repro.frontend.legate.context import RuntimeContext, set_context
+from repro.apps.base import registered_applications
+from repro.experiments.harness import run_application_experiment
 from repro.runtime import telemetry
 
 #: Per-app problem-size overrides at trace scale: big enough that every
 #: subsystem (capture, replay, point dispatch, wire protocol) appears in
 #: the timeline, small enough that the export stays a quick local run.
+#: Apps without an entry run at their ``default_scale_for`` size.
 _TRACE_KWARGS: Dict[str, Dict[str, int]] = {
     "cg": {"grid_points_per_gpu": 24},
     "jacobi": {"rows_per_gpu": 96},
@@ -65,44 +69,24 @@ _TRACE_ENV = {
     "REPRO_KERNEL_BACKEND": "codegen",
     "REPRO_HOTPATH_CACHE": "1",
     "REPRO_TRACE": "1",
-    "REPRO_NORMALIZE": "1",
 }
 
 
-def run_traced_experiment(
-    app: str,
-    num_gpus: int,
-    iterations: int,
-    warmup: int,
-    app_kwargs: Optional[Dict] = None,
-) -> Dict[str, object]:
-    """Run ``app`` with telemetry armed; return the profiler snapshot.
-
-    The caller is responsible for having set the environment flags and
-    called :func:`repro.config.reload_flags` first; the telemetry ring
-    (parent and, via pool retirement, workers) is reset before the run so
-    the exported timeline covers exactly this experiment.
-    """
-    telemetry.reset()
-    scale = default_scale_for(app)
-    kwargs = dict(scale.app_kwargs)
-    if app_kwargs:
-        kwargs.update(app_kwargs)
-    machine = scaled_machine(num_gpus, scale.bandwidth_scale)
-    context = RuntimeContext(num_gpus=num_gpus, fusion=True, machine=machine)
-    set_context(context)
-    try:
-        application = build_application(app, context=context, **kwargs)
-        application.run(warmup)
-        application.run(iterations)
-        checksum = application.checksum()
-        snapshot = context.profiler.snapshot()
-    finally:
-        set_context(None)
-    snapshot["checksum"] = checksum
-    snapshot["app"] = app
-    snapshot["num_gpus"] = num_gpus
-    return snapshot
+def format_summary(epochs: int, table: Dict[str, List[float]]) -> str:
+    """The ``--summary`` table: one row per span kind, per replayed epoch."""
+    lines = [
+        f"{epochs} replayed epochs; per epoch:",
+        f"{'span kind':<22}{'count':>10}{'total ms':>12}{'self ms':>12}",
+    ]
+    per = max(1, epochs)
+    for kind, (count, total, self_seconds) in sorted(
+        table.items(), key=lambda item: -item[1][2]
+    ):
+        lines.append(
+            f"{kind:<22}{count / per:>10.2f}{total * 1e3 / per:>12.4f}"
+            f"{self_seconds * 1e3 / per:>12.4f}"
+        )
+    return "\n".join(lines)
 
 
 def main() -> int:
@@ -110,7 +94,7 @@ def main() -> int:
     parser.add_argument(
         "--app",
         default="cg",
-        choices=sorted(_TRACE_KWARGS),
+        choices=registered_applications(),
         help="application to trace (default: cg)",
     )
     parser.add_argument("--num-gpus", type=int, default=8)
@@ -140,9 +124,14 @@ def main() -> int:
         help="shrink the run for CI (fewer iterations, smaller problem)",
     )
     parser.add_argument(
+        "--summary",
+        action="store_true",
+        help="print count/total/self time per span kind per replayed epoch",
+    )
+    parser.add_argument(
         "--output",
         default=None,
-        help="trace JSON path (default: TRACE_<app>.json in the cwd)",
+        help="trace JSON path (default: TRACE_<app>.json in the cwd; none with --summary)",
     )
     parser.add_argument(
         "--metrics-output",
@@ -154,10 +143,8 @@ def main() -> int:
     if args.smoke:
         args.num_gpus = min(args.num_gpus, 4)
         args.iterations = min(args.iterations, 6)
-        app_kwargs = _SMOKE_KWARGS[args.app]
-    else:
-        app_kwargs = _TRACE_KWARGS[args.app]
-    output = args.output or f"TRACE_{args.app}.json"
+    app_kwargs = (_SMOKE_KWARGS if args.smoke else _TRACE_KWARGS).get(args.app)
+    output = args.output or (None if args.summary else f"TRACE_{args.app}.json")
 
     os.environ.update(_TRACE_ENV)
     os.environ["REPRO_DISPATCH_BACKEND"] = args.backend
@@ -165,31 +152,36 @@ def main() -> int:
     os.environ["REPRO_POINT_WORKERS"] = str(args.point_workers)
     config.reload_flags()
 
-    snapshot = run_traced_experiment(
+    # The reload re-armed the ring; the export covers exactly this run.
+    result = run_application_experiment(
         args.app,
         num_gpus=args.num_gpus,
         iterations=args.iterations,
-        warmup=args.warmup,
+        warmup_iterations=args.warmup,
         app_kwargs=app_kwargs,
     )
+    snapshot = dict(
+        result.counters, checksum=result.checksum, app=args.app, num_gpus=args.num_gpus
+    )
 
-    trace = telemetry.export_chrome_trace()
-    trace["otherData"]["profiler"] = snapshot
-    with open(output, "w") as handle:
-        json.dump(trace, handle)
-        handle.write("\n")
+    if args.summary:
+        print(format_summary(*telemetry.span_summary()))
+    if output:
+        trace = telemetry.export_chrome_trace()
+        trace["otherData"]["profiler"] = snapshot
+        with open(output, "w") as handle:
+            json.dump(trace, handle)
+            handle.write("\n")
+        events = trace["traceEvents"]
+        pids = {event["pid"] for event in events if event.get("ph") != "M"}
+        print(
+            f"wrote {output}: {len(events)} trace events from "
+            f"{len(pids)} process(es), dropped {trace['otherData']['dropped_events']}"
+        )
     if args.metrics_output:
         with open(args.metrics_output, "w") as handle:
             json.dump(snapshot, handle, indent=2)
             handle.write("\n")
-
-    events = trace["traceEvents"]
-    pids = {event["pid"] for event in events if event.get("ph") != "M"}
-    print(
-        f"wrote {output}: {len(events)} trace events from "
-        f"{len(pids)} process(es), dropped {trace['otherData']['dropped_events']}"
-    )
-    if args.metrics_output:
         print(f"wrote {args.metrics_output}")
 
     # Deterministic teardown (the atexit hooks would cover it anyway).

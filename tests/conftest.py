@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro import config
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.ir.domain import Domain
 from repro.ir.partition import Tiling, natural_tiling
@@ -55,6 +58,47 @@ def pytest_configure(config):
 def poison_fields(monkeypatch):
     """Arm the poisoned-allocation lever for one test."""
     monkeypatch.setattr(RegionField, "__init__", _poisoned_region_field_init())
+
+
+@pytest.fixture
+def flags():
+    """Set ``REPRO_*`` variables for one test: ``flags(REPRO_TRACE=0, ...)``.
+
+    The memoized flags are reloaded after every call, and once more on
+    teardown, after the environment is restored.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+
+        def set_flags(**values):
+            for name, value in values.items():
+                patch.setenv(name, str(value))
+            config.reload_flags()
+
+        yield set_flags
+    config.reload_flags()
+
+
+@pytest.fixture
+def force_dispatch(monkeypatch):
+    """Zero both dispatch thresholds so tiny launches reach the pools."""
+    import repro.runtime.executor as executor_module
+    import repro.runtime.scheduler as scheduler_module
+
+    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
+    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+
+
+@pytest.fixture
+def shm_entries():
+    """A function listing this repo's live ``/dev/shm`` segments."""
+
+    def entries():
+        try:
+            return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+        except OSError:
+            return set()
+
+    return entries
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -29,13 +29,7 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture(autouse=True)
-def _force_dispatch(monkeypatch):
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 def _run_bs(

@@ -20,7 +20,6 @@ observable:
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -51,28 +50,6 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture
-def flags(monkeypatch):
-    """Set ``REPRO_*`` flags for one test (restored by ``monkeypatch``)."""
-
-    def set_flags(**values):
-        for name, value in values.items():
-            monkeypatch.setenv(name, str(value))
-        config.reload_flags()
-
-    return set_flags
-
-
-@pytest.fixture
-def force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches hit the pools."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
-
-
 #: Substrate name -> the flags that select it.  Every test here pins the
 #: hot-path caches on: the seed path (a CI leg runs the whole suite under
 #: ``REPRO_HOTPATH_CACHE=0``) never skips a fill, and has its own test.
@@ -83,13 +60,6 @@ SUBSTRATES = {
         ("inline", "thread", 1), ("thread", "thread", 4), ("process", "process", 4),
     )
 }
-
-
-def _shm_entries():
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
-    except OSError:
-        return set()
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +120,7 @@ def gate(monkeypatch, flags):
     """A gate session with ``N`` = 2 slots and break-even at ``B`` = 3."""
     monkeypatch.setattr(superkernel_module, "SPECULATIVE_LOWERINGS", 2)
     monkeypatch.setattr(superkernel_module, "BREAK_EVEN_REPLAYS", 3)
-    flags(REPRO_TRACE=1, REPRO_SUPERKERNEL=1, **SUBSTRATES["inline"])
+    flags(REPRO_TRACE=1, **SUBSTRATES["inline"])
     yield _GateSession()
     set_context(None)
 
@@ -248,15 +218,15 @@ class TestSuperkernelGate:
         assert verified[spent:] == units * 2
 
     def test_late_lowering_leaves_one_resident_registration(
-        self, monkeypatch, flags, force_dispatch
+        self, monkeypatch, flags, force_dispatch, shm_entries
     ):
         monkeypatch.setattr(superkernel_module, "SPECULATIVE_LOWERINGS", 0)
         monkeypatch.setattr(superkernel_module, "BREAK_EVEN_REPLAYS", 3)
         flags(
-            REPRO_TRACE=1, REPRO_SUPERKERNEL=1, REPRO_RESIDENT_PLANS=1,
+            REPRO_TRACE=1, REPRO_RESIDENT_PLANS=1,
             **SUBSTRATES["process"],
         )
-        shm_before = _shm_entries()
+        shm_before = shm_entries()
         session = _GateSession()
         try:
             session.capture(3)
@@ -274,7 +244,7 @@ class TestSuperkernelGate:
             set_context(None)
             session.context.legion.regions.close_arena()
             procpool.shutdown_process_pool()
-        assert _shm_entries() == shm_before
+        assert shm_entries() == shm_before
 
 
 # ----------------------------------------------------------------------

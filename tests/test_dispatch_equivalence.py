@@ -44,39 +44,30 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture
-def force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches reach the pools."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
-
-
 # ----------------------------------------------------------------------
 # The equivalence matrix.
 # ----------------------------------------------------------------------
-#: kind -> (app, app arguments, extra flags, "this kind ran" predicate).
+#: kind -> (app, app arguments, ``config`` levers switched off, "this kind
+#: ran" predicate).
 KINDS = {
     "compiled-per-rank": (
-        "cg", dict(grid_points_per_gpu=12), {"REPRO_SUPERKERNEL": "0"},
+        "cg", dict(grid_points_per_gpu=12), ("SUPERKERNEL",),
         lambda p: p.superkernel_calls == 0 and p.replay_closure_calls > p.trace_hits,
     ),
     "element-wise": (
-        "black-scholes", dict(elements_per_gpu=128), {},
+        "black-scholes", dict(elements_per_gpu=128), (),
         lambda p: p.batched_launches > 0,
     ),
     "super-kernel": (
-        "cg", dict(grid_points_per_gpu=12), {},
+        "cg", dict(grid_points_per_gpu=12), (),
         lambda p: p.superkernel_calls > 0,
     ),
     "opaque-per-rank": (
-        "two-matvec", dict(rows_per_gpu=16), {"REPRO_OPAQUE_CHUNKS": "0"},
+        "two-matvec", dict(rows_per_gpu=16), ("OPAQUE_CHUNKS",),
         lambda p: p.opaque_rank_calls > 0 and p.opaque_chunk_calls == 0,
     ),
     "opaque-chunk": (
-        "two-matvec", dict(rows_per_gpu=16), {},
+        "two-matvec", dict(rows_per_gpu=16), (),
         lambda p: p.opaque_chunk_calls > 0 and p.opaque_rank_calls == 0,
     ),
     # The block loop of generated kernels: an element-wise chain and a
@@ -84,11 +75,11 @@ KINDS = {
     # rank.  The compiled closure is shared process-wide, so concurrent
     # calls from pool threads must never share its scratch.
     "element-wise-blocked": (
-        "black-scholes", dict(elements_per_gpu=128), {},
+        "black-scholes", dict(elements_per_gpu=128), (),
         lambda p: p.batched_launches > 0,
     ),
     "super-kernel-blocked": (
-        "cg", dict(grid_points_per_gpu=12), {},
+        "cg", dict(grid_points_per_gpu=12), (),
         lambda p: p.superkernel_calls > 0,
     ),
 }
@@ -132,7 +123,6 @@ def _run(monkeypatch, app_name, kwargs, flags, iterations=ITERATIONS):
     defaults = {
         "REPRO_TRACE": "1", "REPRO_WORKERS": "1", "REPRO_POINT_WORKERS": "1",
         "REPRO_DISPATCH_BACKEND": "thread", "REPRO_KERNEL_BACKEND": "codegen",
-        "REPRO_SUPERKERNEL": "1", "REPRO_OPAQUE_CHUNKS": "1",
         "REPRO_RESIDENT_PLANS": "1", "REPRO_HOTPATH_CACHE": "1",
     }
     for name, value in {**defaults, **flags}.items():
@@ -176,7 +166,7 @@ def _reference(monkeypatch, app_name, kwargs, iterations):
 def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
     kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch
 ):
-    app_name, kwargs, kind_flags, kind_ran = KINDS[kind]
+    app_name, kwargs, levers_off, kind_ran = KINDS[kind]
     substrate_flags, substrate_ran = SUBSTRATES[substrate]
     iterations = ITERATIONS
     if kind in BLOCKED_KINDS:
@@ -185,8 +175,10 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
         # Workers are forked: a pool started now inherits the block size.
         procpool.shutdown_process_pool()
     ctx_ref, state_ref, checksum_ref = _reference(monkeypatch, app_name, kwargs, iterations)
+    for lever in levers_off:
+        monkeypatch.setattr(config, lever, False)
     flags = {
-        **kind_flags, **substrate_flags,
+        **substrate_flags,
         "REPRO_WORKERS": workers, "REPRO_KERNEL_BACKEND": kernel_backend,
     }
     ctx, state, checksum = _run(monkeypatch, app_name, kwargs, flags, iterations)
@@ -226,7 +218,6 @@ def _context(monkeypatch, backend, point_workers="4"):
     monkeypatch.setenv("REPRO_POINT_WORKERS", point_workers)
     monkeypatch.setenv("REPRO_WORKERS", "1")
     monkeypatch.setenv("REPRO_TRACE", "0")
-    monkeypatch.setenv("REPRO_OPAQUE_CHUNKS", "1")
     monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
     config.reload_flags()
     return RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
@@ -390,14 +381,7 @@ class TestDeclineReasons:
 # ----------------------------------------------------------------------
 # A hung worker cannot hang the parent.
 # ----------------------------------------------------------------------
-def _shm_entries():
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
-    except OSError:
-        return set()
-
-
-def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch):
+def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch, shm_entries):
     """``SIGSTOP`` a worker mid-run: the reply deadline passes, the pool
     is torn down (stopped worker included), the launch degrades to the
     thread substrate bit-identically, and the next run builds a fresh
@@ -412,7 +396,7 @@ def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch):
     for name, value in {**thread_flags, "REPRO_DISPATCH_BACKEND": "process"}.items():
         monkeypatch.setenv(name, value)
     config.reload_flags()
-    shm_before = _shm_entries()
+    shm_before = shm_entries()
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     try:
@@ -448,7 +432,7 @@ def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch):
     import gc
 
     gc.collect()
-    assert _shm_entries() <= shm_before
+    assert shm_entries() <= shm_before
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.frontend.cunumeric as cn
-from repro import config
 from repro.apps.base import build_application
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.kernel import codegen
@@ -261,18 +260,6 @@ def test_corner_kernels_match_the_interpreter(name):
 # Aliasing: legality of the block loop is proved per call.
 # ----------------------------------------------------------------------
 EXTENT = 40_000  # more than two blocks at the shipped block size
-
-
-@pytest.fixture
-def flags(monkeypatch):
-    def set_flags(**values):
-        for name, value in values.items():
-            monkeypatch.setenv(name, value)
-        config.reload_flags()
-
-    yield set_flags
-    monkeypatch.undo()
-    config.reload_flags()
 
 
 def _shift_right(x, _y):

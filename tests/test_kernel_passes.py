@@ -448,7 +448,7 @@ class TestNormalizeBlackScholes:
         from repro.experiments.harness import scaled_machine
         from repro.frontend.legate.context import RuntimeContext, set_context
 
-        monkeypatch.setenv("REPRO_NORMALIZE", normalize)
+        monkeypatch.setattr(config, "NORMALIZE", normalize == "1")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
         monkeypatch.setenv("REPRO_TRACE", "1")
         config.reload_flags()

@@ -1,4 +1,4 @@
-"""Chunk-level opaque operator registry (``REPRO_OPAQUE_CHUNKS``).
+"""Chunk-level opaque operator registry (``config.OPAQUE_CHUNKS``).
 
 Acceptance bar: chunk-level opaque execution is bit-identical to the
 per-rank path — buffers, checksums AND simulated seconds — for every
@@ -19,7 +19,11 @@ import pytest
 
 from repro import config
 from repro.apps.base import build_application
-from repro.experiments.harness import scaled_machine
+from repro.experiments.harness import (
+    ExperimentScale,
+    run_application_experiment,
+    scaled_machine,
+)
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.runtime.opaque import (
@@ -38,14 +42,7 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture(autouse=True)
-def _force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches hit the pools."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +190,20 @@ BACKENDS = ("thread", "process")
 COMBOS = [(1, 1), (4, 1), (1, 4), (4, 4)]
 
 
-def _run_app(
-    app_name, backend, point_workers, workers, chunks, monkeypatch, iterations, **kwargs
-):
+def _set_flags(backend, point_workers, workers, chunks, monkeypatch):
     monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
-    monkeypatch.setenv("REPRO_OPAQUE_CHUNKS", "1" if chunks else "0")
+    monkeypatch.setattr(config, "OPAQUE_CHUNKS", chunks)
     config.reload_flags()
+
+
+def _run_app(
+    app_name, backend, point_workers, workers, chunks, monkeypatch, iterations, **kwargs
+):
+    _set_flags(backend, point_workers, workers, chunks, monkeypatch)
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     try:
@@ -261,11 +262,25 @@ class TestChunkedParity:
                 assert (
                     ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
                 ), label
+                assert ctx.profiler.trace_hits > 0, label
                 assert ctx.profiler.opaque_chunk_calls > 0, label
                 if backend == "process" and point_workers > 1:
                     # Opaque chunks rode the worker-process substrate.
                     assert ctx.profiler.opaque_process_chunks > 0, label
         shutdown_process_pool()
+
+    def test_chunking_collapses_steady_opaque_calls(self, monkeypatch):
+        """Two GEMV launches per epoch at 8 ranks: 16 per-rank library
+        calls, 2 chunk-level ones (point width 1, one chunk per launch)."""
+        scale = ExperimentScale({"rows_per_gpu": 32}, 5e-5, 4, 2)
+        per_epoch = {}
+        for chunks in (False, True):
+            _set_flags("thread", 1, 1, chunks, monkeypatch)
+            result = run_application_experiment("two-matvec", num_gpus=8, scale=scale)
+            per_epoch[chunks] = result.steady_per_epoch(
+                "opaque_rank_calls", "opaque_chunk_calls"
+            )
+        assert per_epoch == {False: 16.0, True: 2.0}
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +361,6 @@ class TestFallbacks:
         monkeypatch.setenv("REPRO_WORKERS", "4")
         monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
-        monkeypatch.setenv("REPRO_OPAQUE_CHUNKS", "1")
         config.reload_flags()
         context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
         set_context(context)

@@ -27,14 +27,7 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture(autouse=True)
-def _force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches hit the pool."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 # ----------------------------------------------------------------------
@@ -58,17 +51,6 @@ class TestPointConfig:
         monkeypatch.setenv("REPRO_POINT_WORKERS", "junk")
         config.reload_flags()
         assert config.point_worker_count() == 1
-
-    def test_min_ranks_default_and_clamp(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POINT_MIN_RANKS", raising=False)
-        config.reload_flags()
-        assert config.point_min_ranks() == 1
-        monkeypatch.setenv("REPRO_POINT_MIN_RANKS", "3")
-        config.reload_flags()
-        assert config.point_min_ranks() == 3
-        monkeypatch.setenv("REPRO_POINT_MIN_RANKS", "-2")
-        config.reload_flags()
-        assert config.point_min_ranks() == 1
 
 
 class TestPointChunks:
@@ -236,7 +218,7 @@ class TestWideAppParity:
         # Super-kernel lowering would fuse the width-2 level into one
         # step, hiding exactly the multi-step dispatch window this
         # regression test exists to exercise.
-        monkeypatch.setenv("REPRO_SUPERKERNEL", "0")
+        monkeypatch.setattr(config, "SUPERKERNEL", False)
         config.reload_flags()
         context = RuntimeContext(
             num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4)
@@ -299,7 +281,7 @@ class TestWideAppParity:
         monkeypatch.setenv("REPRO_WORKERS", "4")
         monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
-        monkeypatch.setenv("REPRO_SUPERKERNEL", "0")
+        monkeypatch.setattr(config, "SUPERKERNEL", False)
         config.reload_flags()
         context = RuntimeContext(
             num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4)

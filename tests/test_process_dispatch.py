@@ -33,14 +33,7 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture(autouse=True)
-def _force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches hit the pools."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 # ----------------------------------------------------------------------
@@ -61,17 +54,6 @@ class TestDispatchConfig:
         monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "gpu")
         config.reload_flags()
         assert config.dispatch_backend() == "thread"
-
-    def test_segment_bytes_default_and_floor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_SEGMENT_BYTES", raising=False)
-        config.reload_flags()
-        assert config.shm_segment_bytes() == config.DEFAULT_SHM_SEGMENT_BYTES
-        monkeypatch.setenv("REPRO_SHM_SEGMENT_BYTES", "1024")
-        config.reload_flags()
-        assert config.shm_segment_bytes() == 4096
-        monkeypatch.setenv("REPRO_SHM_SEGMENT_BYTES", "junk")
-        config.reload_flags()
-        assert config.shm_segment_bytes() == config.DEFAULT_SHM_SEGMENT_BYTES
 
 
 # ----------------------------------------------------------------------

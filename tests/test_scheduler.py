@@ -9,6 +9,8 @@ thread-safe executor/region caches behind it) is actually exercised.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,11 +63,6 @@ class TestWorkerConfig:
 
         expected = max(1, min(os.cpu_count() or 1, config.MAX_DEFAULT_WORKERS))
         assert config.worker_count() == expected
-
-    def test_overlap_model_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OVERLAP_MODEL", raising=False)
-        config.reload_flags()
-        assert config.overlap_model_enabled() is False
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +252,11 @@ class TestScheduledReplayParity:
 def _two_matvec_context(monkeypatch, workers, overlap="0"):
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
-    monkeypatch.setenv("REPRO_OVERLAP_MODEL", overlap)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
     config.reload_flags()
-    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+    machine = replace(scaled_machine(4, 1e-4), overlap_launches=overlap == "1")
+    context = RuntimeContext(num_gpus=4, fusion=True, machine=machine)
     set_context(context)
     return context
 

@@ -1,8 +1,8 @@
-"""Epoch super-kernels (``REPRO_SUPERKERNEL``).
+"""Epoch super-kernels (``config.SUPERKERNEL``).
 
 Acceptance bar: lowering captured plans into fused compiled units must
 be invisible to every observable — buffers, checksums and simulated
-seconds stay bit-identical across ``REPRO_SUPERKERNEL`` × worker-pool
+seconds stay bit-identical across ``config.SUPERKERNEL`` × worker-pool
 width × point-dispatch width × dispatch substrate, asserted under the
 differential kernel backend (which additionally runs every fused call
 in verify mode against its constituent steps).  On top of parity, the
@@ -32,28 +32,18 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-@pytest.fixture(autouse=True)
-def _force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches hit the pool."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 # ----------------------------------------------------------------------
-# Flag plumbing.
+# The lever.
 # ----------------------------------------------------------------------
 class TestSuperkernelConfig:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERKERNEL", raising=False)
-        config.reload_flags()
+    def test_default_is_enabled(self):
         assert config.superkernel_enabled() is True
 
     def test_disable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERKERNEL", "0")
-        config.reload_flags()
+        monkeypatch.setattr(config, "SUPERKERNEL", False)
         assert config.superkernel_enabled() is False
 
 
@@ -71,7 +61,7 @@ def _run_app(
     kernel_backend="differential",
     **app_kwargs,
 ):
-    monkeypatch.setenv("REPRO_SUPERKERNEL", superkernel)
+    monkeypatch.setattr(config, "SUPERKERNEL", superkernel == "1")
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
@@ -209,7 +199,7 @@ def _window1_config():
 def _run_chain(monkeypatch, superkernel, iterations=6):
     """``w = a * 2.0 + 1.0`` with a window of one: two adjacent compiled
     element-wise steps whose intermediate dies inside the epoch."""
-    monkeypatch.setenv("REPRO_SUPERKERNEL", superkernel)
+    monkeypatch.setattr(config, "SUPERKERNEL", superkernel == "1")
     monkeypatch.setenv("REPRO_WORKERS", "1")
     monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
     monkeypatch.setenv("REPRO_TRACE", "1")
@@ -270,7 +260,6 @@ class TestHorizontalMerge:
         """Two same-level element-wise steps of different shapes fuse
         into one two-section super-kernel (the width-2 shape of the
         point-dispatch regression suite, this time with lowering on)."""
-        monkeypatch.setenv("REPRO_SUPERKERNEL", "1")
         monkeypatch.setenv("REPRO_WORKERS", "4")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         monkeypatch.setenv("REPRO_TRACE", "1")

@@ -47,7 +47,6 @@ def _run_cg(
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel_backend)
     monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
     monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_NORMALIZE", "1")
     monkeypatch.setenv("REPRO_WORKERS", workers)
     monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
     monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
@@ -229,9 +228,8 @@ class TestBitIdentity:
         assert on.checksum == off.checksum
         assert on.throughput == off.throughput
         assert on.warmup_seconds == off.warmup_seconds
-        assert on.wire_bytes == off.wire_bytes
-        assert on.wire_requests == off.wire_requests
-        assert on.trace_hits == off.trace_hits
+        for counter in ("wire_bytes", "wire_requests", "trace_hits"):
+            assert on.counters[counter] == off.counters[counter]
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +247,7 @@ def _lane_events(merged):
 class TestSpanIntegrity:
     def test_process_backend_spans(self, monkeypatch, workers):
         result = _run_cg(monkeypatch, telemetry_on=True, workers=workers)
-        assert result.point_process_chunks > 0
+        assert result.counters["point_process_chunks"] > 0
         merged = telemetry.merged_events()
         assert merged
 
@@ -384,11 +382,34 @@ class TestPoolRetirement:
 
 
 # ----------------------------------------------------------------------
+# The per-epoch span summary.
+# ----------------------------------------------------------------------
+class TestSpanSummary:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_counts_reconcile_with_the_profiler(self, monkeypatch, backend):
+        """The table is computed from the recorder's events alone; what
+        it counts must be what the profiler counted."""
+        result = _run_cg(monkeypatch, telemetry_on=True, backend=backend)
+        epochs, table = telemetry.span_summary()
+        assert telemetry.dropped_events() == 0
+        assert epochs == result.counters["trace_hits"] > 0
+        assert table["epoch.replay"][0] == epochs
+        assert table["superkernel.call"][0] == result.counters["superkernel_calls"] > 0
+        for kind, (count, total, self_seconds) in table.items():
+            assert count > 0 and 0.0 <= self_seconds <= total, kind
+        # Everything on the parent's scheduling thread nests in a replay.
+        assert table["plan.level"][1] <= table["epoch.replay"][1]
+
+
+# ----------------------------------------------------------------------
 # The tracedump CLI.
 # ----------------------------------------------------------------------
 class TestTracedump:
-    def test_tracedump_smoke_writes_valid_trace(self, tmp_path):
-        """The CI artifact: ``-m repro.tools.tracedump --smoke`` output."""
+    @pytest.mark.parametrize("app", ["cg", "torchswe-manual"])
+    def test_tracedump_smoke_writes_valid_trace(self, tmp_path, app):
+        """The CI artifact: ``-m repro.tools.tracedump --smoke`` output,
+        and the ``--summary`` table, for an app with a trace-scale size
+        override and for one that falls back to its default scale."""
         import os
         import subprocess
         import sys
@@ -404,8 +425,9 @@ class TestTracedump:
                 "-m",
                 "repro.tools.tracedump",
                 "--app",
-                "cg",
+                app,
                 "--smoke",
+                "--summary",
                 "--iterations",
                 "3",
                 "--output",
@@ -419,6 +441,7 @@ class TestTracedump:
             timeout=600,
         )
         assert completed.returncode == 0, completed.stderr
+        assert "replayed epochs" in completed.stdout and "plan.level" in completed.stdout
         trace = json.loads(output.read_text())
         assert trace["traceEvents"]
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] != "M"}

@@ -38,14 +38,7 @@ def _reload_flags_after():
     shutdown_process_pool()
 
 
-@pytest.fixture(autouse=True)
-def _force_dispatch(monkeypatch):
-    """Zero both dispatch thresholds so tiny launches hit the pools."""
-    import repro.runtime.executor as executor_module
-    import repro.runtime.scheduler as scheduler_module
-
-    monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
-    monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 BACKENDS = ("thread", "process")
@@ -59,7 +52,6 @@ def _set_flags(monkeypatch, backend, point_workers, workers):
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
     monkeypatch.setenv("REPRO_RESIDENT_PLANS", "1")
-    monkeypatch.setenv("REPRO_OPAQUE_CHUNKS", "1")
     config.reload_flags()
 
 
@@ -129,6 +121,7 @@ class TestWideParity:
                 assert (
                     ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
                 ), label
+                assert ctx.profiler.trace_hits > 0, label
                 if wide and workers > 1:
                     # The captured plans really are wide — the width
                     # histogram is deterministic across hosts.
@@ -138,6 +131,7 @@ class TestWideParity:
                     # Wide-level chunks actually shipped to the
                     # process pool (the lifted guard at work).
                     assert ctx.profiler.opaque_process_chunks > 0, label
+                    assert ctx.profiler.point_process_chunks > 0, label
                     assert ctx.profiler.point_process_chunks > 0, label
         shutdown_process_pool()
 
