@@ -14,7 +14,7 @@ AXPY/dot-product tasks of the Krylov solvers fuse around it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -271,13 +271,39 @@ def _spmv_chunk_execute(bases, rects, scalars):
     return None
 
 
+#: (id(indptr array), id(the chunk's y rect list), index bytes, total
+#: rows, machine) -> pinned per-rank seconds of the chunk.  A replayed
+#: chunk hands in the same interned rect list (``RectTable.wire``) every
+#: epoch, so the per-rank loop below runs once per chunk geometry; lists
+#: cut per call (resident workers, the seed path's) simply miss.
+_SPMV_CHUNK_COST_CACHE: Dict[Tuple, Tuple[np.ndarray, list, List[float]]] = {}
+
+
 def _spmv_chunk_cost(bases, rects, scalars, machine: MachineConfig):
     """Per-rank modelled seconds of an SpMV chunk (mirrors ``_spmv_cost``).
 
     Reads only the sparsity structure (``indptr`` values, which the
     chunk never writes) and y's shape, so running after the chunk's
-    execute observes the same state the interleaved per-rank loop does.
+    execute observes the same state the interleaved per-rank loop does —
+    and, with both pinned in the entry, the memoized seconds are the
+    floats a recomputation would return.
     """
+    if not hotpath_cache_enabled():
+        return _spmv_chunk_cost_uncached(bases, rects, scalars, machine)
+    indptr, y_rects = bases[0], rects[4]
+    key = (
+        id(indptr), id(y_rects), scalars[0] if scalars else None,
+        bases[4].shape[0], machine,
+    )
+    entry = _SPMV_CHUNK_COST_CACHE.get(key)
+    if entry is None or entry[0] is not indptr or entry[1] is not y_rects:
+        seconds = _spmv_chunk_cost_uncached(bases, rects, scalars, machine)
+        _evict_oldest(_SPMV_CHUNK_COST_CACHE, _SPMV_COST_CACHE_LIMIT)
+        entry = _SPMV_CHUNK_COST_CACHE[key] = (indptr, y_rects, seconds)
+    return list(entry[2])
+
+
+def _spmv_chunk_cost_uncached(bases, rects, scalars, machine: MachineConfig):
     indptr = bases[0]
     total_rows = bases[4].shape[0]
     index_bytes = float(scalars[0]) if scalars else 8.0

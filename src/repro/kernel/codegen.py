@@ -115,16 +115,16 @@ _UNOPS: Dict[UnOpKind, Tuple[Optional[str], str]] = {
     UnOpKind.RECIP: (None, "(1.0 / {operand})"),
 }
 
-#: ``ufunc.reduce`` spellings.  For array operands ``np.sum``/``np.prod``/
-#: ``np.max``/``np.min`` all dispatch to exactly these calls
-#: (``fromnumeric._wrapreduction`` with ``axis=None``), so the reduced
-#: values are bit-identical to the interpreter's while the Python dispatch
-#: wrapper is skipped.
-_REDUCE_FMT: Dict[ReduceKind, str] = {
-    ReduceKind.SUM: "float(np.add.reduce({value}, axis=None))",
-    ReduceKind.PROD: "float(np.multiply.reduce({value}, axis=None))",
-    ReduceKind.MAX: "float(np.maximum.reduce({value}, axis=None))",
-    ReduceKind.MIN: "float(np.minimum.reduce({value}, axis=None))",
+#: The ufunc whose ``reduce`` a reduction is.  For array operands
+#: ``np.sum``/``np.prod``/``np.max``/``np.min`` all dispatch to exactly
+#: ``ufunc.reduce(value, axis=None)`` (``fromnumeric._wrapreduction``), so
+#: the reduced values are bit-identical to the interpreter's while the
+#: Python dispatch wrapper is skipped.
+_REDUCE_UFUNCS: Dict[ReduceKind, str] = {
+    ReduceKind.SUM: "add",
+    ReduceKind.PROD: "multiply",
+    ReduceKind.MAX: "maximum",
+    ReduceKind.MIN: "minimum",
 }
 
 # Spellings of ``kir.combine_reduction`` for repeated reductions into the
@@ -134,6 +134,17 @@ _COMBINE_FMT: Dict[ReduceKind, str] = {
     ReduceKind.PROD: "float({acc} * {new})",
     ReduceKind.MAX: "float(max({acc}, {new}))",
     ReduceKind.MIN: "float(min({acc}, {new}))",
+}
+
+# The same, over the per-rank columns of a section that reduces by rows.
+# Python's ``max(acc, new)`` keeps ``acc`` unless ``new > acc`` — so a NaN
+# on either side loses the comparison and the *first* operand survives —
+# which ``np.maximum`` (NaN-propagating) does not reproduce.
+_ROW_COMBINE_FMT: Dict[ReduceKind, str] = {
+    ReduceKind.SUM: "{acc} + {new}",
+    ReduceKind.PROD: "{acc} * {new}",
+    ReduceKind.MAX: "np.where({new} > {acc}, {new}, {acc})",
+    ReduceKind.MIN: "np.where({new} < {acc}, {new}, {acc})",
 }
 
 #: Elements per block of a generated block loop: the best point of the
@@ -653,7 +664,15 @@ class _LoopEmitter:
             lines.append(f"if {tmp}.ndim == 0 and {index_ident} is not None:")
             lines.append(f"    {tmp} = np.broadcast_to({tmp}, {index_ident}.shape)")
             operand = tmp
-        reduced = _REDUCE_FMT[stmt.kind].format(value=operand)
+        reduce = f"np.{_REDUCE_UFUNCS[stmt.kind]}.reduce"
+        if kernel.tile is None:
+            reduced, combine = f"float({reduce}({operand}, axis=None))", _COMBINE_FMT
+        else:
+            # One row per rank of the merged span (broadcast above when
+            # 0-d): row ``i`` of ``reduce(axis=1)`` is bit for bit the
+            # ``reduce(axis=None)`` of rank ``i``'s tile.
+            reduced = f"{reduce}({operand}.reshape(-1, {kernel.tile}), axis=1)"
+            combine = _ROW_COMBINE_FMT
         existing = kernel.partials.get(stmt.target)
         if existing is None:
             acc = f"_p{kernel.tag}{len(kernel.partials)}"
@@ -661,7 +680,7 @@ class _LoopEmitter:
         else:
             acc, tmp = existing[0], kernel.temp()
             lines.append(f"{tmp} = {reduced}")
-            lines.append(f"{acc} = " + _COMBINE_FMT[stmt.kind].format(acc=acc, new=tmp))
+            lines.append(f"{acc} = " + combine[stmt.kind].format(acc=acc, new=tmp))
         kernel.partials[stmt.target] = (acc, stmt.kind)
 
     # -- the block loop around the body --------------------------------
@@ -751,10 +770,15 @@ class _KernelEmitter:
         tag: str = "",
         may_be_none: Optional[Set[str]] = None,
         fold_writes: Optional[Dict[str, str]] = None,
+        tile: Optional[int] = None,
     ) -> None:
         self.out = out
         self.names = names
         self.function = function
+        #: Elements per rank when the buffers span several ranks' tiles
+        #: and a reduction yields one value per rank (an array, in rank
+        #: order) instead of one float.
+        self.tile = tile
         #: Disambiguates accumulator/temporary names between sections.
         self.tag = tag
         #: Buffer parameters that may be bound to ``None`` (every one,
@@ -862,16 +886,21 @@ class SuperKernelSection:
     ``mode`` selects the calling convention of the section's buffers:
 
     ``merged``
-        The step was captured element-wise; ``buffers[prefix+name]`` is a
-        single merged view spanning the chunk's contiguous tiles and the
-        body is emitted once, blocked over the merged span (identical to
-        the per-step merged call).
+        Every buffer tiles its 1-D store contiguously in rank order;
+        ``buffers[prefix+name]`` is a single merged view spanning the
+        chunk's tiles (``None`` for reduction targets) and the body is
+        emitted once, blocked over the merged span (identical to the
+        per-step merged call).  A merged section may reduce only when
+        every rank's tile has the same ``tile`` elements: a reduction is
+        then one ``ufunc.reduce(axis=1)`` over the operand's ``(ranks,
+        tile)`` rows, and each target returns its per-rank partials.
 
     ``ranked``
         ``buffers[prefix+name]`` is the list of per-rank views (``None``
         for reduction targets) and the body is emitted inside an internal
         rank loop — the per-rank closure calls of step-by-step replay
-        collapse into one call per chunk.
+        collapse into one call per chunk.  What a reducing step whose
+        tiling is ragged, N-D or broadcast gets.
 
     ``fold_writes``/``fold_reads`` alias dead cross-section intermediates
     to shared locals: the writer assigns the local instead of a buffer
@@ -884,6 +913,8 @@ class SuperKernelSection:
     mode: str
     #: Parameter names bound with REDUCE privilege (handed in as None).
     reduction_params: Tuple[str, ...] = ()
+    #: Elements per rank of a merged section that reduces.
+    tile: Optional[int] = None
     #: (param name, shared local identifier) written by this section.
     fold_writes: Tuple[Tuple[str, str], ...] = ()
     #: (param name, shared local identifier) read by this section.
@@ -971,10 +1002,10 @@ def generate_superkernel_source(
                 list_ident = names.get("v", prefix + param)
                 out.emit(f"{pnames.get('b', param)} = {list_ident}[{rank_ident}]")
         else:
-            if any(loop.has_reduction for loop in function.loops):
+            if section.tile is None and any(loop.has_reduction for loop in function.loops):
                 raise CodegenError(
                     f"super-kernel section '{function.name}': reductions "
-                    "in a merged section"
+                    "in a merged section without a uniform tile"
                 )
             for param in function.buffer_params:
                 if param.name not in folded:
@@ -988,6 +1019,7 @@ def generate_superkernel_source(
             tag=f"{section_index}_",
             may_be_none=set(section.reduction_params) if ranked else None,
             fold_writes=dict(section.fold_writes),
+            tile=section.tile,
         ).emit()
 
         if ranked:
@@ -999,6 +1031,16 @@ def generate_superkernel_source(
                         f"kind=ReduceKind.{kind.name}, value={acc}))"
                     )
             out.indent -= 1
+        else:
+            # Row reductions: ``acc`` holds one value per rank.  (An enum
+            # member lookup costs as much as the constructor call.)
+            for target, (acc, kind) in partials.items():
+                if target in section.reduction_params:
+                    out.emit(f"_kind = ReduceKind.{kind.name}")
+                    out.emit(
+                        f"_partials[{prefix + target!r}] = "
+                        f"[ReductionPartial(_kind, _x) for _x in {acc}.tolist()]"
+                    )
 
     out.emit("return _partials")
     return out.source()

@@ -87,17 +87,30 @@ class RectTable(list):
 
     Interned tables are immortal and immutable once published, so the
     geometry facts derived from them are memoized on the table itself:
-    whether it tiles a 1-D span contiguously in rank order, whether its
-    rects cover the whole store (``ir.partition.rects_cover``), and the
-    wire form of each rank range shipped to worker processes, ``(start,
-    stop) -> (stable wire-table id, rect list)`` — the id names the
-    list in the workers' intern caches so one geometry crosses a pipe
-    once per worker.  Tables rebuilt per launch
-    (``REPRO_HOTPATH_CACHE=0``) are plain lists: they never batch, never
-    vouch for a cover and their rects always travel inline.
+    whether it tiles a 1-D span contiguously in rank order, the one
+    volume every rank's rect has (``tile``; ``None`` when they differ or
+    are empty), whether its rects cover the whole store
+    (``ir.partition.rects_cover``), and the wire form of each rank range
+    shipped to worker processes, ``(start, stop) -> (stable wire-table
+    id, rect list)`` — the id names the list in the workers' intern
+    caches so one geometry crosses a pipe once per worker.  Tables
+    rebuilt per launch (``REPRO_HOTPATH_CACHE=0``) are plain lists: they
+    never batch, never reduce by rows, never vouch for a cover and their
+    rects always travel inline.
     """
 
-    __slots__ = ("contiguous", "covers", "wire")
+    __slots__ = ("contiguous", "tile", "covers", "wire")
+
+    @classmethod
+    def interned(cls, entries, store_shape) -> "RectTable":
+        """A table over ``entries`` with its geometry memos filled in."""
+        table = cls(entries)
+        table.contiguous = contiguous_elementwise_tables((table,), len(table))
+        volumes = {volume for _rect, volume in table}
+        table.tile = (volumes.pop() or None) if len(volumes) == 1 else None
+        table.covers = rects_cover((rect for rect, _volume in table), store_shape)
+        table.wire = {}
+        return table
 
 
 @dataclass
@@ -232,10 +245,7 @@ class TaskExecutor:
             key = (arg.partition, task.launch_domain.shape, arg.store.shape)
             table = self._rect_table_cache.get(key)
             if table is None:
-                table = RectTable(build(arg, task))
-                table.contiguous = contiguous_elementwise_tables((table,), len(table))
-                table.covers = rects_cover((rect for rect, _volume in table), key[2])
-                table.wire = {}
+                table = RectTable.interned(build(arg, task), key[2])
                 with self._rect_table_lock:
                     table = self._rect_table_cache.setdefault(key, table)
             return table

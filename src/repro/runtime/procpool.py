@@ -196,7 +196,9 @@ class ChunkRequest:
     machine: Optional[object] = None
     #: Super-kernel chunks only: per-buffer calling convention aligned
     #: with ``buffers`` (``merged`` = one contiguous span view,
-    #: ``ranked`` = the chunk's per-rank view list).
+    #: ``ranked`` = the chunk's per-rank view list; reduction targets
+    #: are ``None`` under both, and a merged section that reduces
+    #: returns its per-rank partials like a ranked one).
     modes: Optional[Tuple[str, ...]] = None
     #: Parent-assigned request id, echoed back in the reply so the
     #: completion map can match it to its waiter (filled in by the pool).

@@ -29,6 +29,15 @@ DECLINE_REASONS = (
     "worker_lost",  # a pool worker died or missed the reply deadline
 )
 
+#: Why a section of a super-kernel kept its internal rank loop instead of
+#: running once over the merged span (``superkernel._row_reduce_tile``).
+RANKED_REASONS = (
+    "single_rank",  # one rank: nothing to merge
+    "uninterned_table",  # rect tables rebuilt per launch (REPRO_HOTPATH_CACHE=0)
+    "nd_or_broadcast_tiling",  # a buffer is N-D, rank-0, replicated or offset
+    "ragged_tiling",  # contiguous, but the ranks' tiles differ in size
+)
+
 
 @dataclass
 class TaskRecord:
@@ -128,6 +137,12 @@ class Profiler:
         self.superkernel_fusions: int = 0
         self.superkernel_fused_steps: int = 0
         self.superkernel_calls: int = 0
+        #: Sections of those units by emitted shape — ``merged``
+        #: (element-wise, one pass over the span), ``stacked`` (merged and
+        #: reducing by rows) or the reason it stayed ranked.
+        self.superkernel_sections: Dict[str, int] = dict.fromkeys(
+            ("merged", "stacked") + RANKED_REASONS, 0
+        )
         #: Compiled-closure invocations performed by plan replay (one per
         #: merged element-wise chunk, one per rank of a non-element-wise
         #: launch, one per super-kernel chunk) — the interpreter-overhead
@@ -300,10 +315,16 @@ class Profiler:
         """Record a trace re-record forced by a scalar-pattern flip."""
         self.scalar_pattern_flips += 1
 
-    def record_superkernel_fusion(self, constituents: int) -> None:
-        """Record one fused unit built by the super-kernel lowering."""
+    def record_superkernel_fusion(self, sections: Sequence[str]) -> None:
+        """Record one fused unit built by the super-kernel lowering.
+
+        ``sections`` names each constituent's emitted shape: ``merged``,
+        ``stacked`` or one of :data:`RANKED_REASONS`.
+        """
         self.superkernel_fusions += 1
-        self.superkernel_fused_steps += constituents
+        self.superkernel_fused_steps += len(sections)
+        for shape in sections:
+            self.superkernel_sections[shape] += 1
 
     def record_superkernel_calls(self, calls: int) -> None:
         """Record fused-closure invocations (one per super-kernel chunk)."""
@@ -518,6 +539,14 @@ class Profiler:
             for reason, count in self.declines.items():
                 counters[f"decline_{reason}"] = count
             counters["decline_plan_not_hot"] = self.plans_not_hot
+            ranked = 0
+            for shape, count in self.superkernel_sections.items():
+                if shape in RANKED_REASONS:
+                    counters[f"ranked_{shape}"] = count
+                    ranked += count
+                else:
+                    counters[f"superkernel_sections_{shape}"] = count
+            counters["superkernel_sections_ranked"] = ranked
             counters["fields_uninitialised"] = self.fields_uninitialised
             counters["fields_zero_filled"] = self.fields_zero_filled
         counters["trace_hit_rate"] = self.trace_hit_rate
@@ -561,6 +590,7 @@ class Profiler:
         self.superkernel_fusions = 0
         self.superkernel_fused_steps = 0
         self.superkernel_calls = 0
+        self.superkernel_sections = dict.fromkeys(self.superkernel_sections, 0)
         self.replay_closure_calls = 0
         self.wire_bytes = 0
         self.wire_requests = 0

@@ -11,10 +11,14 @@ contiguous runs of :class:`CompiledStep`\\ s are spliced into a single
 generated ``__kernel__``
 (:func:`repro.kernel.codegen.generate_superkernel_source`) that
 executes the constituent kernels section by section in recorded order.
-Element-wise steps become straight-line *merged* sections;
-non-element-wise steps become *ranked* sections whose per-rank closure
-calls collapse into an internal Python loop — one closure call per plan
-step run, instead of one per step per rank.
+Steps whose buffers tile their stores contiguously become straight-line
+*merged* sections over the chunk's span — element-wise steps always, and
+reducing steps when every rank's tile has the same size, their
+reductions running as one ``reduce(axis=1)`` over ``(ranks, tile)`` rows
+(:func:`_row_reduce_tile`).  Every other step becomes a *ranked* section
+whose per-rank closure calls collapse into an internal Python loop.
+Either way it is one closure call per plan step run, instead of one per
+step per rank.
 
 Because recorded order is program order, a contiguous run covers both of
 the paper-motivated fusion shapes at once: producer→consumer chains
@@ -62,8 +66,8 @@ from repro.kernel.codegen import SuperKernelSection, generate_superkernel_source
 from repro.kernel.kir import assignment_loads_buffers, sole_buffer_assignment
 from repro.kernel.lowering import BackendDivergenceError
 from repro.runtime import procpool, telemetry
-from repro.runtime.executor import compiled_ranks
-from repro.runtime.pool import merged_table_span
+from repro.runtime.executor import RectTable, compiled_ranks
+from repro.runtime.pool import contiguous_elementwise_tables, merged_table_span
 from repro.runtime.trace import AnalysisCharge, CompiledStep, ExecutionPlan
 
 
@@ -74,6 +78,15 @@ class SectionInfo:
     prefix: str
     step: CompiledStep
     mode: str  # "merged" | "ranked"
+    #: Elements per rank of a merged section that reduces by rows.
+    tile: Optional[int] = None
+    #: Why a ranked section is not merged (``profiler.RANKED_REASONS``).
+    ranked_because: Optional[str] = None
+
+    @property
+    def shape(self) -> str:
+        """What the profiler counts the section as."""
+        return self.ranked_because or ("merged" if self.tile is None else "stacked")
 
 
 class SuperKernel:
@@ -255,8 +268,10 @@ def _fold_decisions(
     """Dead intermediates of one unit that fold into fused locals.
 
     Returns ``slot -> local identifier``.  A slot folds only when the
-    trace key captured it dead, every plan step touching it is a merged
-    section of this unit, the (single) writer defines it with one
+    trace key captured it dead, every plan step touching it is an
+    element-wise section of this unit (a section that reduces by rows
+    broadcasts 0-d operands over its index buffer, which a folded buffer
+    no longer is), the (single) writer defines it with one
     buffer-loading element-wise assignment and never reads it, the
     readers only read it, and every touching binding shares one interned
     rect table (so chunked execution keeps writer and reader spans
@@ -285,7 +300,7 @@ def _fold_decisions(
             for index, step, mode in members
             if any(slot == s for s, _r, _w, _x in step.footprint)
         ]
-        if len(infos) < 2 or any(mode != "merged" for _i, _s, mode in infos):
+        if len(infos) < 2 or any(not step.elementwise for _i, step, _m in infos):
             continue
         writers = [
             (index, step)
@@ -331,6 +346,28 @@ def _fold_decisions(
     return folds
 
 
+def _row_reduce_tile(step: CompiledStep) -> Tuple[Optional[int], Optional[str]]:
+    """``(tile, None)`` when a reducing step may be a merged section.
+
+    The geometry is the element-wise verdict's — every non-reduction
+    binding tiles its whole 1-D store contiguously in rank order — plus
+    one volume ``tile`` common to every rank of every binding, so that
+    row ``i`` of an operand reshaped to ``(-1, tile)`` is rank ``i``'s
+    tile.  Otherwise ``(None, why not)``; the section stays ranked.
+    """
+    tables = [table for _n, _s, is_red, table in step.buffer_bindings if not is_red]
+    if step.num_points <= 1:
+        return None, "single_rank"
+    if not all(isinstance(table, RectTable) for table in tables):
+        return None, "uninterned_table"
+    if not contiguous_elementwise_tables(tables, step.num_points, require_full_cover=True):
+        return None, "nd_or_broadcast_tiling"
+    tiles = {table.tile for table in tables}
+    if len(tiles) != 1 or None in tiles:
+        return None, "ragged_tiling"
+    return tiles.pop(), None
+
+
 def _build_unit(
     plan: ExecutionPlan,
     indices: Sequence[int],
@@ -339,11 +376,13 @@ def _build_unit(
 ) -> SuperKernelStep:
     """Lower one collected unit into a :class:`SuperKernelStep`."""
     members: List[Tuple[int, CompiledStep, str]] = []
+    row_reduce: Dict[int, Tuple[Optional[int], Optional[str]]] = {}
     for index in indices:
         step = plan.steps[index]
         if isinstance(step, CompiledStep):
-            mode = "merged" if step.elementwise else "ranked"
-            members.append((index, step, mode))
+            tile, why = (None, None) if step.elementwise else _row_reduce_tile(step)
+            row_reduce[index] = (tile, why)
+            members.append((index, step, "ranked" if why else "merged"))
 
     folds = {} if verify else _fold_decisions(plan, members)
 
@@ -382,9 +421,10 @@ def _build_unit(
     footprint_merge: Dict[int, List[bool]] = {}
     scalar_offset = 0
 
-    for section_index, (_index, step, mode) in enumerate(members):
+    for section_index, (index, step, mode) in enumerate(members):
         prefix = f"k{section_index}:"
         function = step.kernel.function
+        tile, ranked_because = row_reduce[index]
         reduction_params = tuple(
             name for name, _slot, is_red, _table in step.buffer_bindings if is_red
         )
@@ -409,11 +449,12 @@ def _build_unit(
                 function=function,
                 mode=mode,
                 reduction_params=reduction_params,
+                tile=tile,
                 fold_writes=tuple(fold_writes),
                 fold_reads=tuple(fold_reads),
             )
         )
-        infos.append(SectionInfo(prefix=prefix, step=step, mode=mode))
+        infos.append(SectionInfo(prefix, step, mode, tile, ranked_because))
 
         scalar_positions.extend(step.scalar_positions)
         for name, flat_index in step.scalar_order:
@@ -439,7 +480,7 @@ def _build_unit(
 
     binding_plan: List[Tuple[str, object]] = []
     for (_name, _slot, is_red, table), mode in zip(bindings, binding_modes):
-        if mode == "ranked" and is_red:
+        if is_red:
             binding_plan.append(("reduction", None))
         elif mode == "ranked":
             binding_plan.append(
@@ -520,7 +561,7 @@ def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[Exec
         fused_by_start[indices[0]] = unit
         consumed.update(indices)
         if profiler is not None:
-            profiler.record_superkernel_fusion(len(unit.sections))
+            profiler.record_superkernel_fusion([info.shape for info in unit.sections])
 
     steps: List[object] = []
     for index, step in enumerate(plan.steps):
@@ -622,7 +663,9 @@ def run_superkernel_ranks(
 
     The local runner of a super-kernel :class:`~repro.runtime.executor
     .ChunkWork`.  Merged bindings hand the closure one contiguous span
-    view; ranked bindings hand it the chunk's per-rank view list.
+    view; ranked bindings hand it the chunk's per-rank view list;
+    reduction targets are ``None`` in both (their values come back as
+    partials).
     Non-chunkable units ignore the chunk range and execute every rank.
     Returns the chunk result shape every substrate returns: the
     closure's partials — per reduction target, a rank-ordered list —
@@ -711,13 +754,12 @@ def _run_verify(
     for (name, resolved, is_reduction, table), mode in zip(
         prepared, step.binding_modes
     ):
-        if mode == "ranked":
-            if is_reduction:
-                buffers[name] = None
-            else:
-                buffers[name] = [
-                    resolved.view(table[rank][0]) for rank in range(len(table))
-                ]
+        if is_reduction:
+            buffers[name] = None
+        elif mode == "ranked":
+            buffers[name] = [
+                resolved.view(table[rank][0]) for rank in range(len(table))
+            ]
         else:
             buffers[name] = resolved.view(merged_table_span(table, 0, len(table)))
     partials = step.kernel.executor(buffers, scalars)

@@ -17,8 +17,9 @@ Usage::
 
 ``--summary`` answers "where did a replayed epoch go" as a table instead
 of a Perfetto session: count, total and self time per span kind per
-replayed epoch (:func:`telemetry.span_summary`); no trace file is
-written unless ``--output`` names one.
+replayed epoch (:func:`telemetry.span_summary`), then how many
+super-kernel sections run once over a merged span and why the others
+keep a rank loop; no trace file is written unless ``--output`` names one.
 
 By default the run uses the full replay stack on the worker-process
 substrate (trace capture, plan scheduler, point dispatch,
@@ -40,6 +41,7 @@ from repro import config
 from repro.apps.base import registered_applications
 from repro.experiments.harness import run_application_experiment
 from repro.runtime import telemetry
+from repro.runtime.profiler import RANKED_REASONS
 
 #: Per-app problem-size overrides at trace scale: big enough that every
 #: subsystem (capture, replay, point dispatch, wire protocol) appears in
@@ -87,6 +89,20 @@ def format_summary(epochs: int, table: Dict[str, List[float]]) -> str:
             f"{self_seconds * 1e3 / per:>12.4f}"
         )
     return "\n".join(lines)
+
+
+def format_sections(counters: Dict[str, object]) -> str:
+    """One line: super-kernel sections by emitted shape, ranked ones by reason."""
+    shapes = ", ".join(
+        f"{counters[f'superkernel_sections_{shape}']} {shape}"
+        for shape in ("merged", "stacked", "ranked")
+    )
+    reasons = ", ".join(
+        f"{reason} {counters[f'ranked_{reason}']}"
+        for reason in RANKED_REASONS
+        if counters[f"ranked_{reason}"]
+    )
+    return f"super-kernel sections: {shapes}" + (f" ({reasons})" if reasons else "")
 
 
 def main() -> int:
@@ -166,6 +182,7 @@ def main() -> int:
 
     if args.summary:
         print(format_summary(*telemetry.span_summary()))
+        print(format_sections(snapshot))
     if output:
         trace = telemetry.export_chrome_trace()
         trace["otherData"]["profiler"] = snapshot

@@ -5,6 +5,7 @@ import pytest
 
 import repro.frontend.cunumeric as cn
 from repro.baselines.petsc import KSP, PetscMachineModel, Vec, poisson_2d_aij
+from repro.frontend.sparse import csr as csr_module
 from repro.frontend.sparse import csr_from_dense, poisson_2d
 from repro.frontend.sparse.linalg import bicgstab, cg
 from repro.runtime.machine import MachineConfig
@@ -49,6 +50,46 @@ class TestCSRMatrix:
     def test_diagonal(self, any_context):
         matrix = poisson_2d(4)
         np.testing.assert_allclose(matrix.diagonal().to_numpy(), np.full(16, 4.0))
+
+
+class TestSpmvChunkCost:
+    """The per-rank seconds of a replayed SpMV chunk are computed once."""
+
+    def _chunk(self):
+        indptr = np.array([0.0, 2.0, 2.0, 5.0, 9.0])
+        bases = {0: indptr, 4: np.zeros(4)}
+        rects = {4: [((0,), (2,)), ((2,), (2,)), ((2,), (4,))]}  # one empty rank
+        return bases, rects, (4.0,), MachineConfig(num_gpus=3)
+
+    def test_pinned_seconds_are_the_uncached_floats(self, flags):
+        flags(REPRO_HOTPATH_CACHE=1)
+        bases, rects, scalars, machine = self._chunk()
+        expected = csr_module._spmv_chunk_cost_uncached(bases, rects, scalars, machine)
+        assert csr_module._spmv_chunk_cost(bases, rects, scalars, machine) == expected
+        # Same indptr array and rect list: served from the pin (visible
+        # only because the test edits a structure real runs never do).
+        bases[0][4] = 90.0
+        pinned = csr_module._spmv_chunk_cost(bases, rects, scalars, machine)
+        assert pinned == expected
+        pinned.append(0.0)  # a caller's copy, not the pin
+        assert csr_module._spmv_chunk_cost(bases, rects, scalars, machine) == expected
+        # Anything in the key changing recomputes: the rect list's
+        # identity, the machine, the index width.
+        changed = csr_module._spmv_chunk_cost_uncached(bases, rects, scalars, machine)
+        assert changed != expected
+        equal_rects = {4: list(rects[4])}
+        assert csr_module._spmv_chunk_cost(bases, equal_rects, scalars, machine) == changed
+        for other in ((bases, rects, (8.0,), machine), (bases, rects, scalars, MachineConfig(num_gpus=1))):
+            assert csr_module._spmv_chunk_cost(*other) == (
+                csr_module._spmv_chunk_cost_uncached(*other)
+            )
+
+    def test_seed_path_recomputes(self, flags):
+        flags(REPRO_HOTPATH_CACHE=0)
+        bases, rects, scalars, machine = self._chunk()
+        first = csr_module._spmv_chunk_cost(bases, rects, scalars, machine)
+        bases[0][4] = 90.0
+        assert csr_module._spmv_chunk_cost(bases, rects, scalars, machine) != first
 
 
 class TestSparseSolvers:

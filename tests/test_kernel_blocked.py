@@ -10,6 +10,9 @@ a block loop could come apart from whole-tile evaluation:
   0-d operands — at extents around the block boundary, on 1-D tiles and
   on non-contiguous 2-D views, over inputs salted with the values
   floating point treats specially;
+* the same random kernels as one super-kernel section over ``ranks x
+  tile`` elements, reducing by rows over the merged span, against the
+  section's per-rank loop — whole, and split into rank chunks;
 * the aliasing programs a naive block loop gets wrong (``x[1:] =
   x[:-1]``), through the frontend and on the generated closure directly;
 * engagement: the tier blocks Black-Scholes tiles and leaves CG's
@@ -17,6 +20,10 @@ a block loop could come apart from whole-tile evaluation:
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +35,12 @@ from repro.apps.base import build_application
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.kernel import codegen
 from repro.kernel.builder import KernelBuilder
-from repro.kernel.codegen import codegen_stats
+from repro.kernel.codegen import (
+    SuperKernelSection,
+    _compile_source,
+    codegen_stats,
+    generate_superkernel_source,
+)
 from repro.kernel.kir import (
     Alloc,
     Assign,
@@ -48,6 +60,9 @@ from repro.kernel.kir import (
 )
 from repro.kernel.lowering import _floats_equal, lower
 from repro.kernel.passes.compose import KernelBinding
+from repro.ir.domain import Rect
+from repro.runtime.executor import RectTable
+from repro.runtime.superkernel import _row_reduce_tile
 
 BLOCK = 8
 EXTENTS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7)
@@ -254,6 +269,141 @@ CORNER_KERNELS = {
 def test_corner_kernels_match_the_interpreter(name):
     for seed in range(3):
         _assert_matches_interpreter(CORNER_KERNELS[name], seed)
+
+
+# ----------------------------------------------------------------------
+# The rank axis: one merged section that reduces by rows against the
+# section's per-rank loop.
+# ----------------------------------------------------------------------
+RANKS = (1, 2, 5, 64)
+RANK_TILES = (1, 3, 16, 17)  # 5 x 3 and up span more than one block of 8
+PREFIX = "k0:"
+
+
+def _section_geometry(function: Function, ranks: int, tile: int):
+    """What the lowering would decide for ``function`` as a captured step:
+    ``a, b, out0, out1`` tile their stores, ``s, z`` are replicated rank-0
+    stores, ``r0, r1`` are reduction targets."""
+    rects = [Rect((r * tile,), ((r + 1) * tile,)) for r in range(ranks)]
+    tiled = RectTable.interned([(rect, rect.volume) for rect in rects], (ranks * tile,))
+    replicated = RectTable.interned([(Rect((), ()), 1)] * ranks, ())
+    bindings = []
+    for slot, param in enumerate(function.buffer_params):
+        table = replicated if param.name in SCALARS_0D else tiled
+        bindings.append((param.name, slot, param.name in TARGETS, table))
+    return _row_reduce_tile(SimpleNamespace(buffer_bindings=bindings, num_points=ranks))
+
+
+def _section_kernel(function, mode, tile=None):
+    """``function`` compiled as the only section of a super-kernel."""
+    section = SuperKernelSection(
+        prefix=PREFIX, function=function, mode=mode, reduction_params=TARGETS, tile=tile
+    )
+    return _compile_source(generate_superkernel_source([section], "prop"), "prop")[0]
+
+
+def _section_run(function, kernel, mode, tile, ranks, chunks, seed):
+    """Run a :func:`_section_kernel` chunk by chunk.
+
+    Returns the buffers and, per reduction target, the partial values in
+    rank order (chunk results concatenated, as ``TaskExecutor.fold`` does).
+    """
+    buffers, scalars = _inputs(ranks * tile, False, seed)
+    totals = {}
+    for start, stop in chunks:
+        bound = {}
+        for param in function.buffer_params:
+            array = buffers[param.name]
+            if array is not None and mode == "merged":
+                array = array[start * tile : stop * tile]
+            elif array is not None:
+                array = [array[r * tile : (r + 1) * tile] for r in range(start, stop)]
+            bound[PREFIX + param.name] = array
+        with np.errstate(all="ignore"):
+            partials = kernel(bound, {PREFIX + "k": scalars["k"]})
+        for target, partial_list in partials.items():
+            assert len(partial_list) == stop - start
+            totals.setdefault(target, []).extend(partial_list)
+    return buffers, totals
+
+
+def _assert_rows_match_rank_loop(function: Function, seed: int) -> None:
+    used = function.buffers_read() | function.buffers_written()
+    if used & set(SCALARS_0D):
+        # A rank-0 buffer would become a column of the merged span, and
+        # NumPy treats scalars and arrays differently (``power(x, 0.5)``):
+        # the lowering keeps such a section ranked.
+        for ranks in RANKS[1:]:
+            assert _section_geometry(function, ranks, 3) == (None, "nd_or_broadcast_tiling")
+        return
+    params = tuple(p for p in function.params if p.name not in SCALARS_0D)
+    function = Function(name=function.name, params=params, body=function.body)
+    original = codegen.BLOCK
+    codegen.BLOCK = BLOCK
+    try:
+        ranked = _section_kernel(function, "ranked")
+        for tile in RANK_TILES:
+            merged = _section_kernel(function, "merged", tile)
+            for ranks in RANKS:
+                if ranks > 1:
+                    assert _section_geometry(function, ranks, tile) == (tile, None)
+                whole = [(0, ranks)]
+                middle = (ranks + 1) // 2
+                split = [(0, middle), (middle, middle + 1), (middle + 1, ranks)]
+                expected = _section_run(function, ranked, "ranked", tile, ranks, whole, seed)
+                for chunks in (whole, [c for c in split if c[0] < c[1] <= ranks]):
+                    actual = _section_run(function, merged, "merged", tile, ranks, chunks, seed)
+                    context = f"{function.pretty()}\nranks={ranks} tile={tile} chunks={chunks}"
+                    for name, array in expected[0].items():
+                        if array is not None:
+                            assert np.array_equal(
+                                actual[0][name], array, equal_nan=True
+                            ), f"buffer '{name}'\n{context}"
+                    assert list(actual[1]) == list(expected[1]), context
+                    for target, partial_list in expected[1].items():
+                        for rank, (partial, other) in enumerate(
+                            zip(partial_list, actual[1][target])
+                        ):
+                            assert partial.kind is other.kind, context
+                            assert type(other.value) is float, context
+                            assert np.float64(partial.value).tobytes() == (
+                                np.float64(other.value).tobytes()
+                            ) or (np.isnan(partial.value) and np.isnan(other.value)), (
+                                f"partial '{target}' of rank {rank}: {partial} vs {other}\n{context}"
+                            )
+    finally:
+        codegen.BLOCK = original
+
+
+def test_row_reduce_matches_stacked_reduce():
+    """The NumPy fact reducing by rows rests on, on *this* NumPy.
+
+    ``ufunc.reduce(x.reshape(-1, tile), axis=1)[i]`` must equal the
+    ``reduce(axis=None)`` of row ``i`` bit for bit.  NumPy promises no
+    such thing, and the CI interpreters resolve different NumPy releases:
+    a release where it stops holding must fail here, not diverge
+    silently.  The full sweep and its output are in ``docs/bench/pr23/``.
+    """
+    path = Path(__file__).resolve().parents[1] / "docs/bench/pr23/reduce_identity_sweep.py"
+    spec = importlib.util.spec_from_file_location("reduce_identity_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    tiles = tuple(range(1, 70)) + (127, 128, 129, 1000, 4097)
+    compared, failures = sweep.mismatches((1, 2, 7, 64), tiles)
+    assert compared == 4 * len(tiles) * 4 * (1 + len(sweep.ZERO_D))
+    assert failures == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(function=kernels(), seed=st.integers(0, 2**16))
+def test_random_kernels_reduce_by_rows_like_the_rank_loop(function, seed):
+    _assert_rows_match_rank_loop(function, seed)
+
+
+@pytest.mark.parametrize("name", list(CORNER_KERNELS))
+def test_corner_kernels_reduce_by_rows_like_the_rank_loop(name):
+    for seed in range(3):
+        _assert_rows_match_rank_loop(CORNER_KERNELS[name], seed)
 
 
 # ----------------------------------------------------------------------

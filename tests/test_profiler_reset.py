@@ -62,8 +62,7 @@ def _dirty(profiler: Profiler) -> None:
     profiler.opaque_chunk_calls = 4
     profiler.opaque_process_chunks = 2
     profiler.scalar_pattern_flips = 1
-    profiler.superkernel_fusions = 2
-    profiler.superkernel_fused_steps = 6
+    profiler.record_superkernel_fusion(["merged", "stacked", "ragged_tiling"])
     profiler.superkernel_calls = 12
     profiler.replay_closure_calls = 40
     profiler.wire_bytes = 4096
@@ -115,6 +114,10 @@ def test_snapshot_reflects_counters_and_reset():
     assert snapshot["decline_below_volume"] == 1
     assert snapshot["decline_worker_lost"] == 0
     assert snapshot["decline_plan_not_hot"] == 1
+    assert snapshot["superkernel_fused_steps"] == 3
+    assert snapshot["superkernel_sections_stacked"] == 1
+    assert snapshot["superkernel_sections_ranked"] == snapshot["ranked_ragged_tiling"] == 1
+    assert snapshot["ranked_uninterned_table"] == 0
     assert snapshot["fields_uninitialised"] == 1
     assert snapshot["fields_zero_filled"] == 1
     assert snapshot["multi_block_calls"] == 2

@@ -9,7 +9,10 @@ in verify mode against its constituent steps).  On top of parity, the
 pass must actually fuse: vertical splices fold dead intermediates into
 locals, independent same-level steps merge horizontally, fused units
 ship to worker processes, and the CG replay path must drop its
-compiled-closure calls per epoch by at least 3x.
+compiled-closure calls per epoch by at least 3x.  Reducing steps over a
+uniform contiguous tiling run once over the merged span (no rank loop in
+the generated source), chunked or whole, and every section that keeps
+its rank loop says why in ``Profiler.snapshot()``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.fusion.engine import FusionConfig
+from repro.runtime import procpool
 from repro.runtime import superkernel as superkernel_module
 
 
@@ -59,16 +63,21 @@ def _run_app(
     point_workers=1,
     backend="thread",
     kernel_backend="differential",
+    num_gpus=4,
+    resident="1",
     **app_kwargs,
 ):
     monkeypatch.setattr(config, "SUPERKERNEL", superkernel == "1")
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+    monkeypatch.setenv("REPRO_RESIDENT_PLANS", resident)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel_backend)
     config.reload_flags()
-    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+    context = RuntimeContext(
+        num_gpus=num_gpus, fusion=True, machine=scaled_machine(num_gpus, 1e-4)
+    )
     set_context(context)
     try:
         app = build_application(app_name, context=context, **app_kwargs)
@@ -102,15 +111,29 @@ HAMMER_COMBOS = [
 class TestSuperkernelParity:
     """The PR-6 hammer: fused replay is bit-identical everywhere."""
 
+    #: (app, size, iterations, the section shape the lowering must
+    #: report).  The Krylov apps run at a size whose rows the four ranks
+    #: divide (a 16 x 16 grid, 64 rows each: reducing sections stack) and
+    #: at one they do not (9 x 9, tiles of 21, 21, 21 and 18 rows: the
+    #: same sections keep their rank loop).
     APPS = [
-        ("cg", dict(grid_points_per_gpu=8), 5),
-        ("jacobi", dict(rows_per_gpu=24), 5),
-        ("black-scholes", dict(elements_per_gpu=96), 5),
-        ("two-matvec", dict(rows_per_gpu=20), 5),
+        ("cg", dict(grid_points_per_gpu=8), 5, "superkernel_sections_stacked"),
+        ("cg", dict(grid_points_per_gpu=4.5), 5, "ranked_ragged_tiling"),
+        ("bicgstab", dict(grid_points_per_gpu=8), 5, "superkernel_sections_stacked"),
+        ("bicgstab", dict(grid_points_per_gpu=4.5), 5, "ranked_ragged_tiling"),
+        ("gmg", dict(grid_points_per_gpu=8), 5, "superkernel_sections_stacked"),
+        ("gmg", dict(grid_points_per_gpu=4.5), 5, "ranked_ragged_tiling"),
+        ("jacobi", dict(rows_per_gpu=24), 5, None),
+        ("black-scholes", dict(elements_per_gpu=96), 5, None),
+        ("two-matvec", dict(rows_per_gpu=20), 5, None),
     ]
 
-    @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
-    def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
+    @pytest.mark.parametrize(
+        "app_name,kwargs,iterations,shape",
+        APPS,
+        ids=[f"{a[0]}-{next(iter(a[1].values()))}" for a in APPS],
+    )
+    def test_matrix_bit_identical(self, app_name, kwargs, iterations, shape, monkeypatch):
         ctx_base, state_base, checksum_base = _run_app(
             app_name, monkeypatch, iterations, superkernel="0", **kwargs
         )
@@ -140,6 +163,10 @@ class TestSuperkernelParity:
             assert (
                 ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
             ), label
+            if shape is not None and superkernel == "1":
+                if not config.hotpath_cache_enabled():  # the seed-path CI leg
+                    shape = "ranked_uninterned_table"
+                assert ctx.profiler.snapshot()[shape] > 0, label
 
     def test_cg_closure_calls_drop(self, monkeypatch):
         """The tentpole's point: >= 3x fewer compiled-closure calls."""
@@ -188,6 +215,18 @@ class TestSuperkernelParity:
 # ----------------------------------------------------------------------
 # Fusion structure: folding, horizontal merges, process shipping.
 # ----------------------------------------------------------------------
+def _fused_units():
+    """The fused units of every plan currently holding a lowering."""
+    return [
+        step
+        for ref in superkernel_module._LOWERED_PLANS
+        for plan in [ref()]
+        if plan is not None and plan.superkernel not in (None, superkernel_module._NO_UNITS)
+        for step in plan.superkernel.steps
+        if isinstance(step, superkernel_module.SuperKernelStep)
+    ]
+
+
 def _window1_config():
     """Defeat window fusion so adjacent element-wise tasks stay separate
     compiled steps — the vertical-splice shape of the lowering pass."""
@@ -238,15 +277,9 @@ class TestVerticalSpliceAndFolding:
         np.testing.assert_array_equal(result, a_host * 2.0 + 1.0)
         assert ctx.profiler.superkernel_fusions == 1
         assert ctx.profiler.superkernel_fused_steps == 2
-        folded = [
-            step
-            for ref in superkernel_module._LOWERED_PLANS
-            for plan in [ref()]
-            if plan is not None and plan.superkernel is not None
-            for step in plan.superkernel.steps
-            if getattr(step, "folded_slots", ())
-        ]
-        assert folded, "the dead intermediate was not folded"
+        assert any(
+            unit.folded_slots for unit in _fused_units()
+        ), "the dead intermediate was not folded"
 
     def test_folding_is_bit_identical(self, monkeypatch):
         _ctx0, _a, result_off, sim_off = _run_chain(monkeypatch, "0")
@@ -312,6 +345,85 @@ class TestProcessShipping:
             ctx_proc.profiler.iteration_seconds()
             == ctx_thread.profiler.iteration_seconds()
         )
+
+
+# ----------------------------------------------------------------------
+# Reducing sections over a uniform tiling run once, not once per rank.
+# ----------------------------------------------------------------------
+class TestRankedSectionsRunOnce:
+    def test_cg_at_64_ranks_has_no_rank_loop(self, monkeypatch):
+        """The ``cg-manyrank`` shape: 64 ranks of 16 rows."""
+        monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
+        ctx, _state, _checksum = _run_app(
+            "cg", monkeypatch, 6, kernel_backend="codegen", num_gpus=64,
+            grid_points_per_gpu=4,
+        )
+        snapshot = ctx.profiler.snapshot()
+        assert snapshot["closure_calls_per_epoch"] == 1.0
+        assert snapshot["superkernel_sections_stacked"] == 2
+        assert snapshot["superkernel_sections_ranked"] == 0
+        units = _fused_units()
+        assert sorted(unit.task_name for unit in units) == [
+            "superkernel_dot",
+            "superkernel_fused_multiply_scalar_add_multiply_scalar_subtract_dot",
+        ]
+        for unit in units:
+            assert unit.chunkable and unit.num_points == 64
+            assert [info.tile for info in unit.sections] == [16]
+            assert set(unit.binding_modes) == {"merged"}
+            assert "for _rk" not in unit.kernel.source
+            assert ".reshape(-1, 16), axis=1)" in unit.kernel.source
+
+    def test_ragged_cg_says_why_it_stays_ranked(self, monkeypatch):
+        """3 ranks over 169 rows (57, 57, 55): the rank loop, and the reason."""
+        monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
+        ctx, _state, _checksum = _run_app(
+            "cg", monkeypatch, 6, kernel_backend="codegen", num_gpus=3,
+            grid_points_per_gpu=7,
+        )
+        snapshot = ctx.profiler.snapshot()
+        assert snapshot["superkernel_sections_stacked"] == 0
+        assert snapshot["superkernel_sections_ranked"] == snapshot["ranked_ragged_tiling"] == 2
+        assert all("for _rk" in unit.kernel.source for unit in _fused_units())
+
+    def test_seed_path_tables_never_stack(self, monkeypatch):
+        monkeypatch.setenv("REPRO_HOTPATH_CACHE", "0")
+        ctx, _state, _checksum = _run_app(
+            "cg", monkeypatch, 6, kernel_backend="codegen", grid_points_per_gpu=8
+        )
+        snapshot = ctx.profiler.snapshot()
+        assert snapshot["superkernel_sections_stacked"] == 0
+        assert snapshot["ranked_uninterned_table"] == snapshot["superkernel_sections_ranked"] > 0
+
+    @pytest.mark.parametrize(
+        "backend,resident", [("thread", "1"), ("process", "0"), ("process", "1")]
+    )
+    def test_stacked_unit_runs_chunked(self, backend, resident, monkeypatch, shm_entries):
+        """``REPRO_POINT_WORKERS=4``: each chunk is one merged span, the
+        per-rank partials of the chunks concatenate in rank order."""
+        monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
+        kwargs = dict(kernel_backend="codegen", num_gpus=64, grid_points_per_gpu=4)
+        ctx_serial, state_serial, checksum_serial = _run_app("cg", monkeypatch, 6, **kwargs)
+        shm_before = shm_entries()
+        ctx, state, checksum = _run_app(
+            "cg", monkeypatch, 6, point_workers=4, backend=backend, resident=resident,
+            **kwargs,
+        )
+        try:
+            assert checksum == checksum_serial
+            for name in state_serial:
+                assert np.array_equal(state[name], state_serial[name]), name
+            assert ctx.profiler.iteration_seconds() == ctx_serial.profiler.iteration_seconds()
+            snapshot = ctx.profiler.snapshot()
+            assert snapshot["superkernel_sections_stacked"] == 2
+            # Two units per iteration, four chunks each.
+            assert snapshot["superkernel_calls"] == 4 * ctx_serial.profiler.superkernel_calls
+            chunks = "point_process_chunks" if backend == "process" else "point_thread_chunks"
+            assert snapshot[chunks] >= snapshot["superkernel_calls"]
+        finally:
+            ctx.legion.regions.close_arena()
+            procpool.shutdown_process_pool()
+        assert shm_entries() == shm_before
 
 
 # ----------------------------------------------------------------------

@@ -442,6 +442,9 @@ class TestTracedump:
         )
         assert completed.returncode == 0, completed.stderr
         assert "replayed epochs" in completed.stdout and "plan.level" in completed.stdout
+        shapes = {"cg": "2 stacked, 0 ranked", "torchswe-manual": "0 stacked, 2 ranked (nd_or_broadcast_tiling 2)"}
+        assert "super-kernel sections: " in completed.stdout
+        assert shapes[app] in completed.stdout
         trace = json.loads(output.read_text())
         assert trace["traceEvents"]
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] != "M"}
