@@ -14,11 +14,15 @@ four steps:
    (one library call per rank, or one per chunk when the operator
    registers a chunk implementation; see ``runtime/opaque.py``).
 2. **Run the chunks** down one substrate ladder
-   (:meth:`TaskExecutor.run_chunks`): resident worker processes, then
-   per-chunk worker processes, then the shared thread pool, then inline.
-   A rung returns per-chunk ``(partials_by_rank, seconds_by_rank)``
-   results in chunk order, or declines and records why
-   (``Profiler.record_decline``).
+   (:meth:`TaskExecutor.run_chunks`): per-chunk worker processes, then
+   the shared thread pool, then inline.  A rung returns per-chunk
+   ``(partials_by_rank, seconds_by_rank)`` results in chunk order, or
+   declines and records why (``Profiler.record_decline``).  Replayed
+   steps whose plan is resident in the worker processes skip the ladder:
+   the scheduler ships their whole level as one frame per worker
+   (:meth:`TaskExecutor.run_resident_level`) and hands each step its
+   chunk results; a step the frame declines, or whose pool broke, runs
+   down the ladder like any other launch.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
    rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
    are bit-identical for every substrate and dispatch width.
@@ -136,8 +140,6 @@ class ChunkWork:
     #: Cost descriptor for worker-side per-rank seconds; ``None`` for
     #: replayed compiled steps, which charge their captured seconds.
     cost: Optional[object] = None
-    #: ``(ResidentPlan, step index)`` when workers hold a template.
-    resident: Optional[tuple] = None
 
 
 def bind_views(rows: Sequence[Row], start: int, stop: int) -> List[dict]:
@@ -472,10 +474,10 @@ class TaskExecutor:
         """Per-chunk results in chunk order, and the substrate that ran them.
 
         One chunk runs inline (substrate ``None``).  Several go to the
-        worker processes under ``REPRO_DISPATCH_BACKEND=process`` —
-        resident protocol first, then per-chunk — and to the shared
-        thread pool when that declines; ``width`` is the dispatch width
-        the chunk plan was cut for (recorded with the dispatch).
+        worker processes under ``REPRO_DISPATCH_BACKEND=process``, one
+        request per chunk, and to the shared thread pool when that
+        declines; ``width`` is the dispatch width the chunk plan was cut
+        for (recorded with the dispatch).
         """
         if len(chunks) == 1:
             return [work.run(*chunks[0])], None
@@ -565,8 +567,9 @@ class TaskExecutor:
         A dead or hung worker (not a kernel error — those re-raise with
         their own type) tears the pool down; this launch degrades to the
         next rung and the next launch builds a fresh pool.  The pool's
-        call meter is thread-local, so concurrent dispatches from the
-        steps of a wide level each report exactly their own traffic.
+        call meter is thread-local and nests, so concurrent dispatches,
+        and a launch run while a level frame is in flight, each report
+        exactly their own traffic.
         """
         pool = procpool.process_pool()
         pool.begin_call_meter()
@@ -579,42 +582,15 @@ class TaskExecutor:
                 self.profiler.record_wire_traffic(*pool.end_call_meter())
 
     def _ship(self, work: ChunkWork, chunks) -> Optional[List[ChunkResult]]:
-        """The process rungs: the resident protocol, then per-chunk requests.
+        """The per-chunk process rung: one pickled request per chunk.
 
-        Resident run messages carry only the epoch's scalars and field
-        descriptors (frontends bind fresh stores, hence fresh arena
-        blocks, every epoch); the workers hold everything else.  It
-        declines when the chunk plan disagrees with the ranges baked
-        into the workers' templates or an opaque launch's scalars are
-        not numeric, and the per-chunk protocol takes over (as it does
-        after a broken pool; the plan re-ships to the fresh one).
+        Also where a resident step lands when its level frame declined
+        it or lost its pool (the plan re-ships to the fresh one).
         """
         descriptors = self._shippable(work)
         if descriptors is None:
             return None
         impl, scalars = work.impl, work.scalars
-        if work.resident is not None:
-            plan, index = work.resident
-            template = plan.steps[index]
-            values = None
-            if tuple(chunks) != template.chunks:
-                self._decline("template_mismatch")
-            elif impl is None:
-                values = tuple(scalars[name] for name in template.scalar_names)
-            else:
-                try:
-                    values = tuple(float(value) for value in scalars)
-                except (TypeError, ValueError):
-                    self._decline("non_numeric_scalars")
-            if values is not None:
-                results = self._roundtrip(
-                    f"resident plan={plan.plan_id} step={index}",
-                    lambda pool: pool.run_resident_chunks(
-                        plan, index, values, tuple(descriptors), chunks
-                    ),
-                )
-                if results is not None:
-                    return results
         parts = [
             (start, stop, self._wire_buffers(work, descriptors, start, stop))
             for start, stop in chunks
@@ -681,6 +657,52 @@ class TaskExecutor:
             modes, tuple(chunks),
         )
 
+    def resident_entry(self, plan, index: int, work: ChunkWork, chunks) -> Optional[tuple]:
+        """One step's entry in its level's resident frame, or ``None``.
+
+        ``(step index, scalar values, descriptors, chunks)``: all a run
+        message carries is the epoch's scalars and field descriptors
+        (frontends bind fresh stores, hence fresh arena blocks, every
+        epoch); the workers hold everything else.  Declines — with the
+        reason recorded — when the work does not ship, the chunk plan
+        disagrees with the ranges baked into the workers' templates, or
+        an opaque launch's scalars are not numeric; the step then runs
+        down the ladder like any other launch.
+        """
+        descriptors = self._shippable(work)
+        if descriptors is None:
+            return None
+        template = plan.steps[index]
+        if tuple(chunks) != template.chunks:
+            return self._decline("template_mismatch")
+        if work.impl is None:
+            values = tuple(work.scalars[name] for name in template.scalar_names)
+        else:
+            try:
+                values = tuple(float(value) for value in work.scalars)
+            except (TypeError, ValueError):
+                return self._decline("non_numeric_scalars")
+        return index, values, tuple(descriptors), chunks
+
+    def run_resident_level(
+        self, plan, level: int, entries: Sequence[tuple], meanwhile: Callable[[], None]
+    ) -> Optional[List[ChunkResult]]:
+        """The resident rung of a whole plan level: one frame per worker.
+
+        ``entries`` are the level's :meth:`resident_entry` tuples in
+        recorded order; ``meanwhile`` runs the level's other steps on
+        this thread while the workers compute.  Returns every entry's
+        chunk results as one flat list in (entry, chunk) order, or
+        ``None`` when the pool broke (``worker_lost``).
+        """
+        label = ""
+        if telemetry.enabled():
+            steps = ",".join(str(entry[0]) for entry in entries)
+            label = f"resident plan={plan.plan_id} level={level} steps={steps}"
+        return self._roundtrip(
+            label, lambda pool: pool.run_resident_chunks(plan, entries, meanwhile)
+        )
+
     # ------------------------------------------------------------------
     # Fold.
     # ------------------------------------------------------------------
@@ -719,16 +741,25 @@ class TaskExecutor:
         return max(per_gpu), totals
 
     def launch(
-        self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int
+        self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int,
+        shipped: Optional[List[ChunkResult]] = None,
     ) -> Tuple[float, Dict[object, List[ReductionPartial]]]:
         """Run a prepared launch's chunks and fold them.
 
-        Returns ``(kernel seconds, reduction partials per key)`` with
-        the partials still unapplied: the plan scheduler folds each
-        step's partials into their stores at its level's join, in
-        recorded order.
+        ``shipped`` hands in the chunk results a resident level frame
+        already brought back from the worker processes, in place of a
+        trip down the ladder.  Returns ``(kernel seconds, reduction
+        partials per key)`` with the partials still unapplied: the plan
+        scheduler folds each step's partials into their stores at its
+        level's join, in recorded order.
         """
-        results, backend = self.run_chunks(work, chunks, width)
+        if shipped is None:
+            results, backend = self.run_chunks(work, chunks, width)
+        else:
+            results, backend = shipped, "process"
+            self.profiler.record_point_dispatch(
+                ranks=work.num_points, chunks=len(chunks), width=width, backend=backend
+            )
         if work.elementwise:
             self.profiler.record_elementwise_batch(len(chunks))
         elif work.kernel is None and work.impl is None:

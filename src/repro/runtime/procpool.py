@@ -10,15 +10,19 @@ Protocol
 Each worker owns one duplex pipe and serves requests strictly in FIFO
 order.  Every request carries a parent-assigned **request id** and every
 reply echoes it back: a per-worker reader thread funnels all replies
-into one scheduler-side completion map keyed by request id, so any
-number of dispatching threads can have chunks in flight on the same
-worker pipes concurrently — the wide-level process dispatch of
-``runtime/scheduler.py`` ships several steps of one dependence level at
-once.  Send-side state that *does* depend on FIFO order (the shipped
-kernel/table/plan sets and the descriptor interning below) is mutated
-under a per-worker send lock held across the state update and the
-``send_bytes`` call, so the per-worker send order still matches the
-state both sides agreed on.  A :class:`ChunkRequest` carries everything
+into one scheduler-side completion map keyed by request id, so a
+dispatch sends everything it has before it waits for anything, and any
+number of dispatching threads can have requests in flight on the same
+worker pipes (the steps of a wide plan level under the per-chunk
+protocol; a launch the scheduling thread runs while a resident level
+frame is out).  Send-side state that *does* depend on FIFO order (the
+shipped kernel/table/plan sets and the descriptor interning below) is
+mutated under a per-worker send lock held across the state update and
+the ``send_bytes`` call, so the per-worker send order still matches the
+state both sides agreed on.  There are two request shapes: one pickled
+request per rank chunk (eager launches, ``REPRO_RESIDENT_PLANS=0``, and
+whatever a resident plan declines), and one frame per worker per *plan
+level* (next section).  A :class:`ChunkRequest` carries everything
 a chunk needs:
 
 * a **kernel spec** — the KIR function, a stripped parameter binding and
@@ -69,33 +73,50 @@ Replaying a captured :class:`ExecutionPlan` through per-chunk requests
 re-sends the same descriptors, names and geometry every iteration.  With
 residency enabled the parent instead registers the whole plan with the
 pool once — a :class:`ResidentPlan` maps schedule-step indices to
-:class:`ResidentStep` templates holding the kernel spec, the full
-rank-indexed rect table, the step's chunk plan and the calling
-convention of every shippable compiled step — and ships it to each
-worker at most once, keyed by a parent-assigned plan id.  Chunk i of a
-resident step always lands on worker ``i % size``, so each worker's
-rank ranges are baked into its copy of the plan at ship time and never
-travel again.  Every later dispatch sends one lean ``("r", request id,
-plan id, step index, scalar values, descriptor sync)`` message per
-engaged worker and gets the per-chunk results back in one reply; once the sync
-is all-integer (the steady state) the message travels as a fixed
-binary frame (:func:`_pack_run_message`) a fraction the size of its
-pickled form and byte-stable across Python versions.  Frontends bind
-fresh stores (hence fresh arena blocks) per epoch, so field addresses
-*cannot* be baked into the template; instead the sync entry interns
+:class:`ResidentStep` / :class:`OpaqueResidentStep` templates holding
+the kernel spec (or operator name), the full rank-indexed rect table,
+the step's chunk plan and the calling convention of every shippable
+step — and ships it to each worker at most once, keyed by a
+parent-assigned plan id.  Chunk i of a resident step always lands on
+worker ``i % size``, so each worker's rank ranges are baked into its
+copy of the plan at ship time and never travel again.
+
+The unit a replay ships is the plan **level**, not the step
+(:meth:`ProcessWorkerPool.run_resident_chunks`, called once per level by
+``PlanScheduler``): the scheduling thread prepares every step of the
+level, and each engaged worker receives *one* frame ``("r", request id,
+plan id, entries)`` whose entries ``(step index, scalar values,
+descriptor sync)`` list the level's shipped steps that worker has chunks
+of, in recorded order.  The worker interns every entry's sync, runs the
+entries back to back over its baked rank ranges, and answers with one
+reply holding each entry's per-chunk results; while the workers compute,
+the parent runs the level's remaining steps (single-rank launches,
+operators with nothing a worker could resolve) itself.  A width-3 level
+therefore costs one send and one reply per worker where per-step
+messages cost three of each — the launch being merged (Li et al.,
+"Automatic Horizontal Fusion for GPU Kernels") is a pipe round trip —
+and a width-1 level is simply a one-entry frame.  Once every sync is
+all-integer (the steady state) the frame travels in a fixed binary
+layout (:func:`_pack_run_message`) a fraction the size of its pickled
+form and byte-stable across Python versions.  Frontends bind fresh
+stores (hence fresh arena blocks) per epoch, so field addresses
+*cannot* be baked into the template; instead the sync interns
 descriptors per worker — a :class:`~repro.runtime.shm.BlockDescriptor`
 crosses the pipe once and is a small integer id ever after (arena
 offsets cycle through a bounded set in steady replay, so the id table
 saturates after a few epochs).  Workers slice the resident rect tables
 to each ``[start, stop)`` range themselves and execute through the
 same :func:`_execute_chunk` machinery as the per-chunk protocol, so
-results are bit-identical.  Staleness is generation-based:
+results are bit-identical.  An entry that raises ends its frame: the
+worker replies with that error and skips the entries behind it — their
+descriptors were interned on receipt, so the id tables stay in step and
+the pool stays usable.  Staleness is generation-based:
 ``RegionManager.attach`` (descriptor swaps), store releases and
 ``config.reload_flags()`` bump :func:`resident_generation`, which
 retires every parent-side :class:`ResidentPlan` built under an older
-generation; a dead worker tears the pool down, the affected launch
-degrades to the per-chunk protocol (which rebuilds a fresh pool), and
-the next replay re-ships the plan to the fresh workers.
+generation; a dead or hung worker tears the pool down, every step of
+the lost frame degrades to the per-chunk protocol (which rebuilds a
+fresh pool), and the next replay re-ships the plan to the fresh workers.
 
 The pool also meters its own wire traffic: every request message is
 pickled once (``ForkingPickler``, exactly what ``Connection.send``
@@ -126,7 +147,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.reduction import ForkingPickler
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -260,7 +281,7 @@ class ResidentStep:
     #: The descriptors are placeholders only: frontends bind fresh
     #: stores (hence fresh arena blocks) to a slot on every epoch, so
     #: every run message carries the step's *current* addresses as a
-    #: per-worker-interned sync (see :func:`_execute_resident`).
+    #: per-worker-interned sync (see :func:`_execute_frame`).
     buffers: Tuple[
         Tuple[str, bool, Optional[BlockDescriptor], Optional[int], Optional[List[WireRect]]],
         ...,
@@ -357,64 +378,64 @@ def _rect_volume(rect: WireRect) -> int:
 _RUN_FRAME_MAGIC = 0x01
 
 
-def _pack_run_message(
-    request_id: int, plan_id: int, step_index: int, values: tuple, sync: tuple
-) -> Optional[bytes]:
+def _pack_run_message(request_id: int, plan_id: int, entries: Sequence[tuple]) -> Optional[bytes]:
     """Binary frame of a steady-state resident run message.
 
-    Once the per-worker descriptor interning saturates, every sync entry
+    ``entries`` lists the ``(step index, scalar values, descriptor
+    sync)`` of every step of one plan level the worker has chunks of.
+    Once the per-worker descriptor interning saturates, every sync item
     is a small int (or ``None`` for reductions) and the whole message is
     a handful of scalars — packing it with :mod:`struct` instead of
     pickle roughly halves the bytes *and* makes the wire-gate counters
     byte-stable across Python versions (pickle framing is not).  Layout:
-    magic u8, request id u32, plan id u32, step index u16, value count
-    u8 + f64 values, sync count u8 + i16 entries (``-1`` ⇒ ``None``).
-    Returns ``None`` when the message does not fit the frame (a
-    first-sighting descriptor in the sync, a non-float scalar, an id
-    beyond i16) — the caller falls back to the pickled tuple framing.
+    magic u8, request id u32, plan id u32, entry count u8; per entry
+    step index u16, value count u8 + f64 values, sync count u8 + i16
+    items (``-1`` ⇒ ``None``).  Returns ``None`` when the message does
+    not fit the frame (a first-sighting descriptor in a sync, a
+    non-float scalar, an id beyond i16) — the caller falls back to the
+    pickled tuple framing.
     """
-    if len(values) > 255 or len(sync) > 255:
+    if len(entries) > 255:
         return None
-    entries = []
-    for item in sync:
-        if item is None:
-            entries.append(-1)
-        elif type(item) is int and item <= 0x7FFF:
-            entries.append(item)
-        else:
+    layout = ["<BIIB"]
+    fields: list = [_RUN_FRAME_MAGIC, request_id, plan_id, len(entries)]
+    for step_index, values, sync in entries:
+        if len(values) > 255 or len(sync) > 255:
             return None
-    for value in values:
-        if type(value) is not float:
-            return None
+        for value in values:
+            if type(value) is not float:
+                return None
+        items = []
+        for item in sync:
+            if item is None:
+                items.append(-1)
+            elif type(item) is int and item <= 0x7FFF:
+                items.append(item)
+            else:
+                return None
+        layout.append(f"HB{len(values)}dB{len(items)}h")
+        fields += (step_index, len(values), *values, len(items), *items)
     try:
-        return struct.pack(
-            f"<BIIHB{len(values)}dB{len(entries)}h",
-            _RUN_FRAME_MAGIC,
-            request_id,
-            plan_id,
-            step_index,
-            len(values),
-            *values,
-            len(entries),
-            *entries,
-        )
+        return struct.pack("".join(layout), *fields)
     except struct.error:  # pragma: no cover - id beyond u32
         return None
 
 
 def _unpack_run_message(data: bytes) -> tuple:
     """Decode a binary run frame back to the pickled-tuple shape."""
-    request_id, plan_id, step_index, value_count = struct.unpack_from(
-        "<IIHB", data, 1
-    )
-    offset = 12
-    values = struct.unpack_from(f"<{value_count}d", data, offset)
-    offset += 8 * value_count
-    (sync_count,) = struct.unpack_from("<B", data, offset)
-    offset += 1
-    entries = struct.unpack_from(f"<{sync_count}h", data, offset)
-    sync = tuple(None if entry == -1 else entry for entry in entries)
-    return ("r", request_id, plan_id, step_index, values, sync)
+    request_id, plan_id, entry_count = struct.unpack_from("<IIB", data, 1)
+    offset = 10
+    entries = []
+    for _ in range(entry_count):
+        step_index, value_count = struct.unpack_from("<HB", data, offset)
+        values = struct.unpack_from(f"<{value_count}d", data, offset + 3)
+        offset += 3 + 8 * value_count
+        (sync_count,) = struct.unpack_from("<B", data, offset)
+        items = struct.unpack_from(f"<{sync_count}h", data, offset + 1)
+        offset += 1 + 2 * sync_count
+        sync = tuple(None if item == -1 else item for item in items)
+        entries.append((step_index, values, sync))
+    return ("r", request_id, plan_id, tuple(entries))
 
 
 # ----------------------------------------------------------------------
@@ -583,43 +604,63 @@ def _register_resident_plan(
     return plan_id, steps
 
 
-def _execute_resident(
+def _execute_frame(
     message: tuple,
     plans: Dict[int, Dict[int, ResidentStep]],
     executors: Dict[int, object],
     descriptors: List[BlockDescriptor],
-) -> List[ChunkResult]:
-    """Run one resident-plan step over the worker's baked rank ranges.
+) -> List[List[ChunkResult]]:
+    """Run one resident frame: the worker's share of one plan level.
 
-    The run message carries no geometry, names or ranges — the worker
-    iterates the chunk ranges baked into its copy of the template,
-    slices the resident rect tables to each ``[start, stop)`` range and
-    executes through the same :func:`_execute_chunk` path as the
-    per-chunk protocol, so results are bit-identical.  The ``sync``
-    tuple resolves the step's *current* per-buffer field addresses
-    against this worker's descriptor intern list: ``None`` marks a
-    reduction, an ``int`` an already-interned descriptor, and a full
-    :class:`~repro.runtime.shm.BlockDescriptor` a first sighting, which
-    the worker appends to the list — send order over a FIFO pipe keeps
-    both sides' id assignment in lockstep.  Replay ships no cost model
-    (captured seconds are charged parent-side in recorded order), so
-    seconds come back empty.
+    Every entry's ``sync`` tuple resolves that step's *current*
+    per-buffer field addresses against this worker's descriptor intern
+    list: ``None`` marks a reduction, an ``int`` an already-interned
+    descriptor, and a full :class:`~repro.runtime.shm.BlockDescriptor` a
+    first sighting, which the worker appends to the list — send order
+    over a FIFO pipe keeps both sides' id assignment in lockstep.  The
+    parent assigned those ids at send time, so *every* entry's sync is
+    interned before the first entry runs: a step that raises skips the
+    entries behind it, and must not leave the two id tables out of step.
+    The entries then execute back to back, one ``worker.resident`` span
+    and one per-chunk result list each, in frame order.
     """
-    _tag, _request_id, plan_id, step_index, values, sync = message
-    # Intern sync descriptors *before* anything can fail: the parent
-    # assigned their ids at send time, so the worker must record them
-    # even when the run itself errors, or both sides' id tables desync.
+    _tag, _request_id, plan_id, entries = message
     resolved = []
-    for item in sync:
-        if item is None or type(item) is int:
-            resolved.append(None if item is None else descriptors[item])
-        else:
-            descriptors.append(item)
-            resolved.append(item)
+    for _step_index, _values, sync in entries:
+        fields = []
+        for item in sync:
+            if item is None or type(item) is int:
+                fields.append(None if item is None else descriptors[item])
+            else:
+                descriptors.append(item)
+                fields.append(item)
+        resolved.append(fields)
     plan = plans.get(plan_id)
     if plan is None:
         raise RuntimeError(f"worker holds no resident plan {plan_id}")
-    template = plan[step_index]
+    results = []
+    for (step_index, values, _sync), fields in zip(entries, resolved):
+        with telemetry.span("worker.resident", f"plan={plan_id} step={step_index}"):
+            results.append(
+                _execute_resident(plan[step_index], values, fields, executors)
+            )
+    return results
+
+
+def _execute_resident(
+    template, values: tuple, resolved: list, executors: Dict[int, object]
+) -> List[ChunkResult]:
+    """Run one resident-plan step over the worker's baked rank ranges.
+
+    A frame entry carries no geometry, names or ranges — the worker
+    iterates the chunk ranges baked into its copy of the template,
+    slices the resident rect tables to each ``[start, stop)`` range and
+    executes through the same :func:`_execute_chunk` path as the
+    per-chunk protocol, so results are bit-identical.  ``resolved``
+    holds the step's current per-buffer descriptors (``None`` for
+    reductions).  Replay ships no cost model (captured seconds are
+    charged parent-side in recorded order), so seconds come back empty.
+    """
     if isinstance(template, OpaqueResidentStep):
         # Opaque step: rebuild per-chunk requests from the baked rank
         # ranges; the positional scalar tuple travels as the run values
@@ -723,13 +764,7 @@ def _worker_main(connection) -> None:
                 request_id = message.req_id
             try:
                 if type(message) is tuple and message[0] == "r":
-                    with telemetry.span(
-                        "worker.resident",
-                        f"plan={message[2]} step={message[3]}",
-                    ):
-                        reply = _execute_resident(
-                            message, plans, executors, descriptors
-                        )
+                    reply = _execute_frame(message, plans, executors, descriptors)
                 elif isinstance(message, OpaqueChunkRequest):
                     _intern_request_tables(message, tables)
                     with telemetry.span(
@@ -1023,35 +1058,30 @@ class ProcessWorkerPool:
             counters[1] += 1
 
     def begin_call_meter(self) -> None:
-        """Start metering this thread's wire traffic (one dispatch)."""
-        self._local.counters = [0, 0]
+        """Start metering this thread's wire traffic (one dispatch).
+
+        Meters nest: a dispatch made while a level frame is in flight
+        (:meth:`run_resident_chunks`'s ``meanwhile``) counts its own
+        traffic and hands the meter back to the frame's dispatch.
+        """
+        self._local.counters = [0, 0, getattr(self._local, "counters", None)]
 
     def end_call_meter(self) -> Tuple[int, int]:
         """Stop metering; returns this thread's ``(bytes, requests)``."""
-        counters = getattr(self._local, "counters", None)
-        self._local.counters = None
-        if counters is None:
-            return 0, 0
-        return counters[0], counters[1]
+        nbytes, requests, self._local.counters = self._local.counters
+        return nbytes, requests
 
-    def _send(self, worker: int, message) -> None:
+    def _send(self, worker: int, message, payload: Optional[bytes] = None) -> None:
         """Pickle, meter and write one request message to a worker.
 
         ``Connection.send(obj)`` is ``send_bytes(ForkingPickler.dumps
         (obj))``; doing the two halves explicitly makes the measured
         byte count the exact serialized payload with no double pickling.
+        A pre-framed ``payload`` (the binary run frame) travels as is.
         Callers hold the worker's send lock.
         """
-        payload = ForkingPickler.dumps(message)
-        self._meter(len(payload))
-        if telemetry.enabled():
-            telemetry.instant(
-                "wire.send", f"worker={worker} bytes={len(payload)}"
-            )
-        self._connections[worker].send_bytes(payload)
-
-    def _send_raw(self, worker: int, payload: bytes) -> None:
-        """Meter and write one pre-framed (non-pickle) request payload."""
+        if payload is None:
+            payload = ForkingPickler.dumps(message)
         self._meter(len(payload))
         if telemetry.enabled():
             telemetry.instant(
@@ -1209,29 +1239,34 @@ class ProcessWorkerPool:
     def run_resident_chunks(
         self,
         plan: ResidentPlan,
-        step_index: int,
-        values: Tuple[float, ...],
-        descriptors: tuple,
-        chunks: Sequence[Tuple[int, int]],
+        entries: Sequence[tuple],
+        meanwhile: Optional[Callable[[], None]] = None,
     ) -> List[ChunkResult]:
-        """Execute one resident step's rank chunks, results in chunk order.
+        """Execute one plan level's resident steps, one frame per worker.
 
-        Chunk i always runs on worker ``i % size`` — the fixed mapping
-        the plan-ship message baked each worker's rank ranges under —
-        so each engaged worker receives *one* run message carrying only
-        the epoch's scalar values and the descriptor sync (plus, the
-        first time it sees this plan id, the plan-ship message) and
-        returns one reply with its chunk results in chunk-index order.
-        Reassembling by the same mapping yields chunk — and therefore
-        rank — order, bit-identical to the per-chunk protocol.
+        ``entries`` lists ``(step index, scalar values, descriptors,
+        chunks)`` per shipped step of the level, in recorded order.
+        Chunk i of a step always runs on worker ``i % size`` — the fixed
+        mapping the plan-ship message baked each worker's rank ranges
+        under — so each engaged worker receives *one* run message
+        listing the entries it has chunks of (plus, the first time it
+        sees this plan id, the plan-ship message), executes them back to
+        back and returns one reply.  ``meanwhile`` runs on the calling
+        thread between the last send and the wait for the replies (the
+        level's steps that stay in this process); the replies are
+        awaited even when it raises, so no worker is still writing when
+        the error surfaces.  Returns the chunk results as one flat list
+        in (entry, chunk) order — reassembled by the same mapping, so
+        chunk and therefore rank order, bit-identical to the per-chunk
+        protocol.
 
-        ``descriptors`` is the step's *current* per-buffer field-address
-        tuple (``None`` entries for reductions): frontends rebind fresh
-        stores per epoch, so the sync always travels, but each entry is
-        interned per worker — a descriptor crosses the pipe once, then
-        rides as a small int id.  Arena offsets cycle through a bounded
-        set in steady replay, so the table saturates after a few epochs
-        and the steady run message is a few dozen bytes.
+        An entry's ``descriptors`` is the step's *current* per-buffer
+        field-address tuple (``None`` entries for reductions): frontends
+        rebind fresh stores per epoch, so the sync always travels, but
+        each item is interned per worker — a descriptor crosses the pipe
+        once, then rides as a small int id.  Arena offsets cycle through
+        a bounded set in steady replay, so the table saturates after a
+        few epochs and the steady frame is a few dozen bytes per entry.
 
         Concurrency-safe like :meth:`run_chunks`: plan shipping and
         descriptor interning happen under the worker's send lock (their
@@ -1243,60 +1278,58 @@ class ProcessWorkerPool:
         """
         if self.closed:
             raise ProcessPoolBrokenError("process pool is closed")
-        order: List[int] = [
-            position % self.size for position in range(len(chunks))
-        ]
-        engaged = sorted(set(order))
+        engaged = min(self.size, max(len(entry[3]) for entry in entries))
         request_ids: List[int] = []
         try:
-            for worker in engaged:
+            for worker in range(engaged):
                 with self._send_locks[worker]:
                     if plan.plan_id not in self._plans_shipped[worker]:
                         self._send(worker, self._plan_ship_message(plan, worker))
                         self._plans_shipped[worker].add(plan.plan_id)
                     ids = self._descriptor_ids[worker]
-                    sync = []
-                    for descriptor in descriptors:
-                        if descriptor is None:
-                            sync.append(None)
+                    frame = []
+                    for step_index, values, descriptors, chunks in entries:
+                        if len(chunks) <= worker:
                             continue
-                        known = ids.get(descriptor)
-                        if known is None:
-                            ids[descriptor] = len(ids)
-                            sync.append(descriptor)
-                        else:
+                        sync = []
+                        for descriptor in descriptors:
+                            if descriptor is None:
+                                sync.append(None)
+                                continue
+                            known = ids.get(descriptor)
+                            if known is None:
+                                # First sighting: travels whole, once.
+                                ids[descriptor] = len(ids)
+                                known = descriptor
                             sync.append(known)
+                        frame.append((step_index, values, tuple(sync)))
                     request_id = self._new_request_id()
-                    packed = _pack_run_message(
-                        request_id, plan.plan_id, step_index, values, tuple(sync)
+                    self._send(
+                        worker,
+                        ("r", request_id, plan.plan_id, tuple(frame)),
+                        _pack_run_message(request_id, plan.plan_id, frame),
                     )
-                    if packed is not None:
-                        self._send_raw(worker, packed)
-                    else:
-                        self._send(
-                            worker,
-                            (
-                                "r",
-                                request_id,
-                                plan.plan_id,
-                                step_index,
-                                values,
-                                tuple(sync),
-                            ),
-                        )
                 request_ids.append(request_id)
         except (EOFError, BrokenPipeError, OSError) as transport_error:
             self._transport_failed(transport_error)
         try:
-            replies = self._collect(request_ids)
-        except ProcessPoolBrokenError:
-            self.shutdown()
-            raise
-        chunk_lists = self._unwrap(replies)
-        per_worker: Dict[int, List[ChunkResult]] = {
-            worker: list(result) for worker, result in zip(engaged, chunk_lists)
-        }
-        return [per_worker[worker].pop(0) for worker in order]
+            if meanwhile is not None:
+                meanwhile()
+        finally:
+            try:
+                replies = self._collect(request_ids)
+            except ProcessPoolBrokenError:
+                self.shutdown()
+                raise
+        per_worker = [iter(reply) for reply in self._unwrap(replies)]
+        results: List[ChunkResult] = []
+        for _step_index, _values, _descriptors, chunks in entries:
+            parts = [next(per_worker[worker]) for worker in range(min(self.size, len(chunks)))]
+            results.extend(
+                parts[position % self.size][position // self.size]
+                for position in range(len(chunks))
+            )
+        return results
 
     def shutdown(self) -> None:
         """Stop every worker and reader thread (idempotent)."""

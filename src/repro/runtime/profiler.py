@@ -254,10 +254,16 @@ class Profiler:
     ) -> None:
         """Record one plan replay executed by the dependence scheduler.
 
-        ``level_widths`` lists the step count of every dependence level
-        of the replayed schedule, in level order; it accumulates into
-        :attr:`plan_level_widths` so runs can report not just the widest
-        level ever seen but the full width distribution.
+        ``dispatched`` counts the steps of wide (width > 1) levels that
+        ran off the scheduling thread: handed to the plan-level thread
+        pool, or — for a plan resident in the worker processes, whose
+        levels never touch that pool — shipped in the level's frame.
+        The other steps of a resident plan's wide levels run inline and
+        do not count.  ``level_widths`` lists the step count of every
+        dependence level of the replayed schedule, in level order; it
+        accumulates into :attr:`plan_level_widths` so runs can report
+        not just the widest level ever seen but the full width
+        distribution.
         """
         self.plan_replays += 1
         self.plan_steps += steps

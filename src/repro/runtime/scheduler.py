@@ -24,9 +24,13 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    levels in order.  Every step is prepared into a
    :class:`~repro.runtime.executor.ChunkWork` on the scheduling thread
    and launched through the executor's one substrate ladder, inline or
-   on a pool worker.  Workers only *compute*; all side effects that
-   carry ordering semantics are folded at join points **in recorded
-   order** — reduction partials at each level's join, profiler records
+   on a pool worker.  A plan resident in the worker processes never
+   uses the thread pool: each level's shipped steps travel as one frame
+   per worker (:meth:`PlanScheduler._resident_level`) and the rest of
+   the level runs on the scheduling thread while the workers compute.
+   Workers only *compute*; all side effects that carry ordering
+   semantics are folded at join points **in recorded order** —
+   reduction partials at each level's join, profiler records
    and simulated seconds after the last level (:meth:`_account`, the
    only place a replayed step is recorded) — so buffers and simulated
    time are bit-identical for every ``REPRO_WORKERS`` ×
@@ -400,14 +404,14 @@ class PlanScheduler:
             if recorder is not None:
                 label = f"level={level_index} width={len(level)}"
                 recorder.record("B", "plan.level", label, runtime.simulated_seconds)
-            shared = len(level) > 1 and any(decisions[index][0] for index in level)
-            pending: List[Tuple[int, object]] = []
+            #: The level's launches, prepared on this thread in recorded
+            #: order, and the frame entries of those a resident plan ships.
+            launches: Dict[int, Callable] = {}
+            entries: List[tuple] = []
             for index in level:
                 entry = steps[index]
-                is_dispatched, width, chunks = decisions[index]
+                _dispatched, width, chunks = decisions[index]
                 work = prepare(entry)
-                if resident is not None and index in resident.steps:
-                    work.resident = (resident, index)
                 if entry.compiled:
                     calls = len(chunks)
                     if isinstance(entry.step, SuperKernelStep):
@@ -418,23 +422,34 @@ class PlanScheduler:
                 run = executor.launch
                 if recorder is not None:
                     run = partial(self._traced_launch, entry)
-                if not shared:
-                    results[index] = run(work, chunks, width)
-                    continue
-                launch = partial(run, work, chunks, width)
-                if not is_dispatched:
-                    # Beside dispatched steps the pool is spoken for: if
-                    # the process rungs decline, stay off it.
-                    results[index] = guarded(launch)()
-                elif entry.compiled:
-                    # The step's chunks fit the level's share of the
-                    # pool, so it may fan them out from its worker.
-                    pending.append((index, worker_pool().submit(launch)))
-                else:
-                    pending.append((index, submit_guarded(worker_pool(), launch)))
-            for index, future in pending:
-                results[index] = future.result()
-            dispatched += len(pending)
+                launches[index] = partial(run, work, chunks, width)
+                if resident is not None and index in resident.steps:
+                    frame_entry = executor.resident_entry(resident, index, work, chunks)
+                    if frame_entry is not None:
+                        entries.append(frame_entry)
+            if resident is not None:
+                shipped = self._resident_level(resident, level_index, launches, entries, results)
+                if len(level) > 1:
+                    dispatched += shipped
+            elif len(level) > 1 and any(decisions[index][0] for index in level):
+                pending: List[Tuple[int, object]] = []
+                for index, launch in launches.items():
+                    if not decisions[index][0]:
+                        # Beside dispatched steps the pool is spoken for:
+                        # if the process rungs decline, stay off it.
+                        results[index] = guarded(launch)()
+                    elif steps[index].compiled:
+                        # The step's chunks fit the level's share of the
+                        # pool, so it may fan them out from its worker.
+                        pending.append((index, worker_pool().submit(launch)))
+                    else:
+                        pending.append((index, submit_guarded(worker_pool(), launch)))
+                for index, future in pending:
+                    results[index] = future.result()
+                dispatched += len(pending)
+            else:
+                for index, launch in launches.items():
+                    results[index] = launch()
             # Join point: fold the level's reduction partials in recorded
             # order so dependent levels (and the final buffers) are
             # bit-identical to serial replay.
@@ -515,11 +530,47 @@ class PlanScheduler:
             step.reductions,
         )
 
-    def _traced_launch(self, entry: ScheduledStep, work: ChunkWork, chunks, width: int):
+    def _traced_launch(
+        self, entry: ScheduledStep, work: ChunkWork, chunks, width: int, shipped=None
+    ):
         """``executor.launch`` inside a ``plan.step`` span (telemetry on)."""
         label = f"{entry.step.task_name} ranks={entry.num_points} chunks={len(chunks)}"
         with telemetry.span("plan.step", label, sim=self.runtime.simulated_seconds):
-            return self.runtime.executor.launch(work, chunks, width)
+            return self.runtime.executor.launch(work, chunks, width, shipped)
+
+    def _resident_level(
+        self, resident, level_index: int, launches: Dict[int, Callable], entries, results
+    ) -> int:
+        """Run one level of a resident plan; returns how many steps shipped.
+
+        The level — not the step — is the unit the resident protocol
+        ships: ``entries`` (the level's steps whose work ships) go to
+        each engaged worker as one frame, the level's other steps run
+        here on the scheduling thread while the workers compute, and one
+        reply per worker brings back every entry's chunk results, which
+        each step's launch then folds like any chunked dispatch.  A
+        frame that lost its pool leaves its steps to the ladder's next
+        rung.  Nothing is submitted to the plan-level thread pool.
+        """
+
+        def run_pending(skip=()) -> None:
+            for index, launch in launches.items():
+                if results[index] is None and index not in skip:
+                    results[index] = launch()
+
+        flat = None
+        if entries:
+            flat = self.runtime.executor.run_resident_level(
+                resident, level_index, entries,
+                partial(run_pending, {entry[0] for entry in entries}),
+            )
+        if flat is not None:
+            offset = 0
+            for index, _values, _descriptors, chunks in entries:
+                results[index] = launches[index](flat[offset:offset + len(chunks)])
+                offset += len(chunks)
+        run_pending()
+        return len(entries) if flat is not None else 0
 
     def _resident_plan(self, plan: ExecutionPlan, steps, decisions, prepare: Callable):
         """Register ``plan`` for resident process replay (cached on it).

@@ -319,35 +319,38 @@ class TestDeclineReasons:
             generation=procpool.resident_generation(),
             steps={0: template},
         )
-        work.resident = (plan, 0)
-        return executor, work, chunks, expected, out
+        return executor, plan, work, chunks, expected, out
 
     def test_chunk_plan_differs_from_the_resident_template(
         self, monkeypatch, force_dispatch
     ):
         context = _context(monkeypatch, "process")
-        executor, work, chunks, expected, out = self._resident_work(context)
-        # The baked plan rides the resident protocol ...
-        _results, backend = executor.run_chunks(work, chunks, 4)
-        assert backend == "process"
+        executor, plan, work, chunks, expected, out = self._resident_work(context)
+        # The baked plan rides a (one-entry) resident level frame ...
+        entry = executor.resident_entry(plan, 0, work, chunks)
+        results = executor.run_resident_level(plan, 0, [entry], lambda: None)
+        assert len(results) == len(chunks)
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["template_mismatch"] == 0
-        # ... any other plan declines it and ships per chunk instead.
+        # ... any other plan declines its entry and ships per chunk instead.
         out.data[...] = 0.0
-        _results, backend = executor.run_chunks(work, [(0, 1), (1, 4)], 4)
+        other = [(0, 1), (1, 4)]
+        assert executor.resident_entry(plan, 0, work, other) is None
+        assert executor.profiler.declines["template_mismatch"] == 1
+        _results, backend = executor.run_chunks(work, other, 4)
         assert backend == "process"
         assert np.array_equal(out.data, expected)
-        assert executor.profiler.declines["template_mismatch"] == 1
 
     def test_non_numeric_scalars(self, monkeypatch, force_dispatch):
         context = _context(monkeypatch, "process")
-        executor, work, chunks, expected, out = self._resident_work(
+        executor, plan, work, chunks, expected, out = self._resident_work(
             context, scalars=("not-a-number",)
         )
+        assert executor.resident_entry(plan, 0, work, chunks) is None
+        assert executor.profiler.declines["non_numeric_scalars"] == 1
         _results, backend = executor.run_chunks(work, chunks, 4)
         assert backend == "process"  # the per-chunk protocol pickles anything
         assert np.array_equal(out.data, expected)
-        assert executor.profiler.declines["non_numeric_scalars"] == 1
 
     def test_lost_worker(self, monkeypatch, force_dispatch):
         """A worker that takes the request and never answers (a worker
@@ -381,12 +384,24 @@ class TestDeclineReasons:
 # ----------------------------------------------------------------------
 # A hung worker cannot hang the parent.
 # ----------------------------------------------------------------------
-def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch, shm_entries):
+@pytest.mark.parametrize(
+    "app_name,kwargs,shipped_per_level",
+    [
+        ("two-matvec", dict(rows_per_gpu=16), None),
+        # Width-3 levels: the lost frame carried three steps.
+        ("torchswe-manual", dict(points_per_gpu=16), 3),
+    ],
+    ids=["two-matvec", "torchswe-manual"],
+)
+def test_hung_worker_degrades_to_threads(
+    app_name, kwargs, shipped_per_level, monkeypatch, force_dispatch, shm_entries
+):
     """``SIGSTOP`` a worker mid-run: the reply deadline passes, the pool
     is torn down (stopped worker included), the launch degrades to the
-    thread substrate bit-identically, and the next run builds a fresh
-    pool."""
-    app_name, kwargs = "two-matvec", dict(rows_per_gpu=16)
+    next rung bit-identically, and the next run builds a fresh pool.  A
+    lost level frame is *one* ``worker_lost``, however many steps it
+    carried; each of them re-runs down the ladder and the plan re-ships
+    to the fresh workers."""
     thread_flags = {"REPRO_POINT_WORKERS": "4", "REPRO_WORKERS": "4"}
     ctx_thread, state_thread, checksum_thread = _run(
         monkeypatch, app_name, kwargs, thread_flags
@@ -404,31 +419,48 @@ def test_hung_worker_degrades_to_threads(monkeypatch, force_dispatch, shm_entrie
         app.run(3)
         pool = procpool.process_pool()
         children = list(pool._processes)
-        assert context.profiler.point_process_chunks > 0
+        profiler = context.profiler
+        assert profiler.point_process_chunks > 0
+        per_chunk = []
+        run_opaque_chunks = procpool.ProcessWorkerPool.run_opaque_chunks
+
+        def counted(self, requests):
+            per_chunk.append(requests[0].op)
+            return run_opaque_chunks(self, requests)
+
+        monkeypatch.setattr(procpool.ProcessWorkerPool, "run_opaque_chunks", counted)
         os.kill(children[0].pid, signal.SIGSTOP)
-        app.run(ITERATIONS - 3)
+        app.run(1)
+        if shipped_per_level is not None:
+            # Each of the frame's steps re-ran on the per-chunk rung.
+            assert profiler.declines["worker_lost"] == 1
+            assert len(per_chunk) == len(set(per_chunk)) == shipped_per_level
+        app.run(ITERATIONS - 4)
         checksum = app.checksum()
         state = {
             name: value.to_numpy()
             for name, value in vars(app).items()
             if isinstance(value, cn_ndarray)
         }
-        assert context.profiler.declines["worker_lost"] >= 1
+        assert profiler.declines["worker_lost"] >= 1
         assert pool.closed
         for child in children:
             child.join(timeout=5.0)
             assert not child.is_alive()
-        # The launches after the degraded one went to a fresh pool.
+        # The launches after the degraded one went to a fresh pool, which
+        # holds the re-shipped plan.
         fresh = procpool.process_pool()
         assert fresh is not pool and not fresh.closed
+        assert any(fresh._plans_shipped)
     finally:
         set_context(None)
         procpool.shutdown_process_pool()
     assert checksum == checksum_thread
     for name in state_thread:
         assert np.array_equal(state[name], state_thread[name]), name
+    assert profiler.iteration_seconds() == ctx_thread.profiler.iteration_seconds()
     assert context.legion.simulated_seconds == ctx_thread.legion.simulated_seconds
-    del context, app
+    del context, app, profiler
     import gc
 
     gc.collect()

@@ -304,16 +304,30 @@ class TestResidentRecovery:
             set_context(None)
         shutdown_process_pool()
 
-    def test_killed_worker_degrades_then_reships(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "app_name,kwargs",
+        [
+            ("cg", dict(grid_points_per_gpu=12)),
+            # Width-3 levels: the frame that meets the dead pool carries
+            # three steps, each of which must re-run on the next rung.
+            ("torchswe-manual", dict(points_per_gpu=16)),
+        ],
+        ids=["cg", "torchswe-manual"],
+    )
+    def test_killed_worker_degrades_then_reships(self, app_name, kwargs, monkeypatch):
         """A dead worker must not wedge or corrupt resident replay.
 
-        The dispatch that hits the broken pipe degrades to the thread
-        substrate for that launch, the pool singleton is rebuilt, and
-        the plan re-ships to the fresh workers — with the final state
-        still bit-identical to the thread backend.
+        The level frame that hits the broken pipe is one ``worker_lost``
+        (none when the pool was seen dead before the send), its steps
+        degrade down the ladder, the pool singleton is rebuilt, and the
+        plan re-ships to the fresh workers — with buffers and
+        per-iteration simulated seconds still bit-identical to the
+        thread backend.
         """
-        state_base, checksum_base = self._baseline(monkeypatch, 6)
-        context, app = self._start_app(monkeypatch, grid_points_per_gpu=12)
+        ctx_base, state_base, checksum_base = _run_app(
+            app_name, "thread", 1, 1, monkeypatch, 6, resident="0", **kwargs
+        )
+        context, app = self._start_app(monkeypatch, app_name, **kwargs)
         try:
             app.run(3)
             pool = procpool.process_pool()
@@ -325,10 +339,16 @@ class TestResidentRecovery:
             assert pool.closed
             fresh = procpool.process_pool()
             assert fresh is not pool
+            assert any(shipped for shipped in fresh._plans_shipped)
+            assert context.profiler.declines["worker_lost"] <= 1
             assert app.checksum() == checksum_base
             for name, value in vars(app).items():
                 if isinstance(value, cn_ndarray):
                     assert np.array_equal(value.to_numpy(), state_base[name]), name
+            assert (
+                context.profiler.iteration_seconds()
+                == ctx_base.profiler.iteration_seconds()
+            )
         finally:
             set_context(None)
         shutdown_process_pool()
