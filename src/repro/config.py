@@ -1,4 +1,4 @@
-"""Process-level configuration: nine environment variables, one table.
+"""Process-level configuration: eight environment variables, one table.
 
 Every ``REPRO_*`` variable the reproduction reads is a row of
 :data:`FLAGS` — ``env var -> (default, parser)``.  What each one does is
@@ -87,7 +87,6 @@ FLAGS: Dict[str, Tuple[object, Callable]] = {
     "REPRO_WORKERS": (max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)), _positive_int),
     "REPRO_POINT_WORKERS": (1, _positive_int),
     "REPRO_DISPATCH_BACKEND": ("thread", _dispatch_backend),
-    "REPRO_RESIDENT_PLANS": (True, _switch),
     "REPRO_TELEMETRY": (False, _switch),
     "REPRO_TELEMETRY_EVENTS": (DEFAULT_TELEMETRY_EVENTS, _ring_capacity),
 }
@@ -141,13 +140,15 @@ point_worker_count = _getter(
 dispatch_backend = _getter(
     "REPRO_DISPATCH_BACKEND", "Substrate of dispatched rank chunks: thread or process."
 )
-resident_plans_enabled = _getter(
-    "REPRO_RESIDENT_PLANS", "True unless process replay uses the per-chunk protocol."
-)
 telemetry_enabled = _getter("REPRO_TELEMETRY", "True when the span flight recorder is armed.")
 telemetry_event_capacity = _getter(
     "REPRO_TELEMETRY_EVENTS", "Capacity (events) of the telemetry ring buffer."
 )
+
+
+def resident_plans_enabled() -> bool:
+    # Always on; kept only for benchmarks/e2e/e2ebench/workloads.py::resolved_flags.
+    return True
 
 
 def normalize_enabled() -> bool:

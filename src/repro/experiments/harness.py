@@ -134,21 +134,15 @@ def run_application_experiment(
     scale: Optional[ExperimentScale] = None,
     fusion_config: Optional[FusionConfig] = None,
     app_kwargs: Optional[Dict] = None,
-    machine: Optional[MachineConfig] = None,
 ) -> RunResult:
-    """Run one application and collect the paper's metrics.
-
-    ``machine`` defaults to :func:`scaled_machine` at the scale's
-    bandwidth factor.
-    """
+    """Run one application and collect the paper's metrics."""
     scale = scale or default_scale_for(app_name)
     iterations = iterations if iterations is not None else scale.iterations
     warmup = warmup_iterations if warmup_iterations is not None else scale.warmup_iterations
-    machine = machine or scaled_machine(num_gpus, scale.bandwidth_scale)
     context = RuntimeContext(
         num_gpus=num_gpus,
         fusion=fusion,
-        machine=machine,
+        machine=scaled_machine(num_gpus, scale.bandwidth_scale),
         fusion_config=fusion_config,
     )
     set_context(context)
@@ -159,10 +153,6 @@ def run_application_experiment(
         application = build_application(app_name, context=context, **kwargs)
         # Warm-up iterations: includes all JIT compilation and analysis.
         application.run(warmup)
-        # Charge any pending eager overlap group to the last warm-up
-        # iteration before sampling its seconds (a no-op unless the
-        # machine overlaps launches and the iteration ended mid-group).
-        context.legion.flush_overlap_accounting()
         warmup_seconds = sum(context.profiler.iteration_seconds()[:warmup])
         warmup_counters = context.profiler.snapshot()
         # Measured iterations.

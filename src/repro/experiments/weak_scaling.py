@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.harness import (
@@ -11,7 +11,6 @@ from repro.experiments.harness import (
     default_scale_for,
     run_application_experiment,
     run_petsc_experiment,
-    scaled_machine,
 )
 from repro.fusion.engine import FusionConfig
 
@@ -98,43 +97,6 @@ def run_weak_scaling(
                     **overrides,
                 )
             series[label].add(result)
-    return series
-
-
-def run_overlap_study(
-    app_name: str,
-    gpu_counts: Sequence[int] = DEFAULT_GPU_COUNTS,
-    scale: Optional[ExperimentScale] = None,
-    iterations: Optional[int] = None,
-) -> Dict[str, WeakScalingSeries]:
-    """Weak-scale an application under serial vs overlap-aware accounting.
-
-    Quantifies the paper's launch-overlap claim outside replay: the same
-    fused executions are charged once serially (every launch's modelled
-    time accumulates) and once on a machine with
-    ``MachineConfig.overlap_launches`` (each greedy group of independent
-    launches — and each dependence level of a replayed plan — costs the
-    max of its members).  Buffers and checksums are bit-identical
-    between the two series; only simulated time, and therefore
-    throughput, differs.
-    """
-    scale = scale or default_scale_for(app_name)
-    series: Dict[str, WeakScalingSeries] = {}
-    for label, overlap in (("Serial accounting", False), ("Overlap-aware", True)):
-        line = WeakScalingSeries(label=label)
-        for num_gpus in gpu_counts:
-            machine = scaled_machine(num_gpus, scale.bandwidth_scale)
-            line.add(
-                run_application_experiment(
-                    app_name,
-                    num_gpus=num_gpus,
-                    configuration=label,
-                    scale=scale,
-                    iterations=iterations,
-                    machine=replace(machine, overlap_launches=overlap),
-                )
-            )
-        series[label] = line
     return series
 
 

@@ -181,12 +181,7 @@ class DiffuseRuntime:
         return self.runtime.read_array(store)
 
     def begin_iteration(self) -> None:
-        """Mark an application iteration boundary in the profiler.
-
-        A pending eager overlap group is charged to the ending iteration
-        first, so group accounting never leaks across the boundary.
-        """
-        self.runtime.flush_overlap_accounting()
+        """Mark an application iteration boundary in the profiler."""
         self.runtime.profiler.begin_iteration()
 
     def notify_host_write(self, store: Store) -> None:

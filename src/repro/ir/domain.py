@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 Point = Tuple[int, ...]
 
@@ -290,12 +290,3 @@ def shape_volume(shape: Sequence[int]) -> int:
     for extent in shape:
         total *= int(extent)
     return total
-
-
-def intersect_optional(a: Optional[Rect], b: Optional[Rect]) -> Optional[Rect]:
-    """Intersection helper treating ``None`` as the universal rectangle."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a.intersection(b)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -380,10 +380,6 @@ class Function:
         """A copy of the function with a replacement body."""
         return replace(self, body=tuple(body))
 
-    def with_params(self, params: Sequence[Param]) -> "Function":
-        """A copy of the function with replacement parameters."""
-        return replace(self, params=tuple(params))
-
     def pretty(self) -> str:
         """A human-readable rendering (loosely MLIR flavoured)."""
         header = ", ".join(str(p) for p in self.params)
@@ -426,33 +422,6 @@ def substitute_stmt(stmt: LoopStmt, mapping: Dict[str, str]) -> LoopStmt:
             expr=substitute_expr(stmt.expr, mapping),
         )
     raise TypeError(f"unknown loop statement {stmt!r}")
-
-
-def rename_buffers(function: Function, mapping: Dict[str, str]) -> Function:
-    """Rename buffer parameters and references throughout a function."""
-    params = []
-    for param in function.params:
-        params.append(replace(param, name=mapping.get(param.name, param.name)))
-    body: List[Stmt] = []
-    for stmt in function.body:
-        if isinstance(stmt, Alloc):
-            body.append(
-                Alloc(
-                    name=mapping.get(stmt.name, stmt.name),
-                    like=mapping.get(stmt.like, stmt.like),
-                )
-            )
-        elif isinstance(stmt, Loop):
-            body.append(
-                Loop(
-                    index_buffer=mapping.get(stmt.index_buffer, stmt.index_buffer),
-                    body=tuple(substitute_stmt(s, mapping) for s in stmt.body),
-                    parallel=stmt.parallel,
-                )
-            )
-        else:  # pragma: no cover - no other statement kinds exist
-            body.append(stmt)
-    return Function(name=function.name, params=tuple(params), body=tuple(body))
 
 
 def replace_load_with_expr(expr: Expr, buffer: str, replacement: Expr) -> Expr:

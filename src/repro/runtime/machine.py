@@ -11,7 +11,7 @@ overhead vs. network bandwidth), not on the absolute numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,6 @@ class MachineConfig:
     infiniband_bandwidth: float = 25e9
     #: One-way network latency (seconds).
     network_latency: float = 5e-6
-
-    #: Overlap-aware simulated time: independent launches (a dependence
-    #: level of a replayed plan, a greedy hazard-free group of eager
-    #: launches) cost the maximum of their modelled times instead of the
-    #: sum.  Buffers are unchanged; simulated seconds are not comparable
-    #: with serial-accounting runs, so this sits outside the
-    #: bit-identity invariant and only ``run_overlap_study`` turns it on.
-    overlap_launches: bool = False
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -111,30 +103,6 @@ class MachineConfig:
     def scalar_reduction_time(self) -> float:
         """Time to reduce one scalar future across the machine."""
         return self.allreduce_time(8.0)
-
-    # ------------------------------------------------------------------
-    # Overlap-aware time accounting (plan scheduler).
-    # ------------------------------------------------------------------
-    def overlapped_level_seconds(self, step_seconds) -> float:
-        """Simulated time of one dependence level of a replayed plan.
-
-        With :attr:`overlap_launches` on the runtime overlaps independent
-        launches across the machine, so a level costs the *maximum* of
-        its steps' modelled times rather than their sum (the serial
-        model).  Steps within one level are provably independent — the
-        plan scheduler derived that from the privilege footprints.
-        """
-        return max(step_seconds, default=0.0)
-
-    def overlapped_group_seconds(self, launch_seconds) -> float:
-        """Simulated time of one eager group of independent launches.
-
-        The eager-path counterpart of :meth:`overlapped_level_seconds`:
-        consecutive launches with no store hazard between them form a
-        greedy group that the machine overlaps, so the group costs the
-        maximum of its launches' modelled times.
-        """
-        return self.overlapped_level_seconds(launch_seconds)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"Machine({self.num_gpus} GPUs over {self.num_nodes} nodes)"

@@ -20,8 +20,9 @@ shipped kernel/table/plan sets and the descriptor interning below) is
 mutated under a per-worker send lock held across the state update and
 the ``send_bytes`` call, so the per-worker send order still matches the
 state both sides agreed on.  There are two request shapes: one pickled
-request per rank chunk (eager launches, ``REPRO_RESIDENT_PLANS=0``, and
-whatever a resident plan declines), and one frame per worker per *plan
+request per rank chunk (eager launches, whatever a resident plan
+declines, and the steps of a frame that lost its pool), and one frame
+per worker per *plan
 level* (next section).  A :class:`ChunkRequest` carries everything
 a chunk needs:
 
@@ -67,12 +68,11 @@ module first).  The chunk executes over the same zero-copy
 shared-memory views and returns per-rank partials and per-rank modelled
 seconds like a compiled chunk with a cost model.
 
-Plan-resident replay (``REPRO_RESIDENT_PLANS``)
------------------------------------------------
+Plan-resident replay
+--------------------
 Replaying a captured :class:`ExecutionPlan` through per-chunk requests
-re-sends the same descriptors, names and geometry every iteration.  With
-residency enabled the parent instead registers the whole plan with the
-pool once — a :class:`ResidentPlan` maps schedule-step indices to
+would re-send the same descriptors, names and geometry every iteration.
+The parent instead registers the whole plan with the pool once — a :class:`ResidentPlan` maps schedule-step indices to
 :class:`ResidentStep` / :class:`OpaqueResidentStep` templates holding
 the kernel spec (or operator name), the full rank-indexed rect table,
 the step's chunk plan and the calling convention of every shippable
@@ -352,11 +352,6 @@ class ProcessPoolBrokenError(RuntimeError):
     should fall back to the thread substrate — the next launch rebuilds
     a fresh pool through :func:`process_pool`.
     """
-
-
-def _wire_rects(rects: Sequence) -> List[WireRect]:
-    """Strip Rect objects to ``(lo, hi)`` tuples for the pipe."""
-    return [(rect.lo, rect.hi) for rect in rects]
 
 
 def _view_of(base: np.ndarray, rect: WireRect) -> np.ndarray:

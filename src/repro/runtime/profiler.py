@@ -203,15 +203,8 @@ class Profiler:
         launches: int,
         fused: bool,
         replayed: bool = False,
-        accumulate_iteration: bool = True,
     ) -> TaskRecord:
-        """Record one launched index task.
-
-        ``accumulate_iteration=False`` records the task (and counts it
-        toward the iteration's task totals) without adding its seconds to
-        the iteration — the plan scheduler's overlap model attributes a
-        whole dependence level's max instead.
-        """
+        """Record one launched index task."""
         record = TaskRecord(
             name=name,
             iteration=self.current_iteration,
@@ -227,8 +220,7 @@ class Profiler:
         if self._current_iteration is not None:
             self._current_iteration.index_tasks += 1
             self._current_iteration.constituent_tasks += constituents
-            if accumulate_iteration:
-                self._current_iteration.seconds += record.total_seconds
+            self._current_iteration.seconds += record.total_seconds
         return record
 
     def record_compile_time(self, seconds: float) -> None:
@@ -566,43 +558,5 @@ class Profiler:
         return counters
 
     def reset(self) -> None:
-        """Clear all recorded state."""
-        self.records.clear()
-        self.iterations.clear()
-        self.compile_seconds = 0.0
-        self.analysis_seconds = 0.0
-        self.trace_hits = 0
-        self.trace_misses = 0
-        self.trace_replayed_tasks = 0
-        self.plan_replays = 0
-        self.plan_steps = 0
-        self.plan_levels = 0
-        self.plan_width_max = 0
-        self.plan_dispatched_steps = 0
-        self.plan_level_widths.clear()
-        self.point_launches = 0
-        self.point_chunks = 0
-        self.point_ranks = 0
-        self.point_width_max = 0
-        self.point_width_budget = 0
-        self.point_thread_chunks = 0
-        self.point_process_chunks = 0
-        self.batched_launches = 0
-        self.batched_calls = 0
-        self.opaque_rank_calls = 0
-        self.opaque_chunk_calls = 0
-        self.opaque_process_chunks = 0
-        self.scalar_pattern_flips = 0
-        self.superkernel_fusions = 0
-        self.superkernel_fused_steps = 0
-        self.superkernel_calls = 0
-        self.superkernel_sections = dict.fromkeys(self.superkernel_sections, 0)
-        self.replay_closure_calls = 0
-        self.wire_bytes = 0
-        self.wire_requests = 0
-        self.declines = dict.fromkeys(DECLINE_REASONS, 0)
-        self.plans_not_hot = 0
-        self.fields_uninitialised = 0
-        self.fields_zero_filled = 0
-        self._multi_block_base = codegen_stats().multi_block_calls
-        self._current_iteration = None
+        """Clear all recorded state (exactly the freshly-built state)."""
+        self.__init__()

@@ -10,7 +10,7 @@ forwards (possibly fused) tasks, exactly as in the paper's architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class LegionRuntime:
         #: the trace subsystem can capture the epoch's execution plan.
         self.trace_recorder = None
         self._plan_scheduler = None
-        #: Eager-path overlap accounting (``machine.overlap_launches``): the
-        #: pending greedy group of consecutive pairwise-independent
-        #: launches, charged its *maximum* modelled time at the next
-        #: conflict or synchronisation point.
-        self._overlap_seconds: List[float] = []
-        self._overlap_reads: Set[int] = set()
-        self._overlap_mutated: Set[int] = set()
 
     @property
     def plan_scheduler(self):
@@ -131,22 +124,16 @@ class LegionRuntime:
                 kernel_seconds = self.executor.execute_opaque(task, launch.opaque_impl)
                 launches = 1
 
-        overhead = self.machine.task_launch_overhead
-        overlap = self.machine.overlap_launches
         record = self.profiler.record_task(
             name=task.task_name,
             constituents=task.constituent_count(),
             kernel_seconds=kernel_seconds,
             communication_seconds=launch.communication_seconds,
-            overhead_seconds=overhead,
+            overhead_seconds=self.machine.task_launch_overhead,
             launches=launches,
             fused=task.is_fused,
-            accumulate_iteration=not overlap,
         )
-        if overlap:
-            self._overlap_note(task, record.total_seconds)
-        else:
-            self.simulated_seconds += record.total_seconds
+        self.simulated_seconds += record.total_seconds
         if self.trace_recorder is not None:
             self.trace_recorder.record_launch(launch, record)
         return record.total_seconds
@@ -179,82 +166,28 @@ class LegionRuntime:
         return kernel
 
     # ------------------------------------------------------------------
-    # Eager overlap accounting (``MachineConfig.overlap_launches``).
-    # ------------------------------------------------------------------
-    def _overlap_note(self, task: IndexTask, seconds: float) -> None:
-        """Add one eager launch to the pending overlap group.
-
-        Consecutive launches with no RAW/WAR/WAW hazard between their
-        store footprints may overlap across the machine, so the group is
-        charged the maximum of its launches' modelled times (the eager
-        counterpart of the plan scheduler's level-max accounting).  A
-        hazard closes the group and starts a new one.
-        """
-        reads: Set[int] = set()
-        mutated: Set[int] = set()
-        for arg in task.args:
-            privilege = arg.privilege
-            uid = arg.store.uid
-            if privilege.reads:
-                reads.add(uid)
-            if privilege.writes or privilege.reduces:
-                mutated.add(uid)
-        if self._overlap_seconds and (
-            (reads & self._overlap_mutated)
-            or (mutated & self._overlap_mutated)
-            or (mutated & self._overlap_reads)
-        ):
-            self.flush_overlap_accounting()
-        self._overlap_reads |= reads
-        self._overlap_mutated |= mutated
-        self._overlap_seconds.append(seconds)
-
-    def flush_overlap_accounting(self) -> None:
-        """Charge the pending eager overlap group (max over launches).
-
-        Called at every hazard, host synchronisation point (scalar and
-        array reads, host writes, fills), iteration boundary and before
-        plan replay, so group accounting never crosses an ordering
-        point.  A no-op when no group is pending (and in particular
-        whenever ``machine.overlap_launches`` is off).
-        """
-        if not self._overlap_seconds:
-            return
-        seconds = self.machine.overlapped_group_seconds(self._overlap_seconds)
-        self.simulated_seconds += seconds
-        self.profiler.add_iteration_seconds(seconds)
-        self._overlap_seconds = []
-        self._overlap_reads.clear()
-        self._overlap_mutated.clear()
-
-    # ------------------------------------------------------------------
     # Host-side data access (futures, attach/detach).
     # ------------------------------------------------------------------
     def read_scalar(self, store: Store) -> float:
         """Read the value of a scalar store (blocking on a future)."""
-        self.flush_overlap_accounting()
         return self.regions.field(store).read_scalar()
 
     def write_scalar(self, store: Store, value: float) -> None:
         """Write a scalar store from the host."""
-        self.flush_overlap_accounting()
         self.regions.field(store).write_scalar(value)
         self.coherence.invalidate(store)
 
     def attach_array(self, store: Store, data: np.ndarray) -> None:
         """Attach host data as the contents of a store."""
-        self.flush_overlap_accounting()
         self.regions.attach(store, data)
         self.coherence.invalidate(store)
 
     def read_array(self, store: Store) -> np.ndarray:
         """A copy of the store's full contents (host-side inspection)."""
-        self.flush_overlap_accounting()
         return np.array(self.regions.field(store).data, copy=True)
 
     def fill(self, store: Store, value: float) -> None:
         """Host-side constant fill of a store (no task launch)."""
-        self.flush_overlap_accounting()
         self.regions.field(store).fill(value)
         self.coherence.invalidate(store)
 
@@ -267,6 +200,5 @@ class LegionRuntime:
 
     def reset_profiling(self) -> None:
         """Clear profiling and timing state but keep data and coherence."""
-        self.flush_overlap_accounting()
         self.profiler.reset()
         self.simulated_seconds = 0.0

@@ -16,9 +16,9 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    flag setting, cached on the schedule: which steps of a wide level
    are handed to the shared worker pool (``REPRO_WORKERS``), the point
    width each step may use so the two parallelism levels never
-   oversubscribe the pool, and each step's rank-chunk plan.  The
-   resident-process registration (``REPRO_RESIDENT_PLANS``,
-   :meth:`PlanScheduler._resident_plan`) bakes the same chunk plans
+   oversubscribe the pool, and each step's rank-chunk plan.  Under the
+   process backend the resident registration
+   (:meth:`PlanScheduler._resident_plan`) bakes the same chunk plans
    into the workers' templates.
 3. **One plan loop** (:meth:`PlanScheduler.execute`) — executes the
    levels in order.  Every step is prepared into a
@@ -36,13 +36,6 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    time are bit-identical for every ``REPRO_WORKERS`` ×
    ``REPRO_POINT_WORKERS`` × substrate combination.  A chain-shaped
    plan is the same loop with every level inline.
-
-With ``MachineConfig.overlap_launches`` the *simulated* time accounting
-switches to the overlap-aware model: each dependence level is charged
-the maximum of its steps' modelled times
-(:meth:`MachineConfig.overlapped_level_seconds`) instead of their sum.
-This deliberately changes simulated seconds and is therefore off by
-default; buffers remain bit-identical.
 """
 
 from __future__ import annotations
@@ -365,15 +358,9 @@ class PlanScheduler:
         """Replay ``plan`` against the current epoch's stores."""
         runtime = self.runtime
         executor, profiler = runtime.executor, runtime.profiler
-        # Replay accounting must not interleave with a pending eager
-        # overlap group (a no-op unless the overlap model is on).
-        runtime.flush_overlap_accounting()
-        overlap = runtime.machine.overlap_launches
-        if config.superkernel_enabled() and not overlap:
+        if config.superkernel_enabled():
             # Replay the plan's epoch super-kernels once it has earned
-            # them (lowered once, cached on the plan).  The overlap
-            # model keeps the unfused plan: its per-level max-time
-            # accounting needs the step records.
+            # them (lowered once, cached on the plan).
             plan = lower_when_earned(plan, tasks, self, profiler) or plan
         schedule = plan.schedule
         if schedule is None:
@@ -389,8 +376,7 @@ class PlanScheduler:
             # futures are in flight: forking from a quiescent point
             # avoids inheriting another thread's lock state mid-level.
             procpool.process_pool()
-            if config.resident_plans_enabled():
-                resident = self._resident_plan(plan, steps, decisions, prepare)
+            resident = self._resident_plan(plan, steps, decisions, prepare)
 
         #: Per-step ``(kernel seconds, reduction partials per key)``.
         results: List[Optional[tuple]] = [None] * len(steps)
@@ -466,9 +452,9 @@ class PlanScheduler:
             if recorder is not None:
                 recorder.record("E", "plan.level", label, runtime.simulated_seconds)
 
-        self._account(plan, schedule, results, overlap)
+        self._account(plan, schedule, results)
         _apply_plan_epilogue(plan, engine, slot_stores)
-        if workers > 1 or point_width > 1 or overlap:
+        if workers > 1 or point_width > 1:
             profiler.record_plan_execution(
                 steps=len(steps),
                 levels=len(schedule.levels),
@@ -604,21 +590,17 @@ class PlanScheduler:
             )
         return resident if resident.steps else None
 
-    def _account(
-        self, plan: ExecutionPlan, schedule: PlanSchedule, results, overlap: bool
-    ) -> None:
+    def _account(self, plan: ExecutionPlan, schedule: PlanSchedule, results) -> None:
         """Fold the plan's time accounting in recorded order.
 
         A fused unit executed as one closure call but charges its
         recorded constituent subsequence (compiled steps and interior
         analysis charges), so records, floating-point accumulation order
         and simulated seconds are bit-identical to unfused, serial
-        replay.  With the overlap model on (which skips lowering) each
-        dependence level is charged its max step time instead.
+        replay.
         """
         runtime = self.runtime
         profiler = runtime.profiler
-        records: Dict[int, object] = {}
         for plan_index, step in enumerate(plan.steps):
             fused = isinstance(step, SuperKernelStep)
             for part in step.fused_steps if fused else (step,):
@@ -642,16 +624,5 @@ class PlanScheduler:
                     launches=part.launches if compiled else 1,
                     fused=compiled and part.fused,
                     replayed=True,
-                    accumulate_iteration=not overlap,
                 )
-                if overlap:
-                    records[index] = record
-                else:
-                    runtime.simulated_seconds += record.total_seconds
-        if overlap:
-            for level in schedule.levels:
-                level_seconds = runtime.machine.overlapped_level_seconds(
-                    [records[index].total_seconds for index in level]
-                )
-                runtime.simulated_seconds += level_seconds
-                profiler.add_iteration_seconds(level_seconds)
+                runtime.simulated_seconds += record.total_seconds

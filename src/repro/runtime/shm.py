@@ -176,11 +176,6 @@ class SharedArena:
         with self._lock:
             return len(self._segments)
 
-    @property
-    def segment_names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._segments)
-
     def close(self) -> None:
         """Unlink every segment.  Runs at manager GC / interpreter exit.
 

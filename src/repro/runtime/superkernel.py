@@ -39,8 +39,7 @@ Soundness fallbacks (the unit breaks or the step stays unfused):
   into splits the unit — the serial schedule folds the reduction into
   the store between the two steps, which the fused unit defers to its
   single join;
-* the interpreter backend and the eager overlap model skip lowering
-  entirely (checked by the plan scheduler at the use site);
+* the interpreter backend skips lowering entirely;
 * the differential backend lowers in *verify* mode: every fused unit
   executes both the fused closure and the constituent steps and raises
   :class:`BackendDivergenceError` unless buffers and reduction partials
@@ -537,8 +536,8 @@ def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[Exec
 
     The lowering is computed once per plan and cached on it (retired by
     :func:`config.reload_flags` via the registered callback).  The
-    caller gates on ``config.SUPERKERNEL`` (a test lever) and the overlap
-    model, and :func:`lower_when_earned` on the plan having earned it;
+    caller gates on ``config.SUPERKERNEL`` (a test lever), and
+    :func:`lower_when_earned` on the plan having earned it;
     the interpreter backend never lowers and the differential backend
     lowers in verify mode.
     """

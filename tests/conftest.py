@@ -89,6 +89,19 @@ def force_dispatch(monkeypatch):
 
 
 @pytest.fixture
+def per_chunk_replay(monkeypatch):
+    """Keep replayed plans off the resident protocol for one test.
+
+    Every process-backed chunk then travels as a pickled per-chunk
+    request: the rung a declined frame entry, or every step of a frame
+    that lost its pool, falls to.
+    """
+    from repro.runtime.scheduler import PlanScheduler
+
+    monkeypatch.setattr(PlanScheduler, "_resident_plan", lambda *args: None)
+
+
+@pytest.fixture
 def shm_entries():
     """A function listing this repo's live ``/dev/shm`` segments."""
 

@@ -222,10 +222,7 @@ class TestSuperkernelGate:
     ):
         monkeypatch.setattr(superkernel_module, "SPECULATIVE_LOWERINGS", 0)
         monkeypatch.setattr(superkernel_module, "BREAK_EVEN_REPLAYS", 3)
-        flags(
-            REPRO_TRACE=1, REPRO_RESIDENT_PLANS=1,
-            **SUBSTRATES["process"],
-        )
+        flags(REPRO_TRACE=1, **SUBSTRATES["process"])
         shm_before = shm_entries()
         session = _GateSession()
         try:

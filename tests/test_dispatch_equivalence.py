@@ -90,7 +90,11 @@ BLOCKED_KINDS = ("element-wise-blocked", "super-kernel-blocked")
 BLOCKED_BLOCK = 32
 BLOCKED_ITERATIONS = 20
 
-#: substrate -> (flags, "this substrate ran" predicate).
+PROCESS = {"REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "process"}
+
+#: substrate -> (flags, "this substrate ran" predicate).  The
+#: ``process-per-chunk`` leg replays through the ``per_chunk_replay``
+#: fixture.
 SUBSTRATES = {
     "inline": (
         {"REPRO_POINT_WORKERS": "1", "REPRO_DISPATCH_BACKEND": "thread"},
@@ -101,18 +105,10 @@ SUBSTRATES = {
         lambda p: p.point_thread_chunks > 0 and p.point_process_chunks == 0,
     ),
     "process-per-chunk": (
-        {
-            "REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "process",
-            "REPRO_RESIDENT_PLANS": "0",
-        },
-        lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
+        PROCESS, lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
     ),
     "process-resident": (
-        {
-            "REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "process",
-            "REPRO_RESIDENT_PLANS": "1",
-        },
-        lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
+        PROCESS, lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
     ),
 }
 
@@ -123,7 +119,7 @@ def _run(monkeypatch, app_name, kwargs, flags, iterations=ITERATIONS):
     defaults = {
         "REPRO_TRACE": "1", "REPRO_WORKERS": "1", "REPRO_POINT_WORKERS": "1",
         "REPRO_DISPATCH_BACKEND": "thread", "REPRO_KERNEL_BACKEND": "codegen",
-        "REPRO_RESIDENT_PLANS": "1", "REPRO_HOTPATH_CACHE": "1",
+        "REPRO_HOTPATH_CACHE": "1",
     }
     for name, value in {**defaults, **flags}.items():
         monkeypatch.setenv(name, value)
@@ -164,10 +160,12 @@ def _reference(monkeypatch, app_name, kwargs, iterations):
 @pytest.mark.parametrize("substrate", list(SUBSTRATES))
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
-    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch
+    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch, request
 ):
     app_name, kwargs, levers_off, kind_ran = KINDS[kind]
     substrate_flags, substrate_ran = SUBSTRATES[substrate]
+    if substrate == "process-per-chunk":
+        request.getfixturevalue("per_chunk_replay")
     iterations = ITERATIONS
     if kind in BLOCKED_KINDS:
         iterations = BLOCKED_ITERATIONS

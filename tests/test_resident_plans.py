@@ -1,17 +1,16 @@
-"""Plan-resident process replay (``REPRO_RESIDENT_PLANS``).
+"""Plan-resident process replay.
 
 Acceptance bar: with plans resident in the worker processes the replay
-stays bit-identical to the thread backend — buffers, checksums AND
-simulated seconds — across ``REPRO_RESIDENT_PLANS`` {0,1} ×
-``config.SUPERKERNEL`` {off,on} × ``REPRO_WORKERS`` {1,4} ×
-``REPRO_POINT_WORKERS`` {1,4}, asserted under the differential kernel
-backend with the dispatch thresholds forced to zero.  Alongside the
-hammer, this file covers the staleness story (descriptor swaps through
-``RegionManager.attach``/``release`` and ``config.reload_flags()``
-retire resident plans) and the broken-pool degrade path (a killed
-worker falls back to the per-chunk protocol, then re-ships the plan to
-the fresh pool), plus the wire-traffic counters the residency exists
-to shrink.
+stays bit-identical to inline replay — buffers, checksums AND simulated
+seconds — across ``config.SUPERKERNEL`` {off,on} × ``REPRO_WORKERS``
+{1,4} × ``REPRO_POINT_WORKERS`` {1,4}, asserted under the differential
+kernel backend with the dispatch thresholds forced to zero.  Alongside
+the hammer, this file covers the staleness story (descriptor swaps
+through ``RegionManager.attach``/``release`` and
+``config.reload_flags()`` retire resident plans) and the broken-pool
+degrade path (a killed worker falls back to the per-chunk protocol,
+then re-ships the plan to the fresh pool), plus the wire-traffic
+counters the residency exists to shrink.
 """
 
 from __future__ import annotations
@@ -39,27 +38,6 @@ def _reload_flags_after():
 
 
 pytestmark = pytest.mark.usefixtures("force_dispatch")
-
-
-# ----------------------------------------------------------------------
-# Configuration.
-# ----------------------------------------------------------------------
-class TestResidentConfig:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESIDENT_PLANS", raising=False)
-        config.reload_flags()
-        assert config.resident_plans_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "OFF"])
-    def test_disabled_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_RESIDENT_PLANS", value)
-        config.reload_flags()
-        assert not config.resident_plans_enabled()
-
-    def test_junk_means_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESIDENT_PLANS", "sure")
-        config.reload_flags()
-        assert config.resident_plans_enabled()
 
 
 # ----------------------------------------------------------------------
@@ -139,13 +117,12 @@ APPS = [
 ]
 
 
-def _set_flags(backend, point_workers, workers, monkeypatch, resident, superkernel):
+def _set_flags(backend, point_workers, workers, monkeypatch, superkernel):
     monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
-    monkeypatch.setenv("REPRO_RESIDENT_PLANS", resident)
     monkeypatch.setattr(config, "SUPERKERNEL", superkernel == "1")
     config.reload_flags()
 
@@ -157,11 +134,10 @@ def _run_app(
     workers,
     monkeypatch,
     iterations,
-    resident="1",
     superkernel="0",
     **kwargs,
 ):
-    _set_flags(backend, point_workers, workers, monkeypatch, resident, superkernel)
+    _set_flags(backend, point_workers, workers, monkeypatch, superkernel)
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     try:
@@ -189,62 +165,58 @@ def _assert_matches(ctx, state, checksum, baseline, label):
 
 
 class TestResidentParity:
-    """The resident × super-kernel × workers × point-workers hammer.
+    """The super-kernel × workers × point-workers hammer.
 
     CG (compiled kernels with reductions), Jacobi (opaque GEMV that
     stays on the thread substrate), Black-Scholes (elementwise chains)
     and two-matvec (width-2 plan levels) must all be bit-identical —
-    buffers, checksums and simulated seconds — to the thread/1/1
-    baseline for every flag combination, with both kernel backends
+    buffers, checksums and simulated seconds — to inline replay
+    (thread/1/1) for every flag combination, with both kernel backends
     cross-checked inside the workers by the differential executor.
     """
 
     @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
     def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
-        baseline = _run_app(
-            app_name, "thread", 1, 1, monkeypatch, iterations, resident="0", **kwargs
-        )
-        for resident in ("0", "1"):
-            for superkernel in ("0", "1"):
-                for point_workers, workers in COMBOS:
-                    ctx, state, checksum = _run_app(
-                        app_name,
-                        "process",
-                        point_workers,
-                        workers,
-                        monkeypatch,
-                        iterations,
-                        resident=resident,
-                        superkernel=superkernel,
-                        **kwargs,
-                    )
-                    label = (
-                        f"resident={resident} superkernel={superkernel} "
-                        f"point={point_workers} workers={workers}"
-                    )
-                    _assert_matches(ctx, state, checksum, baseline, label)
-                    assert ctx.profiler.trace_hits > 0, label
-                    if point_workers > 1 and app_name != "jacobi":
-                        assert ctx.profiler.point_process_chunks > 0, label
-                        assert ctx.profiler.wire_bytes > 0, label
-                        assert ctx.profiler.wire_requests > 0, label
+        baseline = _run_app(app_name, "thread", 1, 1, monkeypatch, iterations, **kwargs)
+        for superkernel in ("0", "1"):
+            for point_workers, workers in COMBOS:
+                ctx, state, checksum = _run_app(
+                    app_name,
+                    "process",
+                    point_workers,
+                    workers,
+                    monkeypatch,
+                    iterations,
+                    superkernel=superkernel,
+                    **kwargs,
+                )
+                label = f"superkernel={superkernel} point={point_workers} workers={workers}"
+                _assert_matches(ctx, state, checksum, baseline, label)
+                assert ctx.profiler.trace_hits > 0, label
+                if point_workers > 1 and app_name != "jacobi":
+                    assert ctx.profiler.point_process_chunks > 0, label
+                    assert ctx.profiler.wire_bytes > 0, label
+                    assert ctx.profiler.wire_requests > 0, label
         shutdown_process_pool()
 
-    def test_resident_shrinks_steady_state_wire_bytes(self, monkeypatch):
+    def test_resident_shrinks_steady_state_wire_bytes(self, monkeypatch, request):
         """The counters the residency exists to move.
 
         Same replay, same ranks: shipping the plan once and referencing
         it by id must put fewer bytes on the worker pipes than
-        re-sending every chunk's geometry and descriptors each epoch.
-        The counters are deterministic (sizes of actual pickled
-        payloads), so this holds on any host.
+        re-sending every chunk's geometry and descriptors each epoch
+        (the per-chunk protocol, ``per_chunk_replay``).  The counters
+        are deterministic (sizes of actual pickled payloads), so this
+        holds on any host.
         """
         scale = ExperimentScale({"grid_points_per_gpu": 12}, 1e-4, 6, 6)
         # The seed-path CI leg (REPRO_HOTPATH_CACHE=0) moves the byte counts.
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
         runs = {}
-        for resident in ("0", "1"):
-            _set_flags("process", 4, 1, monkeypatch, resident, "0")
+        for resident in ("1", "0"):
+            if resident == "0":
+                request.getfixturevalue("per_chunk_replay")
+            _set_flags("process", 4, 1, monkeypatch, "0")
             runs[resident] = run_application_experiment("cg", num_gpus=4, scale=scale)
             shutdown_process_pool()
         chunked, resident = runs["0"].counters, runs["1"].counters
@@ -268,7 +240,6 @@ class TestResidentRecovery:
         monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
-        monkeypatch.setenv("REPRO_RESIDENT_PLANS", "1")
         config.reload_flags()
         context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
         set_context(context)
@@ -276,8 +247,7 @@ class TestResidentRecovery:
 
     def _baseline(self, monkeypatch, iterations):
         _ctx, state, checksum = _run_app(
-            "cg", "thread", 1, 1, monkeypatch, iterations,
-            resident="0", grid_points_per_gpu=12,
+            "cg", "thread", 1, 1, monkeypatch, iterations, grid_points_per_gpu=12
         )
         return state, checksum
 
@@ -325,7 +295,7 @@ class TestResidentRecovery:
         thread backend.
         """
         ctx_base, state_base, checksum_base = _run_app(
-            app_name, "thread", 1, 1, monkeypatch, 6, resident="0", **kwargs
+            app_name, "thread", 1, 1, monkeypatch, 6, **kwargs
         )
         context, app = self._start_app(monkeypatch, app_name, **kwargs)
         try:

@@ -9,8 +9,6 @@ thread-safe executor/region caches behind it) is actually exercised.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,6 @@ from repro.ir.partition import natural_tiling
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import StoreManager
 from repro.ir.task import IndexTask, StoreArg
-from repro.runtime.machine import MachineConfig
 from repro.runtime.scheduler import (
     MIN_DISPATCH_VOLUME,
     PlanSchedule,
@@ -249,14 +246,13 @@ class TestScheduledReplayParity:
 # ----------------------------------------------------------------------
 # Width > 1: independent opaque launches overlap.
 # ----------------------------------------------------------------------
-def _two_matvec_context(monkeypatch, workers, overlap="0"):
+def _two_matvec_context(monkeypatch, workers):
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
     config.reload_flags()
-    machine = replace(scaled_machine(4, 1e-4), overlap_launches=overlap == "1")
-    context = RuntimeContext(num_gpus=4, fusion=True, machine=machine)
+    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     return context
 
@@ -311,33 +307,6 @@ class TestHorizontalConcurrency:
         np.testing.assert_array_equal(outs_pool[0], outs_serial[0])
         np.testing.assert_array_equal(outs_pool[1], outs_serial[1])
         assert sim_pool == sim_serial
-
-    def test_overlap_model_charges_level_max(self, monkeypatch):
-        context = _two_matvec_context(monkeypatch, workers=1, overlap="1")
-        try:
-            outs_overlap = _run_two_matvecs(context)
-            sim_overlap = context.legion.simulated_seconds
-            assert context.profiler.plan_replays > 0
-        finally:
-            set_context(None)
-
-        context = _two_matvec_context(monkeypatch, workers=1, overlap="0")
-        try:
-            outs_serial = _run_two_matvecs(context)
-            sim_serial = context.legion.simulated_seconds
-        finally:
-            set_context(None)
-
-        # Bit-identical data; strictly less simulated time (the two
-        # independent mat-vecs of each replayed epoch overlap).
-        np.testing.assert_array_equal(outs_overlap[0], outs_serial[0])
-        np.testing.assert_array_equal(outs_overlap[1], outs_serial[1])
-        assert sim_overlap < sim_serial
-
-    def test_overlap_model_helper(self):
-        machine = MachineConfig(num_gpus=2)
-        assert machine.overlapped_level_seconds([1.0, 3.0, 2.0]) == 3.0
-        assert machine.overlapped_level_seconds([]) == 0.0
 
 
 # ----------------------------------------------------------------------

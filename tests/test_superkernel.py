@@ -64,14 +64,12 @@ def _run_app(
     backend="thread",
     kernel_backend="differential",
     num_gpus=4,
-    resident="1",
     **app_kwargs,
 ):
     monkeypatch.setattr(config, "SUPERKERNEL", superkernel == "1")
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
-    monkeypatch.setenv("REPRO_RESIDENT_PLANS", resident)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel_backend)
     config.reload_flags()
@@ -398,16 +396,19 @@ class TestRankedSectionsRunOnce:
     @pytest.mark.parametrize(
         "backend,resident", [("thread", "1"), ("process", "0"), ("process", "1")]
     )
-    def test_stacked_unit_runs_chunked(self, backend, resident, monkeypatch, shm_entries):
+    def test_stacked_unit_runs_chunked(
+        self, backend, resident, monkeypatch, shm_entries, request
+    ):
         """``REPRO_POINT_WORKERS=4``: each chunk is one merged span, the
         per-rank partials of the chunks concatenate in rank order."""
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
+        if resident == "0":
+            request.getfixturevalue("per_chunk_replay")
         kwargs = dict(kernel_backend="codegen", num_gpus=64, grid_points_per_gpu=4)
         ctx_serial, state_serial, checksum_serial = _run_app("cg", monkeypatch, 6, **kwargs)
         shm_before = shm_entries()
         ctx, state, checksum = _run_app(
-            "cg", monkeypatch, 6, point_workers=4, backend=backend, resident=resident,
-            **kwargs,
+            "cg", monkeypatch, 6, point_workers=4, backend=backend, **kwargs
         )
         try:
             assert checksum == checksum_serial

@@ -51,7 +51,6 @@ def _set_flags(monkeypatch, backend, point_workers, workers):
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
-    monkeypatch.setenv("REPRO_RESIDENT_PLANS", "1")
     config.reload_flags()
 
 
