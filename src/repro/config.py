@@ -1,4 +1,4 @@
-"""Process-level configuration: eight environment variables, one table.
+"""Process-level configuration: seven environment variables, one table.
 
 Every ``REPRO_*`` variable the reproduction reads is a row of
 :data:`FLAGS` — ``env var -> (default, parser)``.  What each one does is
@@ -25,9 +25,6 @@ from typing import Callable, Dict, List, Tuple
 #: Recognised kernel backend names (``repro.kernel.lowering.lower``
 #: rejects anything else).
 BACKENDS = ("codegen", "interpreter", "differential")
-
-#: Recognised dispatch backend names.
-DISPATCH_BACKENDS = ("thread", "process")
 
 #: Upper bound on the default worker count (explicit settings may exceed it).
 MAX_DEFAULT_WORKERS = 8
@@ -61,10 +58,6 @@ def _positive_int(raw: str, default: int) -> int:
         return 1
 
 
-def _dispatch_backend(raw: str, default: str) -> str:
-    return raw if raw in DISPATCH_BACKENDS else default
-
-
 def _ring_capacity(raw: str, default: int) -> int:
     """Junk or non-positive values keep the default; the floor of 16
     leaves room for at least a handful of nested spans."""
@@ -86,7 +79,6 @@ FLAGS: Dict[str, Tuple[object, Callable]] = {
     "REPRO_TRACE": (True, _switch),
     "REPRO_WORKERS": (max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)), _positive_int),
     "REPRO_POINT_WORKERS": (1, _positive_int),
-    "REPRO_DISPATCH_BACKEND": ("thread", _dispatch_backend),
     "REPRO_TELEMETRY": (False, _switch),
     "REPRO_TELEMETRY_EVENTS": (DEFAULT_TELEMETRY_EVENTS, _ring_capacity),
 }
@@ -135,10 +127,8 @@ trace_enabled = _getter(
 )
 worker_count = _getter("REPRO_WORKERS", "Size of the plan-scheduler worker pool.")
 point_worker_count = _getter(
-    "REPRO_POINT_WORKERS", "Width of intra-launch point dispatch (1 = serial rank loop)."
-)
-dispatch_backend = _getter(
-    "REPRO_DISPATCH_BACKEND", "Substrate of dispatched rank chunks: thread or process."
+    "REPRO_POINT_WORKERS",
+    "Worker processes a launch's rank chunks run on (1 = inline rank loop).",
 )
 telemetry_enabled = _getter("REPRO_TELEMETRY", "True when the span flight recorder is armed.")
 telemetry_event_capacity = _getter(
@@ -149,6 +139,11 @@ telemetry_event_capacity = _getter(
 def resident_plans_enabled() -> bool:
     # Always on; kept only for benchmarks/e2e/e2ebench/workloads.py::resolved_flags.
     return True
+
+
+def dispatch_backend() -> str:
+    # Derived; kept only for benchmarks/e2e/e2ebench/workloads.py::resolved_flags.
+    return "process" if point_worker_count() > 1 else "thread"
 
 
 def normalize_enabled() -> bool:

@@ -15,9 +15,11 @@ four steps:
    registers a chunk implementation; see ``runtime/opaque.py``).
 2. **Run the chunks** down one substrate ladder
    (:meth:`TaskExecutor.run_chunks`): per-chunk worker processes, then
-   the shared thread pool, then inline.  A rung returns per-chunk
-   ``(partials_by_rank, seconds_by_rank)`` results in chunk order, or
-   declines and records why (``Profiler.record_decline``).  Replayed
+   inline, in rank order, on the calling thread.  A rung returns
+   per-chunk ``(partials_by_rank, seconds_by_rank)`` results in chunk
+   order, or declines and records why (``Profiler.record_decline``).
+   Several chunks only ever come from ``REPRO_POINT_WORKERS`` > 1, so a
+   chunked launch always means worker processes.  Replayed
    steps whose plan is resident in the worker processes skip the ladder:
    the scheduler ships their whole level as one frame per worker
    (:meth:`TaskExecutor.run_resident_level`) and hands each step its
@@ -55,17 +57,14 @@ from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
 from repro.runtime.pool import (
     contiguous_elementwise_tables,
-    dispatch_chunks,
-    in_pool_worker,
     merged_table_span,
     point_chunks,
-    worker_pool,
 )
 from repro.runtime.profiler import Profiler
 from repro.runtime.region import RegionManager
 
 #: Minimum total elements a launch must touch before its point tasks are
-#: dispatched across the worker pool; below this the chunk handoff costs
+#: dispatched to the worker processes; below this the chunk handoff costs
 #: more than the tiles' compute.  Results are bit-identical either way,
 #: so this is a pure performance knob — tests force it to 0 to exercise
 #: the pool on tiny problems.
@@ -439,27 +438,16 @@ class TaskExecutor:
         ``width`` defaults to ``REPRO_POINT_WORKERS``.  A single ``(0,
         num_points)`` chunk means the launch runs inline.  Dispatch is
         declined for launches whose total touched volume is below
-        :data:`MIN_POINT_DISPATCH_VOLUME`, and — under the *thread*
-        backend only — on pool worker threads, where nested dispatch
-        would block the pool on its own queue.  Process chunks queue on
-        the worker pipes instead, so steps on pool workers still chunk
-        there; if such a launch degrades to threads its chunks run
-        inline (:meth:`_dispatch_chunks`).
+        :data:`MIN_POINT_DISPATCH_VOLUME`.
         """
         if width is None:
             width = config.point_worker_count()
         if width <= 1 or num_points <= 1:
             return [(0, num_points)]
-        if in_pool_worker() and config.dispatch_backend() != "process":
-            self._decline("nested_dispatch")
-        elif (
-            sum(volume for row in rows for _rect, volume in row[3])
-            < MIN_POINT_DISPATCH_VOLUME
-        ):
+        if sum(volume for row in rows for _rect, volume in row[3]) < MIN_POINT_DISPATCH_VOLUME:
             self._decline("below_volume")
-        else:
-            return point_chunks(num_points, width)
-        return [(0, num_points)]
+            return [(0, num_points)]
+        return point_chunks(num_points, width)
 
     # ------------------------------------------------------------------
     # Run chunks: the substrate ladder.
@@ -473,45 +461,21 @@ class TaskExecutor:
     ) -> Tuple[List[ChunkResult], Optional[str]]:
         """Per-chunk results in chunk order, and the substrate that ran them.
 
-        One chunk runs inline (substrate ``None``).  Several go to the
-        worker processes under ``REPRO_DISPATCH_BACKEND=process``, one
-        request per chunk, and to the shared thread pool when that
-        declines; ``width`` is the dispatch width the chunk plan was cut
-        for (recorded with the dispatch).
+        Several chunks go to the worker processes, one request per
+        chunk (substrate ``"process"``); ``width`` is the dispatch width
+        the chunk plan was cut for (recorded with the dispatch).  One
+        chunk, or chunks the process rung declined, run inline on the
+        calling thread in rank order (substrate ``None``), so the fold
+        sees the same results in the same order either way.
         """
-        if len(chunks) == 1:
-            return [work.run(*chunks[0])], None
-        results = None
-        if config.dispatch_backend() == "process":
+        if len(chunks) > 1:
             results = self._ship(work, chunks)
-        backend = "thread" if results is None else "process"
-        if results is None:
-            results = self._dispatch_chunks(chunks, work.run)
-        self.profiler.record_point_dispatch(
-            ranks=work.num_points, chunks=len(chunks), width=width, backend=backend
-        )
-        return results, backend
-
-    def _dispatch_chunks(
-        self, chunks: Sequence[Tuple[int, int]], run: Callable[[int, int], object]
-    ) -> List[object]:
-        """The thread rung: chunk runners across the shared pool, in order.
-
-        On a pool worker thread (a step dispatched into a wide level
-        whose process rungs declined) the chunks run inline —
-        submitting from a worker back to its own pool could deadlock it.
-        """
-        if telemetry.enabled():
-            inner = run
-
-            def run(start: int, stop: int):
-                with telemetry.span("point.chunk", f"ranks=[{start}:{stop})"):
-                    return inner(start, stop)
-
-        if in_pool_worker():
-            self._decline("nested_dispatch")
-            return [run(start, stop) for start, stop in chunks]
-        return dispatch_chunks(worker_pool(), list(chunks), run)
+            if results is not None:
+                self.profiler.record_point_dispatch(
+                    ranks=work.num_points, chunks=len(chunks), width=width
+                )
+                return results, "process"
+        return [work.run(start, stop) for start, stop in chunks], None
 
     def _shippable(self, work: ChunkWork) -> Optional[list]:
         """The rows' shared-memory descriptors, or ``None`` with a reason.
@@ -520,7 +484,7 @@ class TaskExecutor:
         spec, or an opaque operator that is the registry's instance for
         its name and has a defining module and a chunk implementation —
         and every non-reduction field lives in the shared arena (fields
-        allocated before the backend flag flipped do not).
+        allocated while ``REPRO_POINT_WORKERS`` was 1 do not).
         """
         impl = work.impl
         if work.kernel is None:
@@ -758,7 +722,7 @@ class TaskExecutor:
         else:
             results, backend = shipped, "process"
             self.profiler.record_point_dispatch(
-                ranks=work.num_points, chunks=len(chunks), width=width, backend=backend
+                ranks=work.num_points, chunks=len(chunks), width=width
             )
         if work.elementwise:
             self.profiler.record_elementwise_batch(len(chunks))

@@ -22,7 +22,7 @@ is deliberately pipe-safe — a chunk implementation receives only
   half-open wire rectangles in rank order,
 * ``scalars`` — the launch's ``scalar_args`` tuple,
 
-so the same callable serves the parent's thread fast path (bases are
+so the same callable serves the parent's inline path (bases are
 region-field arrays) and the worker-process pool (bases are zero-copy
 shared-memory views attached from block descriptors).  The chunk cost
 function returns the *per-rank* modelled seconds of the chunk, mirroring

@@ -1,9 +1,10 @@
 """Persistent worker-process pool for point-task rank chunks.
 
-``REPRO_DISPATCH_BACKEND=process`` routes the rank chunks of *compiled*
-launches to this pool instead of the in-process thread pool, removing
-the GIL ceiling for interpreter-heavy and small-tile kernels (the thread
-backend only scales when NumPy releases the GIL on large tiles).
+``REPRO_POINT_WORKERS`` > 1 routes the rank chunks of every launch
+whose work can ship (compiled and super-kernel launches, opaque
+operators with a chunk implementation) to this pool, out of reach of
+the parent's interpreter lock; chunks the pool declines run inline in
+the parent.
 
 Protocol
 --------
@@ -46,9 +47,9 @@ a chunk needs:
 
 Replies are matched by request id and reassembled in rank order; the
 parent folds partials and per-GPU seconds at the launch join exactly
-like the thread backend, so buffers
-and simulated time are bit-identical between ``thread`` and ``process``
-for every ``REPRO_WORKERS`` × ``REPRO_POINT_WORKERS`` combination.
+like the inline rank loop, so buffers and simulated time are
+bit-identical to inline execution for every ``REPRO_WORKERS`` ×
+``REPRO_POINT_WORKERS`` combination.
 Exceptions (including ``BackendDivergenceError`` from a differential
 worker) are pickled back and re-raised in the parent.
 
@@ -127,10 +128,11 @@ double pickling.
 
 Lifetime
 --------
-The pool is a lazy process-wide singleton sized like the shared thread
-pool.  ``config.reload_flags()`` retires it when the sizing flags or the
-backend change, and an ``atexit`` hook (plus the test suite's session
-fixture) shuts the workers down so runs never leak child processes.
+The pool is a lazy process-wide singleton of :func:`pool_size` workers.
+``config.reload_flags()`` retires it when that size changes or point
+dispatch is switched off, and an ``atexit`` hook (plus the test suite's
+session fixture) shuts the workers down so runs never leak child
+processes.
 Workers are started with the ``fork`` method where available (they
 inherit the warm codegen cache); ``spawn`` elsewhere.
 """
@@ -161,7 +163,7 @@ WireRect = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 #: How long a dispatch waits for its replies before it declares the pool
 #: hung: the workers are killed and :class:`ProcessPoolBrokenError` sends
-#: the launch down to the thread substrate.  Far above any chunk this
+#: the launch down to the next rung.  Far above any chunk this
 #: runtime ships (milliseconds to seconds), so only a stuck worker —
 #: stopped, deadlocked, swapped out — ever meets it.
 REPLY_DEADLINE_SECONDS = 60.0
@@ -349,8 +351,8 @@ class ProcessPoolBrokenError(RuntimeError):
     Distinct from errors a worker *reports* (those re-raise with their
     own type, e.g. ``BackendDivergenceError``): a broken transport means
     the chunk's fate is unknown, the pool is torn down, and the caller
-    should fall back to the thread substrate — the next launch rebuilds
-    a fresh pool through :func:`process_pool`.
+    should fall back to the next rung — the next launch rebuilds a fresh
+    pool through :func:`process_pool`.
     """
 
 
@@ -1126,7 +1128,7 @@ class ProcessWorkerPool:
         Requests are assigned round-robin, all sent before any reply is
         awaited (workers overlap), and replies are matched by request id
         and returned in request order so join-point folds see rank order
-        exactly like the thread backend.  Concurrency-safe: any number
+        exactly like the inline rank loop.  Concurrency-safe: any number
         of threads may dispatch simultaneously — sends serialise per
         worker pipe, replies resolve through the completion map.
         """
@@ -1152,7 +1154,7 @@ class ProcessWorkerPool:
         except (EOFError, BrokenPipeError, OSError) as transport_error:
             # A worker died mid-chunk (OOM kill, segfault): the chunk's
             # fate is unknown.  Mark the pool dead so callers fall back
-            # to threads and the next launch rebuilds a fresh pool.
+            # inline and the next launch rebuilds a fresh pool.
             self._transport_failed(transport_error)
         try:
             replies = self._collect(request_ids)
@@ -1421,12 +1423,19 @@ def retire_resident_plan(plan) -> None:
         plan.resident = None
 
 
-def process_pool() -> ProcessWorkerPool:
-    """The process-wide worker-process pool, sized like the thread pool."""
-    from repro.runtime.pool import shared_pool_size
+def pool_size() -> int:
+    """Workers of the process pool: ``max(REPRO_WORKERS, REPRO_POINT_WORKERS)``.
 
+    Wide plan levels split this many workers between their dispatched
+    steps (``scheduler._plan_dispatch``).
+    """
+    return max(config.worker_count(), config.point_worker_count())
+
+
+def process_pool() -> ProcessWorkerPool:
+    """The process-wide worker-process pool of :func:`pool_size` workers."""
     global _POOL
-    size = shared_pool_size()
+    size = pool_size()
     with _POOL_LOCK:
         if _POOL is None or _POOL.size != size or _POOL.closed:
             if _POOL is not None:
@@ -1450,22 +1459,20 @@ def _reload_process_pool() -> None:
 
     A pool sized from stale flag values must not serve the next launch;
     shutting down (rather than letting :func:`process_pool` resize
-    lazily) also reaps the worker processes promptly when a test flips
-    ``REPRO_DISPATCH_BACKEND`` back to ``thread``.  Every reload also
-    retires the resident plans: a flag flip can change chunking, plan
-    lowering or backing storage, so templates built under the old flags
-    must not be replayed.
+    lazily) also reaps the worker processes promptly when
+    ``REPRO_POINT_WORKERS`` drops back to 1.  Every reload also retires
+    the resident plans: a flag flip can change chunking, plan lowering or
+    backing storage, so templates built under the old flags must not be
+    replayed.
     """
-    from repro.runtime.pool import shared_pool_size
-
     invalidate_resident_plans()
     with _POOL_LOCK:
         pool = _POOL
     if pool is None:
         return
     if (
-        config.dispatch_backend() != "process"
-        or pool.size != shared_pool_size()
+        config.point_worker_count() <= 1
+        or pool.size != pool_size()
         or pool._telemetry_state != telemetry.worker_state()
     ):
         # A stale telemetry snapshot retires the pool too: workers were

@@ -21,7 +21,6 @@ from repro.kernel.codegen import codegen_stats
 #: step, a plan under one flag setting) counts once per declining rung.
 DECLINE_REASONS = (
     "below_volume",  # touches fewer elements than the dispatch threshold
-    "nested_dispatch",  # already on a pool thread (thread backend)
     "no_shm_descriptor",  # a field lives outside the shared-memory arena
     "unshippable_operator",  # opaque operator a worker cannot resolve by name
     "template_mismatch",  # chunk plan differs from the resident template
@@ -102,20 +101,14 @@ class Profiler:
         #: parallelism machinery without ever exercising it.
         self.plan_level_widths: Dict[int, int] = {}
         #: Intra-launch point-dispatch counters: launches whose per-rank
-        #: point tasks were chunked across the worker pool, the total
-        #: chunks and ranks they covered, the widest single launch, and
-        #: the summed configured width (the utilisation denominator).
+        #: point tasks ran as rank chunks in the worker processes, the
+        #: total chunks and ranks they covered, the widest single launch,
+        #: and the summed configured width (the utilisation denominator).
         self.point_launches: int = 0
         self.point_chunks: int = 0
         self.point_ranks: int = 0
         self.point_width_max: int = 0
         self.point_width_budget: int = 0
-        #: Per-substrate split of the dispatched chunks: the ``thread``
-        #: backend runs chunks on the shared thread pool, the ``process``
-        #: backend on the worker-process pool over shared memory
-        #: (``REPRO_DISPATCH_BACKEND``).
-        self.point_thread_chunks: int = 0
-        self.point_process_chunks: int = 0
         #: Element-wise batching: launches executed as merged closure
         #: calls (one per rank chunk instead of one per rank) and the
         #: total merged calls they produced.
@@ -267,15 +260,11 @@ class Profiler:
                 self.plan_level_widths.get(level_width, 0) + 1
             )
 
-    def record_point_dispatch(
-        self, ranks: int, chunks: int, width: int, backend: str = "thread"
-    ) -> None:
-        """Record one launch whose point tasks were chunked across a pool.
+    def record_point_dispatch(self, ranks: int, chunks: int, width: int) -> None:
+        """Record one launch whose rank chunks ran in the worker processes.
 
-        ``backend`` names the dispatch substrate that ran the chunks
-        (``thread`` or ``process``), so runs report how much of the
-        point-parallel work each substrate carried.  Thread-safe: wide
-        levels report from concurrent pool worker threads.
+        Thread-safe: wide levels report from concurrent pool worker
+        threads.
         """
         with self._lock:
             self.point_launches += 1
@@ -283,10 +272,6 @@ class Profiler:
             self.point_ranks += ranks
             self.point_width_max = max(self.point_width_max, chunks)
             self.point_width_budget += max(1, width)
-            if backend == "process":
-                self.point_process_chunks += chunks
-            else:
-                self.point_thread_chunks += chunks
 
     def record_elementwise_batch(self, calls: int) -> None:
         """Record one element-wise launch executed as merged chunk calls."""
@@ -376,6 +361,11 @@ class Profiler:
     def closure_calls_per_epoch(self) -> float:
         """Average compiled-closure invocations per replayed epoch."""
         return self.replay_closure_calls / self.trace_hits if self.trace_hits else 0.0
+
+    @property
+    def point_process_chunks(self) -> int:
+        """Rank chunks the worker processes ran: every dispatched chunk."""
+        return self.point_chunks
 
     @property
     def point_chunks_per_launch(self) -> float:
@@ -518,7 +508,6 @@ class Profiler:
                 "point_ranks": self.point_ranks,
                 "point_width_max": self.point_width_max,
                 "point_width_budget": self.point_width_budget,
-                "point_thread_chunks": self.point_thread_chunks,
                 "point_process_chunks": self.point_process_chunks,
                 "batched_launches": self.batched_launches,
                 "batched_calls": self.batched_calls,

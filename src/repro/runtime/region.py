@@ -8,7 +8,7 @@ coherence tracker rather than by physically copying data between
 per-processor buffers — the functional result is identical and the
 performance model is what the benchmarks measure.
 
-With ``REPRO_DISPATCH_BACKEND=process`` the backing arrays are allocated
+With ``REPRO_POINT_WORKERS`` > 1 the backing arrays are allocated
 inside a shared-memory arena (``runtime/shm.py``) instead of private
 heap pages: the array semantics in this process are unchanged (``data``
 is a view of the segment), and every field additionally carries a
@@ -84,8 +84,8 @@ class RegionField:
     When an ``arena`` is supplied the backing array lives in a
     shared-memory block and :attr:`shm_descriptor` addresses it for
     worker processes; otherwise the field is a plain private array and
-    the descriptor is ``None`` (the process dispatcher falls back to
-    threads for launches touching such fields).
+    the descriptor is ``None`` (launches touching such fields run their
+    rank chunks inline).
 
     The one allocation site of region storage.  The contract is that no
     element is observable before it is written and an element nothing
@@ -177,7 +177,7 @@ class RegionManager:
         self._arena_finalizer = None
 
     # ------------------------------------------------------------------
-    # Shared-memory arena (process dispatch backend).
+    # Shared-memory arena (point dispatch to worker processes).
     # ------------------------------------------------------------------
     @property
     def arena(self) -> Optional[SharedArena]:
@@ -187,12 +187,12 @@ class RegionManager:
     def _field_arena(self) -> Optional[SharedArena]:
         """The arena new fields allocate from (``None`` ⇒ private heap).
 
-        Created lazily on the first allocation under the process
-        backend; a ``weakref.finalize`` hook unlinks its segments when
-        the manager is collected or the interpreter exits.  Callers hold
-        ``_allocate_lock``.
+        Created lazily on the first allocation while
+        ``REPRO_POINT_WORKERS`` > 1; a ``weakref.finalize`` hook unlinks
+        its segments when the manager is collected or the interpreter
+        exits.  Callers hold ``_allocate_lock``.
         """
-        if config.dispatch_backend() != "process":
+        if config.point_worker_count() <= 1:
             return None
         if self._arena is None or self._arena.closed:
             arena = SharedArena()

@@ -14,10 +14,10 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    in one level are pairwise independent.
 2. **Dispatch decisions** (:func:`_plan_dispatch`) — once per plan and
    flag setting, cached on the schedule: which steps of a wide level
-   are handed to the shared worker pool (``REPRO_WORKERS``), the point
-   width each step may use so the two parallelism levels never
-   oversubscribe the pool, and each step's rank-chunk plan.  Under the
-   process backend the resident registration
+   are handed to the plan-step thread pool (``REPRO_WORKERS``), the
+   point width each step may use so the two parallelism levels never
+   oversubscribe the worker processes, and each step's rank-chunk plan.
+   With ``REPRO_POINT_WORKERS`` > 1 the resident registration
    (:meth:`PlanScheduler._resident_plan`) bakes the same chunk plans
    into the workers' templates.
 3. **One plan loop** (:meth:`PlanScheduler.execute`) — executes the
@@ -34,7 +34,7 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    and simulated seconds after the last level (:meth:`_account`, the
    only place a replayed step is recorded) — so buffers and simulated
    time are bit-identical for every ``REPRO_WORKERS`` ×
-   ``REPRO_POINT_WORKERS`` × substrate combination.  A chain-shaped
+   ``REPRO_POINT_WORKERS`` combination.  A chain-shaped
    plan is the same loop with every level inline.
 """
 
@@ -51,7 +51,7 @@ from repro.ir.task import IndexTask, StoreArg
 from repro.runtime import executor as executor_module
 from repro.runtime import procpool, telemetry
 from repro.runtime.executor import ChunkWork
-from repro.runtime.pool import guarded, submit_guarded, worker_pool
+from repro.runtime.pool import worker_pool
 from repro.runtime.superkernel import (
     SuperKernelStep,
     lower_when_earned,
@@ -276,21 +276,20 @@ def _plan_dispatch(
     steps hands those big enough to amortise the handoff to the worker
     pool (``REPRO_WORKERS`` > 1); each dispatched compiled step may
     then split into at most ``pool size // dispatched steps`` chunks,
-    and the small steps beside them stay serial.  Steps of a level with
-    nothing dispatched — every step of a chain plan — own the whole
-    point width.  Opaque steps of a shared level keep the full width
-    under the process backend, whose chunks queue on the worker pipes
-    instead of the pool, and run serially under the thread backend.
+    where the pool size is the worker-process count
+    (``procpool.pool_size``), and the small steps beside them stay
+    serial.  Steps of a level with nothing dispatched — every step of a
+    chain plan — own the whole point width, and so do opaque steps of a
+    shared level: their chunks queue on the worker pipes.
     """
     workers, point_width = config.worker_count(), config.point_worker_count()
-    process = config.dispatch_backend() == "process"
     flags = (
-        workers, point_width, process,
+        workers, point_width,
         MIN_DISPATCH_VOLUME, executor_module.MIN_POINT_DISPATCH_VOLUME,
     )
     if schedule.dispatch is not None and schedule.dispatch[0] == flags:
         return schedule.dispatch[1]
-    pool_size = max(workers, point_width)
+    pool_size = procpool.pool_size()
     decisions: List[Optional[tuple]] = [None] * len(schedule.steps)
     for level in schedule.levels:
         dispatched: Sequence[int] = ()
@@ -301,10 +300,8 @@ def _plan_dispatch(
             ]
         for index in level:
             entry = schedule.steps[index]
-            if not dispatched:
+            if not dispatched or not entry.compiled:
                 width = point_width
-            elif not entry.compiled:
-                width = point_width if process else 1
             elif index in dispatched:
                 width = max(1, min(point_width, pool_size // len(dispatched)))
             else:
@@ -340,7 +337,7 @@ def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Stor
 # The scheduler.
 # ----------------------------------------------------------------------
 class PlanScheduler:
-    """Executes captured plans level by level on the shared worker pool."""
+    """Executes captured plans level by level on the plan-step pool."""
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
@@ -371,7 +368,7 @@ class PlanScheduler:
         prepare = partial(self._step_work, slot_stores, tasks, {}, plan.uninitialised_slots)
         workers, point_width = config.worker_count(), config.point_worker_count()
         resident = None
-        if point_width > 1 and config.dispatch_backend() == "process":
+        if point_width > 1:
             # Materialise the worker-process pool now, while no thread
             # futures are in flight: forking from a quiescent point
             # avoids inheriting another thread's lock state mid-level.
@@ -420,16 +417,10 @@ class PlanScheduler:
             elif len(level) > 1 and any(decisions[index][0] for index in level):
                 pending: List[Tuple[int, object]] = []
                 for index, launch in launches.items():
-                    if not decisions[index][0]:
-                        # Beside dispatched steps the pool is spoken for:
-                        # if the process rungs decline, stay off it.
-                        results[index] = guarded(launch)()
-                    elif steps[index].compiled:
-                        # The step's chunks fit the level's share of the
-                        # pool, so it may fan them out from its worker.
+                    if decisions[index][0]:
                         pending.append((index, worker_pool().submit(launch)))
                     else:
-                        pending.append((index, submit_guarded(worker_pool(), launch)))
+                        results[index] = launch()
                 for index, future in pending:
                     results[index] = future.result()
                 dispatched += len(pending)

@@ -1,6 +1,6 @@
 """Shared-memory arena for region-field backing storage.
 
-With ``REPRO_DISPATCH_BACKEND=process`` the region manager allocates the
+With ``REPRO_POINT_WORKERS`` > 1 the region manager allocates the
 backing NumPy array of every store inside ``multiprocessing.shared_memory``
 segments instead of private heap pages.  The parent keeps the exact same
 mutable ``ndarray`` semantics it always had (the array is a view of the

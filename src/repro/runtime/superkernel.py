@@ -639,8 +639,8 @@ def lower_when_earned(plan: ExecutionPlan, tasks, lender, profiler) -> Optional[
         return None
     lowered = maybe_lower_plan(plan, tasks, profiler)
     if fresh and lowered is not None:
-        # The un-lowered plan may have replayed resident under the
-        # process backend: one live registration per plan.
+        # The un-lowered plan may have replayed resident in the
+        # worker processes: one live registration per plan.
         procpool.retire_resident_plan(plan)
         if not earned:
             plan.speculative = lender

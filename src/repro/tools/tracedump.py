@@ -21,12 +21,11 @@ replayed epoch (:func:`telemetry.span_summary`), then how many
 super-kernel sections run once over a merged span and why the others
 keep a rank loop; no trace file is written unless ``--output`` names one.
 
-By default the run uses the full replay stack on the worker-process
-substrate (trace capture, plan scheduler, point dispatch,
-``REPRO_DISPATCH_BACKEND=process``), so the exported timeline shows the
-epoch replay spans of the parent next to the chunk-execution spans of
-every pool worker.  ``--backend thread`` confines the run to one
-process.
+By default the run uses the full replay stack with rank chunks in
+worker processes (trace capture, plan scheduler, ``--point-workers 4``),
+so the exported timeline shows the epoch replay spans of the parent next
+to the chunk-execution spans of every pool worker.  ``--point-workers 1``
+keeps the run in one process.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ _SMOKE_KWARGS: Dict[str, Dict[str, int]] = {
 }
 
 #: Environment the traced run executes under (beyond the CLI-controlled
-#: workers/backend): the full codegen + trace-replay stack, with the
+#: worker counts): the full codegen + trace-replay stack, with the
 #: flight recorder armed.
 _TRACE_ENV = {
     "REPRO_TELEMETRY": "1",
@@ -117,12 +116,6 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=12)
     parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument(
-        "--backend",
-        default="process",
-        choices=("thread", "process"),
-        help="dispatch substrate for the traced run (default: process)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=4,
@@ -132,7 +125,7 @@ def main() -> int:
         "--point-workers",
         type=int,
         default=4,
-        help="intra-launch point-dispatch width (REPRO_POINT_WORKERS)",
+        help="worker processes per launch (REPRO_POINT_WORKERS; 1 = one process)",
     )
     parser.add_argument(
         "--smoke",
@@ -163,7 +156,6 @@ def main() -> int:
     output = args.output or (None if args.summary else f"TRACE_{args.app}.json")
 
     os.environ.update(_TRACE_ENV)
-    os.environ["REPRO_DISPATCH_BACKEND"] = args.backend
     os.environ["REPRO_WORKERS"] = str(args.workers)
     os.environ["REPRO_POINT_WORKERS"] = str(args.point_workers)
     config.reload_flags()

@@ -65,7 +65,6 @@ def _run_bs(
     monkeypatch.setenv("REPRO_TRACE", "1" if trace else "0")
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", "1")
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
     config.reload_flags()
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))

@@ -50,15 +50,14 @@ def _reload_flags_after():
     config.reload_flags()
 
 
-#: Substrate name -> the flags that select it.  Every test here pins the
-#: hot-path caches on: the seed path (a CI leg runs the whole suite under
-#: ``REPRO_HOTPATH_CACHE=0``) never skips a fill, and has its own test.
+#: Substrate name -> the flags that select it: inline, plan-level
+#: threads, and plan-level threads with rank chunks in worker processes.
+#: Every test here pins the hot-path caches on: the seed path (a CI leg
+#: runs the whole suite under ``REPRO_HOTPATH_CACHE=0``) never skips a
+#: fill, and has its own test.
 SUBSTRATES = {
-    name: dict(REPRO_HOTPATH_CACHE=1, REPRO_DISPATCH_BACKEND=backend,
-               REPRO_WORKERS=width, REPRO_POINT_WORKERS=width)
-    for name, backend, width in (
-        ("inline", "thread", 1), ("thread", "thread", 4), ("process", "process", 4),
-    )
+    name: dict(REPRO_HOTPATH_CACHE=1, REPRO_WORKERS=workers, REPRO_POINT_WORKERS=points)
+    for name, workers, points in (("inline", 1, 1), ("thread", 4, 1), ("process", 4, 4))
 }
 
 

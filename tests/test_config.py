@@ -20,7 +20,7 @@ def test_flag_table_is_the_documented_one_and_nothing_reads_another_variable():
         if line.startswith("| `REPRO_")
     }
     assert set(config.FLAGS) == documented
-    assert len(config.FLAGS) == 8
+    assert len(config.FLAGS) == 7
     scanned = [ROOT / "Makefile"] + [
         path
         for directory in ("src", "tests", ".github")

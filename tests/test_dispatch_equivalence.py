@@ -3,15 +3,17 @@ on every substrate gives the eager interpreter's answer.
 
 The equivalence matrix is work kind (compiled per-rank, element-wise,
 super-kernel, opaque per-rank, opaque chunk) × substrate (inline,
-thread, per-chunk process, resident process) × ``REPRO_WORKERS`` {1, 4}
+per-chunk process, resident process) × ``REPRO_WORKERS`` {1, 4}
 × kernel backend (codegen, differential): buffers, checksum AND
 the simulated seconds of every replayed iteration must equal an eager
 (``REPRO_TRACE=0``) interpreter run bit for bit, and the kind and the
 substrate under test must really have run.  Two kinds repeat at a work
 size of several blocks per rank (the kernel tier's block loop, with its
-per-call scratch, under every substrate).  The rest of the file pins the seams of the ladder: every
-decline reason on a constructed launch, a hung worker, and the
-allocator policy that keeps array memory mapped between launches.
+per-call scratch, under every substrate).  The rest of the file pins the
+seams of the ladder: every decline reason on a constructed launch,
+declined chunks running inline on the launch's own thread, a hung
+worker, and the allocator policy that keeps array memory mapped between
+launches.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import os
 import resource
 import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,8 +37,8 @@ from repro.ir.privilege import Privilege
 from repro.ir.task import IndexTask, StoreArg
 from repro.kernel import codegen
 from repro.runtime import procpool, region
+from repro.runtime.executor import TaskExecutor
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
-from repro.runtime.pool import submit_guarded, worker_pool
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +77,7 @@ KINDS = {
     # The block loop of generated kernels: an element-wise chain and a
     # reduction-bearing one (CG's fused axpy + dot) at >= 4 blocks per
     # rank.  The compiled closure is shared process-wide, so concurrent
-    # calls from pool threads must never share its scratch.
+    # calls from plan-pool threads must never share its scratch.
     "element-wise-blocked": (
         "black-scholes", dict(elements_per_gpu=128), (),
         lambda p: p.batched_launches > 0,
@@ -90,20 +94,13 @@ BLOCKED_KINDS = ("element-wise-blocked", "super-kernel-blocked")
 BLOCKED_BLOCK = 32
 BLOCKED_ITERATIONS = 20
 
-PROCESS = {"REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "process"}
+PROCESS = {"REPRO_POINT_WORKERS": "4"}
 
 #: substrate -> (flags, "this substrate ran" predicate).  The
 #: ``process-per-chunk`` leg replays through the ``per_chunk_replay``
 #: fixture.
 SUBSTRATES = {
-    "inline": (
-        {"REPRO_POINT_WORKERS": "1", "REPRO_DISPATCH_BACKEND": "thread"},
-        lambda p: p.point_launches == 0,
-    ),
-    "thread": (
-        {"REPRO_POINT_WORKERS": "4", "REPRO_DISPATCH_BACKEND": "thread"},
-        lambda p: p.point_thread_chunks > 0 and p.point_process_chunks == 0,
-    ),
+    "inline": ({"REPRO_POINT_WORKERS": "1"}, lambda p: p.point_launches == 0),
     "process-per-chunk": (
         PROCESS, lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
     ),
@@ -118,8 +115,7 @@ ITERATIONS = 5
 def _run(monkeypatch, app_name, kwargs, flags, iterations=ITERATIONS):
     defaults = {
         "REPRO_TRACE": "1", "REPRO_WORKERS": "1", "REPRO_POINT_WORKERS": "1",
-        "REPRO_DISPATCH_BACKEND": "thread", "REPRO_KERNEL_BACKEND": "codegen",
-        "REPRO_HOTPATH_CACHE": "1",
+        "REPRO_KERNEL_BACKEND": "codegen", "REPRO_HOTPATH_CACHE": "1",
     }
     for name, value in {**defaults, **flags}.items():
         monkeypatch.setenv(name, value)
@@ -201,9 +197,9 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
         assert profiler.multi_block_calls > 0
     if kind == "opaque-per-rank" and substrate.startswith("process"):
         # Per-rank operators have nothing a worker could resolve: the
-        # process rungs decline them by name and threads take over.
+        # process rungs decline them by name and their chunks run inline.
         assert profiler.declines["unshippable_operator"] > 0
-        assert profiler.point_thread_chunks > 0
+        assert profiler.opaque_process_chunks == 0
     else:
         assert substrate_ran(profiler), profiler.snapshot()
 
@@ -211,8 +207,7 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
 # ----------------------------------------------------------------------
 # Every declined rung says why.
 # ----------------------------------------------------------------------
-def _context(monkeypatch, backend, point_workers="4"):
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+def _context(monkeypatch, point_workers="4"):
     monkeypatch.setenv("REPRO_POINT_WORKERS", point_workers)
     monkeypatch.setenv("REPRO_WORKERS", "1")
     monkeypatch.setenv("REPRO_TRACE", "0")
@@ -251,7 +246,7 @@ def _gemv_launch(context, scalars=()):
 
 class TestDeclineReasons:
     def test_below_volume(self, monkeypatch):
-        context = _context(monkeypatch, "thread")
+        context = _context(monkeypatch)
         executor = context.legion.executor
         task, expected, out = _gemv_launch(context)
         # 16*8 + 4*8 + 16 elements: far below MIN_POINT_DISPATCH_VOLUME.
@@ -260,33 +255,20 @@ class TestDeclineReasons:
         assert executor.profiler.declines["below_volume"] == 1
         assert executor.profiler.point_launches == 0
 
-    def test_nested_on_a_pool_thread(self, monkeypatch, force_dispatch):
-        context = _context(monkeypatch, "thread")
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context)
-        impl = default_opaque_registry().get("gemv")
-        future = submit_guarded(
-            worker_pool(4), lambda: executor.execute_opaque(task, impl)
-        )
-        future.result(timeout=30)
-        assert np.array_equal(out.data, expected)
-        assert executor.profiler.declines["nested_dispatch"] == 1
-        assert executor.profiler.point_launches == 0
-
     def test_field_without_shm_descriptor(self, monkeypatch, force_dispatch):
-        context = _context(monkeypatch, "thread")
+        context = _context(monkeypatch, point_workers="1")
         executor = context.legion.executor
         task, expected, out = _gemv_launch(context)  # private-heap fields
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
         config.reload_flags()
         executor.execute_opaque(task, default_opaque_registry().get("gemv"))
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["no_shm_descriptor"] == 1
-        assert executor.profiler.point_thread_chunks == 4
+        assert executor.profiler.opaque_chunk_calls == 4
         assert executor.profiler.point_process_chunks == 0
 
     def test_operator_not_resolvable_by_name(self, monkeypatch, force_dispatch):
-        context = _context(monkeypatch, "process")
+        context = _context(monkeypatch)
         executor = context.legion.executor
         task, expected, out = _gemv_launch(context)
         registered = default_opaque_registry().get("gemv")
@@ -322,7 +304,7 @@ class TestDeclineReasons:
     def test_chunk_plan_differs_from_the_resident_template(
         self, monkeypatch, force_dispatch
     ):
-        context = _context(monkeypatch, "process")
+        context = _context(monkeypatch)
         executor, plan, work, chunks, expected, out = self._resident_work(context)
         # The baked plan rides a (one-entry) resident level frame ...
         entry = executor.resident_entry(plan, 0, work, chunks)
@@ -340,7 +322,7 @@ class TestDeclineReasons:
         assert np.array_equal(out.data, expected)
 
     def test_non_numeric_scalars(self, monkeypatch, force_dispatch):
-        context = _context(monkeypatch, "process")
+        context = _context(monkeypatch)
         executor, plan, work, chunks, expected, out = self._resident_work(
             context, scalars=("not-a-number",)
         )
@@ -354,7 +336,7 @@ class TestDeclineReasons:
         """A worker that takes the request and never answers (a worker
         that died *before* the dispatch just gets a fresh pool built)."""
         monkeypatch.setattr(procpool, "REPLY_DEADLINE_SECONDS", 0.3)
-        context = _context(monkeypatch, "process")
+        context = _context(monkeypatch)
         executor = context.legion.executor
         task, expected, out = _gemv_launch(context)
         pool = procpool.process_pool()
@@ -364,7 +346,8 @@ class TestDeclineReasons:
         executor.execute_opaque(task, default_opaque_registry().get("gemv"))
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["worker_lost"] == 1
-        assert executor.profiler.point_thread_chunks == 4
+        assert executor.profiler.opaque_chunk_calls == 4
+        assert executor.profiler.point_process_chunks == 0
         assert pool.closed
         for child in children:
             child.join(timeout=5.0)
@@ -374,9 +357,103 @@ class TestDeclineReasons:
         from repro.runtime.profiler import DECLINE_REASONS, Profiler
 
         snapshot = Profiler().snapshot()
-        assert len(DECLINE_REASONS) == 7
+        assert len(DECLINE_REASONS) == 6
         for reason in DECLINE_REASONS:
             assert snapshot[f"decline_{reason}"] == 0
+
+
+# ----------------------------------------------------------------------
+# Declined chunks run inline, in rank order, on the launch's own thread.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("replay", ["resident", "per-chunk"])
+@pytest.mark.parametrize("reason", ["no_shm_descriptor", "worker_lost"])
+def test_declined_chunks_run_inline_on_the_calling_thread(
+    reason, replay, monkeypatch, force_dispatch, request
+):
+    """A chunked launch whose process rungs decline runs its chunks on
+    the thread that runs the launch — the scheduling thread, or a
+    plan-pool thread of a wide level (per-chunk replay dispatches both
+    of two-matvec's mat-vecs there) — one after another in rank order,
+    and submits nothing to a thread pool.  ``no_shm_descriptor``: the
+    matrices are allocated while ``REPRO_POINT_WORKERS`` is 1.
+    ``worker_lost``: every round trip finds the pool broken."""
+    kwargs = dict(rows_per_gpu=16)
+    ctx_ref, state_ref, checksum_ref = _run(monkeypatch, "two-matvec", kwargs, {})
+    if replay == "per-chunk":
+        request.getfixturevalue("per_chunk_replay")
+    if reason == "worker_lost":
+
+        def lost(*args):
+            raise procpool.ProcessPoolBrokenError("worker lost")
+
+        for name in ("run_chunks", "run_opaque_chunks", "run_resident_chunks"):
+            monkeypatch.setattr(procpool.ProcessWorkerPool, name, lost)
+
+    local = threading.local()
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def counted_submit(self, fn, *args, **kwargs):
+        if getattr(local, "in_run_chunks", False):
+            submitted.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    declined = []
+    run_chunks = TaskExecutor.run_chunks
+
+    def recorded_run_chunks(self, work, chunks, width):
+        ran, run = [], work.run
+
+        def recorded(start, stop):
+            ran.append((threading.get_ident(), start, stop))
+            return run(start, stop)
+
+        work.run, local.in_run_chunks = recorded, True
+        try:
+            results, substrate = run_chunks(self, work, chunks, width)
+        finally:
+            work.run, local.in_run_chunks = run, False
+        if len(chunks) > 1 and substrate != "process":
+            declined.append((threading.current_thread(), list(chunks), ran))
+        return results, substrate
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+    monkeypatch.setattr(TaskExecutor, "run_chunks", recorded_run_chunks)
+    for name, value in {"REPRO_TRACE": "1", "REPRO_WORKERS": "4",
+                        "REPRO_KERNEL_BACKEND": "codegen", "REPRO_HOTPATH_CACHE": "1",
+                        **PROCESS}.items():
+        monkeypatch.setenv(name, value)
+    if reason == "no_shm_descriptor":
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
+    config.reload_flags()
+    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+    set_context(context)
+    try:
+        app = build_application("two-matvec", context=context, **kwargs)
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
+        config.reload_flags()
+        app.run(ITERATIONS)
+        checksum = app.checksum()
+        state = {
+            name: value.to_numpy()
+            for name, value in vars(app).items()
+            if isinstance(value, cn_ndarray)
+        }
+    finally:
+        set_context(None)
+
+    profiler = context.profiler
+    assert profiler.declines[reason] > 0
+    assert declined
+    assert submitted == []
+    for thread, chunks, ran in declined:
+        assert ran == [(thread.ident, start, stop) for start, stop in chunks]
+    on_pool = any(thread.name.startswith("repro-worker") for thread, _c, _r in declined)
+    assert on_pool == (replay == "per-chunk")
+    assert checksum == checksum_ref
+    for name in state_ref:
+        assert np.array_equal(state[name], state_ref[name]), name
+    assert profiler.iteration_seconds() == ctx_ref.profiler.iteration_seconds()
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +468,7 @@ class TestDeclineReasons:
     ],
     ids=["two-matvec", "torchswe-manual"],
 )
-def test_hung_worker_degrades_to_threads(
+def test_hung_worker_degrades_to_the_next_rung(
     app_name, kwargs, shipped_per_level, monkeypatch, force_dispatch, shm_entries
 ):
     """``SIGSTOP`` a worker mid-run: the reply deadline passes, the pool
@@ -400,13 +477,12 @@ def test_hung_worker_degrades_to_threads(
     lost level frame is *one* ``worker_lost``, however many steps it
     carried; each of them re-runs down the ladder and the plan re-ships
     to the fresh workers."""
-    thread_flags = {"REPRO_POINT_WORKERS": "4", "REPRO_WORKERS": "4"}
-    ctx_thread, state_thread, checksum_thread = _run(
-        monkeypatch, app_name, kwargs, thread_flags
+    ctx_inline, state_inline, checksum_inline = _run(
+        monkeypatch, app_name, kwargs, {"REPRO_WORKERS": "4"}
     )
 
     monkeypatch.setattr(procpool, "REPLY_DEADLINE_SECONDS", 0.5)
-    for name, value in {**thread_flags, "REPRO_DISPATCH_BACKEND": "process"}.items():
+    for name, value in {**PROCESS, "REPRO_WORKERS": "4"}.items():
         monkeypatch.setenv(name, value)
     config.reload_flags()
     shm_before = shm_entries()
@@ -453,11 +529,11 @@ def test_hung_worker_degrades_to_threads(
     finally:
         set_context(None)
         procpool.shutdown_process_pool()
-    assert checksum == checksum_thread
-    for name in state_thread:
-        assert np.array_equal(state[name], state_thread[name]), name
-    assert profiler.iteration_seconds() == ctx_thread.profiler.iteration_seconds()
-    assert context.legion.simulated_seconds == ctx_thread.legion.simulated_seconds
+    assert checksum == checksum_inline
+    for name in state_inline:
+        assert np.array_equal(state[name], state_inline[name]), name
+    assert profiler.iteration_seconds() == ctx_inline.profiler.iteration_seconds()
+    assert context.legion.simulated_seconds == ctx_inline.legion.simulated_seconds
     del context, app, profiler
     import gc
 

@@ -509,7 +509,7 @@ def test_overlapping_written_window_runs_as_one_block():
 )
 def test_block_loop_engagement_is_observable(app, kwargs, blocked, flags):
     # Worker processes keep their own count; run the closures here.
-    flags(REPRO_DISPATCH_BACKEND="thread")
+    flags(REPRO_POINT_WORKERS=1)
     context = RuntimeContext(num_gpus=4, fusion=True)
     set_context(context)
     try:

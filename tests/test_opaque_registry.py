@@ -2,8 +2,8 @@
 
 Acceptance bar: chunk-level opaque execution is bit-identical to the
 per-rank path — buffers, checksums AND simulated seconds — for every
-``REPRO_DISPATCH_BACKEND`` × ``REPRO_WORKERS`` {1,4} ×
-``REPRO_POINT_WORKERS`` {1,4} combination, asserted under the
+``REPRO_WORKERS`` {1,4} × ``REPRO_POINT_WORKERS`` {1,4} combination,
+asserted under the
 differential kernel backend on apps covering every registered chunk
 implementation (GEMV, SpMV, the multigrid transfers).  Alongside the
 hammer, this file unit-tests the registry/resolve API, the bounded
@@ -186,12 +186,10 @@ class TestOpaqueChunkProtocol:
 # ----------------------------------------------------------------------
 # End-to-end parity: chunked vs per-rank, the differential hammer.
 # ----------------------------------------------------------------------
-BACKENDS = ("thread", "process")
 COMBOS = [(1, 1), (4, 1), (1, 4), (4, 4)]
 
 
-def _set_flags(backend, point_workers, workers, chunks, monkeypatch):
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+def _set_flags(point_workers, workers, chunks, monkeypatch):
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
@@ -200,10 +198,8 @@ def _set_flags(backend, point_workers, workers, chunks, monkeypatch):
     config.reload_flags()
 
 
-def _run_app(
-    app_name, backend, point_workers, workers, chunks, monkeypatch, iterations, **kwargs
-):
-    _set_flags(backend, point_workers, workers, chunks, monkeypatch)
+def _run_app(app_name, point_workers, workers, chunks, monkeypatch, iterations, **kwargs):
+    _set_flags(point_workers, workers, chunks, monkeypatch)
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     try:
@@ -226,7 +222,7 @@ class TestChunkedParity:
     The two-mat-vec recurrence (opaque GEMV on a width-2 DAG) and GMG
     (SpMV plus both multigrid transfer operators interleaved with
     fusible chains) must be bit-identical — buffers, checksums and
-    simulated seconds — to the per-rank thread/1/1 baseline for every
+    simulated seconds — to the per-rank inline 1/1 baseline for every
     chunked combination, with both kernel backends cross-checked on
     every invocation by the differential executor.  Together the two
     apps execute every registered chunk implementation.
@@ -240,33 +236,31 @@ class TestChunkedParity:
     @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
     def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
         ctx_base, state_base, checksum_base = _run_app(
-            app_name, "thread", 1, 1, False, monkeypatch, iterations, **kwargs
+            app_name, 1, 1, False, monkeypatch, iterations, **kwargs
         )
         assert ctx_base.profiler.opaque_rank_calls > 0
         assert ctx_base.profiler.opaque_chunk_calls == 0
-        for backend in BACKENDS:
-            for point_workers, workers in COMBOS:
-                ctx, state, checksum = _run_app(
-                    app_name, backend, point_workers, workers,
-                    True, monkeypatch, iterations, **kwargs,
-                )
-                label = f"{backend} point={point_workers} workers={workers}"
-                assert checksum == checksum_base, label
-                assert set(state) == set(state_base), label
-                for name in state_base:
-                    assert np.array_equal(state[name], state_base[name]), (label, name)
-                assert (
-                    ctx.profiler.iteration_seconds()
-                    == ctx_base.profiler.iteration_seconds()
-                ), label
-                assert (
-                    ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
-                ), label
-                assert ctx.profiler.trace_hits > 0, label
-                assert ctx.profiler.opaque_chunk_calls > 0, label
-                if backend == "process" and point_workers > 1:
-                    # Opaque chunks rode the worker-process substrate.
-                    assert ctx.profiler.opaque_process_chunks > 0, label
+        for point_workers, workers in COMBOS:
+            ctx, state, checksum = _run_app(
+                app_name, point_workers, workers, True, monkeypatch, iterations, **kwargs
+            )
+            label = f"point={point_workers} workers={workers}"
+            assert checksum == checksum_base, label
+            assert set(state) == set(state_base), label
+            for name in state_base:
+                assert np.array_equal(state[name], state_base[name]), (label, name)
+            assert (
+                ctx.profiler.iteration_seconds()
+                == ctx_base.profiler.iteration_seconds()
+            ), label
+            assert (
+                ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
+            ), label
+            assert ctx.profiler.trace_hits > 0, label
+            assert ctx.profiler.opaque_chunk_calls > 0, label
+            if point_workers > 1:
+                # Opaque chunks rode the worker-process substrate.
+                assert ctx.profiler.opaque_process_chunks > 0, label
         shutdown_process_pool()
 
     def test_chunking_collapses_steady_opaque_calls(self, monkeypatch):
@@ -275,7 +269,7 @@ class TestChunkedParity:
         scale = ExperimentScale({"rows_per_gpu": 32}, 5e-5, 4, 2)
         per_epoch = {}
         for chunks in (False, True):
-            _set_flags("thread", 1, 1, chunks, monkeypatch)
+            _set_flags(1, 1, chunks, monkeypatch)
             result = run_application_experiment("two-matvec", num_gpus=8, scale=scale)
             per_epoch[chunks] = result.steady_per_epoch(
                 "opaque_rank_calls", "opaque_chunk_calls"
@@ -293,15 +287,15 @@ class TestFallbacks:
         registry.register(replacement(original))
         return registry, original
 
-    def test_unshippable_operator_stays_on_threads(self, monkeypatch):
+    def test_unshippable_operator_stays_in_the_parent(self, monkeypatch):
         """Hand-built impls (``module=None``) never cross the pipe.
 
-        The executor's shippability guard must keep their chunks on the
-        thread substrate — still chunk-level, still bit-identical —
-        instead of shipping an unresolvable name to the workers.
+        The executor's shippability guard must run their chunks inline —
+        still chunk-level, still bit-identical — instead of shipping an
+        unresolvable name to the workers.
         """
         ctx_base, state_base, checksum_base = _run_app(
-            "two-matvec", "thread", 1, 1, False, monkeypatch, 4, rows_per_gpu=16
+            "two-matvec", 1, 1, False, monkeypatch, 4, rows_per_gpu=16
         )
         registry, original = self._swap_gemv(
             lambda orig: OpaqueTaskImpl(
@@ -314,7 +308,7 @@ class TestFallbacks:
         )
         try:
             ctx, state, checksum = _run_app(
-                "two-matvec", "process", 4, 4, True, monkeypatch, 4, rows_per_gpu=16
+                "two-matvec", 4, 4, True, monkeypatch, 4, rows_per_gpu=16
             )
             assert checksum == checksum_base
             for name in state_base:
@@ -328,7 +322,7 @@ class TestFallbacks:
     def test_chunkless_operator_falls_back_to_per_rank(self, monkeypatch):
         """Operators without a chunk impl run the per-rank loop unchanged."""
         ctx_base, state_base, checksum_base = _run_app(
-            "two-matvec", "thread", 1, 1, False, monkeypatch, 4, rows_per_gpu=16
+            "two-matvec", 1, 1, False, monkeypatch, 4, rows_per_gpu=16
         )
         registry, original = self._swap_gemv(
             lambda orig: OpaqueTaskImpl(
@@ -341,7 +335,7 @@ class TestFallbacks:
         )
         try:
             ctx, state, checksum = _run_app(
-                "two-matvec", "process", 4, 4, True, monkeypatch, 4, rows_per_gpu=16
+                "two-matvec", 4, 4, True, monkeypatch, 4, rows_per_gpu=16
             )
             assert checksum == checksum_base
             for name in state_base:
@@ -356,7 +350,6 @@ class TestFallbacks:
         """Killing the pool mid-run degrades gracefully, bit-identically."""
         import repro.runtime.procpool as procpool
 
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
         monkeypatch.setenv("REPRO_WORKERS", "4")
         monkeypatch.setenv("REPRO_TRACE", "1")
@@ -373,14 +366,13 @@ class TestFallbacks:
             for process in pool._processes:
                 process.join(timeout=5.0)
             # The next dispatch surfaces the broken pool; execution must
-            # degrade (thread chunks or a rebuilt pool) without error and
+            # degrade (inline chunks or a rebuilt pool) without error and
             # stay bit-identical to the uninterrupted run.
             app.run(1)
             checksum = app.checksum()
         finally:
             set_context(None)
-        # Re-run the same split schedule on the thread baseline.
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
+        # Re-run the same split schedule on the inline baseline.
         monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         monkeypatch.setenv("REPRO_WORKERS", "1")
         config.reload_flags()

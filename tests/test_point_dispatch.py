@@ -1,11 +1,12 @@
 """Intra-launch point dispatch (``REPRO_POINT_WORKERS``).
 
-Acceptance bar: every ``REPRO_POINT_WORKERS`` × ``REPRO_WORKERS``
-combination produces bit-identical buffers, checksums and simulated
-seconds, asserted under the differential kernel backend with both
-dispatch thresholds forced to zero so the pool (and the chunk join
-machinery behind it) is actually exercised on tiny problems.
-``REPRO_POINT_WORKERS=1`` restores the serial per-rank launch loop.
+The flag, the rank-chunk plan, point chunks beside the steps of a wide
+plan level, the eager chunked path against the serial one, and the
+profiler counters, with both dispatch thresholds forced to zero so the
+worker processes (and the chunk join machinery behind them) are
+exercised on tiny problems.  ``REPRO_POINT_WORKERS=1`` is the serial
+per-rank launch loop; the full ``REPRO_WORKERS`` × ``REPRO_POINT_WORKERS``
+parity hammer lives in ``tests/test_process_dispatch.py``.
 """
 
 from __future__ import annotations
@@ -55,27 +56,21 @@ class TestPointConfig:
 
 class TestPointChunks:
     def test_serial_width_is_one_chunk(self):
-        assert point_chunks(8, 1, 1) == [(0, 8)]
+        assert point_chunks(8, 1) == [(0, 8)]
 
     def test_even_split(self):
-        assert point_chunks(8, 4, 1) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert point_chunks(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
     def test_remainder_goes_to_leading_chunks(self):
-        assert point_chunks(7, 4, 1) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        assert point_chunks(7, 4) == [(0, 2), (2, 4), (4, 6), (6, 7)]
 
     def test_width_capped_by_points(self):
-        assert point_chunks(2, 8, 1) == [(0, 1), (1, 2)]
-
-    def test_min_ranks_floor(self):
-        # 8 ranks with a floor of 4 per chunk -> at most 2 chunks.
-        assert point_chunks(8, 4, 4) == [(0, 4), (4, 8)]
-        # A floor at or above the rank count -> serial.
-        assert point_chunks(4, 4, 8) == [(0, 4)]
+        assert point_chunks(2, 8) == [(0, 1), (1, 2)]
 
     def test_chunks_cover_and_are_contiguous(self):
         for num_points in range(1, 17):
             for width in (1, 2, 3, 4, 8):
-                chunks = point_chunks(num_points, width, 1)
+                chunks = point_chunks(num_points, width)
                 assert chunks[0][0] == 0
                 assert chunks[-1][1] == num_points
                 for (_, stop), (start, _) in zip(chunks, chunks[1:]):
@@ -83,74 +78,8 @@ class TestPointChunks:
 
 
 # ----------------------------------------------------------------------
-# End-to-end parity: hammer tests across the config matrix.
+# Point chunks beside the steps of a wide level.
 # ----------------------------------------------------------------------
-COMBOS = [(1, 1), (2, 1), (4, 1), (1, 4), (2, 4), (4, 4)]
-
-
-def _run_app(app_name, point_workers, workers, monkeypatch, iterations, **app_kwargs):
-    monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
-    monkeypatch.setenv("REPRO_WORKERS", str(workers))
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
-    config.reload_flags()
-    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
-    set_context(context)
-    try:
-        app = build_application(app_name, context=context, **app_kwargs)
-        app.run(iterations)
-        checksum = app.checksum()
-        state = {
-            name: value.to_numpy()
-            for name, value in vars(app).items()
-            if isinstance(value, cn_ndarray)
-        }
-    finally:
-        set_context(None)
-    return context, state, checksum
-
-
-class TestPointParity:
-    """Satellite: the point-parallel hammer suite.
-
-    Every app runs under the differential backend for the full
-    ``REPRO_POINT_WORKERS`` ∈ {1, 2, 4} × ``REPRO_WORKERS`` ∈ {1, 4}
-    matrix; buffers, checksums and simulated seconds must match the
-    (1, 1) serial baseline bit for bit.
-    """
-
-    APPS = [
-        ("cg", dict(grid_points_per_gpu=12), 5),
-        ("jacobi", dict(rows_per_gpu=32), 6),
-        ("black-scholes", dict(elements_per_gpu=128), 6),
-    ]
-
-    @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
-    def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
-        ctx_base, state_base, checksum_base = _run_app(
-            app_name, 1, 1, monkeypatch, iterations, **kwargs
-        )
-        for point_workers, workers in COMBOS[1:]:
-            ctx, state, checksum = _run_app(
-                app_name, point_workers, workers, monkeypatch, iterations, **kwargs
-            )
-            label = f"point={point_workers} workers={workers}"
-            assert checksum == checksum_base, label
-            assert set(state) == set(state_base), label
-            for name in state_base:
-                assert np.array_equal(state[name], state_base[name]), (label, name)
-            assert (
-                ctx.profiler.iteration_seconds()
-                == ctx_base.profiler.iteration_seconds()
-            ), label
-            assert (
-                ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
-            ), label
-            if point_workers > 1:
-                assert ctx.profiler.point_launches > 0, label
-                assert ctx.profiler.point_chunks > ctx.profiler.point_launches, label
-
-
 def _run_two_matvecs(monkeypatch, point_workers, workers, iterations=5, rows=24):
     """A wide epoch: two independent mat-vecs (DAG width 2)."""
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
@@ -183,17 +112,6 @@ def _run_two_matvecs(monkeypatch, point_workers, workers, iterations=5, rows=24)
 
 class TestWideAppParity:
     """Point chunks co-scheduled with independent steps of a wide level."""
-
-    @pytest.mark.parametrize("point_workers,workers", COMBOS[1:], ids=[
-        f"p{p}w{w}" for p, w in COMBOS[1:]
-    ])
-    def test_two_matvec_bit_identical(self, point_workers, workers, monkeypatch):
-        _, outs_base, sim_base = _run_two_matvecs(monkeypatch, 1, 1)
-        ctx, outs, sim = _run_two_matvecs(monkeypatch, point_workers, workers)
-        np.testing.assert_array_equal(outs[0], outs_base[0])
-        np.testing.assert_array_equal(outs[1], outs_base[1])
-        assert sim == sim_base
-        assert ctx.profiler.trace_hits > 0
 
     def test_wide_level_still_dispatches_steps(self, monkeypatch):
         """Step-level dispatch survives alongside point chunking."""
@@ -271,12 +189,7 @@ class TestWideAppParity:
             def submit(self, fn):
                 return _DeferredFuture(fn)
 
-        # Both submission routes of the plan loop: compiled steps go to
-        # the pool directly, opaque ones under the nested-dispatch guard.
         monkeypatch.setattr(scheduler_module, "worker_pool", lambda: _DeferredPool())
-        monkeypatch.setattr(
-            scheduler_module, "submit_guarded", lambda pool, fn: _DeferredFuture(fn)
-        )
         monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         monkeypatch.setenv("REPRO_WORKERS", "4")
         monkeypatch.setenv("REPRO_TRACE", "1")
@@ -322,30 +235,6 @@ class TestSerialRegression:
         config.reload_flags()
         executor = TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))
         assert executor.point_chunk_plan(8, ()) == [(0, 8)]
-
-    def test_nested_dispatch_is_suppressed(self, monkeypatch):
-        """Thread-backend pool workers never re-chunk (the deadlock guard).
-
-        The guard applies to the thread substrate only; the process
-        backend lifts it (see tests/test_wide_dispatch.py) because
-        process chunks cannot deadlock the thread pool.
-        """
-        from repro.runtime.executor import TaskExecutor
-        from repro.runtime.machine import MachineConfig
-        from repro.runtime.pool import submit_guarded, worker_pool
-        from repro.runtime.region import RegionManager
-
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
-        config.reload_flags()
-        executor = TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))
-        # On the caller thread the plan chunks...
-        assert len(executor.point_chunk_plan(8, ())) == 4
-        # ...but on a guarded pool worker it stays serial.
-        future = submit_guarded(
-            worker_pool(4), lambda: executor.point_chunk_plan(8, ())
-        )
-        assert future.result() == [(0, 8)]
 
     def test_point_serial_matches_multichunk_eagerly(self, monkeypatch):
         """Eager path (trace off): chunked == serial, bit for bit."""
@@ -399,7 +288,7 @@ class TestPointProfiling:
         profiler.record_point_dispatch(ranks=8, chunks=2, width=4)
         assert profiler.point_launches == 2
         assert profiler.point_ranks == 16
-        assert profiler.point_chunks == 6
+        assert profiler.point_chunks == profiler.point_process_chunks == 6
         assert profiler.point_width_max == 4
         assert profiler.point_chunks_per_launch == 3.0
         assert profiler.point_utilization == 0.75

@@ -1,14 +1,14 @@
-"""Shared-memory multiprocess dispatch (``REPRO_DISPATCH_BACKEND``).
+"""Shared-memory multiprocess dispatch (``REPRO_POINT_WORKERS`` > 1).
 
-Acceptance bar: the ``process`` backend is bit-identical to the
-``thread`` backend — buffers, checksums AND simulated seconds — for
-every {backend} × ``REPRO_WORKERS`` {1,4} × ``REPRO_POINT_WORKERS``
-{1,4} combination, asserted under the differential kernel backend with
-the dispatch thresholds forced to zero so the pools are exercised on
-tiny problems.  Alongside the end-to-end hammer, this file unit-tests
-the shared-memory arena, the worker-process pool protocol, the
-config-reload pool invalidation and the graceful thread fallback for
-region fields that predate the backend flip.
+Acceptance bar: rank chunks in worker processes are bit-identical to
+the inline rank loop — buffers, checksums AND simulated seconds — for
+every ``REPRO_WORKERS`` {1,4} × ``REPRO_POINT_WORKERS`` {1,4}
+combination, asserted under the differential kernel backend with the
+dispatch thresholds forced to zero so the pools are exercised on tiny
+problems.  Alongside the end-to-end hammer, this file unit-tests the
+shared-memory arena, the worker-process pool protocol, the
+config-reload pool invalidation and the inline fallback for region
+fields that predate the flag flip.
 """
 
 from __future__ import annotations
@@ -40,20 +40,15 @@ pytestmark = pytest.mark.usefixtures("force_dispatch")
 # Configuration.
 # ----------------------------------------------------------------------
 class TestDispatchConfig:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH_BACKEND", raising=False)
+    def test_default_is_inline(self, monkeypatch):
+        monkeypatch.delenv("REPRO_POINT_WORKERS", raising=False)
         config.reload_flags()
         assert config.dispatch_backend() == "thread"
 
-    def test_explicit_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
+    def test_point_workers_mean_processes(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         config.reload_flags()
         assert config.dispatch_backend() == "process"
-
-    def test_junk_degrades_to_thread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "gpu")
-        config.reload_flags()
-        assert config.dispatch_backend() == "thread"
 
 
 # ----------------------------------------------------------------------
@@ -147,24 +142,24 @@ class TestSharedArena:
 # Shared-memory region fields.
 # ----------------------------------------------------------------------
 class TestShmRegionFields:
-    def _manager_and_store(self, monkeypatch, backend):
+    def _manager_and_store(self, monkeypatch, point_workers):
         from repro.ir.store import StoreManager
         from repro.runtime.region import RegionManager
 
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+        monkeypatch.setenv("REPRO_POINT_WORKERS", point_workers)
         config.reload_flags()
         manager = RegionManager()
         store = StoreManager().create_store((32,), name="field")
         return manager, store
 
-    def test_thread_backend_fields_are_private(self, monkeypatch):
-        manager, store = self._manager_and_store(monkeypatch, "thread")
+    def test_inline_fields_are_private(self, monkeypatch):
+        manager, store = self._manager_and_store(monkeypatch, "1")
         field = manager.field(store)
         assert field.shm_descriptor is None
         assert manager.arena is None
 
-    def test_process_backend_fields_are_shared(self, monkeypatch):
-        manager, store = self._manager_and_store(monkeypatch, "process")
+    def test_point_dispatch_fields_are_shared(self, monkeypatch):
+        manager, store = self._manager_and_store(monkeypatch, "2")
         field = manager.field(store)
         assert field.shm_descriptor is not None
         assert manager.arena is not None
@@ -175,7 +170,7 @@ class TestShmRegionFields:
         manager.close_arena()
 
     def test_attach_and_release_recycle_blocks(self, monkeypatch):
-        manager, store = self._manager_and_store(monkeypatch, "process")
+        manager, store = self._manager_and_store(monkeypatch, "2")
         field = manager.field(store)
         first = field.shm_descriptor
         attached = manager.attach(store, np.arange(32.0))
@@ -191,7 +186,7 @@ class TestShmRegionFields:
     def test_finalizer_unlinks_on_gc(self, monkeypatch):
         import gc
 
-        manager, store = self._manager_and_store(monkeypatch, "process")
+        manager, store = self._manager_and_store(monkeypatch, "2")
         field = manager.field(store)
         name = field.shm_descriptor.segment
         if os.path.isdir("/dev/shm"):
@@ -210,9 +205,10 @@ class TestReloadInvalidation:
         from repro.runtime.pool import worker_pool
 
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
         config.reload_flags()
         pool = worker_pool()
+        # Plan steps only: point chunks never ride the thread pool.
         assert pool._max_workers == 2
         monkeypatch.setenv("REPRO_WORKERS", "3")
         config.reload_flags()
@@ -231,19 +227,17 @@ class TestReloadInvalidation:
         config.reload_flags()
         assert worker_pool() is pool
 
-    def test_process_pool_retired_when_backend_flips(self, monkeypatch):
+    def test_process_pool_retired_when_point_dispatch_stops(self, monkeypatch):
         import repro.runtime.procpool as procpool
 
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         config.reload_flags()
         pool = procpool.process_pool()
         assert pool.size == 2
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         config.reload_flags()
         assert pool.closed
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "3")
         config.reload_flags()
         fresh = procpool.process_pool()
@@ -291,7 +285,7 @@ class TestProcessPoolProtocol:
         ``run_chunks`` must surface :class:`ProcessPoolBrokenError` (not
         a raw ``EOFError``), the pool must mark itself closed so
         :func:`process_pool` rebuilds it, and the executor's routing
-        must degrade the launch to the thread substrate.
+        must degrade the launch to the inline rung.
         """
         import repro.runtime.procpool as procpool
 
@@ -327,12 +321,10 @@ class TestProcessPoolProtocol:
 # ----------------------------------------------------------------------
 # End-to-end parity: the differential hammer matrix (satellite).
 # ----------------------------------------------------------------------
-BACKENDS = ("thread", "process")
 COMBOS = [(1, 1), (4, 1), (1, 4), (4, 4)]
 
 
-def _run_app(app_name, backend, point_workers, workers, monkeypatch, iterations, **kwargs):
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+def _run_app(app_name, point_workers, workers, monkeypatch, iterations, **kwargs):
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
@@ -355,14 +347,13 @@ def _run_app(app_name, backend, point_workers, workers, monkeypatch, iterations,
 
 
 class TestProcessParity:
-    """The {backend} × workers × point-workers differential hammer.
+    """The workers × point-workers differential hammer.
 
-    CG (compiled kernels with reductions), Jacobi (opaque GEMV, which
-    always stays on the thread substrate) and Black-Scholes (elementwise
-    chains, the batching path) must be bit-identical — buffers,
-    checksums and simulated seconds — to the thread/1/1 baseline for
-    every combination, with both kernel backends cross-checked on every
-    invocation by the differential executor.
+    CG (compiled kernels with reductions), Jacobi (the chunked opaque
+    GEMV) and Black-Scholes (elementwise chains, the batching path) must
+    be bit-identical — buffers, checksums and simulated seconds — to the
+    inline 1/1 baseline for every combination, with both kernel backends
+    cross-checked on every invocation by the differential executor.
     """
 
     APPS = [
@@ -374,46 +365,41 @@ class TestProcessParity:
     @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
     def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
         ctx_base, state_base, checksum_base = _run_app(
-            app_name, "thread", 1, 1, monkeypatch, iterations, **kwargs
+            app_name, 1, 1, monkeypatch, iterations, **kwargs
         )
-        for backend in BACKENDS:
-            for point_workers, workers in COMBOS:
-                if backend == "thread" and (point_workers, workers) == (1, 1):
-                    continue
-                ctx, state, checksum = _run_app(
-                    app_name, backend, point_workers, workers,
-                    monkeypatch, iterations, **kwargs,
-                )
-                label = f"{backend} point={point_workers} workers={workers}"
-                assert checksum == checksum_base, label
-                assert set(state) == set(state_base), label
-                for name in state_base:
-                    assert np.array_equal(state[name], state_base[name]), (label, name)
-                assert (
-                    ctx.profiler.iteration_seconds()
-                    == ctx_base.profiler.iteration_seconds()
-                ), label
-                assert (
-                    ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
-                ), label
-                if backend == "process" and point_workers > 1:
-                    assert ctx.profiler.point_launches > 0, label
-                    # Compiled chunks — and, since the chunk-level
-                    # operator registry, Jacobi's chunked opaque GEMV —
-                    # ride the process substrate.
-                    assert ctx.profiler.point_process_chunks > 0, label
+        for point_workers, workers in COMBOS[1:]:
+            ctx, state, checksum = _run_app(
+                app_name, point_workers, workers, monkeypatch, iterations, **kwargs
+            )
+            label = f"point={point_workers} workers={workers}"
+            assert checksum == checksum_base, label
+            assert set(state) == set(state_base), label
+            for name in state_base:
+                assert np.array_equal(state[name], state_base[name]), (label, name)
+            assert (
+                ctx.profiler.iteration_seconds()
+                == ctx_base.profiler.iteration_seconds()
+            ), label
+            assert (
+                ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
+            ), label
+            if point_workers > 1:
+                assert ctx.profiler.point_launches > 0, label
+                # Compiled chunks — and, since the chunk-level operator
+                # registry, Jacobi's chunked opaque GEMV — ride the
+                # worker processes.
+                assert ctx.profiler.point_process_chunks > 0, label
         shutdown_process_pool()
 
-    def test_fields_allocated_before_flip_fall_back_to_threads(self, monkeypatch):
-        """Graceful degradation: pre-existing private fields stay threaded.
+    def test_fields_allocated_before_flip_run_inline(self, monkeypatch):
+        """Graceful degradation: pre-existing private fields stay inline.
 
-        Region fields allocated under the thread backend carry no
-        shared-memory descriptor; flipping to ``process`` mid-run must
-        keep dispatching their launches on the thread pool (bit-for-bit
-        as before) rather than failing to ship them.
+        Region fields allocated while ``REPRO_POINT_WORKERS`` is 1 carry
+        no shared-memory descriptor; raising it mid-run must run the
+        chunks of launches touching them inline (bit-for-bit as before)
+        rather than failing to ship them.
         """
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setenv("REPRO_TRACE", "0")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
@@ -424,12 +410,12 @@ class TestProcessParity:
             app = build_application("black-scholes", context=context, elements_per_gpu=128)
             app.run(2)
             assert np.isfinite(app.checksum())
-            monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
+            monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
             config.reload_flags()
             app.run(2)
             assert np.isfinite(app.checksum())
+            assert context.profiler.declines["no_shm_descriptor"] > 0
             assert context.profiler.point_process_chunks == 0
-            assert context.profiler.point_thread_chunks > 0
         finally:
             set_context(None)
         shutdown_process_pool()

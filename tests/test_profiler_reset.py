@@ -54,8 +54,6 @@ def _dirty(profiler: Profiler) -> None:
     profiler.point_ranks = 96
     profiler.point_width_max = 4
     profiler.point_width_budget = 32
-    profiler.point_thread_chunks = 8
-    profiler.point_process_chunks = 16
     profiler.batched_launches = 3
     profiler.batched_calls = 9
     profiler.opaque_rank_calls = 10

@@ -64,7 +64,7 @@ class TestResidentInvalidation:
         from repro.ir.store import StoreManager
         from repro.runtime.region import RegionManager
 
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         config.reload_flags()
         manager = RegionManager()
         store = StoreManager().create_store((32,), name="field")
@@ -78,11 +78,11 @@ class TestResidentInvalidation:
         assert procpool.resident_generation() > released_at
         manager.close_arena()
 
-    def test_thread_backend_attach_does_not_bump(self, monkeypatch):
+    def test_inline_attach_does_not_bump(self, monkeypatch):
         from repro.ir.store import StoreManager
         from repro.runtime.region import RegionManager
 
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         config.reload_flags()
         manager = RegionManager()
         store = StoreManager().create_store((32,), name="field")
@@ -117,8 +117,7 @@ APPS = [
 ]
 
 
-def _set_flags(backend, point_workers, workers, monkeypatch, superkernel):
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+def _set_flags(point_workers, workers, monkeypatch, superkernel):
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
@@ -129,7 +128,6 @@ def _set_flags(backend, point_workers, workers, monkeypatch, superkernel):
 
 def _run_app(
     app_name,
-    backend,
     point_workers,
     workers,
     monkeypatch,
@@ -137,7 +135,7 @@ def _run_app(
     superkernel="0",
     **kwargs,
 ):
-    _set_flags(backend, point_workers, workers, monkeypatch, superkernel)
+    _set_flags(point_workers, workers, monkeypatch, superkernel)
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     try:
@@ -167,22 +165,21 @@ def _assert_matches(ctx, state, checksum, baseline, label):
 class TestResidentParity:
     """The super-kernel × workers × point-workers hammer.
 
-    CG (compiled kernels with reductions), Jacobi (opaque GEMV that
-    stays on the thread substrate), Black-Scholes (elementwise chains)
-    and two-matvec (width-2 plan levels) must all be bit-identical —
-    buffers, checksums and simulated seconds — to inline replay
-    (thread/1/1) for every flag combination, with both kernel backends
-    cross-checked inside the workers by the differential executor.
+    CG (compiled kernels with reductions), Jacobi (opaque GEMV),
+    Black-Scholes (elementwise chains) and two-matvec (width-2 plan
+    levels) must all be bit-identical — buffers, checksums and simulated
+    seconds — to inline replay (1/1) for every flag combination, with
+    both kernel backends cross-checked inside the workers by the
+    differential executor.
     """
 
     @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
     def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
-        baseline = _run_app(app_name, "thread", 1, 1, monkeypatch, iterations, **kwargs)
+        baseline = _run_app(app_name, 1, 1, monkeypatch, iterations, **kwargs)
         for superkernel in ("0", "1"):
             for point_workers, workers in COMBOS:
                 ctx, state, checksum = _run_app(
                     app_name,
-                    "process",
                     point_workers,
                     workers,
                     monkeypatch,
@@ -216,7 +213,7 @@ class TestResidentParity:
         for resident in ("1", "0"):
             if resident == "0":
                 request.getfixturevalue("per_chunk_replay")
-            _set_flags("process", 4, 1, monkeypatch, "0")
+            _set_flags(4, 1, monkeypatch, "0")
             runs[resident] = run_application_experiment("cg", num_gpus=4, scale=scale)
             shutdown_process_pool()
         chunked, resident = runs["0"].counters, runs["1"].counters
@@ -235,7 +232,6 @@ class TestResidentParity:
 # ----------------------------------------------------------------------
 class TestResidentRecovery:
     def _start_app(self, monkeypatch, app_name="cg", **kwargs):
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
         monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setenv("REPRO_TRACE", "1")
@@ -247,7 +243,7 @@ class TestResidentRecovery:
 
     def _baseline(self, monkeypatch, iterations):
         _ctx, state, checksum = _run_app(
-            "cg", "thread", 1, 1, monkeypatch, iterations, grid_points_per_gpu=12
+            "cg", 1, 1, monkeypatch, iterations, grid_points_per_gpu=12
         )
         return state, checksum
 
@@ -256,7 +252,7 @@ class TestResidentRecovery:
 
         After the reload the captured plan must be re-registered under a
         *new* plan id (ids are never reused) and the run must stay
-        bit-identical to an uninterrupted thread-backend run.
+        bit-identical to an uninterrupted inline run.
         """
         state_base, checksum_base = self._baseline(monkeypatch, 6)
         context, app = self._start_app(monkeypatch, grid_points_per_gpu=12)
@@ -291,11 +287,11 @@ class TestResidentRecovery:
         (none when the pool was seen dead before the send), its steps
         degrade down the ladder, the pool singleton is rebuilt, and the
         plan re-ships to the fresh workers — with buffers and
-        per-iteration simulated seconds still bit-identical to the
-        thread backend.
+        per-iteration simulated seconds still bit-identical to inline
+        replay.
         """
         ctx_base, state_base, checksum_base = _run_app(
-            app_name, "thread", 1, 1, monkeypatch, 6, **kwargs
+            app_name, 1, 1, monkeypatch, 6, **kwargs
         )
         context, app = self._start_app(monkeypatch, app_name, **kwargs)
         try:

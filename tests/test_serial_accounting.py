@@ -138,7 +138,6 @@ def _context(monkeypatch, trace, workers=2):
     monkeypatch.setenv("REPRO_TRACE", trace)
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
     config.reload_flags()
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))

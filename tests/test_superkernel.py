@@ -61,7 +61,6 @@ def _run_app(
     superkernel="1",
     workers=1,
     point_workers=1,
-    backend="thread",
     kernel_backend="differential",
     num_gpus=4,
     **app_kwargs,
@@ -69,7 +68,6 @@ def _run_app(
     monkeypatch.setattr(config, "SUPERKERNEL", superkernel == "1")
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel_backend)
     config.reload_flags()
@@ -91,18 +89,16 @@ def _run_app(
     return context, state, checksum
 
 
-#: (superkernel, workers, point_workers, backend) corners of the hammer
-#: matrix.  The serial SK=0 baseline is run separately; the remaining
-#: corners cover both flag values across both pool dimensions and both
-#: dispatch substrates without running the full 16-point cube per app.
+#: (superkernel, workers, point_workers) corners of the hammer matrix.
+#: The serial SK=0 baseline is run separately; the remaining corners
+#: cover both flag values across both pool dimensions without running
+#: the full cube per app.
 HAMMER_COMBOS = [
-    ("1", 1, 1, "thread"),
-    ("1", 4, 1, "thread"),
-    ("1", 1, 4, "thread"),
-    ("1", 4, 4, "thread"),
-    ("0", 4, 4, "thread"),
-    ("1", 4, 4, "process"),
-    ("0", 4, 4, "process"),
+    ("1", 1, 1),
+    ("1", 4, 1),
+    ("1", 1, 4),
+    ("1", 4, 4),
+    ("0", 4, 4),
 ]
 
 
@@ -135,7 +131,7 @@ class TestSuperkernelParity:
         ctx_base, state_base, checksum_base = _run_app(
             app_name, monkeypatch, iterations, superkernel="0", **kwargs
         )
-        for superkernel, workers, point_workers, backend in HAMMER_COMBOS:
+        for superkernel, workers, point_workers in HAMMER_COMBOS:
             ctx, state, checksum = _run_app(
                 app_name,
                 monkeypatch,
@@ -143,13 +139,9 @@ class TestSuperkernelParity:
                 superkernel=superkernel,
                 workers=workers,
                 point_workers=point_workers,
-                backend=backend,
                 **kwargs,
             )
-            label = (
-                f"sk={superkernel} workers={workers} "
-                f"point={point_workers} backend={backend}"
-            )
+            label = f"sk={superkernel} workers={workers} point={point_workers}"
             assert checksum == checksum_base, label
             assert set(state) == set(state_base), label
             for name in state_base:
@@ -324,24 +316,22 @@ class TestHorizontalMerge:
 class TestProcessShipping:
     def test_fused_units_execute_on_worker_processes(self, monkeypatch):
         """Fused CG units chunk across the process pool bit-identically."""
-        ctx_thread, state_thread, checksum_thread = _run_app(
+        ctx_inline, state_inline, checksum_inline = _run_app(
             "cg", monkeypatch, 5, superkernel="1", workers=4,
-            point_workers=4, backend="thread", kernel_backend="codegen",
-            grid_points_per_gpu=8,
+            point_workers=1, kernel_backend="codegen", grid_points_per_gpu=8,
         )
         ctx_proc, state_proc, checksum_proc = _run_app(
             "cg", monkeypatch, 5, superkernel="1", workers=4,
-            point_workers=4, backend="process", kernel_backend="codegen",
-            grid_points_per_gpu=8,
+            point_workers=4, kernel_backend="codegen", grid_points_per_gpu=8,
         )
-        assert checksum_proc == checksum_thread
-        for name in state_thread:
-            assert np.array_equal(state_proc[name], state_thread[name]), name
+        assert checksum_proc == checksum_inline
+        for name in state_inline:
+            assert np.array_equal(state_proc[name], state_inline[name]), name
         assert ctx_proc.profiler.superkernel_calls > 0
         assert ctx_proc.profiler.point_process_chunks > 0
         assert (
             ctx_proc.profiler.iteration_seconds()
-            == ctx_thread.profiler.iteration_seconds()
+            == ctx_inline.profiler.iteration_seconds()
         )
 
 
@@ -393,12 +383,8 @@ class TestRankedSectionsRunOnce:
         assert snapshot["superkernel_sections_stacked"] == 0
         assert snapshot["ranked_uninterned_table"] == snapshot["superkernel_sections_ranked"] > 0
 
-    @pytest.mark.parametrize(
-        "backend,resident", [("thread", "1"), ("process", "0"), ("process", "1")]
-    )
-    def test_stacked_unit_runs_chunked(
-        self, backend, resident, monkeypatch, shm_entries, request
-    ):
+    @pytest.mark.parametrize("resident", ["0", "1"])
+    def test_stacked_unit_runs_chunked(self, resident, monkeypatch, shm_entries, request):
         """``REPRO_POINT_WORKERS=4``: each chunk is one merged span, the
         per-rank partials of the chunks concatenate in rank order."""
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
@@ -407,9 +393,7 @@ class TestRankedSectionsRunOnce:
         kwargs = dict(kernel_backend="codegen", num_gpus=64, grid_points_per_gpu=4)
         ctx_serial, state_serial, checksum_serial = _run_app("cg", monkeypatch, 6, **kwargs)
         shm_before = shm_entries()
-        ctx, state, checksum = _run_app(
-            "cg", monkeypatch, 6, point_workers=4, backend=backend, **kwargs
-        )
+        ctx, state, checksum = _run_app("cg", monkeypatch, 6, point_workers=4, **kwargs)
         try:
             assert checksum == checksum_serial
             for name in state_serial:
@@ -419,12 +403,12 @@ class TestRankedSectionsRunOnce:
             assert snapshot["superkernel_sections_stacked"] == 2
             # Two units per iteration, four chunks each.
             assert snapshot["superkernel_calls"] == 4 * ctx_serial.profiler.superkernel_calls
-            chunks = "point_process_chunks" if backend == "process" else "point_thread_chunks"
-            assert snapshot[chunks] >= snapshot["superkernel_calls"]
+            assert snapshot["point_process_chunks"] >= snapshot["superkernel_calls"]
         finally:
             ctx.legion.regions.close_arena()
             procpool.shutdown_process_pool()
-        assert shm_entries() == shm_before
+        # An earlier test's arena may be collected meanwhile: nothing new.
+        assert shm_entries() <= shm_before
 
 
 # ----------------------------------------------------------------------

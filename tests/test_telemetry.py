@@ -3,7 +3,7 @@
 Acceptance bar: arming the recorder changes *nothing* about execution —
 buffers, checksums, simulated seconds and the wire counters stay
 bit-identical under the differential kernel backend on the process
-substrate — while a process-backend CG run exports a valid Chrome
+substrate — while a CG run over worker processes exports a valid Chrome
 trace-event JSON whose spans come from at least two OS processes
 (parent plus pool workers), every begin matched by an end, nested within
 its epoch, with per-worker recording order preserved across the merge.
@@ -38,7 +38,7 @@ CG_SCALE = ExperimentScale({"grid_points_per_gpu": 16}, 1e-5, 6, 2)
 def _run_cg(
     monkeypatch,
     telemetry_on: bool,
-    backend: str = "process",
+    point_workers: str = "4",
     workers: str = "4",
     kernel_backend: str = "codegen",
 ):
@@ -48,8 +48,7 @@ def _run_cg(
     monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
     monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_WORKERS", workers)
-    monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+    monkeypatch.setenv("REPRO_POINT_WORKERS", point_workers)
     config.reload_flags()
     telemetry.reset()
     return run_application_experiment("cg", num_gpus=4, fusion=True, scale=CG_SCALE)
@@ -207,7 +206,7 @@ class TestOffPath:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SpanRecorder, "record", counting)
-        _run_cg(monkeypatch, telemetry_on=False, backend="thread")
+        _run_cg(monkeypatch, telemetry_on=False, point_workers="1")
         assert calls == []
 
 
@@ -357,7 +356,6 @@ class TestPoolRetirement:
     def test_telemetry_flip_retires_process_pool(self, monkeypatch):
         from repro.runtime.procpool import process_pool, shutdown_process_pool
 
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
@@ -385,11 +383,11 @@ class TestPoolRetirement:
 # The per-epoch span summary.
 # ----------------------------------------------------------------------
 class TestSpanSummary:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_counts_reconcile_with_the_profiler(self, monkeypatch, backend):
+    @pytest.mark.parametrize("point_workers", ["1", "4"])
+    def test_counts_reconcile_with_the_profiler(self, monkeypatch, point_workers):
         """The table is computed from the recorder's events alone; what
         it counts must be what the profiler counted."""
-        result = _run_cg(monkeypatch, telemetry_on=True, backend=backend)
+        result = _run_cg(monkeypatch, telemetry_on=True, point_workers=point_workers)
         epochs, table = telemetry.span_summary()
         assert telemetry.dropped_events() == 0
         assert epochs == result.counters["trace_hits"] > 0

@@ -1,21 +1,18 @@
 """Wide-plan process dispatch (width>1 levels feeding the process pool).
 
-Acceptance bar for the guard lift: with the nested-dispatch guard
-lifted for the process substrate, multiple in-flight steps of one wide
-level ship rank chunks to the process pool concurrently and the
-results stay bit-identical — buffers, checksums AND simulated seconds
-— to the serial thread/1/1 baseline for every ``REPRO_DISPATCH_BACKEND``
-× ``REPRO_WORKERS`` {1,4} × ``REPRO_POINT_WORKERS`` {1,4} combination,
-asserted under the differential kernel backend with resident plans and
-opaque chunk impls enabled.  The hammer runs the three apps this PR
-promotes (CFD, TorchSWE in both variants, BiCGSTAB); the manually
-fused TorchSWE variant is the wide anchor — its three independent
-update operators form width-3 dependence levels.
+Acceptance bar: multiple in-flight steps of one wide level ship rank
+chunks to the process pool concurrently and the results stay
+bit-identical — buffers, checksums AND simulated seconds — to the
+serial 1/1 baseline for every ``REPRO_WORKERS`` {1,4} ×
+``REPRO_POINT_WORKERS`` {1,4} combination, asserted under the
+differential kernel backend with resident plans and opaque chunk impls
+enabled.  The hammer runs CFD, TorchSWE in both variants and BiCGSTAB;
+the manually fused TorchSWE variant is the wide anchor — its three
+independent update operators form width-3 dependence levels.
 
-Alongside the hammer: the guard-lift unit regression (pool workers
-chunk under the process backend, stay serial under thread), and the
-kill-a-worker-mid-run degradation test (a torn pool must degrade wide
-levels to the thread substrate without changing a single bit).
+Alongside the hammer: the kill-a-worker-mid-run degradation test (a
+torn pool must degrade wide levels down the ladder without changing a
+single bit) and the level frames of resident replay.
 """
 
 from __future__ import annotations
@@ -41,12 +38,10 @@ def _reload_flags_after():
 pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
-BACKENDS = ("thread", "process")
 COMBOS = [(1, 1), (4, 1), (1, 4), (4, 4)]
 
 
-def _set_flags(monkeypatch, backend, point_workers, workers):
-    monkeypatch.setenv("REPRO_DISPATCH_BACKEND", backend)
+def _set_flags(monkeypatch, point_workers, workers):
     monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
     monkeypatch.setenv("REPRO_WORKERS", str(workers))
     monkeypatch.setenv("REPRO_TRACE", "1")
@@ -54,8 +49,8 @@ def _set_flags(monkeypatch, backend, point_workers, workers):
     config.reload_flags()
 
 
-def _run_app(app_name, backend, point_workers, workers, monkeypatch, iterations, **kwargs):
-    _set_flags(monkeypatch, backend, point_workers, workers)
+def _run_app(app_name, point_workers, workers, monkeypatch, iterations, **kwargs):
+    _set_flags(monkeypatch, point_workers, workers)
     context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
     set_context(context)
     try:
@@ -78,12 +73,12 @@ def _run_app(app_name, backend, point_workers, workers, monkeypatch, iterations,
 class TestWideParity:
     """CFD / TorchSWE / BiCGSTAB across the full dispatch matrix.
 
-    Every combination must reproduce the thread/1/1 baseline bit for
-    bit.  ``torchswe-manual`` additionally asserts the wide plumbing
-    actually engaged: its captured plans must record width-3 levels,
-    and under process/4/4 its wide-level opaque chunks must ride the
-    process substrate (chunk counters > 0) — a silent degrade to width
-    1 or to the thread fallback fails the test, not just the bench.
+    Every combination must reproduce the 1/1 baseline bit for bit.
+    ``torchswe-manual`` additionally asserts the wide plumbing actually
+    engaged: its captured plans must record width-3 levels, and under
+    4/4 its wide-level opaque chunks must ride the process substrate
+    (chunk counters > 0) — a silent degrade to width 1 or to the inline
+    fallback fails the test, not just the bench.
     """
 
     # (app, kwargs, iterations, wide) — `wide` marks the app whose
@@ -98,113 +93,35 @@ class TestWideParity:
     @pytest.mark.parametrize("app_name,kwargs,iterations,wide", APPS, ids=[a[0] for a in APPS])
     def test_matrix_bit_identical(self, app_name, kwargs, iterations, wide, monkeypatch):
         ctx_base, state_base, checksum_base = _run_app(
-            app_name, "thread", 1, 1, monkeypatch, iterations, **kwargs
+            app_name, 1, 1, monkeypatch, iterations, **kwargs
         )
-        for backend in BACKENDS:
-            for point_workers, workers in COMBOS:
-                if backend == "thread" and (point_workers, workers) == (1, 1):
-                    continue
-                ctx, state, checksum = _run_app(
-                    app_name, backend, point_workers, workers,
-                    monkeypatch, iterations, **kwargs,
-                )
-                label = f"{app_name} {backend} point={point_workers} workers={workers}"
-                assert checksum == checksum_base, label
-                assert set(state) == set(state_base), label
-                for name in state_base:
-                    assert np.array_equal(state[name], state_base[name]), (label, name)
-                assert (
-                    ctx.profiler.iteration_seconds()
-                    == ctx_base.profiler.iteration_seconds()
-                ), label
-                assert (
-                    ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
-                ), label
-                assert ctx.profiler.trace_hits > 0, label
-                if wide and workers > 1:
-                    # The captured plans really are wide — the width
-                    # histogram is deterministic across hosts.
-                    assert ctx.profiler.plan_width_max >= 2, label
-                    assert max(ctx.profiler.plan_level_widths) >= 2, label
-                if wide and backend == "process" and workers > 1 and point_workers > 1:
-                    # Wide-level chunks actually shipped to the
-                    # process pool (the lifted guard at work).
-                    assert ctx.profiler.opaque_process_chunks > 0, label
-                    assert ctx.profiler.point_process_chunks > 0, label
-                    assert ctx.profiler.point_process_chunks > 0, label
+        for point_workers, workers in COMBOS[1:]:
+            ctx, state, checksum = _run_app(
+                app_name, point_workers, workers, monkeypatch, iterations, **kwargs
+            )
+            label = f"{app_name} point={point_workers} workers={workers}"
+            assert checksum == checksum_base, label
+            assert set(state) == set(state_base), label
+            for name in state_base:
+                assert np.array_equal(state[name], state_base[name]), (label, name)
+            assert (
+                ctx.profiler.iteration_seconds()
+                == ctx_base.profiler.iteration_seconds()
+            ), label
+            assert (
+                ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
+            ), label
+            assert ctx.profiler.trace_hits > 0, label
+            if wide and workers > 1:
+                # The captured plans really are wide — the width
+                # histogram is deterministic across hosts.
+                assert ctx.profiler.plan_width_max >= 2, label
+                assert max(ctx.profiler.plan_level_widths) >= 2, label
+            if wide and workers > 1 and point_workers > 1:
+                # Wide-level chunks actually shipped to the process pool.
+                assert ctx.profiler.opaque_process_chunks > 0, label
+                assert ctx.profiler.point_process_chunks > 0, label
         shutdown_process_pool()
-
-
-# ----------------------------------------------------------------------
-# Guard lift: pool workers chunk for the process substrate only.
-# ----------------------------------------------------------------------
-class TestGuardLift:
-    def test_pool_worker_chunks_under_process_backend(self, monkeypatch):
-        """The counterpart to the thread-substrate suppression test.
-
-        ``point_chunk_plan`` on a pool worker thread must chunk under
-        the process backend (process chunks queue on worker pipes, so
-        they cannot deadlock the thread pool) while staying serial
-        under the thread backend (the original deadlock guard; see
-        tests/test_point_dispatch.py).
-        """
-        from repro.runtime.executor import TaskExecutor
-        from repro.runtime.machine import MachineConfig
-        from repro.runtime.pool import submit_guarded, worker_pool
-        from repro.runtime.region import RegionManager
-
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
-        config.reload_flags()
-        executor = TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))
-        # Caller thread chunks, as always...
-        assert len(executor.point_chunk_plan(8, ())) == 4
-        # ...and with the guard lifted, so does a pool worker.
-        future = submit_guarded(
-            worker_pool(4), lambda: executor.point_chunk_plan(8, ())
-        )
-        assert len(future.result()) == 4
-
-        # Flipping back to the thread backend restores the guard.
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "thread")
-        config.reload_flags()
-        future = submit_guarded(
-            worker_pool(4), lambda: executor.point_chunk_plan(8, ())
-        )
-        assert future.result() == [(0, 8)]
-
-    def test_pool_worker_dispatches_chunks_serially_inline(self, monkeypatch):
-        """A degraded launch on a pool worker runs its chunks inline.
-
-        When a launch chunked for the process substrate but the chunks
-        then fall back to threads, ``_dispatch_chunks`` must not
-        re-enter the thread pool from one of its own workers.
-        """
-        from repro.runtime.executor import TaskExecutor
-        from repro.runtime.machine import MachineConfig
-        from repro.runtime.pool import submit_guarded, worker_pool
-        from repro.runtime.region import RegionManager
-
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
-        monkeypatch.setenv("REPRO_DISPATCH_BACKEND", "process")
-        config.reload_flags()
-        executor = TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))
-
-        import threading
-
-        seen_threads = []
-
-        def run(start, stop):
-            seen_threads.append(threading.current_thread())
-            return (start, stop)
-
-        chunks = [(0, 2), (2, 4), (4, 6), (6, 8)]
-        future = submit_guarded(
-            worker_pool(4), lambda: executor._dispatch_chunks(chunks, run)
-        )
-        assert future.result() == chunks
-        # All chunks ran on the submitting pool worker itself.
-        assert len(set(seen_threads)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -219,17 +136,17 @@ class TestWorkerDeath:
         scheduler degrade that launch, the broken pool marks itself
         closed, :func:`process_pool` rebuilds a fresh one for the
         launches after it, and the final state must still match the
-        undisturbed thread baseline bit for bit.
+        undisturbed inline baseline bit for bit.
         """
         import repro.runtime.procpool as procpool
 
         app_name, kwargs, iterations = "torchswe-manual", dict(points_per_gpu=16), 6
 
         _, state_base, checksum_base = _run_app(
-            app_name, "thread", 1, 1, monkeypatch, iterations, **kwargs
+            app_name, 1, 1, monkeypatch, iterations, **kwargs
         )
 
-        _set_flags(monkeypatch, "process", 4, 4)
+        _set_flags(monkeypatch, 4, 4)
         context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
         set_context(context)
         try:
@@ -276,7 +193,7 @@ class TestLevelFrames:
     KWARGS = dict(points_per_gpu=64)
 
     def _start(self, monkeypatch, app_name="torchswe-manual"):
-        _set_flags(monkeypatch, "process", 2, 2)
+        _set_flags(monkeypatch, 2, 2)
         # The shipped backend: the differential executor runs a fused
         # unit as one unchunked call, which would leave level 1 inline.
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
@@ -356,11 +273,11 @@ class TestLevelFrames:
 
         monkeypatch.setattr(scheduler_module.PlanScheduler, "_resident_level", spy)
         ctx_base, state_base, checksum_base = _run_app(
-            "test-mixed-level-swe", "thread", 1, 1, monkeypatch, 5, **self.KWARGS
+            "test-mixed-level-swe", 1, 1, monkeypatch, 5, **self.KWARGS
         )
         assert not shapes
         ctx, state, checksum = _run_app(
-            "test-mixed-level-swe", "process", 2, 2, monkeypatch, 5, **self.KWARGS
+            "test-mixed-level-swe", 2, 2, monkeypatch, 5, **self.KWARGS
         )
         assert (2, 1) in shapes, shapes
         assert checksum == checksum_base
@@ -415,7 +332,7 @@ class TestLevelFrames:
         )
 
         _, state_base, checksum_base = _run_app(
-            "torchswe-manual", "thread", 1, 1, monkeypatch, 5, **self.KWARGS
+            "torchswe-manual", 1, 1, monkeypatch, 5, **self.KWARGS
         )
         shm_before = shm_entries()
         marker = tmp_path / "fault"
