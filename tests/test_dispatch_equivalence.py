@@ -7,9 +7,10 @@ per-chunk process, resident process) × ``REPRO_WORKERS`` {1, 4}
 × kernel backend (codegen, differential): buffers, checksum AND
 the simulated seconds of every replayed iteration must equal an eager
 (``REPRO_TRACE=0``) interpreter run bit for bit, and the kind and the
-substrate under test must really have run.  Two kinds repeat at a work
-size of several blocks per rank (the kernel tier's block loop, with its
-per-call scratch, under every substrate).  The rest of the file pins the
+substrate under test must really have run.  Every kind also runs chunked
+on the ladder's inline rung (the process rungs declining).  Two kinds
+repeat at a work size of several blocks per rank (the kernel tier's
+block loop, with its per-call scratch, under every substrate).  The rest of the file pins the
 seams of the ladder: every decline reason on a constructed launch,
 declined chunks running inline on the launch's own thread, a hung
 worker, and the allocator policy that keeps array memory mapped between
@@ -39,6 +40,7 @@ from repro.kernel import codegen
 from repro.runtime import procpool, region
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
+from repro.runtime.pool import worker_pool
 
 
 @pytest.fixture(autouse=True)
@@ -158,10 +160,34 @@ def _reference(monkeypatch, app_name, kwargs, iterations):
 def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
     kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch, request
 ):
-    app_name, kwargs, levers_off, kind_ran = KINDS[kind]
-    substrate_flags, substrate_ran = SUBSTRATES[substrate]
     if substrate == "process-per-chunk":
         request.getfixturevalue("per_chunk_replay")
+    _check_equivalence(
+        kind, substrate, *SUBSTRATES[substrate], workers, kernel_backend, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("kernel_backend", ["codegen", "differential"])
+@pytest.mark.parametrize("workers", ["1", "4"])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_work_kind_on_the_inline_rung_matches_the_eager_interpreter(
+    kind, workers, kernel_backend, monkeypatch, force_dispatch
+):
+    """The ladder's bottom rung: ``REPRO_POINT_WORKERS=4`` with every
+    field on the private heap, so the process rungs decline each
+    multi-chunk launch and its chunks run inline in rank order."""
+    monkeypatch.setattr(region.RegionManager, "_field_arena", lambda self: None)
+    _check_equivalence(
+        kind, "inline-rung", PROCESS,
+        lambda p: p.point_launches == 0 and p.declines["no_shm_descriptor"] > 0,
+        workers, kernel_backend, monkeypatch,
+    )
+
+
+def _check_equivalence(
+    kind, substrate, substrate_flags, substrate_ran, workers, kernel_backend, monkeypatch
+):
+    app_name, kwargs, levers_off, kind_ran = KINDS[kind]
     iterations = ITERATIONS
     if kind in BLOCKED_KINDS:
         iterations = BLOCKED_ITERATIONS
@@ -195,7 +221,7 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
     if kind in BLOCKED_KINDS and not substrate.startswith("process"):
         # (Worker processes keep their own count.)
         assert profiler.multi_block_calls > 0
-    if kind == "opaque-per-rank" and substrate.startswith("process"):
+    if kind == "opaque-per-rank" and substrate != "inline":
         # Per-rank operators have nothing a worker could resolve: the
         # process rungs decline them by name and their chunks run inline.
         assert profiler.declines["unshippable_operator"] > 0
@@ -254,6 +280,19 @@ class TestDeclineReasons:
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["below_volume"] == 1
         assert executor.profiler.point_launches == 0
+
+    def test_nothing_declines_on_a_plan_pool_thread(self, monkeypatch, force_dispatch):
+        """A launch run by a plan-pool thread ships its chunks exactly as
+        one run by the scheduling thread: no rung turns it away."""
+        context = _context(monkeypatch)
+        executor = context.legion.executor
+        task, expected, out = _gemv_launch(context)
+        impl = default_opaque_registry().get("gemv")
+        worker_pool().submit(executor.execute_opaque, task, impl).result(timeout=30)
+        assert np.array_equal(out.data, expected)
+        assert sum(executor.profiler.declines.values()) == 0
+        assert executor.profiler.point_launches == 1
+        assert executor.profiler.opaque_process_chunks == 4
 
     def test_field_without_shm_descriptor(self, monkeypatch, force_dispatch):
         context = _context(monkeypatch, point_workers="1")

@@ -1,12 +1,13 @@
 """Intra-launch point dispatch (``REPRO_POINT_WORKERS``).
 
-The flag, the rank-chunk plan, point chunks beside the steps of a wide
-plan level, the eager chunked path against the serial one, and the
-profiler counters, with both dispatch thresholds forced to zero so the
-worker processes (and the chunk join machinery behind them) are
-exercised on tiny problems.  ``REPRO_POINT_WORKERS=1`` is the serial
-per-rank launch loop; the full ``REPRO_WORKERS`` × ``REPRO_POINT_WORKERS``
-parity hammer lives in ``tests/test_process_dispatch.py``.
+The flag, the rank-chunk plan, parity at an odd dispatch width, point
+chunks beside the steps of a wide plan level, the eager chunked path
+against the serial one, and the profiler counters, with both dispatch
+thresholds forced to zero so the worker processes (and the chunk join
+machinery behind them) are exercised on tiny problems.
+``REPRO_POINT_WORKERS=1`` is the serial per-rank launch loop; the
+``REPRO_WORKERS`` {1, 4} × ``REPRO_POINT_WORKERS`` {1, 4} parity hammer
+lives in ``tests/test_process_dispatch.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.runtime.pool import point_chunks
+from repro.runtime.procpool import shutdown_process_pool
 
 
 @pytest.fixture(autouse=True)
@@ -78,6 +80,75 @@ class TestPointChunks:
 
 
 # ----------------------------------------------------------------------
+# End-to-end parity at dispatch width 2.
+# ----------------------------------------------------------------------
+COMBOS = [(1, 1), (2, 1), (4, 1), (1, 4), (2, 4), (4, 4)]
+
+
+def _run_app(app_name, point_workers, workers, monkeypatch, iterations, **app_kwargs):
+    monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
+    monkeypatch.setenv("REPRO_WORKERS", str(workers))
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
+    config.reload_flags()
+    context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+    set_context(context)
+    try:
+        app = build_application(app_name, context=context, **app_kwargs)
+        app.run(iterations)
+        checksum = app.checksum()
+        state = {
+            name: value.to_numpy()
+            for name, value in vars(app).items()
+            if isinstance(value, cn_ndarray)
+        }
+    finally:
+        set_context(None)
+    return context, state, checksum
+
+
+class TestTwoWorkerParity:
+    """Two worker processes, two ranks per chunk.
+
+    Every app runs under the differential backend at
+    ``REPRO_POINT_WORKERS=2`` with ``REPRO_WORKERS`` ∈ {1, 4}; buffers,
+    checksums and simulated seconds must match the (1, 1) serial
+    baseline bit for bit.
+    """
+
+    APPS = [
+        ("cg", dict(grid_points_per_gpu=12), 5),
+        ("jacobi", dict(rows_per_gpu=32), 6),
+        ("black-scholes", dict(elements_per_gpu=128), 6),
+    ]
+
+    @pytest.mark.parametrize("app_name,kwargs,iterations", APPS, ids=[a[0] for a in APPS])
+    def test_matrix_bit_identical(self, app_name, kwargs, iterations, monkeypatch):
+        ctx_base, state_base, checksum_base = _run_app(
+            app_name, 1, 1, monkeypatch, iterations, **kwargs
+        )
+        for point_workers, workers in [(2, 1), (2, 4)]:
+            ctx, state, checksum = _run_app(
+                app_name, point_workers, workers, monkeypatch, iterations, **kwargs
+            )
+            label = f"point={point_workers} workers={workers}"
+            assert checksum == checksum_base, label
+            assert set(state) == set(state_base), label
+            for name in state_base:
+                assert np.array_equal(state[name], state_base[name]), (label, name)
+            assert (
+                ctx.profiler.iteration_seconds()
+                == ctx_base.profiler.iteration_seconds()
+            ), label
+            assert (
+                ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
+            ), label
+            assert ctx.profiler.point_launches > 0, label
+            assert ctx.profiler.point_width_max == 2, label
+        shutdown_process_pool()
+
+
+# ----------------------------------------------------------------------
 # Point chunks beside the steps of a wide level.
 # ----------------------------------------------------------------------
 def _run_two_matvecs(monkeypatch, point_workers, workers, iterations=5, rows=24):
@@ -112,6 +183,20 @@ def _run_two_matvecs(monkeypatch, point_workers, workers, iterations=5, rows=24)
 
 class TestWideAppParity:
     """Point chunks co-scheduled with independent steps of a wide level."""
+
+    @pytest.mark.parametrize("point_workers,workers", COMBOS[1:], ids=[
+        f"p{p}w{w}" for p, w in COMBOS[1:]
+    ])
+    def test_two_matvec_bit_identical(self, point_workers, workers, monkeypatch):
+        _, outs_base, sim_base = _run_two_matvecs(monkeypatch, 1, 1)
+        ctx, outs, sim = _run_two_matvecs(monkeypatch, point_workers, workers)
+        np.testing.assert_array_equal(outs[0], outs_base[0])
+        np.testing.assert_array_equal(outs[1], outs_base[1])
+        assert sim == sim_base
+        assert ctx.profiler.trace_hits > 0
+        if point_workers > 1:
+            assert ctx.profiler.point_process_chunks > 0
+        shutdown_process_pool()
 
     def test_wide_level_still_dispatches_steps(self, monkeypatch):
         """Step-level dispatch survives alongside point chunking."""

@@ -28,6 +28,7 @@ from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.fusion.engine import FusionConfig
 from repro.runtime import procpool
 from repro.runtime import superkernel as superkernel_module
+from repro.runtime.region import RegionManager
 
 
 @pytest.fixture(autouse=True)
@@ -383,13 +384,21 @@ class TestRankedSectionsRunOnce:
         assert snapshot["superkernel_sections_stacked"] == 0
         assert snapshot["ranked_uninterned_table"] == snapshot["superkernel_sections_ranked"] > 0
 
-    @pytest.mark.parametrize("resident", ["0", "1"])
-    def test_stacked_unit_runs_chunked(self, resident, monkeypatch, shm_entries, request):
+    @pytest.mark.parametrize(
+        "substrate,resident", [("inline", "1"), ("process", "0"), ("process", "1")]
+    )
+    def test_stacked_unit_runs_chunked(
+        self, substrate, resident, monkeypatch, shm_entries, request
+    ):
         """``REPRO_POINT_WORKERS=4``: each chunk is one merged span, the
-        per-rank partials of the chunks concatenate in rank order."""
+        per-rank partials of the chunks concatenate in rank order — in the
+        worker processes, or inline when every field is on the private
+        heap and the process rungs decline."""
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
         if resident == "0":
             request.getfixturevalue("per_chunk_replay")
+        if substrate == "inline":
+            monkeypatch.setattr(RegionManager, "_field_arena", lambda self: None)
         kwargs = dict(kernel_backend="codegen", num_gpus=64, grid_points_per_gpu=4)
         ctx_serial, state_serial, checksum_serial = _run_app("cg", monkeypatch, 6, **kwargs)
         shm_before = shm_entries()
@@ -403,7 +412,11 @@ class TestRankedSectionsRunOnce:
             assert snapshot["superkernel_sections_stacked"] == 2
             # Two units per iteration, four chunks each.
             assert snapshot["superkernel_calls"] == 4 * ctx_serial.profiler.superkernel_calls
-            assert snapshot["point_process_chunks"] >= snapshot["superkernel_calls"]
+            if substrate == "process":
+                assert snapshot["point_process_chunks"] >= snapshot["superkernel_calls"]
+            else:
+                assert snapshot["decline_no_shm_descriptor"] > 0
+                assert snapshot["point_process_chunks"] == 0
         finally:
             ctx.legion.regions.close_arena()
             procpool.shutdown_process_pool()

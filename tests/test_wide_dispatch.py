@@ -10,9 +10,11 @@ enabled.  The hammer runs CFD, TorchSWE in both variants and BiCGSTAB;
 the manually fused TorchSWE variant is the wide anchor — its three
 independent update operators form width-3 dependence levels.
 
-Alongside the hammer: the kill-a-worker-mid-run degradation test (a
-torn pool must degrade wide levels down the ladder without changing a
-single bit) and the level frames of resident replay.
+Alongside the hammer: launches run by plan-pool threads (they chunk as
+the scheduling thread does, and run declined chunks on their own
+thread), the kill-a-worker-mid-run degradation test (a torn pool must
+degrade wide levels down the ladder without changing a single bit) and
+the level frames of resident replay.
 """
 
 from __future__ import annotations
@@ -122,6 +124,59 @@ class TestWideParity:
                 assert ctx.profiler.opaque_process_chunks > 0, label
                 assert ctx.profiler.point_process_chunks > 0, label
         shutdown_process_pool()
+
+
+# ----------------------------------------------------------------------
+# Launches on plan-pool threads: no nested-dispatch guard.
+# ----------------------------------------------------------------------
+class TestPlanPoolLaunches:
+    def _executor(self, monkeypatch):
+        from repro.runtime.executor import TaskExecutor
+        from repro.runtime.machine import MachineConfig
+        from repro.runtime.region import RegionManager
+
+        _set_flags(monkeypatch, 4, 4)
+        return TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))
+
+    def test_pool_worker_chunks_like_the_scheduling_thread(self, monkeypatch):
+        """Point chunks never ride the thread pool, so a step running on
+        a pool worker cuts the same chunk plan as the scheduling thread."""
+        from repro.runtime.pool import worker_pool
+
+        executor = self._executor(monkeypatch)
+        here = executor.point_chunk_plan(8, ())
+        assert here == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert worker_pool().submit(executor.point_chunk_plan, 8, ()).result() == here
+
+    def test_pool_worker_runs_declined_chunks_inline(self, monkeypatch):
+        """Chunks the process rung declines run on the pool worker that
+        runs the launch, in rank order, with nothing submitted back to
+        its own pool."""
+        import threading
+
+        from repro.runtime.executor import ChunkWork
+        from repro.runtime.pool import worker_pool
+
+        executor = self._executor(monkeypatch)
+        ran = []
+
+        def run(start, stop):
+            ran.append((threading.get_ident(), start, stop))
+            return (start, stop)
+
+        chunks = [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+        def launch():
+            # Neither a kernel nor an operator: nothing a worker could run.
+            results = executor.run_chunks(ChunkWork((), 8, run), chunks, 4)
+            return threading.get_ident(), results
+
+        ident, (results, substrate) = worker_pool().submit(launch).result(timeout=30)
+        assert substrate is None
+        assert results == chunks
+        assert ran == [(ident, start, stop) for start, stop in chunks]
+        assert executor.profiler.declines["unshippable_operator"] == 1
+        assert executor.profiler.point_launches == 0
 
 
 # ----------------------------------------------------------------------
