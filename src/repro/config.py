@@ -128,7 +128,7 @@ trace_enabled = _getter(
 worker_count = _getter("REPRO_WORKERS", "Size of the plan-scheduler worker pool.")
 point_worker_count = _getter(
     "REPRO_POINT_WORKERS",
-    "Worker processes a launch's rank chunks run on (1 = inline rank loop).",
+    "Worker processes a replayed step's rank chunks run on (1 = inline rank loop).",
 )
 telemetry_enabled = _getter("REPRO_TELEMETRY", "True when the span flight recorder is armed.")
 telemetry_event_capacity = _getter(

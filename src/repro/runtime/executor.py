@@ -6,25 +6,22 @@ four steps:
 1. **Prepare** a :class:`ChunkWork`: the launch's rows ``(key, region
    field, is_reduction, per-rank rect table)``, a local runner over a
    contiguous rank range, and what a worker process would need to run
-   the same range.  There are four kinds: compiled per-rank, compiled
-   element-wise (one merged closure call per chunk — the rect tables
-   tile every buffer contiguously in rank order and the kernel reduces
-   nothing, so the merged call is element-for-element the per-rank
-   loop), epoch super-kernel (built by the plan scheduler), and opaque
-   (one library call per rank, or one per chunk when the operator
+   the same range of a replayed step.  There are four kinds: compiled
+   per-rank, compiled element-wise (one merged closure call per chunk —
+   the rect tables tile every buffer contiguously in rank order and the
+   kernel reduces nothing, so the merged call is element-for-element the
+   per-rank loop), epoch super-kernel (built by the plan scheduler), and
+   opaque (one library call per rank, or one per chunk when the operator
    registers a chunk implementation; see ``runtime/opaque.py``).
-2. **Run the chunks** down one substrate ladder
-   (:meth:`TaskExecutor.run_chunks`): per-chunk worker processes, then
-   inline, in rank order, on the calling thread.  A rung returns
-   per-chunk ``(partials_by_rank, seconds_by_rank)`` results in chunk
-   order, or declines and records why (``Profiler.record_decline``).
-   Several chunks only ever come from ``REPRO_POINT_WORKERS`` > 1, so a
-   chunked launch always means worker processes.  Replayed
-   steps whose plan is resident in the worker processes skip the ladder:
-   the scheduler ships their whole level as one frame per worker
-   (:meth:`TaskExecutor.run_resident_level`) and hands each step its
-   chunk results; a step the frame declines, or whose pool broke, runs
-   down the ladder like any other launch.
+2. **Run the chunks**, per-chunk ``(partials_by_rank,
+   seconds_by_rank)`` results in chunk order, on one of two rungs.  An
+   eager launch is one chunk, run in this process.  A replayed step of a
+   plan resident in the worker processes (``REPRO_POINT_WORKERS`` > 1)
+   ships with its whole level as one frame per worker
+   (:meth:`TaskExecutor.run_resident_level`), and the scheduler hands
+   each step its chunk results; a step the frame declines — the reason
+   recorded by ``Profiler.record_decline`` — or whose frame lost its
+   pool runs its chunks inline, in rank order, on the calling thread.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
    rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
    are bit-identical for every substrate and dispatch width.
@@ -63,8 +60,8 @@ from repro.runtime.pool import (
 from repro.runtime.profiler import Profiler
 from repro.runtime.region import RegionManager
 
-#: Minimum total elements a launch must touch before its point tasks are
-#: dispatched to the worker processes; below this the chunk handoff costs
+#: Minimum total elements a replayed step must touch before its point tasks
+#: are dispatched to the worker processes; below this the chunk handoff costs
 #: more than the tiles' compute.  Results are bit-identical either way,
 #: so this is a pure performance knob — tests force it to 0 to exercise
 #: the pool on tiny problems.
@@ -136,9 +133,6 @@ class ChunkWork:
     #: Scalars by name (compiled) or the positional tuple (opaque).
     scalars: object = None
     elementwise: bool = False
-    #: Cost descriptor for worker-side per-rank seconds; ``None`` for
-    #: replayed compiled steps, which charge their captured seconds.
-    cost: Optional[object] = None
 
 
 def bind_views(rows: Sequence[Row], start: int, stop: int) -> List[dict]:
@@ -346,7 +340,7 @@ class TaskExecutor:
 
         return ChunkWork(
             rows, num_points, run, wanted, kernel=kernel, scalars=scalars,
-            elementwise=elementwise, cost=cost,
+            elementwise=elementwise,
         )
 
     def opaque_work(
@@ -357,10 +351,10 @@ class TaskExecutor:
         With a chunk-level implementation registered (and
         ``config.OPAQUE_CHUNKS``, a test lever), a rank range is one
         library call over the pipe-safe chunk contract (full base
-        arrays, per-rank wire rects, the scalar tuple), which also ships
-        to worker processes.  The chunk cost runs after the execute —
-        sound because registered chunk cost functions never read data
-        the chunk wrote.  Otherwise each
+        arrays, per-rank wire rects, the scalar tuple), which a resident
+        plan also ships to worker processes.  The chunk cost runs after
+        the execute — sound because registered chunk cost functions
+        never read data the chunk wrote.  Otherwise each
         rank is one call on the launch's task (``task_of()``; replay
         only rebuilds it here) with its own buffer dict, its cost
         modelled right after its execute so data-dependent costs observe
@@ -433,11 +427,11 @@ class TaskExecutor:
     def point_chunk_plan(
         self, num_points: int, rows, width: Optional[int] = None
     ) -> List[Tuple[int, int]]:
-        """Rank chunks of one launch at dispatch ``width``.
+        """Rank chunks of one replayed step at dispatch ``width``.
 
         ``width`` defaults to ``REPRO_POINT_WORKERS``.  A single ``(0,
-        num_points)`` chunk means the launch runs inline.  Dispatch is
-        declined for launches whose total touched volume is below
+        num_points)`` chunk means the step runs inline.  Dispatch is
+        declined for steps whose total touched volume is below
         :data:`MIN_POINT_DISPATCH_VOLUME`.
         """
         if width is None:
@@ -450,32 +444,11 @@ class TaskExecutor:
         return point_chunks(num_points, width)
 
     # ------------------------------------------------------------------
-    # Run chunks: the substrate ladder.
+    # Run chunks: the resident level frame.
     # ------------------------------------------------------------------
     def _decline(self, reason: str) -> None:
-        """Record why a rung of the ladder declined (and return ``None``)."""
+        """Record why a step stays in this process (and return ``None``)."""
         self.profiler.record_decline(reason)
-
-    def run_chunks(
-        self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int
-    ) -> Tuple[List[ChunkResult], Optional[str]]:
-        """Per-chunk results in chunk order, and the substrate that ran them.
-
-        Several chunks go to the worker processes, one request per
-        chunk (substrate ``"process"``); ``width`` is the dispatch width
-        the chunk plan was cut for (recorded with the dispatch).  One
-        chunk, or chunks the process rung declined, run inline on the
-        calling thread in rank order (substrate ``None``), so the fold
-        sees the same results in the same order either way.
-        """
-        if len(chunks) > 1:
-            results = self._ship(work, chunks)
-            if results is not None:
-                self.profiler.record_point_dispatch(
-                    ranks=work.num_points, chunks=len(chunks), width=width
-                )
-                return results, "process"
-        return [work.run(start, stop) for start, stop in chunks], None
 
     def _shippable(self, work: ChunkWork) -> Optional[list]:
         """The rows' shared-memory descriptors, or ``None`` with a reason.
@@ -518,85 +491,6 @@ class TaskExecutor:
                 )
         return entry
 
-    def _wire_buffers(self, work: ChunkWork, descriptors, start: int, stop: int) -> tuple:
-        """The wire form of a work's rows over ranks ``[start, stop)``."""
-        return tuple(
-            (row[0], row[2], descriptor, *self._wire_chunk_rects(row[3], start, stop))
-            for row, descriptor in zip(work.rows, descriptors)
-        )
-
-    def _roundtrip(self, label: str, send: Callable):
-        """One metered pool round trip; ``None`` when the pool broke.
-
-        A dead or hung worker (not a kernel error — those re-raise with
-        their own type) tears the pool down; this launch degrades to the
-        next rung and the next launch builds a fresh pool.  The pool's
-        call meter is thread-local and nests, so concurrent dispatches,
-        and a launch run while a level frame is in flight, each report
-        exactly their own traffic.
-        """
-        pool = procpool.process_pool()
-        pool.begin_call_meter()
-        with telemetry.span("wire.roundtrip", label):
-            try:
-                return send(pool)
-            except procpool.ProcessPoolBrokenError:
-                return self._decline("worker_lost")
-            finally:
-                self.profiler.record_wire_traffic(*pool.end_call_meter())
-
-    def _ship(self, work: ChunkWork, chunks) -> Optional[List[ChunkResult]]:
-        """The per-chunk process rung: one pickled request per chunk.
-
-        Also where a resident step lands when its level frame declined
-        it or lost its pool (the plan re-ships to the fresh one).
-        """
-        descriptors = self._shippable(work)
-        if descriptors is None:
-            return None
-        impl, scalars = work.impl, work.scalars
-        parts = [
-            (start, stop, self._wire_buffers(work, descriptors, start, stop))
-            for start, stop in chunks
-        ]
-        if impl is not None:
-            requests = [
-                procpool.OpaqueChunkRequest(
-                    impl.name, impl.module, scalars, buffers, start, stop, self.machine
-                )
-                for start, stop, buffers in parts
-            ]
-            return self._roundtrip(
-                f"opaque op={impl.name} chunks={len(requests)}",
-                lambda pool: pool.run_opaque_chunks(requests),
-            )
-        kernel_id, spec, modes = self._kernel_wire(work.kernel)
-        machine = None if work.cost is None else self.machine
-        requests = [
-            procpool.ChunkRequest(
-                kernel_id, None, scalars, buffers, start, stop,
-                work.elementwise, work.cost, machine, modes,
-            )
-            for start, stop, buffers in parts
-        ]
-        return self._roundtrip(
-            f"kernel={kernel_id} chunks={len(requests)}",
-            lambda pool: pool.run_chunks(kernel_id, spec, requests),
-        )
-
-    @staticmethod
-    def _kernel_wire(kernel) -> tuple:
-        """``(kernel id, shippable spec, binding modes)`` of a kernel.
-
-        Epoch super-kernels carry a per-buffer calling convention the
-        workers must reproduce (merged span view vs per-rank list).
-        """
-        return (
-            procpool.kernel_spec_id(kernel),
-            procpool.spec_for(kernel),
-            getattr(kernel, "binding_modes", None),
-        )
-
     def resident_template(self, work: ChunkWork, chunks):
         """One plan step's worker-resident template, or ``None``.
 
@@ -609,16 +503,22 @@ class TaskExecutor:
         descriptors = self._shippable(work)
         if descriptors is None:
             return None
-        buffers = self._wire_buffers(work, descriptors, 0, work.num_points)
+        buffers = tuple(
+            (row[0], row[2], descriptor, *self._wire_chunk_rects(row[3], 0, work.num_points))
+            for row, descriptor in zip(work.rows, descriptors)
+        )
         impl = work.impl
         if impl is not None:
             return procpool.OpaqueResidentStep(
                 impl.name, impl.module, self.machine, buffers, tuple(chunks)
             )
-        kernel_id, spec, modes = self._kernel_wire(work.kernel)
+        # Epoch super-kernels carry a per-buffer calling convention the
+        # workers must reproduce (merged span view vs per-rank list).
+        kernel = work.kernel
         return procpool.ResidentStep(
-            kernel_id, spec, buffers, tuple(work.scalars), work.elementwise,
-            modes, tuple(chunks),
+            procpool.kernel_spec_id(kernel), procpool.spec_for(kernel), buffers,
+            tuple(work.scalars), work.elementwise,
+            getattr(kernel, "binding_modes", None), tuple(chunks),
         )
 
     def resident_entry(self, plan, index: int, work: ChunkWork, chunks) -> Optional[tuple]:
@@ -631,7 +531,7 @@ class TaskExecutor:
         reason recorded — when the work does not ship, the chunk plan
         disagrees with the ranges baked into the workers' templates, or
         an opaque launch's scalars are not numeric; the step then runs
-        down the ladder like any other launch.
+        its chunks inline.
         """
         descriptors = self._shippable(work)
         if descriptors is None:
@@ -651,21 +551,32 @@ class TaskExecutor:
     def run_resident_level(
         self, plan, level: int, entries: Sequence[tuple], meanwhile: Callable[[], None]
     ) -> Optional[List[ChunkResult]]:
-        """The resident rung of a whole plan level: one frame per worker.
+        """One plan level's resident steps: one frame per worker.
 
         ``entries`` are the level's :meth:`resident_entry` tuples in
         recorded order; ``meanwhile`` runs the level's other steps on
         this thread while the workers compute.  Returns every entry's
         chunk results as one flat list in (entry, chunk) order, or
-        ``None`` when the pool broke (``worker_lost``).
+        ``None`` when a worker died or hung (``worker_lost``; kernel
+        errors re-raise with their own type): the pool is torn down, the
+        caller runs the entries inline, and the next frame's
+        ``procpool.process_pool()`` builds a fresh pool, to which the
+        plan re-ships.  The pool's call meter is
+        thread-local, so the round trip reports exactly its own traffic.
         """
         label = ""
         if telemetry.enabled():
             steps = ",".join(str(entry[0]) for entry in entries)
             label = f"resident plan={plan.plan_id} level={level} steps={steps}"
-        return self._roundtrip(
-            label, lambda pool: pool.run_resident_chunks(plan, entries, meanwhile)
-        )
+        pool = procpool.process_pool()
+        pool.begin_call_meter()
+        with telemetry.span("wire.roundtrip", label):
+            try:
+                return pool.run_resident_chunks(plan, entries, meanwhile)
+            except procpool.ProcessPoolBrokenError:
+                return self._decline("worker_lost")
+            finally:
+                self.profiler.record_wire_traffic(*pool.end_call_meter())
 
     # ------------------------------------------------------------------
     # Fold.
@@ -711,16 +622,17 @@ class TaskExecutor:
         """Run a prepared launch's chunks and fold them.
 
         ``shipped`` hands in the chunk results a resident level frame
-        already brought back from the worker processes, in place of a
-        trip down the ladder.  Returns ``(kernel seconds, reduction
-        partials per key)`` with the partials still unapplied: the plan
-        scheduler folds each step's partials into their stores at its
-        level's join, in recorded order.
+        already brought back from the worker processes (dispatched at
+        ``width``); without them the chunks run here, in rank order.
+        Returns ``(kernel seconds, reduction partials per key)`` with the
+        partials still unapplied: the plan scheduler folds each step's
+        partials into their stores at its level's join, in recorded
+        order.
         """
         if shipped is None:
-            results, backend = self.run_chunks(work, chunks, width)
+            results = [work.run(start, stop) for start, stop in chunks]
         else:
-            results, backend = shipped, "process"
+            results = shipped
             self.profiler.record_point_dispatch(
                 ranks=work.num_points, chunks=len(chunks), width=width
             )
@@ -731,12 +643,12 @@ class TaskExecutor:
         elif work.kernel is None:
             self.profiler.record_opaque_execution(
                 chunk_calls=len(chunks),
-                process_chunks=len(chunks) if backend == "process" else 0,
+                process_chunks=0 if shipped is None else len(chunks),
             )
         return self.fold(results, work.wanted)
 
     # ------------------------------------------------------------------
-    # The eager entry points.
+    # The eager entry points: one chunk each, run in this process.
     # ------------------------------------------------------------------
     def execute_compiled(self, task: IndexTask, kernel: CompiledKernel) -> float:
         """Run a task through its compiled kernel; returns kernel seconds."""
@@ -758,9 +670,7 @@ class TaskExecutor:
             self._elementwise_launch(kernel, rows, num_points),
             binding.buffer_args, kernel.cost,
         )
-        seconds, totals = self.launch(
-            work, self.point_chunk_plan(num_points, rows), config.point_worker_count()
-        )
+        seconds, totals = self.launch(work, [(0, num_points)], 1)
         self._apply_reductions(args, totals, binding.buffer_args)
         return seconds
 
@@ -781,11 +691,7 @@ class TaskExecutor:
             impl, self._rows(task, enumerate(task.args)),
             task.launch_domain.volume, task.scalar_args, lambda: task,
         )
-        return self.launch(
-            work,
-            self.point_chunk_plan(work.num_points, work.rows),
-            config.point_worker_count(),
-        )
+        return self.launch(work, [(0, work.num_points)], 1)
 
     def _apply_reductions(self, args, totals, index_of=None) -> None:
         """Fold a launch's partials into the stores of its arguments."""

@@ -1,86 +1,60 @@
-"""Persistent worker-process pool for point-task rank chunks.
+"""Persistent worker-process pool for the rank chunks of replayed plans.
 
-``REPRO_POINT_WORKERS`` > 1 routes the rank chunks of every launch
-whose work can ship (compiled and super-kernel launches, opaque
-operators with a chunk implementation) to this pool, out of reach of
-the parent's interpreter lock; chunks the pool declines run inline in
+With ``REPRO_POINT_WORKERS`` > 1 the plan scheduler replays a captured
+:class:`ExecutionPlan` with the rank chunks of every step whose work can
+ship (compiled and super-kernel steps, opaque operators with a chunk
+implementation) in this pool, out of reach of the parent's interpreter
+lock.  Eager launches never reach the pool: they run as one chunk in
 the parent.
 
 Protocol
 --------
-Each worker owns one duplex pipe and serves requests strictly in FIFO
-order.  Every request carries a parent-assigned **request id** and every
-reply echoes it back: a per-worker reader thread funnels all replies
-into one scheduler-side completion map keyed by request id, so a
-dispatch sends everything it has before it waits for anything, and any
-number of dispatching threads can have requests in flight on the same
-worker pipes (the steps of a wide plan level under the per-chunk
-protocol; a launch the scheduling thread runs while a resident level
-frame is out).  Send-side state that *does* depend on FIFO order (the
-shipped kernel/table/plan sets and the descriptor interning below) is
-mutated under a per-worker send lock held across the state update and
-the ``send_bytes`` call, so the per-worker send order still matches the
-state both sides agreed on.  There are two request shapes: one pickled
-request per rank chunk (eager launches, whatever a resident plan
-declines, and the steps of a frame that lost its pool), and one frame
-per worker per *plan
-level* (next section).  A :class:`ChunkRequest` carries everything
-a chunk needs:
+Each worker owns one duplex pipe and serves messages strictly in FIFO
+order.  There is one work message, the **level frame** (below); the
+other two messages are bookkeeping that needs no reply (a plan ship) or
+belongs to telemetry.  Every frame carries a parent-assigned **request
+id** and every reply echoes it back: a per-worker reader thread funnels
+all replies into one completion map keyed by request id, so a level
+sends every frame before it waits for any reply.  Send-side state that
+depends on FIFO order (the shipped table and plan sets and the
+descriptor interning below) is mutated under a per-worker send lock
+held across the state update and the ``send_bytes`` call, so the
+per-worker send order matches the state both sides agreed on.
 
-* a **kernel spec** — the KIR function, a stripped parameter binding and
-  the backend name (``codegen``/``interpreter``/``differential``,
-  whatever the parent's executor runs) — shipped at most once per
-  worker and cached there under a parent-assigned id.  Workers build
-  their executor through the normal :func:`repro.kernel.lowering.lower`
-  entry point, so the codegen backend lands in the process-local
-  source-keyed closure cache: two isomorphic kernels compile once per
-  worker, exactly like the parent's cache.
-* the **scalar arguments** of the launch,
-* per-buffer **block descriptors** into the shared-memory arena plus the
-  chunk's per-rank rectangles — workers build zero-copy NumPy views of
-  the same physical pages the parent's region fields live in, so output
-  tiles are written in place with no serialisation of array data,
-* the ``[start, stop)`` **rank range**, the elementwise-batching flag,
-  and (on the eager path) the kernel's cost descriptor and machine
-  model so the worker returns the per-rank modelled seconds alongside
-  the reduction partials.
-
-Replies are matched by request id and reassembled in rank order; the
-parent folds partials and per-GPU seconds at the launch join exactly
-like the inline rank loop, so buffers and simulated time are
-bit-identical to inline execution for every ``REPRO_WORKERS`` ×
-``REPRO_POINT_WORKERS`` combination.
-Exceptions (including ``BackendDivergenceError`` from a differential
-worker) are pickled back and re-raised in the parent.
-
-Geometry is interned on both sides of the pipe: every wire rect list
-carries a stable parent-assigned table id, workers cache the list under
-that id on receipt, and the parent ships ``None`` in place of a list a
-worker already holds — identical rect tables cross the pipe once per
-worker, not once per chunk.
-
-Opaque launches with a chunk-level implementation ship as
-:class:`OpaqueChunkRequest` instead: no kernel spec travels — the
-request names a registered operator and its defining module, and the
-worker resolves the implementation from its *own* registry
-(:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork`` workers
-inherit the parent's populated registry, ``spawn`` workers import the
-module first).  The chunk executes over the same zero-copy
-shared-memory views and returns per-rank partials and per-rank modelled
-seconds like a compiled chunk with a cost model.
+Workers never receive array data: a frame names **block descriptors**
+into the shared-memory arena, and workers build zero-copy NumPy views of
+the same physical pages the parent's region fields live in, so output
+tiles are written in place.  Replies hold per-rank reduction partials
+(and, for opaque steps, per-rank modelled seconds); the parent folds
+them at the launch join exactly like the inline rank loop, so buffers
+and simulated time are bit-identical to inline execution for every
+``REPRO_WORKERS`` × ``REPRO_POINT_WORKERS`` combination.  Exceptions
+(including ``BackendDivergenceError`` from a differential worker) are
+pickled back and re-raised in the parent with the worker traceback.
 
 Plan-resident replay
 --------------------
-Replaying a captured :class:`ExecutionPlan` through per-chunk requests
-would re-send the same descriptors, names and geometry every iteration.
-The parent instead registers the whole plan with the pool once — a :class:`ResidentPlan` maps schedule-step indices to
+The parent registers a whole plan with the pool once — a
+:class:`ResidentPlan` maps schedule-step indices to
 :class:`ResidentStep` / :class:`OpaqueResidentStep` templates holding
 the kernel spec (or operator name), the full rank-indexed rect table,
 the step's chunk plan and the calling convention of every shippable
 step — and ships it to each worker at most once, keyed by a
 parent-assigned plan id.  Chunk i of a resident step always lands on
 worker ``i % size``, so each worker's rank ranges are baked into its
-copy of the plan at ship time and never travel again.
+copy of the plan at ship time and never travel again.  A compiled
+template carries a **kernel spec** (the KIR function, a stripped
+parameter binding and the backend name, or a super-kernel's generated
+source); workers build its executor through the normal
+:func:`repro.kernel.lowering.lower` entry point, so isomorphic kernels
+compile once per worker in the process-local source-keyed cache.  An
+opaque template names the operator and its defining module, and the
+worker resolves the implementation from its *own* registry
+(:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork`` workers
+inherit the parent's populated registry, ``spawn`` workers import the
+module first).  Rect tables are interned on both sides of the pipe
+under stable parent-assigned table ids, so a geometry re-registered
+under a fresh plan id crosses the pipe once per worker.
 
 The unit a replay ships is the plan **level**, not the step
 (:meth:`ProcessWorkerPool.run_resident_chunks`, called once per level by
@@ -90,7 +64,7 @@ plan id, entries)`` whose entries ``(step index, scalar values,
 descriptor sync)`` list the level's shipped steps that worker has chunks
 of, in recorded order.  The worker interns every entry's sync, runs the
 entries back to back over its baked rank ranges, and answers with one
-reply holding each entry's per-chunk results; while the workers compute,
+reply holding each entry's chunk results; while the workers compute,
 the parent runs the level's remaining steps (single-rank launches,
 operators with nothing a worker could resolve) itself.  A width-3 level
 therefore costs one send and one reply per worker where per-step
@@ -106,9 +80,9 @@ descriptors per worker — a :class:`~repro.runtime.shm.BlockDescriptor`
 crosses the pipe once and is a small integer id ever after (arena
 offsets cycle through a bounded set in steady replay, so the id table
 saturates after a few epochs).  Workers slice the resident rect tables
-to each ``[start, stop)`` range themselves and execute through the
-same :func:`_execute_chunk` machinery as the per-chunk protocol, so
-results are bit-identical.  An entry that raises ends its frame: the
+to each ``[start, stop)`` range themselves and run each chunk exactly
+as the parent's inline rank loop would, so results are bit-identical.
+An entry that raises ends its frame: the
 worker replies with that error and skips the entries behind it — their
 descriptors were interned on receipt, so the id tables stay in step and
 the pool stays usable.  Staleness is generation-based:
@@ -116,15 +90,16 @@ the pool stays usable.  Staleness is generation-based:
 ``config.reload_flags()`` bump :func:`resident_generation`, which
 retires every parent-side :class:`ResidentPlan` built under an older
 generation; a dead or hung worker tears the pool down, every step of
-the lost frame degrades to the per-chunk protocol (which rebuilds a
-fresh pool), and the next replay re-ships the plan to the fresh workers.
+the lost frame runs its chunks inline in the parent, and the next
+frame's :func:`process_pool` builds a fresh pool, to which the plan
+re-ships.
 
-The pool also meters its own wire traffic: every request message is
-pickled once (``ForkingPickler``, exactly what ``Connection.send``
-does), its byte length added to :attr:`ProcessWorkerPool.wire_bytes`,
-and the payload sent with ``send_bytes`` — so the profiler's
-``wire_bytes_per_epoch`` figures measure real serialized sizes with no
-double pickling.
+The pool also meters its own wire traffic: every message is pickled
+once (``ForkingPickler``, exactly what ``Connection.send`` does) or
+packed as a binary frame, its byte length added to
+:attr:`ProcessWorkerPool.wire_bytes`, and the payload sent with
+``send_bytes`` — so the profiler's ``wire_bytes_per_epoch`` figures
+measure real serialized sizes with no double pickling.
 
 Lifetime
 --------
@@ -147,7 +122,7 @@ import struct
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -161,9 +136,9 @@ from repro.runtime.shm import BlockDescriptor, attach_view, close_attachments
 #: (half-open), lean enough to pickle by the thousand.
 WireRect = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-#: How long a dispatch waits for its replies before it declares the pool
+#: How long a level waits for its replies before it declares the pool
 #: hung: the workers are killed and :class:`ProcessPoolBrokenError` sends
-#: the launch down to the next rung.  Far above any chunk this
+#: the level's steps inline.  Far above any chunk this
 #: runtime ships (milliseconds to seconds), so only a stuck worker —
 #: stopped, deadlocked, swapped out — ever meets it.
 REPLY_DEADLINE_SECONDS = 60.0
@@ -192,76 +167,9 @@ class SuperKernelSpec:
     name: str
 
 
-@dataclass
-class ChunkRequest:
-    """One rank chunk of one compiled launch."""
-
-    kernel_id: int
-    #: Filled in by the pool for the first request a worker sees.
-    spec: Optional[object]  # KernelSpec | SuperKernelSpec
-    scalars: Dict[str, float]
-    #: ``(buffer name, is_reduction, descriptor or None, table id or
-    #: None, chunk rects or None)``.  The table id names the rect list in
-    #: the worker-side intern cache; the pool nulls the rects of tables a
-    #: worker already holds, so identical geometry crosses the pipe once
-    #: per worker.
-    buffers: Tuple[
-        Tuple[str, bool, Optional[BlockDescriptor], Optional[int], Optional[List[WireRect]]],
-        ...,
-    ]
-    start: int
-    stop: int
-    #: Purely element-wise launch: one merged closure call per chunk.
-    elementwise: bool = False
-    #: Eager path only — workers model per-rank seconds from these; the
-    #: replay path captures seconds at record time and ships ``None``.
-    cost: Optional[object] = None
-    machine: Optional[object] = None
-    #: Super-kernel chunks only: per-buffer calling convention aligned
-    #: with ``buffers`` (``merged`` = one contiguous span view,
-    #: ``ranked`` = the chunk's per-rank view list; reduction targets
-    #: are ``None`` under both, and a merged section that reduces
-    #: returns its per-rank partials like a ranked one).
-    modes: Optional[Tuple[str, ...]] = None
-    #: Parent-assigned request id, echoed back in the reply so the
-    #: completion map can match it to its waiter (filled in by the pool).
-    req_id: int = 0
-
-
-#: Reply payload: per-rank reduction partials and per-rank seconds
-#: (empty seconds when no cost model was shipped).
+#: Reply payload of one chunk: per-rank reduction partials and per-rank
+#: seconds (empty for compiled steps, whose seconds the parent charges).
 ChunkResult = Tuple[List[Dict[str, object]], List[float]]
-
-
-@dataclass
-class OpaqueChunkRequest:
-    """One rank chunk of one opaque launch.
-
-    Opaque operators ship no kernel spec: the worker resolves ``op``
-    from its own registry (:func:`repro.runtime.opaque
-    .resolve_opaque_impl`), importing ``module`` first under ``spawn``
-    start methods.  ``buffers`` follows the :class:`ChunkRequest` wire
-    shape with the argument *index* in the name slot, so the table
-    interning and shipped-table filters apply unchanged.  The machine
-    model always rides along — opaque costs may be data-dependent, so
-    workers model per-rank seconds themselves (even under resident
-    replay, unlike compiled steps whose captured seconds are charged
-    parent-side).
-    """
-
-    op: str
-    module: Optional[str]
-    #: The launch's positional ``scalar_args`` tuple.
-    scalars: tuple
-    buffers: Tuple[
-        Tuple[int, bool, Optional[BlockDescriptor], Optional[int], Optional[List[WireRect]]],
-        ...,
-    ]
-    start: int
-    stop: int
-    machine: Optional[object] = None
-    #: Parent-assigned request id (see :class:`ChunkRequest`).
-    req_id: int = 0
 
 
 @dataclass
@@ -272,8 +180,9 @@ class ResidentStep:
     messages reference it by ``(plan id, step index)`` and carry only the
     epoch's scalar values and a per-buffer descriptor sync.  ``buffers``
     holds the *full* rank-indexed wire rect table of every argument (the
-    worker slices ``[start, stop)`` ranges itself), interned by table id
-    like per-chunk geometry.
+    worker slices ``[start, stop)`` ranges itself), interned by table id.
+    Replay charges the seconds captured at record time, so no cost model
+    travels.
     """
 
     kernel_id: int
@@ -290,9 +199,13 @@ class ResidentStep:
     ]
     #: Scalar parameter names in the order run messages pack values.
     scalar_names: Tuple[str, ...]
+    #: Purely element-wise step: one merged closure call per chunk.
     elementwise: bool
-    #: Super-kernel steps: per-buffer calling convention (see
-    #: :class:`ChunkRequest`).
+    #: Super-kernel steps only: per-buffer calling convention aligned
+    #: with ``buffers`` (``merged`` = one contiguous span view,
+    #: ``ranked`` = the chunk's per-rank view list; reduction targets
+    #: are ``None`` under both, and a merged section that reduces
+    #: returns its per-rank partials like a ranked one).
     modes: Optional[Tuple[str, ...]]
     #: The step's rank-chunk plan.  On the parent template this is the
     #: *full* chunk list (the executor degrades when a dispatch's chunks
@@ -308,10 +221,12 @@ class OpaqueResidentStep:
 
     The opaque analogue of :class:`ResidentStep`: instead of a kernel
     spec it names the operator, which workers resolve from their own
-    registry exactly like :class:`OpaqueChunkRequest`.  Run messages
-    carry the epoch's positional scalar values and the descriptor sync;
-    the worker rebuilds per-chunk requests from its baked rank ranges
-    and models per-rank seconds itself from the embedded machine model.
+    registry (importing ``module`` first under ``spawn`` start methods).
+    Run messages carry the epoch's positional scalar values and the
+    descriptor sync.  Opaque costs may be data-dependent, so the worker
+    models per-rank seconds itself from the embedded machine model.
+    ``buffers`` has the :class:`ResidentStep` shape with the argument
+    *index* in the name slot.
     """
 
     op: str
@@ -346,12 +261,12 @@ class ResidentPlan:
 
 
 class ProcessPoolBrokenError(RuntimeError):
-    """The pool's transport failed (a worker died mid-chunk).
+    """The pool's transport failed (a worker died or hung mid-level).
 
     Distinct from errors a worker *reports* (those re-raise with their
     own type, e.g. ``BackendDivergenceError``): a broken transport means
-    the chunk's fate is unknown, the pool is torn down, and the caller
-    should fall back to the next rung — the next launch rebuilds a fresh
+    the frame's fate is unknown, the pool is torn down, and the caller
+    runs the level's steps inline — the next frame rebuilds a fresh
     pool through :func:`process_pool`.
     """
 
@@ -359,14 +274,6 @@ class ProcessPoolBrokenError(RuntimeError):
 def _view_of(base: np.ndarray, rect: WireRect) -> np.ndarray:
     lo, hi = rect
     return base[tuple(slice(l, h) for l, h in zip(lo, hi))]
-
-
-def _rect_volume(rect: WireRect) -> int:
-    lo, hi = rect
-    volume = 1
-    for l, h in zip(lo, hi):
-        volume *= max(0, h - l)
-    return volume
 
 
 #: First byte of a binary-framed resident run message.  Pickled payloads
@@ -438,152 +345,6 @@ def _unpack_run_message(data: bytes) -> tuple:
 # ----------------------------------------------------------------------
 # Worker side.
 # ----------------------------------------------------------------------
-def _execute_chunk(
-    request: ChunkRequest,
-    executors: Dict[int, object],
-) -> ChunkResult:
-    """Run one chunk inside a worker process."""
-    executor = executors.get(request.kernel_id)
-    if executor is None:
-        spec = request.spec
-        if spec is None:
-            raise RuntimeError(
-                f"worker has no executor for kernel id {request.kernel_id} "
-                "and the request carried no spec"
-            )
-        if isinstance(spec, SuperKernelSpec):
-            from repro.kernel.codegen import _compile_source
-
-            executor, _fresh = _compile_source(spec.source, spec.name)
-        else:
-            from repro.kernel.lowering import lower
-
-            executor = lower(spec.function, spec.binding, spec.backend)
-        executors[request.kernel_id] = executor
-
-    bases: Dict[str, Optional[np.ndarray]] = {}
-    for name, is_reduction, descriptor, _table_id, _rects in request.buffers:
-        bases[name] = None if is_reduction else attach_view(descriptor)
-
-    if request.modes is not None:
-        # Super-kernel chunk: one fused-closure call over the chunk's
-        # views — merged buffers get the contiguous span, ranked buffers
-        # the per-rank view list (mirroring ``run_superkernel_ranks``).
-        fused_buffers: Dict[str, object] = {}
-        for (name, _is_reduction, _descriptor, _table_id, rects), mode in zip(
-            request.buffers, request.modes
-        ):
-            base = bases[name]
-            if base is None:
-                fused_buffers[name] = None
-            elif mode == "ranked":
-                fused_buffers[name] = [_view_of(base, rect) for rect in rects]
-            else:
-                fused_buffers[name] = _view_of(base, (rects[0][0], rects[-1][1]))
-        partials = executor(fused_buffers, request.scalars)
-        return [partials], []
-
-    partials_by_rank: List[Dict[str, object]] = []
-    seconds_by_rank: List[float] = []
-    cost = request.cost
-    machine = request.machine
-    seconds_memo: Dict[Tuple[int, ...], float] = {}
-    buffers: Dict[str, Optional[np.ndarray]] = {}
-
-    if request.elementwise:
-        # One merged closure call over the chunk's contiguous span —
-        # element-for-element identical to the per-rank loop (the launch
-        # passed ``pool.contiguous_elementwise_tables`` before routing;
-        # this is ``pool.merged_table_span`` in wire-rect form).
-        for name, is_reduction, _descriptor, _table_id, rects in request.buffers:
-            base = bases[name]
-            merged = (rects[0][0], rects[-1][1])
-            buffers[name] = None if base is None else _view_of(base, merged)
-        executor(buffers, request.scalars)
-        partials_by_rank = [{} for _ in range(request.stop - request.start)]
-    else:
-        for index in range(request.stop - request.start):
-            for name, is_reduction, _descriptor, _table_id, rects in request.buffers:
-                base = bases[name]
-                buffers[name] = (
-                    None if base is None else _view_of(base, rects[index])
-                )
-            partials_by_rank.append(executor(buffers, request.scalars))
-
-    if cost is not None:
-        for index in range(request.stop - request.start):
-            volumes = tuple(
-                _rect_volume(rects[index])
-                for _name, _is_reduction, _descriptor, _table_id, rects in request.buffers
-            )
-            seconds = seconds_memo.get(volumes)
-            if seconds is None:
-                element_counts = {
-                    entry[0]: volume
-                    for entry, volume in zip(request.buffers, volumes)
-                }
-                seconds = cost.estimate_seconds(element_counts, machine)
-                seconds_memo[volumes] = seconds
-            seconds_by_rank.append(seconds)
-    return partials_by_rank, seconds_by_rank
-
-
-def _execute_opaque_chunk(request: OpaqueChunkRequest) -> ChunkResult:
-    """Run one opaque rank chunk inside a worker process.
-
-    Resolves the operator by name from the worker's own registry (the
-    parent only ships operators registered at module import time, so
-    ``spawn`` workers re-create the exact implementation by importing
-    the defining module).  Cost runs after execute, matching the
-    parent-side chunk path — sound because registered chunk cost
-    functions never read chunk-written data.
-    """
-    from repro.runtime.opaque import resolve_opaque_impl
-
-    impl = resolve_opaque_impl(request.op, request.module)
-    if impl.chunk is None:
-        raise RuntimeError(
-            f"opaque operator '{request.op}' has no chunk implementation"
-        )
-    bases: Dict[int, Optional[np.ndarray]] = {}
-    rects_map: Dict[int, List[WireRect]] = {}
-    for index, is_reduction, descriptor, _table_id, rects in request.buffers:
-        bases[index] = None if is_reduction else attach_view(descriptor)
-        rects_map[index] = rects
-    partials = impl.chunk.execute(bases, rects_map, request.scalars)
-    if partials is None:
-        partials = [None] * (request.stop - request.start)
-    seconds = (
-        impl.chunk.cost_seconds(bases, rects_map, request.scalars, request.machine)
-        if request.machine is not None
-        else []
-    )
-    return partials, seconds
-
-
-def _intern_request_tables(request, tables: Dict[int, list]) -> None:
-    """Resolve a per-chunk request's interned rect tables in place.
-
-    Runs on receipt, *before* execution: a carried rect list is cached
-    under its table id unconditionally, so the parent's per-worker
-    shipped-table sets stay truthful even when the chunk itself errors.
-    """
-    resolved = []
-    rewritten = False
-    for entry in request.buffers:
-        name, is_reduction, descriptor, table_id, rects = entry
-        if table_id is not None:
-            if rects is None:
-                rects = tables[table_id]
-                entry = (name, is_reduction, descriptor, table_id, rects)
-                rewritten = True
-            else:
-                tables[table_id] = rects
-        resolved.append(entry)
-    if rewritten:
-        request.buffers = tuple(resolved)
-
-
 def _register_resident_plan(
     message: tuple, tables: Dict[int, list]
 ) -> Tuple[int, Dict[int, ResidentStep]]:
@@ -644,71 +405,114 @@ def _execute_frame(
     return results
 
 
+def _resident_executor(template: ResidentStep, executors: Dict[int, object]):
+    """A compiled template's executor, built from its spec on first use.
+
+    Cached under the template's kernel id; a build that raises caches
+    nothing, so the next frame naming the step simply retries it.
+    """
+    executor = executors.get(template.kernel_id)
+    if executor is None:
+        spec = template.spec
+        if isinstance(spec, SuperKernelSpec):
+            from repro.kernel.codegen import _compile_source
+
+            executor, _fresh = _compile_source(spec.source, spec.name)
+        else:
+            from repro.kernel.lowering import lower
+
+            executor = lower(spec.function, spec.binding, spec.backend)
+        executors[template.kernel_id] = executor
+    return executor
+
+
+def _attach(descriptors: list) -> list:
+    """Zero-copy views of the descriptors' blocks (``None`` stays ``None``)."""
+    return [None if descriptor is None else attach_view(descriptor) for descriptor in descriptors]
+
+
+def _span(table: List[WireRect], start: int, stop: int) -> WireRect:
+    """The rect ranks ``[start, stop)`` of a contiguous table cover."""
+    return table[start][0], table[stop - 1][1]
+
+
 def _execute_resident(
     template, values: tuple, resolved: list, executors: Dict[int, object]
 ) -> List[ChunkResult]:
     """Run one resident-plan step over the worker's baked rank ranges.
 
     A frame entry carries no geometry, names or ranges — the worker
-    iterates the chunk ranges baked into its copy of the template,
-    slices the resident rect tables to each ``[start, stop)`` range and
-    executes through the same :func:`_execute_chunk` path as the
-    per-chunk protocol, so results are bit-identical.  ``resolved``
-    holds the step's current per-buffer descriptors (``None`` for
-    reductions).  Replay ships no cost model (captured seconds are
-    charged parent-side in recorded order), so seconds come back empty.
+    iterates the chunk ranges baked into its copy of the template and
+    slices the resident rect tables to each ``[start, stop)`` range,
+    calling the kernel exactly as the parent's inline rank loop does
+    (``executor.compiled_ranks``, ``superkernel.run_superkernel_ranks``,
+    the opaque chunk path of ``TaskExecutor.opaque_work``), so results
+    are bit-identical.  ``resolved`` holds the step's current per-buffer
+    descriptors (``None`` for reductions), attached once the worker
+    knows what to run.
     """
-    if isinstance(template, OpaqueResidentStep):
-        # Opaque step: rebuild per-chunk requests from the baked rank
-        # ranges; the positional scalar tuple travels as the run values
-        # and per-rank seconds are re-modelled worker-side.
-        opaque_results: List[ChunkResult] = []
-        for start, stop in template.chunks:
-            buffers = tuple(
-                (index, is_reduction, descriptor, None, rects[start:stop])
-                for (index, is_reduction, _old, _table_id, rects), descriptor in zip(
-                    template.buffers, resolved
-                )
-            )
-            opaque_results.append(
-                _execute_opaque_chunk(
-                    OpaqueChunkRequest(
-                        op=template.op,
-                        module=template.module,
-                        scalars=tuple(values),
-                        buffers=buffers,
-                        start=start,
-                        stop=stop,
-                        machine=template.machine,
-                    )
-                )
-            )
-        return opaque_results
-    scalars = dict(zip(template.scalar_names, values))
+    keys = [entry[0] for entry in template.buffers]
+    tables = [entry[4] for entry in template.buffers]
     results: List[ChunkResult] = []
-    for start, stop in template.chunks:
-        buffers = tuple(
-            (name, is_reduction, descriptor, None, rects[start:stop])
-            for (name, is_reduction, _old, _table_id, rects), descriptor in zip(
-                template.buffers, resolved
+    if isinstance(template, OpaqueResidentStep):
+        from repro.runtime.opaque import resolve_opaque_impl
+
+        impl = resolve_opaque_impl(template.op, template.module)
+        if impl.chunk is None:
+            raise RuntimeError(
+                f"opaque operator '{template.op}' has no chunk implementation"
             )
-        )
-        request = ChunkRequest(
-            kernel_id=template.kernel_id,
-            spec=template.spec,
-            scalars=scalars,
-            buffers=buffers,
-            start=start,
-            stop=stop,
-            elementwise=template.elementwise,
-            modes=template.modes,
-        )
-        results.append(_execute_chunk(request, executors))
+        arrays = dict(zip(keys, _attach(resolved)))
+        for start, stop in template.chunks:
+            rects = {key: table[start:stop] for key, table in zip(keys, tables)}
+            partials = impl.chunk.execute(arrays, rects, values)
+            seconds = impl.chunk.cost_seconds(arrays, rects, values, template.machine)
+            results.append((partials or (), seconds))
+        return results
+    executor = _resident_executor(template, executors)
+    bases = _attach(resolved)
+    scalars = dict(zip(template.scalar_names, values))
+    for start, stop in template.chunks:
+        if template.modes is not None:
+            # Super-kernel chunk: one fused-closure call — merged buffers
+            # get the chunk's contiguous span, ranked buffers its
+            # per-rank view list.
+            buffers = {}
+            for key, base, table, mode in zip(keys, bases, tables, template.modes):
+                if base is None:
+                    buffers[key] = None
+                elif mode == "ranked":
+                    buffers[key] = [_view_of(base, rect) for rect in table[start:stop]]
+                else:
+                    buffers[key] = _view_of(base, _span(table, start, stop))
+            results.append(([executor(buffers, scalars)], []))
+        elif template.elementwise:
+            # One merged closure call over the chunk's contiguous span.
+            executor(
+                {
+                    key: None if base is None else _view_of(base, _span(table, start, stop))
+                    for key, base, table in zip(keys, bases, tables)
+                },
+                scalars,
+            )
+            results.append(([None] * (stop - start), []))
+        else:
+            partials = [
+                executor(
+                    {
+                        key: None if base is None else _view_of(base, table[rank])
+                        for key, base, table in zip(keys, bases, tables)
+                    },
+                    scalars,
+                )
+                for rank in range(start, stop)
+            ]
+            results.append((partials, []))
     return results
 
 
 def _worker_main(connection) -> None:
-    """Request loop of one worker process (module-level for ``spawn``)."""
+    """Message loop of one worker process (module-level for ``spawn``)."""
     executors: Dict[int, object] = {}
     #: Parent-assigned table id -> interned wire rect list.
     tables: Dict[int, list] = {}
@@ -732,17 +536,17 @@ def _worker_main(connection) -> None:
                 message = pickle.loads(data)
             if message is None:
                 break
-            if type(message) is tuple and message[0] == "plan":
+            if message[0] == "plan":
                 # Fire-and-forget registration (pure bookkeeping): a
                 # failure here surfaces as a normal error reply on the
-                # first run message referencing the missing plan.
+                # first frame referencing the missing plan.
                 try:
                     plan_id, steps = _register_resident_plan(message, tables)
                     plans[plan_id] = steps
                 except Exception:  # pragma: no cover - malformed ship
                     pass
                 continue
-            if type(message) is tuple and message[0] == "telemetry":
+            if message[0] == "telemetry":
                 # Recorder install: the spawn handshake (wants a reply
                 # carrying this worker's clock and pid so the parent can
                 # align timelines) or a fire-and-forget reset after a
@@ -755,28 +559,11 @@ def _worker_main(connection) -> None:
                         ("telemetry", time.perf_counter(), os.getpid())
                     )
                 continue
-            if type(message) is tuple:
-                request_id = message[1]
-            else:
-                request_id = message.req_id
+            # The one work message: a level frame ``("r", request id,
+            # plan id, entries)``.
+            request_id = message[1]
             try:
-                if type(message) is tuple and message[0] == "r":
-                    reply = _execute_frame(message, plans, executors, descriptors)
-                elif isinstance(message, OpaqueChunkRequest):
-                    _intern_request_tables(message, tables)
-                    with telemetry.span(
-                        "worker.opaque_chunk",
-                        f"op={message.op} ranks=[{message.start}:{message.stop})",
-                    ):
-                        reply = _execute_opaque_chunk(message)
-                else:
-                    _intern_request_tables(message, tables)
-                    with telemetry.span(
-                        "worker.chunk",
-                        f"kernel={message.kernel_id} "
-                        f"ranks=[{message.start}:{message.stop})",
-                    ):
-                        reply = _execute_chunk(message, executors)
+                reply = _execute_frame(message, plans, executors, descriptors)
                 spans = telemetry.drain_events()
                 if spans is None:
                     connection.send(("ok", request_id, reply))
@@ -819,40 +606,35 @@ class ProcessWorkerPool:
         )
         self._connections = []
         self._processes = []
-        #: Kernel ids each worker already holds an executor for.
-        self._shipped: List[set] = []
         #: Wire-table ids each worker has interned the rects of.
         self._tables_shipped: List[set] = []
         #: Resident-plan ids each worker holds the templates of.
         self._plans_shipped: List[set] = []
-        #: Per-worker descriptor intern table for resident run messages:
+        #: Per-worker descriptor intern table for level frames:
         #: ``BlockDescriptor -> small id``, assigned densely in send
         #: order (the worker appends to an id-indexed list in arrival
         #: order; FIFO pipes keep the two in lockstep).  Steady replay
         #: cycles through a bounded set of arena offsets, so after a few
         #: epochs every sync entry is an ``int``.
         self._descriptor_ids: List[Dict[BlockDescriptor, int]] = []
-        #: Request traffic actually written to the pipes, measured on the
-        #: pickled payloads (``wire_requests`` counts messages).  The
-        #: executor brackets each dispatch with a thread-local call meter
+        #: Traffic actually written to the pipes, measured on the sent
+        #: payloads (``wire_requests`` counts messages).  The executor
+        #: brackets each level with a thread-local call meter
         #: (:meth:`begin_call_meter`/:meth:`end_call_meter`) and reports
-        #: the per-call figures to the profiler — concurrent dispatches
-        #: would double-count under the old snapshot-delta scheme.
+        #: the per-call figures to the profiler.
         self.wire_bytes = 0
         self.wire_requests = 0
-        #: Guards teardown only; request traffic no longer serialises on
-        #: a whole-cycle lock (see the per-worker send locks below).
+        #: Guards teardown only; traffic serialises per worker pipe
+        #: (the send locks below).
         self._lock = threading.Lock()
         self._meter_lock = threading.Lock()
-        self._assign_lock = threading.Lock()
         #: One lock per worker pipe, held across every (per-worker state
-        #: mutation, ``send_bytes``) pair: the shipped kernel/table/plan
-        #: sets and the descriptor interning assume the worker receives
+        #: mutation, ``send_bytes``) pair: the shipped table/plan sets and the descriptor interning assume the worker receives
         #: messages in exactly the order the parent mutated its
         #: bookkeeping, so state update and send must be atomic per pipe.
         self._send_locks: List[threading.Lock] = []
         #: Completion map: request id -> raw reply tuple.  Per-worker
-        #: reader threads fill it; dispatching threads wait on the
+        #: reader threads fill it; the dispatching thread waits on the
         #: condition until their ids resolve.  Also guards request-id
         #: allocation and the ``closed`` flag's broken-pool transitions.
         self._done = threading.Condition()
@@ -860,7 +642,6 @@ class ProcessWorkerPool:
         self._next_request_id = 0
         self._local = threading.local()
         self._readers: List[threading.Thread] = []
-        self._next_worker = 0
         self.closed = False
         self._torn_down = False
         for _ in range(self.size):
@@ -872,7 +653,6 @@ class ProcessWorkerPool:
             worker_end.close()
             self._connections.append(parent_end)
             self._processes.append(process)
-            self._shipped.append(set())
             self._tables_shipped.append(set())
             self._plans_shipped.append(set())
             self._descriptor_ids.append({})
@@ -962,13 +742,6 @@ class ProcessWorkerPool:
             self._next_request_id += 1
             return self._next_request_id
 
-    def _assign_worker(self) -> int:
-        """Next round-robin worker index (thread-safe)."""
-        with self._assign_lock:
-            worker = self._next_worker
-            self._next_worker = (worker + 1) % self.size
-            return worker
-
     def _collect(self, request_ids: Sequence[int]) -> List[tuple]:
         """Wait until every id resolves; replies in ``request_ids`` order.
 
@@ -991,7 +764,7 @@ class ProcessWorkerPool:
                         self._completions.pop(rid, None)
                     if self.closed:
                         raise ProcessPoolBrokenError(
-                            "process-pool worker died mid-chunk (transport closed)"
+                            "process-pool worker died mid-level (transport closed)"
                         )
                     self.closed = True
                     for process in self._processes:
@@ -1010,27 +783,15 @@ class ProcessWorkerPool:
             self._done.notify_all()
         self.shutdown()
         raise ProcessPoolBrokenError(
-            f"process-pool worker died mid-chunk: {failure!r}"
+            f"process-pool worker died mid-level: {failure!r}"
         ) from failure
 
-    def _unwrap(
-        self,
-        replies: Sequence[tuple],
-        kernel_id: Optional[int] = None,
-        assignments: Sequence[int] = (),
-    ) -> List[ChunkResult]:
+    @staticmethod
+    def _unwrap(replies: Sequence[tuple]) -> list:
         """Extract payloads, re-raising the first worker error in order."""
         for reply in replies:
             if reply[0] == "err":
                 _tag, _request_id, error, worker_traceback = reply
-                if kernel_id is not None:
-                    # The failing worker's executor install may not have
-                    # landed: forget the kernel on every assigned worker
-                    # so the next dispatch re-ships the spec (harmless
-                    # when the install did land — workers consult a spec
-                    # only when they hold no executor for the id).
-                    for assigned in set(assignments):
-                        self._shipped[assigned].discard(kernel_id)
                 message = (
                     f"{error} (in process-pool worker)\n"
                     f"--- worker traceback ---\n{worker_traceback}"
@@ -1055,21 +816,17 @@ class ProcessWorkerPool:
             counters[1] += 1
 
     def begin_call_meter(self) -> None:
-        """Start metering this thread's wire traffic (one dispatch).
-
-        Meters nest: a dispatch made while a level frame is in flight
-        (:meth:`run_resident_chunks`'s ``meanwhile``) counts its own
-        traffic and hands the meter back to the frame's dispatch.
-        """
-        self._local.counters = [0, 0, getattr(self._local, "counters", None)]
+        """Start metering this thread's wire traffic (one level)."""
+        self._local.counters = [0, 0]
 
     def end_call_meter(self) -> Tuple[int, int]:
         """Stop metering; returns this thread's ``(bytes, requests)``."""
-        nbytes, requests, self._local.counters = self._local.counters
+        nbytes, requests = self._local.counters
+        self._local.counters = None
         return nbytes, requests
 
     def _send(self, worker: int, message, payload: Optional[bytes] = None) -> None:
-        """Pickle, meter and write one request message to a worker.
+        """Pickle, meter and write one message to a worker.
 
         ``Connection.send(obj)`` is ``send_bytes(ForkingPickler.dumps
         (obj))``; doing the two halves explicitly makes the measured
@@ -1116,92 +873,17 @@ class ProcessWorkerPool:
             filtered.append(entry)
         return tuple(filtered)
 
-    # ------------------------------------------------------------------
-    def run_chunks(
-        self,
-        kernel_id: int,
-        spec: KernelSpec,
-        requests: Sequence[ChunkRequest],
-    ) -> List[ChunkResult]:
-        """Execute chunk requests across the workers, results in order.
-
-        Requests are assigned round-robin, all sent before any reply is
-        awaited (workers overlap), and replies are matched by request id
-        and returned in request order so join-point folds see rank order
-        exactly like the inline rank loop.  Concurrency-safe: any number
-        of threads may dispatch simultaneously — sends serialise per
-        worker pipe, replies resolve through the completion map.
-        """
-        if self.closed:
-            raise ProcessPoolBrokenError("process pool is closed")
-        assignments: List[int] = []
-        request_ids: List[int] = []
-        try:
-            for request in requests:
-                worker = self._assign_worker()
-                with self._send_locks[worker]:
-                    request.req_id = self._new_request_id()
-                    request.spec = (
-                        spec if kernel_id not in self._shipped[worker] else None
-                    )
-                    self._shipped[worker].add(kernel_id)
-                    request.buffers = self._filter_shipped_tables(
-                        worker, request.buffers
-                    )
-                    self._send(worker, request)
-                assignments.append(worker)
-                request_ids.append(request.req_id)
-        except (EOFError, BrokenPipeError, OSError) as transport_error:
-            # A worker died mid-chunk (OOM kill, segfault): the chunk's
-            # fate is unknown.  Mark the pool dead so callers fall back
-            # inline and the next launch rebuilds a fresh pool.
-            self._transport_failed(transport_error)
-        try:
-            replies = self._collect(request_ids)
-        except ProcessPoolBrokenError:
-            self.shutdown()
-            raise
-        return self._unwrap(replies, kernel_id, assignments)
-
-    # ------------------------------------------------------------------
-    def run_opaque_chunks(
-        self, requests: Sequence[OpaqueChunkRequest]
-    ) -> List[ChunkResult]:
-        """Execute opaque chunk requests across the workers, in order.
-
-        Like :meth:`run_chunks`, but with no kernel spec to ship or
-        forget — workers resolve the operator by name from their own
-        registry, so a failed request leaves no half-installed executor
-        state behind.
-        """
-        if self.closed:
-            raise ProcessPoolBrokenError("process pool is closed")
-        request_ids: List[int] = []
-        try:
-            for request in requests:
-                worker = self._assign_worker()
-                with self._send_locks[worker]:
-                    request.req_id = self._new_request_id()
-                    request.buffers = self._filter_shipped_tables(
-                        worker, request.buffers
-                    )
-                    self._send(worker, request)
-                request_ids.append(request.req_id)
-        except (EOFError, BrokenPipeError, OSError) as transport_error:
-            self._transport_failed(transport_error)
-        try:
-            replies = self._collect(request_ids)
-        except ProcessPoolBrokenError:
-            self.shutdown()
-            raise
-        return self._unwrap(replies)
+    # Kept only for benchmarks/e2e/e2ebench/spans.py, which wraps these two
+    # names in every traced pass; nothing calls them.
+    run_chunks = None
+    run_opaque_chunks = None
 
     # ------------------------------------------------------------------
     def _plan_ship_message(self, plan: ResidentPlan, worker: int) -> tuple:
         """Build one worker's copy of a resident-plan ship message.
 
-        Rect tables the worker already interned (from per-chunk requests
-        or earlier plan ships) travel as their id alone; fresh tables are
+        Rect tables the worker already interned (from earlier plan
+        ships) travel as their id alone; fresh tables are
         carried once and marked shipped.  Each step's chunk plan is cut
         down to the chunks this worker owns (``i % size == worker``), so
         run messages never carry rank ranges.
@@ -1254,8 +936,8 @@ class ProcessWorkerPool:
         awaited even when it raises, so no worker is still writing when
         the error surfaces.  Returns the chunk results as one flat list
         in (entry, chunk) order — reassembled by the same mapping, so
-        chunk and therefore rank order, bit-identical to the per-chunk
-        protocol.
+        chunk and therefore rank order, as the parent's inline loop
+        would produce them.
 
         An entry's ``descriptors`` is the step's *current* per-buffer
         field-address tuple (``None`` entries for reductions): frontends
@@ -1265,13 +947,11 @@ class ProcessWorkerPool:
         a bounded set in steady replay, so the table saturates after a
         few epochs and the steady frame is a few dozen bytes per entry.
 
-        Concurrency-safe like :meth:`run_chunks`: plan shipping and
-        descriptor interning happen under the worker's send lock (their
-        id assignment relies on per-pipe send order), and replies are
-        matched by request id.  Unlike per-chunk kernel ships, a worker
-        error forgets nothing: templates re-carry their spec on every
-        run, so a failed executor install simply retries from the
-        resident template next time.
+        Plan shipping and descriptor interning happen under the worker's
+        send lock (their id assignment relies on per-pipe send order),
+        and replies are matched by request id.  A worker error forgets
+        nothing: the resident template holds its spec, so a failed
+        executor build simply retries on the next frame.
         """
         if self.closed:
             raise ProcessPoolBrokenError("process pool is closed")
@@ -1362,7 +1042,6 @@ class ProcessWorkerPool:
             self._readers = []
             self._connections = []
             self._processes = []
-            self._shipped = []
             self._tables_shipped = []
             self._plans_shipped = []
             self._descriptor_ids = []
@@ -1486,8 +1165,8 @@ def _reload_process_pool() -> None:
 def kernel_spec_id(kernel) -> int:
     """A stable process-lifetime id for a compiled kernel.
 
-    Attached to the :class:`~repro.kernel.compiler.CompiledKernel` on
-    first dispatch; identifies its executor in worker-side caches (ids
+    Attached to the :class:`~repro.kernel.compiler.CompiledKernel` when
+    its first resident template is built; identifies its executor in worker-side caches (ids
     are never reused, unlike ``id()``).
     """
     existing = getattr(kernel, "_proc_kernel_id", None)

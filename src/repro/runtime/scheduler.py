@@ -23,11 +23,12 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
 3. **One plan loop** (:meth:`PlanScheduler.execute`) — executes the
    levels in order.  Every step is prepared into a
    :class:`~repro.runtime.executor.ChunkWork` on the scheduling thread
-   and launched through the executor's one substrate ladder, inline or
-   on a pool worker.  A plan resident in the worker processes never
-   uses the thread pool: each level's shipped steps travel as one frame
-   per worker (:meth:`PlanScheduler._resident_level`) and the rest of
-   the level runs on the scheduling thread while the workers compute.
+   and launched inline or on a plan-pool thread.  A plan resident in
+   the worker processes never uses the thread pool: each level's shipped
+   steps travel as one frame per worker
+   (:meth:`PlanScheduler._resident_level`) and the rest of the level —
+   steps the frame declines included — runs on the scheduling thread
+   while the workers compute.
    Workers only *compute*; all side effects that carry ordering
    semantics are folded at join points **in recorded order** —
    reduction partials at each level's join, profiler records
@@ -525,9 +526,11 @@ class PlanScheduler:
         each engaged worker as one frame, the level's other steps run
         here on the scheduling thread while the workers compute, and one
         reply per worker brings back every entry's chunk results, which
-        each step's launch then folds like any chunked dispatch.  A
-        frame that lost its pool leaves its steps to the ladder's next
-        rung.  Nothing is submitted to the plan-level thread pool.
+        each step's launch then folds like any chunked dispatch.  The
+        steps of a frame that lost its pool run their chunks inline here
+        too; the next frame's ``procpool.process_pool()`` rebuilds the
+        pool, and the plan re-ships to it.  Nothing is submitted to the
+        plan-level thread pool.
         """
 
         def run_pending(skip=()) -> None:

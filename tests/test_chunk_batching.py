@@ -101,7 +101,7 @@ class TestEagerBatching:
         for name in state_plain:
             assert np.array_equal(state[name], state_plain[name]), name
 
-    def test_eager_batching_composes_with_point_dispatch(self, monkeypatch):
+    def test_eager_batching_ignores_point_workers(self, monkeypatch):
         _ctx_plain, state_plain, checksum_plain, sim_plain = _run_bs(
             monkeypatch, trace=False, point_workers=1, batching=False
         )
@@ -109,9 +109,10 @@ class TestEagerBatching:
             monkeypatch, trace=False, point_workers=4, batching=True
         )
         assert ctx.profiler.batched_launches > 0
-        # Chunked batched launches produce several merged calls each.
-        assert ctx.profiler.batched_calls > ctx.profiler.batched_launches
-        assert ctx.profiler.point_launches > 0
+        # Eager launches are one chunk in the parent at any point width:
+        # one merged call per batched launch.
+        assert ctx.profiler.batched_calls == ctx.profiler.batched_launches
+        assert ctx.profiler.point_launches == 0
         assert checksum == checksum_plain
         assert sim == sim_plain
         for name in state_plain:

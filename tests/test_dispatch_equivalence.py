@@ -3,16 +3,16 @@ on every substrate gives the eager interpreter's answer.
 
 The equivalence matrix is work kind (compiled per-rank, element-wise,
 super-kernel, opaque per-rank, opaque chunk) × substrate (inline,
-per-chunk process, resident process) × ``REPRO_WORKERS`` {1, 4}
-× kernel backend (codegen, differential): buffers, checksum AND
-the simulated seconds of every replayed iteration must equal an eager
-(``REPRO_TRACE=0``) interpreter run bit for bit, and the kind and the
-substrate under test must really have run.  Every kind also runs chunked
-on the ladder's inline rung (the process rungs declining).  Two kinds
-repeat at a work size of several blocks per rank (the kernel tier's
-block loop, with its per-call scratch, under every substrate).  The rest of the file pins the
-seams of the ladder: every decline reason on a constructed launch,
-declined chunks running inline on the launch's own thread, a hung
+resident process) × ``REPRO_WORKERS`` {1, 4} × kernel backend
+(codegen, differential): buffers, checksum AND the simulated seconds of
+every replayed iteration must equal an eager (``REPRO_TRACE=0``)
+interpreter run bit for bit, and the kind and the substrate under test
+must really have run.  Every kind also runs chunked inline (the
+resident frame declining every step).  Two kinds repeat at a work size
+of several blocks per rank (the kernel tier's block loop, with its
+per-call scratch, under every substrate).  The rest of the file pins
+the seams: every decline reason on a constructed replayed step,
+declined and lost steps running inline on the scheduling thread, a hung
 worker, and the allocator policy that keeps array memory mapped between
 launches.
 """
@@ -40,7 +40,6 @@ from repro.kernel import codegen
 from repro.runtime import procpool, region
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
-from repro.runtime.pool import worker_pool
 
 
 @pytest.fixture(autouse=True)
@@ -98,14 +97,9 @@ BLOCKED_ITERATIONS = 20
 
 PROCESS = {"REPRO_POINT_WORKERS": "4"}
 
-#: substrate -> (flags, "this substrate ran" predicate).  The
-#: ``process-per-chunk`` leg replays through the ``per_chunk_replay``
-#: fixture.
+#: substrate -> (flags, "this substrate ran" predicate).
 SUBSTRATES = {
     "inline": ({"REPRO_POINT_WORKERS": "1"}, lambda p: p.point_launches == 0),
-    "process-per-chunk": (
-        PROCESS, lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
-    ),
     "process-resident": (
         PROCESS, lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
     ),
@@ -158,10 +152,8 @@ def _reference(monkeypatch, app_name, kwargs, iterations):
 @pytest.mark.parametrize("substrate", list(SUBSTRATES))
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
-    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch, request
+    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch
 ):
-    if substrate == "process-per-chunk":
-        request.getfixturevalue("per_chunk_replay")
     _check_equivalence(
         kind, substrate, *SUBSTRATES[substrate], workers, kernel_backend, monkeypatch
     )
@@ -173,9 +165,9 @@ def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
 def test_every_work_kind_on_the_inline_rung_matches_the_eager_interpreter(
     kind, workers, kernel_backend, monkeypatch, force_dispatch
 ):
-    """The ladder's bottom rung: ``REPRO_POINT_WORKERS=4`` with every
-    field on the private heap, so the process rungs decline each
-    multi-chunk launch and its chunks run inline in rank order."""
+    """Chunked inline replay: ``REPRO_POINT_WORKERS=4`` with every field
+    on the private heap, so the resident plan declines every multi-chunk
+    step and its chunks run inline in rank order."""
     monkeypatch.setattr(region.RegionManager, "_field_arena", lambda self: None)
     _check_equivalence(
         kind, "inline-rung", PROCESS,
@@ -223,7 +215,7 @@ def _check_equivalence(
         assert profiler.multi_block_calls > 0
     if kind == "opaque-per-rank" and substrate != "inline":
         # Per-rank operators have nothing a worker could resolve: the
-        # process rungs decline them by name and their chunks run inline.
+        # resident plan declines them by name and their chunks run inline.
         assert profiler.declines["unshippable_operator"] > 0
         assert profiler.opaque_process_chunks == 0
     else:
@@ -231,12 +223,12 @@ def _check_equivalence(
 
 
 # ----------------------------------------------------------------------
-# Every declined rung says why.
+# Every step that stays in the parent says why.
 # ----------------------------------------------------------------------
 def _context(monkeypatch, point_workers="4"):
     monkeypatch.setenv("REPRO_POINT_WORKERS", point_workers)
     monkeypatch.setenv("REPRO_WORKERS", "1")
-    monkeypatch.setenv("REPRO_TRACE", "0")
+    monkeypatch.setenv("REPRO_TRACE", "1")
     monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
     config.reload_flags()
     return RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
@@ -270,127 +262,120 @@ def _gemv_launch(context, scalars=()):
     return task, expected, regions.field(out)
 
 
-class TestDeclineReasons:
-    def test_below_volume(self, monkeypatch):
-        context = _context(monkeypatch)
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context)
-        # 16*8 + 4*8 + 16 elements: far below MIN_POINT_DISPATCH_VOLUME.
-        executor.execute_opaque(task, default_opaque_registry().get("gemv"))
-        assert np.array_equal(out.data, expected)
-        assert executor.profiler.declines["below_volume"] == 1
-        assert executor.profiler.point_launches == 0
+def _gemv_step(context, scalars=(), impl=None):
+    """The GEMV launch prepared as the plan scheduler prepares a replayed
+    step: ``(executor, work, chunk plan, expected result, output field)``."""
+    executor = context.legion.executor
+    task, expected, out = _gemv_launch(context, scalars)
+    work = executor.opaque_work(
+        impl or default_opaque_registry().get("gemv"),
+        executor._rows(task, enumerate(task.args)),
+        task.launch_domain.volume, task.scalar_args, lambda: task,
+    )
+    chunks = executor.point_chunk_plan(work.num_points, work.rows)
+    return executor, work, chunks, expected, out
 
-    def test_nothing_declines_on_a_plan_pool_thread(self, monkeypatch, force_dispatch):
-        """A launch run by a plan-pool thread ships its chunks exactly as
-        one run by the scheduling thread: no rung turns it away."""
-        context = _context(monkeypatch)
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context)
-        impl = default_opaque_registry().get("gemv")
-        worker_pool().submit(executor.execute_opaque, task, impl).result(timeout=30)
+
+def _resident_plan(executor, work, chunks):
+    """A one-step resident plan of ``work`` (its template must ship)."""
+    template = executor.resident_template(work, chunks)
+    assert template is not None
+    return procpool.ResidentPlan(
+        plan_id=procpool.next_resident_plan_id(),
+        generation=procpool.resident_generation(),
+        steps={0: template},
+    )
+
+
+class TestDeclineReasons:
+    """Each reason a replayed step stays in the parent, on a constructed
+    4-rank GEMV step: the reason is recorded once, and the step's chunks
+    then run inline in this process with the right answer."""
+
+    @staticmethod
+    def _runs_inline(executor, work, chunks, expected, out):
+        out.data[...] = 0.0
+        executor.launch(work, chunks, 4)
         assert np.array_equal(out.data, expected)
-        assert sum(executor.profiler.declines.values()) == 0
-        assert executor.profiler.point_launches == 1
-        assert executor.profiler.opaque_process_chunks == 4
+        assert executor.profiler.point_launches == 0
+        assert executor.profiler.opaque_chunk_calls == len(chunks)
+        assert executor.profiler.opaque_process_chunks == 0
+
+    def test_below_volume(self, monkeypatch):
+        executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
+        # 16*8 + 4*8 + 16 elements: far below MIN_POINT_DISPATCH_VOLUME.
+        assert chunks == [(0, 4)]
+        assert executor.profiler.declines["below_volume"] == 1
+        self._runs_inline(executor, work, chunks, expected, out)
 
     def test_field_without_shm_descriptor(self, monkeypatch, force_dispatch):
         context = _context(monkeypatch, point_workers="1")
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context)  # private-heap fields
+        executor, work, _chunks, expected, out = _gemv_step(context)  # private heap
         monkeypatch.setenv("REPRO_POINT_WORKERS", "4")
         config.reload_flags()
-        executor.execute_opaque(task, default_opaque_registry().get("gemv"))
-        assert np.array_equal(out.data, expected)
+        chunks = executor.point_chunk_plan(work.num_points, work.rows)
+        assert len(chunks) == 4
+        assert executor.resident_template(work, chunks) is None
         assert executor.profiler.declines["no_shm_descriptor"] == 1
-        assert executor.profiler.opaque_chunk_calls == 4
-        assert executor.profiler.point_process_chunks == 0
+        self._runs_inline(executor, work, chunks, expected, out)
 
     def test_operator_not_resolvable_by_name(self, monkeypatch, force_dispatch):
-        context = _context(monkeypatch)
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context)
         registered = default_opaque_registry().get("gemv")
         hand_built = OpaqueTaskImpl(
             name="gemv", execute=registered.execute,
             cost_seconds=registered.cost_seconds, chunk=registered.chunk, module=None,
         )
-        executor.execute_opaque(task, hand_built)
-        assert np.array_equal(out.data, expected)
+        executor, work, chunks, expected, out = _gemv_step(
+            _context(monkeypatch), impl=hand_built
+        )
+        assert executor.resident_template(work, chunks) is None
         assert executor.profiler.declines["unshippable_operator"] == 1
-        assert executor.profiler.opaque_chunk_calls == 4
-        assert executor.profiler.opaque_process_chunks == 0
-
-    def _resident_work(self, context, scalars=()):
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context, scalars)
-        work = executor.opaque_work(
-            default_opaque_registry().get("gemv"),
-            executor._rows(task, enumerate(task.args)),
-            task.launch_domain.volume, task.scalar_args, lambda: task,
-        )
-        chunks = executor.point_chunk_plan(work.num_points, work.rows)
-        assert len(chunks) == 4
-        template = executor.resident_template(work, chunks)
-        assert template is not None
-        plan = procpool.ResidentPlan(
-            plan_id=procpool.next_resident_plan_id(),
-            generation=procpool.resident_generation(),
-            steps={0: template},
-        )
-        return executor, plan, work, chunks, expected, out
+        self._runs_inline(executor, work, chunks, expected, out)
 
     def test_chunk_plan_differs_from_the_resident_template(
         self, monkeypatch, force_dispatch
     ):
-        context = _context(monkeypatch)
-        executor, plan, work, chunks, expected, out = self._resident_work(context)
+        executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
+        plan = _resident_plan(executor, work, chunks)
         # The baked plan rides a (one-entry) resident level frame ...
         entry = executor.resident_entry(plan, 0, work, chunks)
         results = executor.run_resident_level(plan, 0, [entry], lambda: None)
         assert len(results) == len(chunks)
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["template_mismatch"] == 0
-        # ... any other plan declines its entry and ships per chunk instead.
-        out.data[...] = 0.0
+        # ... any other plan declines its entry and runs inline instead.
         other = [(0, 1), (1, 4)]
         assert executor.resident_entry(plan, 0, work, other) is None
         assert executor.profiler.declines["template_mismatch"] == 1
-        _results, backend = executor.run_chunks(work, other, 4)
-        assert backend == "process"
-        assert np.array_equal(out.data, expected)
+        self._runs_inline(executor, work, other, expected, out)
 
     def test_non_numeric_scalars(self, monkeypatch, force_dispatch):
-        context = _context(monkeypatch)
-        executor, plan, work, chunks, expected, out = self._resident_work(
-            context, scalars=("not-a-number",)
+        executor, work, chunks, expected, out = _gemv_step(
+            _context(monkeypatch), scalars=("not-a-number",)
         )
+        plan = _resident_plan(executor, work, chunks)
         assert executor.resident_entry(plan, 0, work, chunks) is None
         assert executor.profiler.declines["non_numeric_scalars"] == 1
-        _results, backend = executor.run_chunks(work, chunks, 4)
-        assert backend == "process"  # the per-chunk protocol pickles anything
-        assert np.array_equal(out.data, expected)
+        self._runs_inline(executor, work, chunks, expected, out)
 
     def test_lost_worker(self, monkeypatch, force_dispatch):
-        """A worker that takes the request and never answers (a worker
-        that died *before* the dispatch just gets a fresh pool built)."""
+        """Workers that take the frame and never answer (a pool seen dead
+        *before* the send just gets rebuilt by ``process_pool()``)."""
         monkeypatch.setattr(procpool, "REPLY_DEADLINE_SECONDS", 0.3)
-        context = _context(monkeypatch)
-        executor = context.legion.executor
-        task, expected, out = _gemv_launch(context)
+        executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
+        plan = _resident_plan(executor, work, chunks)
         pool = procpool.process_pool()
         children = list(pool._processes)
         for child in children:
             os.kill(child.pid, signal.SIGSTOP)
-        executor.execute_opaque(task, default_opaque_registry().get("gemv"))
-        assert np.array_equal(out.data, expected)
+        entry = executor.resident_entry(plan, 0, work, chunks)
+        assert executor.run_resident_level(plan, 0, [entry], lambda: None) is None
         assert executor.profiler.declines["worker_lost"] == 1
-        assert executor.profiler.opaque_chunk_calls == 4
-        assert executor.profiler.point_process_chunks == 0
         assert pool.closed
         for child in children:
             child.join(timeout=5.0)
             assert not child.is_alive()
+        self._runs_inline(executor, work, chunks, expected, out)
 
     def test_snapshot_has_one_flat_key_per_reason(self):
         from repro.runtime.profiler import DECLINE_REASONS, Profiler
@@ -402,62 +387,76 @@ class TestDeclineReasons:
 
 
 # ----------------------------------------------------------------------
-# Declined chunks run inline, in rank order, on the launch's own thread.
+# Declined and lost steps run inline, in rank order, on the scheduling
+# thread.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("replay", ["resident", "per-chunk"])
-@pytest.mark.parametrize("reason", ["no_shm_descriptor", "worker_lost"])
-def test_declined_chunks_run_inline_on_the_calling_thread(
-    reason, replay, monkeypatch, force_dispatch, request
-):
-    """A chunked launch whose process rungs decline runs its chunks on
-    the thread that runs the launch — the scheduling thread, or a
-    plan-pool thread of a wide level (per-chunk replay dispatches both
-    of two-matvec's mat-vecs there) — one after another in rank order,
-    and submits nothing to a thread pool.  ``no_shm_descriptor``: the
-    matrices are allocated while ``REPRO_POINT_WORKERS`` is 1.
-    ``worker_lost``: every round trip finds the pool broken."""
-    kwargs = dict(rows_per_gpu=16)
-    ctx_ref, state_ref, checksum_ref = _run(monkeypatch, "two-matvec", kwargs, {})
-    if replay == "per-chunk":
-        request.getfixturevalue("per_chunk_replay")
-    if reason == "worker_lost":
+def _record_inline_launches(monkeypatch):
+    """Record every chunked launch that runs in this process.
 
-        def lost(*args):
-            raise procpool.ProcessPoolBrokenError("worker lost")
-
-        for name in ("run_chunks", "run_opaque_chunks", "run_resident_chunks"):
-            monkeypatch.setattr(procpool.ProcessWorkerPool, name, lost)
-
+    Returns ``(inline, submitted)``: per such launch, the thread that ran
+    it, its chunk plan and the ``(thread ident, start, stop)`` of every
+    chunk it ran; and whatever those launches submitted to a thread pool.
+    """
     local = threading.local()
-    submitted = []
+    inline, submitted = [], []
     submit = ThreadPoolExecutor.submit
 
     def counted_submit(self, fn, *args, **kwargs):
-        if getattr(local, "in_run_chunks", False):
+        if getattr(local, "in_launch", False):
             submitted.append(fn)
         return submit(self, fn, *args, **kwargs)
 
-    declined = []
-    run_chunks = TaskExecutor.run_chunks
+    launch = TaskExecutor.launch
 
-    def recorded_run_chunks(self, work, chunks, width):
+    def recorded_launch(self, work, chunks, width, shipped=None):
+        if shipped is not None or len(chunks) < 2:
+            return launch(self, work, chunks, width, shipped)
         ran, run = [], work.run
 
         def recorded(start, stop):
             ran.append((threading.get_ident(), start, stop))
             return run(start, stop)
 
-        work.run, local.in_run_chunks = recorded, True
+        work.run, local.in_launch = recorded, True
         try:
-            results, substrate = run_chunks(self, work, chunks, width)
+            return launch(self, work, chunks, width, shipped)
         finally:
-            work.run, local.in_run_chunks = run, False
-        if len(chunks) > 1 and substrate != "process":
-            declined.append((threading.current_thread(), list(chunks), ran))
-        return results, substrate
+            work.run, local.in_launch = run, False
+            inline.append((threading.current_thread(), list(chunks), ran))
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
-    monkeypatch.setattr(TaskExecutor, "run_chunks", recorded_run_chunks)
+    monkeypatch.setattr(TaskExecutor, "launch", recorded_launch)
+    return inline, submitted
+
+
+@pytest.mark.parametrize("reason", ["no_shm_descriptor", "worker_lost"])
+def test_declined_chunks_run_inline_on_the_calling_thread(
+    reason, monkeypatch, force_dispatch
+):
+    """A chunked replayed step the resident frame declines, or whose
+    frame lost its pool, runs its chunks on the scheduling thread, one
+    after another in rank order, and submits nothing to a thread pool.
+    ``no_shm_descriptor``: the matrices are allocated while
+    ``REPRO_POINT_WORKERS`` is 1.  ``worker_lost``: the first frame finds
+    its pool broken; the next frame's ``process_pool()`` builds a fresh
+    pool, and the plan re-ships to it."""
+    kwargs = dict(rows_per_gpu=16)
+    ctx_ref, state_ref, checksum_ref = _run(monkeypatch, "two-matvec", kwargs, {})
+    lost = []
+    if reason == "worker_lost":
+        run_resident_chunks = procpool.ProcessWorkerPool.run_resident_chunks
+
+        def lose_first_frame(self, *args):
+            if not lost:
+                lost.append(self)
+                self.shutdown()
+                raise procpool.ProcessPoolBrokenError("worker lost")
+            return run_resident_chunks(self, *args)
+
+        monkeypatch.setattr(
+            procpool.ProcessWorkerPool, "run_resident_chunks", lose_first_frame
+        )
+    inline, submitted = _record_inline_launches(monkeypatch)
     for name, value in {"REPRO_TRACE": "1", "REPRO_WORKERS": "4",
                         "REPRO_KERNEL_BACKEND": "codegen", "REPRO_HOTPATH_CACHE": "1",
                         **PROCESS}.items():
@@ -483,12 +482,17 @@ def test_declined_chunks_run_inline_on_the_calling_thread(
 
     profiler = context.profiler
     assert profiler.declines[reason] > 0
-    assert declined
+    assert inline
     assert submitted == []
-    for thread, chunks, ran in declined:
+    for thread, chunks, ran in inline:
+        assert thread is threading.current_thread()
         assert ran == [(thread.ident, start, stop) for start, stop in chunks]
-    on_pool = any(thread.name.startswith("repro-worker") for thread, _c, _r in declined)
-    assert on_pool == (replay == "per-chunk")
+    if reason == "worker_lost":
+        assert profiler.declines["worker_lost"] == 1
+        fresh = procpool.process_pool()
+        assert lost[0].closed and fresh is not lost[0]
+        assert any(fresh._plans_shipped)
+        assert profiler.point_process_chunks > 0
     assert checksum == checksum_ref
     for name in state_ref:
         assert np.array_equal(state[name], state_ref[name]), name
@@ -511,11 +515,11 @@ def test_hung_worker_degrades_to_the_next_rung(
     app_name, kwargs, shipped_per_level, monkeypatch, force_dispatch, shm_entries
 ):
     """``SIGSTOP`` a worker mid-run: the reply deadline passes, the pool
-    is torn down (stopped worker included), the launch degrades to the
-    next rung bit-identically, and the next run builds a fresh pool.  A
-    lost level frame is *one* ``worker_lost``, however many steps it
-    carried; each of them re-runs down the ladder and the plan re-ships
-    to the fresh workers."""
+    is torn down (stopped worker included), the lost level's steps run
+    inline on the scheduling thread bit-identically, and the next frame
+    builds a fresh pool.  A lost level frame is *one* ``worker_lost``,
+    however many steps it carried; each of them runs inline once, and
+    the plan re-ships to the fresh workers."""
     ctx_inline, state_inline, checksum_inline = _run(
         monkeypatch, app_name, kwargs, {"REPRO_WORKERS": "4"}
     )
@@ -534,20 +538,17 @@ def test_hung_worker_degrades_to_the_next_rung(
         children = list(pool._processes)
         profiler = context.profiler
         assert profiler.point_process_chunks > 0
-        per_chunk = []
-        run_opaque_chunks = procpool.ProcessWorkerPool.run_opaque_chunks
-
-        def counted(self, requests):
-            per_chunk.append(requests[0].op)
-            return run_opaque_chunks(self, requests)
-
-        monkeypatch.setattr(procpool.ProcessWorkerPool, "run_opaque_chunks", counted)
+        inline, submitted = _record_inline_launches(monkeypatch)
         os.kill(children[0].pid, signal.SIGSTOP)
         app.run(1)
+        assert inline and submitted == []
+        for thread, chunks, ran in inline:
+            assert thread is threading.current_thread()
+            assert ran == [(thread.ident, start, stop) for start, stop in chunks]
         if shipped_per_level is not None:
-            # Each of the frame's steps re-ran on the per-chunk rung.
+            # Each of the frame's steps ran inline, once.
             assert profiler.declines["worker_lost"] == 1
-            assert len(per_chunk) == len(set(per_chunk)) == shipped_per_level
+            assert len(inline) == shipped_per_level
         app.run(ITERATIONS - 4)
         checksum = app.checksum()
         state = {

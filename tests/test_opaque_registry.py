@@ -8,8 +8,8 @@ differential kernel backend on apps covering every registered chunk
 implementation (GEMV, SpMV, the multigrid transfers).  Alongside the
 hammer, this file unit-tests the registry/resolve API, the bounded
 opaque-binding LRU, the shippability guards (hand-built and
-chunk-less operators fall back without crossing the pipe), the worker
-pool's unknown-operator error path and the dead-worker degrade.
+chunk-less operators fall back without crossing the pipe), the level
+frame's unknown-operator error path and the dead-worker degrade.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ class TestBindingMemoLRU:
 # ----------------------------------------------------------------------
 # The worker pool's unknown-operator error path.
 # ----------------------------------------------------------------------
-class TestOpaqueChunkProtocol:
+class TestOpaqueFrameProtocol:
     def test_unknown_operator_raises_and_pool_survives(self, monkeypatch):
+        """A resident step naming an operator no worker registry holds."""
         import repro.runtime.procpool as procpool
 
         monkeypatch.setenv("REPRO_WORKERS", "1")
@@ -163,22 +164,25 @@ class TestOpaqueChunkProtocol:
         config.reload_flags()
         pool = procpool.ProcessWorkerPool(1)
         try:
-            request = procpool.OpaqueChunkRequest(
-                op="not-a-registered-operator",
-                module=None,
-                scalars=(),
-                buffers=(),
-                start=0,
-                stop=0,
-                machine=None,
+            step = procpool.OpaqueResidentStep(
+                "not-a-registered-operator", None, None, (), ((0, 1),)
             )
+            plan = procpool.ResidentPlan(
+                plan_id=procpool.next_resident_plan_id(),
+                generation=procpool.resident_generation(),
+                steps={0: step},
+            )
+            entries = [(0, (), (), step.chunks)]
             # The worker's error is re-raised type-preserving in the
-            # parent, with the worker traceback appended.
+            # parent, with the worker traceback appended ...
+            with pytest.raises(KeyError, match="not-a-registered-operator") as raised:
+                pool.run_resident_chunks(plan, entries)
+            assert "worker traceback" in str(raised.value)
+            # ... and the pipe stayed in step: the worker answers the
+            # next frame.
             with pytest.raises(KeyError, match="not-a-registered-operator"):
-                pool.run_opaque_chunks([request])
-            # The pipe protocol stayed in sync: the worker still answers.
-            with pytest.raises(KeyError, match="not-a-registered-operator"):
-                pool.run_opaque_chunks([request])
+                pool.run_resident_chunks(plan, entries)
+            assert not pool.closed
         finally:
             pool.shutdown()
 

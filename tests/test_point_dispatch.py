@@ -1,8 +1,8 @@
 """Intra-launch point dispatch (``REPRO_POINT_WORKERS``).
 
 The flag, the rank-chunk plan, parity at an odd dispatch width, point
-chunks beside the steps of a wide plan level, the eager chunked path
-against the serial one, and the profiler counters, with both dispatch
+chunks beside the steps of a wide plan level, eager launches staying in
+the parent at any point width, and the profiler counters, with both dispatch
 thresholds forced to zero so the worker processes (and the chunk join
 machinery behind them) are exercised on tiny problems.
 ``REPRO_POINT_WORKERS=1`` is the serial per-rank launch loop; the
@@ -321,8 +321,18 @@ class TestSerialRegression:
         executor = TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))
         assert executor.point_chunk_plan(8, ()) == [(0, 8)]
 
-    def test_point_serial_matches_multichunk_eagerly(self, monkeypatch):
-        """Eager path (trace off): chunked == serial, bit for bit."""
+    def test_eager_launches_run_in_the_parent_at_any_point_width(self, monkeypatch):
+        """``REPRO_TRACE=0``: point width 4 is point width 1, bit for bit.
+
+        Worker processes serve replayed plan steps only, so every eager
+        launch runs as one chunk in the parent: no worker process is
+        spawned, nothing crosses a pipe and no point dispatch is
+        recorded.
+        """
+        import multiprocessing
+
+        from repro.runtime import procpool
+
         def run(point_workers):
             monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
             monkeypatch.setenv("REPRO_WORKERS", "1")
@@ -344,19 +354,24 @@ class TestSerialRegression:
                     for name, value in vars(app).items()
                     if isinstance(value, cn_ndarray)
                 }
-                sim = context.legion.simulated_seconds
             finally:
                 set_context(None)
-            return context, state, checksum, sim
+            return context, state, checksum
 
-        ctx1, state1, checksum1, sim1 = run(1)
-        ctx4, state4, checksum4, sim4 = run(4)
-        assert ctx1.profiler.point_launches == 0
-        assert ctx4.profiler.point_launches > 0
+        shutdown_process_pool()
+        ctx1, state1, checksum1 = run(1)
+        ctx4, state4, checksum4 = run(4)
+        assert procpool._POOL is None
+        assert multiprocessing.active_children() == []
+        profiler = ctx4.profiler
+        assert profiler.wire_requests == 0
+        assert profiler.point_launches == profiler.point_process_chunks == 0
         assert checksum4 == checksum1
-        assert sim4 == sim1
+        assert profiler.iteration_seconds() == ctx1.profiler.iteration_seconds()
+        assert ctx4.legion.simulated_seconds == ctx1.legion.simulated_seconds
         for name in state1:
             assert np.array_equal(state4[name], state1[name]), name
+        ctx4.legion.regions.close_arena()
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ fields that predate the flag flip.
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ from repro.apps.base import build_application
 from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
+from repro.runtime import procpool
+from repro.runtime.opaque import (
+    OpaqueTaskRegistry,
+    default_opaque_registry,
+    register_opaque_task,
+)
 from repro.runtime.procpool import shutdown_process_pool
 from repro.runtime.shm import SharedArena, attach_view
 
@@ -228,8 +235,6 @@ class TestReloadInvalidation:
         assert worker_pool() is pool
 
     def test_process_pool_retired_when_point_dispatch_stops(self, monkeypatch):
-        import repro.runtime.procpool as procpool
-
         monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         config.reload_flags()
@@ -249,60 +254,94 @@ class TestReloadInvalidation:
 # ----------------------------------------------------------------------
 # The worker-pool protocol.
 # ----------------------------------------------------------------------
+def _fill_execute(task, point, buffers):
+    return None
+
+
+def _fill_cost(task, point, buffers, machine):
+    return 0.0
+
+
+def _fill_chunk(bases, rects, scalars):
+    """Chunk impl of the ``test-fill`` probe: fill the chunk's rects."""
+    for lo, hi in rects[0]:
+        bases[0][lo[0]:hi[0]] = scalars[0]
+
+
+def _fill_chunk_cost(bases, rects, scalars, machine):
+    return [0.0] * len(rects[0])
+
+
+def _frame(template, values, descriptors):
+    """``(plan, entries)`` of a one-step plan and its level frame."""
+    plan = procpool.ResidentPlan(
+        plan_id=procpool.next_resident_plan_id(),
+        generation=procpool.resident_generation(),
+        steps={0: template},
+    )
+    return plan, [(0, values, descriptors, template.chunks)]
+
+
 class TestProcessPoolProtocol:
-    def test_unknown_kernel_without_spec_raises_and_pool_survives(self, monkeypatch):
-        import repro.runtime.procpool as procpool
+    """The level frame, the one work message a worker accepts, on its
+    error paths."""
 
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
-        config.reload_flags()
+    def test_step_whose_spec_fails_to_lower_raises_and_pool_answers_next_frame(
+        self, monkeypatch
+    ):
+        fill = register_opaque_task(
+            "test-fill", _fill_execute, _fill_cost, registry=OpaqueTaskRegistry(),
+            chunk_execute=_fill_chunk, chunk_cost_seconds=_fill_chunk_cost,
+        )
+        # Forked workers inherit the registry: register before the pool.
+        monkeypatch.setitem(default_opaque_registry()._impls, fill.name, fill)
         pool = procpool.ProcessWorkerPool(1)
+        arena = SharedArena(segment_bytes=4096)
         try:
-            request = procpool.ChunkRequest(
-                kernel_id=999999,
-                spec=None,
-                scalars={},
-                buffers=(),
-                start=0,
-                stop=0,
+            array, descriptor = arena.allocate((4,), np.float64)
+            broken = procpool.ResidentStep(
+                procpool.kernel_spec_id(SimpleNamespace()),
+                procpool.KernelSpec(None, None, "no-such-backend"),
+                (), (), False, None, ((0, 1),),
             )
-            # Bypass run_chunks' spec fill-in to exercise the worker's
-            # error path: it must reply, not die.
-            pool._shipped[0].add(999999)
-            with pytest.raises(RuntimeError, match="no executor"):
-                pool.run_chunks(999999, None, [request])
-            assert 999999 not in pool._shipped[0]
-            # The pipe protocol stayed in sync: the worker still answers.
-            pool._shipped[0].add(999999)
-            with pytest.raises(RuntimeError, match="no executor"):
-                pool.run_chunks(999999, None, [request])
+            for _attempt in range(2):
+                # Re-raised type-preserving, with the worker traceback.
+                with pytest.raises(ValueError, match="no-such-backend") as raised:
+                    pool.run_resident_chunks(*_frame(broken, (), ()))
+                assert "worker traceback" in str(raised.value)
+            assert not pool.closed
+            # The same worker runs the next frame: the pipe stayed in step.
+            step = procpool.OpaqueResidentStep(
+                fill.name, fill.module, None,
+                ((0, False, descriptor, None, [((0,), (2,)), ((2,), (4,))]),),
+                ((0, 2),),
+            )
+            results = pool.run_resident_chunks(*_frame(step, (7.0,), (descriptor,)))
+            assert results == [((), [0.0, 0.0])]
+            assert np.array_equal(array, np.full(4, 7.0))
         finally:
+            del array
             pool.shutdown()
+            arena.close()
 
-    def test_dead_worker_breaks_pool_and_dispatch_falls_back(self, monkeypatch):
-        """A killed worker tears the pool down instead of wedging it.
-
-        ``run_chunks`` must surface :class:`ProcessPoolBrokenError` (not
-        a raw ``EOFError``), the pool must mark itself closed so
-        :func:`process_pool` rebuilds it, and the executor's routing
-        must degrade the launch to the inline rung.
-        """
-        import repro.runtime.procpool as procpool
-
+    def test_terminated_worker_breaks_pool_and_closed_pool_refuses_frames(self):
+        """A killed worker tears the pool down instead of wedging it: the
+        frame raises :class:`ProcessPoolBrokenError` (not a raw
+        ``EOFError``), the pool marks itself closed so
+        :func:`process_pool` rebuilds it, and the closed pool refuses
+        the next frame at once."""
         pool = procpool.ProcessWorkerPool(1)
         try:
             pool._processes[0].terminate()
             pool._processes[0].join(timeout=5.0)
-            request = procpool.ChunkRequest(
-                kernel_id=1, spec=None, scalars={}, buffers=(), start=0, stop=0
+            step = procpool.OpaqueResidentStep(
+                "not-a-registered-operator", None, None, (), ((0, 1),)
             )
-            pool._shipped[0].add(1)
             with pytest.raises(procpool.ProcessPoolBrokenError):
-                pool.run_chunks(1, None, [request])
+                pool.run_resident_chunks(*_frame(step, (), ()))
             assert pool.closed
-            # A closed pool refuses further work immediately.
-            with pytest.raises(procpool.ProcessPoolBrokenError):
-                pool.run_chunks(1, None, [request])
+            with pytest.raises(procpool.ProcessPoolBrokenError, match="closed"):
+                pool.run_resident_chunks(*_frame(step, (), ()))
         finally:
             pool.shutdown()
 
@@ -396,12 +435,12 @@ class TestProcessParity:
 
         Region fields allocated while ``REPRO_POINT_WORKERS`` is 1 carry
         no shared-memory descriptor; raising it mid-run must run the
-        chunks of launches touching them inline (bit-for-bit as before)
-        rather than failing to ship them.
+        chunks of replayed steps touching them inline (bit-for-bit as
+        before) rather than failing to ship them.
         """
         monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        monkeypatch.setenv("REPRO_TRACE", "0")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
         config.reload_flags()
         context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))

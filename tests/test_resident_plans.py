@@ -8,9 +8,9 @@ kernel backend with the dispatch thresholds forced to zero.  Alongside
 the hammer, this file covers the staleness story (descriptor swaps
 through ``RegionManager.attach``/``release`` and
 ``config.reload_flags()`` retire resident plans) and the broken-pool
-degrade path (a killed worker falls back to the per-chunk protocol,
-then re-ships the plan to the fresh pool), plus the wire-traffic
-counters the residency exists to shrink.
+degrade path (a killed worker's level runs inline, then the plan
+re-ships to the fresh pool), plus the wire-traffic counter the
+residency exists to shrink.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ import pytest
 
 from repro import config
 from repro.apps.base import build_application
-from repro.experiments.harness import (
-    ExperimentScale,
-    run_application_experiment,
-    scaled_machine,
-)
+from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.runtime import procpool
@@ -196,35 +192,38 @@ class TestResidentParity:
                     assert ctx.profiler.wire_requests > 0, label
         shutdown_process_pool()
 
-    def test_resident_shrinks_steady_state_wire_bytes(self, monkeypatch, request):
-        """The counters the residency exists to move.
+    def test_resident_shrinks_steady_state_wire_bytes(self, monkeypatch):
+        """The counter the residency exists to move.
 
-        Same replay, same ranks: shipping the plan once and referencing
-        it by id must put fewer bytes on the worker pipes than
-        re-sending every chunk's geometry and descriptors each epoch
-        (the per-chunk protocol, ``per_chunk_replay``).  The counters
-        are deterministic (sizes of actual pickled payloads), so this
+        The first replay ships the plan and every descriptor whole; once
+        the per-worker descriptor interning has converged, an epoch costs
+        the same few bytes every time, below the first replay's.  The
+        counters are deterministic (sizes of actual payloads), so this
         holds on any host.
         """
-        scale = ExperimentScale({"grid_points_per_gpu": 12}, 1e-4, 6, 6)
         # The seed-path CI leg (REPRO_HOTPATH_CACHE=0) moves the byte counts.
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
-        runs = {}
-        for resident in ("1", "0"):
-            if resident == "0":
-                request.getfixturevalue("per_chunk_replay")
-            _set_flags(4, 1, monkeypatch, "0")
-            runs[resident] = run_application_experiment("cg", num_gpus=4, scale=scale)
-            shutdown_process_pool()
-        chunked, resident = runs["0"].counters, runs["1"].counters
-        assert resident["wire_bytes"] > 0
-        assert resident["wire_bytes"] < chunked["wire_bytes"]
-        assert resident["wire_bytes_per_epoch"] < chunked["wire_bytes_per_epoch"]
-        # What one more epoch costs once the plan is resident and the
-        # descriptor interning has converged (warm-up excluded): 3305 vs
-        # 466 bytes at this size, and it repeats exactly.
-        steady = {key: run.steady_per_epoch("wire_bytes") for key, run in runs.items()}
-        assert steady["0"] >= 7.0 * steady["1"] > 0, steady
+        _set_flags(4, 1, monkeypatch, "0")
+        context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+        set_context(context)
+        profiler = context.profiler
+        replayed = []
+        try:
+            app = build_application("cg", context=context, grid_points_per_gpu=12)
+            for _ in range(12):
+                hits, sent = profiler.trace_hits, profiler.wire_bytes
+                app.run(1)
+                if profiler.trace_hits > hits:
+                    replayed.append(
+                        (profiler.wire_bytes - sent) / (profiler.trace_hits - hits)
+                    )
+        finally:
+            set_context(None)
+        shutdown_process_pool()
+        steady = replayed[-4:]
+        assert len(replayed) > len(steady)
+        assert len(set(steady)) == 1, replayed
+        assert 0 < steady[0] < replayed[0], replayed
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +274,7 @@ class TestResidentRecovery:
         [
             ("cg", dict(grid_points_per_gpu=12)),
             # Width-3 levels: the frame that meets the dead pool carries
-            # three steps, each of which must re-run on the next rung.
+            # three steps, each of which must re-run inline.
             ("torchswe-manual", dict(points_per_gpu=16)),
         ],
         ids=["cg", "torchswe-manual"],
@@ -285,7 +284,7 @@ class TestResidentRecovery:
 
         The level frame that hits the broken pipe is one ``worker_lost``
         (none when the pool was seen dead before the send), its steps
-        degrade down the ladder, the pool singleton is rebuilt, and the
+        run inline, the pool singleton is rebuilt, and the
         plan re-ships to the fresh workers — with buffers and
         per-iteration simulated seconds still bit-identical to inline
         replay.

@@ -384,19 +384,13 @@ class TestRankedSectionsRunOnce:
         assert snapshot["superkernel_sections_stacked"] == 0
         assert snapshot["ranked_uninterned_table"] == snapshot["superkernel_sections_ranked"] > 0
 
-    @pytest.mark.parametrize(
-        "substrate,resident", [("inline", "1"), ("process", "0"), ("process", "1")]
-    )
-    def test_stacked_unit_runs_chunked(
-        self, substrate, resident, monkeypatch, shm_entries, request
-    ):
+    @pytest.mark.parametrize("substrate", ["inline", "process"])
+    def test_stacked_unit_runs_chunked(self, substrate, monkeypatch, shm_entries):
         """``REPRO_POINT_WORKERS=4``: each chunk is one merged span, the
         per-rank partials of the chunks concatenate in rank order — in the
         worker processes, or inline when every field is on the private
-        heap and the process rungs decline."""
+        heap and the resident plan declines every step."""
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
-        if resident == "0":
-            request.getfixturevalue("per_chunk_replay")
         if substrate == "inline":
             monkeypatch.setattr(RegionManager, "_field_arena", lambda self: None)
         kwargs = dict(kernel_backend="codegen", num_gpus=64, grid_points_per_gpu=4)

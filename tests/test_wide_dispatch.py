@@ -11,10 +11,10 @@ the manually fused TorchSWE variant is the wide anchor — its three
 independent update operators form width-3 dependence levels.
 
 Alongside the hammer: launches run by plan-pool threads (they chunk as
-the scheduling thread does, and run declined chunks on their own
-thread), the kill-a-worker-mid-run degradation test (a torn pool must
-degrade wide levels down the ladder without changing a single bit) and
-the level frames of resident replay.
+the scheduling thread does, and run their chunks on their own thread),
+the kill-a-worker-mid-run degradation test (a torn pool must degrade
+wide levels to inline chunks without changing a single bit) and the
+level frames of resident replay.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ class TestPlanPoolLaunches:
         assert here == [(0, 2), (2, 4), (4, 6), (6, 8)]
         assert worker_pool().submit(executor.point_chunk_plan, 8, ()).result() == here
 
-    def test_pool_worker_runs_declined_chunks_inline(self, monkeypatch):
-        """Chunks the process rung declines run on the pool worker that
-        runs the launch, in rank order, with nothing submitted back to
-        its own pool."""
+    def test_pool_worker_runs_unshipped_chunks_inline(self, monkeypatch):
+        """A chunked launch a plan-pool thread runs (a plan with nothing
+        resident) runs its chunks on that thread, in rank order, with
+        nothing submitted back to its own pool."""
         import threading
 
         from repro.runtime.executor import ChunkWork
@@ -162,20 +162,17 @@ class TestPlanPoolLaunches:
 
         def run(start, stop):
             ran.append((threading.get_ident(), start, stop))
-            return (start, stop)
+            return [None] * (stop - start), [1.0] * (stop - start)
 
         chunks = [(0, 2), (2, 4), (4, 6), (6, 8)]
 
         def launch():
             # Neither a kernel nor an operator: nothing a worker could run.
-            results = executor.run_chunks(ChunkWork((), 8, run), chunks, 4)
-            return threading.get_ident(), results
+            return threading.get_ident(), executor.launch(ChunkWork((), 8, run), chunks, 4)
 
-        ident, (results, substrate) = worker_pool().submit(launch).result(timeout=30)
-        assert substrate is None
-        assert results == chunks
+        ident, (seconds, partials) = worker_pool().submit(launch).result(timeout=30)
+        assert (seconds, partials) == (2.0, {})
         assert ran == [(ident, start, stop) for start, stop in chunks]
-        assert executor.profiler.declines["unshippable_operator"] == 1
         assert executor.profiler.point_launches == 0
 
 
