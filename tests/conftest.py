@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,34 @@ def force_dispatch(monkeypatch):
 
     monkeypatch.setattr(executor_module, "MIN_POINT_DISPATCH_VOLUME", 0)
     monkeypatch.setattr(scheduler_module, "MIN_DISPATCH_VOLUME", 0)
+
+
+@pytest.fixture
+def lose_first_frame(monkeypatch):
+    """Break the worker pool under the first level frame of one test.
+
+    That frame raises ``ProcessPoolBrokenError`` after tearing its pool
+    down, so its steps run inline; later frames reach a fresh pool built
+    by ``procpool.process_pool()``.  Yields the list of lost pools (one,
+    once a frame was sent).
+    """
+    from repro.runtime import procpool
+
+    lost, lock = [], threading.Lock()
+    run_resident_chunks = procpool.ProcessWorkerPool.run_resident_chunks
+
+    def lose_first(self, *args):
+        with lock:
+            first = not lost
+            if first:
+                lost.append(self)
+        if first:
+            self.shutdown()
+            raise procpool.ProcessPoolBrokenError("worker lost")
+        return run_resident_chunks(self, *args)
+
+    monkeypatch.setattr(procpool.ProcessWorkerPool, "run_resident_chunks", lose_first)
+    return lost
 
 
 @pytest.fixture

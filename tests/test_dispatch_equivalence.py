@@ -3,7 +3,8 @@ on every substrate gives the eager interpreter's answer.
 
 The equivalence matrix is work kind (compiled per-rank, element-wise,
 super-kernel, opaque per-rank, opaque chunk) × substrate (inline,
-resident process) × ``REPRO_WORKERS`` {1, 4} × kernel backend
+resident process, resident process whose first level frame loses its
+pool) × ``REPRO_WORKERS`` {1, 4} × kernel backend
 (codegen, differential): buffers, checksum AND the simulated seconds of
 every replayed iteration must equal an eager (``REPRO_TRACE=0``)
 interpreter run bit for bit, and the kind and the substrate under test
@@ -40,6 +41,7 @@ from repro.kernel import codegen
 from repro.runtime import procpool, region
 from repro.runtime.executor import TaskExecutor
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
+from repro.runtime.pool import worker_pool
 
 
 @pytest.fixture(autouse=True)
@@ -97,11 +99,17 @@ BLOCKED_ITERATIONS = 20
 
 PROCESS = {"REPRO_POINT_WORKERS": "4"}
 
-#: substrate -> (flags, "this substrate ran" predicate).
+#: substrate -> (flags, "this substrate ran" predicate).  The
+#: ``process-lost`` leg replays through the ``lose_first_frame`` fixture:
+#: the first frame's steps run inline, the rest reach a fresh pool.
 SUBSTRATES = {
     "inline": ({"REPRO_POINT_WORKERS": "1"}, lambda p: p.point_launches == 0),
     "process-resident": (
         PROCESS, lambda p: p.point_process_chunks > 0 and p.wire_requests > 0,
+    ),
+    "process-lost": (
+        PROCESS,
+        lambda p: p.declines["worker_lost"] > 0 and p.point_process_chunks > 0,
     ),
 }
 
@@ -152,11 +160,19 @@ def _reference(monkeypatch, app_name, kwargs, iterations):
 @pytest.mark.parametrize("substrate", list(SUBSTRATES))
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_every_work_kind_on_every_substrate_matches_the_eager_interpreter(
-    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch
+    kind, substrate, workers, kernel_backend, monkeypatch, force_dispatch, request
 ):
+    lost = None
+    if substrate == "process-lost":
+        lost = request.getfixturevalue("lose_first_frame")
     _check_equivalence(
         kind, substrate, *SUBSTRATES[substrate], workers, kernel_backend, monkeypatch
     )
+    if lost:
+        # The plan re-shipped to the pool built after the lost frame.
+        fresh = procpool.process_pool()
+        assert lost[0].closed and fresh is not lost[0]
+        assert any(fresh._plans_shipped)
 
 
 @pytest.mark.parametrize("kernel_backend", ["codegen", "differential"])
@@ -308,6 +324,23 @@ class TestDeclineReasons:
         assert executor.profiler.declines["below_volume"] == 1
         self._runs_inline(executor, work, chunks, expected, out)
 
+    def test_nothing_declines_on_a_plan_pool_thread(self, monkeypatch, force_dispatch):
+        """A level frame sent from a plan-pool thread ships exactly as one
+        sent from the scheduling thread: no step is turned away."""
+        executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
+        plan = _resident_plan(executor, work, chunks)
+
+        def send():
+            entry = executor.resident_entry(plan, 0, work, chunks)
+            return executor.run_resident_level(plan, 0, [entry], lambda: None)
+
+        results = worker_pool().submit(send).result(timeout=30)
+        executor.launch(work, chunks, 4, results)
+        assert np.array_equal(out.data, expected)
+        assert sum(executor.profiler.declines.values()) == 0
+        assert executor.profiler.point_launches == 1
+        assert executor.profiler.opaque_process_chunks == 4
+
     def test_field_without_shm_descriptor(self, monkeypatch, force_dispatch):
         context = _context(monkeypatch, point_workers="1")
         executor, work, _chunks, expected, out = _gemv_step(context)  # private heap
@@ -377,6 +410,28 @@ class TestDeclineReasons:
             assert not child.is_alive()
         self._runs_inline(executor, work, chunks, expected, out)
 
+    def test_lost_pool_is_rebuilt_and_the_plan_reships(
+        self, monkeypatch, force_dispatch, lose_first_frame
+    ):
+        """The frame after a lost one reaches a fresh pool, which gets the
+        plan shipped before the frame and answers it."""
+        executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
+        plan = _resident_plan(executor, work, chunks)
+        entry = executor.resident_entry(plan, 0, work, chunks)
+        assert executor.run_resident_level(plan, 0, [entry], lambda: None) is None
+        assert executor.profiler.declines["worker_lost"] == 1
+        (lost,) = lose_first_frame
+        assert lost.closed
+        entry = executor.resident_entry(plan, 0, work, chunks)
+        results = executor.run_resident_level(plan, 0, [entry], lambda: None)
+        fresh = procpool.process_pool()
+        assert fresh is not lost and not fresh.closed
+        assert all(plan.plan_id in shipped for shipped in fresh._plans_shipped)
+        executor.launch(work, chunks, 4, results)
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.declines["worker_lost"] == 1
+        assert executor.profiler.opaque_process_chunks == 4
+
     def test_snapshot_has_one_flat_key_per_reason(self):
         from repro.runtime.profiler import DECLINE_REASONS, Profiler
 
@@ -429,33 +484,27 @@ def _record_inline_launches(monkeypatch):
     return inline, submitted
 
 
-@pytest.mark.parametrize("reason", ["no_shm_descriptor", "worker_lost"])
+@pytest.mark.parametrize(
+    "reason", ["no_shm_descriptor", "unshippable_operator", "worker_lost"]
+)
 def test_declined_chunks_run_inline_on_the_calling_thread(
-    reason, monkeypatch, force_dispatch
+    reason, monkeypatch, force_dispatch, request
 ):
     """A chunked replayed step the resident frame declines, or whose
     frame lost its pool, runs its chunks on the scheduling thread, one
     after another in rank order, and submits nothing to a thread pool.
     ``no_shm_descriptor``: the matrices are allocated while
-    ``REPRO_POINT_WORKERS`` is 1.  ``worker_lost``: the first frame finds
-    its pool broken; the next frame's ``process_pool()`` builds a fresh
-    pool, and the plan re-ships to it."""
+    ``REPRO_POINT_WORKERS`` is 1.  ``unshippable_operator``: the GEMVs
+    run per rank (chunked operators off), which no worker can resolve.
+    ``worker_lost``: the first frame finds its pool broken; the next
+    frame's ``process_pool()`` builds a fresh pool, and the plan re-ships
+    to it."""
     kwargs = dict(rows_per_gpu=16)
+    if reason == "unshippable_operator":
+        monkeypatch.setattr(config, "OPAQUE_CHUNKS", False)
     ctx_ref, state_ref, checksum_ref = _run(monkeypatch, "two-matvec", kwargs, {})
-    lost = []
     if reason == "worker_lost":
-        run_resident_chunks = procpool.ProcessWorkerPool.run_resident_chunks
-
-        def lose_first_frame(self, *args):
-            if not lost:
-                lost.append(self)
-                self.shutdown()
-                raise procpool.ProcessPoolBrokenError("worker lost")
-            return run_resident_chunks(self, *args)
-
-        monkeypatch.setattr(
-            procpool.ProcessWorkerPool, "run_resident_chunks", lose_first_frame
-        )
+        lost = request.getfixturevalue("lose_first_frame")
     inline, submitted = _record_inline_launches(monkeypatch)
     for name, value in {"REPRO_TRACE": "1", "REPRO_WORKERS": "4",
                         "REPRO_KERNEL_BACKEND": "codegen", "REPRO_HOTPATH_CACHE": "1",
@@ -493,6 +542,9 @@ def test_declined_chunks_run_inline_on_the_calling_thread(
         assert lost[0].closed and fresh is not lost[0]
         assert any(fresh._plans_shipped)
         assert profiler.point_process_chunks > 0
+    if reason == "unshippable_operator":
+        assert profiler.opaque_rank_calls > 0
+        assert profiler.opaque_process_chunks == 0
     assert checksum == checksum_ref
     for name in state_ref:
         assert np.array_equal(state[name], state_ref[name]), name

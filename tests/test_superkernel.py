@@ -384,15 +384,18 @@ class TestRankedSectionsRunOnce:
         assert snapshot["superkernel_sections_stacked"] == 0
         assert snapshot["ranked_uninterned_table"] == snapshot["superkernel_sections_ranked"] > 0
 
-    @pytest.mark.parametrize("substrate", ["inline", "process"])
-    def test_stacked_unit_runs_chunked(self, substrate, monkeypatch, shm_entries):
+    @pytest.mark.parametrize("substrate", ["inline", "process", "process-lost"])
+    def test_stacked_unit_runs_chunked(self, substrate, monkeypatch, shm_entries, request):
         """``REPRO_POINT_WORKERS=4``: each chunk is one merged span, the
         per-rank partials of the chunks concatenate in rank order — in the
-        worker processes, or inline when every field is on the private
-        heap and the resident plan declines every step."""
+        worker processes, inline when every field is on the private heap
+        and the resident plan declines every step, or both when the first
+        level frame loses its pool."""
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
         if substrate == "inline":
             monkeypatch.setattr(RegionManager, "_field_arena", lambda self: None)
+        elif substrate == "process-lost":
+            request.getfixturevalue("lose_first_frame")
         kwargs = dict(kernel_backend="codegen", num_gpus=64, grid_points_per_gpu=4)
         ctx_serial, state_serial, checksum_serial = _run_app("cg", monkeypatch, 6, **kwargs)
         shm_before = shm_entries()
@@ -408,6 +411,9 @@ class TestRankedSectionsRunOnce:
             assert snapshot["superkernel_calls"] == 4 * ctx_serial.profiler.superkernel_calls
             if substrate == "process":
                 assert snapshot["point_process_chunks"] >= snapshot["superkernel_calls"]
+            elif substrate == "process-lost":
+                assert snapshot["decline_worker_lost"] == 1
+                assert snapshot["point_process_chunks"] > 0
             else:
                 assert snapshot["decline_no_shm_descriptor"] > 0
                 assert snapshot["point_process_chunks"] == 0
