@@ -98,14 +98,17 @@ def promote(first: Privilege, second: Privilege) -> Privilege:
     return Privilege.READ_WRITE
 
 
+_UFUNCS = {
+    ReductionOp.ADD: np.add,
+    ReductionOp.MUL: np.multiply,
+    ReductionOp.MIN: np.minimum,
+    ReductionOp.MAX: np.maximum,
+}
+
+
 def numpy_ufunc_for(op: ReductionOp) -> Callable:
     """The NumPy ufunc whose ``reduce`` implements the operator."""
-    return {
-        ReductionOp.ADD: np.add,
-        ReductionOp.MUL: np.multiply,
-        ReductionOp.MIN: np.minimum,
-        ReductionOp.MAX: np.maximum,
-    }[op]
+    return _UFUNCS[op]
 
 
 def validate_reduction(privilege: Privilege, redop: Optional[ReductionOp]) -> None:

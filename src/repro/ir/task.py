@@ -142,7 +142,7 @@ def stream_scalar_pattern(tasks: Iterable["IndexTask"]) -> Tuple[int, ...]:
     could bind a deduplicated scalar parameter to the wrong value.
     """
     return scalar_group_pattern(
-        value for task in tasks for value in task.scalar_args
+        [value for task in tasks for value in task.scalar_args]
     )
 
 

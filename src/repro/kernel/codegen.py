@@ -929,10 +929,12 @@ def generate_superkernel_source(
     Each section's body comes from the same emitter as
     :func:`generate_source` and keeps its own block loops, so the fused
     function is bit-identical to running the constituent kernels back to
-    back.  Reduction partials are returned as
-    ``{prefixed target: [per-rank ReductionPartial, ...]}`` with keys in
-    section (and within a section, first-occurrence) order — the same
-    order the scheduler's per-step fold loop would observe.
+    back.  Reduction partials are returned as ``{prefixed target:
+    float64 array of per-rank partials}`` with keys in section (and
+    within a section, first-occurrence) order — the same order the
+    scheduler's per-step fold loop would observe.  A merged section's
+    row reduction already is that array; a ranked section collects its
+    per-rank floats and converts them once, after its rank loop.
     """
     names = _NameTable()
     out = _SourceWriter()
@@ -959,7 +961,8 @@ def generate_superkernel_source(
         if ranked:
             # Per-rank view lists arrive under the prefixed buffer names;
             # the section's reduction partials accumulate per rank into
-            # lists registered (in first-occurrence order) up front.
+            # lists (one per target, in first-occurrence order), handed
+            # back as float64 arrays after the rank loop.
             views = [
                 param.name
                 for param in function.buffer_params
@@ -985,7 +988,6 @@ def generate_superkernel_source(
                         partial_list_count += 1
                         reduce_lists[inner.target] = list_ident
                         out.emit(f"{list_ident} = []")
-                        out.emit(f"_partials[{prefix + inner.target!r}] = {list_ident}")
             # Reduction parameters bind to ``None`` for the whole call —
             # their results come back through ``_partials`` — so they are
             # hoisted out of the rank loop.  Every other parameter arrives
@@ -1023,23 +1025,23 @@ def generate_superkernel_source(
         ).emit()
 
         if ranked:
-            for target, (acc, kind) in partials.items():
+            for target, (acc, _kind) in partials.items():
                 list_ident = reduce_lists.get(target)
                 if list_ident is not None:
-                    out.emit(
-                        f"{list_ident}.append(ReductionPartial("
-                        f"kind=ReduceKind.{kind.name}, value={acc}))"
-                    )
+                    out.emit(f"{list_ident}.append({acc})")
             out.indent -= 1
+            for target, list_ident in reduce_lists.items():
+                out.emit(
+                    f"_partials[{prefix + target!r}] = "
+                    f"np.array({list_ident}, dtype=np.float64)"
+                )
         else:
-            # Row reductions: ``acc`` holds one value per rank.  (An enum
-            # member lookup costs as much as the constructor call.)
-            for target, (acc, kind) in partials.items():
+            # Row reductions: ``acc`` holds one value per rank.
+            for target, (acc, _kind) in partials.items():
                 if target in section.reduction_params:
-                    out.emit(f"_kind = ReduceKind.{kind.name}")
                     out.emit(
                         f"_partials[{prefix + target!r}] = "
-                        f"[ReductionPartial(_kind, _x) for _x in {acc}.tolist()]"
+                        f"np.asarray({acc}, dtype=np.float64)"
                     )
 
     out.emit("return _partials")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,10 @@ MIN_POINT_DISPATCH_VOLUME = 16384
 #: Entries the opaque-binding LRU retains (distinct launch geometries).
 OPAQUE_BINDING_MEMO_LIMIT = 1024
 
+#: One reduction key's per-rank partials, in rank order: a float64
+#: array (super-kernels) or a list of :class:`ReductionPartial`.
+Partials = Union[np.ndarray, List[ReductionPartial]]
+
 #: A prepared row: ``(key, region field, is_reduction, rect table)``.
 #: The key is the kernel's buffer name, or the argument index of an
 #: opaque launch; replayed reduction rows carry no field.
@@ -85,16 +89,17 @@ class RectTable(list):
     whether it tiles a 1-D span contiguously in rank order, the one
     volume every rank's rect has (``tile``; ``None`` when they differ or
     are empty), whether its rects cover the whole store
-    (``ir.partition.rects_cover``), and the wire form of each rank range
-    shipped to worker processes, ``(start, stop) -> (stable wire-table
-    id, rect list)`` — the id names the list in the workers' intern
-    caches so one geometry crosses a pipe once per worker.  Tables
-    rebuilt per launch (``REPRO_HOTPATH_CACHE=0``) are plain lists: they
-    never batch, never reduce by rows, never vouch for a cover and their
-    rects always travel inline.
+    (``ir.partition.rects_cover``), the NumPy slices of each merged rank
+    range a merged call binds (:func:`span_slices`), and the wire form of
+    each rank range shipped to worker processes, ``(start, stop) ->
+    (stable wire-table id, rect list)`` — the id names the list in the
+    workers' intern caches so one geometry crosses a pipe once per
+    worker.  Tables rebuilt per launch (``REPRO_HOTPATH_CACHE=0``) are
+    plain lists: they never batch, never reduce by rows, never vouch for
+    a cover and their rects always travel inline.
     """
 
-    __slots__ = ("contiguous", "tile", "covers", "wire")
+    __slots__ = ("contiguous", "tile", "covers", "spans", "wire")
 
     @classmethod
     def interned(cls, entries, store_shape) -> "RectTable":
@@ -104,8 +109,24 @@ class RectTable(list):
         volumes = {volume for _rect, volume in table}
         table.tile = (volumes.pop() or None) if len(volumes) == 1 else None
         table.covers = rects_cover((rect for rect, _volume in table), store_shape)
+        table.spans = {}
         table.wire = {}
         return table
+
+
+def span_slices(table, start: int, stop: int) -> tuple:
+    """NumPy slices of the merged 1-D span of ranks ``[start, stop)``.
+
+    Memoized per range on an interned :class:`RectTable`, so a replayed
+    merged call binds each buffer with one basic slice of its field.
+    """
+    spans = getattr(table, "spans", None)
+    span = None if spans is None else spans.get((start, stop))
+    if span is None:
+        span = merged_table_span(table, start, stop).slices()
+        if spans is not None:
+            spans[(start, stop)] = span
+    return span
 
 
 @dataclass
@@ -153,7 +174,7 @@ def compiled_ranks(
     if elementwise and stop > start:
         kernel_fn(
             {
-                key: field.view(merged_table_span(table, start, stop))
+                key: field.data[span_slices(table, start, stop)]
                 for key, field, _is_reduction, table in rows
             },
             scalars,
@@ -370,7 +391,8 @@ class TaskExecutor:
                     for row in rows
                 }
                 with telemetry.span(
-                    "opaque.chunk", f"op={impl.name} ranks=[{start}:{stop})"
+                    "opaque.chunk",
+                    f"op={impl.name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
                 ):
                     partials = chunk.execute(bases, rects, scalars)
                 return partials or (), chunk.cost_seconds(bases, rects, scalars, machine)
@@ -578,16 +600,19 @@ class TaskExecutor:
     # ------------------------------------------------------------------
     def fold(
         self, results: Sequence[ChunkResult], wanted=None
-    ) -> Tuple[float, Dict[object, List[ReductionPartial]]]:
+    ) -> Tuple[float, Dict[object, Partials]]:
         """Fold chunk results in recorded rank order.
 
         Returns the launch's kernel seconds (the maximum over GPUs of
         the per-GPU sums, ranks dealt round-robin) and its reduction
         partials per key, in rank order — bit-identical to the serial
-        per-rank loop for every chunking.  Keys outside ``wanted`` and
-        empty partial lists are dropped.
+        per-rank loop for every chunking.  A key's partials stay a
+        float64 array when a super-kernel returned them as one (chunks
+        concatenate in rank order), else a list of
+        :class:`ReductionPartial`.  Keys outside ``wanted`` and empty
+        partials are dropped.
         """
-        totals: Dict[object, List[ReductionPartial]] = {}
+        totals: Dict[object, Partials] = {}
         seconds: List[float] = []
         for partials_by_rank, seconds_by_rank in results:
             seconds.extend(seconds_by_rank)
@@ -595,11 +620,17 @@ class TaskExecutor:
                 if not partials:
                     continue
                 for key, partial in partials.items():
-                    if partial and (wanted is None or key in wanted):
-                        if type(partial) is list:
-                            totals.setdefault(key, []).extend(partial)
-                        else:
-                            totals.setdefault(key, []).append(partial)
+                    if wanted is not None and key not in wanted:
+                        continue
+                    if type(partial) is np.ndarray:
+                        if partial.size:
+                            earlier = totals.get(key)
+                            totals[key] = (
+                                partial if earlier is None
+                                else np.concatenate((earlier, partial))
+                            )
+                    elif partial:
+                        totals.setdefault(key, []).append(partial)
         num_gpus = max(1, self.machine.num_gpus)
         if len(seconds) <= num_gpus:
             # One rank per GPU (the paper's execution model): each GPU's
@@ -613,7 +644,7 @@ class TaskExecutor:
     def launch(
         self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int,
         shipped: Optional[List[ChunkResult]] = None,
-    ) -> Tuple[float, Dict[object, List[ReductionPartial]]]:
+    ) -> Tuple[float, Dict[object, Partials]]:
         """Run a prepared launch's chunks and fold them.
 
         ``shipped`` hands in the chunk results a resident level frame
@@ -677,7 +708,7 @@ class TaskExecutor:
 
     def execute_opaque_deferred(
         self, task: IndexTask, impl: OpaqueTaskImpl
-    ) -> Tuple[float, Dict[int, List[ReductionPartial]]]:
+    ) -> Tuple[float, Dict[int, Partials]]:
         """Run an opaque task but leave its reduction partials unapplied.
 
         Returns ``(kernel seconds, partials per argument index)``.
@@ -696,25 +727,25 @@ class TaskExecutor:
                 arg.store, arg.redop or ReductionOp.ADD, partials
             )
 
-    def apply_reduction_partials(self, store, redop: ReductionOp, partials) -> None:
+    def apply_reduction_partials(self, store, redop: ReductionOp, partials: Partials) -> None:
         """Fold a launch's reduction partials into a target store.
 
-        The partials are folded with one vectorised ``ufunc.reduce``
-        (the operators are associative and commutative by construction),
-        then combined with the store's current value.  Shared by the
-        eager path and plan replay (which resolves targets through
-        captured slot bindings instead of task arguments).
+        The partials — a float64 array, or a list of
+        :class:`ReductionPartial` unboxed into one — are folded with one
+        vectorised ``ufunc.reduce`` (the operators are associative and
+        commutative by construction), then combined with the store's
+        current value.  Shared by the eager path and plan replay (which
+        resolves targets through captured slot bindings instead of task
+        arguments).
         """
         field = self.regions.field(store)
         accumulator = field.read_scalar()
-        if len(partials) == 1:
-            combined = redop.combine_scalars(accumulator, partials[0].value)
-        else:
+        values = partials
+        if type(values) is not np.ndarray:
             values = np.fromiter(
                 (partial.value for partial in partials),
                 dtype=np.float64,
                 count=len(partials),
             )
-            folded = float(numpy_ufunc_for(redop).reduce(values))
-            combined = redop.combine_scalars(accumulator, folded)
-        field.write_scalar(combined)
+        folded = values[0] if len(values) == 1 else numpy_ufunc_for(redop).reduce(values)
+        field.write_scalar(redop.combine_scalars(accumulator, folded))

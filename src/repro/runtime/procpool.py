@@ -172,8 +172,8 @@ class SuperKernelSpec:
 #: One chunk's result, in a worker's reply or from an inline run:
 #: per-rank reduction partials (a dict, or ``None``) and per-rank
 #: modelled seconds (empty when the caller charges captured seconds
-#: instead).  Super-kernel chunks return one dict of per-target partial
-#: *lists*; ``TaskExecutor.fold`` takes both shapes.
+#: instead).  Super-kernel chunks return one dict of per-target float64
+#: *arrays* of per-rank partials; ``TaskExecutor.fold`` takes both shapes.
 ChunkResult = Tuple[list, Sequence[float]]
 
 
@@ -402,8 +402,10 @@ def _execute_frame(
     if plan is None:
         raise RuntimeError(f"worker holds no resident plan {plan_id}")
     results = []
+    traced = telemetry.enabled()
     for (step_index, values, _sync), fields in zip(entries, resolved):
-        with telemetry.span("worker.resident", f"plan={plan_id} step={step_index}"):
+        label = f"plan={plan_id} step={step_index}" if traced else ""
+        with telemetry.span("worker.resident", label):
             results.append(
                 _execute_resident(plan[step_index], values, fields, executors)
             )

@@ -11,12 +11,16 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    cached on it.  The read/write/reduce slot footprints recorded in
    every step induce the step-level dependence DAG (RAW, WAR and WAW
    hazards; reductions count as mutations), which is levelized: steps
-   in one level are pairwise independent.
+   in one level are pairwise independent.  The same pass decides
+   everything else that depends only on the plan: where each step's
+   reduction partials fold, and the accounting records' static fields.
 2. **Dispatch decisions** (:func:`_plan_dispatch`) — once per plan and
    flag setting, cached on the schedule: which steps of a wide level
    are handed to the plan-step thread pool (``REPRO_WORKERS``), the
    point width each step may use so the two parallelism levels never
-   oversubscribe the worker processes, and each step's rank-chunk plan.
+   oversubscribe the worker processes, each step's rank-chunk plan, and
+   what follows from them — the per-level launch lists and the number
+   of closure calls one replay makes.
    With ``REPRO_POINT_WORKERS`` > 1 the resident registration
    (:meth:`PlanScheduler._resident_plan`) bakes the same chunk plans
    into the workers' templates.
@@ -100,6 +104,9 @@ class ScheduledStep:
     #: step's captured bindings, or — filled in by :func:`_bindings` on
     #: first use — an opaque step's arguments by index.
     bindings: Optional[tuple] = None
+    #: Reduction key -> ``(slot, operator)``: where the level's join
+    #: folds the step's partials.
+    targets: Optional[Dict[object, Tuple[int, ReductionOp]]] = None
 
 
 @dataclass
@@ -113,10 +120,28 @@ class PlanSchedule:
     width: int
     #: Step count of every level, in level order.
     level_widths: Tuple[int, ...]
-    #: ``plan.steps`` position -> index into ``steps`` (accounting fold).
-    index_by_plan: Dict[int, int]
-    #: ``(flag values, per-step decisions)`` of :func:`_plan_dispatch`.
+    #: The time-accounting fold in recorded order (:func:`_accounting`).
+    accounting: Tuple[object, ...] = ()
+    #: ``(flag values, PlanDispatch)`` of :func:`_plan_dispatch`.
     dispatch: Optional[tuple] = None
+
+
+@dataclass
+class PlanDispatch:
+    """What one flag setting decides about one plan (:func:`_plan_dispatch`)."""
+
+    workers: int
+    point_width: int
+    #: Per step ``(dispatched, point width, rank chunks)``.
+    decisions: List[Tuple[bool, int, List[Tuple[int, int]]]]
+    #: Per level, ``(step index, scheduled step, width, chunks)`` in
+    #: recorded order, and whether the level hands steps to the pool.
+    levels: Tuple[Tuple[Tuple[int, ScheduledStep, int, list], ...], ...]
+    pooled: Tuple[bool, ...]
+    #: Closure calls one replay makes: every compiled step, and the
+    #: super-kernel subset.
+    closure_calls: int
+    superkernel_calls: int
 
 
 def analyze_plan(
@@ -171,6 +196,7 @@ def analyze_plan(
                 num_points=step.num_points,
                 scalar_binds=_scalar_binds(step, tasks) if compiled else (),
                 bindings=step.buffer_bindings if compiled else None,
+                targets=_fold_targets(step, compiled),
             )
         )
 
@@ -186,8 +212,53 @@ def analyze_plan(
         levels=levels,
         width=max(level_widths, default=0),
         level_widths=level_widths,
-        index_by_plan=index_by_plan,
+        accounting=_accounting(plan, index_by_plan),
     )
+
+
+def _fold_targets(step, compiled: bool) -> Dict[object, Tuple[int, ReductionOp]]:
+    """Reduction key -> ``(slot, operator)`` of one step's partials."""
+    if compiled:
+        return dict(step.reductions)
+    return {
+        index: (slot, redop or ReductionOp.ADD)
+        for index, (slot, _partition, _privilege, redop) in enumerate(step.arg_specs)
+    }
+
+
+def _accounting(plan: ExecutionPlan, index_by_plan: Dict[int, int]) -> Tuple[object, ...]:
+    """The plan's accounting fold, decided once (see :meth:`PlanScheduler._account`).
+
+    In recorded order, every analysis charge as itself and every launch
+    — a fused unit's constituents one by one — as ``(batched, result
+    index, record)``: ``record`` holds ``Profiler.record_task``'s
+    arguments up to ``fused``.  ``result index`` is ``None`` for compiled
+    launches, which charge their captured kernel seconds; an opaque
+    launch charges the seconds its replay's cost model returned, found
+    at that index of the replay's results.
+    """
+    entries: List[object] = []
+    for plan_index, step in enumerate(plan.steps):
+        fused = isinstance(step, SuperKernelStep)
+        for part in step.fused_steps if fused else (step,):
+            if isinstance(part, AnalysisCharge):
+                entries.append(part)
+            elif isinstance(part, CompiledStep):
+                entries.append((
+                    fused and part.elementwise and part.num_points > 1, None,
+                    (part.task_name, part.constituents, part.kernel_seconds,
+                     part.communication_seconds, part.overhead_seconds,
+                     part.launches, part.fused),
+                ))
+            else:
+                # Opaque steps are re-timed through their cost model
+                # (their time may depend on data).
+                entries.append((
+                    False, index_by_plan[plan_index],
+                    (part.task_name, 1, None, part.communication_seconds,
+                     part.overhead_seconds, 1, False),
+                ))
+    return tuple(entries)
 
 
 def _scalar_binds(
@@ -268,13 +339,15 @@ def _plan_dispatch(
     executor,
     slot_stores: Sequence[Store],
     tasks: Sequence[IndexTask],
-) -> List[Tuple[bool, int, List[Tuple[int, int]]]]:
+) -> PlanDispatch:
     """Per-step ``(dispatched, point width, rank chunks)`` decisions.
 
     None of this depends on the epoch's stores or scalars (shapes and
     partitions are part of the trace key), so it is decided once per
-    flag setting and cached on the schedule.  A level with several
-    steps hands those big enough to amortise the handoff to the worker
+    flag setting and cached on the schedule, together with what replay
+    derives from it: the per-level launch lists and the closure-call
+    counts.  A level with several steps hands those big enough to
+    amortise the handoff to the worker
     pool (``REPRO_WORKERS`` > 1); each dispatched compiled step may
     then split into at most ``pool size // dispatched steps`` chunks,
     where the pool size is the worker-process count
@@ -292,6 +365,8 @@ def _plan_dispatch(
         return schedule.dispatch[1]
     pool_size = procpool.pool_size()
     decisions: List[Optional[tuple]] = [None] * len(schedule.steps)
+    levels, pooled = [], []
+    closure_calls = superkernel_calls = 0
     for level in schedule.levels:
         dispatched: Sequence[int] = ()
         if workers > 1 and len(level) > 1:
@@ -299,6 +374,7 @@ def _plan_dispatch(
                 index for index in level
                 if schedule.steps[index].volume >= MIN_DISPATCH_VOLUME
             ]
+        launches = []
         for index in level:
             entry = schedule.steps[index]
             if not dispatched or not entry.compiled:
@@ -310,13 +386,22 @@ def _plan_dispatch(
             rows: Sequence = ()
             if width > 1 and entry.num_points > 1:
                 rows = _bindings(entry, executor, slot_stores, tasks)
-            decisions[index] = (
-                index in dispatched,
-                width,
-                executor.point_chunk_plan(entry.num_points, rows, width),
-            )
-    schedule.dispatch = (flags, decisions)
-    return decisions
+            chunks = executor.point_chunk_plan(entry.num_points, rows, width)
+            decisions[index] = (index in dispatched, width, chunks)
+            launches.append((index, entry, width, chunks))
+            if isinstance(entry.step, SuperKernelStep):
+                superkernel_calls += len(chunks)
+                closure_calls += len(chunks)
+            elif entry.compiled:
+                closure_calls += len(chunks) if entry.step.elementwise else entry.num_points
+        levels.append(tuple(launches))
+        pooled.append(bool(dispatched))
+    dispatch = PlanDispatch(
+        workers, point_width, decisions, tuple(levels), tuple(pooled),
+        closure_calls, superkernel_calls,
+    )
+    schedule.dispatch = (flags, dispatch)
+    return dispatch
 
 
 def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Store]) -> None:
@@ -363,24 +448,28 @@ class PlanScheduler:
         schedule = plan.schedule
         if schedule is None:
             schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
-        decisions = _plan_dispatch(schedule, executor, slot_stores, tasks)
-        steps = schedule.steps
+        dispatch = _plan_dispatch(schedule, executor, slot_stores, tasks)
         #: Per-replay slot -> region field memo shared by all steps.
         prepare = partial(self._step_work, slot_stores, tasks, {}, plan.uninitialised_slots)
-        workers, point_width = config.worker_count(), config.point_worker_count()
         resident = None
-        if point_width > 1:
+        if dispatch.point_width > 1:
             # Materialise the worker-process pool now, while no thread
             # futures are in flight: forking from a quiescent point
             # avoids inheriting another thread's lock state mid-level.
             procpool.process_pool()
-            resident = self._resident_plan(plan, steps, decisions, prepare)
+            resident = self._resident_plan(
+                plan, schedule.steps, dispatch.decisions, prepare
+            )
+        if dispatch.superkernel_calls:
+            profiler.record_superkernel_calls(dispatch.superkernel_calls)
+        if dispatch.closure_calls:
+            profiler.add_replay_closure_calls(dispatch.closure_calls)
 
         #: Per-step ``(kernel seconds, reduction partials per key)``.
-        results: List[Optional[tuple]] = [None] * len(steps)
+        results: List[Optional[tuple]] = [None] * len(schedule.steps)
         dispatched = 0
         recorder = telemetry.active()
-        for level_index, level in enumerate(schedule.levels):
+        for level_index, level in enumerate(dispatch.levels):
             # Level spans are manual begin/end pairs (the body below is
             # the whole level); a replay failure unwinds past the end
             # record, but it also tears down the run, so exported traces
@@ -392,21 +481,12 @@ class PlanScheduler:
             #: order, and the frame entries of those a resident plan ships.
             launches: Dict[int, Callable] = {}
             entries: List[tuple] = []
-            for index in level:
-                entry = steps[index]
-                _dispatched, width, chunks = decisions[index]
+            for index, entry, width, chunks in level:
                 work = prepare(entry)
-                if entry.compiled:
-                    calls = len(chunks)
-                    if isinstance(entry.step, SuperKernelStep):
-                        profiler.record_superkernel_calls(calls)
-                    elif not entry.step.elementwise:
-                        calls = entry.num_points
-                    profiler.add_replay_closure_calls(calls)
-                run = executor.launch
-                if recorder is not None:
-                    run = partial(self._traced_launch, entry)
-                launches[index] = partial(run, work, chunks, width)
+                if recorder is None:
+                    launches[index] = partial(executor.launch, work, chunks, width)
+                else:
+                    launches[index] = partial(self._traced_launch, entry, work, chunks, width)
                 if resident is not None and index in resident.steps:
                     frame_entry = executor.resident_entry(resident, index, work, chunks)
                     if frame_entry is not None:
@@ -415,10 +495,10 @@ class PlanScheduler:
                 shipped = self._resident_level(resident, level_index, launches, entries, results)
                 if len(level) > 1:
                     dispatched += shipped
-            elif len(level) > 1 and any(decisions[index][0] for index in level):
+            elif dispatch.pooled[level_index]:
                 pending: List[Tuple[int, object]] = []
                 for index, launch in launches.items():
-                    if decisions[index][0]:
+                    if dispatch.decisions[index][0]:
                         pending.append((index, worker_pool().submit(launch)))
                     else:
                         results[index] = launch()
@@ -431,24 +511,18 @@ class PlanScheduler:
             # Join point: fold the level's reduction partials in recorded
             # order so dependent levels (and the final buffers) are
             # bit-identical to serial replay.
-            for index in level:
-                entry = steps[index]
+            for index, entry, _width, _chunks in level:
                 for key, partials in results[index][1].items():
-                    if entry.compiled:
-                        slot, redop = entry.step.reductions[key]
-                    else:
-                        slot, _partition, _privilege, redop = entry.step.arg_specs[key]
-                    executor.apply_reduction_partials(
-                        slot_stores[slot], redop or ReductionOp.ADD, partials
-                    )
+                    slot, redop = entry.targets[key]
+                    executor.apply_reduction_partials(slot_stores[slot], redop, partials)
             if recorder is not None:
                 recorder.record("E", "plan.level", label, runtime.simulated_seconds)
 
-        self._account(plan, schedule, results)
+        self._account(schedule, results)
         _apply_plan_epilogue(plan, engine, slot_stores)
-        if workers > 1 or point_width > 1:
+        if dispatch.workers > 1 or dispatch.point_width > 1:
             profiler.record_plan_execution(
-                steps=len(steps),
+                steps=len(schedule.steps),
                 levels=len(schedule.levels),
                 width=schedule.width,
                 dispatched=dispatched,
@@ -584,39 +658,29 @@ class PlanScheduler:
             )
         return resident if resident.steps else None
 
-    def _account(self, plan: ExecutionPlan, schedule: PlanSchedule, results) -> None:
+    def _account(self, schedule: PlanSchedule, results) -> None:
         """Fold the plan's time accounting in recorded order.
 
         A fused unit executed as one closure call but charges its
         recorded constituent subsequence (compiled steps and interior
         analysis charges), so records, floating-point accumulation order
         and simulated seconds are bit-identical to unfused, serial
-        replay.
+        replay.  Everything but an opaque launch's re-timed kernel
+        seconds was decided once per plan (:func:`_accounting`).
         """
         runtime = self.runtime
         profiler = runtime.profiler
-        for plan_index, step in enumerate(plan.steps):
-            fused = isinstance(step, SuperKernelStep)
-            for part in step.fused_steps if fused else (step,):
-                if isinstance(part, AnalysisCharge):
-                    runtime.add_simulated_seconds(part.seconds)
-                    profiler.record_analysis_time(part.seconds)
-                    profiler.add_iteration_seconds(part.seconds)
-                    continue
-                if fused and part.elementwise and part.num_points > 1:
-                    profiler.record_elementwise_batch(1)
-                compiled = isinstance(part, CompiledStep)
-                index = schedule.index_by_plan[plan_index]
-                record = profiler.record_task(
-                    name=part.task_name,
-                    constituents=part.constituents if compiled else 1,
-                    # Opaque steps are re-timed through their cost model
-                    # (their time may depend on data).
-                    kernel_seconds=part.kernel_seconds if compiled else results[index][0],
-                    communication_seconds=part.communication_seconds,
-                    overhead_seconds=part.overhead_seconds,
-                    launches=part.launches if compiled else 1,
-                    fused=compiled and part.fused,
-                    replayed=True,
-                )
-                runtime.simulated_seconds += record.total_seconds
+        for entry in schedule.accounting:
+            if isinstance(entry, AnalysisCharge):
+                runtime.add_simulated_seconds(entry.seconds)
+                profiler.record_analysis_time(entry.seconds)
+                profiler.add_iteration_seconds(entry.seconds)
+                continue
+            batched, index, record = entry
+            if batched:
+                profiler.record_elementwise_batch(1)
+            if index is not None:
+                record = record[:2] + (results[index][0],) + record[3:]
+            runtime.simulated_seconds += profiler.record_task(
+                *record, replayed=True
+            ).total_seconds

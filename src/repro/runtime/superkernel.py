@@ -65,7 +65,7 @@ from repro.kernel.codegen import SuperKernelSection, generate_superkernel_source
 from repro.kernel.kir import assignment_loads_buffers, sole_buffer_assignment
 from repro.kernel.lowering import BackendDivergenceError
 from repro.runtime import procpool, telemetry
-from repro.runtime.executor import RectTable, compiled_ranks
+from repro.runtime.executor import RectTable, compiled_ranks, span_slices
 from repro.runtime.pool import contiguous_elementwise_tables, merged_table_span
 from repro.runtime.trace import AnalysisCharge, CompiledStep, ExecutionPlan
 
@@ -667,9 +667,9 @@ def run_superkernel_ranks(
     partials).
     Non-chunkable units ignore the chunk range and execute every rank.
     Returns the chunk result shape every substrate returns: the
-    closure's partials — per reduction target, a rank-ordered list —
-    as the chunk's single entry, and no seconds (replay charges the
-    captured ones).
+    closure's partials — per reduction target, a rank-ordered float64
+    array — as the chunk's single entry, and no seconds (replay charges
+    the captured ones).
 
     Binding slices the resolved fields' backing arrays directly with the
     slice tuples precomputed at lowering time (``step.binding_plan``) —
@@ -691,7 +691,7 @@ def run_superkernel_ranks(
             rank_slices = payload[start:stop] if chunked else payload
             buffers[name] = [data[entry] for entry in rank_slices]
         elif chunked and (start, stop) != (0, len(table)):
-            buffers[name] = resolved.view(merged_table_span(table, start, stop))
+            buffers[name] = resolved.data[span_slices(table, start, stop)]
         else:
             buffers[name] = resolved.data[payload]
     with telemetry.span(
@@ -711,7 +711,8 @@ def _run_verify(
     Runs the constituent steps first (the reference — themselves under
     their own differential executors), snapshots the written fields,
     rewinds to the pre-state, runs the fused closure, and demands
-    bitwise agreement on every written field and reduction partial.
+    bitwise agreement on every written field and reduction partial (the
+    reduction operator is the step's, so values are what is compared).
     """
     resolved_by_slot: Dict[int, object] = {}
     for (name, slot, _is_red, _table), (_n, resolved, _r, _t) in zip(
@@ -771,9 +772,9 @@ def _run_verify(
                 f"execution disagree on slot {slot}"
             )
     totals = {
-        name: partial_list
-        for name, partial_list in partials.items()
-        if name in step.reductions and partial_list
+        name: values
+        for name, values in partials.items()
+        if name in step.reductions and values.size
     }
     if set(totals) != set(reference):
         raise BackendDivergenceError(
@@ -781,19 +782,10 @@ def _run_verify(
             f"({sorted(reference)} vs {sorted(totals)})"
         )
     for name, expected_list in reference.items():
-        actual_list = totals[name]
-        if len(actual_list) != len(expected_list):
+        expected = np.array([partial.value for partial in expected_list], dtype=np.float64)
+        if not np.array_equal(totals[name], expected, equal_nan=True):
             raise BackendDivergenceError(
-                f"super-kernel '{step.task_name}': partial counts differ "
-                f"for '{name}'"
+                f"super-kernel '{step.task_name}': reduction partials "
+                f"'{name}' diverged ({expected} vs {totals[name]})"
             )
-        for expected, actual in zip(expected_list, actual_list):
-            if expected.kind is not actual.kind or not (
-                expected.value == actual.value
-                or (np.isnan(expected.value) and np.isnan(actual.value))
-            ):
-                raise BackendDivergenceError(
-                    f"super-kernel '{step.task_name}': reduction partial "
-                    f"'{name}' diverged ({expected} vs {actual})"
-                )
     return partials

@@ -12,10 +12,12 @@ dynamic tracing and Bohrium's runtime fusion of array operations:
 1. The Diffuse layer defers submitted tasks into an *epoch* buffer
    instead of eagerly feeding its fusion window (the deferred task
    stream).  An epoch ends at the next synchronisation point.
-2. At the boundary the epoch's task stream is canonicalized (store uids
-   and partitions replaced by De-Bruijn-style indices, exactly like the
-   memoization of paper Section 5.2) and hashed together with the
-   entry-coherence state of every store it touches.
+2. As tasks arrive the epoch's task stream is canonicalized (store uids
+   and partitions replaced by De-Bruijn-style indices, as in the
+   memoization of paper Section 5.2; each canonical task interned to a
+   small int), so the boundary only samples per-slot liveness and
+   entry-coherence state and the scalar equality pattern, and looks the
+   plan up.
 3. On the first *steady* occurrence of a key — an occurrence whose
    window rounds were all memoization hits and charged no compile time —
    a :class:`TraceRecorder` captures the fully-resolved sequence of
@@ -66,79 +68,22 @@ EPOCH_TASK_LIMIT = 2048
 # ----------------------------------------------------------------------
 @dataclass
 class CanonicalStream:
-    """The canonical form of one epoch's task stream."""
+    """The canonical form of one epoch's task stream (cf. ``fusion.memoization``).
 
-    #: Hashable trace key (stream structure + liveness + concrete
-    #: partitions + entry coherence are combined by the controller).
-    stream_key: Hashable
+    Built incrementally by :meth:`TraceController.add` as tasks arrive —
+    store uids become canonical slots in order of first appearance — and
+    handed to the :class:`TraceRecorder` of an epoch that misses.
+    """
+
     #: Canonical slot -> the store bound to it in this epoch.
     slot_stores: List[Store]
     #: Store uid -> canonical slot.
     slot_of_uid: Dict[int, int]
     #: Task uid -> position in the epoch stream.
     position_of_uid: Dict[int, int]
-    #: Distinct partitions in first-appearance order (part of the key:
-    #: captured rect tables and communication are only valid for the
-    #: concrete partitions, not just their canonical indices).
-    partition_table: Tuple[Partition, ...]
-
-
-def canonicalize_stream(tasks: Sequence[IndexTask]) -> CanonicalStream:
-    """Canonicalize a whole epoch (cf. ``fusion.memoization``).
-
-    Liveness is sampled from *application* references only: pending
-    stream references held by the epoch buffer itself are excluded,
-    because they exist for every store of the stream by construction.
-    Together with the stream structure they fully determine the liveness
-    each window round will observe while the epoch is fed through the
-    pipeline (the application is blocked during the flush, so its
-    reference counts cannot change mid-feed).
-    """
-    from repro.fusion.memoization import task_signature
-
-    slot_of_uid: Dict[int, int] = {}
-    slot_stores: List[Store] = []
-    partition_indices: Dict[Partition, int] = {}
-    partition_table: List[Partition] = []
-    liveness: List[bool] = []
-    position_of_uid: Dict[int, int] = {}
-
-    canonical_tasks = []
-    for position, task in enumerate(tasks):
-        position_of_uid[task.uid] = position
-        name, domain_shape, args, scalar_count = task_signature(task)
-        canonical_args = []
-        for store, shape, partition, privilege, redop in args:
-            slot = slot_of_uid.get(store.uid)
-            if slot is None:
-                slot = len(slot_stores)
-                slot_of_uid[store.uid] = slot
-                slot_stores.append(store)
-                liveness.append(store.application_references > 0)
-            partition_index = partition_indices.get(partition)
-            if partition_index is None:
-                partition_index = len(partition_table)
-                partition_indices[partition] = partition_index
-                partition_table.append(partition)
-            canonical_args.append((slot, shape, partition_index, privilege, redop))
-        canonical_tasks.append((name, domain_shape, tuple(canonical_args), scalar_count))
-
-    # The scalar *equality pattern* is part of the key (the same helper
-    # the memoization window key uses): captured kernels may deduplicate
-    # scalar parameters with bit-identical values, so a plan is only
-    # valid for epochs with the same pattern.
-    stream_key = (
-        tuple(canonical_tasks),
-        tuple(liveness),
-        stream_scalar_pattern(tasks),
-    )
-    return CanonicalStream(
-        stream_key=stream_key,
-        slot_stores=slot_stores,
-        slot_of_uid=slot_of_uid,
-        position_of_uid=position_of_uid,
-        partition_table=tuple(partition_table),
-    )
+    #: Per-slot application liveness sampled at the boundary (part of
+    #: the trace key).
+    liveness: Tuple[bool, ...]
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +427,7 @@ class TraceRecorder:
             fused_constituents=fused_constituents,
             temporaries_eliminated=temporaries,
             task_count=len(self.stream.position_of_uid),
-            liveness=tuple(self.stream.stream_key[1]),
+            liveness=self.stream.liveness,
             uninitialised_slots=frozenset(uninitialised),
         )
 
@@ -495,19 +440,39 @@ class TraceRecorder:
 # The controller: deferred stream + trace cache.
 # ----------------------------------------------------------------------
 class TraceController:
-    """Owns the deferred epoch buffer and the plan cache of one engine."""
+    """Owns the deferred epoch buffer and the plan cache of one engine.
+
+    The epoch's canonical form is built as tasks arrive (:meth:`add`):
+    each store gets a canonical slot on first appearance, each partition
+    a controller-lifetime id, and each canonical task — name, launch
+    shape, per-argument ``(slot, store shape, partition id, privilege,
+    redop)``, scalar count — an interned small-int id.  The epoch's
+    structure is then the tuple of its task ids, and :meth:`boundary`
+    never re-walks the epoch: it samples what may change after a task is
+    submitted (application liveness per slot, entry coherence per slot),
+    the scalar equality pattern and the window fingerprint, and looks
+    the plan up.  Partition ids are global, so equal structures hold the
+    same concrete partitions at the same argument positions: captured
+    rect tables and communication are only valid for the concrete
+    partitions, not just their canonical positions.
+    """
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self.cache: Dict[Hashable, ExecutionPlan] = {}
-        self._pending: List[IndexTask] = []
-        #: Pattern-blind trace key -> last-seen scalar equality pattern.
+        #: ``(stream id, scalar pattern) -> plan``.
+        self.cache: Dict[Tuple[int, Tuple[int, ...]], ExecutionPlan] = {}
+        #: Pattern-blind key ``(task ids, liveness, entry states, window
+        #: fingerprint)`` -> ``[stream id, last-seen scalar pattern]``.
         #: A cache miss whose blind key was last seen with a *different*
         #: pattern is a scalar-pattern flip: the stream structure was
         #: already known and only the scalar equalities changed (e.g.
         #: ``alpha`` colliding with a constant for one iteration), which
         #: forces a conservative re-record (see ROADMAP open item 3).
-        self._scalar_patterns: Dict[Hashable, Tuple[int, ...]] = {}
+        self._streams: Dict[Hashable, list] = {}
+        #: Canonical task -> interned id; partition -> id.
+        self._task_ids: Dict[Hashable, int] = {}
+        self._partition_ids: Dict[Partition, int] = {}
+        self._begin_epoch()
         #: Plans captured / replayed (observability; the profiler holds
         #: the canonical hit/miss counters).
         self.captured_plans = 0
@@ -519,6 +484,13 @@ class TraceController:
         #: rescanned and its field never reclaimed.
         self._reclaim_watch: Dict[int, Store] = {}
 
+    def _begin_epoch(self) -> None:
+        """Start an empty epoch buffer and its canonical form."""
+        self._pending: List[IndexTask] = []
+        self._structure: List[int] = []
+        self._slot_stores: List[Store] = []
+        self._slot_of_uid: Dict[int, int] = {}
+
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
@@ -528,12 +500,32 @@ class TraceController:
     def add(self, task: IndexTask) -> None:
         """Defer one submitted task into the current epoch.
 
-        References are taken per *argument* (not per distinct store):
-        add/remove are symmetric, so the per-task dedup of
-        ``task.stores()`` would only cost allocations on the hot path.
+        Canonicalizes the task into the epoch's structure on the way in
+        (see the class docstring).  References are taken per *argument*
+        (not per distinct store): add/remove are symmetric, so the
+        per-task dedup of ``task.stores()`` would only cost allocations
+        on the hot path.
         """
+        slot_of_uid = self._slot_of_uid
+        partition_ids = self._partition_ids
+        # Flat: three task fields, then five per argument.
+        canonical = [task.task_name, task.launch_domain.shape, len(task.scalar_args)]
         for arg in task.args:
-            arg.store.add_pending_stream_reference()
+            store = arg.store
+            store.add_pending_stream_reference()
+            slot = slot_of_uid.get(store.uid)
+            if slot is None:
+                slot = slot_of_uid[store.uid] = len(self._slot_stores)
+                self._slot_stores.append(store)
+            partition = partition_ids.get(arg.partition)
+            if partition is None:
+                partition = partition_ids[arg.partition] = len(partition_ids)
+            canonical += (slot, store.shape, partition, arg.privilege, arg.redop)
+        canonical = tuple(canonical)
+        task_id = self._task_ids.get(canonical)
+        if task_id is None:
+            task_id = self._task_ids[canonical] = len(self._task_ids)
+        self._structure.append(task_id)
         self._pending.append(task)
         if len(self._pending) >= EPOCH_TASK_LIMIT:
             self.boundary()
@@ -552,19 +544,28 @@ class TraceController:
 
     # ------------------------------------------------------------------
     def boundary(self) -> None:
-        """Process the buffered epoch (replay a plan or record one)."""
+        """Process the buffered epoch (replay a plan or record one).
+
+        Liveness is sampled from *application* references only: pending
+        stream references held by the epoch buffer itself exist for every
+        store of the stream by construction.  Together with the stream
+        structure they fully determine the liveness each window round
+        will observe while the epoch is fed through the pipeline (the
+        application is blocked during the flush, so its reference counts
+        cannot change mid-feed).
+        """
         engine = self.engine
-        if not self._pending:
+        tasks = self._pending
+        if not tasks:
             engine.drain_window()
             return
-        tasks = self._pending
-        self._pending = []
+        structure, slot_stores = tuple(self._structure), self._slot_stores
+        slot_of_uid = self._slot_of_uid
+        self._begin_epoch()
 
-        stream = canonicalize_stream(tasks)
         coherence = engine.runtime.coherence
-        entry_states = tuple(
-            coherence.state_key(store) for store in stream.slot_stores
-        )
+        liveness = tuple([store.application_references > 0 for store in slot_stores])
+        entry_states = tuple([coherence.state_key(store) for store in slot_stores])
         # The *window fingerprint* pins how the epoch would be chunked
         # into fusion-window rounds.  An epoch captured while the
         # adaptive window was still growing replays its (smaller-window)
@@ -573,44 +574,49 @@ class TraceController:
         # window has grown.  Sizes at or above the epoch length are
         # equivalent (a single round), so the fingerprint saturates.
         window_fingerprint = min(engine.window.size, len(tasks))
-        key = (stream.stream_key, stream.partition_table, entry_states, window_fingerprint)
-        # The stream key is (canonical tasks, liveness, scalar pattern);
-        # the blind key drops the pattern so pattern-only misses are
-        # distinguishable from genuinely new streams.
-        canonical_tasks, liveness, scalar_pattern = stream.stream_key
-        blind_key = (
-            canonical_tasks,
-            liveness,
-            stream.partition_table,
-            entry_states,
-            window_fingerprint,
-        )
+        # The scalar *equality pattern* completes the key (the same
+        # helper the memoization window key uses): captured kernels may
+        # deduplicate scalar parameters with bit-identical values, so a
+        # plan is only valid for epochs with the same pattern.  Keeping
+        # it out of the blind key tells pattern-only misses apart from
+        # genuinely new streams.
+        scalar_pattern = stream_scalar_pattern(tasks)
+        blind_key = (structure, liveness, entry_states, window_fingerprint)
+        known = self._streams.get(blind_key)
+        if known is None:
+            known = self._streams[blind_key] = [len(self._streams), scalar_pattern]
+        key = (known[0], scalar_pattern)
 
         profiler = engine.runtime.profiler
         plan = self.cache.get(key)
-        if plan is None:
-            last_pattern = self._scalar_patterns.get(blind_key)
-            if last_pattern is not None and last_pattern != scalar_pattern:
-                profiler.record_scalar_pattern_flip()
-        self._scalar_patterns[blind_key] = scalar_pattern
+        if plan is None and known[1] != scalar_pattern:
+            profiler.record_scalar_pattern_flip()
+        known[1] = scalar_pattern
         if plan is not None:
             profiler.record_trace_hit(len(tasks))
             self.replayed_epochs += 1
+            label = ""
+            if telemetry.enabled():
+                label = f"epoch={self.replayed_epochs} tasks={len(tasks)}"
             with telemetry.span(
-                "epoch.replay",
-                f"epoch={self.replayed_epochs} tasks={len(tasks)}",
-                sim=engine.runtime.simulated_seconds,
+                "epoch.replay", label, sim=engine.runtime.simulated_seconds
             ):
                 try:
                     engine.runtime.plan_scheduler.execute(
-                        plan, engine, stream.slot_stores, tasks
+                        plan, engine, slot_stores, tasks
                     )
                 finally:
                     self._release(tasks, 0)
-                self._reclaim_dead_fields(tasks)
+                self._reclaim_dead_fields(slot_stores)
             return
 
         profiler.record_trace_miss()
+        stream = CanonicalStream(
+            slot_stores=slot_stores,
+            slot_of_uid=slot_of_uid,
+            position_of_uid={task.uid: position for position, task in enumerate(tasks)},
+            liveness=liveness,
+        )
         recorder = TraceRecorder(engine.runtime, stream)
         stats = engine.stats
         stats_before = (
@@ -621,7 +627,7 @@ class TraceController:
         )
         with telemetry.span(
             "epoch.capture",
-            f"tasks={len(tasks)}",
+            f"tasks={len(tasks)}" if telemetry.enabled() else "",
             sim=engine.runtime.simulated_seconds,
         ):
             engine.begin_capture(recorder)
@@ -636,7 +642,7 @@ class TraceController:
             finally:
                 engine.end_capture()
                 self._release(tasks, fed)
-            self._reclaim_dead_fields(tasks)
+            self._reclaim_dead_fields(slot_stores)
 
         captured_launches = any(
             not isinstance(step, AnalysisCharge) for step in recorder.steps
@@ -658,7 +664,7 @@ class TraceController:
             for arg in task.args:
                 arg.store.remove_pending_stream_reference()
 
-    def _reclaim_dead_fields(self, tasks: Sequence[IndexTask]) -> None:
+    def _reclaim_dead_fields(self, slot_stores: Sequence[Store]) -> None:
         """Free the backing storage of stores this epoch killed.
 
         Functional-update programs (``v_new = f(v_old)``) rebind their
@@ -675,17 +681,17 @@ class TraceController:
         field is reclaimed (the store object itself stays registered;
         should code ever touch it again it gets a fresh field, zeroed
         unless the launch it is allocated for defines it whole).
+        ``slot_stores`` are the epoch's distinct stores in first-use
+        order, deduplicated once by :meth:`add`.
         """
         regions = self.engine.runtime.regions
         watch = self._reclaim_watch
-        for task in tasks:
-            for arg in task.args:
-                store = arg.store
-                # Only frontend-managed stores: a store created bare by
-                # runtime internals (e.g. CSR index arrays) is held by
-                # plain Python references the counters never witness.
-                if store.ever_application_referenced:
-                    watch.setdefault(store.uid, store)
+        for store in slot_stores:
+            # Only frontend-managed stores: a store created bare by
+            # runtime internals (e.g. CSR index arrays) is held by
+            # plain Python references the counters never witness.
+            if store.uid not in watch and store.ever_application_referenced:
+                watch[store.uid] = store
         for uid in list(watch):
             store = watch[uid]
             if (

@@ -20,6 +20,7 @@ observable:
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -222,6 +223,9 @@ class TestSuperkernelGate:
         monkeypatch.setattr(superkernel_module, "SPECULATIVE_LOWERINGS", 0)
         monkeypatch.setattr(superkernel_module, "BREAK_EVEN_REPLAYS", 3)
         flags(REPRO_TRACE=1, **SUBSTRATES["process"])
+        # Collect earlier tests' garbage first: an arena it still holds
+        # would otherwise unlink whenever the collector runs mid-test.
+        gc.collect()
         shm_before = shm_entries()
         session = _GateSession()
         try:

@@ -364,13 +364,10 @@ def _assert_rows_match_rank_loop(function: Function, seed: int) -> None:
                         for rank, (partial, other) in enumerate(
                             zip(partial_list, actual[1][target])
                         ):
-                            assert partial.kind is other.kind, context
-                            assert type(other.value) is float, context
-                            assert np.float64(partial.value).tobytes() == (
-                                np.float64(other.value).tobytes()
-                            ) or (np.isnan(partial.value) and np.isnan(other.value)), (
-                                f"partial '{target}' of rank {rank}: {partial} vs {other}\n{context}"
-                            )
+                            assert type(other) is np.float64, context
+                            assert partial.tobytes() == other.tobytes() or (
+                                np.isnan(partial) and np.isnan(other)
+                            ), f"partial '{target}' of rank {rank}: {partial} vs {other}\n{context}"
     finally:
         codegen.BLOCK = original
 

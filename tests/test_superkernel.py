@@ -425,6 +425,139 @@ class TestRankedSectionsRunOnce:
 
 
 # ----------------------------------------------------------------------
+# Per-rank partials travel as the float64 array the kernel computed.
+# ----------------------------------------------------------------------
+def _order_sensitive_tiles(ranks: int, tile: int) -> np.ndarray:
+    """Per-rank tiles whose sums depend on summation order."""
+    rng = np.random.default_rng(29)
+    data = np.empty(ranks * tile)
+    for rank in range(ranks):
+        row = rng.uniform(-4.0, 4.0, tile)
+        row[::4], row[2::4] = 1e16, -1e16
+        data[rank * tile:(rank + 1) * tile] = row * (1.0 + rank / 7.0)
+    return data
+
+
+class TestPartialArrays:
+    RANKS, TILE, ITERATIONS = 64, 16, 6
+
+    def _dots(self, monkeypatch, backend, point_workers, hotpath="1", replies=None):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_HOTPATH_CACHE", hotpath)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
+        config.reload_flags()
+        if replies is not None:
+            run_resident_chunks = procpool.ProcessWorkerPool.run_resident_chunks
+
+            def recording(self, *args):
+                flat = run_resident_chunks(self, *args)
+                replies.extend(flat)
+                return flat
+
+            monkeypatch.setattr(procpool.ProcessWorkerPool, "run_resident_chunks", recording)
+        context = RuntimeContext(
+            num_gpus=self.RANKS, fusion=True, machine=scaled_machine(self.RANKS, 1e-4)
+        )
+        set_context(context)
+        try:
+            import repro.frontend.cunumeric as cn
+
+            x = cn.array(_order_sensitive_tiles(self.RANKS, self.TILE), name="dot_x")
+            y = cn.array(np.linspace(0.5, 1.5, self.RANKS * self.TILE), name="dot_y")
+            dots = [float(x.dot(y)) for _ in range(self.ITERATIONS)]
+        finally:
+            set_context(None)
+        return context, dots
+
+    #: ``REPRO_HOTPATH_CACHE`` -> the section shape the dot lowers to:
+    #: interned tables stack the ranks, the seed path's plain tables
+    #: keep the rank loop.
+    SHAPES = {"1": "stacked", "0": "ranked"}
+
+    @pytest.mark.parametrize("hotpath", sorted(SHAPES))
+    @pytest.mark.parametrize("point_workers", [1, 4])
+    def test_dot_matches_the_interpreters_per_rank_fold(
+        self, point_workers, hotpath, monkeypatch, shm_entries
+    ):
+        products = _order_sensitive_tiles(self.RANKS, self.TILE) * np.linspace(
+            0.5, 1.5, self.RANKS * self.TILE
+        )
+        # The data is adversarial: left-to-right summation disagrees
+        # with NumPy's per-rank then cross-rank reduction.
+        rows = np.add.reduce(products.reshape(self.RANKS, self.TILE), axis=1)
+        assert sum(products.tolist()) != float(np.add.reduce(rows))
+        _ctx, reference = self._dots(monkeypatch, "interpreter", 1)
+        assert len(set(reference)) == 1
+        replies = []
+        shm_before = shm_entries()
+        ctx, dots = self._dots(monkeypatch, "codegen", point_workers, hotpath, replies)
+        try:
+            assert [np.float64(v).tobytes() for v in dots] == [
+                np.float64(v).tobytes() for v in reference
+            ]
+            snapshot = ctx.profiler.snapshot()
+            assert snapshot[f"superkernel_sections_{self.SHAPES[hotpath]}"] == 1
+            assert snapshot["superkernel_calls"] > 0
+            if point_workers == 1:
+                assert replies == []
+            else:
+                assert snapshot["point_process_chunks"] > 0
+                shipped = [
+                    partial
+                    for partials_by_rank, _seconds in replies
+                    for partials in partials_by_rank
+                    for partial in partials.values()
+                ]
+                assert shipped
+                assert all(
+                    type(partial) is np.ndarray and partial.dtype == np.float64
+                    for partial in shipped
+                )
+                assert sum(len(partial) for partial in shipped) % self.RANKS == 0
+        finally:
+            ctx.legion.regions.close_arena()
+            procpool.shutdown_process_pool()
+        assert shm_entries() <= shm_before
+
+    def test_steady_cg_epoch_boxes_no_partial(self, monkeypatch):
+        """A replayed CG epoch at 64 ranks builds no ``ReductionPartial``."""
+        from repro.kernel import codegen
+        from repro.kernel.lowering import ReductionPartial
+
+        constructed = []
+
+        class Counted(ReductionPartial):
+            def __init__(self, *args, **kwargs):
+                constructed.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setitem(codegen._KERNEL_ENV, "ReductionPartial", Counted)
+        codegen.clear_function_cache()
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
+        config.reload_flags()
+        context = RuntimeContext(num_gpus=64, fusion=True, machine=scaled_machine(64, 1e-4))
+        set_context(context)
+        try:
+            app = build_application("cg", context=context, grid_points_per_gpu=4)
+            app.run(8)
+            # The eager warm-up epochs fold per-rank kernel partials.
+            assert constructed
+            constructed.clear()
+            hits = context.profiler.trace_hits
+            app.run(10)
+            assert context.profiler.trace_hits == hits + 30
+            assert context.profiler.snapshot()["superkernel_sections_stacked"] == 2
+            assert constructed == []
+        finally:
+            set_context(None)
+            codegen.clear_function_cache()
+
+
+# ----------------------------------------------------------------------
 # Cache lifecycle: reload_flags retires every cached lowering.
 # ----------------------------------------------------------------------
 class TestReloadRetiresLowerings:

@@ -18,8 +18,8 @@ from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.fusion.engine import DiffuseRuntime, FusionConfig
-from repro.ir.domain import Domain
-from repro.ir.partition import natural_tiling
+from repro.ir.domain import Domain, Rect
+from repro.ir.partition import Tiling, natural_tiling
 from repro.ir.privilege import Privilege
 from repro.ir.store import StoreManager
 from repro.ir.task import IndexTask, StoreArg
@@ -511,3 +511,142 @@ class TestScalarPatternFlips:
         assert profiler.scalar_pattern_flips == 1
         profiler.reset()
         assert profiler.scalar_pattern_flips == 0
+
+
+class TestEpochKeyAdversarial:
+    """The epoch key is built as tasks arrive; what may change after a
+    submit — liveness, entry coherence, the scalar equality pattern — is
+    still sampled at the boundary.
+
+    Each case runs one engine-level program (a three-task chain
+    ``out = (a * s1) * s2 + b`` per iteration, every created store held
+    through an application handle the way a frontend array holds it)
+    under ``REPRO_TRACE=1`` and ``REPRO_TRACE=0`` and asserts the trace
+    counters exactly, plus bit-identical buffers and per-iteration
+    simulated seconds against the untraced run.
+    """
+
+    ITERATIONS = 7
+    #: The iteration each case perturbs.
+    ODD = 4
+
+    def _drive(self, trace, monkeypatch, perturb, config_kwargs=None):
+        monkeypatch.setenv("REPRO_TRACE", trace)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "differential")
+        config.reload_flags()
+        manager = StoreManager()
+        launch = Domain((4,))
+        runtime = LegionRuntime(MachineConfig(num_gpus=4))
+        engine = DiffuseRuntime(runtime=runtime, config=FusionConfig(**(config_kwargs or {})))
+        a = manager.create_store((16,), name="a")
+        b = manager.create_store((16,), name="b")
+        for store, data in ((a, np.arange(16.0)), (b, np.linspace(1.0, 2.0, 16))):
+            store.add_application_reference()
+            runtime.attach_array(store, data)
+        natural = natural_tiling((16,), launch)
+
+        def held(name):
+            store = manager.create_store((16,), name=name)
+            store.add_application_reference()
+            return store
+
+        outs = []
+        for iteration in range(self.ITERATIONS):
+            runtime.profiler.begin_iteration()
+            odd = iteration == self.ODD
+            s1, s2 = 1.5 + iteration, 0.25
+            if odd and perturb == "flip":
+                s2 = s1
+            part = natural
+            if odd and perturb == "partition":
+                # The same tiles through a distinct (bounded) partition.
+                part = Tiling.create((4,), bounds=Rect((0,), (16,)))
+            t, u, out = held("t"), held("u"), held("out")
+            engine.submit(IndexTask(
+                "multiply_scalar", launch,
+                [StoreArg(a, part, Privilege.READ), StoreArg(t, part, Privilege.WRITE)],
+                scalar_args=(s1,),
+            ))
+            if odd and perturb == "attach":
+                # A host write to ``a`` while a buffered task reads it.
+                # The eager pipeline does not order host writes against
+                # its window, so the untraced run drains it here — where
+                # the traced run's forced boundary falls.
+                engine.notify_host_write(a)
+                if engine.trace is None:
+                    engine.flush_window()
+                assert engine.trace is None or engine.trace.pending == 0
+                runtime.attach_array(a, np.arange(16.0) * 3.0)
+            engine.submit(IndexTask(
+                "multiply_scalar", launch,
+                [StoreArg(t, part, Privilege.READ), StoreArg(u, part, Privilege.WRITE)],
+                scalar_args=(s2,),
+            ))
+            t.remove_application_reference()
+            engine.submit(IndexTask(
+                "add", launch,
+                [
+                    StoreArg(u, part, Privilege.READ),
+                    StoreArg(b, part, Privilege.READ),
+                    StoreArg(out, part, Privilege.WRITE),
+                ],
+            ))
+            u.remove_application_reference()
+            if odd and perturb == "drop":
+                # The application drops its result after submitting the
+                # task that computes it: dead at the boundary.
+                out.remove_application_reference()
+            else:
+                outs.append(out)
+            engine.flush_window()
+
+        profiler = runtime.profiler
+        counts = dict(
+            hits=profiler.trace_hits,
+            misses=profiler.trace_misses,
+            captures=0 if engine.trace is None else engine.trace.captured_plans,
+            flips=profiler.scalar_pattern_flips,
+        )
+        buffers = [runtime.read_array(store) for store in [a, b] + outs]
+        return counts, buffers, profiler.iteration_seconds()
+
+    def _check(self, monkeypatch, perturb, expected, config_kwargs=None):
+        counts, buffers, seconds = self._drive("1", monkeypatch, perturb, config_kwargs)
+        eager_counts, eager_buffers, eager_seconds = self._drive(
+            "0", monkeypatch, perturb, config_kwargs
+        )
+        assert counts == expected
+        assert eager_counts == dict(hits=0, misses=0, captures=0, flips=0)
+        assert len(buffers) == len(eager_buffers)
+        for traced, eager in zip(buffers, eager_buffers):
+            assert traced.tobytes() == eager.tobytes()
+        assert seconds == eager_seconds
+        return counts
+
+    def test_steady_chain(self, monkeypatch):
+        """The baseline every case perturbs: one capture, then replays."""
+        self._check(monkeypatch, None, dict(hits=5, misses=2, captures=1, flips=0))
+
+    def test_handle_dropped_after_submit_misses(self, monkeypatch):
+        """Liveness is sampled at the boundary, not when the task arrived."""
+        self._check(monkeypatch, "drop", dict(hits=4, misses=3, captures=1, flips=0))
+
+    def test_same_structure_over_another_partition_misses(self, monkeypatch):
+        self._check(monkeypatch, "partition", dict(hits=4, misses=3, captures=2, flips=0))
+
+    def test_epoch_split_by_the_task_limit(self, monkeypatch):
+        """A two-task limit splits every three-task iteration in two
+        epochs; a two-task window gives the untraced run the same rounds."""
+        import repro.runtime.trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "EPOCH_TASK_LIMIT", 2)
+        self._check(
+            monkeypatch, None, dict(hits=10, misses=4, captures=2, flips=0),
+            config_kwargs=dict(initial_window_size=2, max_window_size=2),
+        )
+
+    def test_attach_mid_epoch_forces_a_boundary(self, monkeypatch):
+        self._check(monkeypatch, "attach", dict(hits=4, misses=4, captures=1, flips=0))
+
+    def test_scalar_equality_flip_is_counted(self, monkeypatch):
+        self._check(monkeypatch, "flip", dict(hits=4, misses=3, captures=1, flips=1))
