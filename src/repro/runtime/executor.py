@@ -18,10 +18,12 @@ four steps:
    eager launch is one chunk, run in this process.  A replayed step of a
    plan resident in the worker processes (``REPRO_POINT_WORKERS`` > 1)
    ships with its whole level as one frame per worker
-   (:meth:`TaskExecutor.run_resident_level`), and the scheduler hands
-   each step its chunk results; a step the frame declines — the reason
-   recorded by ``Profiler.record_decline`` — or whose frame lost its
-   pool runs its chunks inline, in rank order, on the calling thread.
+   (:meth:`TaskExecutor.run_resident_level`); the calling thread runs
+   slot 0's chunks meanwhile, and the scheduler hands each step its
+   chunk results.  A step the frame declines — the reason recorded by
+   ``Profiler.record_decline`` — runs its chunks inline, in rank order,
+   on the calling thread, and so do the chunks of workers the frame
+   lost.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
    rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
    are bit-identical for every substrate and dispatch width.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,6 +151,17 @@ class ChunkWork:
     #: Scalars by name (compiled) or the positional tuple (opaque).
     scalars: object = None
     elementwise: bool = False
+
+
+class Shipped(NamedTuple):
+    """One shipped step's chunks after its level's round trip."""
+
+    #: Per chunk, in chunk order: the result the calling thread (slot 0)
+    #: or a worker process produced, or ``None`` for a chunk that has
+    #: yet to run (its worker was lost), which the launch runs inline.
+    results: List[Optional[ChunkResult]]
+    #: How many of ``results`` a worker process produced.
+    process_chunks: int
 
 
 def bind_views(rows: Sequence[Row], start: int, stop: int) -> List[dict]:
@@ -566,34 +579,59 @@ class TaskExecutor:
         return index, values, tuple(descriptors), chunks
 
     def run_resident_level(
-        self, plan, level: int, entries: Sequence[tuple], meanwhile: Callable[[], None]
-    ) -> Optional[List[ChunkResult]]:
-        """One plan level's resident steps: one frame per worker.
+        self, plan, level: int, entries: Sequence[tuple], works: Sequence[ChunkWork],
+        meanwhile: Callable[[], None],
+    ) -> List[Shipped]:
+        """One plan level's resident steps: one frame per worker, slot 0 here.
 
         ``entries`` are the level's :meth:`resident_entry` tuples in
-        recorded order; ``meanwhile`` runs the level's other steps on
-        this thread while the workers compute.  Returns every entry's
-        chunk results as one flat list in (entry, chunk) order, or
-        ``None`` when a worker died or hung (``worker_lost``; kernel
-        errors re-raise with their own type): the pool is torn down, the
-        caller runs the entries inline, and the next frame's
-        ``procpool.process_pool()`` builds a fresh pool, to which the
-        plan re-ships.  The pool's lock is held across the call and the
-        read of its ``traffic``, so the round trip reports exactly its
-        own wire bytes and messages, even when it fails.
+        recorded order and ``works`` their prepared works.  While the
+        workers compute, this thread runs slot 0's chunks of every entry
+        through ``ChunkWork.run`` — what the inline rung runs — then
+        ``meanwhile``, the level's other steps.  Returns each entry's
+        :class:`Shipped` chunks.  When a worker died or hung
+        (``worker_lost``; kernel errors re-raise with their own type)
+        the pool is torn down and the workers' chunks come back as
+        ``None``, to run inline beside slot 0's finished ones; the next
+        frame's ``procpool.process_pool()`` builds a fresh pool, to
+        which the plan re-ships.  The pool's lock is held across the
+        call and the read of its ``traffic``, so the round trip reports
+        exactly its own wire bytes and messages, even when it fails.
         """
         label = ""
         if telemetry.enabled():
             steps = ",".join(str(entry[0]) for entry in entries)
             label = f"resident plan={plan.plan_id} level={level} steps={steps}"
         pool = procpool.process_pool()
+        shares: List[List[Optional[ChunkResult]]] = [
+            [None] * len(entry[3]) for entry in entries
+        ]
+
+        def calling_thread() -> None:
+            for share, work, entry in zip(shares, works, entries):
+                for position, (start, stop) in enumerate(entry[3]):
+                    if not pool.slot(position):
+                        share[position] = work.run(start, stop)
+            meanwhile()
+
+        remote = None
         with pool.lock, telemetry.span("wire.roundtrip", label):
             try:
-                return pool.run_resident_chunks(plan, entries, meanwhile)
+                remote = iter(pool.run_resident_chunks(plan, entries, calling_thread))
             except procpool.ProcessPoolBrokenError:
-                return self._decline("worker_lost")
+                self._decline("worker_lost")
             finally:
                 self.profiler.record_wire_traffic(*pool.traffic)
+        shipped = []
+        for share in shares:
+            process_chunks = 0
+            if remote is not None:
+                for position in range(len(share)):
+                    if pool.slot(position):
+                        share[position] = next(remote)
+                        process_chunks += 1
+            shipped.append(Shipped(share, process_chunks))
+        return shipped
 
     # ------------------------------------------------------------------
     # Fold.
@@ -643,24 +681,32 @@ class TaskExecutor:
 
     def launch(
         self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int,
-        shipped: Optional[List[ChunkResult]] = None,
+        shipped: Optional[Shipped] = None,
     ) -> Tuple[float, Dict[object, Partials]]:
         """Run a prepared launch's chunks and fold them.
 
-        ``shipped`` hands in the chunk results a resident level frame
-        already brought back from the worker processes (dispatched at
-        ``width``); without them the chunks run here, in rank order.
-        Returns ``(kernel seconds, reduction partials per key)`` with the
-        partials still unapplied: the plan scheduler folds each step's
-        partials into their stores at its level's join, in recorded
-        order.
+        ``shipped`` hands in what a resident level frame (dispatched at
+        ``width``) already ran: slot 0's chunks on the calling thread and
+        those the worker processes brought back.  The chunks it lacks —
+        every chunk without it — run here, in rank order, and no chunk
+        runs twice.  Returns ``(kernel seconds, reduction partials per
+        key)`` with the partials still unapplied: the plan scheduler
+        folds each step's partials into their stores at its level's
+        join, in recorded order.
         """
+        process_chunks = 0
         if shipped is None:
             results = [work.run(start, stop) for start, stop in chunks]
         else:
-            results = shipped
+            results = [
+                work.run(start, stop) if done is None else done
+                for done, (start, stop) in zip(shipped.results, chunks)
+            ]
+            process_chunks = shipped.process_chunks
+        if process_chunks:
             self.profiler.record_point_dispatch(
-                ranks=work.num_points, chunks=len(chunks), width=width
+                ranks=work.num_points, chunks=len(chunks),
+                process_chunks=process_chunks, width=width,
             )
         if work.elementwise:
             self.profiler.record_elementwise_batch(len(chunks))
@@ -668,8 +714,7 @@ class TaskExecutor:
             self.profiler.record_opaque_execution(rank_calls=work.num_points)
         elif work.kernel is None:
             self.profiler.record_opaque_execution(
-                chunk_calls=len(chunks),
-                process_chunks=0 if shipped is None else len(chunks),
+                chunk_calls=len(chunks), process_chunks=process_chunks
             )
         return self.fold(results, work.wanted)
 

@@ -14,14 +14,14 @@ order.  There is one work message, the **level frame** (below); the
 other two messages are bookkeeping that needs no reply (a plan ship) or
 belongs to telemetry.  A level is one synchronous round trip, made
 under the pool's lock: the caller sends each engaged worker its frame,
-runs the level's local steps, then reads each worker's reply straight
-off its pipe, in worker order.  One caller owns every pipe for the
-whole call, so the send-side state that depends on FIFO order (the
-shipped table and plan sets and the descriptor interning below) always
-matches what the worker received, and the next message on a pipe is the
-reply to the frame just sent.  Every frame carries a per-pool **frame
-number** that its reply echoes; a reply to any other frame breaks the
-pool like a dead worker.
+runs its own share of the level (below) and the level's local steps,
+then reads each worker's reply straight off its pipe, in worker order.
+One caller owns every pipe for the whole call, so the send-side state
+that depends on FIFO order (the shipped table and plan sets and the
+descriptor interning below) always matches what the worker received,
+and the next message on a pipe is the reply to the frame just sent.
+Every frame carries a per-pool **frame number** that its reply echoes;
+a reply to any other frame breaks the pool like a dead worker.
 
 Workers never receive array data: a frame names **block descriptors**
 into the shared-memory arena, and workers build zero-copy NumPy views of
@@ -36,6 +36,12 @@ pickled back and re-raised in the parent with the worker traceback.
 
 Plan-resident replay
 --------------------
+The pool has :func:`pool_size` **slots**: slot 0 is the thread that
+calls :meth:`ProcessWorkerPool.run_resident_chunks` (the plan
+scheduler's), and slot ``s`` ≥ 1 is worker process ``s − 1``, so an
+N-way pool spawns N − 1 processes and the process that issues a level
+computes a share of it instead of sleeping on the replies.
+
 The parent registers a whole plan with the pool once — a
 :class:`ResidentPlan` maps schedule-step indices to
 :class:`ResidentStep` / :class:`OpaqueResidentStep` templates holding
@@ -43,13 +49,14 @@ the kernel spec (or operator name), the full rank-indexed rect table,
 the step's chunk plan and the calling convention of every shippable
 step — and ships it to each worker at most once, keyed by a
 parent-assigned plan id.  Chunk i of a resident step always lands on
-worker ``i % size``, so each worker's rank ranges are baked into its
-copy of the plan at ship time and never travel again.  A compiled
-template carries a **kernel spec** (the KIR function, a stripped
-parameter binding and the backend name, or a super-kernel's generated
-source); workers build its executor through the normal
-:func:`repro.kernel.lowering.lower` entry point, so isomorphic kernels
-compile once per worker in the process-local source-keyed cache.  An
+slot ``i % size`` (:meth:`ProcessWorkerPool.slot`), so each worker's
+rank ranges are baked into its copy of the plan at ship time and never
+travel again.  A compiled template carries a **kernel spec** (the KIR
+function, a stripped parameter binding and the backend name, or a
+super-kernel's generated source); workers build its executor through
+the normal :func:`repro.kernel.lowering.lower` entry point, so
+isomorphic kernels compile once per worker in the process-local
+source-keyed cache.  An
 opaque template names the operator and its defining module, and the
 worker resolves the implementation from its *own* registry
 (:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork`` workers
@@ -67,9 +74,10 @@ descriptor sync)`` list the level's shipped steps that worker has chunks
 of, in recorded order.  The worker interns every entry's sync, runs the
 entries back to back over its baked rank ranges, and answers with one
 reply holding each entry's chunk results; while the workers compute,
-the parent runs the level's remaining steps (single-rank launches,
-operators with nothing a worker could resolve) itself.  A width-3 level
-therefore costs one send and one reply per worker where per-step
+the calling thread runs slot 0's chunks of the shipped steps and the
+level's remaining steps (single-rank launches, operators with nothing a
+worker could resolve).  A width-3 level therefore costs one send and
+one reply per worker where per-step
 messages cost three of each — the launch being merged (Li et al.,
 "Automatic Horizontal Fusion for GPU Kernels") is a pipe round trip —
 and a width-1 level is simply a one-entry frame.  Once every sync is
@@ -91,10 +99,10 @@ the pool stays usable.  Staleness is generation-based:
 ``RegionManager.attach`` (descriptor swaps), store releases and
 ``config.reload_flags()`` bump :func:`resident_generation`, which
 retires every parent-side :class:`ResidentPlan` built under an older
-generation; a dead or hung worker tears the pool down, every step of
-the lost frame runs its chunks inline in the parent, and the next
-frame's :func:`process_pool` builds a fresh pool, to which the plan
-re-ships.
+generation; a dead or hung worker tears the pool down, the lost
+workers' chunks of the frame's steps run inline in the parent (slot 0's
+already ran), and the next frame's :func:`process_pool` builds a fresh
+pool, to which the plan re-ships.
 
 The pool also meters its own wire traffic: every message is pickled
 once (``ForkingPickler``, exactly what ``Connection.send`` does) or
@@ -105,11 +113,13 @@ measure real serialized sizes with no double pickling.
 
 Lifetime
 --------
-The pool is a lazy process-wide singleton of :func:`pool_size` workers.
+The pool is a lazy process-wide singleton of :func:`pool_size` slots
+(one fewer worker process).
 ``config.reload_flags()`` retires it when that size changes or point
 dispatch is switched off, and an ``atexit`` hook (plus the test suite's
 session fixture) shuts the workers down so runs never leak child
-processes.
+processes; the hook then closes the shared-memory arenas and reaps the
+resource tracker (:func:`~repro.runtime.shm.shutdown_shared_memory`).
 Workers are started with the ``fork`` method where available (they
 inherit the warm codegen cache); ``spawn`` elsewhere.
 """
@@ -132,7 +142,12 @@ import numpy as np
 
 from repro import config
 from repro.runtime import telemetry
-from repro.runtime.shm import BlockDescriptor, attach_view, close_attachments
+from repro.runtime.shm import (
+    BlockDescriptor,
+    attach_view,
+    close_attachments,
+    shutdown_shared_memory,
+)
 
 #: Rank rectangle as shipped to workers: ``(lo, hi)`` integer tuples
 #: (half-open), lean enough to pickle by the thousand.
@@ -214,8 +229,8 @@ class ResidentStep:
     modes: Optional[Tuple[str, ...]]
     #: The step's rank-chunk plan.  On the parent template this is the
     #: *full* chunk list (the executor degrades when a dispatch's chunks
-    #: disagree); on worker w's shipped copy it holds only the chunks
-    #: assigned to w (``i % size == w``), in chunk-index order, so run
+    #: disagree); on worker w's shipped copy it holds only the chunks of
+    #: its slot (``i % size == w + 1``), in chunk-index order, so run
     #: messages carry no geometry at all.
     chunks: Tuple[Tuple[int, int], ...] = ()
 
@@ -595,7 +610,11 @@ def _worker_main(connection) -> None:
 # Parent side.
 # ----------------------------------------------------------------------
 class ProcessWorkerPool:
-    """A fixed-size pool of kernel-executing worker processes."""
+    """A fixed-size pool of kernel-executing worker processes.
+
+    ``size`` counts slots: the calling thread (slot 0) and ``size − 1``
+    worker processes (slots 1 and up).
+    """
 
     def __init__(self, size: int) -> None:
         self.size = max(1, size)
@@ -630,7 +649,7 @@ class ProcessWorkerPool:
         #: Number of the last level frame sent (its replies echo it).
         self._frame = 0
         self.closed = False
-        for _ in range(self.size):
+        for _ in range(self.size - 1):
             parent_end, worker_end = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main, args=(worker_end,), daemon=True
@@ -649,7 +668,7 @@ class ProcessWorkerPool:
         self._worker_pids: List[int] = [
             process.pid or 0 for process in self._processes
         ]
-        self._telemetry_offsets: List[float] = [0.0] * self.size
+        self._telemetry_offsets: List[float] = [0.0] * len(self._processes)
         armed, capacity = self._telemetry_state
         if armed:
             # The midpoint of the parent's send/receive clock bracket
@@ -785,13 +804,20 @@ class ProcessWorkerPool:
     run_opaque_chunks = None
 
     # ------------------------------------------------------------------
+    def slot(self, position: int) -> int:
+        """The slot chunk ``position`` of a resident step runs on.
+
+        Slot 0 is the calling thread, slot ``s`` ≥ 1 worker ``s − 1``.
+        """
+        return position % self.size
+
     def _plan_ship_message(self, plan: ResidentPlan, worker: int) -> tuple:
         """Build one worker's copy of a resident-plan ship message.
 
         Rect tables the worker already interned (from earlier plan
         ships) travel as their id alone; fresh tables are
         carried once and marked shipped.  Each step's chunk plan is cut
-        down to the chunks this worker owns (``i % size == worker``), so
+        down to the chunks of this worker's slot (``worker + 1``), so
         run messages never carry rank ranges.
         """
         steps: Dict[int, object] = {}
@@ -799,7 +825,7 @@ class ProcessWorkerPool:
             worker_chunks = tuple(
                 chunk
                 for position, chunk in enumerate(template.chunks)
-                if position % self.size == worker
+                if self.slot(position) == worker + 1
             )
             if isinstance(template, OpaqueResidentStep):
                 steps[index] = OpaqueResidentStep(
@@ -827,23 +853,25 @@ class ProcessWorkerPool:
         entries: Sequence[tuple],
         meanwhile: Optional[Callable[[], None]] = None,
     ) -> List[ChunkResult]:
-        """Execute one plan level's resident steps, one frame per worker.
+        """Execute the workers' share of one plan level, one frame each.
 
         ``entries`` lists ``(step index, scalar values, descriptors,
         chunks)`` per shipped step of the level, in recorded order.
-        Chunk i of a step always runs on worker ``i % size`` — the fixed
-        mapping the plan-ship message baked each worker's rank ranges
-        under — so each engaged worker receives *one* run message
-        listing the entries it has chunks of (plus, the first time it
-        sees this plan id, the plan-ship message), executes them back to
-        back and returns one reply.  ``meanwhile`` runs on the calling
-        thread between the last send and the wait for the replies (the
-        level's steps that stay in this process); the replies are
-        awaited even when it raises, so no worker is still writing when
-        the error surfaces.  Returns the chunk results as one flat list
-        in (entry, chunk) order — reassembled by the same mapping, so
-        chunk and therefore rank order, as the parent's inline loop
-        would produce them.
+        Chunk i of a step always runs on slot ``i % size``
+        (:meth:`slot`) — the fixed mapping the plan-ship message baked
+        each worker's rank ranges under — so each engaged worker
+        receives *one* run message listing the entries it has chunks of
+        (plus, the first time it sees this plan id, the plan-ship
+        message), executes them back to back and returns one reply.
+        ``meanwhile`` runs on the calling thread between the last send
+        and the wait for the replies: slot 0's chunks of the entries,
+        then the level's steps that stay in this process.  The replies
+        are awaited even when it raises, so no worker is still writing
+        when the error surfaces.  Returns the chunk results of slots 1
+        and up as one flat list in (entry, chunk) order — the positions
+        ``i`` with ``slot(i) != 0``, reassembled by the same mapping, so
+        the caller interleaves slot 0's results back into chunk and
+        therefore rank order.
 
         An entry's ``descriptors`` is the step's *current* per-buffer
         field-address tuple (``None`` entries for reductions): frontends
@@ -868,7 +896,7 @@ class ProcessWorkerPool:
                 raise ProcessPoolBrokenError("process pool is closed")
             self._frame += 1
             frame = self._frame
-            engaged = min(self.size, max(len(entry[3]) for entry in entries))
+            engaged = min(self.size, max(len(entry[3]) for entry in entries)) - 1
             try:
                 for worker in range(engaged):
                     if plan.plan_id not in self._plans_shipped[worker]:
@@ -877,7 +905,7 @@ class ProcessWorkerPool:
                     ids = self._descriptor_ids[worker]
                     own = []
                     for step_index, values, descriptors, chunks in entries:
-                        if len(chunks) <= worker:
+                        if len(chunks) <= worker + 1:
                             continue
                         sync = []
                         for descriptor in descriptors:
@@ -907,10 +935,12 @@ class ProcessWorkerPool:
         per_worker = [iter(reply) for reply in self._unwrap(replies)]
         results: List[ChunkResult] = []
         for _step_index, _values, _descriptors, chunks in entries:
-            parts = [next(per_worker[worker]) for worker in range(min(self.size, len(chunks)))]
+            # Slot s's chunk results of this entry (slot 0's are the caller's).
+            by_slot = [None] + [next(reply) for reply in per_worker[:len(chunks) - 1]]
             results.extend(
-                parts[position % self.size][position // self.size]
+                by_slot[self.slot(position)][position // self.size]
                 for position in range(len(chunks))
+                if self.slot(position)
             )
         return results
 
@@ -998,10 +1028,11 @@ def retire_resident_plan(plan) -> None:
 
 
 def pool_size() -> int:
-    """Workers of the process pool: ``max(REPRO_WORKERS, REPRO_POINT_WORKERS)``.
+    """Slots of the process pool: ``max(REPRO_WORKERS, REPRO_POINT_WORKERS)``.
 
-    Wide plan levels split this many workers between their dispatched
-    steps (``scheduler._plan_dispatch``).
+    Slots, not processes: the scheduling thread is slot 0, so the pool
+    spawns one worker process fewer.  Wide plan levels split this many
+    slots between their dispatched steps (``scheduler._plan_dispatch``).
     """
     return max(config.worker_count(), config.point_worker_count())
 
@@ -1107,5 +1138,11 @@ def spec_for(kernel) -> KernelSpec:
     return spec
 
 
+def _shutdown_at_exit() -> None:
+    """Interpreter exit: the workers first, then shared memory."""
+    shutdown_process_pool()
+    shutdown_shared_memory()
+
+
 config.register_reload_callback(_reload_process_pool)
-atexit.register(shutdown_process_pool)
+atexit.register(_shutdown_at_exit)

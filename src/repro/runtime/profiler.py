@@ -103,9 +103,12 @@ class Profiler:
         #: Intra-launch point-dispatch counters: launches whose per-rank
         #: point tasks ran as rank chunks in the worker processes, the
         #: total chunks and ranks they covered, the widest single launch,
-        #: and the summed configured width (the utilisation denominator).
+        #: and the summed configured width (the utilisation denominator);
+        #: of those chunks, the ones a worker process ran (the rest ran
+        #: on the scheduling thread, slot 0 of the pool).
         self.point_launches: int = 0
         self.point_chunks: int = 0
+        self.point_process_chunks: int = 0
         self.point_ranks: int = 0
         self.point_width_max: int = 0
         self.point_width_budget: int = 0
@@ -260,15 +263,19 @@ class Profiler:
                 self.plan_level_widths.get(level_width, 0) + 1
             )
 
-    def record_point_dispatch(self, ranks: int, chunks: int, width: int) -> None:
+    def record_point_dispatch(
+        self, ranks: int, chunks: int, process_chunks: int, width: int
+    ) -> None:
         """Record one launch whose rank chunks ran in the worker processes.
 
+        ``process_chunks`` of its ``chunks`` ran in a worker process.
         Reported on the thread that sent the launch's level frame; taken
         under the lock the plan-pool threads' counters share.
         """
         with self._lock:
             self.point_launches += 1
             self.point_chunks += chunks
+            self.point_process_chunks += process_chunks
             self.point_ranks += ranks
             self.point_width_max = max(self.point_width_max, chunks)
             self.point_width_budget += max(1, width)
@@ -362,11 +369,6 @@ class Profiler:
     def closure_calls_per_epoch(self) -> float:
         """Average compiled-closure invocations per replayed epoch."""
         return self.replay_closure_calls / self.trace_hits if self.trace_hits else 0.0
-
-    @property
-    def point_process_chunks(self) -> int:
-        """Rank chunks the worker processes ran: every dispatched chunk."""
-        return self.point_chunks
 
     @property
     def point_chunks_per_launch(self) -> float:

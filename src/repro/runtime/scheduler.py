@@ -30,9 +30,10 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    and launched inline or on a plan-pool thread.  A plan resident in
    the worker processes never uses the thread pool: each level's shipped
    steps travel as one frame per worker
-   (:meth:`PlanScheduler._resident_level`) and the rest of the level —
-   steps the frame declines included — runs on the scheduling thread
-   while the workers compute.
+   (:meth:`PlanScheduler._resident_level`), and while the workers
+   compute the scheduling thread runs its own share of those steps (it
+   is slot 0 of the pool) and the rest of the level — steps the frame
+   declines included.
    Workers only *compute*; all side effects that carry ordering
    semantics are folded at join points **in recorded order** —
    reduction partials at each level's join, profiler records
@@ -350,9 +351,9 @@ def _plan_dispatch(
     amortise the handoff to the worker
     pool (``REPRO_WORKERS`` > 1); each dispatched compiled step may
     then split into at most ``pool size // dispatched steps`` chunks,
-    where the pool size is the worker-process count
-    (``procpool.pool_size``), and the small steps beside them stay
-    serial.  Steps of a level with nothing dispatched — every step of a
+    where the pool size counts the scheduling thread and the worker
+    processes (``procpool.pool_size``), and the small steps beside them
+    stay serial.  Steps of a level with nothing dispatched — every step of a
     chain plan — own the whole point width, and so do opaque steps of a
     shared level: their chunks queue on the worker pipes.
     """
@@ -478,9 +479,11 @@ class PlanScheduler:
                 label = f"level={level_index} width={len(level)}"
                 recorder.record("B", "plan.level", label, runtime.simulated_seconds)
             #: The level's launches, prepared on this thread in recorded
-            #: order, and the frame entries of those a resident plan ships.
+            #: order, and the frame entries and works of those a resident
+            #: plan ships.
             launches: Dict[int, Callable] = {}
             entries: List[tuple] = []
+            works: List[ChunkWork] = []
             for index, entry, width, chunks in level:
                 work = prepare(entry)
                 if recorder is None:
@@ -491,8 +494,11 @@ class PlanScheduler:
                     frame_entry = executor.resident_entry(resident, index, work, chunks)
                     if frame_entry is not None:
                         entries.append(frame_entry)
+                        works.append(work)
             if resident is not None:
-                shipped = self._resident_level(resident, level_index, launches, entries, results)
+                shipped = self._resident_level(
+                    resident, level_index, launches, entries, works, results
+                )
                 if len(level) > 1:
                     dispatched += shipped
             elif dispatch.pooled[level_index]:
@@ -591,40 +597,41 @@ class PlanScheduler:
             return self.runtime.executor.launch(work, chunks, width, shipped)
 
     def _resident_level(
-        self, resident, level_index: int, launches: Dict[int, Callable], entries, results
+        self, resident, level_index: int, launches: Dict[int, Callable],
+        entries, works, results,
     ) -> int:
         """Run one level of a resident plan; returns how many steps shipped.
 
         The level — not the step — is the unit the resident protocol
-        ships: ``entries`` (the level's steps whose work ships) go to
-        each engaged worker as one frame, the level's other steps run
-        here on the scheduling thread while the workers compute, and one
-        reply per worker brings back every entry's chunk results, which
-        each step's launch then folds like any chunked dispatch.  The
-        steps of a frame that lost its pool run their chunks inline here
-        too; the next frame's ``procpool.process_pool()`` rebuilds the
-        pool, and the plan re-ships to it.  Nothing is submitted to the
-        plan-level thread pool.
+        ships: ``entries`` (the level's steps whose work ships, prepared
+        as ``works``) go to each engaged worker as one frame, this
+        thread runs slot 0's chunks of them and then the level's other
+        steps while the workers compute, and one reply per worker brings
+        back the rest of the entries' chunk results, which each step's
+        launch then folds like any chunked dispatch.  The chunks of a
+        frame that lost its pool run inline here too — only the lost
+        workers' chunks, never slot 0's a second time; the next frame's
+        ``procpool.process_pool()`` rebuilds the pool, and the plan
+        re-ships to it.  Nothing is submitted to the plan-level thread
+        pool.
         """
+        frame = {entry[0] for entry in entries}
 
-        def run_pending(skip=()) -> None:
+        def run_pending() -> None:
             for index, launch in launches.items():
-                if results[index] is None and index not in skip:
+                if results[index] is None and index not in frame:
                     results[index] = launch()
 
-        flat = None
+        shipped = 0
         if entries:
-            flat = self.runtime.executor.run_resident_level(
-                resident, level_index, entries,
-                partial(run_pending, {entry[0] for entry in entries}),
+            level = self.runtime.executor.run_resident_level(
+                resident, level_index, entries, works, run_pending
             )
-        if flat is not None:
-            offset = 0
-            for index, _values, _descriptors, chunks in entries:
-                results[index] = launches[index](flat[offset:offset + len(chunks)])
-                offset += len(chunks)
+            for entry, done in zip(entries, level):
+                results[entry[0]] = launches[entry[0]](done)
+                shipped += done.process_chunks > 0
         run_pending()
-        return len(entries) if flat is not None else 0
+        return shipped
 
     def _resident_plan(self, plan: ExecutionPlan, steps, decisions, prepare: Callable):
         """Register ``plan`` for resident process replay (cached on it).

@@ -23,23 +23,30 @@ pool ships to workers.
 Lifetime
 --------
 Each :class:`SharedArena` owns its segments and unlinks them when it is
-closed.  The region manager closes its arena through a
-``weakref.finalize`` hook, which Python runs when the manager is
-garbage collected *or at interpreter exit* — so test runs do not leak
+closed.  Segments are named ``repro-<pid>-<hex>-<n>``, so a leaked one
+names the process that created it.  The region manager closes its arena
+through a ``weakref.finalize`` hook, which Python runs when the manager
+is garbage collected *or at interpreter exit* — so test runs do not leak
 ``/dev/shm`` segments or trip ``resource_tracker`` warnings: pool
 workers are children of this process and share its resource tracker, so
 a worker-side attach re-registers the same name into the same cache (a
 no-op) and the parent's unlink retires the single entry.  Workers must
 therefore *not* unregister their attachments — doing so would strip the
 parent's entry and make the later unlink warn about an unknown name.
+The tracker is a process the first segment starts; at exit
+:func:`shutdown_shared_memory` stops and reaps it, so it cannot outlive
+this process.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+import time
 import uuid
+import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,6 +59,14 @@ SEGMENT_BYTES = 16 * 1024 * 1024
 #: Block alignment inside a segment (one cache line, and a multiple of
 #: every NumPy itemsize in use).
 _ALIGN = 64
+
+#: How long exit waits to reap the stopped resource tracker: it exits
+#: within milliseconds once every copy of its pipe is closed, and a copy
+#: some unrelated child process holds costs exactly this wait.
+TRACKER_EXIT_SECONDS = 2.0
+
+#: Arenas not yet closed (closed at exit before the tracker stops).
+_LIVE_ARENAS: "weakref.WeakSet[SharedArena]" = weakref.WeakSet()
 
 
 def _align(value: int) -> int:
@@ -73,14 +88,16 @@ class SharedArena:
 
     def __init__(self, segment_bytes: Optional[int] = None) -> None:
         self.segment_bytes = segment_bytes or SEGMENT_BYTES
-        #: Unique prefix so two arenas (or two processes) never collide.
-        self._prefix = f"repro-{uuid.uuid4().hex[:12]}"
+        #: Unique prefix so two arenas (or two processes) never collide;
+        #: it leads with the creating process's pid.
+        self._prefix = f"repro-{os.getpid()}-{uuid.uuid4().hex[:12]}"
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
         #: Segment name -> sorted list of free ``(offset, size)`` holes.
         self._free: Dict[str, List[Tuple[int, int]]] = {}
         self._counter = 0
         self._lock = threading.Lock()
         self.closed = False
+        _LIVE_ARENAS.add(self)
 
     # ------------------------------------------------------------------
     # Allocation.
@@ -203,6 +220,35 @@ class SharedArena:
                 # region field of a context that outlives its arena's
                 # explicit close); the mapping is reclaimed when they go.
                 pass
+
+
+def shutdown_shared_memory() -> None:
+    """Close every live arena, then stop and reap the resource tracker.
+
+    Left alone, the tracker notices this process's exit only afterwards
+    and outlives it by milliseconds, an orphan.  This runs at exit after
+    the worker processes are gone (they hold copies of the tracker's
+    pipe; ``procpool``'s exit hook stops them first), and the arenas
+    close before the tracker stops because unlinking a segment messages
+    the tracker, which would start a fresh one.  Only a tracker this
+    process started is stopped.
+    """
+    for arena in list(_LIVE_ARENAS):
+        arena.close()
+    tracker = resource_tracker._resource_tracker
+    fd, pid = getattr(tracker, "_fd", None), getattr(tracker, "_pid", None)
+    if fd is None or pid is None:
+        return
+    tracker._fd = tracker._pid = None
+    os.close(fd)
+    deadline = time.monotonic() + TRACKER_EXIT_SECONDS
+    while time.monotonic() < deadline:
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                return
+        except ChildProcessError:
+            return
+        time.sleep(0.001)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,9 @@ Usage::
 of a Perfetto session: count, total and self time per span kind per
 replayed epoch (:func:`telemetry.span_summary`), then how many
 super-kernel sections run once over a merged span and why the others
-keep a rank loop; no trace file is written unless ``--output`` names one.
+keep a rank loop, then the point-dispatch pool (the scheduling thread
+and its worker processes) with the level frames and worker chunks of a
+replayed epoch; no trace file is written unless ``--output`` names one.
 
 By default the run uses the full replay stack with rank chunks in
 worker processes (trace capture, plan scheduler, ``--point-workers 4``),
@@ -39,7 +41,7 @@ import repro.apps  # noqa: F401 - registers the applications
 from repro import config
 from repro.apps.base import registered_applications
 from repro.experiments.harness import run_application_experiment
-from repro.runtime import telemetry
+from repro.runtime import procpool, telemetry
 from repro.runtime.profiler import RANKED_REASONS
 
 #: Per-app problem-size overrides at trace scale: big enough that every
@@ -104,6 +106,20 @@ def format_sections(counters: Dict[str, object]) -> str:
     return f"super-kernel sections: {shapes}" + (f" ({reasons})" if reasons else "")
 
 
+def format_dispatch(counters: Dict[str, object], slots: int) -> str:
+    """One line: the pool's slots, then frames and worker chunks per epoch."""
+    if slots <= 1:
+        return "point dispatch: inline (one process)"
+    epochs = max(1, counters["trace_hits"])
+    return (
+        f"point dispatch: {slots} slots (the scheduling thread and "
+        f"{slots - 1} worker processes); per replayed epoch "
+        f"{counters['wire_requests'] / epochs:.2f} frames, "
+        f"{counters['point_process_chunks'] / epochs:.2f} of "
+        f"{counters['point_chunks'] / epochs:.2f} rank chunks in workers"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -125,7 +141,10 @@ def main() -> int:
         "--point-workers",
         type=int,
         default=4,
-        help="worker processes per launch (REPRO_POINT_WORKERS; 1 = one process)",
+        help=(
+            "point-dispatch width (REPRO_POINT_WORKERS): the scheduling thread "
+            "and N-1 worker processes; 1 = one process"
+        ),
     )
     parser.add_argument(
         "--smoke",
@@ -175,6 +194,8 @@ def main() -> int:
     if args.summary:
         print(format_summary(*telemetry.span_summary()))
         print(format_sections(snapshot))
+        slots = procpool.pool_size() if args.point_workers > 1 else 1
+        print(format_dispatch(snapshot, slots))
     if output:
         trace = telemetry.export_chrome_trace()
         trace["otherData"]["profiler"] = snapshot
@@ -195,9 +216,8 @@ def main() -> int:
 
     # Deterministic teardown (the atexit hooks would cover it anyway).
     from repro.runtime.pool import shutdown_shared_pool
-    from repro.runtime.procpool import shutdown_process_pool
 
-    shutdown_process_pool()
+    procpool.shutdown_process_pool()
     shutdown_shared_pool()
     return 0
 

@@ -91,39 +91,53 @@ def force_dispatch(monkeypatch):
 
 @pytest.fixture
 def lose_first_frame(monkeypatch):
-    """Break the worker pool under the first level frame of one test.
+    """Lose the first level frame of one test with its pool.
 
-    That frame raises ``ProcessPoolBrokenError`` after tearing its pool
-    down, so its steps run inline; later frames reach a fresh pool built
-    by ``procpool.process_pool()``.  Yields the list of lost pools (one,
+    The frame's run messages never reach the workers, and reading its
+    replies raises ``ProcessPoolBrokenError`` after tearing the pool
+    down.  Everything the calling thread does in between has run by then
+    (its own share of the frame's chunks, the level's other steps), so
+    the steps' worker chunks run inline and the calling thread's must
+    not run again.  Later frames reach a fresh pool built by
+    ``procpool.process_pool()``.  Yields the list of lost pools (one,
     once a frame was sent).
     """
     from repro.runtime import procpool
 
-    lost, lock = [], threading.Lock()
-    run_resident_chunks = procpool.ProcessWorkerPool.run_resident_chunks
+    lost, frames = [], []
+    send, receive = procpool.ProcessWorkerPool._send, procpool.ProcessWorkerPool._receive
 
-    def lose_first(self, *args):
-        with lock:
-            first = not lost
-            if first:
+    def drop_first_frame(self, worker, message, payload=None):
+        if message[0] == "r":
+            if not frames:
                 lost.append(self)
-        if first:
-            self.shutdown()
-            raise procpool.ProcessPoolBrokenError("worker lost")
-        return run_resident_chunks(self, *args)
+                frames.append((self, message[1]))
+            if frames[0] == (self, message[1]):
+                return
+        send(self, worker, message, payload)
 
-    monkeypatch.setattr(procpool.ProcessWorkerPool, "run_resident_chunks", lose_first)
+    def break_on_first_frame(self, worker, frame, deadline):
+        if frames and frames[0] == (self, frame):
+            self._break("worker lost")
+        return receive(self, worker, frame, deadline)
+
+    monkeypatch.setattr(procpool.ProcessWorkerPool, "_send", drop_first_frame)
+    monkeypatch.setattr(procpool.ProcessWorkerPool, "_receive", break_on_first_frame)
     return lost
 
 
 @pytest.fixture
 def shm_entries():
-    """A function listing this repo's live ``/dev/shm`` segments."""
+    """A function listing this process's live ``/dev/shm`` segments.
+
+    Segment names lead with the creating pid (``repro-<pid>-...``), so
+    another process's arenas on the same host never enter a comparison.
+    """
+    prefix = f"repro-{os.getpid()}-"
 
     def entries():
         try:
-            return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+            return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
         except OSError:
             return set()
 

@@ -14,7 +14,8 @@ of several blocks per rank (the kernel tier's block loop, with its
 per-call scratch, under every substrate).  The rest of the file pins
 the seams: every decline reason on a constructed replayed step,
 declined and lost steps running inline on the scheduling thread, a hung
-worker, and the allocator policy that keeps array memory mapped between
+worker, a lost frame whose step updates its field in place, and the
+allocator policy that keeps array memory mapped between
 launches.
 """
 
@@ -30,8 +31,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import repro.frontend.cunumeric as cn
 from repro import config
-from repro.apps.base import build_application
+from repro.apps import base as apps_base
+from repro.apps.base import Application, build_application
 from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
@@ -41,7 +44,12 @@ from repro.ir.task import IndexTask, StoreArg
 from repro.kernel import codegen
 from repro.runtime import procpool, region
 from repro.runtime.executor import TaskExecutor
-from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
+from repro.runtime.opaque import (
+    OpaqueTaskImpl,
+    OpaqueTaskRegistry,
+    default_opaque_registry,
+    register_opaque_task,
+)
 from repro.runtime.pool import worker_pool
 
 
@@ -333,14 +341,15 @@ class TestDeclineReasons:
 
         def send():
             entry = executor.resident_entry(plan, 0, work, chunks)
-            return executor.run_resident_level(plan, 0, [entry], lambda: None)
+            return executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
 
-        results = worker_pool().submit(send).result(timeout=30)
-        executor.launch(work, chunks, 4, results)
+        (shipped,) = worker_pool().submit(send).result(timeout=30)
+        executor.launch(work, chunks, 4, shipped)
         assert np.array_equal(out.data, expected)
         assert sum(executor.profiler.declines.values()) == 0
         assert executor.profiler.point_launches == 1
-        assert executor.profiler.opaque_process_chunks == 4
+        # Chunk 0 ran on the sending thread, chunks 1-3 in the workers.
+        assert executor.profiler.opaque_process_chunks == 3
 
     def test_field_without_shm_descriptor(self, monkeypatch, force_dispatch):
         context = _context(monkeypatch, point_workers="1")
@@ -373,8 +382,9 @@ class TestDeclineReasons:
         plan = _resident_plan(executor, work, chunks)
         # The baked plan rides a (one-entry) resident level frame ...
         entry = executor.resident_entry(plan, 0, work, chunks)
-        results = executor.run_resident_level(plan, 0, [entry], lambda: None)
-        assert len(results) == len(chunks)
+        (shipped,) = executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
+        assert len(shipped.results) == len(chunks)
+        assert shipped.process_chunks == 3
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["template_mismatch"] == 0
         # ... any other plan declines its entry and runs inline instead.
@@ -394,7 +404,9 @@ class TestDeclineReasons:
 
     def test_lost_worker(self, monkeypatch, force_dispatch):
         """Workers that take the frame and never answer (a pool seen dead
-        *before* the send just gets rebuilt by ``process_pool()``)."""
+        *before* the send just gets rebuilt by ``process_pool()``): the
+        calling thread's chunk ran during the round trip, and the launch
+        runs the workers' three inline, never chunk 0 again."""
         monkeypatch.setattr(procpool, "REPLY_DEADLINE_SECONDS", 0.3)
         executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
         plan = _resident_plan(executor, work, chunks)
@@ -402,14 +414,24 @@ class TestDeclineReasons:
         children = list(pool._processes)
         for child in children:
             os.kill(child.pid, signal.SIGSTOP)
+        ran, run = [], work.run
+        work.run = lambda start, stop: ran.append((start, stop)) or run(start, stop)
         entry = executor.resident_entry(plan, 0, work, chunks)
-        assert executor.run_resident_level(plan, 0, [entry], lambda: None) is None
+        (shipped,) = executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
+        assert ran == chunks[:1]
+        assert [done is None for done in shipped.results] == [False, True, True, True]
+        assert shipped.process_chunks == 0
         assert executor.profiler.declines["worker_lost"] == 1
         assert pool.closed
         for child in children:
             child.join(timeout=5.0)
             assert not child.is_alive()
-        self._runs_inline(executor, work, chunks, expected, out)
+        executor.launch(work, chunks, 4, shipped)
+        assert ran == chunks
+        assert np.array_equal(out.data, expected)
+        assert executor.profiler.point_launches == 0
+        assert executor.profiler.opaque_chunk_calls == len(chunks)
+        assert executor.profiler.opaque_process_chunks == 0
 
     def test_lost_pool_is_rebuilt_and_the_plan_reships(
         self, monkeypatch, force_dispatch, lose_first_frame
@@ -419,19 +441,21 @@ class TestDeclineReasons:
         executor, work, chunks, expected, out = _gemv_step(_context(monkeypatch))
         plan = _resident_plan(executor, work, chunks)
         entry = executor.resident_entry(plan, 0, work, chunks)
-        assert executor.run_resident_level(plan, 0, [entry], lambda: None) is None
+        (shipped,) = executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
+        assert shipped.process_chunks == 0
         assert executor.profiler.declines["worker_lost"] == 1
         (lost,) = lose_first_frame
         assert lost.closed
+        out.data[...] = 0.0
         entry = executor.resident_entry(plan, 0, work, chunks)
-        results = executor.run_resident_level(plan, 0, [entry], lambda: None)
+        (shipped,) = executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
         fresh = procpool.process_pool()
         assert fresh is not lost and not fresh.closed
-        assert all(plan.plan_id in shipped for shipped in fresh._plans_shipped)
-        executor.launch(work, chunks, 4, results)
+        assert all(plan.plan_id in plans for plans in fresh._plans_shipped)
+        executor.launch(work, chunks, 4, shipped)
         assert np.array_equal(out.data, expected)
         assert executor.profiler.declines["worker_lost"] == 1
-        assert executor.profiler.opaque_process_chunks == 4
+        assert executor.profiler.opaque_process_chunks == 3
 
     def test_snapshot_has_one_flat_key_per_reason(self):
         from repro.runtime.profiler import DECLINE_REASONS, Profiler
@@ -449,9 +473,9 @@ def _round_trip(executor, plan, work, chunks, out, expected):
     """Ship ``work`` as a one-entry level frame and fold its reply."""
     out.data[...] = 0.0
     entry = executor.resident_entry(plan, 0, work, chunks)
-    results = executor.run_resident_level(plan, 0, [entry], lambda: None)
-    assert results is not None
-    executor.launch(work, chunks, len(chunks), results)
+    (shipped,) = executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
+    assert None not in shipped.results
+    executor.launch(work, chunks, len(chunks), shipped)
     assert np.array_equal(out.data, expected)
 
 
@@ -470,14 +494,17 @@ class TestSynchronousRoundTrip:
         assert procpool.process_pool().size == 2
         assert after == before
         assert not any(name.startswith("procpool-") for name in after)
-        assert executor.profiler.opaque_process_chunks == len(chunks) == 2
+        # Two slots: this thread runs chunk 0, the one worker chunk 1.
+        assert len(chunks) == 2
+        assert executor.profiler.opaque_process_chunks == 1
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch, force_dispatch):
         """More threads than cores send frames of their own resident plans
         to the one pool at once: the lock hands each a whole round trip,
         so every caller gets bit-correct chunks, declines nothing and is
         charged exactly its own messages (one plan ship and one frame per
-        worker per round), and the pool then answers one more frame."""
+        worker per round; four chunks, so three workers and three worker
+        chunks per round), and the pool then answers one more frame."""
         callers, rounds = 4, 10
         steps = [_gemv_step(_context(monkeypatch)) for _caller in range(callers)]
         plans = [_resident_plan(executor, work, chunks) for executor, work, chunks, *_ in steps]
@@ -499,9 +526,10 @@ class TestSynchronousRoundTrip:
         finally:
             sys.setswitchinterval(interval)
         for executor, _work, chunks, _expected, _out in steps:
+            assert len(chunks) == 4
             assert sum(executor.profiler.declines.values()) == 0
-            assert executor.profiler.opaque_process_chunks == rounds * len(chunks)
-            assert executor.profiler.wire_requests == (rounds + 1) * len(chunks)
+            assert executor.profiler.opaque_process_chunks == rounds * 3
+            assert executor.profiler.wire_requests == (rounds + 1) * 3
         executor, work, chunks, expected, out = steps[0]
         _round_trip(executor, plans[0], work, chunks, out, expected)
         assert not procpool.process_pool().closed
@@ -512,11 +540,12 @@ class TestSynchronousRoundTrip:
 # thread.
 # ----------------------------------------------------------------------
 def _record_inline_launches(monkeypatch):
-    """Record every chunked launch that runs in this process.
+    """Record every chunked launch that runs chunks in this process.
 
     Returns ``(inline, submitted)``: per such launch, the thread that ran
-    it, its chunk plan and the ``(thread ident, start, stop)`` of every
-    chunk it ran; and whatever those launches submitted to a thread pool.
+    it, the chunks it had to run (all of them, or those a lost frame's
+    workers held) and the ``(thread ident, start, stop)`` of every chunk
+    it ran; and whatever those launches submitted to a thread pool.
     """
     local = threading.local()
     inline, submitted = [], []
@@ -530,8 +559,11 @@ def _record_inline_launches(monkeypatch):
     launch = TaskExecutor.launch
 
     def recorded_launch(self, work, chunks, width, shipped=None):
-        if shipped is not None or len(chunks) < 2:
+        if len(chunks) < 2 or (shipped is not None and shipped.process_chunks):
             return launch(self, work, chunks, width, shipped)
+        pending = list(chunks)
+        if shipped is not None:
+            pending = [chunk for chunk, done in zip(chunks, shipped.results) if done is None]
         ran, run = [], work.run
 
         def recorded(start, stop):
@@ -543,7 +575,7 @@ def _record_inline_launches(monkeypatch):
             return launch(self, work, chunks, width, shipped)
         finally:
             work.run, local.in_launch = run, False
-            inline.append((threading.current_thread(), list(chunks), ran))
+            inline.append((threading.current_thread(), pending, ran))
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
     monkeypatch.setattr(TaskExecutor, "launch", recorded_launch)
@@ -556,15 +588,16 @@ def _record_inline_launches(monkeypatch):
 def test_declined_chunks_run_inline_on_the_calling_thread(
     reason, monkeypatch, force_dispatch, request
 ):
-    """A chunked replayed step the resident frame declines, or whose
-    frame lost its pool, runs its chunks on the scheduling thread, one
-    after another in rank order, and submits nothing to a thread pool.
-    ``no_shm_descriptor``: the matrices are allocated while
-    ``REPRO_POINT_WORKERS`` is 1.  ``unshippable_operator``: the GEMVs
-    run per rank (chunked operators off), which no worker can resolve.
-    ``worker_lost``: the first frame finds its pool broken; the next
-    frame's ``process_pool()`` builds a fresh pool, and the plan re-ships
-    to it."""
+    """A chunked replayed step the resident frame declines runs its
+    chunks on the scheduling thread, one after another in rank order,
+    and submits nothing to a thread pool; one whose frame lost its pool
+    runs the lost workers' chunks so (the scheduling thread's own ran
+    during the round trip).  ``no_shm_descriptor``: the matrices are
+    allocated while ``REPRO_POINT_WORKERS`` is 1.
+    ``unshippable_operator``: the GEMVs run per rank (chunked operators
+    off), which no worker can resolve.  ``worker_lost``: the first frame
+    loses its pool; the next frame's ``process_pool()`` builds a fresh
+    pool, and the plan re-ships to it."""
     kwargs = dict(rows_per_gpu=16)
     if reason == "unshippable_operator":
         monkeypatch.setattr(config, "OPAQUE_CHUNKS", False)
@@ -620,6 +653,95 @@ def test_declined_chunks_run_inline_on_the_calling_thread(
 # ----------------------------------------------------------------------
 # A hung worker cannot hang the parent.
 # ----------------------------------------------------------------------
+# A lost frame runs no chunk twice.
+# ----------------------------------------------------------------------
+def _scale_in_place(task, point, buffers):
+    """``test-scale-in-place`` on one rank: ``x = x * scale + shift``."""
+    scale, shift = task.scalar_args
+    buffers[0][...] = buffers[0] * scale + shift
+
+
+def _scale_in_place_cost(task, point, buffers, machine):
+    return buffers[0].size * 1e-9
+
+
+def _scale_in_place_chunk(bases, rects, scalars):
+    scale, shift = scalars
+    for lo, hi in rects[0]:
+        view = bases[0][lo[0]:hi[0]]
+        view[...] = view * scale + shift
+
+
+def _scale_in_place_chunk_cost(bases, rects, scalars, machine):
+    return [(hi[0] - lo[0]) * 1e-9 for lo, hi in rects[0]]
+
+
+class _InPlaceScale(Application):
+    """One opaque step per iteration that updates its field in place."""
+
+    def __init__(self, rows_per_gpu=16, context=None):
+        super().__init__(context)
+        rows = rows_per_gpu * self.context.num_gpus
+        self.x = cn.array(np.linspace(1.0, 2.0, rows), name="inplace_x")
+
+    def step(self):
+        self.context.submit(
+            "test-scale-in-place",
+            self.x.launch_domain(),
+            [StoreArg(self.x.store, self.x.partition(), Privilege.READ_WRITE)],
+            scalar_args=(1.5, 0.25),
+        )
+
+    def checksum(self):
+        return float(self.x.sum())
+
+
+@pytest.mark.parametrize("point_workers", [2, 4])
+def test_lost_frame_runs_an_in_place_update_once(
+    point_workers, monkeypatch, force_dispatch, lose_first_frame
+):
+    """A shipped step that updates its field in place (``READ_WRITE``,
+    ``x = 1.5 x + 0.25`` on every rank) loses its first level frame with
+    the pool.  The scheduling thread ran its own chunk during the round
+    trip and the launch runs only the lost workers' chunks: a chunk run
+    twice would scale its ranks twice.  Buffers, checksum and the
+    simulated seconds of every iteration equal the eager interpreter's."""
+    # Forked workers inherit the registry: register before the pool.
+    procpool.shutdown_process_pool()
+    impl = register_opaque_task(
+        "test-scale-in-place", _scale_in_place, _scale_in_place_cost,
+        registry=OpaqueTaskRegistry(),
+        chunk_execute=_scale_in_place_chunk, chunk_cost_seconds=_scale_in_place_chunk_cost,
+    )
+    monkeypatch.setitem(default_opaque_registry()._impls, impl.name, impl)
+    monkeypatch.setitem(apps_base._APPLICATIONS, "test-in-place-scale", _InPlaceScale)
+    kwargs = dict(rows_per_gpu=16)
+    ctx_ref, state_ref, checksum_ref = _run(
+        monkeypatch, "test-in-place-scale", kwargs,
+        {"REPRO_TRACE": "0", "REPRO_KERNEL_BACKEND": "interpreter"},
+    )
+    ctx, state, checksum = _run(
+        monkeypatch, "test-in-place-scale", kwargs,
+        {"REPRO_POINT_WORKERS": str(point_workers)},
+    )
+
+    profiler = ctx.profiler
+    assert len(lose_first_frame) == 1
+    assert profiler.declines["worker_lost"] == 1
+    replays = profiler.trace_hits
+    assert replays == 3
+    # One chunk per eager iteration, point_workers per replay (chunk 0 on
+    # the scheduling thread); the first replay's frame was lost, so its
+    # worker chunks ran here too.
+    assert profiler.opaque_chunk_calls == (ITERATIONS - replays) + replays * point_workers
+    assert profiler.opaque_process_chunks == (replays - 1) * (point_workers - 1)
+    assert checksum == checksum_ref
+    for name in state_ref:
+        assert np.array_equal(state[name], state_ref[name]), name
+    assert profiler.iteration_seconds() == ctx_ref.profiler.iteration_seconds()
+
+
+# ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "app_name,kwargs,shipped_per_level",
     [
@@ -633,11 +755,12 @@ def test_hung_worker_degrades_to_the_next_rung(
     app_name, kwargs, shipped_per_level, monkeypatch, force_dispatch, shm_entries
 ):
     """``SIGSTOP`` a worker mid-run: the reply deadline passes, the pool
-    is torn down (stopped worker included), the lost level's steps run
-    inline on the scheduling thread bit-identically, and the next frame
-    builds a fresh pool.  A lost level frame is *one* ``worker_lost``,
-    however many steps it carried; each of them runs inline once, and
-    the plan re-ships to the fresh workers."""
+    is torn down (stopped worker included), the lost level's worker
+    chunks run inline on the scheduling thread bit-identically, and the
+    next frame builds a fresh pool.  A lost level frame is *one*
+    ``worker_lost``, however many steps it carried; each of them runs
+    its workers' chunks inline once, and the plan re-ships to the fresh
+    workers."""
     ctx_inline, state_inline, checksum_inline = _run(
         monkeypatch, app_name, kwargs, {"REPRO_WORKERS": "4"}
     )

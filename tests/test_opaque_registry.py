@@ -162,10 +162,11 @@ class TestOpaqueFrameProtocol:
         monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
         config.reload_flags()
-        pool = procpool.ProcessWorkerPool(1)
+        pool = procpool.ProcessWorkerPool(2)
         try:
+            # Chunk 1 is the one worker's (chunk 0 is the caller's slot).
             step = procpool.OpaqueResidentStep(
-                "not-a-registered-operator", None, None, (), ((0, 1),)
+                "not-a-registered-operator", None, None, (), ((0, 1), (1, 2))
             )
             plan = procpool.ResidentPlan(
                 plan_id=procpool.next_resident_plan_id(),

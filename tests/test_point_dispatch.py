@@ -384,16 +384,17 @@ class TestPointProfiling:
         profiler = Profiler()
         assert profiler.point_chunks_per_launch == 0.0
         assert profiler.point_utilization == 0.0
-        profiler.record_point_dispatch(ranks=8, chunks=4, width=4)
-        profiler.record_point_dispatch(ranks=8, chunks=2, width=4)
+        profiler.record_point_dispatch(ranks=8, chunks=4, process_chunks=3, width=4)
+        profiler.record_point_dispatch(ranks=8, chunks=2, process_chunks=1, width=4)
         assert profiler.point_launches == 2
         assert profiler.point_ranks == 16
-        assert profiler.point_chunks == profiler.point_process_chunks == 6
+        assert profiler.point_chunks == 6
+        assert profiler.point_process_chunks == 4
         assert profiler.point_width_max == 4
         assert profiler.point_chunks_per_launch == 3.0
         assert profiler.point_utilization == 0.75
         profiler.reset()
         assert profiler.point_launches == 0
-        assert profiler.point_chunks == 0
+        assert profiler.point_chunks == profiler.point_process_chunks == 0
         assert profiler.point_width_max == 0
         assert profiler.point_utilization == 0.0

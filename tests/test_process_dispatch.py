@@ -1,5 +1,8 @@
 """Shared-memory multiprocess dispatch (``REPRO_POINT_WORKERS`` > 1).
 
+``REPRO_POINT_WORKERS=N`` is N-way: the scheduling thread is slot 0 of
+every shipped level and N − 1 worker processes are the rest.
+
 Acceptance bar: rank chunks in worker processes are bit-identical to
 the inline rank loop — buffers, checksums AND simulated seconds — for
 every ``REPRO_WORKERS`` {1,4} × ``REPRO_POINT_WORKERS`` {1,4}
@@ -13,14 +16,20 @@ fields that predate the flag flip.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.frontend.cunumeric as cn
 from repro import config
-from repro.apps.base import build_application
+from repro.apps import base as apps_base
+from repro.apps.base import Application, build_application
 from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
@@ -75,6 +84,15 @@ class TestSharedArena:
             assert array[0] == 41.0
         finally:
             del array, view
+            arena.close()
+
+    def test_segment_names_lead_with_the_creating_pid(self):
+        arena = SharedArena(segment_bytes=4096)
+        try:
+            _array, descriptor = arena.allocate((4,), np.float64)
+            assert descriptor.segment.startswith(f"repro-{os.getpid()}-")
+        finally:
+            del _array
             arena.close()
 
     def test_blocks_share_segments_and_release_recycles(self):
@@ -295,14 +313,15 @@ class TestProcessPoolProtocol:
         )
         # Forked workers inherit the registry: register before the pool.
         monkeypatch.setitem(default_opaque_registry()._impls, fill.name, fill)
-        pool = procpool.ProcessWorkerPool(1)
+        # Two slots: chunk 0 of a step is the caller's, chunk 1 the worker's.
+        pool = procpool.ProcessWorkerPool(2)
         arena = SharedArena(segment_bytes=4096)
         try:
             array, descriptor = arena.allocate((4,), np.float64)
             broken = procpool.ResidentStep(
                 procpool.kernel_spec_id(SimpleNamespace()),
                 procpool.KernelSpec(None, None, "no-such-backend"),
-                (), (), False, None, ((0, 1),),
+                (), (), False, None, ((0, 1), (1, 2)),
             )
             for _attempt in range(2):
                 # Re-raised type-preserving, with the worker traceback.
@@ -314,11 +333,12 @@ class TestProcessPoolProtocol:
             step = procpool.OpaqueResidentStep(
                 fill.name, fill.module, None,
                 ((0, False, descriptor, None, [((0,), (2,)), ((2,), (4,))]),),
-                ((0, 2),),
+                ((0, 1), (1, 2)),
             )
+            # The worker fills rank 1's rect; rank 0 is left to the caller.
             results = pool.run_resident_chunks(*_frame(step, (7.0,), (descriptor,)))
-            assert results == [((), [0.0, 0.0])]
-            assert np.array_equal(array, np.full(4, 7.0))
+            assert results == [((), [0.0])]
+            assert np.array_equal(array, [0.0, 0.0, 7.0, 7.0])
         finally:
             del array
             pool.shutdown()
@@ -330,12 +350,12 @@ class TestProcessPoolProtocol:
         ``EOFError``), the pool marks itself closed so
         :func:`process_pool` rebuilds it, and the closed pool refuses
         the next frame at once."""
-        pool = procpool.ProcessWorkerPool(1)
+        pool = procpool.ProcessWorkerPool(2)
         try:
             pool._processes[0].terminate()
             pool._processes[0].join(timeout=5.0)
             step = procpool.OpaqueResidentStep(
-                "not-a-registered-operator", None, None, (), ((0, 1),)
+                "not-a-registered-operator", None, None, (), ((0, 1), (1, 2))
             )
             with pytest.raises(procpool.ProcessPoolBrokenError):
                 pool.run_resident_chunks(*_frame(step, (), ()))
@@ -349,10 +369,10 @@ class TestProcessPoolProtocol:
         """A round trip reads the next message on each pipe as its reply:
         one answering an earlier frame (sent, never read) breaks the pool
         like a dead worker instead of being taken for this frame's."""
-        pool = procpool.ProcessWorkerPool(1)
+        pool = procpool.ProcessWorkerPool(2)
         try:
             step = procpool.OpaqueResidentStep(
-                "not-a-registered-operator", None, None, (), ((0, 1),)
+                "not-a-registered-operator", None, None, (), ((0, 1), (1, 2))
             )
             plan, entries = _frame(step, (), ())
             with pool.lock:
@@ -373,6 +393,135 @@ class TestProcessPoolProtocol:
         first = kernel_spec_id(a)
         assert kernel_spec_id(a) == first
         assert kernel_spec_id(b) != first
+
+
+# ----------------------------------------------------------------------
+# Exit leaves nothing behind.
+# ----------------------------------------------------------------------
+_EXIT_SCRIPT = """
+import os
+os.environ.update(REPRO_POINT_WORKERS="2", REPRO_WORKERS="1")
+from multiprocessing import resource_tracker
+from repro.runtime import procpool
+from repro.runtime.shm import SharedArena
+arena = SharedArena(segment_bytes=4096)
+_array, descriptor = arena.allocate((4,), "float64")
+procpool.process_pool()
+print(resource_tracker._resource_tracker._pid, descriptor.segment)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_exit_reaps_the_workers_and_the_resource_tracker():
+    """A process that used the pool and an arena exits leaving no
+    process and no segment: its workers are joined, its arena unlinked,
+    and the resource tracker its first segment started is stopped and
+    reaped before the interpreter exits (left alone it would still be
+    exiting, an orphan in the session, once its parent is gone)."""
+    import repro
+
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _EXIT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": source},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert "resource_tracker" not in err
+    tracker, segment = out.split()
+    assert segment.startswith(f"repro-{child.pid}-")
+    assert not os.path.exists(f"/dev/shm/{segment}")
+    assert not os.path.exists(f"/proc/{tracker}")
+
+
+# ----------------------------------------------------------------------
+# The scheduling thread is slot 0.
+# ----------------------------------------------------------------------
+#: ``(pid, thread ident, rank rects)`` of every ``test-stamp-pid`` chunk
+#: run in this process.
+_STAMPED = []
+
+
+def _stamp(task, point, buffers):
+    buffers[0][...] = os.getpid()
+
+
+def _stamp_chunk(bases, rects, scalars):
+    """Write the running process's pid over the chunk's ranks."""
+    _STAMPED.append((os.getpid(), threading.get_ident(), tuple(rects[0])))
+    for lo, hi in rects[0]:
+        bases[0][lo[0]:hi[0]] = os.getpid()
+
+
+def _stamp_chunk_cost(bases, rects, scalars, machine):
+    return [0.0] * len(rects[0])
+
+
+class _StampPid(Application):
+    """One opaque step per iteration stamping its ranks with a pid."""
+
+    def __init__(self, rows_per_gpu=16, context=None):
+        super().__init__(context)
+        rows = rows_per_gpu * self.context.num_gpus
+        self.out = cn.array(np.zeros(rows), name="stamp_out")
+
+    def step(self):
+        self.context.submit("test-stamp-pid", self.out.launch_domain(), [self.out.write_arg()])
+
+
+class TestCallingThreadSlot:
+    """Under ``REPRO_POINT_WORKERS=2`` a shipped step's chunk 0 runs on
+    the scheduling thread and chunk 1 in the one worker process."""
+
+    def test_two_way_dispatch_spawns_one_worker(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
+        config.reload_flags()
+        shutdown_process_pool()
+        pool = procpool.process_pool()
+        assert pool.size == 2
+        assert len(multiprocessing.active_children()) == 1
+        shutdown_process_pool()
+        assert multiprocessing.active_children() == []
+
+    def test_chunk_zero_on_the_calling_thread_chunk_one_in_the_worker(self, monkeypatch):
+        # Forked workers inherit the registry: register before the pool.
+        shutdown_process_pool()
+        stamp = register_opaque_task(
+            "test-stamp-pid", _stamp, _fill_cost, registry=OpaqueTaskRegistry(),
+            chunk_execute=_stamp_chunk, chunk_cost_seconds=_stamp_chunk_cost,
+        )
+        monkeypatch.setitem(default_opaque_registry()._impls, stamp.name, stamp)
+        monkeypatch.setitem(apps_base._APPLICATIONS, "test-stamp-pid", _StampPid)
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        config.reload_flags()
+        context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+        set_context(context)
+        try:
+            app = build_application("test-stamp-pid", context=context)
+            app.run(3)  # eager, capture, first replay: the plan is shipped
+            warm = context.profiler.snapshot()
+            del _STAMPED[:]
+            app.run(3)
+            steady = context.profiler.snapshot()
+            stamps = app.out.to_numpy()
+            (worker,) = multiprocessing.active_children()
+        finally:
+            set_context(None)
+            shutdown_process_pool()
+        assert steady["trace_hits"] - warm["trace_hits"] == 3
+        # One shipping level per replay: one frame, to the one worker.
+        assert steady["wire_requests"] - warm["wire_requests"] == 3
+        assert steady["opaque_chunk_calls"] - warm["opaque_chunk_calls"] == 6
+        assert steady["opaque_process_chunks"] - warm["opaque_process_chunks"] == 3
+        # Chunk 0 (ranks 0-1) on this thread, chunk 1 (ranks 2-3) in the worker.
+        ranks_0_1 = (((0,), (16,)), ((16,), (32,)))
+        assert _STAMPED == [(os.getpid(), threading.get_ident(), ranks_0_1)] * 3
+        assert np.array_equal(stamps[:32], np.full(32, os.getpid()))
+        assert np.array_equal(stamps[32:], np.full(32, worker.pid))
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ def _dirty(profiler: Profiler) -> None:
     profiler.plan_level_widths.update({1: 4, 3: 2})
     profiler.point_launches = 6
     profiler.point_chunks = 24
+    profiler.point_process_chunks = 18
     profiler.point_ranks = 96
     profiler.point_width_max = 4
     profiler.point_width_budget = 32

@@ -443,6 +443,10 @@ class TestTracedump:
         shapes = {"cg": "2 stacked, 0 ranked", "torchswe-manual": "0 stacked, 2 ranked (nd_or_broadcast_tiling 2)"}
         assert "super-kernel sections: " in completed.stdout
         assert shapes[app] in completed.stdout
+        # The default four-way pool: this thread and three worker processes.
+        assert "point dispatch: 4 slots (the scheduling thread and 3 worker processes)" in (
+            completed.stdout
+        )
         trace = json.loads(output.read_text())
         assert trace["traceEvents"]
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] != "M"}

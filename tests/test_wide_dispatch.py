@@ -254,7 +254,7 @@ class TestLevelFrames:
         set_context(context)
         return context, build_application(app_name, context=context, **self.KWARGS)
 
-    def test_two_frames_per_shipping_level_and_no_thread_submission(self, monkeypatch):
+    def test_one_frame_per_shipping_level_and_no_thread_submission(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
         context, app = self._start(monkeypatch)
@@ -272,11 +272,14 @@ class TestLevelFrames:
             set_context(None)
         epochs = steady["trace_hits"] - warm["trace_hits"]
         assert epochs == 3
-        # Two levels ship, two workers each: 4 frames where the per-step
-        # protocol sent 8 messages; 8 chunks still come back per epoch.
-        assert steady["wire_requests"] - warm["wire_requests"] == 4 * epochs
-        assert steady["point_process_chunks"] - warm["point_process_chunks"] == 8 * epochs
-        assert steady["opaque_process_chunks"] - warm["opaque_process_chunks"] == 6 * epochs
+        # Two levels ship, each as one frame to the one worker process:
+        # of each shipped step's two chunks the scheduling thread runs
+        # chunk 0 and the worker chunk 1, so 4 of the epoch's 8 chunks
+        # come back over the pipe (3 of level 0's 6 opaque ones).
+        assert steady["wire_requests"] - warm["wire_requests"] == 2 * epochs
+        assert steady["point_chunks"] - warm["point_chunks"] == 8 * epochs
+        assert steady["point_process_chunks"] - warm["point_process_chunks"] == 4 * epochs
+        assert steady["opaque_process_chunks"] - warm["opaque_process_chunks"] == 3 * epochs
         # Only level 0's three steps ran off the scheduling thread as
         # part of a wide level — and none of them on a pool thread.
         assert steady["plan_dispatched_steps"] - warm["plan_dispatched_steps"] == 3 * epochs
@@ -319,9 +322,9 @@ class TestLevelFrames:
         shapes = set()
         original = scheduler_module.PlanScheduler._resident_level
 
-        def spy(self, resident, level_index, launches, entries, results):
+        def spy(self, resident, level_index, launches, entries, works, results):
             shapes.add((len(launches), len(entries)))
-            return original(self, resident, level_index, launches, entries, results)
+            return original(self, resident, level_index, launches, entries, works, results)
 
         monkeypatch.setattr(scheduler_module.PlanScheduler, "_resident_level", spy)
         ctx_base, state_base, checksum_base = _run_app(
@@ -391,8 +394,12 @@ class TestLevelFrames:
         registry = default_opaque_registry()
         healthy = registry.get("swe_update_hu")
 
+        parent = os.getpid()
+
         def faulty_chunk(bases, rects, scalars):
-            if os.path.exists(marker):
+            # Only in the workers: the scheduling thread's own chunks of
+            # the frame (slot 0) run healthy.
+            if os.path.exists(marker) and os.getpid() != parent:
                 raise ValueError("injected chunk fault")
             return healthy.chunk.execute(bases, rects, scalars)
 
