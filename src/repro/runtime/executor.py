@@ -12,7 +12,11 @@ four steps:
    kernel reduces nothing, so the merged call is element-for-element the
    per-rank loop), epoch super-kernel (built by the plan scheduler), and
    opaque (one library call per rank, or one per chunk when the operator
-   registers a chunk implementation; see ``runtime/opaque.py``).
+   registers a chunk implementation; see ``runtime/opaque.py``).  The
+   runners — :func:`compiled_ranks`, ``superkernel.call_superkernel``
+   and :func:`opaque_chunk` — are the ones a worker process calls on
+   its share of a shipped step, over rows whose fields are the attached
+   shared-memory blocks: one copy of every calling convention.
 2. **Run the chunks**, per-chunk ``(partials_by_rank,
    seconds_by_rank)`` results in chunk order, on one of two rungs.  An
    eager launch is one chunk, run in this process.  A replayed step of a
@@ -194,6 +198,50 @@ def compiled_ranks(
         )
         return [None] * (stop - start)
     return [kernel_fn(buffers, scalars) for buffers in bind(rows, start, stop)]
+
+
+def wire_rects(table, start: int, stop: int) -> Tuple[Optional[int], list]:
+    """``(stable wire-table id, rect list)`` of ranks ``[start, stop)``.
+
+    The rect list is the ``(lo, hi)`` wire form the opaque chunk
+    contract takes and resident templates ship; an interned
+    :class:`RectTable` memoizes it per range under a fresh wire-table
+    id, other tables cut it per call (and get no id).
+    """
+    cache = getattr(table, "wire", None)
+    entry = None if cache is None else cache.get((start, stop))
+    if entry is None:
+        entry = (None, [(rect.lo, rect.hi) for rect, _volume in table[start:stop]])
+        if cache is not None:
+            entry = cache.setdefault(
+                (start, stop), (procpool.next_wire_table_id(), entry[1])
+            )
+    return entry
+
+
+def opaque_chunk(
+    impl: OpaqueTaskImpl, rows: Sequence[Row], scalars: tuple, machine,
+    start: int, stop: int,
+) -> ChunkResult:
+    """Run ranks ``[start, stop)`` of an opaque launch as one chunk call.
+
+    The chunk contract (``runtime/opaque.py``): full base arrays, the
+    ranks' wire rects and the scalar tuple.  The chunk cost runs after
+    the execute — sound because registered chunk cost functions never
+    read data the chunk wrote.
+    """
+    chunk = impl.chunk
+    bases = {
+        index: None if is_reduction else field.data
+        for index, field, is_reduction, _table in rows
+    }
+    rects = {row[0]: wire_rects(row[3], start, stop)[1] for row in rows}
+    with telemetry.span(
+        "opaque.chunk",
+        f"op={impl.name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
+    ):
+        partials = chunk.execute(bases, rects, scalars)
+    return partials or (), chunk.cost_seconds(bases, rects, scalars, machine)
 
 
 class TaskExecutor:
@@ -379,11 +427,8 @@ class TaskExecutor:
 
         With a chunk-level implementation registered (and
         ``config.OPAQUE_CHUNKS``, a test lever), a rank range is one
-        library call over the pipe-safe chunk contract (full base
-        arrays, per-rank wire rects, the scalar tuple), which a resident
-        plan also ships to worker processes.  The chunk cost runs after
-        the execute — sound because registered chunk cost functions
-        never read data the chunk wrote.  Otherwise each
+        :func:`opaque_chunk` call, which a resident plan's workers make
+        too.  Otherwise each
         rank is one call on the launch's task (``task_of()``; replay
         only rebuilds it here) with its own buffer dict, its cost
         modelled right after its execute so data-dependent costs observe
@@ -392,25 +437,11 @@ class TaskExecutor:
         machine = self.machine
         if num_points > 1 and impl.chunk is not None and config.opaque_chunks_enabled():
             scalars = tuple(scalars)
-            chunk = impl.chunk
-
-            def run(start: int, stop: int) -> ChunkResult:
-                bases = {
-                    index: None if is_reduction else field.data
-                    for index, field, is_reduction, _table in rows
-                }
-                rects = {
-                    row[0]: self._wire_chunk_rects(row[3], start, stop)[1]
-                    for row in rows
-                }
-                with telemetry.span(
-                    "opaque.chunk",
-                    f"op={impl.name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
-                ):
-                    partials = chunk.execute(bases, rects, scalars)
-                return partials or (), chunk.cost_seconds(bases, rects, scalars, machine)
-
-            return ChunkWork(rows, num_points, run, impl=impl, scalars=scalars)
+            return ChunkWork(
+                rows, num_points,
+                lambda start, stop: opaque_chunk(impl, rows, scalars, machine, start, stop),
+                impl=impl, scalars=scalars,
+            )
 
         task = task_of()
         points = list(task.launch_domain.points())
@@ -509,46 +540,29 @@ class TaskExecutor:
             descriptors.append(descriptor)
         return descriptors
 
-    def _wire_chunk_rects(self, table, start: int, stop: int) -> Tuple[Optional[int], list]:
-        """``(stable wire-table id, rect list)`` of ranks ``[start, stop)``."""
-        cache = getattr(table, "wire", None)
-        entry = None if cache is None else cache.get((start, stop))
-        if entry is None:
-            entry = (None, [(rect.lo, rect.hi) for rect, _volume in table[start:stop]])
-            if cache is not None:
-                entry = cache.setdefault(
-                    (start, stop), (procpool.next_wire_table_id(), entry[1])
-                )
-        return entry
-
-    def resident_template(self, work: ChunkWork, chunks):
+    def resident_template(self, work: ChunkWork, chunks) -> Optional[procpool.ResidentStep]:
         """One plan step's worker-resident template, or ``None``.
 
-        The template carries the *full* rank-indexed wire rect table of
-        every row (workers slice chunk ranges locally) and the step's
-        chunk plan, which the pool cuts per worker at ship time so
-        dispatches never re-send rank ranges.  The descriptors are
-        placeholders: every run message syncs the epoch's own.
+        The template names the step's runner — the kernel spec, or the
+        opaque operator — and carries the *full* rank-indexed wire rect
+        table of every row (workers cut chunk ranges locally) and the
+        step's chunk plan, which the pool cuts per worker at ship time
+        so dispatches never re-send rank ranges.  It holds no field
+        address: every level frame syncs the epoch's own.
         """
-        descriptors = self._shippable(work)
-        if descriptors is None:
+        if self._shippable(work) is None:
             return None
         buffers = tuple(
-            (row[0], row[2], descriptor, *self._wire_chunk_rects(row[3], 0, work.num_points))
-            for row, descriptor in zip(work.rows, descriptors)
+            (row[0], row[2], *wire_rects(row[3], 0, work.num_points)) for row in work.rows
         )
         impl = work.impl
         if impl is not None:
-            return procpool.OpaqueResidentStep(
-                impl.name, impl.module, self.machine, buffers, tuple(chunks)
-            )
-        # Epoch super-kernels carry a per-buffer calling convention the
-        # workers must reproduce (merged span view vs per-rank list).
+            spec = procpool.OpaqueSpec(impl.name, impl.module, self.machine)
+            return procpool.ResidentStep(spec, buffers, tuple(chunks))
         kernel = work.kernel
         return procpool.ResidentStep(
-            procpool.kernel_spec_id(kernel), procpool.spec_for(kernel), buffers,
-            tuple(work.scalars), work.elementwise,
-            getattr(kernel, "binding_modes", None), tuple(chunks),
+            procpool.spec_for(kernel), buffers, tuple(chunks), tuple(work.scalars),
+            work.elementwise, procpool.kernel_spec_id(kernel),
         )
 
     def resident_entry(self, plan, index: int, work: ChunkWork, chunks) -> Optional[tuple]:

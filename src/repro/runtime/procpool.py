@@ -44,26 +44,27 @@ computes a share of it instead of sleeping on the replies.
 
 The parent registers a whole plan with the pool once — a
 :class:`ResidentPlan` maps schedule-step indices to
-:class:`ResidentStep` / :class:`OpaqueResidentStep` templates holding
-the kernel spec (or operator name), the full rank-indexed rect table,
-the step's chunk plan and the calling convention of every shippable
-step — and ships it to each worker at most once, keyed by a
+:class:`ResidentStep` templates, each holding the spec of what to run,
+the full rank-indexed rect table of every row and the step's chunk
+plan — and ships it to each worker at most once, keyed by a
 parent-assigned plan id.  Chunk i of a resident step always lands on
 slot ``i % size`` (:meth:`ProcessWorkerPool.slot`), so each worker's
 rank ranges are baked into its copy of the plan at ship time and never
-travel again.  A compiled template carries a **kernel spec** (the KIR
-function, a stripped parameter binding and the backend name, or a
-super-kernel's generated source); workers build its executor through
-the normal :func:`repro.kernel.lowering.lower` entry point, so
+travel again.  A compiled step's :class:`KernelSpec` (the KIR function,
+a stripped parameter binding and the backend name) builds its executor
+through the normal :func:`repro.kernel.lowering.lower` entry point, so
 isomorphic kernels compile once per worker in the process-local
-source-keyed cache.  An
-opaque template names the operator and its defining module, and the
-worker resolves the implementation from its *own* registry
-(:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork`` workers
-inherit the parent's populated registry, ``spawn`` workers import the
-module first).  Rect tables are interned on both sides of the pipe
-under stable parent-assigned table ids, so a geometry re-registered
-under a fresh plan id crosses the pipe once per worker.
+source-keyed cache; a :class:`SuperKernelSpec` (generated source and
+calling convention) rebuilds the ``SuperKernel`` through the same
+cache.  An :class:`OpaqueSpec` names the operator and its defining
+module, and the worker resolves the implementation from its *own*
+registry (:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork``
+workers inherit the parent's populated registry, ``spawn`` workers
+import the module first).  Rect tables are interned on both sides of
+the pipe under stable parent-assigned table ids, so a geometry
+re-registered under a fresh plan id crosses the pipe once per worker;
+the worker turns each into the parent's ``(Rect, volume)`` table shape
+once, when it registers the plan.
 
 The unit a replay ships is the plan **level**, not the step
 (:meth:`ProcessWorkerPool.run_resident_chunks`, called once per level by
@@ -84,25 +85,25 @@ and a width-1 level is simply a one-entry frame.  Once every sync is
 all-integer (the steady state) the frame travels in a fixed binary
 layout (:func:`_pack_run_message`) a fraction the size of its pickled
 form and byte-stable across Python versions.  Frontends bind fresh
-stores (hence fresh arena blocks) per epoch, so field addresses
-*cannot* be baked into the template; instead the sync interns
-descriptors per worker — a :class:`~repro.runtime.shm.BlockDescriptor`
-crosses the pipe once and is a small integer id ever after (arena
-offsets cycle through a bounded set in steady replay, so the id table
-saturates after a few epochs).  Workers slice the resident rect tables
-to each ``[start, stop)`` range themselves and run each chunk exactly
-as the parent's inline rank loop would, so results are bit-identical.
+stores (hence fresh arena blocks) per epoch, so templates hold no
+field address; instead the sync interns descriptors per worker — a
+:class:`~repro.runtime.shm.BlockDescriptor` crosses the pipe once and
+is a small integer id ever after (arena offsets cycle through a bounded
+set in steady replay, so the id table saturates after a few epochs).
+Each ``[start, stop)`` range runs through the parent's own runner for
+the step's kind (``executor.compiled_ranks``,
+``superkernel.call_superkernel``, ``executor.opaque_chunk``) over rows
+whose fields are the attached blocks, so results are bit-identical.
 An entry that raises ends its frame: the
 worker replies with that error and skips the entries behind it — their
 descriptors were interned on receipt, so the id tables stay in step and
-the pool stays usable.  Staleness is generation-based:
-``RegionManager.attach`` (descriptor swaps), store releases and
-``config.reload_flags()`` bump :func:`resident_generation`, which
-retires every parent-side :class:`ResidentPlan` built under an older
-generation; a dead or hung worker tears the pool down, the lost
-workers' chunks of the frame's steps run inline in the parent (slot 0's
-already ran), and the next frame's :func:`process_pool` builds a fresh
-pool, to which the plan re-ships.
+the pool stays usable.  Only ``config.reload_flags()`` bumps
+:func:`resident_generation`, which retires every parent-side
+:class:`ResidentPlan` built under an older generation (attaching data
+or freeing fields changes no template); a dead or hung worker tears
+the pool down, the lost workers' chunks of the frame's steps run inline
+in the parent (slot 0's already ran), and the next frame's
+:func:`process_pool` builds a fresh pool, to which the plan re-ships.
 
 The pool also meters its own wire traffic: every message is pickled
 once (``ForkingPickler``, exactly what ``Connection.send`` does) or
@@ -134,13 +135,14 @@ import struct
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import config
+from repro.ir.domain import Rect
 from repro.runtime import telemetry
 from repro.runtime.shm import (
     BlockDescriptor,
@@ -148,10 +150,6 @@ from repro.runtime.shm import (
     close_attachments,
     shutdown_shared_memory,
 )
-
-#: Rank rectangle as shipped to workers: ``(lo, hi)`` integer tuples
-#: (half-open), lean enough to pickle by the thousand.
-WireRect = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 #: How long a level waits for its replies before it declares the pool
 #: hung: the workers are killed and :class:`ProcessPoolBrokenError` sends
@@ -177,11 +175,28 @@ class SuperKernelSpec:
     Fused units carry generated source rather than a single KIR function;
     workers compile it through the same process-local source-keyed cache
     the codegen backend uses, so isomorphic fused units compile once per
-    worker.
+    worker.  ``binding_plan`` is the kernel's per-buffer calling
+    convention (``SuperKernel.binding_plan``).
     """
 
     source: str
     name: str
+    binding_plan: tuple
+
+
+@dataclass(frozen=True)
+class OpaqueSpec:
+    """Shippable form of an opaque operator with a chunk implementation.
+
+    Workers resolve the operator from their own registry (importing
+    ``module`` first under ``spawn`` start methods).  Opaque costs may be
+    data-dependent, so the worker models per-rank seconds itself from
+    the embedded machine model.
+    """
+
+    op: str
+    module: Optional[str]
+    machine: object
 
 
 #: One chunk's result, in a worker's reply or from an inline run:
@@ -194,73 +209,39 @@ ChunkResult = Tuple[list, Sequence[float]]
 
 @dataclass
 class ResidentStep:
-    """Worker-resident form of one shippable compiled plan step.
+    """Worker-resident form of one shippable plan step.
 
     Shipped inside a resident-plan message and cached worker-side; run
     messages reference it by ``(plan id, step index)`` and carry only the
-    epoch's scalar values and a per-buffer descriptor sync.  ``buffers``
-    holds the *full* rank-indexed wire rect table of every argument (the
-    worker slices ``[start, stop)`` ranges itself), interned by table id.
-    Replay charges the seconds captured at record time, so no cost model
-    travels.
+    epoch's scalar values and a per-buffer descriptor sync.  The template
+    holds no field address: frontends bind fresh stores (hence fresh
+    arena blocks) to a slot on every epoch, so every run message carries
+    the step's *current* descriptors.  Replayed compiled steps charge the
+    seconds captured at record time, so no cost model travels.
     """
 
-    kernel_id: int
-    spec: object  # KernelSpec | SuperKernelSpec
-    #: ``(name, is_reduction, descriptor or None, table id or None,
-    #: full wire rect table or None when the worker interned it)``.
-    #: The descriptors are placeholders only: frontends bind fresh
-    #: stores (hence fresh arena blocks) to a slot on every epoch, so
-    #: every run message carries the step's *current* addresses as a
-    #: per-worker-interned sync (see :func:`_execute_frame`).
-    buffers: Tuple[
-        Tuple[str, bool, Optional[BlockDescriptor], Optional[int], Optional[List[WireRect]]],
-        ...,
-    ]
-    #: Scalar parameter names in the order run messages pack values.
-    scalar_names: Tuple[str, ...]
-    #: Purely element-wise step: one merged closure call per chunk.
-    elementwise: bool
-    #: Super-kernel steps only: per-buffer calling convention aligned
-    #: with ``buffers`` (``merged`` = one contiguous span view,
-    #: ``ranked`` = the chunk's per-rank view list; reduction targets
-    #: are ``None`` under both, and a merged section that reduces
-    #: returns its per-rank partials like a ranked one).
-    modes: Optional[Tuple[str, ...]]
+    #: What to run: a :class:`KernelSpec`, :class:`SuperKernelSpec` or
+    #: :class:`OpaqueSpec`.
+    spec: object
+    #: ``(key, is_reduction, table id or None, rect table)`` per row, in
+    #: the order of the runner's rows: the *full* rank-indexed wire rect
+    #: table (``None`` when the worker already interned it), which the
+    #: worker turns into the runners' ``(Rect, volume)`` table once, at
+    #: registration.
+    buffers: Tuple[Tuple[object, bool, Optional[int], Optional[list]], ...]
     #: The step's rank-chunk plan.  On the parent template this is the
     #: *full* chunk list (the executor degrades when a dispatch's chunks
     #: disagree); on worker w's shipped copy it holds only the chunks of
     #: its slot (``i % size == w + 1``), in chunk-index order, so run
     #: messages carry no geometry at all.
-    chunks: Tuple[Tuple[int, int], ...] = ()
-
-
-@dataclass
-class OpaqueResidentStep:
-    """Worker-resident form of one shippable opaque plan step.
-
-    The opaque analogue of :class:`ResidentStep`: instead of a kernel
-    spec it names the operator, which workers resolve from their own
-    registry (importing ``module`` first under ``spawn`` start methods).
-    Run messages carry the epoch's positional scalar values and the
-    descriptor sync.  Opaque costs may be data-dependent, so the worker
-    models per-rank seconds itself from the embedded machine model.
-    ``buffers`` has the :class:`ResidentStep` shape with the argument
-    *index* in the name slot.
-    """
-
-    op: str
-    module: Optional[str]
-    machine: object
-    #: ``(arg index, is_reduction, descriptor or None, table id or None,
-    #: full wire rect table or None when the worker interned it)`` —
-    #: descriptors are placeholders, synced per run like compiled steps.
-    buffers: Tuple[
-        Tuple[int, bool, Optional[BlockDescriptor], Optional[int], Optional[List[WireRect]]],
-        ...,
-    ]
-    #: Chunk plan, cut per worker at ship time (see :class:`ResidentStep`).
-    chunks: Tuple[Tuple[int, int], ...] = ()
+    chunks: Tuple[Tuple[int, int], ...]
+    #: Compiled steps: scalar parameter names in the order run messages
+    #: pack values (opaque steps take the values positionally).
+    scalar_names: Tuple[str, ...] = ()
+    #: Purely element-wise compiled step: one merged closure call per chunk.
+    elementwise: bool = False
+    #: Compiled steps: names the built executor in worker-side caches.
+    kernel_id: int = 0
 
 
 @dataclass
@@ -277,7 +258,7 @@ class ResidentPlan:
     generation: int
     #: Schedule-step index -> template (shippable compiled steps and
     #: shippable chunked opaque steps).
-    steps: Dict[int, object]  # ResidentStep | OpaqueResidentStep
+    steps: Dict[int, ResidentStep]
 
 
 class ProcessPoolBrokenError(RuntimeError):
@@ -289,11 +270,6 @@ class ProcessPoolBrokenError(RuntimeError):
     runs the level's steps inline — the next frame rebuilds a fresh
     pool through :func:`process_pool`.
     """
-
-
-def _view_of(base: np.ndarray, rect: WireRect) -> np.ndarray:
-    lo, hi = rect
-    return base[tuple(slice(l, h) for l, h in zip(lo, hi))]
 
 
 #: First byte of a binary-framed resident run message.  Pickled payloads
@@ -368,16 +344,22 @@ def _unpack_run_message(data: bytes) -> tuple:
 def _register_resident_plan(
     message: tuple, tables: Dict[int, list]
 ) -> Tuple[int, Dict[int, ResidentStep]]:
-    """Install one shipped plan's templates, interning their rect tables."""
+    """Install one shipped plan's templates.
+
+    Each wire rect table becomes the runners' ``(Rect, volume)`` table
+    here, once, and is interned under its table id for later plans.
+    """
     _tag, plan_id, steps = message
     for template in steps.values():
         buffers = []
-        for name, is_reduction, descriptor, table_id, rects in template.buffers:
+        for key, is_reduction, table_id, rects in template.buffers:
             if rects is None:
-                rects = tables[table_id]
-            elif table_id is not None:
-                tables[table_id] = rects
-            buffers.append((name, is_reduction, descriptor, table_id, rects))
+                table = tables[table_id]
+            else:
+                table = [(rect, rect.volume) for rect in (Rect(*wire) for wire in rects)]
+                if table_id is not None:
+                    tables[table_id] = table
+            buffers.append((key, is_reduction, table_id, table))
         template.buffers = tuple(buffers)
     return plan_id, steps
 
@@ -428,18 +410,20 @@ def _execute_frame(
 
 
 def _resident_executor(template: ResidentStep, executors: Dict[int, object]):
-    """A compiled template's executor, built from its spec on first use.
+    """A compiled template's kernel, built from its spec on first use.
 
-    Cached under the template's kernel id; a build that raises caches
-    nothing, so the next frame naming the step simply retries it.
+    A super-kernel spec builds a ``SuperKernel`` (what the super-kernel
+    runner calls), a kernel spec the executor ``lower`` returns.  Cached
+    under the template's kernel id; a build that raises caches nothing,
+    so the next frame naming the step simply retries it.
     """
     executor = executors.get(template.kernel_id)
     if executor is None:
         spec = template.spec
         if isinstance(spec, SuperKernelSpec):
-            from repro.kernel.codegen import _compile_source
+            from repro.runtime.superkernel import SuperKernel
 
-            executor, _fresh = _compile_source(spec.source, spec.name)
+            executor = SuperKernel(spec.source, spec.name, spec.binding_plan)
         else:
             from repro.kernel.lowering import lower
 
@@ -448,89 +432,62 @@ def _resident_executor(template: ResidentStep, executors: Dict[int, object]):
     return executor
 
 
-def _attach(descriptors: list) -> list:
-    """Zero-copy views of the descriptors' blocks (``None`` stays ``None``)."""
-    return [None if descriptor is None else attach_view(descriptor) for descriptor in descriptors]
+class _AttachedField:
+    """A shared-memory block attached in a worker, as the runners read a field."""
 
+    __slots__ = ("data",)
 
-def _span(table: List[WireRect], start: int, stop: int) -> WireRect:
-    """The rect ranks ``[start, stop)`` of a contiguous table cover."""
-    return table[start][0], table[stop - 1][1]
+    def __init__(self, descriptor: BlockDescriptor) -> None:
+        self.data = attach_view(descriptor)
+
+    def view(self, rect: Rect) -> np.ndarray:
+        return self.data[rect.slices()]
 
 
 def _execute_resident(
-    template, values: tuple, resolved: list, executors: Dict[int, object]
+    template: ResidentStep, values: tuple, descriptors: list, executors: Dict[int, object]
 ) -> List[ChunkResult]:
     """Run one resident-plan step over the worker's baked rank ranges.
 
-    A frame entry carries no geometry, names or ranges — the worker
-    iterates the chunk ranges baked into its copy of the template and
-    slices the resident rect tables to each ``[start, stop)`` range,
-    calling the kernel exactly as the parent's inline rank loop does
-    (``executor.compiled_ranks``, ``superkernel.run_superkernel_ranks``,
-    the opaque chunk path of ``TaskExecutor.opaque_work``), so results
-    are bit-identical.  ``resolved`` holds the step's current per-buffer
-    descriptors (``None`` for reductions), attached once the worker
-    knows what to run.
+    A frame entry carries no geometry, names or ranges: the worker
+    builds the step's rows from its registered tables and the entry's
+    current ``descriptors`` (``None`` for reductions, the others
+    attached), and hands each baked ``[start, stop)`` range to the
+    parent's own runner for the step's kind —
+    ``executor.compiled_ranks``, ``superkernel.call_superkernel`` or
+    ``executor.opaque_chunk`` — so results are bit-identical.
     """
-    keys = [entry[0] for entry in template.buffers]
-    tables = [entry[4] for entry in template.buffers]
-    results: List[ChunkResult] = []
-    if isinstance(template, OpaqueResidentStep):
+    from repro.runtime.executor import compiled_ranks, opaque_chunk
+    from repro.runtime.superkernel import call_superkernel
+
+    rows = [
+        (key, None if descriptor is None else _AttachedField(descriptor), is_reduction, table)
+        for (key, is_reduction, _table_id, table), descriptor in zip(
+            template.buffers, descriptors
+        )
+    ]
+    spec = template.spec
+    if isinstance(spec, OpaqueSpec):
         from repro.runtime.opaque import resolve_opaque_impl
 
-        impl = resolve_opaque_impl(template.op, template.module)
+        impl = resolve_opaque_impl(spec.op, spec.module)
         if impl.chunk is None:
-            raise RuntimeError(
-                f"opaque operator '{template.op}' has no chunk implementation"
-            )
-        arrays = dict(zip(keys, _attach(resolved)))
-        for start, stop in template.chunks:
-            rects = {key: table[start:stop] for key, table in zip(keys, tables)}
-            partials = impl.chunk.execute(arrays, rects, values)
-            seconds = impl.chunk.cost_seconds(arrays, rects, values, template.machine)
-            results.append((partials or (), seconds))
-        return results
-    executor = _resident_executor(template, executors)
-    bases = _attach(resolved)
+            raise RuntimeError(f"opaque operator '{spec.op}' has no chunk implementation")
+        return [
+            opaque_chunk(impl, rows, values, spec.machine, start, stop)
+            for start, stop in template.chunks
+        ]
+    kernel = _resident_executor(template, executors)
     scalars = dict(zip(template.scalar_names, values))
-    for start, stop in template.chunks:
-        if template.modes is not None:
-            # Super-kernel chunk: one fused-closure call — merged buffers
-            # get the chunk's contiguous span, ranked buffers its
-            # per-rank view list.
-            buffers = {}
-            for key, base, table, mode in zip(keys, bases, tables, template.modes):
-                if base is None:
-                    buffers[key] = None
-                elif mode == "ranked":
-                    buffers[key] = [_view_of(base, rect) for rect in table[start:stop]]
-                else:
-                    buffers[key] = _view_of(base, _span(table, start, stop))
-            results.append(([executor(buffers, scalars)], []))
-        elif template.elementwise:
-            # One merged closure call over the chunk's contiguous span.
-            executor(
-                {
-                    key: None if base is None else _view_of(base, _span(table, start, stop))
-                    for key, base, table in zip(keys, bases, tables)
-                },
-                scalars,
-            )
-            results.append(([None] * (stop - start), []))
-        else:
-            partials = [
-                executor(
-                    {
-                        key: None if base is None else _view_of(base, table[rank])
-                        for key, base, table in zip(keys, bases, tables)
-                    },
-                    scalars,
-                )
-                for rank in range(start, stop)
-            ]
-            results.append((partials, []))
-    return results
+    if isinstance(spec, SuperKernelSpec):
+        return [
+            call_superkernel(kernel, rows, scalars, start, stop)
+            for start, stop in template.chunks
+        ]
+    return [
+        (compiled_ranks(kernel, rows, scalars, start, stop, template.elementwise), ())
+        for start, stop in template.chunks
+    ]
 
 
 def _worker_main(connection) -> None:
@@ -788,11 +745,10 @@ class ProcessWorkerPool:
         shipped = self._tables_shipped[worker]
         filtered = []
         for entry in buffers:
-            name, is_reduction, descriptor, table_id, rects = entry
+            key, is_reduction, table_id, _rects = entry
             if table_id is not None:
                 if table_id in shipped:
-                    if rects is not None:
-                        entry = (name, is_reduction, descriptor, table_id, None)
+                    entry = (key, is_reduction, table_id, None)
                 else:
                     shipped.add(table_id)
             filtered.append(entry)
@@ -820,31 +776,18 @@ class ProcessWorkerPool:
         down to the chunks of this worker's slot (``worker + 1``), so
         run messages never carry rank ranges.
         """
-        steps: Dict[int, object] = {}
-        for index, template in plan.steps.items():
-            worker_chunks = tuple(
-                chunk
-                for position, chunk in enumerate(template.chunks)
-                if self.slot(position) == worker + 1
+        steps = {
+            index: replace(
+                template,
+                buffers=self._filter_shipped_tables(worker, template.buffers),
+                chunks=tuple(
+                    chunk
+                    for position, chunk in enumerate(template.chunks)
+                    if self.slot(position) == worker + 1
+                ),
             )
-            if isinstance(template, OpaqueResidentStep):
-                steps[index] = OpaqueResidentStep(
-                    op=template.op,
-                    module=template.module,
-                    machine=template.machine,
-                    buffers=self._filter_shipped_tables(worker, template.buffers),
-                    chunks=worker_chunks,
-                )
-            else:
-                steps[index] = ResidentStep(
-                    kernel_id=template.kernel_id,
-                    spec=template.spec,
-                    buffers=self._filter_shipped_tables(worker, template.buffers),
-                    scalar_names=template.scalar_names,
-                    elementwise=template.elementwise,
-                    modes=template.modes,
-                    chunks=worker_chunks,
-                )
+            for index, template in plan.steps.items()
+        }
         return ("plan", plan.plan_id, steps)
 
     def run_resident_chunks(
@@ -1002,23 +945,13 @@ def next_wire_table_id() -> int:
 
 
 def resident_generation() -> int:
-    """The current resident-plan validity generation."""
-    return _RESIDENT_GENERATION
+    """The current resident-plan validity generation.
 
-
-def invalidate_resident_plans() -> None:
-    """Retire every resident plan built so far (generation bump).
-
-    Called whenever worker-held state could go stale: region-field
-    descriptor swaps (``RegionManager.attach``), shared-memory releases
-    whose blocks may be recycled, and ``config.reload_flags()``.  Plans
-    carrying an older generation are rebuilt — with a fresh plan id —
-    on their next replay and re-shipped; ids are never reused, so a
-    worker still holding the old templates can never serve them again.
+    It moves only on ``config.reload_flags()``: templates hold no field
+    address, so nothing a program does between flag reloads — attaching
+    data, freeing fields — can make a shipped plan stale.
     """
-    global _RESIDENT_GENERATION
-    with _RESIDENT_LOCK:
-        _RESIDENT_GENERATION += 1
+    return _RESIDENT_GENERATION
 
 
 def retire_resident_plan(plan) -> None:
@@ -1066,11 +999,16 @@ def _reload_process_pool() -> None:
     shutting down (rather than letting :func:`process_pool` resize
     lazily) also reaps the worker processes promptly when
     ``REPRO_POINT_WORKERS`` drops back to 1.  Every reload also retires
-    the resident plans: a flag flip can change chunking, plan lowering or
-    backing storage, so templates built under the old flags must not be
-    replayed.
+    the resident plans (a generation bump): a flag flip can change
+    chunking, plan lowering or backing storage, so templates built under
+    the old flags must not be replayed.  Plans carrying an older
+    generation are rebuilt under a fresh plan id on their next replay
+    and re-shipped; ids are never reused, so a worker still holding the
+    old templates can never serve them again.
     """
-    invalidate_resident_plans()
+    global _RESIDENT_GENERATION
+    with _RESIDENT_LOCK:
+        _RESIDENT_GENERATION += 1
     with _POOL_LOCK:
         pool = _POOL
     if pool is None:
@@ -1117,7 +1055,7 @@ def spec_for(kernel) -> KernelSpec:
     if existing is not None:
         return existing
     if getattr(kernel, "is_superkernel", False):
-        spec = SuperKernelSpec(source=kernel.source, name=kernel.name)
+        spec = SuperKernelSpec(kernel.source, kernel.name, kernel.binding_plan)
         kernel._proc_kernel_spec = spec
         return spec
     from repro.kernel.passes.compose import KernelBinding

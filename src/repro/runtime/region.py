@@ -14,7 +14,10 @@ heap pages: the array semantics in this process are unchanged (``data``
 is a view of the segment), and every field additionally carries a
 picklable block descriptor that the process pool ships to workers so
 point-task chunks in other processes map the same physical pages —
-zero-copy in both directions.  The arena is owned per region manager
+zero-copy in both directions.  Every level frame carries its fields'
+current descriptors, so replacing a field (:meth:`RegionManager.attach`)
+or freeing one (:meth:`RegionManager.reclaim_storage`) leaves the plans
+the workers hold valid.  The arena is owned per region manager
 and unlinked when the manager is garbage collected or the interpreter
 exits, so runs never leak ``/dev/shm`` segments.
 """
@@ -247,49 +250,24 @@ class RegionManager:
         plan-scheduler worker racing :meth:`field` never observes a
         half-installed replacement (attach itself only happens at host
         synchronisation points, which drain both dispatch levels first).
-        Swapping a field retires every resident process plan: their
-        worker-side templates hold the *old* field's shared-memory
-        descriptor, and replaying them would write through a released
-        (possibly recycled) block.
+        The replaced field's storage is freed; resident process plans
+        are unaffected, since their templates hold no field address and
+        every level frame syncs the fields' current descriptors.
         """
         with self._allocate_lock:
             field = RegionField(store, initial=data, arena=self._field_arena())
             replaced = self._fields.get(store.uid)
             self._fields[store.uid] = field
         if replaced is not None:
-            if replaced.shm_descriptor is not None:
-                self._invalidate_resident_plans()
             replaced.release_storage()
         return field
-
-    @staticmethod
-    def _invalidate_resident_plans() -> None:
-        """Retire resident process plans whose descriptors went stale."""
-        from repro.runtime import procpool
-
-        procpool.invalidate_resident_plans()
 
     def has_field(self, store: Store) -> bool:
         """True when backing storage for the store has been allocated."""
         return store.uid in self._fields
 
-    def release(self, store: Store) -> None:
-        """Free the backing storage of a store (e.g. eliminated temporaries).
-
-        Releasing a shared-memory block makes it recyclable, so any
-        resident plan whose templates still address it is retired first
-        (releases happen during capture-side analysis, not between
-        steady replays, so this does not thrash the resident cache).
-        """
-        with self._allocate_lock:
-            field = self._fields.pop(store.uid, None)
-        if field is not None:
-            if field.shm_descriptor is not None:
-                self._invalidate_resident_plans()
-            field.release_storage()
-
     def reclaim_storage(self, store: Store) -> bool:
-        """Free a *dead* store's backing storage between epochs.
+        """Free a store's backing storage; True when it had any.
 
         The storage-reclamation pass (``runtime/trace.py``) calls this at
         epoch boundaries for stores whose split reference counts all hit
@@ -301,13 +279,11 @@ class RegionManager:
         through a small set, which is what lets the resident-replay
         descriptor interning converge to all-int syncs.
 
-        Unlike :meth:`release`, reclamation does **not** retire resident
-        plans: resident run messages always carry the epoch's current
-        descriptors (worker-side templates never dereference the baked
-        ones), and interned descriptor ids name physical ``(segment,
+        Freeing never retires resident plans: level frames always carry
+        the epoch's current descriptors (worker-side templates hold
+        none), and interned descriptor ids name physical ``(segment,
         offset, shape, dtype)`` addresses, so a recycled block re-enters
         the protocol only through the fresh field that now owns it.
-        Returns True when a field was actually reclaimed.
         """
         with self._allocate_lock:
             field = self._fields.pop(store.uid, None)

@@ -641,9 +641,9 @@ class PlanScheduler:
         worker-resident template baking exactly that chunk plan, so the
         dispatch can only disagree with it after a flag change.  The
         pool ships the template set to each worker at most once;
-        :func:`procpool.resident_generation` bumps (descriptor swaps,
-        store releases, flag reloads) retire the registration so the
-        next replay rebuilds it under a fresh id.  Returns ``None`` when
+        a :func:`procpool.resident_generation` bump (a flag reload)
+        retires the registration so the next replay rebuilds it under a
+        fresh id.  Returns ``None`` when
         nothing in the plan ships (cached as an empty registration so
         the scan runs once per generation).
         """

@@ -95,17 +95,21 @@ class SuperKernel:
     ``executor`` is the compiled fused closure (obtained through the
     process-wide source-keyed cache, so structurally-identical units
     share one compiled function) and ``source`` is the generated text.
-    ``binding_modes`` rides along for the process-pool wire format.
+    ``binding_plan`` is its calling convention, one ``(kind, payload)``
+    per buffer binding of the unit: ``("ranked", per-rank slice
+    tuples)``, ``("merged", span slices)`` or ``("reduction", None)``.
+    The slice tuples are precomputed from the interned rect tables at
+    lowering time, so :func:`call_superkernel` binds by direct NumPy
+    slicing instead of per-rank memoized-view lookups.  A worker process
+    rebuilds the kernel from its ``procpool.SuperKernelSpec``.
     """
 
     is_superkernel = True
 
-    def __init__(
-        self, source: str, name: str, binding_modes: Tuple[str, ...]
-    ) -> None:
+    def __init__(self, source: str, name: str, binding_plan: tuple) -> None:
         self.source = source
         self.name = name
-        self.binding_modes = binding_modes
+        self.binding_plan = binding_plan
         self.executor, self.freshly_compiled = codegen._compile_source(source, name)
 
 
@@ -127,8 +131,6 @@ class SuperKernelStep(CompiledStep):
     #: interior analysis charges — replayed verbatim by the accounting
     #: fold so simulated seconds stay bit-identical.
     fused_steps: Tuple[object, ...] = ()
-    #: Per-binding calling convention, aligned with ``buffer_bindings``.
-    binding_modes: Tuple[str, ...] = ()
     #: True when the unit may be split into rank chunks (all sections
     #: share the rank count and shared written slots have identical
     #: tables); otherwise the unit always executes as one chunk.
@@ -137,13 +139,6 @@ class SuperKernelStep(CompiledStep):
     verify: bool = False
     #: Dead intermediate slots folded into locals (never materialised).
     folded_slots: Tuple[int, ...] = ()
-    #: Per-binding ``(kind, payload)`` execution plan, aligned with
-    #: ``buffer_bindings``: ``("ranked", per-rank slice tuples)``,
-    #: ``("merged", span slices)`` or ``("reduction", None)``.  The
-    #: slice tuples are precomputed from the interned rect tables at
-    #: lowering time, so the fused call binds by direct NumPy slicing
-    #: instead of per-rank memoized-view lookups.
-    binding_plan: Tuple[Tuple[str, object], ...] = ()
 
 
 #: Sentinel cached on plans whose lowering produced no fused units.
@@ -413,7 +408,7 @@ def _build_unit(
     sections: List[SuperKernelSection] = []
     infos: List[SectionInfo] = []
     bindings: List[Tuple[str, int, bool, list]] = []
-    binding_modes: List[str] = []
+    binding_plan: List[Tuple[str, object]] = []
     scalar_positions: List[int] = []
     scalar_order: List[Tuple[str, int]] = []
     reductions: Dict[str, Tuple[int, object]] = {}
@@ -441,7 +436,14 @@ def _build_unit(
                     fold_reads.append((name, ident))
                 continue
             bindings.append((prefix + name, slot, is_red, table))
-            binding_modes.append(mode)
+            if is_red:
+                binding_plan.append(("reduction", None))
+            elif mode == "ranked":
+                binding_plan.append(("ranked", tuple(rect.slices() for rect, _v in table)))
+            else:
+                binding_plan.append(
+                    ("merged", merged_table_span(table, 0, len(table)).slices())
+                )
         sections.append(
             SuperKernelSection(
                 prefix=prefix,
@@ -474,21 +476,9 @@ def _build_unit(
     name = "superkernel_" + "_".join(
         step.task_name for _i, step, _m in members[:3]
     )
-    source = generate_superkernel_source(sections, name)
-    kernel = SuperKernel(source, name, tuple(binding_modes))
-
-    binding_plan: List[Tuple[str, object]] = []
-    for (_name, _slot, is_red, table), mode in zip(bindings, binding_modes):
-        if is_red:
-            binding_plan.append(("reduction", None))
-        elif mode == "ranked":
-            binding_plan.append(
-                ("ranked", tuple(entry[0].slices() for entry in table))
-            )
-        else:
-            binding_plan.append(
-                ("merged", merged_table_span(table, 0, len(table)).slices())
-            )
+    kernel = SuperKernel(
+        generate_superkernel_source(sections, name), name, tuple(binding_plan)
+    )
 
     fused_steps = tuple(plan.steps[index] for index in indices)
     return SuperKernelStep(
@@ -514,11 +504,9 @@ def _build_unit(
         elementwise=False,
         sections=tuple(infos),
         fused_steps=fused_steps,
-        binding_modes=tuple(binding_modes),
         chunkable=chunkable,
         verify=verify,
         folded_slots=tuple(sorted(folds)),
-        binding_plan=tuple(binding_plan),
     )
 
 
@@ -661,28 +649,44 @@ def run_superkernel_ranks(
     """Run rank chunk ``[start, stop)`` of a fused unit (one closure call).
 
     The local runner of a super-kernel :class:`~repro.runtime.executor
-    .ChunkWork`.  Merged bindings hand the closure one contiguous span
-    view; ranked bindings hand it the chunk's per-rank view list;
-    reduction targets are ``None`` in both (their values come back as
-    partials).
+    .ChunkWork`: :func:`call_superkernel`, or — for a unit lowered in
+    verify mode (never chunked) — the differential execution.
     Non-chunkable units ignore the chunk range and execute every rank.
-    Returns the chunk result shape every substrate returns: the
-    closure's partials — per reduction target, a rank-ordered float64
-    array — as the chunk's single entry, and no seconds (replay charges
-    the captured ones).
+    """
+    if step.verify:
+        return [_run_verify(step, prepared, scalars)], ()
+    return call_superkernel(step.kernel, prepared, scalars, start, stop, step.chunkable)
 
-    Binding slices the resolved fields' backing arrays directly with the
-    slice tuples precomputed at lowering time (``step.binding_plan``) —
+
+def call_superkernel(
+    kernel: SuperKernel,
+    rows: Sequence[Tuple[str, object, bool, list]],
+    scalars: Dict[str, float],
+    start: int,
+    stop: int,
+    chunked: bool = True,
+) -> Tuple[list, tuple]:
+    """One fused-closure call over ranks ``[start, stop)``.
+
+    The super-kernel runner of both sides of the pipe: a worker process
+    calls it with rows whose fields are attached shared-memory blocks.
+    Merged bindings hand the closure one contiguous span view; ranked
+    bindings hand it the chunk's per-rank view list; reduction targets
+    are ``None`` in both (their values come back as partials).  Without
+    ``chunked`` the call covers every rank.  Returns the chunk result
+    shape every substrate returns: the closure's partials — per
+    reduction target, a rank-ordered float64 array — as the chunk's
+    single entry, and no seconds (replay charges the captured ones).
+
+    Binding slices the rows' backing arrays directly with the slice
+    tuples precomputed at lowering time (``kernel.binding_plan``) —
     NumPy basic slicing always yields a view, so writes land in place
     exactly as through the memoized per-rect views of the per-step
     path, without its per-rank cache lookups.
     """
-    if step.verify:
-        return [_run_verify(step, prepared, scalars)], ()
     buffers: Dict[str, object] = {}
-    chunked = step.chunkable
     for (name, resolved, _is_reduction, table), (kind, payload) in zip(
-        prepared, step.binding_plan
+        rows, kernel.binding_plan
     ):
         if kind == "reduction":
             buffers[name] = None
@@ -696,9 +700,9 @@ def run_superkernel_ranks(
             buffers[name] = resolved.data[payload]
     with telemetry.span(
         "superkernel.call",
-        f"{step.task_name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
+        f"{kernel.name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
     ):
-        return [step.kernel.executor(buffers, scalars)], ()
+        return [kernel.executor(buffers, scalars)], ()
 
 
 def _run_verify(
@@ -751,12 +755,12 @@ def _run_verify(
         resolved_by_slot[slot].data[...] = snapshot
 
     buffers: Dict[str, object] = {}
-    for (name, resolved, is_reduction, table), mode in zip(
-        prepared, step.binding_modes
+    for (name, resolved, _is_reduction, table), (kind, _payload) in zip(
+        prepared, step.kernel.binding_plan
     ):
-        if is_reduction:
+        if kind == "reduction":
             buffers[name] = None
-        elif mode == "ranked":
+        elif kind == "ranked":
             buffers[name] = [
                 resolved.view(table[rank][0]) for rank in range(len(table))
             ]

@@ -215,8 +215,7 @@ class ExecutionPlan:
     #: Cached resident-process registration (``runtime.procpool``): the
     #: :class:`ResidentPlan` whose parent-assigned id names this plan's
     #: worker-resident templates, tagged with the resident generation it
-    #: was built under.  Descriptor swaps (``RegionManager.attach``),
-    #: store releases and ``config.reload_flags()`` bump the generation,
+    #: was built under.  ``config.reload_flags()`` bumps the generation,
     #: which retires the registration on its next replay; plan ids are
     #: never reused, so stale worker-side templates can never be served.
     resident: Optional[object] = None

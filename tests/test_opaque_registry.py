@@ -165,8 +165,8 @@ class TestOpaqueFrameProtocol:
         pool = procpool.ProcessWorkerPool(2)
         try:
             # Chunk 1 is the one worker's (chunk 0 is the caller's slot).
-            step = procpool.OpaqueResidentStep(
-                "not-a-registered-operator", None, None, (), ((0, 1), (1, 2))
+            step = procpool.ResidentStep(
+                procpool.OpaqueSpec("not-a-registered-operator", None, None), (), ((0, 1), (1, 2))
             )
             plan = procpool.ResidentPlan(
                 plan_id=procpool.next_resident_plan_id(),

@@ -201,9 +201,9 @@ class TestShmRegionFields:
         attached = manager.attach(store, np.arange(32.0))
         assert attached.shm_descriptor is not None
         assert np.array_equal(attached.data, np.arange(32.0))
-        # The replaced field returned its block; releasing the store
+        # The replaced field returned its block; reclaiming the store
         # returns the new one too.
-        manager.release(store)
+        manager.reclaim_storage(store)
         assert attached.shm_descriptor is None
         assert first is not None
         manager.close_arena()
@@ -319,9 +319,8 @@ class TestProcessPoolProtocol:
         try:
             array, descriptor = arena.allocate((4,), np.float64)
             broken = procpool.ResidentStep(
-                procpool.kernel_spec_id(SimpleNamespace()),
-                procpool.KernelSpec(None, None, "no-such-backend"),
-                (), (), False, None, ((0, 1), (1, 2)),
+                procpool.KernelSpec(None, None, "no-such-backend"), (), ((0, 1), (1, 2)),
+                kernel_id=procpool.kernel_spec_id(SimpleNamespace()),
             )
             for _attempt in range(2):
                 # Re-raised type-preserving, with the worker traceback.
@@ -330,9 +329,9 @@ class TestProcessPoolProtocol:
                 assert "worker traceback" in str(raised.value)
             assert not pool.closed
             # The same worker runs the next frame: the pipe stayed in step.
-            step = procpool.OpaqueResidentStep(
-                fill.name, fill.module, None,
-                ((0, False, descriptor, None, [((0,), (2,)), ((2,), (4,))]),),
+            step = procpool.ResidentStep(
+                procpool.OpaqueSpec(fill.name, fill.module, None),
+                ((0, False, None, [((0,), (2,)), ((2,), (4,))]),),
                 ((0, 1), (1, 2)),
             )
             # The worker fills rank 1's rect; rank 0 is left to the caller.
@@ -354,8 +353,8 @@ class TestProcessPoolProtocol:
         try:
             pool._processes[0].terminate()
             pool._processes[0].join(timeout=5.0)
-            step = procpool.OpaqueResidentStep(
-                "not-a-registered-operator", None, None, (), ((0, 1), (1, 2))
+            step = procpool.ResidentStep(
+                procpool.OpaqueSpec("not-a-registered-operator", None, None), (), ((0, 1), (1, 2))
             )
             with pytest.raises(procpool.ProcessPoolBrokenError):
                 pool.run_resident_chunks(*_frame(step, (), ()))
@@ -371,8 +370,8 @@ class TestProcessPoolProtocol:
         like a dead worker instead of being taken for this frame's."""
         pool = procpool.ProcessWorkerPool(2)
         try:
-            step = procpool.OpaqueResidentStep(
-                "not-a-registered-operator", None, None, (), ((0, 1), (1, 2))
+            step = procpool.ResidentStep(
+                procpool.OpaqueSpec("not-a-registered-operator", None, None), (), ((0, 1), (1, 2))
             )
             plan, entries = _frame(step, (), ())
             with pool.lock:

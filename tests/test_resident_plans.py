@@ -5,12 +5,11 @@ stays bit-identical to inline replay — buffers, checksums AND simulated
 seconds — across ``config.SUPERKERNEL`` {off,on} × ``REPRO_WORKERS``
 {1,4} × ``REPRO_POINT_WORKERS`` {1,4}, asserted under the differential
 kernel backend with the dispatch thresholds forced to zero.  Alongside
-the hammer, this file covers the staleness story (descriptor swaps
-through ``RegionManager.attach``/``release`` and
-``config.reload_flags()`` retire resident plans) and the broken-pool
-degrade path (a killed worker's level runs inline, then the plan
-re-ships to the fresh pool), plus the wire-traffic counter the
-residency exists to shrink.
+the hammer, this file covers the staleness story (only
+``config.reload_flags()`` retires resident plans; an attach does not)
+and the broken-pool degrade path (a killed worker's level runs inline,
+then the plan re-ships to the fresh pool), plus the wire-traffic
+counter the residency exists to shrink.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ pytestmark = pytest.mark.usefixtures("force_dispatch")
 
 
 # ----------------------------------------------------------------------
-# Staleness: descriptor swaps and flag reloads retire resident plans.
+# Staleness: flag reloads retire resident plans, attaches do not.
 # ----------------------------------------------------------------------
 class TestResidentInvalidation:
     def test_plan_ids_never_repeat(self):
@@ -50,43 +49,65 @@ class TestResidentInvalidation:
         config.reload_flags()
         assert procpool.resident_generation() > before
 
-    def test_attach_swap_bumps_generation(self, monkeypatch):
-        """Re-binding a store to fresh data retires resident plans.
-
-        The swapped-out field's arena block is freed and may be recycled
-        at the same offset for an unrelated field — any worker-resident
-        descriptor pointing at it is stale the moment ``attach`` returns.
-        """
-        from repro.ir.store import StoreManager
-        from repro.runtime.region import RegionManager
-
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
+    @staticmethod
+    def _cg_with_an_attach(monkeypatch, point_workers):
+        """Six CG iterations whose matrix values are re-attached, scaled,
+        after the third: ``(context, state, checksum, generation moved,
+        plan ships after the attach, opaque chunks a worker ran after
+        the attach)``."""
+        monkeypatch.setenv("REPRO_POINT_WORKERS", str(point_workers))
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "codegen")
         config.reload_flags()
-        manager = RegionManager()
-        store = StoreManager().create_store((32,), name="field")
-        field = manager.field(store)
-        assert field.shm_descriptor is not None
-        before = procpool.resident_generation()
-        manager.attach(store, np.arange(32.0))
-        assert procpool.resident_generation() > before
-        released_at = procpool.resident_generation()
-        manager.release(store)
-        assert procpool.resident_generation() > released_at
-        manager.close_arena()
+        ships = []
+        send = procpool.ProcessWorkerPool._send
 
-    def test_inline_attach_does_not_bump(self, monkeypatch):
-        from repro.ir.store import StoreManager
-        from repro.runtime.region import RegionManager
+        def spy(self, worker, message, payload=None):
+            ships.append(message[0] == "plan")
+            return send(self, worker, message, payload)
 
-        monkeypatch.setenv("REPRO_POINT_WORKERS", "1")
-        config.reload_flags()
-        manager = RegionManager()
-        store = StoreManager().create_store((32,), name="field")
-        manager.field(store)
-        before = procpool.resident_generation()
-        manager.attach(store, np.arange(32.0))
-        manager.release(store)
-        assert procpool.resident_generation() == before
+        monkeypatch.setattr(procpool.ProcessWorkerPool, "_send", spy)
+        context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
+        set_context(context)
+        try:
+            app = build_application("cg", context=context, grid_points_per_gpu=12)
+            app.run(3)
+            generation = procpool.resident_generation()
+            store = app.matrix._data_store
+            context.attach(store, context.read_array(store) * 1.5)
+            del ships[:]
+            shipped_before = context.profiler.opaque_process_chunks
+            app.run(3)
+            state = {
+                name: value.to_numpy()
+                for name, value in vars(app).items()
+                if isinstance(value, cn_ndarray)
+            }
+            return (
+                context, state, app.checksum(),
+                procpool.resident_generation() != generation, sum(ships),
+                context.profiler.opaque_process_chunks - shipped_before,
+            )
+        finally:
+            set_context(None)
+            shutdown_process_pool()
+
+    def test_attach_keeps_the_shipped_plan(self, monkeypatch):
+        """Attaching new data to a store a shipped step reads retires
+        nothing: the frames sync the new field's descriptor, so the plan
+        the workers hold keeps serving, bit-identical to inline replay
+        doing the same attach."""
+        ctx_base, state_base, checksum_base, *_ = self._cg_with_an_attach(monkeypatch, 1)
+        ctx, state, checksum, moved, plan_ships, worker_chunks = self._cg_with_an_attach(
+            monkeypatch, 2
+        )
+        _assert_matches(ctx, state, checksum, (ctx_base, state_base, checksum_base), "attach")
+        # The SpMV reading the attached values ran in the worker ...
+        assert worker_chunks > 0
+        # ... from the plan shipped before the attach.
+        assert not moved
+        assert plan_ships == 0
 
     def test_retire_resident_plan_clears_cache(self):
         class PlanStub:

@@ -75,7 +75,7 @@ class TestRegions:
         manager = RegionManager()
         store = store_manager.create_store((4,))
         manager.field(store)
-        manager.release(store)
+        assert manager.reclaim_storage(store)
         assert not manager.has_field(store)
 
 

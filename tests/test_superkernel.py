@@ -359,7 +359,9 @@ class TestRankedSectionsRunOnce:
         for unit in units:
             assert unit.chunkable and unit.num_points == 64
             assert [info.tile for info in unit.sections] == [16]
-            assert set(unit.binding_modes) == {"merged"}
+            assert {kind for kind, _payload in unit.kernel.binding_plan} == {
+                "merged", "reduction",
+            }
             assert "for _rk" not in unit.kernel.source
             assert ".reshape(-1, 16), axis=1)" in unit.kernel.source
 

@@ -14,6 +14,7 @@ ever made.
 from __future__ import annotations
 
 import json
+import os
 from collections import defaultdict
 
 import pytest
@@ -397,6 +398,33 @@ class TestSpanSummary:
             assert count > 0 and 0.0 <= self_seconds <= total, kind
         # Everything on the parent's scheduling thread nests in a replay.
         assert table["plan.level"][1] <= table["epoch.replay"][1]
+
+    def test_worker_chunks_record_the_parents_runner_spans(
+        self, monkeypatch, force_dispatch
+    ):
+        """A worker runs its chunks through the parent's own runners, so
+        they record the same ``superkernel.call`` / ``opaque.chunk``
+        spans, nested in the entry's ``worker.resident`` span: over both
+        processes there is one ``superkernel.call`` span per chunk the
+        profiler counted."""
+        result = _run_cg(monkeypatch, telemetry_on=True, workers="1")
+        assert result.counters["point_process_chunks"] > 0
+        assert telemetry.dropped_events() == 0
+        calls, in_workers = 0, defaultdict(int)
+        for (pid, _tid), entries in _lane_events(telemetry.merged_events()).items():
+            stack = []
+            for _worker, (phase, kind, *_rest) in entries:
+                if phase == "B":
+                    calls += kind == "superkernel.call"
+                    if pid != os.getpid() and kind in ("superkernel.call", "opaque.chunk"):
+                        assert stack == ["worker.resident"], kind
+                        in_workers[kind] += 1
+                    stack.append(kind)
+                elif phase == "E":
+                    stack.pop()
+        assert calls == result.counters["superkernel_calls"]
+        assert in_workers["superkernel.call"] > 0
+        assert in_workers["opaque.chunk"] > 0
 
 
 # ----------------------------------------------------------------------

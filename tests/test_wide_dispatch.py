@@ -458,10 +458,10 @@ class TestLevelFrames:
 
     def test_worker_interns_every_entry_before_running_the_first(self):
         """The worker half of the above, without processes."""
-        from repro.runtime.procpool import OpaqueResidentStep, _execute_frame
+        from repro.runtime.procpool import OpaqueSpec, ResidentStep, _execute_frame
         from repro.runtime.shm import BlockDescriptor
 
-        step = OpaqueResidentStep("not-a-registered-operator", None, None, (), ((0, 1),))
+        step = ResidentStep(OpaqueSpec("not-a-registered-operator", None, None), (), ((0, 1),))
         first = BlockDescriptor("repro-test", 0, (4,), "float64")
         later = BlockDescriptor("repro-test", 64, (4,), "float64")
         descriptors = [first]
