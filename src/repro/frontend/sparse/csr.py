@@ -272,10 +272,12 @@ def _spmv_chunk_execute(bases, rects, scalars):
 
 
 #: (id(indptr array), id(the chunk's y rect list), index bytes, total
-#: rows, machine) -> pinned per-rank seconds of the chunk.  A replayed
-#: chunk hands in the same interned rect list (``RectTable.wire``) every
-#: epoch, so the per-rank loop below runs once per chunk geometry; lists
-#: cut per call (resident workers, the seed path's) simply miss.
+#: rows, machine) -> pinned per-rank seconds of the chunk.  A chunk
+#: replayed in the parent hands in the same rect list every epoch
+#: (``executor.wire_rects`` memoizes it per range on an interned
+#: ``RectTable``), so the per-rank loop below runs once per chunk
+#: geometry; lists cut per call (a worker process's, whose tables are
+#: plain lists rebuilt from the plan ship, and the seed path's) miss.
 _SPMV_CHUNK_COST_CACHE: Dict[Tuple, Tuple[np.ndarray, list, List[float]]] = {}
 
 

@@ -96,13 +96,11 @@ class RectTable(list):
     volume every rank's rect has (``tile``; ``None`` when they differ or
     are empty), whether its rects cover the whole store
     (``ir.partition.rects_cover``), the NumPy slices of each merged rank
-    range a merged call binds (:func:`span_slices`), and the wire form of
-    each rank range shipped to worker processes, ``(start, stop) ->
-    (stable wire-table id, rect list)`` — the id names the list in the
-    workers' intern caches so one geometry crosses a pipe once per
-    worker.  Tables rebuilt per launch (``REPRO_HOTPATH_CACHE=0``) are
-    plain lists: they never batch, never reduce by rows, never vouch for
-    a cover and their rects always travel inline.
+    range a merged call binds (:func:`span_slices`), and the wire rect
+    list of each rank range (:func:`wire_rects`).  Tables rebuilt per
+    launch (``REPRO_HOTPATH_CACHE=0``) are plain lists: they never
+    batch, never reduce by rows, never vouch for a cover and cut their
+    wire rects per call.
     """
 
     __slots__ = ("contiguous", "tile", "covers", "spans", "wire")
@@ -200,23 +198,22 @@ def compiled_ranks(
     return [kernel_fn(buffers, scalars) for buffers in bind(rows, start, stop)]
 
 
-def wire_rects(table, start: int, stop: int) -> Tuple[Optional[int], list]:
-    """``(stable wire-table id, rect list)`` of ranks ``[start, stop)``.
+def wire_rects(table, start: int, stop: int) -> list:
+    """The ``(lo, hi)`` rect list of ranks ``[start, stop)``.
 
-    The rect list is the ``(lo, hi)`` wire form the opaque chunk
-    contract takes and resident templates ship; an interned
-    :class:`RectTable` memoizes it per range under a fresh wire-table
-    id, other tables cut it per call (and get no id).
+    The wire form the opaque chunk contract takes and resident templates
+    ship.  An interned :class:`RectTable` memoizes it per range, so a
+    replayed chunk hands its operator the same list object every epoch
+    (the SpMV chunk-cost cache keys on that identity); other tables cut
+    it per call.
     """
     cache = getattr(table, "wire", None)
-    entry = None if cache is None else cache.get((start, stop))
-    if entry is None:
-        entry = (None, [(rect.lo, rect.hi) for rect, _volume in table[start:stop]])
+    rects = None if cache is None else cache.get((start, stop))
+    if rects is None:
+        rects = [(rect.lo, rect.hi) for rect, _volume in table[start:stop]]
         if cache is not None:
-            entry = cache.setdefault(
-                (start, stop), (procpool.next_wire_table_id(), entry[1])
-            )
-    return entry
+            rects = cache.setdefault((start, stop), rects)
+    return rects
 
 
 def opaque_chunk(
@@ -235,7 +232,7 @@ def opaque_chunk(
         index: None if is_reduction else field.data
         for index, field, is_reduction, _table in rows
     }
-    rects = {row[0]: wire_rects(row[3], start, stop)[1] for row in rows}
+    rects = {row[0]: wire_rects(row[3], start, stop) for row in rows}
     with telemetry.span(
         "opaque.chunk",
         f"op={impl.name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
@@ -553,7 +550,7 @@ class TaskExecutor:
         if self._shippable(work) is None:
             return None
         buffers = tuple(
-            (row[0], row[2], *wire_rects(row[3], 0, work.num_points)) for row in work.rows
+            (row[0], row[2], wire_rects(row[3], 0, work.num_points)) for row in work.rows
         )
         impl = work.impl
         if impl is not None:
@@ -569,13 +566,14 @@ class TaskExecutor:
         """One step's entry in its level's resident frame, or ``None``.
 
         ``(step index, scalar values, descriptors, chunks)``: all a run
-        message carries is the epoch's scalars and field descriptors
-        (frontends bind fresh stores, hence fresh arena blocks, every
-        epoch); the workers hold everything else.  Declines — with the
-        reason recorded — when the work does not ship, the chunk plan
-        disagrees with the ranges baked into the workers' templates, or
-        an opaque launch's scalars are not numeric; the step then runs
-        its chunks inline.
+        message carries is the epoch's scalars, exactly as the calling
+        thread runs with them, and field descriptors as plain tuples, so
+        a frame pickles to builtins only (frontends bind fresh stores,
+        hence fresh arena blocks, every epoch); the workers hold
+        everything else.  Declines — with the reason recorded — when the
+        work does not ship or the chunk plan disagrees with the ranges
+        baked into the workers' templates; the step then runs its chunks
+        inline.
         """
         descriptors = self._shippable(work)
         if descriptors is None:
@@ -586,11 +584,9 @@ class TaskExecutor:
         if work.impl is None:
             values = tuple(work.scalars[name] for name in template.scalar_names)
         else:
-            try:
-                values = tuple(float(value) for value in work.scalars)
-            except (TypeError, ValueError):
-                return self._decline("non_numeric_scalars")
-        return index, values, tuple(descriptors), chunks
+            values = tuple(work.scalars)
+        wire = tuple(None if item is None else tuple(item) for item in descriptors)
+        return index, values, wire, chunks
 
     def run_resident_level(
         self, plan, level: int, entries: Sequence[tuple], works: Sequence[ChunkWork],

@@ -16,12 +16,12 @@ belongs to telemetry.  A level is one synchronous round trip, made
 under the pool's lock: the caller sends each engaged worker its frame,
 runs its own share of the level (below) and the level's local steps,
 then reads each worker's reply straight off its pipe, in worker order.
-One caller owns every pipe for the whole call, so the send-side state
-that depends on FIFO order (the shipped table and plan sets and the
-descriptor interning below) always matches what the worker received,
-and the next message on a pipe is the reply to the frame just sent.
-Every frame carries a per-pool **frame number** that its reply echoes;
-a reply to any other frame breaks the pool like a dead worker.
+One caller owns every pipe for the whole call, so the next message on
+a pipe is the reply to the frame just sent.  Every frame carries a
+per-pool **frame number** that its reply echoes; a reply to any other
+frame breaks the pool like a dead worker.  A frame is self-contained:
+what a worker does with it depends only on the frame and the plans it
+was shipped, never on earlier frames.
 
 Workers never receive array data: a frame names **block descriptors**
 into the shared-memory arena, and workers build zero-copy NumPy views of
@@ -60,44 +60,37 @@ cache.  An :class:`OpaqueSpec` names the operator and its defining
 module, and the worker resolves the implementation from its *own*
 registry (:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork``
 workers inherit the parent's populated registry, ``spawn`` workers
-import the module first).  Rect tables are interned on both sides of
-the pipe under stable parent-assigned table ids, so a geometry
-re-registered under a fresh plan id crosses the pipe once per worker;
-the worker turns each into the parent's ``(Rect, volume)`` table shape
-once, when it registers the plan.
+import the module first).  Every plan ship carries its rect tables
+whole, and the worker turns each into the parent's ``(Rect, volume)``
+table shape once, when it registers the plan.
 
 The unit a replay ships is the plan **level**, not the step
 (:meth:`ProcessWorkerPool.run_resident_chunks`, called once per level by
 ``PlanScheduler``): the scheduling thread prepares every step of the
 level, and each engaged worker receives *one* frame ``("r", frame number,
 plan id, entries)`` whose entries ``(step index, scalar values,
-descriptor sync)`` list the level's shipped steps that worker has chunks
-of, in recorded order.  The worker interns every entry's sync, runs the
-entries back to back over its baked rank ranges, and answers with one
-reply holding each entry's chunk results; while the workers compute,
-the calling thread runs slot 0's chunks of the shipped steps and the
-level's remaining steps (single-rank launches, operators with nothing a
-worker could resolve).  A width-3 level therefore costs one send and
-one reply per worker where per-step
-messages cost three of each — the launch being merged (Li et al.,
-"Automatic Horizontal Fusion for GPU Kernels") is a pipe round trip —
-and a width-1 level is simply a one-entry frame.  Once every sync is
-all-integer (the steady state) the frame travels in a fixed binary
-layout (:func:`_pack_run_message`) a fraction the size of its pickled
-form and byte-stable across Python versions.  Frontends bind fresh
-stores (hence fresh arena blocks) per epoch, so templates hold no
-field address; instead the sync interns descriptors per worker — a
-:class:`~repro.runtime.shm.BlockDescriptor` crosses the pipe once and
-is a small integer id ever after (arena offsets cycle through a bounded
-set in steady replay, so the id table saturates after a few epochs).
+descriptors)`` list the level's shipped steps that worker has chunks
+of, in recorded order.  The worker runs the entries back to back over
+its baked rank ranges and answers with one reply holding each entry's
+chunk results; while the workers compute, the calling thread runs slot
+0's chunks of the shipped steps and the level's remaining steps
+(single-rank launches, operators with nothing a worker could resolve).
+A width-3 level therefore costs one send and one reply per worker where
+per-step messages cost three of each — the launch being merged (Li et
+al., "Automatic Horizontal Fusion for GPU Kernels") is a pipe round
+trip — and a width-1 level is simply a one-entry frame.  Frontends
+bind fresh stores (hence fresh arena blocks) per epoch, so templates
+hold no field address; every entry carries the step's current
+descriptors instead, each non-reduction one a plain ``(segment, offset,
+shape, dtype)`` tuple (``None`` for a reduction), so a frame pickles to
+builtins only.
 Each ``[start, stop)`` range runs through the parent's own runner for
 the step's kind (``executor.compiled_ranks``,
 ``superkernel.call_superkernel``, ``executor.opaque_chunk``) over rows
 whose fields are the attached blocks, so results are bit-identical.
-An entry that raises ends its frame: the
-worker replies with that error and skips the entries behind it — their
-descriptors were interned on receipt, so the id tables stay in step and
-the pool stays usable.  Only ``config.reload_flags()`` bumps
+An entry that raises ends its frame: the worker replies with that error
+and skips the entries behind it, and the pool stays usable.  Only
+``config.reload_flags()`` bumps
 :func:`resident_generation`, which retires every parent-side
 :class:`ResidentPlan` built under an older generation (attaching data
 or freeing fields changes no template); a dead or hung worker tears
@@ -106,21 +99,21 @@ in the parent (slot 0's already ran), and the next frame's
 :func:`process_pool` builds a fresh pool, to which the plan re-ships.
 
 The pool also meters its own wire traffic: every message is pickled
-once (``ForkingPickler``, exactly what ``Connection.send`` does) or
-packed as a binary frame, its byte length added to the call's
-:attr:`ProcessWorkerPool.traffic`, and the payload sent with
-``send_bytes`` — so the profiler's ``wire_bytes_per_epoch`` figures
-measure real serialized sizes with no double pickling.
+once (``ForkingPickler``, exactly what ``Connection.send`` does), its
+byte length added to the call's :attr:`ProcessWorkerPool.traffic`, and
+the payload sent with ``send_bytes`` — so the profiler's
+``wire_bytes_per_epoch`` figures measure real serialized sizes with no
+double pickling.
 
 Lifetime
 --------
 The pool is a lazy process-wide singleton of :func:`pool_size` slots
-(one fewer worker process).
-``config.reload_flags()`` retires it when that size changes or point
-dispatch is switched off, and an ``atexit`` hook (plus the test suite's
-session fixture) shuts the workers down so runs never leak child
-processes; the hook then closes the shared-memory arenas and reaps the
-resource tracker (:func:`~repro.runtime.shm.shutdown_shared_memory`).
+(one fewer worker process).  ``config.reload_flags()`` retires it when
+that size changes or point dispatch is switched off, and an ``atexit``
+hook (plus the test suite's session fixture) shuts the workers down so
+runs never leak child processes; the hook then closes the
+shared-memory arenas and reaps the resource tracker
+(:func:`~repro.runtime.shm.shutdown_shared_memory`).
 Workers are started with the ``fork`` method where available (they
 inherit the warm codegen cache); ``spawn`` elsewhere.
 """
@@ -130,8 +123,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import pickle
-import struct
 import threading
 import time
 import traceback
@@ -144,12 +135,7 @@ import numpy as np
 from repro import config
 from repro.ir.domain import Rect
 from repro.runtime import telemetry
-from repro.runtime.shm import (
-    BlockDescriptor,
-    attach_view,
-    close_attachments,
-    shutdown_shared_memory,
-)
+from repro.runtime.shm import attach_view, close_attachments, shutdown_shared_memory
 
 #: How long a level waits for its replies before it declares the pool
 #: hung: the workers are killed and :class:`ProcessPoolBrokenError` sends
@@ -213,7 +199,7 @@ class ResidentStep:
 
     Shipped inside a resident-plan message and cached worker-side; run
     messages reference it by ``(plan id, step index)`` and carry only the
-    epoch's scalar values and a per-buffer descriptor sync.  The template
+    epoch's scalar values and per-buffer descriptors.  The template
     holds no field address: frontends bind fresh stores (hence fresh
     arena blocks) to a slot on every epoch, so every run message carries
     the step's *current* descriptors.  Replayed compiled steps charge the
@@ -223,12 +209,11 @@ class ResidentStep:
     #: What to run: a :class:`KernelSpec`, :class:`SuperKernelSpec` or
     #: :class:`OpaqueSpec`.
     spec: object
-    #: ``(key, is_reduction, table id or None, rect table)`` per row, in
-    #: the order of the runner's rows: the *full* rank-indexed wire rect
-    #: table (``None`` when the worker already interned it), which the
+    #: ``(key, is_reduction, rects)`` per row, in the order of the
+    #: runner's rows: the *full* rank-indexed wire rect list, which the
     #: worker turns into the runners' ``(Rect, volume)`` table once, at
     #: registration.
-    buffers: Tuple[Tuple[object, bool, Optional[int], Optional[list]], ...]
+    buffers: Tuple[Tuple[object, bool, list], ...]
     #: The step's rank-chunk plan.  On the parent template this is the
     #: *full* chunk list (the executor degrades when a dispatch's chunks
     #: disagree); on worker w's shipped copy it holds only the chunks of
@@ -272,95 +257,21 @@ class ProcessPoolBrokenError(RuntimeError):
     """
 
 
-#: First byte of a binary-framed resident run message.  Pickled payloads
-#: begin with the pickle PROTO opcode (``0x80`` for every protocol the
-#: pool can emit), so one leading byte cleanly separates the framings.
-_RUN_FRAME_MAGIC = 0x01
-
-
-def _pack_run_message(frame: int, plan_id: int, entries: Sequence[tuple]) -> Optional[bytes]:
-    """Binary frame of a steady-state resident run message.
-
-    ``entries`` lists the ``(step index, scalar values, descriptor
-    sync)`` of every step of one plan level the worker has chunks of.
-    Once the per-worker descriptor interning saturates, every sync item
-    is a small int (or ``None`` for reductions) and the whole message is
-    a handful of scalars — packing it with :mod:`struct` instead of
-    pickle roughly halves the bytes *and* makes the wire-gate counters
-    byte-stable across Python versions (pickle framing is not).  Layout:
-    magic u8, frame number u32, plan id u32, entry count u8; per entry
-    step index u16, value count u8 + f64 values, sync count u8 + i16
-    items (``-1`` ⇒ ``None``).  Returns ``None`` when the message does
-    not fit the frame (a first-sighting descriptor in a sync, a
-    non-float scalar, an id beyond i16) — the caller falls back to the
-    pickled tuple framing.
-    """
-    if len(entries) > 255:
-        return None
-    layout = ["<BIIB"]
-    fields: list = [_RUN_FRAME_MAGIC, frame, plan_id, len(entries)]
-    for step_index, values, sync in entries:
-        if len(values) > 255 or len(sync) > 255:
-            return None
-        for value in values:
-            if type(value) is not float:
-                return None
-        items = []
-        for item in sync:
-            if item is None:
-                items.append(-1)
-            elif type(item) is int and item <= 0x7FFF:
-                items.append(item)
-            else:
-                return None
-        layout.append(f"HB{len(values)}dB{len(items)}h")
-        fields += (step_index, len(values), *values, len(items), *items)
-    try:
-        return struct.pack("".join(layout), *fields)
-    except struct.error:  # pragma: no cover - id beyond u32
-        return None
-
-
-def _unpack_run_message(data: bytes) -> tuple:
-    """Decode a binary run frame back to the pickled-tuple shape."""
-    frame, plan_id, entry_count = struct.unpack_from("<IIB", data, 1)
-    offset = 10
-    entries = []
-    for _ in range(entry_count):
-        step_index, value_count = struct.unpack_from("<HB", data, offset)
-        values = struct.unpack_from(f"<{value_count}d", data, offset + 3)
-        offset += 3 + 8 * value_count
-        (sync_count,) = struct.unpack_from("<B", data, offset)
-        items = struct.unpack_from(f"<{sync_count}h", data, offset + 1)
-        offset += 1 + 2 * sync_count
-        sync = tuple(None if item == -1 else item for item in items)
-        entries.append((step_index, values, sync))
-    return ("r", frame, plan_id, tuple(entries))
-
-
 # ----------------------------------------------------------------------
 # Worker side.
 # ----------------------------------------------------------------------
-def _register_resident_plan(
-    message: tuple, tables: Dict[int, list]
-) -> Tuple[int, Dict[int, ResidentStep]]:
+def _register_resident_plan(message: tuple) -> Tuple[int, Dict[int, ResidentStep]]:
     """Install one shipped plan's templates.
 
-    Each wire rect table becomes the runners' ``(Rect, volume)`` table
-    here, once, and is interned under its table id for later plans.
+    Each wire rect list becomes the runners' ``(Rect, volume)`` table
+    here, once.
     """
     _tag, plan_id, steps = message
     for template in steps.values():
-        buffers = []
-        for key, is_reduction, table_id, rects in template.buffers:
-            if rects is None:
-                table = tables[table_id]
-            else:
-                table = [(rect, rect.volume) for rect in (Rect(*wire) for wire in rects)]
-                if table_id is not None:
-                    tables[table_id] = table
-            buffers.append((key, is_reduction, table_id, table))
-        template.buffers = tuple(buffers)
+        template.buffers = tuple(
+            (key, is_reduction, [(rect, rect.volume) for rect in (Rect(*wire) for wire in rects)])
+            for key, is_reduction, rects in template.buffers
+        )
     return plan_id, steps
 
 
@@ -368,43 +279,23 @@ def _execute_frame(
     message: tuple,
     plans: Dict[int, Dict[int, ResidentStep]],
     executors: Dict[int, object],
-    descriptors: List[BlockDescriptor],
 ) -> List[List[ChunkResult]]:
-    """Run one resident frame: the worker's share of one plan level.
+    """Run one level frame: the worker's share of one plan level.
 
-    Every entry's ``sync`` tuple resolves that step's *current*
-    per-buffer field addresses against this worker's descriptor intern
-    list: ``None`` marks a reduction, an ``int`` an already-interned
-    descriptor, and a full :class:`~repro.runtime.shm.BlockDescriptor` a
-    first sighting, which the worker appends to the list — send order
-    over a FIFO pipe keeps both sides' id assignment in lockstep.  The
-    parent assigned those ids at send time, so *every* entry's sync is
-    interned before the first entry runs: a step that raises skips the
-    entries behind it, and must not leave the two id tables out of step.
-    The entries then execute back to back, one ``worker.resident`` span
-    and one per-chunk result list each, in frame order.
+    The entries execute back to back, one ``worker.resident`` span and
+    one per-chunk result list each, in frame order.
     """
     _tag, _frame, plan_id, entries = message
-    resolved = []
-    for _step_index, _values, sync in entries:
-        fields = []
-        for item in sync:
-            if item is None or type(item) is int:
-                fields.append(None if item is None else descriptors[item])
-            else:
-                descriptors.append(item)
-                fields.append(item)
-        resolved.append(fields)
     plan = plans.get(plan_id)
     if plan is None:
         raise RuntimeError(f"worker holds no resident plan {plan_id}")
     results = []
     traced = telemetry.enabled()
-    for (step_index, values, _sync), fields in zip(entries, resolved):
+    for step_index, values, descriptors in entries:
         label = f"plan={plan_id} step={step_index}" if traced else ""
         with telemetry.span("worker.resident", label):
             results.append(
-                _execute_resident(plan[step_index], values, fields, executors)
+                _execute_resident(plan[step_index], values, descriptors, executors)
             )
     return results
 
@@ -437,7 +328,7 @@ class _AttachedField:
 
     __slots__ = ("data",)
 
-    def __init__(self, descriptor: BlockDescriptor) -> None:
+    def __init__(self, descriptor: tuple) -> None:
         self.data = attach_view(descriptor)
 
     def view(self, rect: Rect) -> np.ndarray:
@@ -451,8 +342,8 @@ def _execute_resident(
 
     A frame entry carries no geometry, names or ranges: the worker
     builds the step's rows from its registered tables and the entry's
-    current ``descriptors`` (``None`` for reductions, the others
-    attached), and hands each baked ``[start, stop)`` range to the
+    ``descriptors`` (``None`` for reductions, the others attached), and
+    hands each baked ``[start, stop)`` range to the
     parent's own runner for the step's kind —
     ``executor.compiled_ranks``, ``superkernel.call_superkernel`` or
     ``executor.opaque_chunk`` — so results are bit-identical.
@@ -462,9 +353,7 @@ def _execute_resident(
 
     rows = [
         (key, None if descriptor is None else _AttachedField(descriptor), is_reduction, table)
-        for (key, is_reduction, _table_id, table), descriptor in zip(
-            template.buffers, descriptors
-        )
+        for (key, is_reduction, table), descriptor in zip(template.buffers, descriptors)
     ]
     spec = template.spec
     if isinstance(spec, OpaqueSpec):
@@ -493,26 +382,14 @@ def _execute_resident(
 def _worker_main(connection) -> None:
     """Message loop of one worker process (module-level for ``spawn``)."""
     executors: Dict[int, object] = {}
-    #: Parent-assigned table id -> interned wire rect list.
-    tables: Dict[int, list] = {}
     #: Parent-assigned plan id -> resident step templates.
     plans: Dict[int, Dict[int, ResidentStep]] = {}
-    #: Descriptors interned from resident run messages, in arrival
-    #: order — index i here is descriptor id i on the parent side.
-    descriptors: List[BlockDescriptor] = []
     try:
         while True:
             try:
-                data = connection.recv_bytes()
+                message = connection.recv()
             except (EOFError, OSError):
                 break
-            # One leading byte picks the framing: steady resident run
-            # messages arrive as fixed binary frames, everything else
-            # (including the ``None`` shutdown sentinel) as pickle.
-            if data[:1] == bytes((_RUN_FRAME_MAGIC,)):
-                message = _unpack_run_message(data)
-            else:
-                message = pickle.loads(data)
             if message is None:
                 break
             if message[0] == "plan":
@@ -520,7 +397,7 @@ def _worker_main(connection) -> None:
                 # failure here surfaces as a normal error reply on the
                 # first frame referencing the missing plan.
                 try:
-                    plan_id, steps = _register_resident_plan(message, tables)
+                    plan_id, steps = _register_resident_plan(message)
                     plans[plan_id] = steps
                 except Exception:  # pragma: no cover - malformed ship
                     pass
@@ -542,7 +419,7 @@ def _worker_main(connection) -> None:
             # plan id, entries)``; the reply echoes the frame number.
             frame = message[1]
             try:
-                reply = _execute_frame(message, plans, executors, descriptors)
+                reply = _execute_frame(message, plans, executors)
                 spans = telemetry.drain_events()
                 if spans is None:
                     connection.send(("ok", frame, reply))
@@ -581,20 +458,11 @@ class ProcessWorkerPool:
         )
         self._connections = []
         self._processes = []
-        #: Wire-table ids each worker has interned the rects of.
-        self._tables_shipped: List[set] = []
         #: Resident-plan ids each worker holds the templates of.
         self._plans_shipped: List[set] = []
-        #: Per-worker descriptor intern table for level frames:
-        #: ``BlockDescriptor -> small id``, assigned densely in send
-        #: order (the worker appends to an id-indexed list in arrival
-        #: order; FIFO pipes keep the two in lockstep).  Steady replay
-        #: cycles through a bounded set of arena offsets, so after a few
-        #: epochs every sync entry is an ``int``.
-        self._descriptor_ids: List[Dict[BlockDescriptor, int]] = []
         #: Held for a whole round trip and by every other send: one
-        #: caller at a time owns every pipe, so the bookkeeping above
-        #: changes in exactly the order the workers receive messages,
+        #: caller at a time owns every pipe, so the shipped-plan sets
+        #: change in exactly the order the workers receive messages,
         #: and each reply read belongs to the frame just sent.
         #: Reentrant, because a failing round trip shuts the pool down
         #: under it and ``TaskExecutor.run_resident_level`` holds it
@@ -615,9 +483,7 @@ class ProcessWorkerPool:
             worker_end.close()
             self._connections.append(parent_end)
             self._processes.append(process)
-            self._tables_shipped.append(set())
             self._plans_shipped.append(set())
-            self._descriptor_ids.append({})
         #: Telemetry snapshot the workers were armed under (the reload
         #: hook retires a pool whose snapshot went stale), plus the
         #: per-worker pids and clock offsets from the spawn handshake.
@@ -648,16 +514,14 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------
     # The round trip's plumbing (callers hold :attr:`lock`).
     # ------------------------------------------------------------------
-    def _send(self, worker: int, message, payload: Optional[bytes] = None) -> None:
+    def _send(self, worker: int, message) -> None:
         """Pickle, meter and write one message to a worker.
 
         ``Connection.send(obj)`` is ``send_bytes(ForkingPickler.dumps
         (obj))``; doing the two halves explicitly makes the measured
         byte count the exact serialized payload with no double pickling.
-        A pre-framed ``payload`` (the binary run frame) travels as is.
         """
-        if payload is None:
-            payload = ForkingPickler.dumps(message)
+        payload = ForkingPickler.dumps(message)
         self.traffic[0] += len(payload)
         self.traffic[1] += 1
         if telemetry.enabled():
@@ -740,20 +604,6 @@ class ProcessWorkerPool:
                 except (BrokenPipeError, OSError):  # pragma: no cover
                     pass
 
-    def _filter_shipped_tables(self, worker: int, buffers: tuple) -> tuple:
-        """Null out rect lists the worker already interned (by table id)."""
-        shipped = self._tables_shipped[worker]
-        filtered = []
-        for entry in buffers:
-            key, is_reduction, table_id, _rects = entry
-            if table_id is not None:
-                if table_id in shipped:
-                    entry = (key, is_reduction, table_id, None)
-                else:
-                    shipped.add(table_id)
-            filtered.append(entry)
-        return tuple(filtered)
-
     # Kept only for benchmarks/e2e/e2ebench/spans.py, which wraps these two
     # names in every traced pass; nothing calls them.
     run_chunks = None
@@ -770,16 +620,12 @@ class ProcessWorkerPool:
     def _plan_ship_message(self, plan: ResidentPlan, worker: int) -> tuple:
         """Build one worker's copy of a resident-plan ship message.
 
-        Rect tables the worker already interned (from earlier plan
-        ships) travel as their id alone; fresh tables are
-        carried once and marked shipped.  Each step's chunk plan is cut
-        down to the chunks of this worker's slot (``worker + 1``), so
-        run messages never carry rank ranges.
+        Each step's chunk plan is cut down to the chunks of this worker's
+        slot (``worker + 1``), so run messages never carry rank ranges.
         """
         steps = {
             index: replace(
                 template,
-                buffers=self._filter_shipped_tables(worker, template.buffers),
                 chunks=tuple(
                     chunk
                     for position, chunk in enumerate(template.chunks)
@@ -818,16 +664,11 @@ class ProcessWorkerPool:
 
         An entry's ``descriptors`` is the step's *current* per-buffer
         field-address tuple (``None`` entries for reductions): frontends
-        rebind fresh stores per epoch, so the sync always travels, but
-        each item is interned per worker — a descriptor crosses the pipe
-        once, then rides as a small int id.  Arena offsets cycle through
-        a bounded set in steady replay, so the table saturates after a
-        few epochs and the steady frame is a few dozen bytes per entry.
+        rebind fresh stores per epoch, so it travels in every frame.
 
-        Plan shipping, descriptor interning and the reads all happen
-        under :attr:`lock`, held for the whole round trip: id assignment
-        relies on per-pipe send order, and each worker's next message is
-        the reply to this call's frame (checked by its frame number).
+        Plan shipping and the reads all happen under :attr:`lock`, held
+        for the whole round trip: each worker's next message is the
+        reply to this call's frame (checked by its frame number).
         :attr:`traffic` holds what this call wrote, on success and on
         failure alike.  A worker error forgets nothing: the resident
         template holds its spec, so a failed executor build simply
@@ -845,28 +686,8 @@ class ProcessWorkerPool:
                     if plan.plan_id not in self._plans_shipped[worker]:
                         self._send(worker, self._plan_ship_message(plan, worker))
                         self._plans_shipped[worker].add(plan.plan_id)
-                    ids = self._descriptor_ids[worker]
-                    own = []
-                    for step_index, values, descriptors, chunks in entries:
-                        if len(chunks) <= worker + 1:
-                            continue
-                        sync = []
-                        for descriptor in descriptors:
-                            if descriptor is None:
-                                sync.append(None)
-                                continue
-                            known = ids.get(descriptor)
-                            if known is None:
-                                # First sighting: travels whole, once.
-                                ids[descriptor] = len(ids)
-                                known = descriptor
-                            sync.append(known)
-                        own.append((step_index, values, tuple(sync)))
-                    self._send(
-                        worker,
-                        ("r", frame, plan.plan_id, tuple(own)),
-                        _pack_run_message(frame, plan.plan_id, own),
-                    )
+                    own = tuple(entry[:3] for entry in entries if len(entry[3]) > worker + 1)
+                    self._send(worker, ("r", frame, plan.plan_id, own))
             except (EOFError, OSError) as failure:
                 self._break(f"process-pool worker died mid-level: {failure!r}", failure)
             try:
@@ -910,9 +731,7 @@ class ProcessWorkerPool:
                     pass
             self._connections = []
             self._processes = []
-            self._tables_shipped = []
             self._plans_shipped = []
-            self._descriptor_ids = []
 
 
 # ----------------------------------------------------------------------
@@ -924,7 +743,6 @@ _KERNEL_IDS_LOCK = threading.Lock()
 _NEXT_KERNEL_ID = 0
 _RESIDENT_LOCK = threading.Lock()
 _NEXT_PLAN_ID = 0
-_NEXT_TABLE_ID = 0
 _RESIDENT_GENERATION = 0
 
 
@@ -934,14 +752,6 @@ def next_resident_plan_id() -> int:
     with _RESIDENT_LOCK:
         _NEXT_PLAN_ID += 1
         return _NEXT_PLAN_ID
-
-
-def next_wire_table_id() -> int:
-    """A fresh process-lifetime id for one wire rect list (never reused)."""
-    global _NEXT_TABLE_ID
-    with _RESIDENT_LOCK:
-        _NEXT_TABLE_ID += 1
-        return _NEXT_TABLE_ID
 
 
 def resident_generation() -> int:
@@ -961,13 +771,14 @@ def retire_resident_plan(plan) -> None:
 
 
 def pool_size() -> int:
-    """Slots of the process pool: ``max(REPRO_WORKERS, REPRO_POINT_WORKERS)``.
+    """Slots of the process pool: ``REPRO_POINT_WORKERS``.
 
     Slots, not processes: the scheduling thread is slot 0, so the pool
-    spawns one worker process fewer.  Wide plan levels split this many
-    slots between their dispatched steps (``scheduler._plan_dispatch``).
+    spawns one worker process fewer.  A step is cut into at most
+    ``REPRO_POINT_WORKERS`` chunks and chunk ``p`` runs on slot ``p``,
+    so a larger pool would hold workers no chunk reaches.
     """
-    return max(config.worker_count(), config.point_worker_count())
+    return config.point_worker_count()
 
 
 def process_pool() -> ProcessWorkerPool:

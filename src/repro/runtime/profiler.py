@@ -24,7 +24,6 @@ DECLINE_REASONS = (
     "no_shm_descriptor",  # a field lives outside the shared-memory arena
     "unshippable_operator",  # opaque operator a worker cannot resolve by name
     "template_mismatch",  # chunk plan differs from the resident template
-    "non_numeric_scalars",  # opaque scalars do not fit the resident frame
     "worker_lost",  # a pool worker died or missed the reply deadline
 )
 

@@ -275,15 +275,13 @@ class RegionManager:
         will touch the store again, so its region field — megabytes of
         arena or heap pages per epoch in a functional-update program —
         is garbage.  Returning the block keeps steady-state memory
-        bounded *and* keeps the arena's first-fit offsets cycling
-        through a small set, which is what lets the resident-replay
-        descriptor interning converge to all-int syncs.
+        bounded and the arena's first-fit offsets cycling through a
+        small set.
 
         Freeing never retires resident plans: level frames always carry
         the epoch's current descriptors (worker-side templates hold
-        none), and interned descriptor ids name physical ``(segment,
-        offset, shape, dtype)`` addresses, so a recycled block re-enters
-        the protocol only through the fresh field that now owns it.
+        none), so a recycled block re-enters the protocol only through
+        the fresh field that now owns it.
         """
         with self._allocate_lock:
             field = self._fields.pop(store.uid, None)

@@ -348,14 +348,14 @@ def _plan_dispatch(
     flag setting and cached on the schedule, together with what replay
     derives from it: the per-level launch lists and the closure-call
     counts.  A level with several steps hands those big enough to
-    amortise the handoff to the worker
-    pool (``REPRO_WORKERS`` > 1); each dispatched compiled step may
-    then split into at most ``pool size // dispatched steps`` chunks,
-    where the pool size counts the scheduling thread and the worker
-    processes (``procpool.pool_size``), and the small steps beside them
-    stay serial.  Steps of a level with nothing dispatched — every step of a
-    chain plan — own the whole point width, and so do opaque steps of a
-    shared level: their chunks queue on the worker pipes.
+    amortise the handoff to the worker pool (``REPRO_WORKERS`` > 1);
+    each dispatched compiled step may then split into at most
+    ``max(REPRO_WORKERS, REPRO_POINT_WORKERS) // dispatched steps``
+    chunks (never more than the point width), and the small steps
+    beside them stay serial.  Steps of a level with nothing dispatched
+    — every step of a chain plan — own the whole point width, and so do
+    opaque steps of a shared level: their chunks queue on the worker
+    pipes.
     """
     workers, point_width = config.worker_count(), config.point_worker_count()
     flags = (
@@ -364,7 +364,6 @@ def _plan_dispatch(
     )
     if schedule.dispatch is not None and schedule.dispatch[0] == flags:
         return schedule.dispatch[1]
-    pool_size = procpool.pool_size()
     decisions: List[Optional[tuple]] = [None] * len(schedule.steps)
     levels, pooled = [], []
     closure_calls = superkernel_calls = 0
@@ -381,7 +380,8 @@ def _plan_dispatch(
             if not dispatched or not entry.compiled:
                 width = point_width
             elif index in dispatched:
-                width = max(1, min(point_width, pool_size // len(dispatched)))
+                share = max(workers, point_width) // len(dispatched)
+                width = max(1, min(point_width, share))
             else:
                 width = 1
             rows: Sequence = ()

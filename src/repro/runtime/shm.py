@@ -45,9 +45,8 @@ import threading
 import time
 import uuid
 import weakref
-from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -73,9 +72,13 @@ def _align(value: int) -> int:
     return (value + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
-    """Picklable address of one arena block (shipped to worker processes)."""
+class BlockDescriptor(NamedTuple):
+    """Address of one arena block.
+
+    A level frame ships it to worker processes as the plain tuple
+    ``tuple(descriptor)``, which pickles to builtins only
+    (:func:`attach_view` reads it by position).
+    """
 
     segment: str
     offset: int
@@ -263,8 +266,11 @@ _ATTACHMENTS: Dict[str, shared_memory.SharedMemory] = {}
 _MAX_ATTACHMENTS = 64
 
 
-def attach_view(descriptor: BlockDescriptor) -> np.ndarray:
+def attach_view(descriptor: tuple) -> np.ndarray:
     """Map a block descriptor to a NumPy view of the shared pages.
+
+    ``descriptor`` is a :class:`BlockDescriptor` or its plain-tuple wire
+    form ``(segment, offset, shape, dtype)``.
 
     Used by process-pool workers: the first touch of a segment attaches
     it by name; later blocks of the same segment reuse the cached
@@ -273,9 +279,10 @@ def attach_view(descriptor: BlockDescriptor) -> np.ndarray:
     registration is a no-op re-add into the parent's shared cache (see
     the module docstring).
     """
-    segment = _ATTACHMENTS.pop(descriptor.segment, None)
+    name, offset, shape, dtype = descriptor
+    segment = _ATTACHMENTS.pop(name, None)
     if segment is None:
-        segment = shared_memory.SharedMemory(name=descriptor.segment)
+        segment = shared_memory.SharedMemory(name=name)
         while len(_ATTACHMENTS) >= _MAX_ATTACHMENTS:
             oldest = next(iter(_ATTACHMENTS))
             stale = _ATTACHMENTS.pop(oldest)
@@ -283,13 +290,8 @@ def attach_view(descriptor: BlockDescriptor) -> np.ndarray:
                 stale.close()
             except BufferError:  # pragma: no cover - view still alive
                 pass
-    _ATTACHMENTS[descriptor.segment] = segment
-    return np.ndarray(
-        descriptor.shape,
-        dtype=np.dtype(descriptor.dtype),
-        buffer=segment.buf,
-        offset=descriptor.offset,
-    )
+    _ATTACHMENTS[name] = segment
+    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
 
 
 def close_attachments() -> None:

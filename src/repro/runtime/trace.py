@@ -670,9 +670,8 @@ class TraceController:
         handles every iteration, so each epoch strands the previous
         epoch's region fields: nothing frees them, steady-state memory
         grows by the working set per iteration, and the shared arena's
-        first-fit allocator marches to fresh offsets forever (defeating
-        the resident-replay descriptor interning, which relies on
-        addresses recycling).  The epoch boundary is the one quiescent
+        first-fit allocator marches to fresh offsets forever, adding
+        segments.  The epoch boundary is the one quiescent
         point where liveness is decidable from the split reference
         counts alone (paper Section 5.1): every launch of the epoch has
         joined, so a store with no application handle, no buffered task

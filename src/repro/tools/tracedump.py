@@ -107,14 +107,19 @@ def format_sections(counters: Dict[str, object]) -> str:
 
 
 def format_dispatch(counters: Dict[str, object], slots: int) -> str:
-    """One line: the pool's slots, then frames and worker chunks per epoch."""
+    """One line: the pool's slots, then frames and worker chunks per epoch.
+
+    A frame's size is the mean over every message the run wrote to a
+    pipe (plan ships included).
+    """
     if slots <= 1:
         return "point dispatch: inline (one process)"
     epochs = max(1, counters["trace_hits"])
+    frame_bytes = counters["wire_bytes"] / max(1, counters["wire_requests"])
     return (
         f"point dispatch: {slots} slots (the scheduling thread and "
         f"{slots - 1} worker processes); per replayed epoch "
-        f"{counters['wire_requests'] / epochs:.2f} frames, "
+        f"{counters['wire_requests'] / epochs:.2f} frames of {frame_bytes:.0f} bytes, "
         f"{counters['point_process_chunks'] / epochs:.2f} of "
         f"{counters['point_chunks'] / epochs:.2f} rank chunks in workers"
     )

@@ -107,14 +107,14 @@ def lose_first_frame(monkeypatch):
     lost, frames = [], []
     send, receive = procpool.ProcessWorkerPool._send, procpool.ProcessWorkerPool._receive
 
-    def drop_first_frame(self, worker, message, payload=None):
+    def drop_first_frame(self, worker, message):
         if message[0] == "r":
             if not frames:
                 lost.append(self)
                 frames.append((self, message[1]))
             if frames[0] == (self, message[1]):
                 return
-        send(self, worker, message, payload)
+        send(self, worker, message)
 
     def break_on_first_frame(self, worker, frame, deadline):
         if frames and frames[0] == (self, frame):

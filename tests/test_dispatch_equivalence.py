@@ -394,13 +394,23 @@ class TestDeclineReasons:
         self._runs_inline(executor, work, other, expected, out)
 
     def test_non_numeric_scalars(self, monkeypatch, force_dispatch):
+        """Not a reason: opaque scalars ship as they are, so a string
+        scalar reaches the workers exactly as the calling thread runs
+        with it, and the shipped run matches the inline one bit for bit."""
         executor, work, chunks, expected, out = _gemv_step(
             _context(monkeypatch), scalars=("not-a-number",)
         )
-        plan = _resident_plan(executor, work, chunks)
-        assert executor.resident_entry(plan, 0, work, chunks) is None
-        assert executor.profiler.declines["non_numeric_scalars"] == 1
         self._runs_inline(executor, work, chunks, expected, out)
+        inline = out.data.tobytes()
+        plan = _resident_plan(executor, work, chunks)
+        entry = executor.resident_entry(plan, 0, work, chunks)
+        assert entry[1] == ("not-a-number",)
+        out.data[...] = 0.0
+        (shipped,) = executor.run_resident_level(plan, 0, [entry], [work], lambda: None)
+        executor.launch(work, chunks, 4, shipped)
+        assert out.data.tobytes() == inline
+        assert sum(executor.profiler.declines.values()) == 0
+        assert executor.profiler.opaque_process_chunks == 3
 
     def test_lost_worker(self, monkeypatch, force_dispatch):
         """Workers that take the frame and never answer (a pool seen dead
@@ -461,7 +471,7 @@ class TestDeclineReasons:
         from repro.runtime.profiler import DECLINE_REASONS, Profiler
 
         snapshot = Profiler().snapshot()
-        assert len(DECLINE_REASONS) == 6
+        assert len(DECLINE_REASONS) == 5
         for reason in DECLINE_REASONS:
             assert snapshot[f"decline_{reason}"] == 0
 

@@ -331,7 +331,7 @@ class TestProcessPoolProtocol:
             # The same worker runs the next frame: the pipe stayed in step.
             step = procpool.ResidentStep(
                 procpool.OpaqueSpec(fill.name, fill.module, None),
-                ((0, False, None, [((0,), (2,)), ((2,), (4,))]),),
+                ((0, False, [((0,), (2,)), ((2,), (4,))]),),
                 ((0, 1), (1, 2)),
             )
             # The worker fills rank 1's rect; rank 0 is left to the caller.
@@ -473,8 +473,11 @@ class TestCallingThreadSlot:
     """Under ``REPRO_POINT_WORKERS=2`` a shipped step's chunk 0 runs on
     the scheduling thread and chunk 1 in the one worker process."""
 
-    def test_two_way_dispatch_spawns_one_worker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "1")
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_two_way_dispatch_spawns_one_worker(self, monkeypatch, workers):
+        """However many plan-step threads there are: a 2-way chunk plan
+        reaches slots 0 and 1 only, so the pool spawns one process."""
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         monkeypatch.setenv("REPRO_POINT_WORKERS", "2")
         config.reload_flags()
         shutdown_process_pool()

@@ -63,9 +63,9 @@ class TestResidentInvalidation:
         ships = []
         send = procpool.ProcessWorkerPool._send
 
-        def spy(self, worker, message, payload=None):
+        def spy(self, worker, message):
             ships.append(message[0] == "plan")
-            return send(self, worker, message, payload)
+            return send(self, worker, message)
 
         monkeypatch.setattr(procpool.ProcessWorkerPool, "_send", spy)
         context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
@@ -95,7 +95,7 @@ class TestResidentInvalidation:
 
     def test_attach_keeps_the_shipped_plan(self, monkeypatch):
         """Attaching new data to a store a shipped step reads retires
-        nothing: the frames sync the new field's descriptor, so the plan
+        nothing: the frames carry the new field's descriptor, so the plan
         the workers hold keeps serving, bit-identical to inline replay
         doing the same attach."""
         ctx_base, state_base, checksum_base, *_ = self._cg_with_an_attach(monkeypatch, 1)
@@ -216,15 +216,30 @@ class TestResidentParity:
     def test_resident_shrinks_steady_state_wire_bytes(self, monkeypatch):
         """The counter the residency exists to move.
 
-        The first replay ships the plan and every descriptor whole; once
-        the per-worker descriptor interning has converged, an epoch costs
-        the same few bytes every time, below the first replay's.  The
+        The first replay ships the plan with its rect tables; a steady
+        epoch sends level frames only, each below the first replay's
+        bytes and below ``PIPE_BUF`` (one atomic pipe write).  A frame
+        pickles to builtins only: a class reference in it (a descriptor
+        shipped as a dataclass or named tuple, a NumPy scalar) would
+        cost a ``GLOBAL`` opcode and its name in every frame.  The
         counters are deterministic (sizes of actual payloads), so this
         holds on any host.
         """
+        import pickletools
+        import select
+        from multiprocessing.reduction import ForkingPickler
+
         # The seed-path CI leg (REPRO_HOTPATH_CACHE=0) moves the byte counts.
         monkeypatch.setenv("REPRO_HOTPATH_CACHE", "1")
         _set_flags(4, 1, monkeypatch, "0")
+        messages = []
+        send = procpool.ProcessWorkerPool._send
+
+        def spy(self, worker, message):
+            messages.append(message)
+            return send(self, worker, message)
+
+        monkeypatch.setattr(procpool.ProcessWorkerPool, "_send", spy)
         context = RuntimeContext(num_gpus=4, fusion=True, machine=scaled_machine(4, 1e-4))
         set_context(context)
         profiler = context.profiler
@@ -233,6 +248,7 @@ class TestResidentParity:
             app = build_application("cg", context=context, grid_points_per_gpu=12)
             for _ in range(12):
                 hits, sent = profiler.trace_hits, profiler.wire_bytes
+                del messages[:]
                 app.run(1)
                 if profiler.trace_hits > hits:
                     replayed.append(
@@ -243,8 +259,14 @@ class TestResidentParity:
         shutdown_process_pool()
         steady = replayed[-4:]
         assert len(replayed) > len(steady)
-        assert len(set(steady)) == 1, replayed
-        assert 0 < steady[0] < replayed[0], replayed
+        assert all(0 < epoch < replayed[0] for epoch in steady), replayed
+        # The last epoch's messages: level frames only.
+        assert messages and all(message[0] == "r" for message in messages)
+        for message in messages:
+            payload = bytes(ForkingPickler.dumps(message))
+            assert len(payload) < select.PIPE_BUF, len(payload)
+            opcodes = {opcode.name for opcode, _arg, _pos in pickletools.genops(payload)}
+            assert not opcodes & {"GLOBAL", "STACK_GLOBAL", "INST", "OBJ"}, message
 
 
 # ----------------------------------------------------------------------
@@ -344,10 +366,10 @@ class TestResidentRecovery:
 
         Allocating an unrelated field mid-run perturbs the arena's
         first-fit layout, so the app's next epoch binds its slots at
-        *different* offsets than the templates were shipped with.  The
-        per-dispatch descriptor sync must deliver the new addresses to
-        the workers (this exact scenario produced silent zeros before
-        the sync existed).
+        *different* offsets than the templates were shipped with.  Every
+        level frame must deliver the new addresses to the workers (this
+        exact scenario produced silent zeros before frames carried
+        descriptors).
         """
         from repro.ir.store import StoreManager
 

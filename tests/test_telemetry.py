@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import defaultdict
 
 import pytest
@@ -471,10 +472,12 @@ class TestTracedump:
         shapes = {"cg": "2 stacked, 0 ranked", "torchswe-manual": "0 stacked, 2 ranked (nd_or_broadcast_tiling 2)"}
         assert "super-kernel sections: " in completed.stdout
         assert shapes[app] in completed.stdout
-        # The default four-way pool: this thread and three worker processes.
+        # The default four-way pool: this thread and three worker
+        # processes, and the mean size of what crossed a pipe.
         assert "point dispatch: 4 slots (the scheduling thread and 3 worker processes)" in (
             completed.stdout
         )
+        assert re.search(r"frames of \d+ bytes", completed.stdout), completed.stdout
         trace = json.loads(output.read_text())
         assert trace["traceEvents"]
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] != "M"}

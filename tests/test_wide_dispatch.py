@@ -259,7 +259,7 @@ class TestLevelFrames:
 
         context, app = self._start(monkeypatch)
         try:
-            app.run(4)  # capture, ship the plan, saturate the descriptor ids
+            app.run(4)  # capture, then ship the plan
             warm = context.profiler.snapshot()
             submitted = []
             monkeypatch.setattr(
@@ -341,40 +341,16 @@ class TestLevelFrames:
         assert ctx.profiler.iteration_seconds() == ctx_base.profiler.iteration_seconds()
         assert ctx.legion.simulated_seconds == ctx_base.legion.simulated_seconds
 
-    def test_frame_round_trips(self):
-        from repro.runtime.procpool import _pack_run_message, _unpack_run_message
-        from repro.runtime.shm import BlockDescriptor
-
-        three = (
-            (0, (0.5, -2.0), (3, None, 7)),
-            (1, (), (0,)),
-            (65535, (1e300,), (None, 32767)),
-        )
-        for entries in ((), three[:1], three):
-            packed = _pack_run_message(41, 9, entries)
-            assert packed is not None
-            assert _unpack_run_message(packed) == ("r", 41, 9, entries)
-        # Header 10 bytes; per entry 4 + 8 per value + 2 per sync item.
-        assert len(_pack_run_message(41, 9, three)) == 10 + (4 + 16 + 6) + (4 + 2) + (4 + 8 + 4)
-        # What does not fit the frame falls back to the pickled tuple: a
-        # first-sighting descriptor, a non-float scalar, an id past i16.
-        descriptor = BlockDescriptor("repro-test", 0, (4,), "float64")
-        assert _pack_run_message(1, 1, ((0, (1.0,), (descriptor,)),)) is None
-        assert _pack_run_message(1, 1, ((0, (1,), (0,)),)) is None
-        assert _pack_run_message(1, 1, ((0, (1.0,), (40000,)),)) is None
-
-    def test_entry_error_mid_frame_keeps_descriptor_ids_in_step(
+    def test_entry_error_mid_frame_keeps_the_pool_and_the_next_run_clean(
         self, monkeypatch, tmp_path, shm_entries
     ):
         """The second of a frame's three entries raises in the workers.
 
         The error re-raises in the parent with the worker's traceback,
-        and the pool survives with both sides' descriptor tables still
-        in step: the failing frame carried first-sighting descriptors
-        *behind* the failing entry (a freed wedge moved the epoch's arena
-        blocks), which a worker that interned entry by entry would
-        have skipped — every later sync would then resolve to the wrong
-        block.  A fresh run over the same workers must match a clean one.
+        and the pool survives: the failing frame named arena blocks no
+        earlier frame had (a freed wedge moved the epoch's blocks), and
+        the workers skipped the entry behind the failing one.  A fresh
+        run over the same workers must match a clean one.
         """
         import gc
         import os
@@ -421,7 +397,6 @@ class TestLevelFrames:
                 assert regions.field(wedge).shm_descriptor is not None
                 app.run(4)
                 pool = procpool.process_pool()
-                known = [len(ids) for ids in pool._descriptor_ids]
                 assert regions.reclaim_storage(wedge)
                 marker.touch()
                 with pytest.raises(ValueError, match="injected chunk fault") as raised:
@@ -429,8 +404,6 @@ class TestLevelFrames:
                 assert "worker traceback" in str(raised.value)
                 assert "faulty_chunk" in str(raised.value)
                 marker.unlink()
-                # The frame did carry new descriptors, and the pool lives.
-                assert [len(ids) for ids in pool._descriptor_ids] > known
                 assert not pool.closed and procpool.process_pool() is pool
             finally:
                 set_context(None)
@@ -456,16 +429,79 @@ class TestLevelFrames:
         gc.collect()
         assert shm_entries() <= shm_before
 
-    def test_worker_interns_every_entry_before_running_the_first(self):
-        """The worker half of the above, without processes."""
-        from repro.runtime.procpool import OpaqueSpec, ResidentStep, _execute_frame
-        from repro.runtime.shm import BlockDescriptor
+    def test_worker_runs_a_frame_from_the_frame_alone(self, monkeypatch):
+        """The worker half of the above, without processes.
 
-        step = ResidentStep(OpaqueSpec("not-a-registered-operator", None, None), (), ((0, 1),))
-        first = BlockDescriptor("repro-test", 0, (4,), "float64")
-        later = BlockDescriptor("repro-test", 64, (4,), "float64")
-        descriptors = [first]
-        message = ("r", 7, 3, ((0, (), (0,)), (1, (), (later, None))))
-        with pytest.raises(KeyError, match="not-a-registered-operator"):
-            _execute_frame(message, {3: {0: step, 1: step}}, {}, descriptors)
-        assert descriptors == [first, later]
+        A frame names its blocks whole, so a worker's reply depends only
+        on that frame and the plan it was shipped: a worker that has run
+        other frames first (one of them failing mid-frame) answers a
+        frame exactly as a worker that has run none.
+        """
+        from multiprocessing.reduction import ForkingPickler
+
+        from repro.runtime import procpool
+        from repro.runtime.opaque import (
+            OpaqueTaskRegistry,
+            default_opaque_registry,
+            register_opaque_task,
+        )
+        from repro.runtime.shm import SharedArena, close_attachments
+
+        def fill_chunk(bases, rects, scalars):
+            for lo, hi in rects[0]:
+                bases[0][lo[0]:hi[0]] = scalars[0]
+
+        fill = register_opaque_task(
+            "test-frame-fill", lambda task, point, buffers: None,
+            lambda task, point, buffers, machine: 0.0, registry=OpaqueTaskRegistry(),
+            chunk_execute=fill_chunk,
+            chunk_cost_seconds=lambda bases, rects, scalars, machine: [0.0] * len(rects[0]),
+        )
+        monkeypatch.setitem(default_opaque_registry()._impls, fill.name, fill)
+
+        def worker():
+            """A worker's state after the plan ship: rank 1's chunk of a
+            fill (step 0) and an operator it cannot resolve (step 1)."""
+            steps = {
+                0: procpool.ResidentStep(
+                    procpool.OpaqueSpec(fill.name, fill.module, None),
+                    ((0, False, [((0,), (2,)), ((2,), (4,))]),),
+                    ((1, 2),),
+                ),
+                1: procpool.ResidentStep(
+                    procpool.OpaqueSpec("not-a-registered-operator", None, None), (), ((1, 2),)
+                ),
+            }
+            message = ForkingPickler.loads(ForkingPickler.dumps(("plan", 3, steps)))
+            plan_id, shipped = procpool._register_resident_plan(message)
+            return {plan_id: shipped}, {}
+
+        def frame(number, *entries):
+            return ForkingPickler.loads(ForkingPickler.dumps(("r", number, 3, entries)))
+
+        arena = SharedArena(segment_bytes=4096)
+        try:
+            first, first_descriptor = arena.allocate((4,), np.float64)
+            second, second_descriptor = arena.allocate((4,), np.float64)
+            first[...] = second[...] = 0.0
+            probe = frame(9, (0, (5.0,), (tuple(second_descriptor),)))
+
+            fresh = procpool._execute_frame(probe, *worker())
+            assert np.array_equal(second, [0.0, 0.0, 5.0, 5.0])
+            second[...] = 0.0
+
+            plans, executors = worker()
+            procpool._execute_frame(frame(7, (0, (7.0,), (tuple(first_descriptor),))), plans, executors)
+            with pytest.raises(KeyError, match="not-a-registered-operator"):
+                procpool._execute_frame(
+                    frame(8, (1, (), ()), (0, (3.0,), (tuple(first_descriptor),))),
+                    plans, executors,
+                )
+            assert procpool._execute_frame(probe, plans, executors) == fresh
+            assert np.array_equal(second, [0.0, 0.0, 5.0, 5.0])
+            # The entry behind the failing one never ran.
+            assert np.array_equal(first, [0.0, 0.0, 7.0, 7.0])
+        finally:
+            del first, second
+            close_attachments()
+            arena.close()
