@@ -606,7 +606,8 @@ class TaskExecutor:
         frame's ``procpool.process_pool()`` builds a fresh pool, to
         which the plan re-ships.  The pool's lock is held across the
         call and the read of its ``traffic``, so the round trip reports
-        exactly its own wire bytes and messages, even when it fails.
+        exactly its own wire bytes, messages and preemptions, even when
+        it fails.
         """
         label = ""
         if telemetry.enabled():
@@ -631,7 +632,7 @@ class TaskExecutor:
             except procpool.ProcessPoolBrokenError:
                 self._decline("worker_lost")
             finally:
-                self.profiler.record_wire_traffic(*pool.traffic)
+                self.profiler.record_round_trip(*pool.traffic, pool.placement)
         shipped = []
         for share in shares:
             process_chunks = 0

@@ -103,7 +103,24 @@ once (``ForkingPickler``, exactly what ``Connection.send`` does), its
 byte length added to the call's :attr:`ProcessWorkerPool.traffic`, and
 the payload sent with ``send_bytes`` — so the profiler's
 ``wire_bytes_per_epoch`` figures measure real serialized sizes with no
-double pickling.
+double pickling.  With telemetry armed, the call's third figure is the
+calling thread's involuntary context switches over the round trip.
+
+Placement
+---------
+Each slot gets its own CPU.  Worker process ``s`` (slot ``s``) is
+pinned to the ``s``-th CPU from the top of the parent's allowed set
+(``os.sched_getaffinity(0)`` when the pool is built), and only while a
+level is in flight the thread that sends it is limited to the CPUs
+left over; its previous mask comes back in a ``finally`` once the last
+reply is read.  Both sides must be placed: the pipe write that sends a
+frame wakes the worker on the sender's CPU, where it preempts the
+sender until its whole share has run, and pinning the worker alone (or
+waking it through an ``eventfd`` instead of the pipe) leaves the pair
+on one core.  Placement is declined — the pool runs unplaced and
+:attr:`ProcessWorkerPool.placement` says why — when the pool has more
+slots than allowed CPUs, or when ``os.sched_setaffinity`` is missing or
+raises.  Nothing a kernel computes depends on it.
 
 Lifetime
 --------
@@ -121,8 +138,10 @@ inherit the warm codegen cache); ``spawn`` elsewhere.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing
 import os
+import resource
 import threading
 import time
 import traceback
@@ -468,9 +487,11 @@ class ProcessWorkerPool:
         #: under it and ``TaskExecutor.run_resident_level`` holds it
         #: across the call and its read of :attr:`traffic`.
         self.lock = threading.RLock()
-        #: ``[bytes, messages]`` the last round trip wrote to the pipes,
-        #: measured on the sent payloads.
-        self.traffic = [0, 0]
+        #: ``[bytes, messages, involuntary context switches]`` of the
+        #: last round trip: what it wrote to the pipes, measured on the
+        #: sent payloads, and how often the calling thread was preempted
+        #: meanwhile (counted only with telemetry armed).
+        self.traffic = [0, 0, 0]
         #: Number of the last level frame sent (its replies echo it).
         self._frame = 0
         self.closed = False
@@ -484,6 +505,13 @@ class ProcessWorkerPool:
             self._connections.append(parent_end)
             self._processes.append(process)
             self._plans_shipped.append(set())
+        #: Where the slots run: ``"slot 0 on CPUs {…}, worker 1 on CPU
+        #: …"``, or ``"unplaced: <reason>"`` (module docstring,
+        #: *Placement*).
+        self.placement = ""
+        #: Slot 0's CPUs while a level is in flight (``None`` unplaced).
+        self._sender_cpus: Optional[set] = None
+        self._place()
         #: Telemetry snapshot the workers were armed under (the reload
         #: hook retires a pool whose snapshot went stale), plus the
         #: per-worker pids and clock offsets from the spawn handshake.
@@ -510,6 +538,53 @@ class ProcessWorkerPool:
                     (clock_before + clock_after) / 2.0 - worker_clock
                 )
                 self._worker_pids[worker] = worker_pid
+
+    # ------------------------------------------------------------------
+    # Placement.
+    # ------------------------------------------------------------------
+    def _place(self) -> None:
+        """Pin each worker to its CPU, counted from the top of the allowed set."""
+        if not hasattr(os, "sched_setaffinity"):
+            self.placement = "unplaced: no sched_setaffinity on this platform"
+            return
+        allowed = sorted(os.sched_getaffinity(0))
+        if self.size > len(allowed):
+            self.placement = f"unplaced: {self.size} slots > {len(allowed)} CPUs"
+            return
+        cpus = allowed[::-1][: self.size - 1]
+        try:
+            for process, cpu in zip(self._processes, cpus):
+                os.sched_setaffinity(process.pid, {cpu})
+        except OSError as error:
+            self._unplace(f"sched_setaffinity raised {error!r}")
+            return
+        self._sender_cpus = set(allowed) - set(cpus)
+        sender = ", ".join(map(str, sorted(self._sender_cpus)))
+        self.placement = ", ".join(
+            [f"slot 0 on CPUs {{{sender}}}"]
+            + [f"worker {slot} on CPU {cpu}" for slot, cpu in enumerate(cpus, 1)]
+        )
+
+    def _unplace(self, reason: str) -> None:
+        """Decline placement: every worker back on the calling thread's CPUs."""
+        allowed = os.sched_getaffinity(0)
+        for process in self._processes:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(process.pid, allowed)
+        self._sender_cpus = None
+        self.placement = f"unplaced: {reason}"
+
+    def _confine_sender(self) -> Optional[set]:
+        """Limit the calling thread to slot 0's CPUs; returns the mask to restore."""
+        if self._sender_cpus is None:
+            return None
+        previous = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, self._sender_cpus)
+        except OSError as error:
+            self._unplace(f"sched_setaffinity raised {error!r}")
+            return None
+        return previous
 
     # ------------------------------------------------------------------
     # The round trip's plumbing (callers hold :attr:`lock`).
@@ -672,30 +747,41 @@ class ProcessWorkerPool:
         :attr:`traffic` holds what this call wrote, on success and on
         failure alike.  A worker error forgets nothing: the resident
         template holds its spec, so a failed executor build simply
-        retries on the next frame.
+        retries on the next frame.  While any worker is engaged, a
+        placed pool keeps the calling thread off the workers' CPUs
+        (module docstring, *Placement*) and restores its mask after the
+        last reply, whether the call returns or raises.
         """
         with self.lock:
-            self.traffic = [0, 0]
+            self.traffic = [0, 0, 0]
             if self.closed:
                 raise ProcessPoolBrokenError("process pool is closed")
             self._frame += 1
             frame = self._frame
             engaged = min(self.size, max(len(entry[3]) for entry in entries)) - 1
+            switches = _involuntary_switches() if telemetry.enabled() else None
+            previous = self._confine_sender() if engaged else None
             try:
-                for worker in range(engaged):
-                    if plan.plan_id not in self._plans_shipped[worker]:
-                        self._send(worker, self._plan_ship_message(plan, worker))
-                        self._plans_shipped[worker].add(plan.plan_id)
-                    own = tuple(entry[:3] for entry in entries if len(entry[3]) > worker + 1)
-                    self._send(worker, ("r", frame, plan.plan_id, own))
-            except (EOFError, OSError) as failure:
-                self._break(f"process-pool worker died mid-level: {failure!r}", failure)
-            try:
-                if meanwhile is not None:
-                    meanwhile()
+                try:
+                    for worker in range(engaged):
+                        if plan.plan_id not in self._plans_shipped[worker]:
+                            self._send(worker, self._plan_ship_message(plan, worker))
+                            self._plans_shipped[worker].add(plan.plan_id)
+                        own = tuple(entry[:3] for entry in entries if len(entry[3]) > worker + 1)
+                        self._send(worker, ("r", frame, plan.plan_id, own))
+                except (EOFError, OSError) as failure:
+                    self._break(f"process-pool worker died mid-level: {failure!r}", failure)
+                try:
+                    if meanwhile is not None:
+                        meanwhile()
+                finally:
+                    deadline = time.monotonic() + REPLY_DEADLINE_SECONDS
+                    replies = [self._receive(worker, frame, deadline) for worker in range(engaged)]
             finally:
-                deadline = time.monotonic() + REPLY_DEADLINE_SECONDS
-                replies = [self._receive(worker, frame, deadline) for worker in range(engaged)]
+                if previous is not None:
+                    os.sched_setaffinity(0, previous)
+                if switches is not None:
+                    self.traffic[2] = _involuntary_switches() - switches
         per_worker = [iter(reply) for reply in self._unwrap(replies)]
         results: List[ChunkResult] = []
         for _step_index, _values, _descriptors, chunks in entries:
@@ -732,6 +818,13 @@ class ProcessWorkerPool:
             self._connections = []
             self._processes = []
             self._plans_shipped = []
+
+
+def _involuntary_switches() -> int:
+    """The calling thread's involuntary context switches so far (0 if unknown)."""
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        return 0
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,14 @@ class Profiler:
         #: send time) — the figure plan-resident replay exists to shrink.
         self.wire_bytes: int = 0
         self.wire_requests: int = 0
+        #: Level round trips made with the pool, the involuntary context
+        #: switches the sending thread took during them (counted only
+        #: with telemetry armed), and the pool's CPU placement as the
+        #: last one found it (``ProcessWorkerPool.placement``; empty
+        #: until a level ships).
+        self.wire_round_trips: int = 0
+        self.slot0_preemptions: int = 0
+        self.point_placement: str = ""
         #: Declined ladder rungs by reason (:data:`DECLINE_REASONS`).
         self.declines: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
         #: Replays the super-kernel gate ran un-lowered: the plan had a
@@ -323,15 +331,22 @@ class Profiler:
         """Record compiled-closure invocations performed by plan replay."""
         self.replay_closure_calls += calls
 
-    def record_wire_traffic(self, bytes_sent: int, requests: int) -> None:
-        """Record pickled bytes / messages sent to the worker-process pool.
+    def record_round_trip(
+        self, bytes_sent: int, requests: int, preemptions: int, placement: str
+    ) -> None:
+        """Record one level round trip with the worker-process pool.
 
-        Reported once per level round trip, with that round trip's own
-        traffic, on the thread that sent its frames.
+        Reported once per round trip, on the thread that sent its
+        frames: the pickled bytes and messages it sent, the involuntary
+        context switches that thread took meanwhile, and the pool's
+        placement.
         """
         with self._lock:
             self.wire_bytes += bytes_sent
             self.wire_requests += requests
+            self.wire_round_trips += 1
+            self.slot0_preemptions += preemptions
+            self.point_placement = placement
 
     def record_decline(self, reason: str) -> None:
         """Record one declined ladder rung (thread-safe, like
@@ -483,9 +498,9 @@ class Profiler:
 
         Taken under the profiler lock so concurrent plan-pool updates
         never produce a torn view.  The dict is JSON-serialisable: plain
-        ints/floats plus the level-width histogram as a ``{width: count}``
-        dict — the shape exported next to Chrome traces by
-        ``repro.tools.tracedump``.
+        ints/floats, the pool's placement string and the level-width
+        histogram as a ``{width: count}`` dict — the shape exported next
+        to Chrome traces by ``repro.tools.tracedump``.
         """
         with self._lock:
             counters: Dict[str, object] = {
@@ -523,6 +538,9 @@ class Profiler:
                 "replay_closure_calls": self.replay_closure_calls,
                 "wire_bytes": self.wire_bytes,
                 "wire_requests": self.wire_requests,
+                "wire_round_trips": self.wire_round_trips,
+                "slot0_preemptions": self.slot0_preemptions,
+                "point_placement": self.point_placement,
                 "multi_block_calls": self.multi_block_calls,
             }
             for reason, count in self.declines.items():

@@ -107,7 +107,8 @@ def format_sections(counters: Dict[str, object]) -> str:
 
 
 def format_dispatch(counters: Dict[str, object], slots: int) -> str:
-    """One line: the pool's slots, then frames and worker chunks per epoch.
+    """One line: the pool's slots and placement, frames and worker chunks
+    per epoch, and how often a round trip preempted the sending thread.
 
     A frame's size is the mean over every message the run wrote to a
     pipe (plan ships included).
@@ -116,12 +117,16 @@ def format_dispatch(counters: Dict[str, object], slots: int) -> str:
         return "point dispatch: inline (one process)"
     epochs = max(1, counters["trace_hits"])
     frame_bytes = counters["wire_bytes"] / max(1, counters["wire_requests"])
+    workers = slots - 1
     return (
-        f"point dispatch: {slots} slots (the scheduling thread and "
-        f"{slots - 1} worker processes); per replayed epoch "
+        f"point dispatch: {slots} slots (the scheduling thread and {workers} worker "
+        f"process{'es' if workers != 1 else ''}); "
+        f"{counters['point_placement'] or 'no level shipped'}; per replayed epoch "
         f"{counters['wire_requests'] / epochs:.2f} frames of {frame_bytes:.0f} bytes, "
         f"{counters['point_process_chunks'] / epochs:.2f} of "
-        f"{counters['point_chunks'] / epochs:.2f} rank chunks in workers"
+        f"{counters['point_chunks'] / epochs:.2f} rank chunks in workers; slot 0 "
+        f"preempted {counters['slot0_preemptions'] / max(1, counters['wire_round_trips']):.2f} "
+        "times per round trip"
     )
 
 

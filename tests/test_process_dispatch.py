@@ -16,6 +16,7 @@ fields that predate the flag flip.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import subprocess
@@ -524,6 +525,154 @@ class TestCallingThreadSlot:
         assert _STAMPED == [(os.getpid(), threading.get_ident(), ranks_0_1)] * 3
         assert np.array_equal(stamps[:32], np.full(32, os.getpid()))
         assert np.array_equal(stamps[32:], np.full(32, worker.pid))
+
+
+# ----------------------------------------------------------------------
+# Each slot on its own CPU.
+# ----------------------------------------------------------------------
+def _allowed_cpus():
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+def _cpu_set(cpus):
+    return "{" + ", ".join(map(str, sorted(cpus))) + "}"
+
+
+@pytest.mark.skipif(len(_allowed_cpus()) < 2, reason="placement needs 2 allowed CPUs")
+class TestPlacement:
+    """A 2-slot pool pins its worker to the top allowed CPU and keeps
+    the sending thread off it only while a level is in flight."""
+
+    @pytest.fixture
+    def fill_step(self, monkeypatch):
+        """A 2-chunk ``test-fill`` step and the descriptor of its field."""
+        fill = register_opaque_task(
+            "test-fill", _fill_execute, _fill_cost, registry=OpaqueTaskRegistry(),
+            chunk_execute=_fill_chunk, chunk_cost_seconds=_fill_chunk_cost,
+        )
+        # Forked workers inherit the registry: register before the pool.
+        monkeypatch.setitem(default_opaque_registry()._impls, fill.name, fill)
+        arena = SharedArena(segment_bytes=4096)
+        array, descriptor = arena.allocate((4,), np.float64)
+        step = procpool.ResidentStep(
+            procpool.OpaqueSpec(fill.name, fill.module, None),
+            ((0, False, [((0,), (2,)), ((2,), (4,))]),),
+            ((0, 1), (1, 2)),
+        )
+        yield step, descriptor
+        del array
+        arena.close()
+
+    def test_each_worker_runs_on_its_own_cpu(self):
+        allowed = _allowed_cpus()
+        pool = procpool.ProcessWorkerPool(2)
+        try:
+            assert [os.sched_getaffinity(p.pid) for p in pool._processes] == [{allowed[-1]}]
+            assert pool.placement == (
+                f"slot 0 on CPUs {_cpu_set(allowed[:-1])}, worker 1 on CPU {allowed[-1]}"
+            )
+            # Between levels the calling thread keeps every CPU.
+            assert os.sched_getaffinity(0) == set(allowed)
+        finally:
+            pool.shutdown()
+
+    def test_the_sending_thread_leaves_the_worker_cpu_while_a_level_is_in_flight(
+        self, fill_step
+    ):
+        step, descriptor = fill_step
+        before = os.sched_getaffinity(0)
+        seen = []
+        pool = procpool.ProcessWorkerPool(2)
+        try:
+            results = pool.run_resident_chunks(
+                *_frame(step, (7.0,), (descriptor,)),
+                meanwhile=lambda: seen.append(os.sched_getaffinity(0)),
+            )
+            worker_cpus = set().union(*(os.sched_getaffinity(p.pid) for p in pool._processes))
+        finally:
+            pool.shutdown()
+        assert results == [((), [0.0])]
+        (during,) = seen
+        assert not during & worker_cpus
+        assert during | worker_cpus == before
+        assert os.sched_getaffinity(0) == before
+
+    def test_the_mask_comes_back_after_a_worker_error_mid_frame(self, fill_step):
+        step, descriptor = fill_step
+        broken = procpool.ResidentStep(
+            procpool.KernelSpec(None, None, "no-such-backend"), (), ((0, 1), (1, 2)),
+            kernel_id=procpool.kernel_spec_id(SimpleNamespace()),
+        )
+        before = os.sched_getaffinity(0)
+        seen = []
+        pool = procpool.ProcessWorkerPool(2)
+        try:
+            with pytest.raises(ValueError, match="no-such-backend"):
+                pool.run_resident_chunks(
+                    *_frame(broken, (), ()), meanwhile=lambda: seen.append(os.sched_getaffinity(0))
+                )
+            assert seen[0] < before
+            assert os.sched_getaffinity(0) == before
+            # The next level is placed the same way.
+            assert pool.run_resident_chunks(*_frame(step, (7.0,), (descriptor,))) == [((), [0.0])]
+            assert os.sched_getaffinity(0) == before
+        finally:
+            pool.shutdown()
+
+    def test_the_mask_comes_back_after_a_lost_frame(self, fill_step, lose_first_frame):
+        step, descriptor = fill_step
+        before = os.sched_getaffinity(0)
+        seen = []
+        pool = procpool.ProcessWorkerPool(2)
+        try:
+            with pytest.raises(procpool.ProcessPoolBrokenError):
+                pool.run_resident_chunks(
+                    *_frame(step, (7.0,), (descriptor,)),
+                    meanwhile=lambda: seen.append(os.sched_getaffinity(0)),
+                )
+        finally:
+            pool.shutdown()
+        assert lose_first_frame == [pool]
+        assert seen[0] < before
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("cause", ["more_slots_than_cpus", "setaffinity_raises"])
+    def test_a_declined_pool_runs_unplaced_and_says_why(self, monkeypatch, cause):
+        """The pool runs as an unplaced one does, records why, and
+        leaves nothing behind: the next pool is placed again."""
+        iterations, kwargs = 6, dict(rows_per_gpu=32)
+        before = os.sched_getaffinity(0)
+        shutdown_process_pool()
+        placed = _run_app("jacobi", 2, 1, monkeypatch, iterations, **kwargs)
+        shutdown_process_pool()
+        with monkeypatch.context() as patch:
+            if cause == "more_slots_than_cpus":
+                os.sched_setaffinity(0, {min(before)})
+                reason = "unplaced: 2 slots > 1 CPUs"
+            else:
+                def refuse(pid, mask):
+                    raise OSError(errno.EINVAL, "refused")
+
+                patch.setattr(os, "sched_setaffinity", refuse)
+                reason = "unplaced: sched_setaffinity raised OSError(22, 'refused')"
+            try:
+                unplaced = _run_app("jacobi", 2, 1, monkeypatch, iterations, **kwargs)
+            finally:
+                shutdown_process_pool()
+                if cause == "more_slots_than_cpus":
+                    os.sched_setaffinity(0, before)
+        again = _run_app("jacobi", 2, 1, monkeypatch, iterations, **kwargs)
+        shutdown_process_pool()
+        assert os.sched_getaffinity(0) == before
+        placement = [run[0].profiler.snapshot()["point_placement"] for run in (placed, unplaced, again)]
+        assert placement[1] == reason
+        assert placement[0] == placement[2] and placement[0].startswith("slot 0 on CPUs")
+        for context, state, checksum in (unplaced, again):
+            assert context.profiler.point_process_chunks > 0
+            assert checksum == placed[2]
+            assert context.profiler.iteration_seconds() == placed[0].profiler.iteration_seconds()
+            for name, value in placed[1].items():
+                assert state[name].tobytes() == value.tobytes(), name
 
 
 # ----------------------------------------------------------------------

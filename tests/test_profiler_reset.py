@@ -64,6 +64,7 @@ def _dirty(profiler: Profiler) -> None:
     profiler.record_superkernel_fusion(["merged", "stacked", "ragged_tiling"])
     profiler.superkernel_calls = 12
     profiler.replay_closure_calls = 40
+    profiler.record_round_trip(64, 1, 3, "slot 0 on CPUs {0}, worker 1 on CPU 1")
     profiler.wire_bytes = 4096
     profiler.wire_requests = 17
     profiler.record_decline("below_volume")

@@ -473,11 +473,36 @@ class TestTracedump:
         assert "super-kernel sections: " in completed.stdout
         assert shapes[app] in completed.stdout
         # The default four-way pool: this thread and three worker
-        # processes, and the mean size of what crossed a pipe.
-        assert "point dispatch: 4 slots (the scheduling thread and 3 worker processes)" in (
-            completed.stdout
+        # processes, where they run (placed when the host has a CPU per
+        # slot), the mean size of what crossed a pipe and how often a
+        # round trip preempted the sending thread.
+        cpus = len(os.sched_getaffinity(0))
+        placement = (
+            "slot 0 on CPUs {" if cpus >= 4 else f"unplaced: 4 slots > {cpus} CPUs; "
         )
+        assert (
+            "point dispatch: 4 slots (the scheduling thread and 3 worker processes); "
+            + placement
+        ) in completed.stdout, completed.stdout
         assert re.search(r"frames of \d+ bytes", completed.stdout), completed.stdout
+        assert re.search(
+            r"slot 0 preempted \d+\.\d\d times per round trip", completed.stdout
+        ), completed.stdout
+        # One worker process is singular.
+        from repro.tools.tracedump import format_dispatch
+
+        two_way = format_dispatch(
+            dict(
+                trace_hits=1, wire_bytes=250, wire_requests=1, point_process_chunks=1,
+                point_chunks=2, point_placement="slot 0 on CPUs {0}, worker 1 on CPU 1",
+                slot0_preemptions=0, wire_round_trips=1,
+            ),
+            2,
+        )
+        assert two_way.startswith(
+            "point dispatch: 2 slots (the scheduling thread and 1 worker process); "
+            "slot 0 on CPUs {0}, worker 1 on CPU 1; "
+        ), two_way
         trace = json.loads(output.read_text())
         assert trace["traceEvents"]
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] != "M"}
