@@ -28,7 +28,7 @@ from repro.apps.base import Application, register_application
 from repro.frontend.cunumeric.array import ndarray
 from repro.frontend.legate.context import RuntimeContext
 from repro.ir.privilege import Privilege
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import IndexTask
 from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import register_opaque_task
 
@@ -174,15 +174,12 @@ class ChannelFlow(Application):
             (self.ny - 2, self.nx - 2), name="cfd_rhs"
         )
         out = ndarray(out_store, context=self.context)
-        self.context.submit(
+        replicated = (self.context.replication(), Privilege.READ, None)
+        out._submit(
             "cfd_rhs_stencil",
-            out.launch_domain(),
-            [
-                StoreArg(self.u.store, self.context.replication(), Privilege.READ),
-                StoreArg(self.v.store, self.context.replication(), Privilege.READ),
-                out.write_arg(),
-            ],
-            scalar_args=(self.dx, self.dy, self.dt, self.rho),
+            (self.u.store, self.v.store, out_store),
+            (replicated, replicated, out.write_spec()),
+            (self.dx, self.dy, self.dt, self.rho),
         )
         return out
 

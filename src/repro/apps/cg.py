@@ -94,11 +94,11 @@ class ManuallyFusedConjugateGradient(ConjugateGradient):
         beta = rs_new / max(self.rs_old, 1e-300)
         # p = r + beta p expressed with the fused aypx task.
         out = self.p._fresh_like(name="aypx")
-        self.context.submit(
+        out._submit(
             "aypx",
-            out.launch_domain(),
-            [self.r.read_arg(), self.p.read_arg(), out.write_arg()],
-            scalar_args=(beta,),
+            (self.r.store, self.p.store, out.store),
+            (self.r.read_spec(), self.p.read_spec(), out.write_spec()),
+            (beta,),
         )
         self.p = out
         self.rs_old = rs_new

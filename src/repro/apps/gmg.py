@@ -21,7 +21,7 @@ from repro.apps.cg import _KrylovSetup
 from repro.frontend.cunumeric.array import ndarray
 from repro.frontend.sparse import poisson_2d
 from repro.ir.privilege import Privilege
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import IndexTask
 from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import register_opaque_task
 
@@ -170,14 +170,11 @@ class GeometricMultigrid(_KrylovSetup):
         coarse_rows = self.coarse_points * self.coarse_points
         out_store = self.context.create_store((coarse_rows,), name="gmg_coarse")
         out = ndarray(out_store, context=self.context)
-        self.context.submit(
+        out._submit(
             "gmg_restrict",
-            out.launch_domain(),
-            [
-                StoreArg(fine.store, self.context.replication(), Privilege.READ),
-                out.write_arg(),
-            ],
-            scalar_args=(float(self.grid_points), float(self.coarse_points)),
+            (fine.store, out_store),
+            ((self.context.replication(), Privilege.READ, None), out.write_spec()),
+            (float(self.grid_points), float(self.coarse_points)),
         )
         return out
 
@@ -185,14 +182,11 @@ class GeometricMultigrid(_KrylovSetup):
         fine_rows = self.rows
         out_store = self.context.create_store((fine_rows,), name="gmg_fine")
         out = ndarray(out_store, context=self.context)
-        self.context.submit(
+        out._submit(
             "gmg_prolong",
-            out.launch_domain(),
-            [
-                StoreArg(coarse.store, self.context.replication(), Privilege.READ),
-                out.write_arg(),
-            ],
-            scalar_args=(float(self.grid_points), float(self.coarse_points)),
+            (coarse.store, out_store),
+            ((self.context.replication(), Privilege.READ, None), out.write_spec()),
+            (float(self.grid_points), float(self.coarse_points)),
         )
         return out
 

@@ -30,7 +30,7 @@ from repro.frontend.cunumeric.array import ndarray
 from repro.frontend.legate.context import RuntimeContext
 from repro.ir.domain import Domain
 from repro.ir.privilege import Privilege
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import IndexTask
 from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import register_opaque_task
 
@@ -398,30 +398,22 @@ class ManuallyFusedShallowWater(ShallowWater):
             (self.n - 2, self.n - 2), name=name
         )
         out = ndarray(out_store, context=self.context)
-        self.context.submit(
+        replicated = (self.context.replication(), Privilege.READ, None)
+        out._submit(
             name,
-            out.launch_domain(),
-            [
-                StoreArg(self.h.store, self.context.replication(), Privilege.READ),
-                StoreArg(self.hu.store, self.context.replication(), Privilege.READ),
-                StoreArg(self.hv.store, self.context.replication(), Privilege.READ),
-                out.write_arg(),
-            ],
-            scalar_args=(float(alpha),),
+            (self.h.store, self.hu.store, self.hv.store, out_store),
+            (replicated, replicated, replicated, out.write_spec()),
+            (float(alpha),),
         )
         return out
 
     def _apply_boundaries(self) -> None:
         """Reflective boundaries as one opaque library call per field."""
+        context = self.context
+        skeleton = context.skeleton(
+            "swe_reflect_edges",
+            Domain((1,)),
+            ((context.replication(), Privilege.READ_WRITE, None),),
+        )
         for field in (self.h, self.hu, self.hv):
-            self.context.submit(
-                "swe_reflect_edges",
-                Domain((1,)),
-                [
-                    StoreArg(
-                        field.store,
-                        self.context.replication(),
-                        Privilege.READ_WRITE,
-                    )
-                ],
-            )
+            context.submit(skeleton, (field.store,))

@@ -21,10 +21,12 @@ from repro.ir.domain import Domain
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
-from repro.ir.task import StoreArg
 from repro.frontend.legate.context import RuntimeContext, get_context
 
 Scalar = Union[int, float]
+
+#: One argument of a launch skeleton: ``(partition, privilege, redop)``.
+Spec = Tuple[Partition, Privilege, Optional[ReductionOp]]
 
 
 class ndarray:  # noqa: N801 - mirrors the NumPy class name
@@ -36,17 +38,20 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
         offset: Optional[Tuple[int, ...]] = None,
         shape: Optional[Tuple[int, ...]] = None,
         context: Optional[RuntimeContext] = None,
+        partition: Optional[Partition] = None,
     ) -> None:
         self._context = context or get_context()
         self._store = store
+        #: True when the view is the whole store, so an array of the
+        #: same shape has the same natural partition (``_fresh_like``).
+        self._whole = offset is None and shape is None
         self._offset = tuple(offset) if offset is not None else (0,) * store.ndim
         self._shape = tuple(shape) if shape is not None else store.shape
         self._store.add_application_reference()
-        # StoreArgs are immutable values fixed by (store, view, privilege);
-        # memoize them so repeated task submissions against the same view
-        # skip partition lookup and argument validation.
-        self._read_arg: Optional[StoreArg] = None
-        self._write_arg: Optional[StoreArg] = None
+        # The partition is a value fixed by the view: computed once per
+        # array, and an output built by ``_fresh_like`` starts with the
+        # partition of the array it was built from.
+        self._partition = partition
 
     def __del__(self) -> None:
         try:
@@ -103,38 +108,52 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
     # ------------------------------------------------------------------
     def partition(self) -> Partition:
         """The partition used when this view is a task argument."""
-        return self._context.natural_partition(self._store, self._offset, self._shape)
+        partition = self._partition
+        if partition is None:
+            partition = self._partition = self._context.natural_partition(
+                self._store, self._offset, self._shape
+            )
+        return partition
 
     def launch_domain(self) -> Domain:
         """The launch domain used for element-wise tasks on this view."""
-        if self.ndim == 0:
-            return Domain((1,))
         return self._context.launch_domain(self.ndim)
 
-    def read_arg(self) -> StoreArg:
-        """A Read argument for this view."""
-        arg = self._read_arg
-        if arg is None:
-            arg = StoreArg(self._store, self.partition(), Privilege.READ)
-            self._read_arg = arg
-        return arg
+    def read_spec(self) -> Spec:
+        """This view as a Read argument of a launch skeleton."""
+        return (self.partition(), Privilege.READ, None)
 
-    def write_arg(self) -> StoreArg:
-        """A Write argument for this view."""
-        arg = self._write_arg
-        if arg is None:
-            arg = StoreArg(self._store, self.partition(), Privilege.WRITE)
-            self._write_arg = arg
-        return arg
+    def write_spec(self) -> Spec:
+        """This view as a Write argument of a launch skeleton."""
+        return (self.partition(), Privilege.WRITE, None)
 
-    def reduce_arg(self, redop: ReductionOp = ReductionOp.ADD) -> StoreArg:
-        """A Reduce argument for this view."""
-        return StoreArg(self._store, self.partition(), Privilege.REDUCE, redop=redop)
+    def reduce_spec(self, redop: ReductionOp = ReductionOp.ADD) -> Spec:
+        """This view as a Reduce argument of a launch skeleton."""
+        return (self.partition(), Privilege.REDUCE, redop)
 
-    def _fresh_like(self, shape: Optional[Tuple[int, ...]] = None, name: str = "tmp") -> "ndarray":
-        shape = shape if shape is not None else self._shape
+    def _submit(
+        self,
+        task_name: str,
+        stores: Tuple[Store, ...],
+        specs: Tuple[Spec, ...],
+        scalar_args: Tuple[float, ...] = (),
+    ) -> None:
+        """Launch ``task_name`` over this view's launch domain, binding
+        ``stores`` to ``specs`` position by position."""
+        context = self._context
+        context.submit(
+            context.skeleton(task_name, self.launch_domain(), specs), stores, scalar_args
+        )
+
+    def _fresh_like(
+        self, shape: Optional[Tuple[int, ...]] = None, name: str = "tmp"
+    ) -> "ndarray":
+        """A new whole array of ``shape`` (default: this view's shape)."""
+        if shape is None:
+            shape = self._shape
         store = self._context.create_store(shape, name=name)
-        return ndarray(store, context=self._context)
+        partition = self._partition if self._whole and shape == self._shape else None
+        return ndarray(store, context=self._context, partition=partition)
 
     # ------------------------------------------------------------------
     # Slicing: views share the store and carry offsets/bounds.
@@ -175,17 +194,14 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
                 raise ValueError(
                     f"cannot assign shape {value.shape} into shape {target.shape}"
                 )
-            self._context.submit(
+            target._submit(
                 "copy",
-                target.launch_domain(),
-                [value.read_arg(), target.write_arg()],
+                (value._store, target._store),
+                (value.read_spec(), target.write_spec()),
             )
         else:
-            self._context.submit(
-                "fill",
-                target.launch_domain(),
-                [target.write_arg()],
-                scalar_args=(float(value),),
+            target._submit(
+                "fill", (target._store,), (target.write_spec(),), (float(value),)
             )
 
     # ------------------------------------------------------------------
@@ -199,25 +215,25 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
                 raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
             out = self._fresh_like()
             lhs, rhs = (other, self) if reverse else (self, other)
-            self._context.submit(
+            self._submit(
                 op,
-                out.launch_domain(),
-                [lhs.read_arg(), rhs.read_arg(), out.write_arg()],
+                (lhs._store, rhs._store, out._store),
+                (lhs.read_spec(), rhs.read_spec(), out.write_spec()),
             )
             return out
         out = self._fresh_like()
         task = f"r{scalar_op}" if reverse and scalar_op in ("subtract_scalar", "divide_scalar") else scalar_op
-        self._context.submit(
+        self._submit(
             task,
-            out.launch_domain(),
-            [self.read_arg(), out.write_arg()],
-            scalar_args=(float(other),),
+            (self._store, out._store),
+            (self.read_spec(), out.write_spec()),
+            (float(other),),
         )
         return out
 
     def _unary(self, op: str) -> "ndarray":
         out = self._fresh_like()
-        self._context.submit(op, out.launch_domain(), [self.read_arg(), out.write_arg()])
+        self._submit(op, (self._store, out._store), (self.read_spec(), out.write_spec()))
         return out
 
     def _inplace(self, other, op: str, scalar_op: str) -> "ndarray":
@@ -226,17 +242,17 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
         if isinstance(other, ndarray):
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-            self._context.submit(
+            self._submit(
                 op,
-                self.launch_domain(),
-                [self.read_arg(), other.read_arg(), self.write_arg()],
+                (self._store, other._store, self._store),
+                (self.read_spec(), other.read_spec(), self.write_spec()),
             )
         else:
-            self._context.submit(
+            self._submit(
                 scalar_op,
-                self.launch_domain(),
-                [self.read_arg(), self.write_arg()],
-                scalar_args=(float(other),),
+                (self._store, self._store),
+                (self.read_spec(), self.write_spec()),
+                (float(other),),
             )
         return self
 
@@ -311,11 +327,13 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
     def _reduce(self, task_name: str, redop: ReductionOp, identity: float) -> "ndarray":
         result_store = self._context.create_scalar_store(name=f"{task_name}_result")
         self._context.legion.write_scalar(result_store, identity)
-        result = ndarray(result_store, context=self._context)
-        self._context.submit(
+        result = ndarray(
+            result_store, context=self._context, partition=self._context.replication()
+        )
+        self._submit(
             task_name,
-            self.launch_domain(),
-            [self.read_arg(), result.reduce_arg(redop)],
+            (self._store, result_store),
+            (self.read_spec(), result.reduce_spec(redop)),
         )
         return result
 
@@ -337,11 +355,13 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
             raise ValueError("dot requires another array of the same shape")
         result_store = self._context.create_scalar_store(name="dot_result")
         self._context.legion.write_scalar(result_store, 0.0)
-        result = ndarray(result_store, context=self._context)
-        self._context.submit(
+        result = ndarray(
+            result_store, context=self._context, partition=self._context.replication()
+        )
+        self._submit(
             "dot",
-            self.launch_domain(),
-            [self.read_arg(), other.read_arg(), result.reduce_arg(ReductionOp.ADD)],
+            (self._store, other._store, result_store),
+            (self.read_spec(), other.read_spec(), result.reduce_spec(ReductionOp.ADD)),
         )
         return result
 
@@ -374,15 +394,11 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
     def copy(self) -> "ndarray":
         """A freshly-allocated copy of the view."""
         out = self._fresh_like(name="copy")
-        self._context.submit(
-            "copy", out.launch_domain(), [self.read_arg(), out.write_arg()]
-        )
+        self._submit("copy", (self._store, out._store), (self.read_spec(), out.write_spec()))
         return out
 
 
 def _full_like(template: ndarray, value: float) -> ndarray:
     out = template._fresh_like(name="const")
-    template.context.submit(
-        "fill", out.launch_domain(), [out.write_arg()], scalar_args=(value,)
-    )
+    out._submit("fill", (out._store,), (out.write_spec(),), (value,))
     return out

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.ir.privilege import Privilege
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import IndexTask
 from repro.frontend.cunumeric.array import ndarray
 from repro.frontend.legate.context import get_context
 from repro.runtime.machine import MachineConfig
@@ -117,12 +117,15 @@ def matvec(matrix: ndarray, vector: ndarray) -> ndarray:
     context = get_context()
     out_store = context.create_store((rows,), name="gemv_out")
     out = ndarray(out_store, context=context)
-    args = [
-        StoreArg(matrix.store, context.row_partition(matrix.store, rows), Privilege.READ),
-        StoreArg(vector.store, context.replication(), Privilege.READ),
-        out.write_arg(),
-    ]
-    context.submit("gemv", out.launch_domain(), args)
+    out._submit(
+        "gemv",
+        (matrix.store, vector.store, out_store),
+        (
+            (context.row_partition(matrix.store, rows), Privilege.READ, None),
+            (context.replication(), Privilege.READ, None),
+            out.write_spec(),
+        ),
+    )
     return out
 
 

@@ -62,10 +62,10 @@ def where(condition: ndarray, if_true: ArrayOrScalar, if_false: ArrayOrScalar) -
     if_true = _as_array(if_true, condition)
     if_false = _as_array(if_false, condition)
     out = condition._fresh_like(name="where")
-    condition.context.submit(
+    out._submit(
         "where",
-        out.launch_domain(),
-        [condition.read_arg(), if_true.read_arg(), if_false.read_arg(), out.write_arg()],
+        (condition.store, if_true.store, if_false.store, out.store),
+        (condition.read_spec(), if_true.read_spec(), if_false.read_spec(), out.write_spec()),
     )
     return out
 
@@ -78,11 +78,11 @@ def axpy(alpha: float, x: ndarray, y: ndarray) -> ndarray:
     call this function directly.
     """
     out = x._fresh_like(name="axpy")
-    x.context.submit(
+    out._submit(
         "axpy",
-        out.launch_domain(),
-        [x.read_arg(), y.read_arg(), out.write_arg()],
-        scalar_args=(float(alpha),),
+        (x.store, y.store, out.store),
+        (x.read_spec(), y.read_spec(), out.write_spec()),
+        (float(alpha),),
     )
     return out
 

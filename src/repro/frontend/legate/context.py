@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,12 +20,17 @@ from repro.ir.domain import Domain, Rect, factor_domain, tile_shape_for
 from repro.ir.partition import Partition, Replication, Tiling
 from repro.ir.projection import promote_dimension
 from repro.ir.store import Store, StoreManager
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.privilege import Privilege, ReductionOp
+from repro.ir.task import DeferredTask, TaskSkeleton
 from repro.fusion.engine import DiffuseRuntime, FusionConfig
 from repro.kernel.generators import GeneratorRegistry, default_registry
 from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import OpaqueTaskRegistry, default_opaque_registry
 from repro.runtime.runtime import LegionRuntime
+
+
+#: Replication is a value with no parameters: one instance serves all.
+_REPLICATION = Replication()
 
 
 class RuntimeContext:
@@ -69,6 +74,10 @@ class RuntimeContext:
         self._intern_partitions = hotpath_cache_enabled()
         self._partition_cache: Dict[tuple, Partition] = {}
         self._launch_domain_cache: Dict[int, Domain] = {}
+        #: ``(task name, launch domain, specs)`` -> its one skeleton
+        #: (:meth:`skeleton`); bounded, like the partition cache, by the
+        #: program's distinct launch shapes.
+        self._skeletons: Dict[tuple, TaskSkeleton] = {}
 
     # ------------------------------------------------------------------
     # Launch-domain and partition policy (mirrors cuPyNumeric's blocking).
@@ -104,7 +113,7 @@ class RuntimeContext:
         shape = tuple(view_shape) if view_shape is not None else store.shape
         offset = tuple(view_offset) if view_offset is not None else (0,) * store.ndim
         if store.ndim == 0 or store.volume <= 1:
-            return Replication()
+            return _REPLICATION
         key = ("natural", store.shape, shape, offset)
         partition = self._partition_cache.get(key) if self._intern_partitions else None
         if partition is None:
@@ -138,7 +147,7 @@ class RuntimeContext:
 
     def replication(self) -> Partition:
         """A replication partition (every GPU sees the whole store)."""
-        return Replication()
+        return _REPLICATION
 
     # ------------------------------------------------------------------
     # Store management.
@@ -159,22 +168,36 @@ class RuntimeContext:
     # ------------------------------------------------------------------
     # Task issue.
     # ------------------------------------------------------------------
-    def submit(
+    def skeleton(
         self,
         task_name: str,
         launch_domain: Domain,
-        args: Sequence[StoreArg],
-        scalar_args: Sequence[float] = (),
-    ) -> IndexTask:
-        """Create and submit an index task in program order."""
-        task = IndexTask(
-            task_name=task_name,
-            launch_domain=launch_domain,
-            args=args,
-            scalar_args=scalar_args,
-        )
-        self.diffuse.submit(task)
-        return task
+        specs: Tuple[Tuple[Partition, Privilege, Optional[ReductionOp]], ...],
+    ) -> TaskSkeleton:
+        """The skeleton of a launch: one ``(partition, privilege, redop)``
+        per argument, in the kernel generator's parameter order.
+
+        Interned, so a steady program's launches share one skeleton per
+        shape; built afresh per call on the seed path
+        (``REPRO_HOTPATH_CACHE=0``), like its partitions.
+        """
+        if not self._intern_partitions:
+            return TaskSkeleton(task_name, launch_domain, specs)
+        key = (task_name, launch_domain, specs)
+        skeleton = self._skeletons.get(key)
+        if skeleton is None:
+            skeleton = self._skeletons[key] = TaskSkeleton(task_name, launch_domain, specs)
+        return skeleton
+
+    def submit(
+        self,
+        skeleton: TaskSkeleton,
+        stores: Tuple[Store, ...],
+        scalar_args: Tuple[float, ...] = (),
+    ) -> None:
+        """Submit one launch in program order: ``stores`` bind the
+        skeleton's arguments position by position."""
+        self.diffuse.submit(DeferredTask(skeleton, stores, scalar_args))
 
     def flush(self) -> None:
         """Flush the Diffuse task window."""

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.ir.privilege import Privilege
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import IndexTask
 from repro.frontend.cunumeric.array import ndarray
 from repro.frontend.legate.context import RuntimeContext, get_context
 from repro.config import hotpath_cache_enabled
@@ -243,6 +243,31 @@ def _spmv_cost_uncached(
     return seconds
 
 
+def _merged_row_span(y_rects) -> Optional[Tuple[int, int]]:
+    """``(first row, end row)`` when the rects tile rows contiguously."""
+    for index in range(len(y_rects) - 1):
+        if y_rects[index][1][0] != y_rects[index + 1][0][0]:
+            return None
+    return y_rects[0][0][0], y_rects[-1][1][0]
+
+
+#: id(a chunk's y rect list) -> (the pinned list, its merged row span).
+#: Keyed like ``_SPMV_CHUNK_COST_CACHE``: a chunk replayed in the parent
+#: hands in the same interned list every epoch, so contiguity is decided
+#: once per chunk geometry.
+_SPMV_SPAN_CACHE: Dict[int, Tuple[list, Optional[Tuple[int, int]]]] = {}
+
+
+def _spmv_row_span(y_rects) -> Optional[Tuple[int, int]]:
+    if not hotpath_cache_enabled():
+        return _merged_row_span(y_rects)
+    entry = _SPMV_SPAN_CACHE.get(id(y_rects))
+    if entry is None or entry[0] is not y_rects:
+        _evict_oldest(_SPMV_SPAN_CACHE, _SPMV_COST_CACHE_LIMIT)
+        entry = _SPMV_SPAN_CACHE[id(y_rects)] = (y_rects, _merged_row_span(y_rects))
+    return entry[1]
+
+
 def _spmv_chunk_execute(bases, rects, scalars):
     """One SpMV over the merged row span of a contiguous rank chunk.
 
@@ -253,11 +278,9 @@ def _spmv_chunk_execute(bases, rects, scalars):
     """
     indptr, indices, data, x, y = (bases[index] for index in range(5))
     y_rects = rects[4]
-    if all(
-        y_rects[index][1][0] == y_rects[index + 1][0][0]
-        for index in range(len(y_rects) - 1)
-    ):
-        row_lo, row_hi = y_rects[0][0][0], y_rects[-1][1][0]
+    span = _spmv_row_span(y_rects)
+    if span is not None:
+        row_lo, row_hi = span
         if row_hi > row_lo:
             y[row_lo:row_hi] = _spmv_row_block(
                 indptr, indices, data, x, row_lo, row_hi
@@ -408,25 +431,17 @@ class csr_matrix:  # noqa: N801 - mirrors the SciPy class name
         """Sparse mat-vec product ``A @ x`` (an opaque SpMV task)."""
         if x.ndim != 1 or x.shape[0] != self.ncols:
             raise ValueError(f"cannot multiply {self.shape} matrix by {x.shape} vector")
-        out_store = self.context.create_store((self.nrows,), name="spmv_out")
-        out = ndarray(out_store, context=self.context)
-        replication = self.context.replication()
+        out = x._fresh_like((self.nrows,), name="spmv_out")
+        replicated = (self.context.replication(), Privilege.READ, None)
         # x is read through its natural block partition plus a halo gather
         # (modelled inside the SpMV cost function), mirroring how Legate
         # Sparse gathers only the columns its local rows touch rather than
         # replicating the whole vector.
-        args = [
-            StoreArg(self._indptr_store, replication, Privilege.READ),
-            StoreArg(self._indices_store, replication, Privilege.READ),
-            StoreArg(self._data_store, replication, Privilege.READ),
-            x.read_arg(),
-            out.write_arg(),
-        ]
-        self.context.submit(
+        out._submit(
             "spmv_csr",
-            out.launch_domain(),
-            args,
-            scalar_args=(float(self.index_bytes),),
+            (self._indptr_store, self._indices_store, self._data_store, x.store, out.store),
+            (replicated, replicated, replicated, x.read_spec(), out.write_spec()),
+            (float(self.index_bytes),),
         )
         return out
 

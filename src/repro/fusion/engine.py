@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Set
 
 from repro.ir.store import Store
-from repro.ir.task import IndexTask
+from repro.ir.task import DeferredTask, IndexTask
 from repro.ir.window import TaskWindow
 from repro.fusion.algorithm import build_fused_task, plan_window
 from repro.fusion.memoization import (
@@ -116,17 +116,27 @@ class DiffuseRuntime:
     # ------------------------------------------------------------------
     # Task submission (the library-facing API).
     # ------------------------------------------------------------------
-    def submit(self, task: IndexTask) -> None:
-        """Submit one index task in program order."""
+    def submit(self, task: DeferredTask) -> None:
+        """Submit one launch in program order.
+
+        With tracing the record joins the deferred epoch as it is;
+        otherwise its index task is built here.
+        """
         self.stats.submitted_tasks += 1
-        if not self.config.enable_fusion:
-            self.stats.forwarded_tasks += 1
-            self.runtime.submit(task)
-            return
         if self.trace is not None:
             self.trace.add(task)
             return
-        self.window_submit(task)
+        if not self.config.enable_fusion:
+            self.stats.forwarded_tasks += 1
+            self.runtime.submit(self.materialise(task, "eager"))
+            return
+        self.window_submit(self.materialise(task, "eager"))
+
+    def materialise(self, task: DeferredTask, path: str) -> IndexTask:
+        """The index task of a deferred record, counted by ``path``
+        (``Profiler.tasks_materialised``)."""
+        self.runtime.profiler.tasks_materialised[path] += 1
+        return task.task()
 
     def window_submit(self, task: IndexTask) -> None:
         """Feed one task into the fusion window (the eager pipeline)."""

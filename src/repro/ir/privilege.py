@@ -22,6 +22,12 @@ class Privilege(enum.Enum):
     READ_WRITE = "RW"
     REDUCE = "Rd"
 
+    #: Members are singletons compared by identity, so the identity hash
+    #: is consistent with equality and, unlike ``Enum``'s Python-level
+    #: name hash, costs nothing: privileges are part of every launch
+    #: skeleton's key.
+    __hash__ = object.__hash__
+
     @property
     def reads(self) -> bool:
         """True when the privilege observes existing store contents."""
@@ -48,6 +54,8 @@ class ReductionOp(enum.Enum):
     MUL = "mul"
     MIN = "min"
     MAX = "max"
+
+    __hash__ = object.__hash__  # as ``Privilege.__hash__``
 
     @property
     def identity(self) -> float:

@@ -22,6 +22,10 @@ import numpy as np
 
 from repro.ir.domain import Point, as_point, shape_volume
 
+#: The element type every store has unless told otherwise.
+FLOAT64 = np.dtype(np.float64)
+_INT = {int}
+
 
 class Store:
     """A distributed array identified by a unique id and a shape."""
@@ -42,13 +46,18 @@ class Store:
         self,
         uid: int,
         shape: Sequence[int],
-        dtype: np.dtype = np.float64,
+        dtype: np.dtype = FLOAT64,
         name: Optional[str] = None,
         manager: Optional["StoreManager"] = None,
     ) -> None:
         self.uid = int(uid)
-        self.shape: Point = as_point(shape)
-        self.dtype = np.dtype(dtype)
+        # Shapes and dtypes the frontends pass are already normal (a
+        # tuple of ints, an ``np.dtype``); only anything else is
+        # converted.
+        if type(shape) is not tuple or not _INT.issuperset(map(type, shape)):
+            shape = as_point(shape)
+        self.shape: Point = shape
+        self.dtype = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         self.name = name if name is not None else f"store{uid}"
         self._application_refs = 0
         self._ever_application_referenced = False
@@ -73,6 +82,11 @@ class Store:
     def size_bytes(self) -> int:
         """Total footprint of the store in bytes."""
         return self.volume * self.dtype.itemsize
+
+    @property
+    def manager(self) -> Optional["StoreManager"]:
+        """The registry that created this store (None for a bare store)."""
+        return self._manager
 
     @property
     def is_scalar(self) -> bool:
@@ -151,6 +165,12 @@ class Store:
         return self._pending_stream_refs
 
     @property
+    def unreferenced(self) -> bool:
+        """True when no application handle, buffered task or runtime
+        reference holds the store."""
+        return not (self._application_refs or self._pending_stream_refs or self._runtime_refs)
+
+    @property
     def has_live_application_references(self) -> bool:
         """True when user code could still observe effects on this store.
 
@@ -190,7 +210,7 @@ class StoreManager:
     def create_store(
         self,
         shape: Sequence[int],
-        dtype: np.dtype = np.float64,
+        dtype: np.dtype = FLOAT64,
         name: Optional[str] = None,
     ) -> Store:
         """Create a fresh store with a unique id."""
@@ -200,7 +220,7 @@ class StoreManager:
         return store
 
     def create_scalar_store(
-        self, dtype: np.dtype = np.float64, name: Optional[str] = None
+        self, dtype: np.dtype = FLOAT64, name: Optional[str] = None
     ) -> Store:
         """Create a zero-dimensional store, used for reduction results."""
         return self.create_store(shape=(), dtype=dtype, name=name)

@@ -134,8 +134,11 @@ def scalar_group_pattern(values: Iterable[float]) -> Tuple[int, ...]:
     return tuple(pattern)
 
 
-def stream_scalar_pattern(tasks: Iterable["IndexTask"]) -> Tuple[int, ...]:
+def stream_scalar_pattern(tasks: Iterable) -> Tuple[int, ...]:
     """The scalar equality pattern of a task stream, in program order.
+
+    ``tasks`` are index tasks or the deferred records standing for them
+    (anything with ``scalar_args``).
 
     The single definition shared by the memoization window key and the
     trace stream key — the two must never diverge, or a replayed plan
@@ -254,6 +257,100 @@ class IndexTask:
         return (
             f"IndexTask({self.task_name}, domain={self.launch_domain.shape}, "
             f"args=[{arg_str}])"
+        )
+
+
+class TaskSkeleton:
+    """Everything a launch fixes besides its stores and scalars.
+
+    The task name, the launch domain and one ``(partition, privilege,
+    redop)`` per argument: the part of an :class:`IndexTask` that repeats
+    from iteration to iteration.  The runtime context interns one
+    skeleton per distinct shape, so a steady program's submissions share
+    a handful of them; the trace layer keys a deferred task by its
+    skeleton and argument slots.  Equal skeletons compare and hash
+    equal, and the hash is computed once.
+    """
+
+    __slots__ = ("task_name", "launch_domain", "specs", "_hash")
+
+    def __init__(
+        self,
+        task_name: str,
+        launch_domain: Domain,
+        specs: Sequence[Tuple[Partition, Privilege, Optional[ReductionOp]]],
+    ) -> None:
+        specs = tuple(specs)
+        for _partition, privilege, redop in specs:
+            validate_reduction(privilege, redop)
+        self.task_name = task_name
+        self.launch_domain = launch_domain
+        self.specs = specs
+        self._hash = hash((task_name, launch_domain, specs))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TaskSkeleton):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.task_name == other.task_name
+            and self.launch_domain == other.launch_domain
+            and self.specs == other.specs
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"TaskSkeleton({self.task_name}, domain={self.launch_domain.shape})"
+
+
+class DeferredTask:
+    """One submitted launch: a skeleton, its stores and its scalars.
+
+    What the frontends submit and the deferred task stream buffers.  The
+    :class:`IndexTask` it stands for — one :class:`StoreArg` per
+    ``(store, spec)`` pair — is built by :meth:`task` only where a
+    pipeline needs it: an epoch that misses the trace cache, an untraced
+    engine, or the unfused baseline.  A replayed epoch reads the stores
+    and scalars straight off the record.
+    """
+
+    __slots__ = ("skeleton", "stores", "scalar_args")
+
+    def __init__(
+        self,
+        skeleton: TaskSkeleton,
+        stores: Tuple[Store, ...],
+        scalar_args: Tuple[float, ...] = (),
+    ) -> None:
+        self.skeleton = skeleton
+        self.stores = stores
+        self.scalar_args = scalar_args
+
+    @classmethod
+    def of(cls, task: IndexTask) -> "DeferredTask":
+        """The record of an index task built by hand (an uninterned skeleton)."""
+        skeleton = TaskSkeleton(
+            task.task_name,
+            task.launch_domain,
+            [(arg.partition, arg.privilege, arg.redop) for arg in task.args],
+        )
+        return cls(skeleton, tuple(arg.store for arg in task.args), task.scalar_args)
+
+    def task(self) -> IndexTask:
+        """The index task this record stands for."""
+        skeleton = self.skeleton
+        return IndexTask(
+            skeleton.task_name,
+            skeleton.launch_domain,
+            [
+                StoreArg(store, partition, privilege, redop)
+                for store, (partition, privilege, redop) in zip(self.stores, skeleton.specs)
+            ],
+            self.scalar_args,
         )
 
 

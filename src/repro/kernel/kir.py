@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -424,18 +424,18 @@ def substitute_stmt(stmt: LoopStmt, mapping: Dict[str, str]) -> LoopStmt:
     raise TypeError(f"unknown loop statement {stmt!r}")
 
 
-def replace_load_with_expr(expr: Expr, buffer: str, replacement: Expr) -> Expr:
-    """Replace every ``Load(buffer)`` in ``expr`` with ``replacement``."""
-    if isinstance(expr, Load) and expr.buffer == buffer:
-        return replacement
+def replace_loads(expr: Expr, replacements: Mapping[str, Expr]) -> Expr:
+    """Replace every ``Load(b)`` in ``expr`` with ``replacements[b]``, in one walk."""
+    if isinstance(expr, Load):
+        return replacements.get(expr.buffer, expr)
     if isinstance(expr, BinOp):
         return BinOp(
             expr.op,
-            replace_load_with_expr(expr.lhs, buffer, replacement),
-            replace_load_with_expr(expr.rhs, buffer, replacement),
+            replace_loads(expr.lhs, replacements),
+            replace_loads(expr.rhs, replacements),
         )
     if isinstance(expr, UnOp):
-        return UnOp(expr.op, replace_load_with_expr(expr.operand, buffer, replacement))
+        return UnOp(expr.op, replace_loads(expr.operand, replacements))
     return expr
 
 

@@ -15,7 +15,7 @@ task-local buffers, exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Mapping, Set
 
 from repro.kernel.kir import (
     Alloc,
@@ -27,20 +27,21 @@ from repro.kernel.kir import (
     LoopStmt,
     Reduce,
     Stmt,
-    replace_load_with_expr,
+    replace_loads,
 )
 from repro.kernel.passes.compose import KernelBinding
 
 
-def _loops_touching(function: Function, buffer: str) -> List[int]:
-    touching = []
+def _loops_touching(function: Function, buffers: List[str]) -> Dict[str, List[int]]:
+    """Indices of the loops that touch each buffer, in one walk of the body."""
+    touching: Dict[str, List[int]] = {buffer: [] for buffer in buffers}
     for index, stmt in enumerate(function.body):
         if not isinstance(stmt, Loop):
             continue
-        reads = stmt.buffers_read()
-        writes = stmt.buffers_written()
-        if buffer in reads or buffer in writes or stmt.index_buffer == buffer:
-            touching.append(index)
+        touched = stmt.buffers_read() | stmt.buffers_written()
+        touched.add(stmt.index_buffer)
+        for buffer in touched.intersection(touching):
+            touching[buffer].append(index)
     return touching
 
 
@@ -51,8 +52,9 @@ def scalarize_temporaries(function: Function, binding: KernelBinding) -> Functio
         return function
 
     scalarizable: Set[str] = set()
+    loops_of = _loops_touching(function, alloc_names)
     for name in alloc_names:
-        touching = _loops_touching(function, name)
+        touching = loops_of[name]
         if len(touching) == 1:
             loop = function.body[touching[0]]
             assert isinstance(loop, Loop)
@@ -62,12 +64,13 @@ def scalarize_temporaries(function: Function, binding: KernelBinding) -> Functio
     if not scalarizable:
         return function
 
+    locals_of = {name: LocalRef(_local_name(name)) for name in scalarizable}
     body: List[Stmt] = []
     for stmt in function.body:
         if isinstance(stmt, Alloc) and stmt.name in scalarizable:
             continue
         if isinstance(stmt, Loop):
-            body.append(_rewrite_loop(stmt, scalarizable))
+            body.append(_rewrite_loop(stmt, locals_of))
         else:
             body.append(stmt)
     return function.with_body(body)
@@ -84,29 +87,26 @@ def _writes_precede_reads(loop: Loop, buffer: str) -> bool:
     return written
 
 
-def _rewrite_loop(loop: Loop, scalarizable: Set[str]) -> Loop:
-    """Turn writes to scalarizable buffers into local defs and reads into refs."""
+def _rewrite_loop(loop: Loop, locals_of: Mapping[str, Expr]) -> Loop:
+    """Turn writes to scalarizable buffers into local defs and reads into refs.
+
+    ``locals_of`` maps each scalarizable buffer to its local reference.
+    """
     new_body: List[LoopStmt] = []
     for stmt in loop.body:
         if isinstance(stmt, Assign):
-            expr = _replace_reads(stmt.expr, scalarizable)
-            if not stmt.is_local and stmt.target in scalarizable:
+            expr = replace_loads(stmt.expr, locals_of)
+            if not stmt.is_local and stmt.target in locals_of:
                 new_body.append(Assign(target=_local_name(stmt.target), expr=expr, is_local=True))
             else:
                 new_body.append(Assign(target=stmt.target, expr=expr, is_local=stmt.is_local))
         elif isinstance(stmt, Reduce):
             new_body.append(
-                Reduce(target=stmt.target, kind=stmt.kind, expr=_replace_reads(stmt.expr, scalarizable))
+                Reduce(target=stmt.target, kind=stmt.kind, expr=replace_loads(stmt.expr, locals_of))
             )
         else:  # pragma: no cover - no other loop statement kinds exist
             new_body.append(stmt)
     return Loop(index_buffer=loop.index_buffer, body=tuple(new_body), parallel=loop.parallel)
-
-
-def _replace_reads(expr: Expr, scalarizable: Set[str]) -> Expr:
-    for name in scalarizable:
-        expr = replace_load_with_expr(expr, name, LocalRef(_local_name(name)))
-    return expr
 
 
 def _local_name(buffer: str) -> str:

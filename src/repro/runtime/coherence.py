@@ -102,6 +102,10 @@ class CoherenceTracker:
             self._states[store.uid] = existing
         return existing
 
+    def forget(self, store: Store) -> None:
+        """Drop a dead store's layout (storage reclamation, ``runtime/trace.py``)."""
+        self._states.pop(store.uid, None)
+
     def reset(self) -> None:
         """Forget all layouts (used between benchmark configurations)."""
         self._states.clear()

@@ -27,6 +27,10 @@ DECLINE_REASONS = (
     "worker_lost",  # a pool worker died or missed the reply deadline
 )
 
+#: Where an index task is built from a deferred record
+#: (``Profiler.tasks_materialised``).
+MATERIALISED_BY = ("eager", "miss", "replay")
+
 #: Why a section of a super-kernel kept its internal rank loop instead of
 #: running once over the merged span (``superkernel._row_reduce_tile``).
 RANKED_REASONS = (
@@ -83,6 +87,13 @@ class Profiler:
         self.trace_misses: int = 0
         #: Library tasks whose resolution was bypassed by trace replay.
         self.trace_replayed_tasks: int = 0
+        #: Index tasks built from deferred records, by where: ``eager``
+        #: (every submission to an untraced or unfused engine), ``miss``
+        #: (every task of an epoch that missed the trace cache) and
+        #: ``replay`` (an opaque launch run per rank on replay, which
+        #: hands its operator the task).  Nothing else in a replayed
+        #: epoch builds one.
+        self.tasks_materialised: Dict[str, int] = dict.fromkeys(MATERIALISED_BY, 0)
         #: Plan-scheduler counters: replays that went through dependence
         #: analysis, aggregate step/level/width figures of their DAGs,
         #: and how many steps ran on the worker pool (the rest ran
@@ -545,6 +556,8 @@ class Profiler:
             }
             for reason, count in self.declines.items():
                 counters[f"decline_{reason}"] = count
+            for path, count in self.tasks_materialised.items():
+                counters[f"tasks_materialised_{path}"] = count
             counters["decline_plan_not_hot"] = self.plans_not_hot
             ranked = 0
             for shape, count in self.superkernel_sections.items():

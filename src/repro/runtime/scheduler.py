@@ -51,9 +51,9 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import config
-from repro.ir.privilege import Privilege, ReductionOp
+from repro.ir.privilege import ReductionOp
 from repro.ir.store import Store
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import DeferredTask, IndexTask
 from repro.runtime import executor as executor_module
 from repro.runtime import procpool, telemetry
 from repro.runtime.executor import ChunkWork
@@ -101,10 +101,6 @@ class ScheduledStep:
     #: scalar rebinding plan — the stream key pins every task's scalar
     #: count, so the flat-offset arithmetic is done once per plan.
     scalar_binds: Tuple[Tuple[str, int, int], ...] = ()
-    #: ``(key, slot, is_reduction, rect table)`` per buffer: a compiled
-    #: step's captured bindings, or — filled in by :func:`_bindings` on
-    #: first use — an opaque step's arguments by index.
-    bindings: Optional[tuple] = None
     #: Reduction key -> ``(slot, operator)``: where the level's join
     #: folds the step's partials.
     targets: Optional[Dict[object, Tuple[int, ReductionOp]]] = None
@@ -148,7 +144,7 @@ class PlanDispatch:
 def analyze_plan(
     plan: ExecutionPlan,
     slot_stores: Sequence[Store],
-    tasks: Sequence[IndexTask] = (),
+    tasks: Sequence[DeferredTask] = (),
 ) -> PlanSchedule:
     """Build the step-level dependence DAG of a plan and levelize it.
 
@@ -196,7 +192,6 @@ def analyze_plan(
                 volume=_step_volume(step, slot_stores),
                 num_points=step.num_points,
                 scalar_binds=_scalar_binds(step, tasks) if compiled else (),
-                bindings=step.buffer_bindings if compiled else None,
                 targets=_fold_targets(step, compiled),
             )
         )
@@ -263,7 +258,7 @@ def _accounting(plan: ExecutionPlan, index_by_plan: Dict[int, int]) -> Tuple[obj
 
 
 def _scalar_binds(
-    step: CompiledStep, tasks: Sequence[IndexTask]
+    step: CompiledStep, tasks: Sequence[DeferredTask]
 ) -> Tuple[Tuple[str, int, int], ...]:
     """Translate a step's flat scalar indices into (position, inner) pairs."""
     if not step.scalar_order or not tasks:
@@ -303,44 +298,18 @@ def _step_volume(step: object, slot_stores: Sequence[Store]) -> int:
 
 
 def _rebuild_opaque_task(
-    step: OpaqueStep,
-    slot_stores: Sequence[Store],
-    tasks: Sequence[IndexTask],
+    step: OpaqueStep, tasks: Sequence[DeferredTask], profiler
 ) -> IndexTask:
-    """Reconstruct an opaque launch's task with the current epoch's stores."""
-    args = tuple(
-        StoreArg(slot_stores[slot], partition, privilege, redop)
-        for slot, partition, privilege, redop in step.arg_specs
-    )
-    return IndexTask(
-        task_name=step.task_name,
-        launch_domain=step.launch_domain,
-        args=args,
-        scalar_args=tasks[step.position].scalar_args,
-    )
+    """The index task of an opaque launch, built from this epoch's record.
 
-
-def _bindings(entry: ScheduledStep, executor, slot_stores, tasks) -> tuple:
-    """A step's buffer bindings; an opaque step's are decided on first use.
-
-    Shapes, partitions and launch domains are part of the trace key, so
-    the rect tables an opaque launch resolved once hold for every replay.
+    The record at the step's position binds the same slots the captured
+    launch did (the stream key pins them), so its task is the launch's.
     """
-    if entry.bindings is None:
-        task = _rebuild_opaque_task(entry.step, slot_stores, tasks)
-        entry.bindings = tuple(
-            (index, spec[0], arg.privilege is Privilege.REDUCE, executor.launch_rects(arg, task))
-            for index, (spec, arg) in enumerate(zip(entry.step.arg_specs, task.args))
-        )
-    return entry.bindings
+    profiler.tasks_materialised["replay"] += 1
+    return tasks[step.position].task()
 
 
-def _plan_dispatch(
-    schedule: PlanSchedule,
-    executor,
-    slot_stores: Sequence[Store],
-    tasks: Sequence[IndexTask],
-) -> PlanDispatch:
+def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     """Per-step ``(dispatched, point width, rank chunks)`` decisions.
 
     None of this depends on the epoch's stores or scalars (shapes and
@@ -386,7 +355,7 @@ def _plan_dispatch(
                 width = 1
             rows: Sequence = ()
             if width > 1 and entry.num_points > 1:
-                rows = _bindings(entry, executor, slot_stores, tasks)
+                rows = entry.step.buffer_bindings
             chunks = executor.point_chunk_plan(entry.num_points, rows, width)
             decisions[index] = (index in dispatched, width, chunks)
             launches.append((index, entry, width, chunks))
@@ -437,7 +406,7 @@ class PlanScheduler:
         plan: ExecutionPlan,
         engine,
         slot_stores: Sequence[Store],
-        tasks: Sequence[IndexTask],
+        tasks: Sequence[DeferredTask],
     ) -> None:
         """Replay ``plan`` against the current epoch's stores."""
         runtime = self.runtime
@@ -449,7 +418,7 @@ class PlanScheduler:
         schedule = plan.schedule
         if schedule is None:
             schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
-        dispatch = _plan_dispatch(schedule, executor, slot_stores, tasks)
+        dispatch = _plan_dispatch(schedule, executor)
         #: Per-replay slot -> region field memo shared by all steps.
         prepare = partial(self._step_work, slot_stores, tasks, {}, plan.uninitialised_slots)
         resident = None
@@ -538,7 +507,7 @@ class PlanScheduler:
     def _step_work(
         self,
         slot_stores: Sequence[Store],
-        tasks: Sequence[IndexTask],
+        tasks: Sequence[DeferredTask],
         fields: Dict[int, object],
         uninitialised,
         entry: ScheduledStep,
@@ -556,7 +525,7 @@ class PlanScheduler:
         executor = self.runtime.executor
         rows = []
         regions = self.runtime.regions
-        for key, slot, is_reduction, table in _bindings(entry, executor, slot_stores, tasks):
+        for key, slot, is_reduction, table in step.buffer_bindings:
             resolved = None
             if not is_reduction:
                 resolved = fields.get(slot)
@@ -568,7 +537,7 @@ class PlanScheduler:
         if not entry.compiled:
             return executor.opaque_work(
                 step.impl, rows, entry.num_points, tasks[step.position].scalar_args,
-                partial(_rebuild_opaque_task, step, slot_stores, tasks),
+                partial(_rebuild_opaque_task, step, tasks, self.runtime.profiler),
             )
         scalars = {
             name: tasks[position].scalar_args[inner]

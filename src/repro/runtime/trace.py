@@ -12,12 +12,14 @@ dynamic tracing and Bohrium's runtime fusion of array operations:
 1. The Diffuse layer defers submitted tasks into an *epoch* buffer
    instead of eagerly feeding its fusion window (the deferred task
    stream).  An epoch ends at the next synchronisation point.
-2. As tasks arrive the epoch's task stream is canonicalized (store uids
-   and partitions replaced by De-Bruijn-style indices, as in the
-   memoization of paper Section 5.2; each canonical task interned to a
-   small int), so the boundary only samples per-slot liveness and
-   entry-coherence state and the scalar equality pattern, and looks the
-   plan up.
+2. Submissions arrive as deferred records — an interned
+   :class:`~repro.ir.task.TaskSkeleton` plus stores and scalars — and
+   are canonicalized as they arrive (store uids replaced by
+   De-Bruijn-style slots, as in the memoization of paper Section 5.2;
+   each canonical task interned to a small int), so the boundary only
+   samples per-slot liveness and entry-coherence state and the scalar
+   equality pattern, and looks the plan up.  Index tasks are built only
+   for an epoch that misses.
 3. On the first *steady* occurrence of a key — an occurrence whose
    window rounds were all memoization hits and charged no compile time —
    a :class:`TraceRecorder` captures the fully-resolved sequence of
@@ -50,11 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
-from repro.ir.domain import Domain
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
-from repro.ir.task import FusedTask, IndexTask, stream_scalar_pattern
+from repro.ir.task import DeferredTask, FusedTask, TaskSkeleton, stream_scalar_pattern
 from repro.runtime import telemetry
 
 #: Upper bound on the deferred epoch buffer.  An application that never
@@ -138,7 +139,6 @@ class OpaqueStep:
 
     impl: object  # OpaqueTaskImpl
     task_name: str
-    launch_domain: Domain
     #: (canonical slot, partition, privilege, redop) per argument.
     arg_specs: Tuple[Tuple[int, Partition, Privilege, Optional[ReductionOp]], ...]
     #: Launch ranks (point tasks) of the step, recorded at capture time
@@ -151,6 +151,10 @@ class OpaqueStep:
     footprint: StepFootprint
     communication_seconds: float
     overhead_seconds: float
+    #: ``(argument index, slot, is_reduction, rect table)`` per argument,
+    #: resolved at capture (shapes, partitions and the launch domain are
+    #: part of the trace key, so the tables hold for every replay).
+    buffer_bindings: Tuple[Tuple[int, int, bool, list], ...] = ()
 
 
 @dataclass
@@ -380,6 +384,7 @@ class TraceRecorder:
     def _opaque_step(self, launch, record) -> OpaqueStep:
         task = launch.task
         slot_of_uid = self.stream.slot_of_uid
+        launch_rects = self.runtime.executor.launch_rects
         arg_specs = tuple(
             (slot_of_uid[arg.store.uid], arg.partition, arg.privilege, arg.redop)
             for arg in task.args
@@ -387,13 +392,16 @@ class TraceRecorder:
         return OpaqueStep(
             impl=launch.opaque_impl,
             task_name=task.task_name,
-            launch_domain=task.launch_domain,
             arg_specs=arg_specs,
             num_points=task.launch_domain.volume,
             position=self.stream.position_of_uid[task.uid],
             footprint=self._footprint(task.args),
             communication_seconds=record.communication_seconds,
             overhead_seconds=record.overhead_seconds,
+            buffer_bindings=tuple(
+                (index, spec[0], arg.privilege is Privilege.REDUCE, launch_rects(arg, task))
+                for index, (spec, arg) in enumerate(zip(arg_specs, task.args))
+            ),
         )
 
     # -- plan construction ----------------------------------------------
@@ -441,19 +449,22 @@ class TraceRecorder:
 class TraceController:
     """Owns the deferred epoch buffer and the plan cache of one engine.
 
-    The epoch's canonical form is built as tasks arrive (:meth:`add`):
-    each store gets a canonical slot on first appearance, each partition
-    a controller-lifetime id, and each canonical task — name, launch
-    shape, per-argument ``(slot, store shape, partition id, privilege,
-    redop)``, scalar count — an interned small-int id.  The epoch's
+    The epoch buffers :class:`~repro.ir.task.DeferredTask` records, and
+    its canonical form is built as they arrive (:meth:`add`): each store
+    gets a canonical slot on first appearance, each skeleton a
+    controller-lifetime id, and each canonical task — skeleton id,
+    scalar count, per-argument slot with the store's shape where the
+    slot first appears — an interned small-int id.  The epoch's
     structure is then the tuple of its task ids, and :meth:`boundary`
     never re-walks the epoch: it samples what may change after a task is
     submitted (application liveness per slot, entry coherence per slot),
     the scalar equality pattern and the window fingerprint, and looks
-    the plan up.  Partition ids are global, so equal structures hold the
-    same concrete partitions at the same argument positions: captured
-    rect tables and communication are only valid for the concrete
-    partitions, not just their canonical positions.
+    the plan up.  Skeleton ids are global and a skeleton holds concrete
+    partitions, so equal structures hold the same concrete partitions at
+    the same argument positions: captured rect tables and communication
+    are only valid for the concrete partitions, not just their canonical
+    positions.  Index tasks are built (``DiffuseRuntime.materialise``)
+    only when an epoch misses and runs through the eager pipeline.
     """
 
     def __init__(self, engine) -> None:
@@ -468,9 +479,9 @@ class TraceController:
         #: ``alpha`` colliding with a constant for one iteration), which
         #: forces a conservative re-record (see ROADMAP open item 3).
         self._streams: Dict[Hashable, list] = {}
-        #: Canonical task -> interned id; partition -> id.
+        #: Canonical task -> interned id; skeleton -> id.
         self._task_ids: Dict[Hashable, int] = {}
-        self._partition_ids: Dict[Partition, int] = {}
+        self._skeleton_ids: Dict[TaskSkeleton, int] = {}
         self._begin_epoch()
         #: Plans captured / replayed (observability; the profiler holds
         #: the canonical hit/miss counters).
@@ -485,7 +496,7 @@ class TraceController:
 
     def _begin_epoch(self) -> None:
         """Start an empty epoch buffer and its canonical form."""
-        self._pending: List[IndexTask] = []
+        self._pending: List[DeferredTask] = []
         self._structure: List[int] = []
         self._slot_stores: List[Store] = []
         self._slot_of_uid: Dict[int, int] = {}
@@ -496,30 +507,31 @@ class TraceController:
         """Number of tasks buffered in the current epoch."""
         return len(self._pending)
 
-    def add(self, task: IndexTask) -> None:
-        """Defer one submitted task into the current epoch.
+    def add(self, task: DeferredTask) -> None:
+        """Defer one submitted record into the current epoch.
 
-        Canonicalizes the task into the epoch's structure on the way in
-        (see the class docstring).  References are taken per *argument*
-        (not per distinct store): add/remove are symmetric, so the
-        per-task dedup of ``task.stores()`` would only cost allocations
-        on the hot path.
+        Canonicalizes it into the epoch's structure on the way in (see
+        the class docstring).  References are taken per *argument* (not
+        per distinct store): add/remove are symmetric, so a per-task
+        dedup would only cost allocations on the hot path.
         """
         slot_of_uid = self._slot_of_uid
-        partition_ids = self._partition_ids
-        # Flat: three task fields, then five per argument.
-        canonical = [task.task_name, task.launch_domain.shape, len(task.scalar_args)]
-        for arg in task.args:
-            store = arg.store
+        slot_stores = self._slot_stores
+        skeleton_ids = self._skeleton_ids
+        skeleton = skeleton_ids.get(task.skeleton)
+        if skeleton is None:
+            skeleton = skeleton_ids[task.skeleton] = len(skeleton_ids)
+        # Flat: skeleton id and scalar count, then a slot per argument,
+        # each new slot preceded by its store's shape.
+        canonical = [skeleton, len(task.scalar_args)]
+        for store in task.stores:
             store.add_pending_stream_reference()
             slot = slot_of_uid.get(store.uid)
             if slot is None:
-                slot = slot_of_uid[store.uid] = len(self._slot_stores)
-                self._slot_stores.append(store)
-            partition = partition_ids.get(arg.partition)
-            if partition is None:
-                partition = partition_ids[arg.partition] = len(partition_ids)
-            canonical += (slot, store.shape, partition, arg.privilege, arg.redop)
+                slot = slot_of_uid[store.uid] = len(slot_stores)
+                slot_stores.append(store)
+                canonical.append(store.shape)
+            canonical.append(slot)
         canonical = tuple(canonical)
         task_id = self._task_ids.get(canonical)
         if task_id is None:
@@ -610,6 +622,8 @@ class TraceController:
             return
 
         profiler.record_trace_miss()
+        records = tasks
+        tasks = [engine.materialise(record, "miss") for record in records]
         stream = CanonicalStream(
             slot_stores=slot_stores,
             slot_of_uid=slot_of_uid,
@@ -632,15 +646,15 @@ class TraceController:
             engine.begin_capture(recorder)
             fed = 0
             try:
-                for task in tasks:
-                    for arg in task.args:
-                        arg.store.remove_pending_stream_reference()
+                for record, task in zip(records, tasks):
+                    for store in record.stores:
+                        store.remove_pending_stream_reference()
                     fed += 1
                     engine.window_submit(task)
                 engine.drain_window()
             finally:
                 engine.end_capture()
-                self._release(tasks, fed)
+                self._release(records, fed)
             self._reclaim_dead_fields(slot_stores)
 
         captured_launches = any(
@@ -657,11 +671,11 @@ class TraceController:
             self.captured_plans += 1
 
     @staticmethod
-    def _release(tasks: Sequence[IndexTask], already_fed: int) -> None:
+    def _release(tasks: Sequence[DeferredTask], already_fed: int) -> None:
         """Drop the pending references of tasks not yet handed on."""
         for task in tasks[already_fed:]:
-            for arg in task.args:
-                arg.store.remove_pending_stream_reference()
+            for store in task.stores:
+                store.remove_pending_stream_reference()
 
     def _reclaim_dead_fields(self, slot_stores: Sequence[Store]) -> None:
         """Free the backing storage of stores this epoch killed.
@@ -676,26 +690,27 @@ class TraceController:
         counts alone (paper Section 5.1): every launch of the epoch has
         joined, so a store with no application handle, no buffered task
         and no runtime reference can never be observed again — its
-        field is reclaimed (the store object itself stays registered;
-        should code ever touch it again it gets a fresh field, zeroed
-        unless the launch it is allocated for defines it whole).
-        ``slot_stores`` are the epoch's distinct stores in first-use
-        order, deduplicated once by :meth:`add`.
+        field is reclaimed, and the store leaves the coherence table and
+        its manager's registry (should code ever touch it again it gets
+        a fresh field, zeroed unless the launch it is allocated for
+        defines it whole, and starts with no layout, as a new store
+        does).  ``slot_stores`` are the epoch's distinct stores in
+        first-use order, deduplicated once by :meth:`add`.
         """
-        regions = self.engine.runtime.regions
+        runtime = self.engine.runtime
+        regions, coherence = runtime.regions, runtime.coherence
         watch = self._reclaim_watch
         for store in slot_stores:
             # Only frontend-managed stores: a store created bare by
             # runtime internals (e.g. CSR index arrays) is held by
             # plain Python references the counters never witness.
-            if store.uid not in watch and store.ever_application_referenced:
+            if store.ever_application_referenced:
                 watch[store.uid] = store
-        for uid in list(watch):
-            store = watch[uid]
-            if (
-                store.application_references == 0
-                and store.pending_stream_references == 0
-                and store.runtime_references == 0
-            ):
+        for uid, store in list(watch.items()):
+            if store.unreferenced:
                 del watch[uid]
                 regions.reclaim_storage(store)
+                coherence.forget(store)
+                manager = store.manager
+                if manager is not None:
+                    manager.forget(store)

@@ -106,6 +106,19 @@ def format_sections(counters: Dict[str, object]) -> str:
     return f"super-kernel sections: {shapes}" + (f" ({reasons})" if reasons else "")
 
 
+def format_materialised(counters: Dict[str, object]) -> str:
+    """One line: index tasks built from deferred records, in replayed
+    epochs (each one a task the replay built to throw away), in missed
+    epochs, and on the untraced path."""
+    replayed = counters["tasks_materialised_replay"]
+    return (
+        f"tasks materialised: {replayed} in {counters['trace_hits']} replayed epochs "
+        f"({replayed / max(1, counters['trace_hits']):.2f} per epoch); "
+        f"{counters['tasks_materialised_miss']} in {counters['trace_misses']} missed "
+        f"epochs; {counters['tasks_materialised_eager']} eager"
+    )
+
+
 def format_dispatch(counters: Dict[str, object], slots: int) -> str:
     """One line: the pool's slots and placement, frames and worker chunks
     per epoch, and how often a round trip preempted the sending thread.
@@ -204,6 +217,7 @@ def main() -> int:
     if args.summary:
         print(format_summary(*telemetry.span_summary()))
         print(format_sections(snapshot))
+        print(format_materialised(snapshot))
         slots = procpool.pool_size() if args.point_workers > 1 else 1
         print(format_dispatch(snapshot, slots))
     if output:

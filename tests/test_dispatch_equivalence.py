@@ -695,11 +695,11 @@ class _InPlaceScale(Application):
         self.x = cn.array(np.linspace(1.0, 2.0, rows), name="inplace_x")
 
     def step(self):
-        self.context.submit(
+        self.x._submit(
             "test-scale-in-place",
-            self.x.launch_domain(),
-            [StoreArg(self.x.store, self.x.partition(), Privilege.READ_WRITE)],
-            scalar_args=(1.5, 0.25),
+            (self.x.store,),
+            ((self.x.partition(), Privilege.READ_WRITE, None),),
+            (1.5, 0.25),
         )
 
     def checksum(self):

@@ -7,7 +7,7 @@ from repro.ir.domain import Domain
 from repro.ir.partition import Replication, Tiling, natural_tiling
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import StoreManager
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import DeferredTask, IndexTask, StoreArg
 from repro.fusion.engine import DiffuseRuntime, FusionConfig
 from repro.fusion.memoization import (
     FusionDecision,
@@ -18,6 +18,10 @@ from repro.fusion.memoization import (
 from repro.fusion.temporaries import find_temporary_stores
 from repro.runtime.machine import MachineConfig
 from repro.runtime.runtime import LegionRuntime
+
+def _submit(engine, task):
+    """Submit a hand-built index task the way a frontend submits a launch."""
+    engine.submit(DeferredTask.of(task))
 
 
 def _chain(manager, launch, length=3, shape=(16,), live_refs=False):
@@ -180,7 +184,7 @@ class TestDiffuseEngine:
         runtime.attach_array(a, np.arange(16, dtype=np.float64))
         runtime.attach_array(b, np.ones(16))
         for task in tasks:
-            engine.submit(task)
+            _submit(engine, task)
         for out in outs[:-1]:
             out.remove_application_reference()
         engine.flush_window()
@@ -217,7 +221,7 @@ class TestDiffuseEngine:
             runtime.attach_array(a, np.arange(16, dtype=np.float64))
             runtime.attach_array(b, np.ones(16))
             for task in tasks:
-                engine.submit(task)
+                _submit(engine, task)
             engine.flush_window()
         assert engine.compiler.stats.compilations == 1
         assert engine.cache.hits >= 1
@@ -249,7 +253,7 @@ class TestDiffuseEngine:
         data = manager.create_store((16,))
         result = manager.create_scalar_store()
         runtime.attach_array(data, np.full(16, 3.0))
-        engine.submit(IndexTask("sum_reduce", launch, [
+        _submit(engine, IndexTask("sum_reduce", launch, [
             StoreArg(data, part, Privilege.READ),
             StoreArg(result, Replication(), Privilege.REDUCE, ReductionOp.ADD),
         ]))

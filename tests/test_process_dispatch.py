@@ -467,7 +467,7 @@ class _StampPid(Application):
         self.out = cn.array(np.zeros(rows), name="stamp_out")
 
     def step(self):
-        self.context.submit("test-stamp-pid", self.out.launch_domain(), [self.out.write_arg()])
+        self.out._submit("test-stamp-pid", (self.out.store,), (self.out.write_spec(),))
 
 
 class TestCallingThreadSlot:

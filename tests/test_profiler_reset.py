@@ -43,6 +43,7 @@ def _dirty(profiler: Profiler) -> None:
     profiler.trace_hits = 7
     profiler.trace_misses = 2
     profiler.trace_replayed_tasks = 11
+    profiler.tasks_materialised["miss"] = 9
     profiler.plan_replays = 5
     profiler.plan_steps = 20
     profiler.plan_levels = 10

@@ -22,9 +22,13 @@ from repro.ir.domain import Domain, Rect
 from repro.ir.partition import Tiling, natural_tiling
 from repro.ir.privilege import Privilege
 from repro.ir.store import StoreManager
-from repro.ir.task import IndexTask, StoreArg
+from repro.ir.task import DeferredTask, IndexTask, StoreArg
 from repro.runtime.machine import MachineConfig
 from repro.runtime.runtime import LegionRuntime
+
+def _submit(engine, task):
+    """Submit a hand-built index task the way a frontend submits a launch."""
+    engine.submit(DeferredTask.of(task))
 
 
 @pytest.fixture(autouse=True)
@@ -209,7 +213,7 @@ class TestTraceController:
         for scalar in scalars:
             tasks, out = self._chain_epoch(manager, launch, (a, b), scalar)
             for task in tasks:
-                engine.submit(task)
+                _submit(engine, task)
             engine.flush_window()
             outs.append((scalar, out))
 
@@ -237,7 +241,7 @@ class TestTraceController:
         for _ in range(4):
             tasks, _ = self._chain_epoch(manager, launch, (a, b), 2.0)
             for task in tasks:
-                engine.submit(task)
+                _submit(engine, task)
             engine.flush_window()
         hits = runtime.profiler.trace_hits
         assert hits >= 1
@@ -248,7 +252,7 @@ class TestTraceController:
         misses_before = runtime.profiler.trace_misses
         tasks, out = self._chain_epoch(manager, launch, (a, b), 2.0)
         for task in tasks:
-            engine.submit(task)
+            _submit(engine, task)
         engine.flush_window()
         # The stream is isomorphic, but attach_array resets the
         # coherence state, which is part of the trace key; whether this
@@ -276,7 +280,7 @@ class TestTraceController:
             [StoreArg(a, part, Privilege.READ), StoreArg(out, part, Privilege.WRITE)],
         )
         assert not a.has_live_application_references
-        engine.submit(task)
+        _submit(engine, task)
         assert a.has_live_application_references  # pending stream ref
         engine.flush_window()
         assert not a.has_live_application_references
@@ -296,7 +300,7 @@ class TestTraceController:
         part = natural_tiling((16,), launch)
         for _ in range(5):
             out = manager.create_store((16,), name="o")
-            engine.submit(
+            _submit(engine, 
                 IndexTask(
                     "copy",
                     launch,
@@ -337,7 +341,7 @@ class TestWindowSizeFingerprint:
             current = nxt
         current.add_application_reference()
         for task in tasks:
-            engine.submit(task)
+            _submit(engine, task)
         engine.flush_window()
         return current
 
@@ -562,7 +566,7 @@ class TestEpochKeyAdversarial:
                 # The same tiles through a distinct (bounded) partition.
                 part = Tiling.create((4,), bounds=Rect((0,), (16,)))
             t, u, out = held("t"), held("u"), held("out")
-            engine.submit(IndexTask(
+            _submit(engine, IndexTask(
                 "multiply_scalar", launch,
                 [StoreArg(a, part, Privilege.READ), StoreArg(t, part, Privilege.WRITE)],
                 scalar_args=(s1,),
@@ -577,13 +581,13 @@ class TestEpochKeyAdversarial:
                     engine.flush_window()
                 assert engine.trace is None or engine.trace.pending == 0
                 runtime.attach_array(a, np.arange(16.0) * 3.0)
-            engine.submit(IndexTask(
+            _submit(engine, IndexTask(
                 "multiply_scalar", launch,
                 [StoreArg(t, part, Privilege.READ), StoreArg(u, part, Privilege.WRITE)],
                 scalar_args=(s2,),
             ))
             t.remove_application_reference()
-            engine.submit(IndexTask(
+            _submit(engine, IndexTask(
                 "add", launch,
                 [
                     StoreArg(u, part, Privilege.READ),

@@ -298,7 +298,6 @@ class TestLevelFrames:
         from repro.frontend import cunumeric as cn
         from repro.ir.domain import Domain
         from repro.ir.privilege import Privilege
-        from repro.ir.task import StoreArg
 
         class MixedLevel(ManuallyFusedShallowWater):
             def __init__(self, **kwargs):
@@ -308,9 +307,12 @@ class TestLevelFrames:
             def step(self):
                 new_h = self._submit_update("swe_update_h", -(self.dt / (2.0 * self.dx)))
                 self.context.submit(
-                    "swe_reflect_edges",
-                    Domain((1,)),
-                    [StoreArg(self.scratch.store, self.context.replication(), Privilege.READ_WRITE)],
+                    self.context.skeleton(
+                        "swe_reflect_edges",
+                        Domain((1,)),
+                        ((self.context.replication(), Privilege.READ_WRITE, None),),
+                    ),
+                    (self.scratch.store,),
                 )
                 self.h[1:-1, 1:-1] = new_h
                 self._apply_boundaries()
