@@ -96,7 +96,11 @@ class BlackScholes(Application):
         def cdf(values):
             from math import erf
 
-            return 0.5 * (np.vectorize(erf)(values / _SQRT_TWO) + 1.0)
+            # ``math.erf`` element by element straight into one float64
+            # array: no object array beside the data.
+            scaled = (values / _SQRT_TWO).ravel().tolist()
+            erfs = np.fromiter(map(erf, scaled), np.float64, count=len(scaled))
+            return 0.5 * (erfs.reshape(values.shape) + 1.0)
 
         discounted = strike * np.exp(-rate * expiry)
         call = np.maximum(spot * cdf(d1) - discounted * cdf(d2), 0.0)

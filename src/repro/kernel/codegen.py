@@ -1,41 +1,34 @@
-"""Code generation: KIR kernels compiled to blocked single-pass NumPy closures.
+"""Code generation: KIR kernels compiled to blocked NumPy bodies, run by one driver.
 
 The paper's Diffuse JIT-compiles fused MLIR kernels to real device code so
 that a memoized replay round executes pre-compiled kernels with no
 per-statement interpretation, and so that task-local temporaries become
 register values: a fused kernel reads its inputs once and writes its
-outputs once.  This module plays that role for the reproduction: a KIR
-:class:`~repro.kernel.kir.Function` is translated to Python source,
-compiled with the builtin ``compile`` exactly once, and wrapped in a
-:class:`CodegenExecutor` with the same calling convention as the
-tree-walking interpreter.
+outputs once.  This module plays that role for the reproduction.  A KIR
+:class:`~repro.kernel.kir.Function` is translated to the Python source of
+a *body* that holds only what touches data — the ufunc calls of each
+loop's block, the reductions after each loop and a ranked section's rank
+loop — compiled with the builtin ``compile`` exactly once and run by
+:func:`_run`, the one hand-written driver, from a small
+:class:`KernelPlan`: the driver looks the buffers up, raises for a
+missing one, converts the scalars, plans each loop's blocks
+(:class:`_Call`) and packages the reduction partials.
 
 A KIR ``Load`` is an element-wise load at the current loop index, so any
 schedule that visits every index once is a faithful execution of a loop.
-The generated code visits one cache-sized *block* of the tile at a time:
-per loop it slices the tile-shaped buffers along axis 0 and runs every
-statement of the loop over that block as ``ufunc(..., out)`` calls on a
-few block-sized scratch registers owned by the call, buffer assignments
-writing straight into the target slice.  An extent of at most one block
-— or a call whose buffer windows make a block loop illegal, see
-:func:`_plan_blocks` — runs the same body once over the unsliced
-buffers with ``out=None``, which is whole-tile evaluation.
+The body visits one cache-sized *block* of the tile at a time, as
+``ufunc(..., out)`` calls on a few block-sized scratch registers owned by
+the call, buffer assignments writing straight into the target slice.  An
+extent of at most one block — or a call whose buffer windows make a
+block loop illegal (:func:`_block_rows`) — runs the same body once over
+the unsliced buffers with ``out=None``: whole-tile evaluation.  The
+operations, their order and the reductions (of full-length operands)
+are the interpreter's, so results are bit-identical, which the
+differential backend (``REPRO_KERNEL_BACKEND=differential``) asserts on
+every call; ``docs/architecture.md`` ("Kernel tier") has the details.
 
-The emitted code performs the same per-element operations in the same
-order as the interpreter, and reductions by the same call over the same
-full-length operand (a reduced expression is evaluated block by block
-into one full-length scratch and reduced once after the loop), so
-results are bit-identical, which the differential backend
-(``REPRO_KERNEL_BACKEND=differential``) asserts on every kernel
-invocation.  ``docs/architecture.md`` ("Kernel tier") has the details.
-
-Compiled functions are cached by source text at module level.  Two
-kernels with the same canonical form produce identical source, so a
-memoization hit anywhere in the process (even from a different
-:class:`~repro.kernel.compiler.JITCompiler` instance of a weak-scaling
-sweep) reuses the already-compiled closure instead of invoking
-``compile`` again.  :func:`codegen_stats` exposes the counters that the
-regression tests assert on.
+Compiled bodies are cached by source text process-wide, so two kernels
+with the same canonical form compile once (:func:`codegen_stats` counts).
 """
 
 from __future__ import annotations
@@ -43,7 +36,9 @@ from __future__ import annotations
 import math
 import re
 import threading
+import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -65,6 +60,7 @@ from repro.kernel.kir import (
     UnOp,
     UnOpKind,
     _erf,
+    _erf_into,
 )
 from repro.kernel.lowering import KernelExecutor, ReductionPartial
 from repro.kernel.passes.compose import KernelBinding
@@ -154,12 +150,9 @@ _ROW_COMBINE_FMT: Dict[ReduceKind, str] = {
 #: elements to amortise its ~0.5 µs dispatch.
 BLOCK = 16384
 
-#: The block sequence of a loop that runs once over its unsliced buffers.
-_WHOLE = (None,)
-
-#: Source text -> compiled kernel entry point.  Keyed on the full module
-#: source so that two structurally-identical kernels (the same canonical
-#: form) share one compiled closure process-wide.
+#: Source text -> compiled body.  Keyed on the full source so that two
+#: structurally-identical kernels (the same canonical form) share one
+#: compiled body process-wide.
 _FUNCTION_CACHE: Dict[str, Callable] = {}
 
 
@@ -171,11 +164,12 @@ class CodegenCounters:
     source_cache_hits: int = 0
     #: Closure calls that ran at least one loop as more than one block.
     multi_block_calls: int = 0
+    #: Lines of the sources compiled, and the seconds ``compile`` took.
+    source_lines: int = 0
+    compile_seconds: float = 0.0
 
     def reset(self) -> None:
-        self.source_compilations = 0
-        self.source_cache_hits = 0
-        self.multi_block_calls = 0
+        self.__init__()
 
 
 _COUNTERS = CodegenCounters()
@@ -194,20 +188,54 @@ def clear_function_cache() -> None:
     _COUNTERS.reset()
 
 
-def _plan_blocks(reference, whole, written: int, registers: int, first: bool):
-    """Plan one loop of a generated kernel as a sequence of blocks.
+# ----------------------------------------------------------------------
+# The driver: everything a generated body does not do itself.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class KernelPlan:
+    """What the driver does around one generated body (:func:`_run`).
 
-    Called by generated code for a loop whose ``reference`` buffer holds
-    more than :data:`BLOCK` elements.  ``whole`` are the tile buffers the
-    loop touches, the ``written`` ones first.  Returns :data:`_WHOLE`
-    when the loop must run as one block of the full extent, else one
-    tuple per block: its axis-0 slice, every buffer of ``whole`` cut to
-    it and ``registers`` block-shaped scratch arrays.  The scratch
-    belongs to this call — the compiled closure is shared process-wide
-    by pool threads.
+    Plain data, so a :class:`~repro.runtime.procpool.SuperKernelSpec`
+    ships it to a worker beside the body's source.
+    """
 
-    A block loop is legal when every index is computed from its own
-    index alone, from the operands whole-tile evaluation would see:
+    #: Passed as ``buffers[name]``, in the body's parameter order.
+    buffers: Tuple[str, ...]
+    #: Passed as ``np.float64(scalars[name])``, after the buffers.
+    scalars: Tuple[str, ...]
+    #: ``(buffer position, message)``: a ``None`` there raises first.
+    guards: Tuple[Tuple[int, str], ...]
+    #: Per block loop: reference position (-1: always one block), tile
+    #: buffers, written ones among them, registers, full-length scratch.
+    loops: Tuple[Tuple[int, int, int, int, int], ...]
+    #: Empty lists passed last, for a ranked section's per-rank partials.
+    lists: int
+    #: What the body returns, in order: ``(target, kind)`` of each of a
+    #: kernel's ``ReductionPartial`` objects, or ``(prefixed target,
+    #: None)`` of each of a super-kernel's arrays of per-rank partials.
+    partials: Tuple[Tuple[str, Optional[ReduceKind]], ...]
+
+
+class KernelSource(str):
+    """The text of a generated body, carrying the plan it runs under."""
+
+    def __new__(cls, text: str, plan: KernelPlan) -> "KernelSource":
+        source = super().__new__(cls, text)
+        source.plan = plan
+        return source
+
+    def __reduce__(self):
+        # The plan travels on its own (``SuperKernelSpec.plan``).
+        return str, (str(self),)
+
+
+def _block_rows(reference, whole, written: int) -> int:
+    """Rows per block of a loop over ``reference``; 0 runs it as one block.
+
+    ``reference`` holds more than :data:`BLOCK` elements; ``whole`` are
+    the loop's tile buffers, the ``written`` ones first.  A block loop is
+    legal when every index is computed from its own index alone, from
+    the operands whole-tile evaluation would see:
 
     * Every buffer spans the reference index space.  A rank-0 buffer
       would be legal to broadcast, but a register filled from rank-0
@@ -223,43 +251,122 @@ def _plan_blocks(reference, whole, written: int, registers: int, first: bool):
     extent = shape[0]
     rows = max(1, BLOCK // (reference.size // extent))
     if rows >= extent:
-        return _WHOLE
+        return 0
     for buffer in whole:
         if buffer is not None and buffer.shape != shape:
-            return _WHOLE
+            return 0
     for target in whole[:written]:
         for other in whole:
             if other is None or other is target or not np.may_share_memory(target, other):
                 continue
-            if (
-                other.strides != target.strides
-                or other.__array_interface__["data"] != target.__array_interface__["data"]
-            ):
-                return _WHOLE
-    if first:
-        with _MULTI_BLOCK_LOCK:
-            _COUNTERS.multi_block_calls += 1
-    scratch = np.empty((registers, rows) + shape[1:])
-    block_registers = tuple(scratch)
-    blocks = []
-    for start in range(0, extent, rows):
-        cut = slice(start, start + rows)
-        cuts = [None if b is None else b[cut] for b in whole]
-        blocks.append((cut, *cuts, *block_registers))
-    ragged = extent % rows
-    if ragged:
-        blocks[-1] = (cut, *cuts, *scratch[:, :ragged])
-    return blocks
+            data = other.__array_interface__["data"], target.__array_interface__["data"]
+            if other.strides != target.strides or data[0] != data[1]:
+                return 0
+    return rows
 
 
-#: Globals shared by every generated kernel function.
+class _Call:
+    """One run of a compiled body: the driver's side of its block loops.
+
+    The body is shared process-wide by pool threads, so what a call
+    allocates, and whether it has blocked yet, belongs to this object.
+    """
+
+    __slots__ = ("loops", "blocked", "full")
+
+    def __init__(self, loops) -> None:
+        self.loops = loops
+        self.blocked = False
+        self.full: Optional[List[np.ndarray]] = None
+
+    def blocks(self, loop: int, *buffers) -> Sequence[tuple]:
+        """What the body's ``for`` over loop ``loop`` unpacks, one tuple a block.
+
+        ``buffers`` are the loop's tile buffers, written ones first, then
+        the reference buffer of each block-local allocation.  A block is
+        the tile buffers, registers, allocations and full-length scratch
+        cut to it; one block of the full extent has the buffers whole,
+        ``None`` for each register and scratch (whole-tile evaluation)
+        and a fresh ``empty_like`` per allocation.
+        """
+        reference, tiles, written, registers, fulls = self.loops[loop]
+        whole = buffers[:tiles]
+        anchor = whole[reference] if reference >= 0 else None
+        rows = 0 if anchor is None or anchor.size <= BLOCK else _block_rows(anchor, whole, written)
+        if not rows:
+            self.full = None
+            if tiles == len(buffers):  # no allocation between registers and scratch
+                return (buffers + (None,) * (registers + fulls),)
+            allocs = tuple(map(np.empty_like, buffers[tiles:]))
+            return (whole + (None,) * registers + allocs + (None,) * fulls,)
+        if not self.blocked:
+            self.blocked = True
+            with _MULTI_BLOCK_LOCK:
+                _COUNTERS.multi_block_calls += 1
+        shape = anchor.shape
+        extent = shape[0]
+        scratch = np.empty((registers + len(buffers) - tiles, rows) + shape[1:])
+        self.full = [np.empty(shape) for _ in range(fulls)]
+        own = tuple(scratch)
+        blocks = []
+        for start in range(0, extent, rows):
+            cut = slice(start, start + rows)
+            if start + rows > extent:
+                own = tuple(scratch[:, : extent - start])
+            blocks.append(
+                tuple(None if b is None else b[cut] for b in whole)
+                + own
+                + tuple(full[cut] for full in self.full)
+            )
+        return blocks
+
+    def fulls(self, *values) -> Sequence:
+        """A loop's full-length values: as computed, or the arrays its blocks filled."""
+        return values if self.full is None else self.full
+
+
+def _broadcast(value, reference):
+    """A reduced operand as the interpreter sees it: a 0-d value spans
+    the loop's index space, so summing a constant counts elements."""
+    value = np.asarray(value)
+    if value.ndim == 0 and reference is not None:
+        value = np.broadcast_to(value, reference.shape)
+    return value
+
+
+def _run(body: Callable, plan: KernelPlan, buffers, scalars) -> Dict[str, object]:
+    """Run a compiled body under its plan: the driver of every generated kernel.
+
+    Binds the buffers, raises for a guarded one that is not materialised
+    before anything runs, converts the scalars as the interpreter does,
+    hands the body a fresh :class:`_Call` and packages the partials.
+    """
+    # No comprehensions here: each is a function frame of its own.
+    args = list(map(buffers.__getitem__, plan.buffers))
+    for position, message in plan.guards:
+        if args[position] is None:
+            raise RuntimeError(message)
+    for name in plan.scalars:
+        args.append(np.float64(scalars[name]))
+    if plan.lists:
+        args += [[] for _ in range(plan.lists)]
+    values = body(_Call(plan.loops), *args)
+    partials: Dict[str, object] = {}
+    for (key, kind), value in zip(plan.partials, values or ()):
+        partials[key] = (
+            np.asarray(value, dtype=np.float64)
+            if kind is None
+            else ReductionPartial(kind=kind, value=value)
+        )
+    return partials
+
+
+#: Globals shared by every generated body.
 _KERNEL_ENV: Dict[str, object] = {
     "np": np,
     "_erf": _erf,
-    "_plan_blocks": _plan_blocks,
-    "_WHOLE": _WHOLE,
-    "ReductionPartial": ReductionPartial,
-    "ReduceKind": ReduceKind,
+    "_erf_into": _erf_into,
+    "_broadcast": _broadcast,
 }
 
 _IDENT_RE = re.compile(r"\W")
@@ -284,57 +391,54 @@ class _NameTable:
         self._names[(kind, name)] = ident
 
 
-class _PrefixedNames:
-    """A section-scoped view of a shared name table.
-
-    Super-kernel sections concatenate several kernels into one generated
-    function; prefixing every KIR name with the section's ``k{i}:`` tag
-    keeps the sections' namespaces disjoint while cross-section folds can
-    still alias two prefixed names to one identifier via ``seed``.
-    """
-
-    def __init__(self, base: _NameTable, prefix: str) -> None:
-        self._base = base
-        self._prefix = prefix
-
-    def get(self, kind: str, name: str) -> str:
-        return self._base.get(kind, self._prefix + name)
-
-
 class _SourceWriter:
-    """Accumulates the indented source lines of one generated function.
+    """The lines of one generated body and the plan its driver runs it with.
 
-    Block loops share the function's scratch names (``_o<i>`` register
-    outputs, ``_u<i>`` full-length scratch slices): each loop resets the
-    ones it bound, so they are initialised to ``None`` once, where
-    :meth:`reserve_scratch_init` was called.
+    The parameters are the driver's arguments in :class:`KernelPlan`
+    order, after the per-call :class:`_Call` (``_k``): the buffers, the
+    scalars, then the lists of ranked partials.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, comment: str) -> None:
+        self.comment = comment
         self.lines: List[str] = []
-        self.indent = 0
-        self.registers = 0
-        self.fulls = 0
-        self.plans = False
-        self._scratch_at: Optional[Tuple[int, int]] = None
+        self.indent = 1
+        #: ``(key, identifier)`` of each buffer and scalar parameter.
+        self.buffers: List[Tuple[str, str]] = []
+        self.scalars: List[Tuple[str, str]] = []
+        self.lists: List[str] = []
+        #: Buffer key -> message of its guard, first guard first.
+        self.guards: Dict[str, str] = {}
+        self.loops: List[Tuple[int, int, int, int, int]] = []
+        #: ``(key, kind, identifier)`` of each value the body returns.
+        self.partials: List[Tuple[str, Optional[ReduceKind], str]] = []
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    def reserve_scratch_init(self) -> None:
-        self._scratch_at = (len(self.lines), self.indent)
+    def source(self) -> KernelSource:
+        params = ["_k"] + [ident for _key, ident in self.buffers + self.scalars] + self.lists
+        lines = [f"def __kernel__({', '.join(params)}):  # {self.comment}"] + self.lines
+        if self.partials:
+            lines.append(f"    return {_names([ident for _key, _kind, ident in self.partials])}")
+        elif not self.lines:
+            lines.append("    pass")
+        position = {key: index for index, (key, _ident) in enumerate(self.buffers)}
+        plan = KernelPlan(
+            buffers=tuple(key for key, _ident in self.buffers),
+            scalars=tuple(key for key, _ident in self.scalars),
+            # Allocations and folded intermediates are body locals, never None.
+            guards=tuple((position[k], m) for k, m in self.guards.items() if k in position),
+            loops=tuple(self.loops),
+            lists=len(self.lists),
+            partials=tuple((key, kind) for key, kind, _ident in self.partials),
+        )
+        return KernelSource("\n".join(lines) + "\n", plan)
 
-    def source(self) -> str:
-        lines = list(self.lines)
-        scratch = [f"_o{i}" for i in range(self.registers)]
-        scratch += [f"_u{i}" for i in range(self.fulls)]
-        at, indent = self._scratch_at
-        pad = "    " * indent
-        if scratch:
-            lines.insert(at, pad + " = ".join(scratch) + " = None")
-        if self.plans:
-            lines.insert(at, pad + "_first = True")
-        return "\n".join(lines) + "\n"
+
+def _names(items: Sequence[str]) -> str:
+    """``a, b`` (``a,`` for one): an unpacking target or a returned tuple."""
+    return ", ".join(items) + ("," if len(items) == 1 else "")
 
 
 @dataclass
@@ -403,9 +507,11 @@ class _LoopEmitter:
     operands' registers are released first, so a dying operand is
     overwritten in place), the last operation of a buffer assignment
     writes straight into the target, and a loop-local value keeps its
-    register up to its last reference.  With ``defer`` the reductions are
-    finished after the block loop; without it the loop is not blockable
-    and they run where they stand.
+    register up to its last reference.  Inside the block loop a tile
+    buffer is its block view (kind ``c`` of the name table), after it the
+    whole buffer (kind ``b``).  With ``defer`` the reductions are finished
+    after the block loop; without it the loop is not blockable and they
+    run where they stand.
     """
 
     def __init__(self, kernel: "_KernelEmitter", loop: Loop, defer: bool) -> None:
@@ -440,10 +546,10 @@ class _LoopEmitter:
         self.registers += 1
         return self.registers - 1
 
-    def _pin(self, value: _Value, count: int = 1) -> None:
-        """Hold ``value``'s register for ``count`` more consumers."""
+    def _pin(self, value: _Value) -> None:
+        """Hold ``value``'s register for one more consumer."""
         if value.register is not None:
-            self.pins[value.register] = self.pins.get(value.register, 0) + count
+            self.pins[value.register] = self.pins.get(value.register, 0) + 1
 
     def _release(self, value: _Value) -> None:
         """One holder of ``value`` is done; the last one frees its register."""
@@ -458,8 +564,12 @@ class _LoopEmitter:
             self._release(value)
 
     # -- expressions ---------------------------------------------------
-    def _op(self, ufunc, operands, dest=None, result=None, cast=False) -> _Value:
-        """Emit one ufunc call; ``result`` is named when ``dest`` may be None."""
+    def _op(self, ufunc, operands, dest=None, result=None, cast=False, scratch=()) -> _Value:
+        """Emit one ufunc call; ``result`` is named when ``dest`` may be None.
+
+        With ``scratch`` registers it is a call of the helper
+        ``_<ufunc>_into`` (:func:`_erf_into`), which takes them last.
+        """
         for operand in operands:
             self._release(operand)
         register = None
@@ -467,10 +577,14 @@ class _LoopEmitter:
             register = self._acquire()
             self.pins[register] = 1  # held for the one consumer of the result
             dest, result = f"_o{register}", f"_t{register}"
-        # Positional ``out`` is the cheaper call; NumPy deprecates it for
-        # exactly these two ufuncs.
-        keyword = "out=" if ufunc in ("maximum", "minimum") else ""
-        call = f"np.{ufunc}({', '.join(v.text for v in operands)}, {keyword}{dest})"
+        args = ", ".join(v.text for v in operands)
+        if scratch:
+            call = f"_{ufunc}_into({args}, {dest}, {', '.join(f'_o{r}' for r in scratch)})"
+        else:
+            # Positional ``out`` is the cheaper call; NumPy deprecates it
+            # for exactly these two ufuncs.
+            keyword = "out=" if ufunc in ("maximum", "minimum") else ""
+            call = f"np.{ufunc}({args}, {keyword}{dest})"
         if result is None:
             self.body.append(call)
             return _Value(dest)
@@ -490,7 +604,7 @@ class _LoopEmitter:
             text = repr(value) if math.isfinite(value) else repr(str(float(value)))
             return _Value(f"np.float64({text})", scalar=True)
         if isinstance(expr, ScalarRef):
-            return _Value(kernel.names.get("s", expr.name), scalar=True)
+            return _Value(kernel.ident("s", expr.name), scalar=True)
         if isinstance(expr, LocalRef):
             if expr.name not in self.locals:
                 raise CodegenError(
@@ -506,7 +620,7 @@ class _LoopEmitter:
                 self._unbind(expr.name)
             return value
         if isinstance(expr, Load):
-            ident = kernel.names.get("b", expr.buffer)
+            ident = kernel.ident("c", expr.buffer)
             if expr.buffer in kernel.block_allocs:
                 self.allocs[expr.buffer] = None
                 return _Value(ident)
@@ -526,36 +640,15 @@ class _LoopEmitter:
         if operand.scalar:
             return _Value(scalar_fmt.format(operand=operand.text), scalar=True)
         if expr.op is UnOpKind.ERF:
-            return self._erf(operand, dest, result)
+            # The operand holds its register while the helper's four are
+            # taken, so the helper never overwrites it before its last
+            # read; the result may land in any of them (``copysign`` last).
+            scratch = [self._acquire() for _ in range(4)]
+            self.free.update(scratch)
+            return self._op("erf", (operand,), dest, result, scratch=scratch)
         if expr.op is UnOpKind.RECIP:
             return self._op("divide", (_Value("1.0", scalar=True), operand), dest, result)
         return self._op(ufunc, (operand,), dest, result)
-
-    def _erf(self, x: _Value, dest, result) -> _Value:
-        """``kir._erf`` operation for operation, ``copysign`` last."""
-
-        def const(value: float) -> _Value:
-            return _Value(repr(value), scalar=True)
-
-        self._pin(x, 2)  # three consumers: sign, absolute, copysign
-        sign = self._op("sign", (x,))
-        ax = self._op("absolute", (x,))
-        self._pin(ax, 2)
-        t = self._op("multiply", (const(0.3275911), ax))
-        t = self._op("add", (const(1.0), t))
-        t = self._op("divide", (const(1.0), t))
-        self._pin(t, 4)
-        poly = self._op("multiply", (t, const(1.061405429)))
-        for coefficient in (-1.453152027, 1.421413741, -0.284496736, 0.254829592):
-            poly = self._op("add", (const(coefficient), poly))
-            poly = self._op("multiply", (t, poly))
-        tail = self._op("negative", (ax,))
-        tail = self._op("multiply", (tail, ax))
-        tail = self._op("exp", (tail,))
-        poly = self._op("multiply", (poly, tail))
-        poly = self._op("subtract", (const(1.0), poly))
-        poly = self._op("multiply", (sign, poly))
-        return self._op("copysign", (poly, x), dest, result)
 
     def _value(self, expr: Expr, dest=None, result=None) -> _Value:
         """Render ``expr``; with ``dest`` its value lands there.
@@ -616,10 +709,10 @@ class _LoopEmitter:
             self._value(stmt.expr, *self._full(kernel.fold_writes[stmt.target]))
         elif stmt.target in kernel.block_allocs:
             self.allocs[stmt.target] = None
-            self._value(stmt.expr, dest=kernel.names.get("b", stmt.target))
+            self._value(stmt.expr, dest=kernel.ident("c", stmt.target))
         elif stmt.target in kernel.tiles:
             self.tiles[stmt.target] = self.written[stmt.target] = None
-            self._value(stmt.expr, dest=kernel.names.get("b", stmt.target))
+            self._value(stmt.expr, dest=kernel.ident("c", stmt.target))
         else:
             raise CodegenError(
                 f"assignment to unknown buffer '{stmt.target}' in "
@@ -641,7 +734,7 @@ class _LoopEmitter:
                 later = self.loop.body[index + 1 :]
                 if self.defer and any(leaf.buffer in s.buffers_written() for s in later):
                     raise _ReduceHazard
-                operand = leaf.text
+                operand = self.kernel.ident("b", leaf.buffer)
             else:
                 operand = f"_v{len(self.fulls)}"
                 self._copy(leaf, *self._full(operand))
@@ -654,16 +747,8 @@ class _LoopEmitter:
         kernel = self.kernel
         index = self.loop.index_buffer
         if index in kernel.tiles:
-            # Mirror the interpreter's runtime broadcast exactly: a 0-d
-            # value (loop-invariant expression, or a load from a rank-0
-            # buffer) is broadcast over the index space so e.g. summing
-            # a constant counts elements.
-            index_ident = kernel.names.get("b", index)
-            tmp = kernel.temp()
-            lines.append(f"{tmp} = np.asarray({operand})")
-            lines.append(f"if {tmp}.ndim == 0 and {index_ident} is not None:")
-            lines.append(f"    {tmp} = np.broadcast_to({tmp}, {index_ident}.shape)")
-            operand = tmp
+            # Mirror the interpreter's runtime broadcast exactly.
+            operand = f"_broadcast({operand}, {kernel.ident('b', index)})"
         reduce = f"np.{_REDUCE_UFUNCS[stmt.kind]}.reduce"
         if kernel.tile is None:
             reduced, combine = f"float({reduce}({operand}, axis=None))", _COMBINE_FMT
@@ -685,70 +770,39 @@ class _LoopEmitter:
 
     # -- the block loop around the body --------------------------------
     def write(self, out: _SourceWriter) -> None:
+        """A ``for`` over the driver's blocks around the body, then the
+        deferred reductions."""
         kernel = self.kernel
-        names = kernel.names
-        allocs = [
-            (names.get("b", name), names.get("b", kernel.block_allocs[name]))
-            for name in self.allocs
-        ]
-        out.registers = max(out.registers, self.registers)
-        out.fulls = max(out.fulls, len(self.fulls))
-        if not (self.defer and self.body and self.tiles):
-            # Nothing to block over (or not blockable): one flat pass.
-            for ident, like in allocs:
-                out.emit(f"{ident} = np.empty_like({like})")
-            for line in self.body + self.post:
+        if self.body:
+            reference = None
+            if self.defer and self.tiles:
+                index = self.loop.index_buffer
+                reference = index if index in self.tiles else next(iter(self.written or self.tiles))
+                if index in kernel.tiles:
+                    # Full-length scratch takes the reference shape, which
+                    # the reduction broadcast rule expects to be the index
+                    # space.
+                    self.tiles[index] = None
+            ordered = list(self.written) + [t for t in self.tiles if t not in self.written]
+            targets = (
+                [kernel.ident("c", name) for name in ordered]
+                + [f"_o{i}" for i in range(self.registers)]
+                + [kernel.ident("c", name) for name in self.allocs]
+                + [f"_u{i}" for i in range(len(self.fulls))]
+            )
+            args = [str(len(out.loops))] + [
+                kernel.ident("b", name)
+                for name in ordered + [kernel.block_allocs[alloc] for alloc in self.allocs]
+            ]
+            anchor = -1 if reference is None else ordered.index(reference)
+            out.loops.append((anchor, len(ordered), len(self.written), self.registers, len(self.fulls)))
+            out.emit(f"for {_names(targets)} in _k.blocks({', '.join(args)}):")
+            out.indent += 1
+            for line in self.body:
                 out.emit(line)
-            return
-        index = self.loop.index_buffer
-        reference = index if index in self.tiles else next(iter(self.written or self.tiles))
-        reference = names.get("b", reference)
-        if index in kernel.tiles:
-            # Full-length scratch takes the reference shape, which the
-            # reduction broadcast rule expects to be the index space.
-            self.tiles[index] = None
-        ordered = list(self.written) + [t for t in self.tiles if t not in self.written]
-        idents = [names.get("b", name) for name in ordered]
-        scratch = [f"_o{i}" for i in range(self.registers)]
-        fulls = range(len(self.fulls))
-        out.plans = True
-        out.emit("_blocks = _WHOLE")
-        out.emit(f"if {reference}.size > {BLOCK}:")
-        out.indent += 1
-        out.emit(f"_whole = ({', '.join(idents)},)")
-        out.emit(
-            f"_blocks = _plan_blocks({reference}, _whole, {len(self.written)}, "
-            f"{len(scratch) + len(allocs)}, _first)"
-        )
-        out.emit("_first = _first and _blocks is _WHOLE")
-        if self.fulls:
-            out.emit("if _blocks is not _WHOLE:")
-            for i in fulls:
-                out.emit(f"    _q{i} = np.empty({reference}.shape)")
-        out.indent -= 1
-        if allocs:
-            out.emit("if _blocks is _WHOLE:")
-            for ident, like in allocs:
-                out.emit(f"    {ident} = np.empty_like({like})")
-        out.emit("for _blk in _blocks:")
-        out.indent += 1
-        out.emit("if _blk is not None:")
-        unpack = ["_cut"] + idents + scratch + [ident for ident, _like in allocs]
-        out.emit(f"    {', '.join(unpack)} = _blk")
-        for i in fulls:
-            out.emit(f"    _u{i} = _q{i}[_cut]")
-        for line in self.body:
-            out.emit(line)
-        out.indent -= 1
-        out.emit("if _blocks is not _WHOLE:")
-        out.indent += 1
-        out.emit(f"{', '.join(idents)}, = _whole")
-        reset = scratch + [f"_u{i}" for i in fulls]
-        if reset:
-            out.emit(" = ".join(reset) + " = None")
-        for i, result in enumerate(self.fulls):
-            out.emit(f"{result} = _q{i}")
-        out.indent -= 1
+            out.indent -= 1
+            if self.fulls:
+                out.emit(f"{_names(self.fulls)} = _k.fulls({', '.join(self.fulls)})")
         for line in self.post:
             out.emit(line)
 
@@ -757,8 +811,9 @@ class _KernelEmitter:
     """Emits the Alloc/Assign/Reduce body of one KIR function.
 
     The one emission path behind :func:`generate_source` and every
-    section of :func:`generate_superkernel_source`; parameter binding,
-    rank loops and the shape of the returned partials are the callers'.
+    section of :func:`generate_superkernel_source`; parameters, rank
+    loops and the shape of the returned partials are the callers'.
+    Guards go to the plan under ``prefix`` + the buffer's name.
     """
 
     def __init__(
@@ -767,7 +822,7 @@ class _KernelEmitter:
         names,
         function: Function,
         *,
-        tag: str = "",
+        prefix: str = "",
         may_be_none: Optional[Set[str]] = None,
         fold_writes: Optional[Dict[str, str]] = None,
         tile: Optional[int] = None,
@@ -779,10 +834,12 @@ class _KernelEmitter:
         #: and a reduction yields one value per rank (an array, in rank
         #: order) instead of one float.
         self.tile = tile
-        #: Disambiguates accumulator/temporary names between sections.
-        self.tag = tag
+        #: A section's ``k{i}:``; its identifier form disambiguates
+        #: accumulator and temporary names between sections.
+        self.prefix = prefix
+        self.tag = _IDENT_RE.sub("_", prefix)
         #: Buffer parameters that may be bound to ``None`` (every one,
-        #: unless the caller knows better): guarded before use.
+        #: unless the caller knows better): guarded by the driver.
         self.may_be_none = may_be_none
         self.fold_writes = fold_writes or {}
         params = {p.name for p in function.buffer_params}
@@ -794,17 +851,20 @@ class _KernelEmitter:
         self.partials: Dict[str, Tuple[str, ReduceKind]] = {}
         self._temps = 0
 
+    def ident(self, kind: str, name: str) -> str:
+        """The identifier of KIR name ``name`` in this kernel or section."""
+        return self.names.get(kind, self.prefix + name)
+
     def temp(self) -> str:
         self._temps += 1
         return f"_r{self.tag}{self._temps - 1}"
 
     def _guard(self, name: str, message: str) -> None:
         if self.may_be_none is None or name in self.may_be_none:
-            self.out.emit(f"if {self.names.get('b', name)} is None:")
-            self.out.emit(f"    raise RuntimeError({message!r})")
+            self.out.guards.setdefault(self.prefix + name, message)
 
     def emit(self) -> Dict[str, Tuple[str, ReduceKind]]:
-        function, out, names = self.function, self.out, self.names
+        function, out = self.function, self.out
         # Task-local allocations.  The reference buffer must be materialised
         # (reduction targets are handed to the executor as None).
         for stmt in function.allocs:
@@ -818,8 +878,8 @@ class _KernelEmitter:
                 f"allocation '{stmt.name}' has no reference buffer '{stmt.like}'",
             )
             if stmt.name not in self.block_allocs:
-                like = names.get("b", stmt.like)
-                out.emit(f"{names.get('b', stmt.name)} = np.zeros_like({like})")
+                like = self.ident("b", stmt.like)
+                out.emit(f"{self.ident('b', stmt.name)} = np.zeros_like({like})")
                 self.tiles.add(stmt.name)
         unknown_loads = function.buffers_read() - self.tiles - set(self.block_allocs)
         if unknown_loads:
@@ -827,16 +887,9 @@ class _KernelEmitter:
                 f"kernel '{function.name}' loads undeclared buffers "
                 f"{sorted(unknown_loads)}"
             )
-        guarded: Set[str] = set()
         for loop in function.loops:
             for stmt in loop.body:
-                if (
-                    isinstance(stmt, Assign)
-                    and not stmt.is_local
-                    and stmt.target in self.tiles
-                    and stmt.target not in guarded
-                ):
-                    guarded.add(stmt.target)
+                if isinstance(stmt, Assign) and not stmt.is_local and stmt.target in self.tiles:
                     self._guard(stmt.target, f"buffer '{stmt.target}' is not materialised")
             try:
                 emitter = _LoopEmitter(self, loop, defer=True).run()
@@ -846,32 +899,24 @@ class _KernelEmitter:
         return self.partials
 
 
-def generate_source(function: Function) -> str:
-    """Translate a KIR function into the source of ``__kernel__``.
+def generate_source(function: Function) -> KernelSource:
+    """Translate a KIR function into the body ``__kernel__`` and its plan.
 
-    The generated function takes the executor's ``(buffers, scalars)``
-    dictionaries and returns the reduction partials, exactly like the
-    interpreter.  Statement order, per-element operation order and
-    reduction calls all match the interpreter so results are
+    Run by the driver, the body takes the executor's ``(buffers,
+    scalars)`` dictionaries and returns the reduction partials, exactly
+    like the interpreter.  Statement order, per-element operation order
+    and reduction calls all match the interpreter so results are
     bit-identical.
     """
     names = _NameTable()
-    out = _SourceWriter()
-    out.emit(f"def __kernel__(buffers, scalars):  # kernel {function.name!r}")
-    out.indent += 1
+    out = _SourceWriter(f"kernel {function.name!r}")
     for param in function.params:
         if param.kind is ParamKind.BUFFER:
-            out.emit(f"{names.get('b', param.name)} = buffers[{param.name!r}]")
+            out.buffers.append((param.name, names.get("b", param.name)))
         else:
-            ident = names.get("s", param.name)
-            out.emit(f"{ident} = np.float64(scalars[{param.name!r}])")
-    out.reserve_scratch_init()
+            out.scalars.append((param.name, names.get("s", param.name)))
     partials = _KernelEmitter(out, names, function).emit()
-    items = ", ".join(
-        f"{target!r}: ReductionPartial(kind=ReduceKind.{kind.name}, value={acc})"
-        for target, (acc, kind) in partials.items()
-    )
-    out.emit(f"return {{{items}}}")
+    out.partials = [(target, kind, acc) for target, (acc, kind) in partials.items()]
     return out.source()
 
 
@@ -883,28 +928,18 @@ def generate_source(function: Function) -> str:
 class SuperKernelSection:
     """One constituent kernel of a super-kernel, ready for emission.
 
-    ``mode`` selects the calling convention of the section's buffers:
-
-    ``merged``
-        Every buffer tiles its 1-D store contiguously in rank order;
-        ``buffers[prefix+name]`` is a single merged view spanning the
-        chunk's tiles (``None`` for reduction targets) and the body is
-        emitted once, blocked over the merged span (identical to the
-        per-step merged call).  A merged section may reduce only when
-        every rank's tile has the same ``tile`` elements: a reduction is
-        then one ``ufunc.reduce(axis=1)`` over the operand's ``(ranks,
-        tile)`` rows, and each target returns its per-rank partials.
-
-    ``ranked``
-        ``buffers[prefix+name]`` is the list of per-rank views (``None``
-        for reduction targets) and the body is emitted inside an internal
-        rank loop — the per-rank closure calls of step-by-step replay
-        collapse into one call per chunk.  What a reducing step whose
-        tiling is ragged, N-D or broadcast gets.
-
-    ``fold_writes``/``fold_reads`` alias dead cross-section intermediates
-    to shared locals: the writer assigns the local instead of a buffer
-    view and readers load it, so the intermediate's region field is never
+    ``mode`` selects the calling convention of the section's buffers
+    (``None`` for reduction targets in both).  ``merged``: every buffer
+    tiles its 1-D store contiguously in rank order, ``buffers[prefix +
+    name]`` is one view spanning the chunk's tiles and the body runs once
+    over it, blocked; it may reduce only when every rank's tile has the
+    same ``tile`` elements, a reduction being one ``ufunc.reduce(axis=1)``
+    over the operand's ``(ranks, tile)`` rows.  ``ranked``: the buffer is
+    the list of per-rank views and the body runs inside a rank loop — the
+    per-rank closure calls of step-by-step replay collapse into one call
+    per chunk; what a reducing step with a ragged, N-D or broadcast
+    tiling gets.  ``fold_writes``/``fold_reads`` alias dead cross-section
+    intermediates to shared locals, so their region fields are never
     materialised.
     """
 
@@ -923,86 +958,57 @@ class SuperKernelSection:
 
 def generate_superkernel_source(
     sections: Sequence[SuperKernelSection], name: str
-) -> str:
-    """Emit one ``__kernel__`` running every section in recorded order.
+) -> KernelSource:
+    """Emit one ``__kernel__`` body running every section in recorded order.
 
-    Each section's body comes from the same emitter as
-    :func:`generate_source` and keeps its own block loops, so the fused
-    function is bit-identical to running the constituent kernels back to
-    back.  Reduction partials are returned as ``{prefixed target:
-    float64 array of per-rank partials}`` with keys in section (and
-    within a section, first-occurrence) order — the same order the
-    scheduler's per-step fold loop would observe.  A merged section's
-    row reduction already is that array; a ranked section collects its
-    per-rank floats and converts them once, after its rank loop.
+    Each section comes from the same emitter as :func:`generate_source`
+    and keeps its own block loops, so the fused function is bit-identical
+    to running the constituent kernels back to back.  The driver returns
+    ``{prefixed target: float64 array of per-rank partials}`` in section
+    (within a section, first-occurrence) order — the order the
+    scheduler's per-step fold loop would observe: a merged section's row
+    reduction, or the list a ranked section appends its ranks' floats to.
     """
     names = _NameTable()
-    out = _SourceWriter()
-    out.emit(f"def __kernel__(buffers, scalars):  # super-kernel {name!r}")
-    out.indent += 1
-    out.emit("_partials = {}")
-    out.reserve_scratch_init()
-
-    partial_list_count = 0
-    for section_index, section in enumerate(sections):
+    out = _SourceWriter(f"super-kernel {name!r}")
+    for section in sections:
         function = section.function
         prefix = section.prefix
-        pnames = _PrefixedNames(names, prefix)
-        folded = dict(section.fold_writes + section.fold_reads)
-        for param, ident in folded.items():
-            names.seed("b", prefix + param, ident)
-
-        out.emit(f"# section {section_index}: kernel {function.name!r}")
-        for param in function.scalar_params:
-            ident = pnames.get("s", param.name)
-            out.emit(f"{ident} = np.float64(scalars[{prefix + param.name!r}])")
-
         ranked = section.mode == "ranked"
+        emitter = _KernelEmitter(
+            out,
+            names,
+            function,
+            prefix=prefix,
+            may_be_none=set(section.reduction_params) if ranked else None,
+            fold_writes=dict(section.fold_writes),
+            tile=section.tile,
+        )
+        ident = emitter.ident
+        folded = dict(section.fold_writes + section.fold_reads)
+        for param, local in folded.items():
+            names.seed("b", prefix + param, local)
+        for param in function.scalar_params:
+            out.scalars.append((prefix + param.name, ident("s", param.name)))
+
         if ranked:
-            # Per-rank view lists arrive under the prefixed buffer names;
-            # the section's reduction partials accumulate per rank into
-            # lists (one per target, in first-occurrence order), handed
-            # back as float64 arrays after the rank loop.
+            # Reduction parameters arrive as ``None`` for the whole call —
+            # their results come back as partials — and every other one
+            # as the list of its per-rank views, which the rank loop zips.
             views = [
                 param.name
                 for param in function.buffer_params
                 if param.name not in section.reduction_params
             ]
             if not views:
-                raise CodegenError(
-                    f"super-kernel section '{function.name}' has no "
-                    "non-reduction buffer to derive its rank count from"
-                )
+                raise CodegenError(f"super-kernel section '{function.name}' has no rank views")
             for param in function.buffer_params:
-                list_ident = names.get("v", prefix + param.name)
-                out.emit(f"{list_ident} = buffers[{prefix + param.name!r}]")
-            reduce_lists: Dict[str, str] = {}
-            for loop in function.loops:
-                for inner in loop.body:
-                    if (
-                        isinstance(inner, Reduce)
-                        and inner.target in section.reduction_params
-                        and inner.target not in reduce_lists
-                    ):
-                        list_ident = f"_pl{partial_list_count}"
-                        partial_list_count += 1
-                        reduce_lists[inner.target] = list_ident
-                        out.emit(f"{list_ident} = []")
-            # Reduction parameters bind to ``None`` for the whole call —
-            # their results come back through ``_partials`` — so they are
-            # hoisted out of the rank loop.  Every other parameter arrives
-            # as a per-rank view list that is never ``None``, so the loop
-            # body indexes (and writes) it unguarded.
-            for param in section.reduction_params:
-                out.emit(f"{pnames.get('b', param)} = None")
-            rank_ident = f"_rk{section_index}"
-            out.emit(
-                f"for {rank_ident} in range(len({names.get('v', prefix + views[0])})):"
-            )
+                kind = "b" if param.name in section.reduction_params else "v"
+                out.buffers.append((prefix + param.name, ident(kind, param.name)))
+            ranks = ", ".join(ident("v", view) for view in views)
+            out.emit(f"for {_names([ident('b', view) for view in views])} in zip({ranks}):")
             out.indent += 1
-            for param in views:
-                list_ident = names.get("v", prefix + param)
-                out.emit(f"{pnames.get('b', param)} = {list_ident}[{rank_ident}]")
+            loop_start = len(out.lines)
         else:
             if section.tile is None and any(loop.has_reduction for loop in function.loops):
                 raise CodegenError(
@@ -1011,71 +1017,64 @@ def generate_superkernel_source(
                 )
             for param in function.buffer_params:
                 if param.name not in folded:
-                    ident = pnames.get("b", param.name)
-                    out.emit(f"{ident} = buffers[{prefix + param.name!r}]")
+                    out.buffers.append((prefix + param.name, ident("b", param.name)))
 
-        partials = _KernelEmitter(
-            out,
-            pnames,
-            function,
-            tag=f"{section_index}_",
-            may_be_none=set(section.reduction_params) if ranked else None,
-            fold_writes=dict(section.fold_writes),
-            tile=section.tile,
-        ).emit()
-
+        partials = emitter.emit()
         if ranked:
-            for target, (acc, _kind) in partials.items():
-                list_ident = reduce_lists.get(target)
-                if list_ident is not None:
-                    out.emit(f"{list_ident}.append({acc})")
-            out.indent -= 1
-            for target, list_ident in reduce_lists.items():
-                out.emit(
-                    f"_partials[{prefix + target!r}] = "
-                    f"np.array({list_ident}, dtype=np.float64)"
-                )
-        else:
-            # Row reductions: ``acc`` holds one value per rank.
+            # Each rank's partials go to one list per target, handed in by
+            # the driver (targets in first-occurrence order).
             for target, (acc, _kind) in partials.items():
                 if target in section.reduction_params:
-                    out.emit(
-                        f"_partials[{prefix + target!r}] = "
-                        f"np.asarray({acc}, dtype=np.float64)"
-                    )
-
-    out.emit("return _partials")
+                    out.lists.append(f"_pl{len(out.lists)}")
+                    out.emit(f"{out.lists[-1]}.append({acc})")
+                    out.partials.append((prefix + target, None, out.lists[-1]))
+            if len(out.lines) == loop_start:
+                out.emit("pass")
+            out.indent -= 1
+        else:
+            # Row reductions: ``acc`` holds one value per rank.
+            out.partials += [
+                (prefix + target, None, acc)
+                for target, (acc, _kind) in partials.items()
+                if target in section.reduction_params
+            ]
     return out.source()
 
 
 def _compile_source(source: str, kernel_name: str) -> Tuple[Callable, bool]:
-    """Compile kernel source, reusing the process-wide closure cache."""
+    """Compile a generated body, reusing the process-wide cache."""
     fn = _FUNCTION_CACHE.get(source)
     if fn is not None:
         _COUNTERS.source_cache_hits += 1
         return fn, False
+    start = time.perf_counter()
     code = compile(source, f"<kir-codegen:{kernel_name}>", "exec")
     namespace = dict(_KERNEL_ENV)
     exec(code, namespace)
+    _COUNTERS.compile_seconds += time.perf_counter() - start
     fn = namespace["__kernel__"]
     _FUNCTION_CACHE[source] = fn
     _COUNTERS.source_compilations += 1
+    _COUNTERS.source_lines += source.count("\n")
     return fn, True
 
 
+def bind(source: str, plan: KernelPlan, name: str) -> Tuple[Callable, bool]:
+    """The ``(buffers, scalars)`` entry point of a generated body run by
+    the driver under ``plan``, and whether its source compiled just now."""
+    body, fresh = _compile_source(source, name)
+    return partial(_run, body, plan), fresh
+
+
 class CodegenExecutor(KernelExecutor):
-    """Executes a kernel through its compiled NumPy closure."""
+    """Executes a kernel through its compiled body and the driver."""
 
     backend = "codegen"
 
     def __init__(self, function: Function, binding: KernelBinding) -> None:
         super().__init__(function, binding)
         self.source = generate_source(function)
-        self._fn, self.freshly_compiled = _compile_source(self.source, function.name)
+        self._fn, self.freshly_compiled = bind(self.source, self.source.plan, function.name)
 
-    def __call__(
-        self,
-        buffers: Dict[str, Optional[np.ndarray]],
-        scalars: Dict[str, float],
-    ) -> Dict[str, ReductionPartial]:
+    def __call__(self, buffers: Dict[str, Optional[np.ndarray]], scalars: Dict[str, float]):
         return self._fn(buffers, scalars)

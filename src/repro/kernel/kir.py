@@ -586,6 +586,34 @@ def _erf(x):
     return np.copysign(sign * (1.0 - poly * np.exp(-ax * ax)), x)
 
 
+def _erf_into(x, out, a, b, c, d):
+    """:func:`_erf` into caller-owned registers, ufunc call for ufunc call.
+
+    Generated kernels call it (``kernel/codegen.py``).  The 21 calls,
+    their operands and their order are :func:`_erf`'s, so the result is
+    bit-identical, ``copysign`` last included (it keeps erf exactly
+    odd).  ``a``–``d`` are scratch that must not hold ``x``, ``out``
+    receives the result; ``None`` allocates, as whole-tile evaluation
+    does.
+    """
+    sign = np.sign(x, a)
+    ax = np.absolute(x, b)
+    t = np.multiply(0.3275911, ax, c)
+    t = np.add(1.0, t, c)
+    t = np.divide(1.0, t, c)
+    poly = np.multiply(t, 1.061405429, d)
+    for coefficient in (-1.453152027, 1.421413741, -0.284496736, 0.254829592):
+        poly = np.add(coefficient, poly, d)
+        poly = np.multiply(t, poly, d)
+    tail = np.negative(ax, c)
+    tail = np.multiply(tail, ax, c)
+    tail = np.exp(tail, c)
+    poly = np.multiply(poly, tail, d)
+    poly = np.subtract(1.0, poly, d)
+    poly = np.multiply(sign, poly, d)
+    return np.copysign(poly, x, out)
+
+
 _UNOP_EVAL = {
     UnOpKind.NEG: lambda a: -a,
     UnOpKind.SQRT: np.sqrt,

@@ -54,9 +54,9 @@ travel again.  A compiled step's :class:`KernelSpec` (the KIR function,
 a stripped parameter binding and the backend name) builds its executor
 through the normal :func:`repro.kernel.lowering.lower` entry point, so
 isomorphic kernels compile once per worker in the process-local
-source-keyed cache; a :class:`SuperKernelSpec` (generated source and
-calling convention) rebuilds the ``SuperKernel`` through the same
-cache.  An :class:`OpaqueSpec` names the operator and its defining
+source-keyed cache; a :class:`SuperKernelSpec` (generated body, driver
+plan and calling convention) rebuilds the ``SuperKernel`` through the
+same cache.  An :class:`OpaqueSpec` names the operator and its defining
 module, and the worker resolves the implementation from its *own*
 registry (:func:`repro.runtime.opaque.resolve_opaque_impl`; ``fork``
 workers inherit the parent's populated registry, ``spawn`` workers
@@ -177,14 +177,16 @@ class KernelSpec:
 class SuperKernelSpec:
     """Shippable form of an epoch super-kernel (``runtime/superkernel``).
 
-    Fused units carry generated source rather than a single KIR function;
+    Fused units carry a generated body rather than a single KIR function;
     workers compile it through the same process-local source-keyed cache
     the codegen backend uses, so isomorphic fused units compile once per
-    worker.  ``binding_plan`` is the kernel's per-buffer calling
-    convention (``SuperKernel.binding_plan``).
+    worker, and run it with the same driver under ``plan``.
+    ``binding_plan`` is the kernel's per-buffer calling convention
+    (``SuperKernel.binding_plan``).
     """
 
     source: str
+    plan: object  # kernel.codegen.KernelPlan
     name: str
     binding_plan: tuple
 
@@ -333,7 +335,7 @@ def _resident_executor(template: ResidentStep, executors: Dict[int, object]):
         if isinstance(spec, SuperKernelSpec):
             from repro.runtime.superkernel import SuperKernel
 
-            executor = SuperKernel(spec.source, spec.name, spec.binding_plan)
+            executor = SuperKernel(spec.source, spec.plan, spec.name, spec.binding_plan)
         else:
             from repro.kernel.lowering import lower
 
@@ -959,7 +961,7 @@ def spec_for(kernel) -> KernelSpec:
     if existing is not None:
         return existing
     if getattr(kernel, "is_superkernel", False):
-        spec = SuperKernelSpec(kernel.source, kernel.name, kernel.binding_plan)
+        spec = SuperKernelSpec(kernel.source, kernel.plan, kernel.name, kernel.binding_plan)
         kernel._proc_kernel_spec = spec
         return spec
     from repro.kernel.passes.compose import KernelBinding

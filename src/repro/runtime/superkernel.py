@@ -92,9 +92,10 @@ class SuperKernel:
     """The kernel-like vehicle of a fused unit.
 
     Mirrors the parts of ``CompiledKernel`` the replay paths touch:
-    ``executor`` is the compiled fused closure (obtained through the
-    process-wide source-keyed cache, so structurally-identical units
-    share one compiled function) and ``source`` is the generated text.
+    ``executor`` is the fused body (obtained through the process-wide
+    source-keyed cache, so structurally-identical units share one
+    compiled function) run by the codegen driver under ``plan``, and
+    ``source`` is the generated body.
     ``binding_plan`` is its calling convention, one ``(kind, payload)``
     per buffer binding of the unit: ``("ranked", per-rank slice
     tuples)``, ``("merged", span slices)`` or ``("reduction", None)``.
@@ -106,11 +107,14 @@ class SuperKernel:
 
     is_superkernel = True
 
-    def __init__(self, source: str, name: str, binding_plan: tuple) -> None:
+    def __init__(
+        self, source: str, plan: codegen.KernelPlan, name: str, binding_plan: tuple
+    ) -> None:
         self.source = source
+        self.plan = plan
         self.name = name
         self.binding_plan = binding_plan
-        self.executor, self.freshly_compiled = codegen._compile_source(source, name)
+        self.executor, self.freshly_compiled = codegen.bind(source, plan, name)
 
 
 @dataclass
@@ -476,9 +480,8 @@ def _build_unit(
     name = "superkernel_" + "_".join(
         step.task_name for _i, step, _m in members[:3]
     )
-    kernel = SuperKernel(
-        generate_superkernel_source(sections, name), name, tuple(binding_plan)
-    )
+    source = generate_superkernel_source(sections, name)
+    kernel = SuperKernel(source, source.plan, name, tuple(binding_plan))
 
     fused_steps = tuple(plan.steps[index] for index in indices)
     return SuperKernelStep(

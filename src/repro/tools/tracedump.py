@@ -21,7 +21,8 @@ replayed epoch (:func:`telemetry.span_summary`), then how many
 super-kernel sections run once over a merged span and why the others
 keep a rank loop, then the point-dispatch pool (the scheduling thread
 and its worker processes) with the level frames and worker chunks of a
-replayed epoch; no trace file is written unless ``--output`` names one.
+replayed epoch, then what the kernel JIT compiled in this process; no
+trace file is written unless ``--output`` names one.
 
 By default the run uses the full replay stack with rank chunks in
 worker processes (trace capture, plan scheduler, ``--point-workers 4``),
@@ -41,6 +42,7 @@ import repro.apps  # noqa: F401 - registers the applications
 from repro import config
 from repro.apps.base import registered_applications
 from repro.experiments.harness import run_application_experiment
+from repro.kernel.codegen import CodegenCounters, codegen_stats
 from repro.runtime import procpool, telemetry
 from repro.runtime.profiler import RANKED_REASONS
 
@@ -143,6 +145,16 @@ def format_dispatch(counters: Dict[str, object], slots: int) -> str:
     )
 
 
+def format_jit(stats: CodegenCounters) -> str:
+    """One line: generated kernels compiled, their lines, ``compile()`` time."""
+    compiled = stats.source_compilations
+    return (
+        f"kernel JIT: {compiled} kernels compiled, "
+        f"{stats.source_lines / max(1, compiled):.1f} generated lines per kernel, "
+        f"{stats.compile_seconds * 1e3:.2f} ms in compile()"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -220,6 +232,7 @@ def main() -> int:
         print(format_materialised(snapshot))
         slots = procpool.pool_size() if args.point_workers > 1 else 1
         print(format_dispatch(snapshot, slots))
+        print(format_jit(codegen_stats()))
     if output:
         trace = telemetry.export_chrome_trace()
         trace["otherData"]["profiler"] = snapshot

@@ -10,7 +10,10 @@ registry, and that nothing the programs compute or are charged moved:
 per-iteration simulated seconds and generated kernel sources as the
 eager-task frontend produced them, under every configuration the
 record path forks on.  Regenerate it (only for a change that is meant
-to move them) with ``PYTHONPATH=src python tests/test_deferred_stream.py``.
+to move them) with ``PYTHONPATH=src python tests/test_deferred_stream.py``;
+a change that moves only the generated sources regenerates with
+``--sources-only``, which rewrites the ``sources`` digests and refuses to
+write anything if a checksum, a simulated second or a buffer moved.
 """
 
 from __future__ import annotations
@@ -295,8 +298,15 @@ def test_deferred_task_of_round_trips_an_index_task():
     assert (rebuilt.task_name, rebuilt.launch_domain) == (task.task_name, task.launch_domain)
 
 
-if __name__ == "__main__":
-    # Regenerate the golden file from the tree on ``PYTHONPATH``.
+FIXED = ("checksum", "iteration_seconds", "buffers")
+
+
+def regenerate(sources_only: bool) -> int:
+    """Rewrite the golden file from the tree on ``PYTHONPATH``.
+
+    With ``sources_only`` every case must match the committed file in
+    everything but its ``sources`` digest, or nothing is written.
+    """
     table = {}
     with pytest.MonkeyPatch.context() as patch:
         for config_name in CONFIGS:
@@ -304,4 +314,21 @@ if __name__ == "__main__":
             for app_name, kwargs in HARNESS_APPS:
                 table[config_name][app_name] = fingerprint(app_name, kwargs, config_name, patch)
                 print(config_name, app_name, file=sys.stderr)
+    if sources_only:
+        committed = json.loads(GOLDEN.read_text())
+        moved = [
+            f"{config_name}/{app_name}: {field}"
+            for config_name, apps in table.items()
+            for app_name, entry in apps.items()
+            for field in FIXED
+            if entry[field] != committed.get(config_name, {}).get(app_name, {}).get(field)
+        ]
+        if moved or table.keys() != committed.keys():
+            print("not written; moved besides the sources:", *moved, sep="\n", file=sys.stderr)
+            return 1
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate("--sources-only" in sys.argv[1:]))

@@ -37,7 +37,7 @@ from repro.kernel import codegen
 from repro.kernel.builder import KernelBuilder
 from repro.kernel.codegen import (
     SuperKernelSection,
-    _compile_source,
+    bind,
     codegen_stats,
     generate_superkernel_source,
 )
@@ -299,7 +299,8 @@ def _section_kernel(function, mode, tile=None):
     section = SuperKernelSection(
         prefix=PREFIX, function=function, mode=mode, reduction_params=TARGETS, tile=tile
     )
-    return _compile_source(generate_superkernel_source([section], "prop"), "prop")[0]
+    source = generate_superkernel_source([section], "prop")
+    return bind(source, source.plan, "prop")[0]
 
 
 def _section_run(function, kernel, mode, tile, ranks, chunks, seed):

@@ -488,6 +488,14 @@ class TestTracedump:
         assert re.search(
             r"slot 0 preempted \d+\.\d\d times per round trip", completed.stdout
         ), completed.stdout
+        # What the kernel JIT compiled in the run's process.
+        jit = re.search(
+            r"^kernel JIT: (\d+) kernels compiled, (\d+\.\d) generated lines per "
+            r"kernel, \d+\.\d\d ms in compile\(\)$",
+            completed.stdout,
+            re.M,
+        )
+        assert jit and int(jit.group(1)) > 0 and float(jit.group(2)) > 0, completed.stdout
         # One worker process is singular.
         from repro.tools.tracedump import format_dispatch
 
