@@ -125,7 +125,11 @@ hotpath_cache_enabled = _getter(
 trace_enabled = _getter(
     "REPRO_TRACE", "True unless trace capture and replay are off (eager submission)."
 )
-worker_count = _getter("REPRO_WORKERS", "Size of the plan-scheduler worker pool.")
+worker_count = _getter(
+    "REPRO_WORKERS",
+    "Size of the plan-scheduler thread pool: the steps of a wide plan level, or "
+    "(without worker processes) the rank chunks of a chain level's big compiled step.",
+)
 point_worker_count = _getter(
     "REPRO_POINT_WORKERS",
     "Point-dispatch width of a replayed step's rank chunks: the scheduling thread "

@@ -39,6 +39,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -206,8 +207,10 @@ class KernelPlan:
     #: ``(buffer position, message)``: a ``None`` there raises first.
     guards: Tuple[Tuple[int, str], ...]
     #: Per block loop: reference position (-1: always one block), tile
-    #: buffers, written ones among them, registers, full-length scratch.
-    loops: Tuple[Tuple[int, int, int, int, int], ...]
+    #: buffers, written ones among them, registers, full-length scratch,
+    #: block-local allocations, and the argument positions of its whole
+    #: buffers (``None``: the body passes them).
+    loops: Tuple[Tuple[int, int, int, int, int, int, Optional[Tuple[int, ...]]], ...]
     #: Empty lists passed last, for a ranked section's per-rank partials.
     lists: int
     #: What the body returns, in order: ``(target, kind)`` of each of a
@@ -229,11 +232,11 @@ class KernelSource(str):
         return str, (str(self),)
 
 
-def _block_rows(reference, whole, written: int) -> int:
+def _block_rows(reference, whole, written: int, block: int) -> int:
     """Rows per block of a loop over ``reference``; 0 runs it as one block.
 
-    ``reference`` holds more than :data:`BLOCK` elements; ``whole`` are
-    the loop's tile buffers, the ``written`` ones first.  A block loop is
+    ``reference`` holds more than ``block`` elements; ``whole`` are the
+    loop's tile buffers, the ``written`` ones first.  A block loop is
     legal when every index is computed from its own index alone, from
     the operands whole-tile evaluation would see:
 
@@ -249,7 +252,7 @@ def _block_rows(reference, whole, written: int) -> int:
     """
     shape = reference.shape
     extent = shape[0]
-    rows = max(1, BLOCK // (reference.size // extent))
+    rows = max(1, block // (reference.size // extent))
     if rows >= extent:
         return 0
     for buffer in whole:
@@ -266,46 +269,66 @@ def _block_rows(reference, whole, written: int) -> int:
 
 
 class _Call:
-    """One run of a compiled body: the driver's side of its block loops.
+    """One run of a compiled body that has block loops: the driver's side of them.
 
     The body is shared process-wide by pool threads, so what a call
     allocates, and whether it has blocked yet, belongs to this object.
+    ``args`` is the argument list the body was called with, ``block`` the
+    elements per block this call plans at, and ``scratch`` (when given)
+    a flat float64 buffer of at least :func:`scratch_elements` the
+    registers are cut from instead of a fresh allocation: the loops run
+    one after another and no register outlives its loop.
     """
 
-    __slots__ = ("loops", "blocked", "full")
+    __slots__ = ("loops", "args", "block", "scratch", "blocked", "full")
 
-    def __init__(self, loops) -> None:
+    def __init__(self, loops, args: list, block: int, scratch=None) -> None:
         self.loops = loops
+        self.args = args
+        self.block = block
+        self.scratch = scratch
         self.blocked = False
         self.full: Optional[List[np.ndarray]] = None
 
     def blocks(self, loop: int, *buffers) -> Sequence[tuple]:
         """What the body's ``for`` over loop ``loop`` unpacks, one tuple a block.
 
-        ``buffers`` are the loop's tile buffers, written ones first, then
-        the reference buffer of each block-local allocation.  A block is
-        the tile buffers, registers, allocations and full-length scratch
-        cut to it; one block of the full extent has the buffers whole,
-        ``None`` for each register and scratch (whole-tile evaluation)
-        and a fresh ``empty_like`` per allocation.
+        The loop's whole buffers are its tile buffers, written ones
+        first, then the reference buffer of each block-local allocation:
+        taken from ``args`` at the loop's plan positions, or — for a loop
+        over body locals (a ranked section's rank views, a full-length
+        allocation, a folded intermediate) — passed in ``buffers``.  A
+        block is the tile buffers, registers, allocations and full-length
+        scratch cut to it; one block of the full extent has the buffers
+        whole, ``None`` for each register and scratch (whole-tile
+        evaluation) and a fresh ``empty_like`` per allocation.
         """
-        reference, tiles, written, registers, fulls = self.loops[loop]
-        whole = buffers[:tiles]
-        anchor = whole[reference] if reference >= 0 else None
-        rows = 0 if anchor is None or anchor.size <= BLOCK else _block_rows(anchor, whole, written)
+        reference, tiles, written, registers, fulls, take = self.loops[loop]
+        if take is not None:
+            buffers = take(self.args)
+        rows = 0
+        if reference >= 0 and buffers[reference].size > self.block:
+            rows = _block_rows(buffers[reference], buffers[:tiles], written, self.block)
         if not rows:
             self.full = None
             if tiles == len(buffers):  # no allocation between registers and scratch
                 return (buffers + (None,) * (registers + fulls),)
             allocs = tuple(map(np.empty_like, buffers[tiles:]))
-            return (whole + (None,) * registers + allocs + (None,) * fulls,)
+            return (buffers[:tiles] + (None,) * registers + allocs + (None,) * fulls,)
+        whole = buffers[:tiles]
+        anchor = whole[reference]
         if not self.blocked:
             self.blocked = True
             with _MULTI_BLOCK_LOCK:
                 _COUNTERS.multi_block_calls += 1
         shape = anchor.shape
         extent = shape[0]
-        scratch = np.empty((registers + len(buffers) - tiles, rows) + shape[1:])
+        cut_shape = (registers + len(buffers) - tiles, rows) + shape[1:]
+        size = math.prod(cut_shape)
+        if self.scratch is not None and self.scratch.size >= size:
+            scratch = self.scratch[:size].reshape(cut_shape)
+        else:
+            scratch = np.empty(cut_shape)
         self.full = [np.empty(shape) for _ in range(fulls)]
         own = tuple(scratch)
         blocks = []
@@ -334,15 +357,53 @@ def _broadcast(value, reference):
     return value
 
 
-def _run(body: Callable, plan: KernelPlan, buffers, scalars) -> Dict[str, object]:
+def _getter(keys: Sequence) -> Callable:
+    """``container -> tuple(container[key] for key in keys)``, in C for two
+    keys or more."""
+    return itemgetter(*keys) if len(keys) > 1 else partial(_take, tuple(keys))
+
+
+def _take(keys: tuple, container) -> tuple:
+    return tuple(map(container.__getitem__, keys))
+
+
+def _driver(plan: KernelPlan) -> tuple:
+    """What :func:`_run` reads of ``plan`` per call, as getters.
+
+    ``(buffers, loops)``: the getter of the buffer arguments, and each
+    loop as :meth:`_Call.blocks` reads it, its argument positions turned
+    into one getter of its whole buffers.
+    """
+    loops = []
+    for reference, tiles, written, registers, fulls, _allocs, positions in plan.loops:
+        take = None if positions is None else _getter(positions)
+        loops.append((reference, tiles, written, registers, fulls, take))
+    return _getter(plan.buffers), tuple(loops)
+
+
+def scratch_elements(plan: KernelPlan, block: int) -> int:
+    """Elements of the flat scratch a call of ``plan``'s body blocking at
+    ``block`` cuts every loop's registers and allocations from."""
+    rows = max((loop[3] + loop[5] for loop in plan.loops), default=0)
+    return rows * block
+
+
+def _run(
+    body: Callable, plan: KernelPlan, driver: tuple, buffers, scalars,
+    block: Optional[int] = None, scratch: Optional[np.ndarray] = None,
+):
     """Run a compiled body under its plan: the driver of every generated kernel.
 
     Binds the buffers, raises for a guarded one that is not materialised
     before anything runs, converts the scalars as the interpreter does,
-    hands the body a fresh :class:`_Call` and packages the partials.
+    hands a body with block loops a fresh :class:`_Call` planning blocks
+    of ``block`` elements (:data:`BLOCK` by default) in ``scratch`` (a
+    fresh allocation when ``None``) and packages the partials.
+    ``driver`` is :func:`_driver` of ``plan``.
     """
     # No comprehensions here: each is a function frame of its own.
-    args = list(map(buffers.__getitem__, plan.buffers))
+    take_buffers, loops = driver
+    args = list(take_buffers(buffers))
     for position, message in plan.guards:
         if args[position] is None:
             raise RuntimeError(message)
@@ -350,14 +411,15 @@ def _run(body: Callable, plan: KernelPlan, buffers, scalars) -> Dict[str, object
         args.append(np.float64(scalars[name]))
     if plan.lists:
         args += [[] for _ in range(plan.lists)]
-    values = body(_Call(plan.loops), *args)
+    values = body(_Call(loops, args, block or BLOCK, scratch) if loops else None, *args)
     partials: Dict[str, object] = {}
-    for (key, kind), value in zip(plan.partials, values or ()):
-        partials[key] = (
-            np.asarray(value, dtype=np.float64)
-            if kind is None
-            else ReductionPartial(kind=kind, value=value)
-        )
+    if plan.partials:
+        for (key, kind), value in zip(plan.partials, values):
+            partials[key] = (
+                np.asarray(value, dtype=np.float64)
+                if kind is None
+                else ReductionPartial(kind=kind, value=value)
+            )
     return partials
 
 
@@ -409,7 +471,7 @@ class _SourceWriter:
         self.lists: List[str] = []
         #: Buffer key -> message of its guard, first guard first.
         self.guards: Dict[str, str] = {}
-        self.loops: List[Tuple[int, int, int, int, int]] = []
+        self.loops: List[tuple] = []
         #: ``(key, kind, identifier)`` of each value the body returns.
         self.partials: List[Tuple[str, Optional[ReduceKind], str]] = []
 
@@ -790,12 +852,26 @@ class _LoopEmitter:
                 + [kernel.ident("c", name) for name in self.allocs]
                 + [f"_u{i}" for i in range(len(self.fulls))]
             )
-            args = [str(len(out.loops))] + [
+            whole = [
                 kernel.ident("b", name)
                 for name in ordered + [kernel.block_allocs[alloc] for alloc in self.allocs]
             ]
+            # The driver holds the parameters; a loop over body locals
+            # passes its buffers.
+            params = {ident: index for index, (_key, ident) in enumerate(out.buffers)}
+            positions = None
+            args = [str(len(out.loops))]
+            if all(ident in params for ident in whole):
+                positions = tuple(params[ident] for ident in whole)
+            else:
+                args += whole
             anchor = -1 if reference is None else ordered.index(reference)
-            out.loops.append((anchor, len(ordered), len(self.written), self.registers, len(self.fulls)))
+            out.loops.append(
+                (
+                    anchor, len(ordered), len(self.written), self.registers,
+                    len(self.fulls), len(self.allocs), positions,
+                )
+            )
             out.emit(f"for {_names(targets)} in _k.blocks({', '.join(args)}):")
             out.indent += 1
             for line in self.body:
@@ -1063,7 +1139,7 @@ def bind(source: str, plan: KernelPlan, name: str) -> Tuple[Callable, bool]:
     """The ``(buffers, scalars)`` entry point of a generated body run by
     the driver under ``plan``, and whether its source compiled just now."""
     body, fresh = _compile_source(source, name)
-    return partial(_run, body, plan), fresh
+    return partial(_run, body, plan, _driver(plan)), fresh
 
 
 class CodegenExecutor(KernelExecutor):
@@ -1076,5 +1152,14 @@ class CodegenExecutor(KernelExecutor):
         self.source = generate_source(function)
         self._fn, self.freshly_compiled = bind(self.source, self.source.plan, function.name)
 
-    def __call__(self, buffers: Dict[str, Optional[np.ndarray]], scalars: Dict[str, float]):
-        return self._fn(buffers, scalars)
+    def __call__(
+        self,
+        buffers: Dict[str, Optional[np.ndarray]],
+        scalars: Dict[str, float],
+        block: Optional[int] = None,
+        scratch: Optional[np.ndarray] = None,
+    ):
+        return self._fn(buffers, scalars, block, scratch)
+
+    def scratch_elements(self, block: int) -> int:
+        return scratch_elements(self.source.plan, block)

@@ -75,6 +75,10 @@ class CompiledKernel:
         """Kernel launches per point task."""
         return self.cost.launches
 
+    def scratch_elements(self, block: int) -> int:
+        """Elements of the scratch one call blocking at ``block`` uses."""
+        return self.executor.scratch_elements(block)
+
 
 @dataclass
 class CompilerStats:

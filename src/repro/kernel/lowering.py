@@ -75,6 +75,11 @@ class KernelExecutor:
     loaded — are passed as ``None``.  ``scalars`` maps scalar parameter
     names to immediate values.  Executors mutate written buffers in place
     and return the reduction partials keyed by target buffer name.
+    ``block`` is the elements per block a generated kernel plans its
+    block loops at (``None``: ``codegen.BLOCK``) and ``scratch`` a flat
+    float64 buffer of :meth:`scratch_elements` its registers are cut
+    from (``None``: allocated per call); the interpreter has no blocks
+    and ignores both.
     """
 
     backend = "abstract"
@@ -87,8 +92,14 @@ class KernelExecutor:
         self,
         buffers: Dict[str, Optional[np.ndarray]],
         scalars: Dict[str, float],
+        block: Optional[int] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> Dict[str, ReductionPartial]:
         raise NotImplementedError
+
+    def scratch_elements(self, block: int) -> int:
+        """Elements of the ``scratch`` a call blocking at ``block`` uses."""
+        return 0
 
 
 class InterpreterExecutor(KernelExecutor):
@@ -100,6 +111,8 @@ class InterpreterExecutor(KernelExecutor):
         self,
         buffers: Dict[str, Optional[np.ndarray]],
         scalars: Dict[str, float],
+        block: Optional[int] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> Dict[str, ReductionPartial]:
         local_buffers: Dict[str, Optional[np.ndarray]] = dict(buffers)
         partials: Dict[str, ReductionPartial] = {}
@@ -185,13 +198,15 @@ class DifferentialExecutor(KernelExecutor):
         self,
         buffers: Dict[str, Optional[np.ndarray]],
         scalars: Dict[str, float],
+        block: Optional[int] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> Dict[str, ReductionPartial]:
         initial = {
             name: buffers[name].copy()
             for name in self.function.buffers_written()
             if buffers.get(name) is not None
         }
-        actual = self.codegen(buffers, scalars)
+        actual = self.codegen(buffers, scalars, block, scratch)
         observed = {
             name: None if array is None else array.copy()
             for name, array in buffers.items()
@@ -201,6 +216,9 @@ class DifferentialExecutor(KernelExecutor):
         expected = self.interpreter(buffers, scalars)
         self._compare(buffers, observed, expected, actual)
         return actual
+
+    def scratch_elements(self, block: int) -> int:
+        return self.codegen.scratch_elements(block)
 
     def _compare(
         self,

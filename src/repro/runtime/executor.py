@@ -18,7 +18,7 @@ four steps:
    its share of a shipped step, over rows whose fields are the attached
    shared-memory blocks: one copy of every calling convention.
 2. **Run the chunks**, per-chunk ``(partials_by_rank,
-   seconds_by_rank)`` results in chunk order, on one of two rungs.  An
+   seconds_by_rank)`` results in chunk order, on one of three rungs.  An
    eager launch is one chunk, run in this process.  A replayed step of a
    plan resident in the worker processes (``REPRO_POINT_WORKERS`` > 1)
    ships with its whole level as one frame per worker
@@ -27,7 +27,10 @@ four steps:
    chunk results.  A step the frame declines — the reason recorded by
    ``Profiler.record_decline`` — runs its chunks inline, in rank order,
    on the calling thread, and so do the chunks of workers the frame
-   lost.
+   lost.  Without worker processes, a big compiled step of a level that
+   pools nothing runs its chunks across the idle plan threads
+   (:meth:`TaskExecutor._thread_chunks`), the calling thread taking
+   chunk 0.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
    rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
    are bit-identical for every substrate and dispatch width.
@@ -43,7 +46,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,6 +58,7 @@ from repro.config import hotpath_cache_enabled
 from repro.ir.partition import rects_cover
 from repro.ir.privilege import Privilege, ReductionOp, numpy_ufunc_for
 from repro.ir.task import IndexTask, StoreArg
+from repro.kernel import codegen
 from repro.kernel.compiler import CompiledKernel
 from repro.kernel.lowering import ReductionPartial
 from repro.runtime import procpool, telemetry
@@ -62,6 +68,7 @@ from repro.runtime.pool import (
     contiguous_elementwise_tables,
     merged_table_span,
     point_chunks,
+    worker_pool,
 )
 from repro.runtime.procpool import ChunkResult
 from repro.runtime.profiler import Profiler
@@ -142,7 +149,10 @@ class ChunkWork:
     #: Ranks ``[start, stop)`` -> :data:`ChunkResult`.  Pure compute,
     #: safe on any thread: writes land in place through disjoint views,
     #: partials and seconds come back unapplied for the join-point fold.
-    run: Callable[[int, int], ChunkResult]
+    #: A compiled work's runner takes two more arguments for a chunk that
+    #: runs beside others on the plan threads: its elements per block and
+    #: the scratch buffer the scheduling thread allocated for it.
+    run: Callable[..., ChunkResult]
     #: Reduction keys the fold keeps (``None`` keeps every key).
     wanted: Optional[object] = None
     #: What ships to a worker process: the compiled (or fused) kernel,
@@ -179,12 +189,17 @@ def bind_views(rows: Sequence[Row], start: int, stop: int) -> List[dict]:
 
 def compiled_ranks(
     kernel_fn, rows: Sequence[Row], scalars, start: int, stop: int,
-    elementwise: bool = False, bind=bind_views,
+    elementwise: bool = False, bind=bind_views, block: Optional[int] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> list:
     """Run ranks ``[start, stop)`` of a compiled launch; per-rank partials.
 
     With ``elementwise`` the range executes as one merged closure call
     over its contiguous span (the caller proved the launch batchable).
+    ``block`` is the elements per block the kernel plans its block loops
+    at (``None``: ``codegen.BLOCK``; a thread chunk passes more), and
+    ``scratch`` the buffer its registers are cut from (``None``: each
+    call allocates its own).
     """
     if elementwise and stop > start:
         kernel_fn(
@@ -193,9 +208,11 @@ def compiled_ranks(
                 for key, field, _is_reduction, table in rows
             },
             scalars,
+            block,
+            scratch,
         )
         return [None] * (stop - start)
-    return [kernel_fn(buffers, scalars) for buffers in bind(rows, start, stop)]
+    return [kernel_fn(buffers, scalars, block, scratch) for buffers in bind(rows, start, stop)]
 
 
 def wire_rects(table, start: int, stop: int) -> list:
@@ -271,6 +288,8 @@ class TaskExecutor:
             OrderedDict()
         )
         self.launch_rects, self._bind_ranks, self._bind_opaque_ranks = self._binder()
+        #: :meth:`reserve_scratch`'s buffer.
+        self._scratch = np.empty(0)
 
     # ------------------------------------------------------------------
     # Prepare: geometry, rows and the four kinds of work.
@@ -396,9 +415,9 @@ class TaskExecutor:
         machine = self.machine
         memo: Dict[Tuple[int, ...], float] = {}
 
-        def run(start: int, stop: int) -> ChunkResult:
+        def run(start: int, stop: int, block=None, scratch=None) -> ChunkResult:
             partials = compiled_ranks(
-                kernel_fn, rows, scalars, start, stop, elementwise, bind
+                kernel_fn, rows, scalars, start, stop, elementwise, bind, block, scratch
             )
             if cost is None:
                 return partials, ()
@@ -644,6 +663,65 @@ class TaskExecutor:
             shipped.append(Shipped(share, process_chunks))
         return shipped
 
+    def _thread_chunks(
+        self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], slots: int
+    ) -> List[ChunkResult]:
+        """Run a compiled launch's chunks on ``slots`` threads; results in order.
+
+        Chunk ``p`` runs on slot ``p % slots``: slot 0 is the calling
+        (scheduling) thread, the others are plan-pool threads, idle
+        because the level pools nothing.  Each chunk plans its blocks at
+        ``k × codegen.BLOCK`` elements, ``k`` being the chunks that run at
+        once: fewer, longer ufunc calls, so the threads hand the GIL over
+        less often.  Every chunk cuts its registers from this executor's
+        scratch reserve (:meth:`reserve_scratch`), so no thread allocates
+        them and their pages stay mapped from one launch to the next.  Every
+        chunk is waited for before a failure propagates, so nothing
+        still writes when the caller sees it; the first failing chunk in
+        rank order raises.
+        """
+        block = min(len(chunks), slots) * codegen.BLOCK
+        size = work.kernel.scratch_elements(block)
+        scratch = self.reserve_scratch(len(chunks) * size)
+        pool = worker_pool()
+        runs = [
+            partial(work.run, start, stop, block, scratch[position * size : (position + 1) * size])
+            for position, (start, stop) in enumerate(chunks)
+        ]
+        futures = [
+            pool.submit(run) if position % slots else None
+            for position, run in enumerate(runs)
+        ]
+        results: List[Optional[ChunkResult]] = [None] * len(chunks)
+        try:
+            for position, run in enumerate(runs):
+                if futures[position] is None:
+                    results[position] = run()
+        finally:
+            wait([future for future in futures if future is not None])
+        results = [
+            done if future is None else future.result()
+            for done, future in zip(results, futures)
+        ]
+        self.profiler.record_thread_chunks(len(chunks), block)
+        return results
+
+    def reserve_scratch(self, elements: int) -> np.ndarray:
+        """The block scratch thread chunks cut their registers from.
+
+        One buffer per executor, grown to ``elements`` when it is
+        smaller and written whole when it grows, so its pages are mapped
+        by the thread that reserves it and never handed back.  The plan
+        scheduler reserves what a plan's split steps need when the plan
+        is captured (``PlanScheduler.reserve``), so its first replay
+        touches no fresh page for them.  Only the scheduling thread of
+        this executor's runtime uses it, one launch at a time.
+        """
+        if self._scratch.size < elements:
+            self._scratch = np.empty(elements)
+            self._scratch.fill(0.0)
+        return self._scratch
+
     # ------------------------------------------------------------------
     # Fold.
     # ------------------------------------------------------------------
@@ -692,7 +770,7 @@ class TaskExecutor:
 
     def launch(
         self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int,
-        shipped: Optional[Shipped] = None,
+        shipped: Optional[Shipped] = None, threads: int = 1,
     ) -> Tuple[float, Dict[object, Partials]]:
         """Run a prepared launch's chunks and fold them.
 
@@ -700,13 +778,16 @@ class TaskExecutor:
         ``width``) already ran: slot 0's chunks on the calling thread and
         those the worker processes brought back.  The chunks it lacks —
         every chunk without it — run here, in rank order, and no chunk
-        runs twice.  Returns ``(kernel seconds, reduction partials per
-        key)`` with the partials still unapplied: the plan scheduler
-        folds each step's partials into their stores at its level's
-        join, in recorded order.
+        runs twice.  With ``threads`` > 1 the chunks run on that many
+        slots instead (:meth:`_thread_chunks`).  Returns ``(kernel
+        seconds, reduction partials per key)`` with the partials still
+        unapplied: the plan scheduler folds each step's partials into
+        their stores at its level's join, in recorded order.
         """
         process_chunks = 0
-        if shipped is None:
+        if threads > 1:
+            results = self._thread_chunks(work, chunks, threads)
+        elif shipped is None:
             results = [work.run(start, stop) for start, stop in chunks]
         else:
             results = [

@@ -1,12 +1,20 @@
 """The plan scheduler's worker thread pool and rank-chunk partitioning.
 
-The pool serves one dispatch level: the **plan scheduler**
-(``runtime/scheduler.py``) hands independent steps of a wide level of a
-captured :class:`ExecutionPlan` to it.  It is sized by
-``REPRO_WORKERS`` and resized lazily when that flag changes.  The rank
-chunks of a single launch never come here: they run in the worker
-processes (``runtime/procpool.py``) or inline on whichever thread runs
-the launch, so a step on a pool thread never waits on its own pool.
+The **plan scheduler** (``runtime/scheduler.py``) hands two kinds of
+work to the pool, sized by ``REPRO_WORKERS`` and resized lazily when
+that flag changes:
+
+* independent steps of a wide level of a captured
+  :class:`ExecutionPlan`, each run whole on a pool thread;
+* without worker processes (``REPRO_POINT_WORKERS=1``), the rank chunks
+  of a big compiled step of a level that pools nothing — every level of
+  a chain plan — chunk 0 on the scheduling thread and the others here
+  (``TaskExecutor.launch`` with ``threads``).
+
+Only the scheduling thread submits, and only while no step of its level
+is on the pool, so a pool thread never waits on its own pool.  With
+worker processes the rank chunks of a launch run in them
+(``runtime/procpool.py``) or inline on the thread that runs the launch.
 """
 
 from __future__ import annotations

@@ -122,6 +122,11 @@ class Profiler:
         self.point_ranks: int = 0
         self.point_width_max: int = 0
         self.point_width_budget: int = 0
+        #: Rank chunks of replayed compiled launches a chain level split
+        #: across the plan threads (the scheduling thread's included),
+        #: and the largest block (elements) such a chunk planned at.
+        self.point_thread_chunks: int = 0
+        self.point_thread_block: int = 0
         #: Element-wise batching: launches executed as merged closure
         #: calls (one per rank chunk instead of one per rank) and the
         #: total merged calls they produced.
@@ -297,6 +302,13 @@ class Profiler:
             self.point_ranks += ranks
             self.point_width_max = max(self.point_width_max, chunks)
             self.point_width_budget += max(1, width)
+
+    def record_thread_chunks(self, chunks: int, block: int) -> None:
+        """Record one launch whose ``chunks`` ran across the plan threads
+        at ``block`` elements per block (reported on the scheduling thread)."""
+        with self._lock:
+            self.point_thread_chunks += chunks
+            self.point_thread_block = max(self.point_thread_block, block)
 
     def record_elementwise_batch(self, calls: int) -> None:
         """Record one element-wise launch executed as merged chunk calls."""
@@ -537,6 +549,8 @@ class Profiler:
                 "point_width_max": self.point_width_max,
                 "point_width_budget": self.point_width_budget,
                 "point_process_chunks": self.point_process_chunks,
+                "point_thread_chunks": self.point_thread_chunks,
+                "point_thread_block": self.point_thread_block,
                 "batched_launches": self.batched_launches,
                 "batched_calls": self.batched_calls,
                 "opaque_rank_calls": self.opaque_rank_calls,

@@ -54,10 +54,11 @@ from repro import config
 from repro.ir.privilege import ReductionOp
 from repro.ir.store import Store
 from repro.ir.task import DeferredTask, IndexTask
+from repro.kernel import codegen
 from repro.runtime import executor as executor_module
 from repro.runtime import procpool, telemetry
 from repro.runtime.executor import ChunkWork
-from repro.runtime.pool import worker_pool
+from repro.runtime.pool import point_chunks, worker_pool
 from repro.runtime.superkernel import (
     SuperKernelStep,
     lower_when_earned,
@@ -131,9 +132,11 @@ class PlanDispatch:
     point_width: int
     #: Per step ``(dispatched, point width, rank chunks)``.
     decisions: List[Tuple[bool, int, List[Tuple[int, int]]]]
-    #: Per level, ``(step index, scheduled step, width, chunks)`` in
-    #: recorded order, and whether the level hands steps to the pool.
-    levels: Tuple[Tuple[Tuple[int, ScheduledStep, int, list], ...], ...]
+    #: Per level, ``(step index, scheduled step, width, chunks, threads)``
+    #: in recorded order — ``threads`` > 1 splits the step's chunks
+    #: across that many plan threads — and whether the level hands steps
+    #: to the pool.
+    levels: Tuple[Tuple[Tuple[int, ScheduledStep, int, list, int], ...], ...]
     pooled: Tuple[bool, ...]
     #: Closure calls one replay makes: every compiled step, and the
     #: super-kernel subset.
@@ -325,11 +328,18 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     — every step of a chain plan — own the whole point width, and so do
     opaque steps of a shared level: their chunks queue on the worker
     pipes.
+
+    Without worker processes (``REPRO_POINT_WORKERS`` = 1) the plan
+    threads of a level with nothing dispatched would sit idle, so a
+    compiled step there whose rank chunks each still span two of their
+    blocks (:func:`_splits_across_threads`) runs ``point_chunks(ranks,
+    REPRO_WORKERS)`` chunks across them, the scheduling thread taking
+    chunk 0 (``TaskExecutor.launch`` with ``threads``).
     """
     workers, point_width = config.worker_count(), config.point_worker_count()
     flags = (
         workers, point_width,
-        MIN_DISPATCH_VOLUME, executor_module.MIN_POINT_DISPATCH_VOLUME,
+        MIN_DISPATCH_VOLUME, executor_module.MIN_POINT_DISPATCH_VOLUME, codegen.BLOCK,
     )
     if schedule.dispatch is not None and schedule.dispatch[0] == flags:
         return schedule.dispatch[1]
@@ -357,8 +367,13 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
             if width > 1 and entry.num_points > 1:
                 rows = entry.step.buffer_bindings
             chunks = executor.point_chunk_plan(entry.num_points, rows, width)
+            threads = 1
+            if workers > 1 and point_width == 1 and not dispatched and entry.compiled:
+                split = point_chunks(entry.num_points, workers)
+                if _splits_across_threads(entry.step, split):
+                    chunks, threads = split, workers
             decisions[index] = (index in dispatched, width, chunks)
-            launches.append((index, entry, width, chunks))
+            launches.append((index, entry, width, chunks, threads))
             if isinstance(entry.step, SuperKernelStep):
                 superkernel_calls += len(chunks)
                 closure_calls += len(chunks)
@@ -372,6 +387,26 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     )
     schedule.dispatch = (flags, dispatch)
     return dispatch
+
+
+def _splits_across_threads(step: CompiledStep, chunks) -> bool:
+    """True when every chunk of ``chunks`` still spans two of its blocks.
+
+    A chunk's span is what its largest buffer covers over the chunk's
+    ranks, and its block is ``len(chunks) × codegen.BLOCK`` elements
+    (``TaskExecutor._thread_chunks``).  A chunk of one block runs
+    whole-tile, a fresh temporary per ufunc call instead of the block
+    loop's registers, and on ``stream-churn`` (65,536 elements, two
+    chunks of one block each) that cost more than the split saved.
+    """
+    if len(chunks) < 2:
+        return False
+    tables = [table for _name, _slot, _is_reduction, table in step.buffer_bindings]
+    return all(
+        max(sum(volume for _rect, volume in table[start:stop]) for table in tables)
+        >= 2 * len(chunks) * codegen.BLOCK
+        for start, stop in chunks
+    )
 
 
 def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Store]) -> None:
@@ -453,12 +488,14 @@ class PlanScheduler:
             launches: Dict[int, Callable] = {}
             entries: List[tuple] = []
             works: List[ChunkWork] = []
-            for index, entry, width, chunks in level:
+            for index, entry, width, chunks, threads in level:
                 work = prepare(entry)
                 if recorder is None:
-                    launches[index] = partial(executor.launch, work, chunks, width)
+                    launches[index] = partial(executor.launch, work, chunks, width, threads=threads)
                 else:
-                    launches[index] = partial(self._traced_launch, entry, work, chunks, width)
+                    launches[index] = partial(
+                        self._traced_launch, entry, work, chunks, width, threads=threads
+                    )
                 if resident is not None and index in resident.steps:
                     frame_entry = executor.resident_entry(resident, index, work, chunks)
                     if frame_entry is not None:
@@ -486,7 +523,7 @@ class PlanScheduler:
             # Join point: fold the level's reduction partials in recorded
             # order so dependent levels (and the final buffers) are
             # bit-identical to serial replay.
-            for index, entry, _width, _chunks in level:
+            for index, entry, _width, _chunks, _threads in level:
                 for key, partials in results[index][1].items():
                     slot, redop = entry.targets[key]
                     executor.apply_reduction_partials(slot_stores[slot], redop, partials)
@@ -503,6 +540,22 @@ class PlanScheduler:
                 dispatched=dispatched,
                 level_widths=schedule.level_widths,
             )
+
+    def reserve(self, plan: ExecutionPlan, slot_stores: Sequence[Store], tasks) -> None:
+        """Reserve, when ``plan`` is captured, the block scratch its split
+        steps will need on replay (``TaskExecutor.reserve_scratch``).
+
+        The schedule and dispatch decisions are the ones replay reuses
+        (both cached on the plan).  A lowering at a later replay may
+        need more; the reserve then grows at that launch.
+        """
+        schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
+        executor = self.runtime.executor
+        for level in _plan_dispatch(schedule, executor).levels:
+            for _index, entry, _width, chunks, threads in level:
+                if threads > 1:
+                    share = entry.step.kernel.scratch_elements(len(chunks) * codegen.BLOCK)
+                    executor.reserve_scratch(len(chunks) * share)
 
     def _step_work(
         self,
@@ -547,7 +600,9 @@ class PlanScheduler:
             return ChunkWork(
                 rows,
                 entry.num_points,
-                lambda start, stop: run_superkernel_ranks(step, rows, scalars, start, stop),
+                lambda start, stop, block=None, scratch=None: run_superkernel_ranks(
+                    step, rows, scalars, start, stop, block, scratch
+                ),
                 step.reductions,
                 kernel=step.kernel,
                 scalars=scalars,
@@ -558,12 +613,13 @@ class PlanScheduler:
         )
 
     def _traced_launch(
-        self, entry: ScheduledStep, work: ChunkWork, chunks, width: int, shipped=None
+        self, entry: ScheduledStep, work: ChunkWork, chunks, width: int, shipped=None,
+        threads: int = 1,
     ):
         """``executor.launch`` inside a ``plan.step`` span (telemetry on)."""
         label = f"{entry.step.task_name} ranks={entry.num_points} chunks={len(chunks)}"
         with telemetry.span("plan.step", label, sim=self.runtime.simulated_seconds):
-            return self.runtime.executor.launch(work, chunks, width, shipped)
+            return self.runtime.executor.launch(work, chunks, width, shipped, threads)
 
     def _resident_level(
         self, resident, level_index: int, launches: Dict[int, Callable],

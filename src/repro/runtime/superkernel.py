@@ -116,6 +116,10 @@ class SuperKernel:
         self.binding_plan = binding_plan
         self.executor, self.freshly_compiled = codegen.bind(source, plan, name)
 
+    def scratch_elements(self, block: int) -> int:
+        """Elements of the scratch one call blocking at ``block`` uses."""
+        return codegen.scratch_elements(self.plan, block)
+
 
 @dataclass
 class SuperKernelStep(CompiledStep):
@@ -648,6 +652,8 @@ def run_superkernel_ranks(
     scalars: Dict[str, float],
     start: int,
     stop: int,
+    block: Optional[int] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> Tuple[list, tuple]:
     """Run rank chunk ``[start, stop)`` of a fused unit (one closure call).
 
@@ -658,7 +664,9 @@ def run_superkernel_ranks(
     """
     if step.verify:
         return [_run_verify(step, prepared, scalars)], ()
-    return call_superkernel(step.kernel, prepared, scalars, start, stop, step.chunkable)
+    return call_superkernel(
+        step.kernel, prepared, scalars, start, stop, step.chunkable, block, scratch
+    )
 
 
 def call_superkernel(
@@ -668,6 +676,8 @@ def call_superkernel(
     start: int,
     stop: int,
     chunked: bool = True,
+    block: Optional[int] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> Tuple[list, tuple]:
     """One fused-closure call over ranks ``[start, stop)``.
 
@@ -676,7 +686,10 @@ def call_superkernel(
     Merged bindings hand the closure one contiguous span view; ranked
     bindings hand it the chunk's per-rank view list; reduction targets
     are ``None`` in both (their values come back as partials).  Without
-    ``chunked`` the call covers every rank.  Returns the chunk result
+    ``chunked`` the call covers every rank.  ``block`` is the elements
+    per block the closure plans at (``None``: ``codegen.BLOCK``; a thread
+    chunk passes more) and ``scratch`` the buffer its registers are cut
+    from (``None``: allocated per call).  Returns the chunk result
     shape every substrate returns: the closure's partials — per
     reduction target, a rank-ordered float64 array — as the chunk's
     single entry, and no seconds (replay charges the captured ones).
@@ -705,7 +718,7 @@ def call_superkernel(
         "superkernel.call",
         f"{kernel.name} ranks=[{start}:{stop})" if telemetry.enabled() else "",
     ):
-        return [kernel.executor(buffers, scalars)], ()
+        return [kernel.executor(buffers, scalars, block, scratch)], ()
 
 
 def _run_verify(

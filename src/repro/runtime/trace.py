@@ -667,8 +667,9 @@ class TraceController:
                 stats.fused_constituents - stats_before[2],
                 stats.temporaries_eliminated - stats_before[3],
             )
-            self.cache[key] = recorder.build_plan(stats_deltas)
+            plan = self.cache[key] = recorder.build_plan(stats_deltas)
             self.captured_plans += 1
+            engine.runtime.plan_scheduler.reserve(plan, slot_stores, records)
 
     @staticmethod
     def _release(tasks: Sequence[DeferredTask], already_fed: int) -> None:

@@ -21,8 +21,9 @@ replayed epoch (:func:`telemetry.span_summary`), then how many
 super-kernel sections run once over a merged span and why the others
 keep a rank loop, then the point-dispatch pool (the scheduling thread
 and its worker processes) with the level frames and worker chunks of a
-replayed epoch, then what the kernel JIT compiled in this process; no
-trace file is written unless ``--output`` names one.
+replayed epoch — or, in one process, the rank chunks a replayed epoch
+split across the plan threads — then what the kernel JIT compiled in
+this process; no trace file is written unless ``--output`` names one.
 
 By default the run uses the full replay stack with rank chunks in
 worker processes (trace capture, plan scheduler, ``--point-workers 4``),
@@ -53,7 +54,7 @@ from repro.runtime.profiler import RANKED_REASONS
 _TRACE_KWARGS: Dict[str, Dict[str, int]] = {
     "cg": {"grid_points_per_gpu": 24},
     "jacobi": {"rows_per_gpu": 96},
-    "black-scholes": {"elements_per_gpu": 2048},
+    "black-scholes": {"elements_per_gpu": 65536},
     "two-matvec": {"rows_per_gpu": 48},
     "bicgstab": {"grid_points_per_gpu": 24},
 }
@@ -123,14 +124,20 @@ def format_materialised(counters: Dict[str, object]) -> str:
 
 def format_dispatch(counters: Dict[str, object], slots: int) -> str:
     """One line: the pool's slots and placement, frames and worker chunks
-    per epoch, and how often a round trip preempted the sending thread.
+    per epoch, and how often a round trip preempted the sending thread;
+    without worker processes, the rank chunks a replayed epoch ran across
+    the plan threads and the largest block they planned at.
 
     A frame's size is the mean over every message the run wrote to a
     pipe (plan ships included).
     """
-    if slots <= 1:
-        return "point dispatch: inline (one process)"
     epochs = max(1, counters["trace_hits"])
+    if slots <= 1:
+        return (
+            f"point dispatch: inline (one process); "
+            f"{counters['point_thread_chunks'] / epochs:.2f} thread chunks per replayed "
+            f"epoch (blocks of {counters['point_thread_block']})"
+        )
     frame_bytes = counters["wire_bytes"] / max(1, counters["wire_requests"])
     workers = slots - 1
     return (
@@ -170,7 +177,10 @@ def main() -> int:
         "--workers",
         type=int,
         default=4,
-        help="plan-scheduler worker count (REPRO_WORKERS)",
+        help=(
+            "plan-scheduler thread count (REPRO_WORKERS): steps of wide levels, or "
+            "a chain level's big compiled step split into rank chunks"
+        ),
     )
     parser.add_argument(
         "--point-workers",

@@ -568,9 +568,9 @@ def _record_inline_launches(monkeypatch):
 
     launch = TaskExecutor.launch
 
-    def recorded_launch(self, work, chunks, width, shipped=None):
+    def recorded_launch(self, work, chunks, width, shipped=None, threads=1):
         if len(chunks) < 2 or (shipped is not None and shipped.process_chunks):
-            return launch(self, work, chunks, width, shipped)
+            return launch(self, work, chunks, width, shipped, threads)
         pending = list(chunks)
         if shipped is not None:
             pending = [chunk for chunk, done in zip(chunks, shipped.results) if done is None]
@@ -582,7 +582,7 @@ def _record_inline_launches(monkeypatch):
 
         work.run, local.in_launch = recorded, True
         try:
-            return launch(self, work, chunks, width, shipped)
+            return launch(self, work, chunks, width, shipped, threads)
         finally:
             work.run, local.in_launch = run, False
             inline.append((threading.current_thread(), pending, ran))

@@ -323,8 +323,8 @@ class TestCodegenContract:
         # Sabotage the codegen closure to return corrupted buffers.
         good_fn = executor.codegen._fn
 
-        def bad_fn(buffers, scalars):
-            partials = good_fn(buffers, scalars)
+        def bad_fn(buffers, scalars, block=None, scratch=None):
+            partials = good_fn(buffers, scalars, block, scratch)
             buffers["out"][0] += 1.0
             return partials
 

@@ -56,6 +56,7 @@ def _dirty(profiler: Profiler) -> None:
     profiler.point_ranks = 96
     profiler.point_width_max = 4
     profiler.point_width_budget = 32
+    profiler.record_thread_chunks(2, 32768)
     profiler.batched_launches = 3
     profiler.batched_calls = 9
     profiler.opaque_rank_calls = 10
