@@ -151,7 +151,7 @@ class ChunkWork:
     #: partials and seconds come back unapplied for the join-point fold.
     #: A compiled work's runner takes two more arguments for a chunk that
     #: runs beside others on the plan threads: its elements per block and
-    #: the scratch buffer the scheduling thread allocated for it.
+    #: its share of the executor's scratch reserve.
     run: Callable[..., ChunkResult]
     #: Reduction keys the fold keeps (``None`` keeps every key).
     wanted: Optional[object] = None
@@ -213,6 +213,19 @@ def compiled_ranks(
         )
         return [None] * (stop - start)
     return [kernel_fn(buffers, scalars, block, scratch) for buffers in bind(rows, start, stop)]
+
+
+def thread_block(chunks: int) -> int:
+    """Elements per block of a thread chunk that runs beside ``chunks − 1``
+    others (:meth:`TaskExecutor._thread_chunks`).
+
+    Two chunks at ``2 × codegen.BLOCK`` hand the GIL over half as often
+    as at ``BLOCK`` and kept the split's CPU time within 12 % of one
+    serial call on Black-Scholes (``docs/architecture.md``, *Kernel
+    tier*).  Wider blocks for more chunks were not measured, so more
+    chunks keep that block: its registers stay in L2.
+    """
+    return min(chunks, 2) * codegen.BLOCK
 
 
 def wire_rects(table, start: int, stop: int) -> list:
@@ -671,16 +684,16 @@ class TaskExecutor:
         Chunk ``p`` runs on slot ``p % slots``: slot 0 is the calling
         (scheduling) thread, the others are plan-pool threads, idle
         because the level pools nothing.  Each chunk plans its blocks at
-        ``k × codegen.BLOCK`` elements, ``k`` being the chunks that run at
-        once: fewer, longer ufunc calls, so the threads hand the GIL over
-        less often.  Every chunk cuts its registers from this executor's
+        :func:`thread_block` elements: fewer, longer ufunc calls than at
+        ``codegen.BLOCK``, so the threads hand the GIL over less often.
+        Every chunk cuts its registers from this executor's
         scratch reserve (:meth:`reserve_scratch`), so no thread allocates
         them and their pages stay mapped from one launch to the next.  Every
         chunk is waited for before a failure propagates, so nothing
         still writes when the caller sees it; the first failing chunk in
         rank order raises.
         """
-        block = min(len(chunks), slots) * codegen.BLOCK
+        block = thread_block(min(len(chunks), slots))
         size = work.kernel.scratch_elements(block)
         scratch = self.reserve_scratch(len(chunks) * size)
         pool = worker_pool()

@@ -41,7 +41,6 @@ from repro.runtime.shm import BlockDescriptor, SharedArena
 _MALLOPT_POLICY = (
     (-1, 1 << 30),  # M_TRIM_THRESHOLD: keep up to 1 GiB of freed heap top
     (-3, 32 << 20),  # M_MMAP_THRESHOLD: blocks below 32 MiB (glibc's limit) stay on the heap
-    (-8, 1),  # M_ARENA_MAX: plan threads allocate from the main heap too
 )
 
 
@@ -55,10 +54,7 @@ def _keep_freed_memory_mapped() -> bool:
     commits measure 2x apart.  Legion reserves its instance pools at
     start-up and never returns them; this is the same policy for the
     one address space of the simulator: freed blocks up to tens of MiB
-    stay mapped and are reused.  Threads share the one main arena: a
-    plan thread's block scratch would otherwise come from a per-thread
-    arena, whose freed memory glibc does hand back (its heaps are
-    trimmed on ``free`` whatever the threshold).  Pinned once, here, where region storage
+    stay mapped and are reused.  Pinned once, here, where region storage
     is created (forked pool workers inherit it); a silent no-op on
     platforms whose C library has no ``mallopt``.
     """

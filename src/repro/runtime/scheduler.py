@@ -331,10 +331,11 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
 
     Without worker processes (``REPRO_POINT_WORKERS`` = 1) the plan
     threads of a level with nothing dispatched would sit idle, so a
-    compiled step there whose rank chunks each still span two of their
-    blocks (:func:`_splits_across_threads`) runs ``point_chunks(ranks,
-    REPRO_WORKERS)`` chunks across them, the scheduling thread taking
-    chunk 0 (``TaskExecutor.launch`` with ``threads``).
+    compiled step there runs ``point_chunks(ranks, k)`` chunks across
+    them, the scheduling thread taking chunk 0 (``TaskExecutor.launch``
+    with ``threads``): ``k`` is the most chunks, at most
+    ``REPRO_WORKERS``, that each still span two of their blocks
+    (:func:`_thread_split`).
     """
     workers, point_width = config.worker_count(), config.point_worker_count()
     flags = (
@@ -369,9 +370,9 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
             chunks = executor.point_chunk_plan(entry.num_points, rows, width)
             threads = 1
             if workers > 1 and point_width == 1 and not dispatched and entry.compiled:
-                split = point_chunks(entry.num_points, workers)
-                if _splits_across_threads(entry.step, split):
-                    chunks, threads = split, workers
+                split = _thread_split(entry.step, entry.num_points, workers)
+                if split:
+                    chunks, threads = split, len(split)
             decisions[index] = (index in dispatched, width, chunks)
             launches.append((index, entry, width, chunks, threads))
             if isinstance(entry.step, SuperKernelStep):
@@ -389,24 +390,27 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     return dispatch
 
 
-def _splits_across_threads(step: CompiledStep, chunks) -> bool:
-    """True when every chunk of ``chunks`` still spans two of its blocks.
+def _thread_split(step: CompiledStep, num_points: int, workers: int):
+    """The rank chunks of ``step`` across the plan threads, or ``None``.
 
-    A chunk's span is what its largest buffer covers over the chunk's
-    ranks, and its block is ``len(chunks) × codegen.BLOCK`` elements
-    (``TaskExecutor._thread_chunks``).  A chunk of one block runs
-    whole-tile, a fresh temporary per ufunc call instead of the block
-    loop's registers, and on ``stream-churn`` (65,536 elements, two
-    chunks of one block each) that cost more than the split saved.
+    The most chunks, at most ``workers``, that each still span two of
+    their blocks: a chunk's span is what its largest buffer covers over
+    its ranks, and its block is ``executor.thread_block(k)`` elements.  A
+    chunk of one block runs whole-tile, a fresh temporary per ufunc call
+    instead of the block loop's registers, and on ``stream-churn``
+    (65,536 elements, two chunks of one block each) that cost more than
+    the split saved.
     """
-    if len(chunks) < 2:
-        return False
     tables = [table for _name, _slot, _is_reduction, table in step.buffer_bindings]
-    return all(
-        max(sum(volume for _rect, volume in table[start:stop]) for table in tables)
-        >= 2 * len(chunks) * codegen.BLOCK
-        for start, stop in chunks
-    )
+    for count in range(min(workers, num_points), 1, -1):
+        chunks = point_chunks(num_points, count)
+        least = 2 * executor_module.thread_block(len(chunks))
+        if len(chunks) > 1 and all(
+            max(sum(volume for _rect, volume in table[start:stop]) for table in tables) >= least
+            for start, stop in chunks
+        ):
+            return chunks
+    return None
 
 
 def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Store]) -> None:
@@ -547,14 +551,21 @@ class PlanScheduler:
 
         The schedule and dispatch decisions are the ones replay reuses
         (both cached on the plan).  A lowering at a later replay may
-        need more; the reserve then grows at that launch.
+        need more; the reserve then grows at that launch.  Without plan
+        threads to split across, or without a compiled step, nothing can
+        split and the schedule stays lazy.
         """
+        if config.worker_count() < 2 or config.point_worker_count() > 1:
+            return
+        if not any(isinstance(step, CompiledStep) for step in plan.steps):
+            return
         schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
         executor = self.runtime.executor
         for level in _plan_dispatch(schedule, executor).levels:
             for _index, entry, _width, chunks, threads in level:
                 if threads > 1:
-                    share = entry.step.kernel.scratch_elements(len(chunks) * codegen.BLOCK)
+                    block = executor_module.thread_block(threads)
+                    share = entry.step.kernel.scratch_elements(block)
                     executor.reserve_scratch(len(chunks) * share)
 
     def _step_work(

@@ -2,10 +2,10 @@
 
 Without worker processes (``REPRO_POINT_WORKERS=1``) the plan threads of a
 level that pools nothing are idle, so ``scheduler._plan_dispatch`` gives a
-compiled or chunkable super-kernel step whose chunks each span two of
-their blocks ``point_chunks(ranks, REPRO_WORKERS)`` chunks: chunk 0 on the
+compiled or chunkable super-kernel step the most chunks, at most
+``REPRO_WORKERS``, that each span two of their blocks: chunk 0 on the
 scheduling thread, the others on ``pool.worker_pool()`` threads, every one
-through ``ChunkWork.run`` at ``k × codegen.BLOCK`` elements per block.
+through ``ChunkWork.run`` at ``executor.thread_block(k)`` elements per block.
 These tests shrink ``codegen.BLOCK`` so tier-1 sizes engage, and pin that
 buffers and per-iteration simulated seconds equal ``REPRO_WORKERS=1`` bit
 for bit, where the split may and may not happen, and what a failing chunk
@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from repro.kernel import codegen
 from repro.runtime import procpool, scheduler, superkernel
 from repro.runtime.executor import ChunkWork, TaskExecutor
 from repro.runtime.machine import MachineConfig
-from repro.runtime.pool import worker_pool
+from repro.runtime.pool import point_chunks, worker_pool
 from repro.runtime.region import RegionManager
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
@@ -42,6 +43,9 @@ from e2ebench import churn  # noqa: E402
 #: Elements per block while these tests run: every tier-1 tile spans
 #: several, so a split's chunks clear the two-block rule.
 SMALL_BLOCK = 8
+
+#: The block size the benchmark runs at.
+BLOCK = codegen.BLOCK
 
 
 def _set_flags(monkeypatch, workers, point_workers="1", backend="codegen"):
@@ -147,7 +151,7 @@ class TestLoneStepThreads:
         assert serial.snapshot()["point_thread_chunks"] == 0
         snapshot = profiler.snapshot()
         assert snapshot["point_thread_chunks"] > 0, snapshot
-        assert snapshot["point_thread_block"] == min(workers, PROGRAMS[program][0]) * SMALL_BLOCK
+        assert snapshot["point_thread_block"] == 2 * SMALL_BLOCK
         assert snapshot["point_chunks"] == snapshot["point_process_chunks"] == 0
         assert set(state) == set(expected)
         for name in expected:
@@ -170,6 +174,34 @@ class TestLoneStepThreads:
         profiler, _state = _run(monkeypatch, "black-scholes", 2)
         assert profiler.trace_hits > 0
         assert (profiler.point_thread_chunks > 0) == splits
+
+    def test_a_step_splits_into_the_most_chunks_that_span_two_blocks(
+        self, monkeypatch, launches
+    ):
+        """Four ranks of 24 elements under four workers: four or three
+        chunks would leave a chunk of 24 < 2 × 16 elements, two chunks of
+        48 clear it, so the step splits in two rather than not at all."""
+        program = (4, _app("black-scholes", elements_per_gpu=24))
+        monkeypatch.setitem(PROGRAMS, "black-scholes", program)
+        _run(monkeypatch, "black-scholes", 4)
+        split = [threads for _thread, threads, _work, _order in launches if threads > 1]
+        assert split and set(split) == {2}
+
+    @pytest.mark.parametrize("workers", range(2, 9))
+    def test_the_benchmark_shapes_at_the_real_block(self, monkeypatch, workers):
+        """At ``codegen.BLOCK``, ``bs-bigtile``'s step (4 ranks of 65,536
+        elements) splits at every worker count, into one chunk per rank
+        from four workers on; ``stream-churn``'s (4 ranks of 16,384)
+        never does."""
+        monkeypatch.setattr(codegen, "BLOCK", BLOCK)
+
+        def step(volume):
+            table = [(None, volume)] * 4
+            return SimpleNamespace(buffer_bindings=[("x", 0, False, table)] * 3)
+
+        split = scheduler._thread_split(step(65536), 4, workers)
+        assert split == point_chunks(4, min(workers, 4))
+        assert scheduler._thread_split(step(16384), 4, workers) is None
 
     def test_slot_zero_is_the_scheduling_thread(self, monkeypatch, launches):
         _run(monkeypatch, "black-scholes", 2)
