@@ -552,12 +552,16 @@ class PlanScheduler:
         The schedule and dispatch decisions are the ones replay reuses
         (both cached on the plan).  A lowering at a later replay may
         need more; the reserve then grows at that launch.  Without plan
-        threads to split across, or without a compiled step, nothing can
-        split and the schedule stays lazy.
+        threads to split across, or without a compiled step big enough
+        to split, the schedule stays lazy.
         """
-        if config.worker_count() < 2 or config.point_worker_count() > 1:
+        workers = config.worker_count()
+        if workers < 2 or config.point_worker_count() > 1:
             return
-        if not any(isinstance(step, CompiledStep) for step in plan.steps):
+        if not any(
+            isinstance(step, CompiledStep) and _thread_split(step, step.num_points, workers)
+            for step in plan.steps
+        ):
             return
         schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
         executor = self.runtime.executor

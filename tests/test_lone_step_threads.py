@@ -203,6 +203,28 @@ class TestLoneStepThreads:
         assert split == point_chunks(4, min(workers, 4))
         assert scheduler._thread_split(step(16384), 4, workers) is None
 
+    @pytest.mark.parametrize(
+        "workers, block, scheduled", [(1, SMALL_BLOCK, False), (2, SMALL_BLOCK, True), (2, BLOCK, False)]
+    )
+    def test_capture_schedules_only_a_plan_that_splits(
+        self, monkeypatch, workers, block, scheduled
+    ):
+        """Capture reserves scratch, building the plan's schedule early, only
+        when a step can split: not with one plan thread, and not when the
+        step's chunks would not span two blocks."""
+        monkeypatch.setattr(codegen, "BLOCK", block)
+        _set_flags(monkeypatch, workers)
+        ranks, runner = PROGRAMS["black-scholes"]
+        context = RuntimeContext(num_gpus=ranks, fusion=True)
+        set_context(context)
+        try:
+            runner(context, 3)  # two misses, then a capture; no replay
+        finally:
+            set_context(None)
+        (plan,) = context.diffuse.trace.cache.values()
+        assert context.profiler.trace_hits == 0
+        assert (plan.schedule is not None) == scheduled
+
     def test_slot_zero_is_the_scheduling_thread(self, monkeypatch, launches):
         _run(monkeypatch, "black-scholes", 2)
         split = [entry for entry in launches if entry[1] > 1]
