@@ -220,10 +220,11 @@ def thread_block(chunks: int) -> int:
     others (:meth:`TaskExecutor._thread_chunks`).
 
     Two chunks at ``2 × codegen.BLOCK`` hand the GIL over half as often
-    as at ``BLOCK`` and kept the split's CPU time within 12 % of one
-    serial call on Black-Scholes (``docs/architecture.md``, *Kernel
-    tier*).  Wider blocks for more chunks were not measured, so more
-    chunks keep that block: its registers stay in L2.
+    as at ``BLOCK``, and kept the split's CPU time per op 12–16 % above
+    one serial call on Black-Scholes, where blocks of ``BLOCK`` cost
+    33–44 % (``docs/architecture.md``, *Kernel tier*).  Only two chunks
+    were measured, so more chunks keep that block rather than
+    registers ``k`` times longer.
     """
     return min(chunks, 2) * codegen.BLOCK
 

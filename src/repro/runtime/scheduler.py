@@ -404,8 +404,8 @@ def _thread_split(step: CompiledStep, num_points: int, workers: int):
     tables = [table for _name, _slot, _is_reduction, table in step.buffer_bindings]
     for count in range(min(workers, num_points), 1, -1):
         chunks = point_chunks(num_points, count)
-        least = 2 * executor_module.thread_block(len(chunks))
-        if len(chunks) > 1 and all(
+        least = 2 * executor_module.thread_block(count)
+        if all(
             max(sum(volume for _rect, volume in table[start:stop]) for table in tables) >= least
             for start, stop in chunks
         ):
