@@ -50,8 +50,7 @@ _GRAVITY = 9.81
 # implementations (one vectorised call per rank tile, no reduction
 # partials).  The boundary reflection below is *not* block-invariant
 # (its edge copies are sequentially dependent through the corners), so
-# it registers without a chunk implementation and stays on the
-# documented per-rank fallback.
+# its chunk implementation runs each rank's copies whole, in rank order.
 # ----------------------------------------------------------------------
 def _edge_views(field, lo, hi):
     """East/west/north/south neighbour views for output block [lo, hi).
@@ -183,27 +182,47 @@ def _reflect_execute(task: IndexTask, point, buffers):
     """In-place reflective boundaries: the exact sequential edge copies.
 
     The column copies read the corner values the row copies just wrote,
-    so the operator is not block-invariant — it registers without a
-    chunk implementation and always runs per rank (a single-point
-    launch over the replicated field).
+    so the operator is not block-invariant: a chunk runs each of its
+    ranks' copies whole (a single-point launch over the replicated
+    field is one rank).
     """
     field = buffers[0]
-    if field is None:
-        return None
+    if field is not None:
+        _reflect(field)
+    return None
+
+
+def _reflect(field) -> None:
     field[0:1, :] = field[1:2, :]
     field[-1:, :] = field[-2:-1, :]
     field[:, 0:1] = field[:, 1:2]
     field[:, -1:] = field[:, -2:-1]
-    return None
+
+
+def _reflect_seconds(rows: int, columns: int, machine: MachineConfig) -> float:
+    edge_elements = 2.0 * (rows + columns)
+    bytes_moved = 2.0 * edge_elements * 8.0
+    return machine.kernel_launch_latency + bytes_moved / machine.gpu_memory_bandwidth
 
 
 def _reflect_cost(task: IndexTask, point, buffers, machine: MachineConfig) -> float:
     field = buffers[0]
     if field is None:
         return 0.0
-    edge_elements = 2.0 * (field.shape[0] + field.shape[1])
-    bytes_moved = 2.0 * edge_elements * 8.0
-    return machine.kernel_launch_latency + bytes_moved / machine.gpu_memory_bandwidth
+    return _reflect_seconds(field.shape[0], field.shape[1], machine)
+
+
+def _reflect_chunk(bases, rects, scalars):
+    """Chunk execute: each rank's edge copies on its tile, in rank order."""
+    field = bases[0]
+    for lo, hi in rects[0]:
+        _reflect(field[lo[0]:hi[0], lo[1]:hi[1]])
+    return None
+
+
+def _reflect_chunk_cost(bases, rects, scalars, machine: MachineConfig):
+    """Per-rank modelled seconds of a reflection chunk."""
+    return [_reflect_seconds(hi[0] - lo[0], hi[1] - lo[1], machine) for lo, hi in rects[0]]
 
 
 register_opaque_task(
@@ -231,6 +250,8 @@ register_opaque_task(
     "swe_reflect_edges",
     _reflect_execute,
     _reflect_cost,
+    chunk_execute=_reflect_chunk,
+    chunk_cost_seconds=_reflect_chunk_cost,
 )
 
 

@@ -271,14 +271,17 @@ class DiffuseRuntime:
     # Cost accounting for analysis and compilation.
     # ------------------------------------------------------------------
     def _charge_analysis(self, analyzed_tasks: int, replay: bool) -> None:
-        per_task = (
-            self.config.replay_seconds_per_task
+        """Charge one round's analysis; a capturing epoch's recorder gets
+        the charge a memoization hit on the same window makes (the one
+        every later occurrence of the epoch pays, see ``runtime.trace``)."""
+        hit_seconds = self.config.replay_seconds_per_task * analyzed_tasks
+        seconds = (
+            hit_seconds
             if replay
-            else self.config.analysis_seconds_per_task
+            else self.config.analysis_seconds_per_task * analyzed_tasks
         )
-        seconds = per_task * analyzed_tasks
         if self._recorder is not None:
-            self._recorder.note_analysis(seconds, replay)
+            self._recorder.note_analysis(hit_seconds, missed=not replay)
         self.runtime.add_simulated_seconds(seconds)
         self.runtime.profiler.record_analysis_time(seconds)
         self.runtime.profiler.add_iteration_seconds(seconds)
@@ -290,8 +293,6 @@ class DiffuseRuntime:
             if key in self._charged_compile_keys:
                 return
             self._charged_compile_keys.add(key)
-        if self._recorder is not None:
-            self._recorder.note_compile(seconds)
         self.runtime.add_simulated_seconds(seconds)
         self.runtime.profiler.record_compile_time(seconds)
         self.runtime.profiler.add_iteration_seconds(seconds)

@@ -465,7 +465,7 @@ class TaskExecutor:
         the buffer state the serial loop would show them.
         """
         machine = self.machine
-        if num_points > 1 and impl.chunk is not None and config.opaque_chunks_enabled():
+        if impl.chunk is not None and config.opaque_chunks_enabled():
             scalars = tuple(scalars)
             return ChunkWork(
                 rows, num_points,

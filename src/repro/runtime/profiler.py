@@ -87,6 +87,14 @@ class Profiler:
         self.trace_misses: int = 0
         #: Library tasks whose resolution was bypassed by trace replay.
         self.trace_replayed_tasks: int = 0
+        #: Plans captured, kept so the snapshot can count those never
+        #: replayed (``ExecutionPlan.replays``); of them, the ones
+        #: captured from a run that missed memoization (and so may have
+        #: compiled); and the run of its epoch at which the first replay
+        #: happened (0 before any replay).
+        self.captured_plans: List[object] = []
+        self.plans_captured_cold: int = 0
+        self.first_replay_run: int = 0
         #: Index tasks built from deferred records, by where: ``eager``
         #: (every submission to an untraced or unfused engine), ``miss``
         #: (every task of an epoch that missed the trace cache) and
@@ -254,6 +262,11 @@ class Profiler:
     def record_trace_miss(self) -> None:
         """Record an epoch that went through the full resolve pipeline."""
         self.trace_misses += 1
+
+    def record_capture(self, plan, cold: bool) -> None:
+        """Record a captured plan; ``cold``: its run missed memoization."""
+        self.captured_plans.append(plan)
+        self.plans_captured_cold += cold
 
     def record_plan_execution(
         self,
@@ -537,6 +550,11 @@ class Profiler:
                 "trace_hits": self.trace_hits,
                 "trace_misses": self.trace_misses,
                 "trace_replayed_tasks": self.trace_replayed_tasks,
+                "plans_captured_cold": self.plans_captured_cold,
+                "plans_never_replayed": sum(
+                    1 for plan in self.captured_plans if not plan.replays
+                ),
+                "first_replay_run": self.first_replay_run,
                 "plan_replays": self.plan_replays,
                 "plan_steps": self.plan_steps,
                 "plan_levels": self.plan_levels,

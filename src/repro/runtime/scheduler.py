@@ -450,6 +450,7 @@ class PlanScheduler:
         """Replay ``plan`` against the current epoch's stores."""
         runtime = self.runtime
         executor, profiler = runtime.executor, runtime.profiler
+        plan.replays += 1
         if config.superkernel_enabled():
             # Replay the plan's epoch super-kernels once it has earned
             # them (lowered once, cached on the plan).

@@ -612,7 +612,8 @@ def _repay(plan: ExecutionPlan) -> None:
 
 
 def lower_when_earned(plan: ExecutionPlan, tasks, lender, profiler) -> Optional[ExecutionPlan]:
-    """Count one replay of ``plan``; its lowering, if it may have one yet.
+    """The lowering of ``plan``, at a replay already counted, if it may
+    have one yet.
 
     ``lender`` is the plan scheduler replaying the plan and
     ``lender.speculating`` its count of outstanding speculative
@@ -623,7 +624,6 @@ def lower_when_earned(plan: ExecutionPlan, tasks, lender, profiler) -> Optional[
     fusible unit take no slot.  The state is all counts, so which
     replay lowers which plan repeats exactly from run to run.
     """
-    plan.replays += 1
     earned = plan.replays >= BREAK_EVEN_REPLAYS
     if earned:
         _repay(plan)

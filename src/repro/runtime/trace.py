@@ -20,12 +20,19 @@ dynamic tracing and Bohrium's runtime fusion of array operations:
    samples per-slot liveness and entry-coherence state and the scalar
    equality pattern, and looks the plan up.  Index tasks are built only
    for an epoch that misses.
-3. On the first *steady* occurrence of a key — an occurrence whose
-   window rounds were all memoization hits and charged no compile time —
-   a :class:`TraceRecorder` captures the fully-resolved sequence of
-   launches the pipeline produced (compiled kernels, per-rank rect
-   tables, coherence charges, analysis-time charges) as an immutable
-   :class:`ExecutionPlan`.
+3. On the first occurrence of a key a :class:`TraceRecorder` captures
+   the fully-resolved sequence of launches the pipeline produced
+   (compiled kernels, per-rank rect tables, coherence charges) as an
+   immutable :class:`ExecutionPlan`, with each window round's analysis
+   charge recorded as what a memoization hit on that window charges.
+   That is exact, not an estimate: tracing runs only with memoization
+   on, so the first occurrence stores every round's decision under its
+   window key and pays each kernel's compile charge, which is charged
+   once per key.  The second occurrence run eagerly would hit every
+   round and charge no compile time — the plan's charges, in the same
+   order.  Only two kinds of epoch are refused: one with a launch
+   outside its canonical form, and one that grew the adaptive window
+   past its own fingerprint (its key can never be computed again).
 4. Every later occurrence of the key bypasses window buffering,
    dependence analysis, memoization lookups and per-task coherence
    recomputation entirely: the plan is replayed straight through
@@ -210,7 +217,7 @@ class ExecutionPlan:
     #: Retired on ``config.reload_flags()`` so flag flips cannot replay
     #: stale fused closures.
     superkernel: Optional[object] = None
-    #: Replays of this plan the super-kernel gate has counted, and — while
+    #: Replays of this plan (``PlanScheduler.execute``), and — while
     #: the plan's lowering is still a speculation (built before the plan
     #: reached its break-even replay count) — the plan scheduler whose
     #: speculation slot it holds (``runtime.superkernel.lower_when_earned``).
@@ -233,32 +240,34 @@ class TraceRecorder:
 
     Installed as ``LegionRuntime.trace_recorder`` while the epoch's
     tasks are fed through the eager pipeline; the runtime reports every
-    executed launch.  The recorder also observes the Diffuse layer's
-    analysis/compile charges to decide whether the epoch was *steady*
-    (all memoization hits, no fresh compilation) — only steady epochs
-    are worth capturing, and only their charges are safe to replay.
+    executed launch.  The Diffuse layer reports each window round's
+    analysis charge as the charge a memoization hit on that window
+    makes, whatever the round itself paid: that is what every later
+    occurrence of the epoch pays (module docstring, step 3).  Compile
+    charges never become plan steps.
     """
 
     def __init__(self, runtime, stream: CanonicalStream) -> None:
         self.runtime = runtime
         self.stream = stream
         self.steps: List[object] = []
-        self.steady = True
+        #: False once a launch fell outside the canonical epoch: such an
+        #: epoch is never captured.
+        self.complete = True
+        #: True once a round missed memoization (a compiling round is
+        #: always one: compile time is charged at the miss that stores
+        #: the window's decision).
+        self.cold = False
         self.analysis_seconds = 0.0
         self._start_bytes = runtime.coherence.total_bytes_moved
 
     # -- notifications from the Diffuse layer ---------------------------
-    def note_analysis(self, seconds: float, replay: bool) -> None:
-        """Observe an analysis charge; a miss-rate charge spoils steadiness."""
-        self.analysis_seconds += seconds
-        self.steps.append(AnalysisCharge(seconds))
-        if not replay:
-            self.steady = False
-
-    def note_compile(self, seconds: float) -> None:
-        """Observe a fresh compile-time charge (never steady)."""
-        if seconds > 0.0:
-            self.steady = False
+    def note_analysis(self, hit_seconds: float, missed: bool) -> None:
+        """Record a round's memoization-hit analysis charge."""
+        self.analysis_seconds += hit_seconds
+        self.steps.append(AnalysisCharge(hit_seconds))
+        if missed:
+            self.cold = True
 
     # -- notifications from the runtime ---------------------------------
     def record_launch(self, launch, record) -> None:
@@ -272,7 +281,7 @@ class TraceRecorder:
             # The launch referenced a store or constituent outside the
             # canonicalized epoch; never let tracing break execution —
             # simply refuse to capture this epoch.
-            self.steady = False
+            self.complete = False
             return
         self.steps.append(step)
 
@@ -479,6 +488,9 @@ class TraceController:
         #: ``alpha`` colliding with a constant for one iteration), which
         #: forces a conservative re-record (see ROADMAP open item 3).
         self._streams: Dict[Hashable, list] = {}
+        #: Key -> epochs of that key that missed (observability: the run
+        #: of its epoch at which the first replay happened).
+        self.misses: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         #: Canonical task -> interned id; skeleton -> id.
         self._task_ids: Dict[Hashable, int] = {}
         self._skeleton_ids: Dict[TaskSkeleton, int] = {}
@@ -604,6 +616,8 @@ class TraceController:
             profiler.record_scalar_pattern_flip()
         known[1] = scalar_pattern
         if plan is not None:
+            if not profiler.trace_hits:
+                profiler.first_replay_run = self.misses.get(key, 0) + 1
             profiler.record_trace_hit(len(tasks))
             self.replayed_epochs += 1
             label = ""
@@ -622,6 +636,7 @@ class TraceController:
             return
 
         profiler.record_trace_miss()
+        self.misses[key] = self.misses.get(key, 0) + 1
         records = tasks
         tasks = [engine.materialise(record, "miss") for record in records]
         stream = CanonicalStream(
@@ -657,10 +672,10 @@ class TraceController:
                 self._release(records, fed)
             self._reclaim_dead_fields(slot_stores)
 
-        captured_launches = any(
-            not isinstance(step, AnalysisCharge) for step in recorder.steps
-        )
-        if recorder.steady and captured_launches:
+        # An epoch that grew the adaptive window past its fingerprint
+        # left a key no later boundary computes (the window only grows):
+        # its plan could never be looked up.
+        if recorder.complete and min(engine.window.size, len(tasks)) == window_fingerprint:
             stats_deltas = (
                 stats.forwarded_tasks - stats_before[0],
                 stats.fused_tasks - stats_before[1],
@@ -669,6 +684,7 @@ class TraceController:
             )
             plan = self.cache[key] = recorder.build_plan(stats_deltas)
             self.captured_plans += 1
+            profiler.record_capture(plan, recorder.cold)
             engine.runtime.plan_scheduler.reserve(plan, slot_stores, records)
 
     @staticmethod

@@ -19,7 +19,9 @@ Usage::
 of a Perfetto session: count, total and self time per span kind per
 replayed epoch (:func:`telemetry.span_summary`), then how many
 super-kernel sections run once over a merged span and why the others
-keep a rank loop, then the point-dispatch pool (the scheduling thread
+keep a rank loop, then the index tasks the run built, then the run of
+its epoch at which the first replay happened and the plans captured
+cold or never replayed, then the point-dispatch pool (the scheduling thread
 and its worker processes) with the level frames and worker chunks of a
 replayed epoch — or, in one process, the rank chunks a replayed epoch
 split across the plan threads — then what the kernel JIT compiled in
@@ -119,6 +121,19 @@ def format_materialised(counters: Dict[str, object]) -> str:
         f"({replayed / max(1, counters['trace_hits']):.2f} per epoch); "
         f"{counters['tasks_materialised_miss']} in {counters['trace_misses']} missed "
         f"epochs; {counters['tasks_materialised_eager']} eager"
+    )
+
+
+def format_capture(counters: Dict[str, object]) -> str:
+    """One line: the run of its epoch at which the first replay happened,
+    plans captured from a run that missed memoization, and plans never
+    replayed."""
+    first = counters["first_replay_run"]
+    return (
+        f"first replay: run {first} of its epoch; " if first else "first replay: none; "
+    ) + (
+        f"{counters['plans_captured_cold']} plans captured cold, "
+        f"{counters['plans_never_replayed']} never replayed"
     )
 
 
@@ -240,6 +255,7 @@ def main() -> int:
         print(format_summary(*telemetry.span_summary()))
         print(format_sections(snapshot))
         print(format_materialised(snapshot))
+        print(format_capture(snapshot))
         slots = procpool.pool_size() if args.point_workers > 1 else 1
         print(format_dispatch(snapshot, slots))
         print(format_jit(codegen_stats()))

@@ -107,8 +107,8 @@ class _GateSession:
     def capture(self, length: int) -> None:
         """Run a program until its plan is captured: no replay yet.
 
-        The cold miss and the captured miss, plus one more miss when the
-        adaptive fusion window grew under the first.
+        The first run is the captured miss, unless the adaptive fusion
+        window grew under it; then the second is.
         """
         while length not in self._plans:
             self.run(length)
@@ -178,7 +178,7 @@ class TestSuperkernelGate:
         # One element-wise launch: a single merged call already.
         for _ in range(4):
             (gate.x * 3.0 + 1.0).to_numpy()
-        assert gate.context.profiler.trace_hits == 2
+        assert gate.context.profiler.trace_hits == 3
         assert gate.scheduler.speculating == 0
         assert gate.context.profiler.snapshot()["decline_plan_not_hot"] == 0
 
@@ -342,7 +342,7 @@ def test_harness_apps_are_bit_identical_under_poison(
 #: in-place updates, mid-chain reductions (``e2ebench/churn.py``).
 CHURN_PROGRAMS = 24
 CHURN_RANKS, CHURN_ELEMENTS = 4, 4 * 40
-CHURN_ITERATIONS = 4  # cold miss, captured miss, two replays
+CHURN_ITERATIONS = 4  # a captured miss (two when the window grew under the first), then replays
 
 
 def _run_churn(inputs, programs):

@@ -67,7 +67,7 @@ CONFIGS = {
     "unfused": ({}, True, False),
 }
 
-ITERATIONS = 4  # cold miss, captured miss, two replays
+ITERATIONS = 4  # a captured miss (two when the window grew under the first), then replays
 NUM_GPUS = 4
 
 def _digest(chunks) -> str:

@@ -842,19 +842,24 @@ def test_second_round_of_bigtile_iterations_takes_no_page_faults(monkeypatch):
     """glibc hands freed blocks >= 128 KiB back to the OS by default, so
     every whole-tile temporary is page-faulted in again (> 10,000 minor
     faults per round here); ``runtime/region.py`` pins the allocator so
-    they stay mapped."""
+    they stay mapped.  The warm-up ends in a replay, so the measured
+    round is steady: three replays and no capture."""
     for name in list(os.environ):
         if name.startswith("REPRO_"):
             monkeypatch.delenv(name)
     config.reload_flags()
     context = RuntimeContext(num_gpus=4, fusion=True)
     set_context(context)
+    profiler = context.profiler
     try:
         app = build_application("black-scholes", context=context, elements_per_gpu=65536)
         app.run(3)
+        assert profiler.trace_hits >= 1
+        misses = profiler.trace_misses
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         app.run(3)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     finally:
         set_context(None)
+    assert profiler.trace_misses == misses
     assert faults < 256, faults

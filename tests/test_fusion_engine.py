@@ -211,7 +211,9 @@ class TestDiffuseEngine:
         assert engine.stats.fused_tasks == 0
 
     def test_memoization_avoids_recompilation(self):
-        config = FusionConfig(enable_fusion=True, enable_memoization=True)
+        # Without tracing every rerun goes through the window rounds;
+        # with it, a rerun replays its plan and never looks a window up.
+        config = FusionConfig(enable_fusion=True, enable_memoization=True, enable_tracing=False)
         manager = StoreManager()
         launch = Domain((4,))
         runtime = LegionRuntime(MachineConfig(num_gpus=4))

@@ -269,17 +269,24 @@ class TestChunkedParity:
         shutdown_process_pool()
 
     def test_chunking_collapses_steady_opaque_calls(self, monkeypatch):
-        """Two GEMV launches per epoch at 8 ranks: 16 per-rank library
-        calls, 2 chunk-level ones (point width 1, one chunk per launch)."""
+        """Two GEMV launches per iteration at 8 ranks: 16 per-rank library
+        calls, 2 chunk-level ones (point width 1, one chunk per launch).
+
+        Every measured iteration replays, and so does the checksum's
+        second read-back (the same epoch as its first)."""
         scale = ExperimentScale({"rows_per_gpu": 32}, 5e-5, 4, 2)
-        per_epoch = {}
+        per_iteration = {}
         for chunks in (False, True):
             _set_flags(1, 1, chunks, monkeypatch)
             result = run_application_experiment("two-matvec", num_gpus=8, scale=scale)
-            per_epoch[chunks] = result.steady_per_epoch(
-                "opaque_rank_calls", "opaque_chunk_calls"
+            counters, warmup = result.counters, result.warmup_counters
+            assert counters["trace_hits"] - warmup["trace_hits"] == result.iterations + 1
+            calls = sum(
+                counters[name] - warmup[name]
+                for name in ("opaque_rank_calls", "opaque_chunk_calls")
             )
-        assert per_epoch == {False: 16.0, True: 2.0}
+            per_iteration[chunks] = calls / result.iterations
+        assert per_iteration == {False: 16.0, True: 2.0}
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ day it lands — and checks :meth:`Profiler.snapshot` the same way.
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 from repro.kernel.codegen import codegen_stats
 from repro.runtime.profiler import Profiler
@@ -44,6 +45,8 @@ def _dirty(profiler: Profiler) -> None:
     profiler.trace_misses = 2
     profiler.trace_replayed_tasks = 11
     profiler.tasks_materialised["miss"] = 9
+    profiler.record_capture(SimpleNamespace(replays=0), cold=True)
+    profiler.first_replay_run = 2
     profiler.plan_replays = 5
     profiler.plan_steps = 20
     profiler.plan_levels = 10
