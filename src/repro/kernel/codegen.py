@@ -33,6 +33,7 @@ with the same canonical form compile once (:func:`codegen_stats` counts).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -975,14 +976,18 @@ class _KernelEmitter:
         return self.partials
 
 
-def generate_source(function: Function) -> KernelSource:
+def generate_source(function: Function, tile: Optional[int] = None) -> KernelSource:
     """Translate a KIR function into the body ``__kernel__`` and its plan.
 
     Run by the driver, the body takes the executor's ``(buffers,
     scalars)`` dictionaries and returns the reduction partials, exactly
     like the interpreter.  Statement order, per-element operation order
     and reduction calls all match the interpreter so results are
-    bit-identical.
+    bit-identical.  With ``tile`` it is the *stacked* body of a merged
+    launch: the buffers span several ranks' tiles of ``tile`` elements
+    each, and each reduction is one ``reduce(axis=1)`` over the
+    operand's ``(ranks, tile)`` rows, returned as a float64 array of
+    per-rank partials (the convention of a merged super-kernel section).
     """
     names = _NameTable()
     out = _SourceWriter(f"kernel {function.name!r}")
@@ -991,9 +996,34 @@ def generate_source(function: Function) -> KernelSource:
             out.buffers.append((param.name, names.get("b", param.name)))
         else:
             out.scalars.append((param.name, names.get("s", param.name)))
-    partials = _KernelEmitter(out, names, function).emit()
-    out.partials = [(target, kind, acc) for target, (acc, kind) in partials.items()]
+    partials = _KernelEmitter(out, names, function, tile=tile).emit()
+    out.partials = [
+        (target, None if tile else kind, acc) for target, (acc, kind) in partials.items()
+    ]
     return out.source()
+
+
+def stack_refusal(function: Function) -> Optional[str]:
+    """Why ``function`` has no stacked body (:func:`generate_source` with
+    a tile), or ``None``.
+
+    A row reduction broadcasts a 0-d operand over the loop's index
+    buffer before cutting it into rows, so every reducing loop must be
+    indexed by a tiled buffer: a parameter or full-extent allocation
+    that is not itself a reduction target (those are ``None``).
+    """
+    targets = {
+        stmt.target for loop in function.loops for stmt in loop.body if isinstance(stmt, Reduce)
+    }
+    tiled = {param.name for param in function.buffer_params} | {
+        stmt.name for stmt in function.allocs
+    }
+    for loop in function.loops:
+        if loop.has_reduction and (
+            loop.index_buffer not in tiled or loop.index_buffer in targets
+        ):
+            return "unstackable_kernel"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -1143,14 +1173,50 @@ def bind(source: str, plan: KernelPlan, name: str) -> Tuple[Callable, bool]:
 
 
 class CodegenExecutor(KernelExecutor):
-    """Executes a kernel through its compiled body and the driver."""
+    """Executes a kernel through its compiled body and the driver.
+
+    Bodies are generated and compiled lazily, each when first needed:
+    the per-rank body, and for a kernel that reduces the stacked body of
+    each tile its merged launches use (a merged call of a kernel that
+    reduces nothing runs the per-rank body over the span).  A fused
+    kernel's memo key pins its launch geometry, so it compiles exactly
+    one of them.
+    """
 
     backend = "codegen"
 
     def __init__(self, function: Function, binding: KernelBinding) -> None:
         super().__init__(function, binding)
-        self.source = generate_source(function)
-        self._fn, self.freshly_compiled = bind(self.source, self.source.plan, function.name)
+        self.stack_refusal = stack_refusal(function)
+        self._reduces = any(loop.has_reduction for loop in function.loops)
+        #: tile (``None``: per rank) -> (source, entry point, whether the
+        #: source compiled rather than came from the process-wide cache).
+        self._bodies: Dict[Optional[int], Tuple[KernelSource, Callable, bool]] = {}
+
+    def _body(self, tile: Optional[int]) -> Tuple[KernelSource, Callable, bool]:
+        """The body a call at ``tile`` runs, generated and compiled once."""
+        key = tile if self._reduces else None
+        body = self._bodies.get(key)
+        if body is None:
+            source = generate_source(self.function, key)
+            body = (source,) + bind(source, source.plan, self.function.name)
+            body = self._bodies.setdefault(key, body)
+        return body
+
+    @property
+    def source(self) -> KernelSource:
+        """The per-rank body's source."""
+        return self._body(None)[0]
+
+    @property
+    def freshly_compiled(self) -> bool:
+        """Whether the per-rank body compiled when it was first needed."""
+        return self._body(None)[2]
+
+    @functools.cached_property
+    def _fn(self) -> Callable:
+        """The per-rank entry point."""
+        return self._body(None)[1]
 
     def __call__(
         self,
@@ -1158,8 +1224,11 @@ class CodegenExecutor(KernelExecutor):
         scalars: Dict[str, float],
         block: Optional[int] = None,
         scratch: Optional[np.ndarray] = None,
+        tile: Optional[int] = None,
     ):
-        return self._fn(buffers, scalars, block, scratch)
+        if tile is None or not self._reduces:
+            return self._fn(buffers, scalars, block, scratch)
+        return self._body(tile)[1](buffers, scalars, block, scratch)
 
-    def scratch_elements(self, block: int) -> int:
-        return scratch_elements(self.source.plan, block)
+    def scratch_elements(self, block: int, tile: Optional[int] = None) -> int:
+        return scratch_elements(self._body(tile)[0].plan, block)

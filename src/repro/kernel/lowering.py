@@ -80,9 +80,18 @@ class KernelExecutor:
     float64 buffer of :meth:`scratch_elements` its registers are cut
     from (``None``: allocated per call); the interpreter has no blocks
     and ignores both.
+
+    ``tile`` selects the *stacked* convention of a merged launch that
+    reduces (``runtime.pool.launch_verdict``): every non-reduction buffer
+    spans a run of ranks' tiles of ``tile`` elements each, and each
+    reduction target's partials come back as one float64 array, one
+    element per rank in rank order.  An executor whose
+    :attr:`stack_refusal` is not ``None`` is never called so.
     """
 
     backend = "abstract"
+    #: Why this executor has no stacked convention (``None``: it has one).
+    stack_refusal: Optional[str] = "interpreter_backend"
 
     def __init__(self, function: Function, binding: KernelBinding) -> None:
         self.function = function
@@ -94,10 +103,11 @@ class KernelExecutor:
         scalars: Dict[str, float],
         block: Optional[int] = None,
         scratch: Optional[np.ndarray] = None,
+        tile: Optional[int] = None,
     ) -> Dict[str, ReductionPartial]:
         raise NotImplementedError
 
-    def scratch_elements(self, block: int) -> int:
+    def scratch_elements(self, block: int, tile: Optional[int] = None) -> int:
         """Elements of the ``scratch`` a call blocking at ``block`` uses."""
         return 0
 
@@ -113,6 +123,7 @@ class InterpreterExecutor(KernelExecutor):
         scalars: Dict[str, float],
         block: Optional[int] = None,
         scratch: Optional[np.ndarray] = None,
+        tile: Optional[int] = None,
     ) -> Dict[str, ReductionPartial]:
         local_buffers: Dict[str, Optional[np.ndarray]] = dict(buffers)
         partials: Dict[str, ReductionPartial] = {}
@@ -183,6 +194,9 @@ class DifferentialExecutor(KernelExecutor):
     Private copies would hide exactly the overlap that decides whether
     the generated block loop is legal.  The buffers keep the
     interpreter's results, which are the codegen's or the call raises.
+    A stacked call runs the stacked body, then the interpreter rank by
+    rank over each ``tile``-element row of the buffers, and demands
+    every rank's partial bit for bit.
     """
 
     backend = "differential"
@@ -193,6 +207,7 @@ class DifferentialExecutor(KernelExecutor):
 
         self.interpreter = InterpreterExecutor(function, binding)
         self.codegen = CodegenExecutor(function, binding)
+        self.stack_refusal = self.codegen.stack_refusal
 
     def __call__(
         self,
@@ -200,25 +215,57 @@ class DifferentialExecutor(KernelExecutor):
         scalars: Dict[str, float],
         block: Optional[int] = None,
         scratch: Optional[np.ndarray] = None,
+        tile: Optional[int] = None,
     ) -> Dict[str, ReductionPartial]:
         initial = {
             name: buffers[name].copy()
             for name in self.function.buffers_written()
             if buffers.get(name) is not None
         }
-        actual = self.codegen(buffers, scalars, block, scratch)
+        actual = self.codegen(buffers, scalars, block, scratch, tile)
         observed = {
             name: None if array is None else array.copy()
             for name, array in buffers.items()
         }
         for name, array in initial.items():
             buffers[name][...] = array
-        expected = self.interpreter(buffers, scalars)
-        self._compare(buffers, observed, expected, actual)
+        if tile is None or not any(loop.has_reduction for loop in self.function.loops):
+            expected = self.interpreter(buffers, scalars)
+            self._compare(buffers, observed, expected, actual)
+        else:
+            self._compare_rows(buffers, scalars, tile, observed, actual)
         return actual
 
-    def scratch_elements(self, block: int) -> int:
-        return self.codegen.scratch_elements(block)
+    def scratch_elements(self, block: int, tile: Optional[int] = None) -> int:
+        return self.codegen.scratch_elements(block, tile)
+
+    def _compare_rows(self, buffers, scalars, tile: int, observed, actual) -> None:
+        """The interpreter rank by rank over a stacked call's rows."""
+        extent = next(array.size for array in buffers.values() if array is not None)
+        rows: Dict[str, list] = {}
+        for rank in range(extent // tile):
+            cut = slice(rank * tile, (rank + 1) * tile)
+            row = {name: None if array is None else array[cut] for name, array in buffers.items()}
+            for target, partial in self.interpreter(row, scalars).items():
+                rows.setdefault(target, []).append(partial)
+        self._compare(buffers, observed, {}, {})
+        name = self.function.name
+        if set(rows) != set(actual):
+            raise BackendDivergenceError(
+                f"kernel '{name}': reduction targets differ "
+                f"({sorted(rows)} vs {sorted(actual)})"
+            )
+        for target, partials in rows.items():
+            expected = np.array([partial.value for partial in partials], dtype=np.float64)
+            other = actual[target]
+            same = expected.shape == other.shape and (
+                expected.view(np.uint64) == other.view(np.uint64)
+            ) | (np.isnan(expected) & np.isnan(other))
+            if not np.all(same):
+                raise BackendDivergenceError(
+                    f"kernel '{name}': stacked reduction partials '{target}' "
+                    f"diverged ({expected} vs {other})"
+                )
 
     def _compare(
         self,

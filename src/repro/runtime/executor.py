@@ -7,11 +7,11 @@ four steps:
    field, is_reduction, per-rank rect table)``, a local runner over a
    contiguous rank range, and what a worker process would need to run
    the same range of a replayed step.  There are four kinds: compiled
-   per-rank, compiled element-wise (one merged closure call per chunk —
-   the rect tables tile every buffer contiguously in rank order and the
-   kernel reduces nothing, so the merged call is element-for-element the
-   per-rank loop), epoch super-kernel (built by the plan scheduler), and
-   opaque (one library call per rank, or one per chunk when the operator
+   per-rank, compiled merged (one closure call per chunk, which
+   ``pool.launch_verdict`` allows when the rect tables tile every buffer
+   contiguously in rank order — a kernel that reduces then *stacks*,
+   reducing by ``(ranks, tile)`` rows into per-rank partials), epoch
+   super-kernel (built by the plan scheduler), and opaque (one library call per rank, or one per chunk when the operator
    registers a chunk implementation; see ``runtime/opaque.py``).  The
    runners — :func:`compiled_ranks`, ``superkernel.call_superkernel``
    and :func:`opaque_chunk` — are the ones a worker process calls on
@@ -19,7 +19,8 @@ four steps:
    shared-memory blocks: one copy of every calling convention.
 2. **Run the chunks**, per-chunk ``(partials_by_rank,
    seconds_by_rank)`` results in chunk order, on one of three rungs.  An
-   eager launch is one chunk, run in this process.  A replayed step of a
+   eager launch runs in this process, as one chunk or split across the
+   plan threads like a chain level's step.  A replayed step of a
    plan resident in the worker processes (``REPRO_POINT_WORKERS`` > 1)
    ships with its whole level as one frame per worker
    (:meth:`TaskExecutor.run_resident_level`); the calling thread runs
@@ -28,7 +29,8 @@ four steps:
    ``Profiler.record_decline`` — runs its chunks inline, in rank order,
    on the calling thread, and so do the chunks of workers the frame
    lost.  Without worker processes, a big compiled step of a level that
-   pools nothing runs its chunks across the idle plan threads
+   pools nothing — or a big eager launch — runs its chunks across the
+   idle plan threads
    (:meth:`TaskExecutor._thread_chunks`), the calling thread taking
    chunk 0.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
@@ -55,19 +57,22 @@ import numpy as np
 
 from repro import config
 from repro.config import hotpath_cache_enabled
-from repro.ir.partition import rects_cover
 from repro.ir.privilege import Privilege, ReductionOp, numpy_ufunc_for
 from repro.ir.task import IndexTask, StoreArg
 from repro.kernel import codegen
 from repro.kernel.compiler import CompiledKernel
 from repro.kernel.lowering import ReductionPartial
+from repro.runtime import pool as pool_module
 from repro.runtime import procpool, telemetry
 from repro.runtime.machine import MachineConfig
 from repro.runtime.opaque import OpaqueTaskImpl, default_opaque_registry
 from repro.runtime.pool import (
-    contiguous_elementwise_tables,
+    RectTable,
+    Verdict,
     merged_table_span,
     point_chunks,
+    thread_block,
+    thread_split,
     worker_pool,
 )
 from repro.runtime.procpool import ChunkResult
@@ -92,37 +97,6 @@ Partials = Union[np.ndarray, List[ReductionPartial]]
 #: The key is the kernel's buffer name, or the argument index of an
 #: opaque launch; replayed reduction rows carry no field.
 Row = Tuple[object, object, bool, list]
-
-
-class RectTable(list):
-    """An interned per-rank ``(rect, volume)`` table.
-
-    Interned tables are immortal and immutable once published, so the
-    geometry facts derived from them are memoized on the table itself:
-    whether it tiles a 1-D span contiguously in rank order, the one
-    volume every rank's rect has (``tile``; ``None`` when they differ or
-    are empty), whether its rects cover the whole store
-    (``ir.partition.rects_cover``), the NumPy slices of each merged rank
-    range a merged call binds (:func:`span_slices`), and the wire rect
-    list of each rank range (:func:`wire_rects`).  Tables rebuilt per
-    launch (``REPRO_HOTPATH_CACHE=0``) are plain lists: they never
-    batch, never reduce by rows, never vouch for a cover and cut their
-    wire rects per call.
-    """
-
-    __slots__ = ("contiguous", "tile", "covers", "spans", "wire")
-
-    @classmethod
-    def interned(cls, entries, store_shape) -> "RectTable":
-        """A table over ``entries`` with its geometry memos filled in."""
-        table = cls(entries)
-        table.contiguous = contiguous_elementwise_tables((table,), len(table))
-        volumes = {volume for _rect, volume in table}
-        table.tile = (volumes.pop() or None) if len(volumes) == 1 else None
-        table.covers = rects_cover((rect for rect, _volume in table), store_shape)
-        table.spans = {}
-        table.wire = {}
-        return table
 
 
 def span_slices(table, start: int, stop: int) -> tuple:
@@ -162,7 +136,11 @@ class ChunkWork:
     impl: Optional[OpaqueTaskImpl] = None
     #: Scalars by name (compiled) or the positional tuple (opaque).
     scalars: object = None
-    elementwise: bool = False
+    #: A compiled launch's calling convention (``pool.launch_verdict``);
+    #: ``None`` for super-kernel and opaque works.
+    verdict: Optional[Verdict] = None
+    #: An eager launch (it models its own seconds), not a replayed step.
+    eager: bool = False
 
 
 class Shipped(NamedTuple):
@@ -189,44 +167,34 @@ def bind_views(rows: Sequence[Row], start: int, stop: int) -> List[dict]:
 
 def compiled_ranks(
     kernel_fn, rows: Sequence[Row], scalars, start: int, stop: int,
-    elementwise: bool = False, bind=bind_views, block: Optional[int] = None,
+    verdict: Optional[Verdict] = None, bind=bind_views, block: Optional[int] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> list:
-    """Run ranks ``[start, stop)`` of a compiled launch; per-rank partials.
+    """Run ranks ``[start, stop)`` of a compiled launch; their partials.
 
-    With ``elementwise`` the range executes as one merged closure call
-    over its contiguous span (the caller proved the launch batchable).
-    ``block`` is the elements per block the kernel plans its block loops
-    at (``None``: ``codegen.BLOCK``; a thread chunk passes more), and
-    ``scratch`` the buffer its registers are cut from (``None``: each
-    call allocates its own).
+    With a merged ``verdict`` (``pool.launch_verdict``) the range is one
+    closure call over every buffer's contiguous span, reduction targets
+    ``None``: an element-wise call returns no partials, a stacked one
+    (``verdict.tile``) one dict of per-rank float64 arrays, the chunk's
+    single entry.  Otherwise each rank is one call returning its dict of
+    ``ReductionPartial``.  ``block`` is the elements per block the
+    kernel plans its block loops at (``None``: ``codegen.BLOCK``; a
+    thread chunk passes more), and ``scratch`` the buffer its registers
+    are cut from (``None``: each call allocates its own).
     """
-    if elementwise and stop > start:
-        kernel_fn(
+    if verdict is not None and verdict.merged and stop > start:
+        partials = kernel_fn(
             {
-                key: field.data[span_slices(table, start, stop)]
-                for key, field, _is_reduction, table in rows
+                key: None if is_reduction else field.data[span_slices(table, start, stop)]
+                for key, field, is_reduction, table in rows
             },
             scalars,
             block,
             scratch,
+            verdict.tile,
         )
-        return [None] * (stop - start)
+        return [partials]
     return [kernel_fn(buffers, scalars, block, scratch) for buffers in bind(rows, start, stop)]
-
-
-def thread_block(chunks: int) -> int:
-    """Elements per block of a thread chunk that runs beside ``chunks − 1``
-    others (:meth:`TaskExecutor._thread_chunks`).
-
-    Two chunks at ``2 × codegen.BLOCK`` hand the GIL over half as often
-    as at ``BLOCK``, and kept the split's CPU time per op 12–16 % above
-    one serial call on Black-Scholes, where blocks of ``BLOCK`` cost
-    33–44 % (``docs/architecture.md``, *Kernel tier*).  Only two chunks
-    were measured, so more chunks keep that block rather than
-    registers ``k`` times longer.
-    """
-    return min(chunks, 2) * codegen.BLOCK
 
 
 def wire_rects(table, start: int, stop: int) -> list:
@@ -392,30 +360,11 @@ class TaskExecutor:
             if other.store is store
         )
 
-    def _elementwise_launch(self, kernel: CompiledKernel, rows, num_points: int) -> bool:
-        """True when an eager launch may execute as merged contiguous calls.
-
-        Requirements: more than one rank, a kernel with no reductions
-        anywhere (partials are per-rank state), and every row's interned
-        table tiling a span contiguously in rank order — the predicate
-        the trace recorder's capture-time verdict uses.
-        """
-        if num_points <= 1 or not rows:
-            return False
-        if any(loop.has_reduction for loop in kernel.cost.loops):
-            return False
-        return all(
-            not is_reduction
-            and len(table) == num_points
-            and getattr(table, "contiguous", False)
-            for _key, _field, is_reduction, table in rows
-        )
-
     def compiled_work(
-        self, kernel, rows, scalars, num_points: int, elementwise: bool,
+        self, kernel, rows, scalars, num_points: int, verdict: Verdict,
         wanted, cost=None,
     ) -> ChunkWork:
-        """Work of a compiled launch (per-rank, or merged element-wise).
+        """Work of a compiled launch, per rank or merged as ``verdict`` says.
 
         ``cost`` makes the runner model per-rank seconds (eager
         launches); replay passes none and charges captured seconds.
@@ -431,7 +380,7 @@ class TaskExecutor:
 
         def run(start: int, stop: int, block=None, scratch=None) -> ChunkResult:
             partials = compiled_ranks(
-                kernel_fn, rows, scalars, start, stop, elementwise, bind, block, scratch
+                kernel_fn, rows, scalars, start, stop, verdict, bind, block, scratch
             )
             if cost is None:
                 return partials, ()
@@ -446,8 +395,8 @@ class TaskExecutor:
             return partials, seconds
 
         return ChunkWork(
-            rows, num_points, run, wanted, kernel=kernel, scalars=scalars,
-            elementwise=elementwise,
+            rows, num_points, run, wanted, kernel=kernel, scalars=scalars, verdict=verdict,
+            eager=cost is not None,
         )
 
     def opaque_work(
@@ -592,7 +541,7 @@ class TaskExecutor:
         kernel = work.kernel
         return procpool.ResidentStep(
             procpool.spec_for(kernel), buffers, tuple(chunks), tuple(work.scalars),
-            work.elementwise, procpool.kernel_spec_id(kernel),
+            work.verdict, procpool.kernel_spec_id(kernel),
         )
 
     def resident_entry(self, plan, index: int, work: ChunkWork, chunks) -> Optional[tuple]:
@@ -684,7 +633,7 @@ class TaskExecutor:
 
         Chunk ``p`` runs on slot ``p % slots``: slot 0 is the calling
         (scheduling) thread, the others are plan-pool threads, idle
-        because the level pools nothing.  Each chunk plans its blocks at
+        because the level pools nothing or the launch is eager.  Each chunk plans its blocks at
         :func:`thread_block` elements: fewer, longer ufunc calls than at
         ``codegen.BLOCK``, so the threads hand the GIL over less often.
         Every chunk cuts its registers from this executor's
@@ -695,7 +644,7 @@ class TaskExecutor:
         rank order raises.
         """
         block = thread_block(min(len(chunks), slots))
-        size = work.kernel.scratch_elements(block)
+        size = work.kernel.scratch_elements(block, work.verdict and work.verdict.tile)
         scratch = self.reserve_scratch(len(chunks) * size)
         pool = worker_pool()
         runs = [
@@ -717,7 +666,7 @@ class TaskExecutor:
             done if future is None else future.result()
             for done, future in zip(results, futures)
         ]
-        self.profiler.record_thread_chunks(len(chunks), block)
+        self.profiler.record_thread_chunks(len(chunks), block, work.eager)
         return results
 
     def reserve_scratch(self, elements: int) -> np.ndarray:
@@ -814,8 +763,12 @@ class TaskExecutor:
                 ranks=work.num_points, chunks=len(chunks),
                 process_chunks=process_chunks, width=width,
             )
-        if work.elementwise:
-            self.profiler.record_elementwise_batch(len(chunks))
+        verdict = work.verdict
+        if verdict is not None:
+            if verdict.merged:
+                self.profiler.record_merged_launch(len(chunks), verdict.tile is not None)
+            elif work.kernel.reduces:
+                self.profiler.record_per_rank_reduction(verdict.why)
         elif work.kernel is None and work.impl is None:
             self.profiler.record_opaque_execution(rank_calls=work.num_points)
         elif work.kernel is None:
@@ -842,12 +795,17 @@ class TaskExecutor:
             binding.defined_first,
         )
         num_points = len(rows[0][3]) if rows else task.launch_domain.volume
+        verdict = pool_module.launch_verdict(kernel, rows, num_points)
         work = self.compiled_work(
-            kernel, rows, scalars, num_points,
-            self._elementwise_launch(kernel, rows, num_points),
-            binding.buffer_args, kernel.cost,
+            kernel, rows, scalars, num_points, verdict, binding.buffer_args, kernel.cost
         )
-        seconds, totals = self.launch(work, [(0, num_points)], 1)
+        # Without worker processes a big launch splits across the idle
+        # plan threads, as a chain level's replayed step does.
+        chunks = [(0, num_points)]
+        workers = config.worker_count()
+        if workers > 1 and config.point_worker_count() == 1:
+            chunks = thread_split([row[3] for row in rows], num_points, workers) or chunks
+        seconds, totals = self.launch(work, chunks, 1, threads=len(chunks))
         self._apply_reductions(args, totals, binding.buffer_args)
         return seconds
 

@@ -244,8 +244,10 @@ class ResidentStep:
     #: Compiled steps: scalar parameter names in the order run messages
     #: pack values (opaque steps take the values positionally).
     scalar_names: Tuple[str, ...] = ()
-    #: Purely element-wise compiled step: one merged closure call per chunk.
-    elementwise: bool = False
+    #: Compiled steps: the calling convention (``pool.Verdict``) — a
+    #: merged step is one closure call per chunk, stacked at its tile
+    #: when it reduces.
+    verdict: Optional[tuple] = None
     #: Compiled steps: names the built executor in worker-side caches.
     kernel_id: int = 0
 
@@ -395,7 +397,7 @@ def _execute_resident(
             for start, stop in template.chunks
         ]
     return [
-        (compiled_ranks(kernel, rows, scalars, start, stop, template.elementwise), ())
+        (compiled_ranks(kernel, rows, scalars, start, stop, template.verdict), ())
         for start, stop in template.chunks
     ]
 

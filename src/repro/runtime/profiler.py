@@ -31,14 +31,21 @@ DECLINE_REASONS = (
 #: (``Profiler.tasks_materialised``).
 MATERIALISED_BY = ("eager", "miss", "replay")
 
-#: Why a section of a super-kernel kept its internal rank loop instead of
-#: running once over the merged span (``superkernel._row_reduce_tile``).
+#: Why a compiled launch — or a section of a super-kernel — runs rank by
+#: rank instead of once over the merged span (``pool.launch_verdict``).
 RANKED_REASONS = (
     "single_rank",  # one rank: nothing to merge
     "uninterned_table",  # rect tables rebuilt per launch (REPRO_HOTPATH_CACHE=0)
-    "nd_or_broadcast_tiling",  # a buffer is N-D, rank-0, replicated or offset
+    "nd_or_broadcast_tiling",  # a buffer is N-D, rank-0, replicated or not contiguous
     "ragged_tiling",  # contiguous, but the ranks' tiles differ in size
+    "interpreter_backend",  # the interpreter has no row-reducing body
+    "unstackable_kernel",  # no tiled buffer, or a reducing loop not indexed by one
 )
+
+#: The reasons of :data:`RANKED_REASONS` that are the kernel's, not the
+#: tiling's: a reducing launch ranked for one of them had a tiling that
+#: stacks.
+KERNEL_REASONS = ("interpreter_backend", "unstackable_kernel")
 
 
 @dataclass
@@ -135,11 +142,20 @@ class Profiler:
         #: and the largest block (elements) such a chunk planned at.
         self.point_thread_chunks: int = 0
         self.point_thread_block: int = 0
+        #: The same for eager launches (``TaskExecutor.execute_compiled``).
+        self.eager_thread_chunks: int = 0
         #: Element-wise batching: launches executed as merged closure
         #: calls (one per rank chunk instead of one per rank) and the
         #: total merged calls they produced.
         self.batched_launches: int = 0
         self.batched_calls: int = 0
+        #: The same for merged launches that reduce (stacked: their
+        #: reductions run by ``(ranks, tile)`` rows), eager and replayed,
+        #: replayed super-kernel sections included; and reducing launches
+        #: that ran rank by rank, by reason (:data:`RANKED_REASONS`).
+        self.stacked_launches: int = 0
+        self.stacked_calls: int = 0
+        self.per_rank_reductions: Dict[str, int] = dict.fromkeys(RANKED_REASONS, 0)
         #: Opaque-operator execution counters:
         #: library calls made one-per-rank, library calls made
         #: one-per-chunk by chunk-level implementations, and how many of
@@ -316,18 +332,31 @@ class Profiler:
             self.point_width_max = max(self.point_width_max, chunks)
             self.point_width_budget += max(1, width)
 
-    def record_thread_chunks(self, chunks: int, block: int) -> None:
+    def record_thread_chunks(self, chunks: int, block: int, eager: bool = False) -> None:
         """Record one launch whose ``chunks`` ran across the plan threads
         at ``block`` elements per block (reported on the scheduling thread)."""
         with self._lock:
-            self.point_thread_chunks += chunks
+            if eager:
+                self.eager_thread_chunks += chunks
+            else:
+                self.point_thread_chunks += chunks
             self.point_thread_block = max(self.point_thread_block, block)
 
-    def record_elementwise_batch(self, calls: int) -> None:
-        """Record one element-wise launch executed as merged chunk calls."""
+    def record_merged_launch(self, calls: int, stacked: bool) -> None:
+        """Record one launch executed as ``calls`` merged chunk calls:
+        element-wise, or ``stacked`` when it reduces."""
         with self._lock:
-            self.batched_launches += 1
-            self.batched_calls += calls
+            if stacked:
+                self.stacked_launches += 1
+                self.stacked_calls += calls
+            else:
+                self.batched_launches += 1
+                self.batched_calls += calls
+
+    def record_per_rank_reduction(self, reason: str) -> None:
+        """Record one reducing launch that ran rank by rank, and why."""
+        with self._lock:
+            self.per_rank_reductions[reason] += 1
 
     def record_opaque_execution(
         self, rank_calls: int = 0, chunk_calls: int = 0, process_chunks: int = 0
@@ -569,8 +598,11 @@ class Profiler:
                 "point_process_chunks": self.point_process_chunks,
                 "point_thread_chunks": self.point_thread_chunks,
                 "point_thread_block": self.point_thread_block,
+                "eager_thread_chunks": self.eager_thread_chunks,
                 "batched_launches": self.batched_launches,
                 "batched_calls": self.batched_calls,
+                "stacked_launches": self.stacked_launches,
+                "stacked_calls": self.stacked_calls,
                 "opaque_rank_calls": self.opaque_rank_calls,
                 "opaque_chunk_calls": self.opaque_chunk_calls,
                 "opaque_process_chunks": self.opaque_process_chunks,
@@ -599,6 +631,8 @@ class Profiler:
                 else:
                     counters[f"superkernel_sections_{shape}"] = count
             counters["superkernel_sections_ranked"] = ranked
+            for reason, count in self.per_rank_reductions.items():
+                counters[f"per_rank_reducing_{reason}"] = count
             counters["fields_uninitialised"] = self.fields_uninitialised
             counters["fields_zero_filled"] = self.fields_zero_filled
         counters["trace_hit_rate"] = self.trace_hit_rate

@@ -58,7 +58,7 @@ from repro.kernel import codegen
 from repro.runtime import executor as executor_module
 from repro.runtime import procpool, telemetry
 from repro.runtime.executor import ChunkWork
-from repro.runtime.pool import point_chunks, worker_pool
+from repro.runtime.pool import thread_block, thread_split, worker_pool
 from repro.runtime.superkernel import (
     SuperKernelStep,
     lower_when_earned,
@@ -229,8 +229,10 @@ def _accounting(plan: ExecutionPlan, index_by_plan: Dict[int, int]) -> Tuple[obj
     """The plan's accounting fold, decided once (see :meth:`PlanScheduler._account`).
 
     In recorded order, every analysis charge as itself and every launch
-    — a fused unit's constituents one by one — as ``(batched, result
-    index, record)``: ``record`` holds ``Profiler.record_task``'s
+    — a fused unit's constituents one by one — as ``(merged, result
+    index, record)``: ``merged`` is ``None``, or for a merged section of
+    a fused unit whether it is stacked (the unit's call counts it as a
+    merged launch); ``record`` holds ``Profiler.record_task``'s
     arguments up to ``fused``.  ``result index`` is ``None`` for compiled
     launches, which charge their captured kernel seconds; an opaque
     launch charges the seconds its replay's cost model returned, found
@@ -244,7 +246,7 @@ def _accounting(plan: ExecutionPlan, index_by_plan: Dict[int, int]) -> Tuple[obj
                 entries.append(part)
             elif isinstance(part, CompiledStep):
                 entries.append((
-                    fused and part.elementwise and part.num_points > 1, None,
+                    part.stacked if fused and part.verdict.merged else None, None,
                     (part.task_name, part.constituents, part.kernel_seconds,
                      part.communication_seconds, part.overhead_seconds,
                      part.launches, part.fused),
@@ -253,7 +255,7 @@ def _accounting(plan: ExecutionPlan, index_by_plan: Dict[int, int]) -> Tuple[obj
                 # Opaque steps are re-timed through their cost model
                 # (their time may depend on data).
                 entries.append((
-                    False, index_by_plan[plan_index],
+                    None, index_by_plan[plan_index],
                     (part.task_name, 1, None, part.communication_seconds,
                      part.overhead_seconds, 1, False),
                 ))
@@ -370,7 +372,7 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
             chunks = executor.point_chunk_plan(entry.num_points, rows, width)
             threads = 1
             if workers > 1 and point_width == 1 and not dispatched and entry.compiled:
-                split = _thread_split(entry.step, entry.num_points, workers)
+                split = _thread_split(entry.step, workers)
                 if split:
                     chunks, threads = split, len(split)
             decisions[index] = (index in dispatched, width, chunks)
@@ -379,7 +381,7 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
                 superkernel_calls += len(chunks)
                 closure_calls += len(chunks)
             elif entry.compiled:
-                closure_calls += len(chunks) if entry.step.elementwise else entry.num_points
+                closure_calls += len(chunks) if entry.step.verdict.merged else entry.num_points
         levels.append(tuple(launches))
         pooled.append(bool(dispatched))
     dispatch = PlanDispatch(
@@ -390,27 +392,10 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     return dispatch
 
 
-def _thread_split(step: CompiledStep, num_points: int, workers: int):
-    """The rank chunks of ``step`` across the plan threads, or ``None``.
-
-    The most chunks, at most ``workers``, that each still span two of
-    their blocks: a chunk's span is what its largest buffer covers over
-    its ranks, and its block is ``executor.thread_block(k)`` elements.  A
-    chunk of one block runs whole-tile, a fresh temporary per ufunc call
-    instead of the block loop's registers, and on ``stream-churn``
-    (65,536 elements, two chunks of one block each) that cost more than
-    the split saved.
-    """
+def _thread_split(step: CompiledStep, workers: int):
+    """``pool.thread_split`` of a captured step's rect tables."""
     tables = [table for _name, _slot, _is_reduction, table in step.buffer_bindings]
-    for count in range(min(workers, num_points), 1, -1):
-        chunks = point_chunks(num_points, count)
-        least = 2 * executor_module.thread_block(count)
-        if all(
-            max(sum(volume for _rect, volume in table[start:stop]) for table in tables) >= least
-            for start, stop in chunks
-        ):
-            return chunks
-    return None
+    return thread_split(tables, step.num_points, workers)
 
 
 def _apply_plan_epilogue(plan: ExecutionPlan, engine, slot_stores: Sequence[Store]) -> None:
@@ -560,7 +545,7 @@ class PlanScheduler:
         if workers < 2 or config.point_worker_count() > 1:
             return
         if not any(
-            isinstance(step, CompiledStep) and _thread_split(step, step.num_points, workers)
+            isinstance(step, CompiledStep) and _thread_split(step, workers)
             for step in plan.steps
         ):
             return
@@ -569,8 +554,8 @@ class PlanScheduler:
         for level in _plan_dispatch(schedule, executor).levels:
             for _index, entry, _width, chunks, threads in level:
                 if threads > 1:
-                    block = executor_module.thread_block(threads)
-                    share = entry.step.kernel.scratch_elements(block)
+                    step = entry.step
+                    share = step.kernel.scratch_elements(thread_block(threads), step.verdict.tile)
                     executor.reserve_scratch(len(chunks) * share)
 
     def _step_work(
@@ -624,8 +609,7 @@ class PlanScheduler:
                 scalars=scalars,
             )
         return executor.compiled_work(
-            step.kernel, rows, scalars, entry.num_points, step.elementwise,
-            step.reductions,
+            step.kernel, rows, scalars, entry.num_points, step.verdict, step.reductions
         )
 
     def _traced_launch(
@@ -724,9 +708,9 @@ class PlanScheduler:
                 profiler.record_analysis_time(entry.seconds)
                 profiler.add_iteration_seconds(entry.seconds)
                 continue
-            batched, index, record = entry
-            if batched:
-                profiler.record_elementwise_batch(1)
+            merged, index, record = entry
+            if merged is not None:
+                profiler.record_merged_launch(1, merged)
             if index is not None:
                 record = record[:2] + (results[index][0],) + record[3:]
             runtime.simulated_seconds += profiler.record_task(

@@ -11,14 +11,16 @@ contiguous runs of :class:`CompiledStep`\\ s are spliced into a single
 generated ``__kernel__``
 (:func:`repro.kernel.codegen.generate_superkernel_source`) that
 executes the constituent kernels section by section in recorded order.
-Steps whose buffers tile their stores contiguously become straight-line
-*merged* sections over the chunk's span — element-wise steps always, and
-reducing steps when every rank's tile has the same size, their
-reductions running as one ``reduce(axis=1)`` over ``(ranks, tile)`` rows
-(:func:`_row_reduce_tile`).  Every other step becomes a *ranked* section
-whose per-rank closure calls collapse into an internal Python loop.
-Either way it is one closure call per plan step run, instead of one per
-step per rank.
+Steps the capture-time verdict merged (``CompiledStep.verdict``, from
+``pool.launch_verdict``) become straight-line *merged* sections over the
+chunk's span — element-wise steps, and stacked steps, whose reductions
+run as one ``reduce(axis=1)`` over ``(ranks, tile)`` rows.  Every other
+step becomes a *ranked* section whose per-rank closure calls collapse
+into an internal Python loop.  Either way it is one closure call per
+plan step run, instead of one per step per rank.  A lone element-wise
+step is left alone (it is one call per chunk already); a lone
+reducing step still lowers, though a stacked one saves no closure call
+by it — the lone-step rule now pays only for unstackable steps.
 
 Because recorded order is program order, a contiguous run covers both of
 the paper-motivated fusion shapes at once: producer→consumer chains
@@ -65,8 +67,8 @@ from repro.kernel.codegen import SuperKernelSection, generate_superkernel_source
 from repro.kernel.kir import assignment_loads_buffers, sole_buffer_assignment
 from repro.kernel.lowering import BackendDivergenceError
 from repro.runtime import procpool, telemetry
-from repro.runtime.executor import RectTable, compiled_ranks, span_slices
-from repro.runtime.pool import contiguous_elementwise_tables, merged_table_span
+from repro.runtime.executor import compiled_ranks, span_slices
+from repro.runtime.pool import ELEMENTWISE, merged_table_span
 from repro.runtime.trace import AnalysisCharge, CompiledStep, ExecutionPlan
 
 
@@ -116,7 +118,7 @@ class SuperKernel:
         self.binding_plan = binding_plan
         self.executor, self.freshly_compiled = codegen.bind(source, plan, name)
 
-    def scratch_elements(self, block: int) -> int:
+    def scratch_elements(self, block: int, tile: Optional[int] = None) -> int:
         """Elements of the scratch one call blocking at ``block`` uses."""
         return codegen.scratch_elements(self.plan, block)
 
@@ -348,28 +350,6 @@ def _fold_decisions(
     return folds
 
 
-def _row_reduce_tile(step: CompiledStep) -> Tuple[Optional[int], Optional[str]]:
-    """``(tile, None)`` when a reducing step may be a merged section.
-
-    The geometry is the element-wise verdict's — every non-reduction
-    binding tiles its whole 1-D store contiguously in rank order — plus
-    one volume ``tile`` common to every rank of every binding, so that
-    row ``i`` of an operand reshaped to ``(-1, tile)`` is rank ``i``'s
-    tile.  Otherwise ``(None, why not)``; the section stays ranked.
-    """
-    tables = [table for _n, _s, is_red, table in step.buffer_bindings if not is_red]
-    if step.num_points <= 1:
-        return None, "single_rank"
-    if not all(isinstance(table, RectTable) for table in tables):
-        return None, "uninterned_table"
-    if not contiguous_elementwise_tables(tables, step.num_points, require_full_cover=True):
-        return None, "nd_or_broadcast_tiling"
-    tiles = {table.tile for table in tables}
-    if len(tiles) != 1 or None in tiles:
-        return None, "ragged_tiling"
-    return tiles.pop(), None
-
-
 def _build_unit(
     plan: ExecutionPlan,
     indices: Sequence[int],
@@ -378,13 +358,10 @@ def _build_unit(
 ) -> SuperKernelStep:
     """Lower one collected unit into a :class:`SuperKernelStep`."""
     members: List[Tuple[int, CompiledStep, str]] = []
-    row_reduce: Dict[int, Tuple[Optional[int], Optional[str]]] = {}
     for index in indices:
         step = plan.steps[index]
         if isinstance(step, CompiledStep):
-            tile, why = (None, None) if step.elementwise else _row_reduce_tile(step)
-            row_reduce[index] = (tile, why)
-            members.append((index, step, "ranked" if why else "merged"))
+            members.append((index, step, "merged" if step.verdict.merged else "ranked"))
 
     folds = {} if verify else _fold_decisions(plan, members)
 
@@ -426,7 +403,7 @@ def _build_unit(
     for section_index, (index, step, mode) in enumerate(members):
         prefix = f"k{section_index}:"
         function = step.kernel.function
-        tile, ranked_because = row_reduce[index]
+        tile, ranked_because = step.verdict.tile, step.verdict.why
         reduction_params = tuple(
             name for name, _slot, is_red, _table in step.buffer_bindings if is_red
         )
@@ -508,7 +485,6 @@ def _build_unit(
             step.communication_seconds for _i, step, _m in members
         ),
         overhead_seconds=sum(step.overhead_seconds for _i, step, _m in members),
-        elementwise=False,
         sections=tuple(infos),
         fused_steps=fused_steps,
         chunkable=chunkable,
@@ -760,7 +736,7 @@ def _run_verify(
         }
         for partials in compiled_ranks(
             member.kernel.executor, member_prepared, member_scalars,
-            0, member.num_points, member.elementwise,
+            0, member.num_points, ELEMENTWISE if member.elementwise else None,
         ):
             for name, partial in (partials or {}).items():
                 if name in member.reductions:

@@ -63,7 +63,8 @@ from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
 from repro.ir.task import DeferredTask, FusedTask, TaskSkeleton, stream_scalar_pattern
-from repro.runtime import telemetry
+from repro.runtime import pool, telemetry
+from repro.runtime.pool import Verdict
 
 #: Upper bound on the deferred epoch buffer.  An application that never
 #: synchronises still gets deterministic segmentation: the buffer is
@@ -128,16 +129,25 @@ class CompiledStep:
     kernel_seconds: float
     communication_seconds: float
     overhead_seconds: float
-    #: True when every buffer's rect table tiles its (1-D) store
-    #: contiguously in rank order and the kernel performs no reductions:
-    #: replay then executes one merged closure call per rank *chunk*
-    #: (one per epoch at dispatch width 1) instead of one call per rank,
-    #: which both batches the launch and still lets point dispatch split
-    #: it — the composition the PR-4 whole-domain batching precluded.
-    elementwise: bool = False
+    #: The launch's calling convention, decided at capture by the one
+    #: geometry verdict the eager launch took (``pool.launch_verdict``):
+    #: a merged step replays as one closure call per rank *chunk* (one
+    #: per epoch at dispatch width 1), element-wise or stacked, which
+    #: point dispatch can still split; a per-rank one records why.
+    verdict: Verdict = Verdict(False)
     #: Slots this launch assigns whole before anything observes them
     #: (the uninitialised-allocation rule of ``RegionManager.field``).
     defined_slots: Tuple[int, ...] = ()
+
+    @property
+    def elementwise(self) -> bool:
+        """A merged step that reduces nothing."""
+        return self.verdict.merged and self.verdict.tile is None
+
+    @property
+    def stacked(self) -> bool:
+        """A merged step that reduces by ``(ranks, tile)`` rows."""
+        return self.verdict.tile is not None
 
 
 @dataclass
@@ -322,8 +332,6 @@ class TraceRecorder:
         scalar_positions = tuple(position_of_uid[t.uid] for t in constituents)
         scalar_order = binding.scalar_order or tuple(binding.scalar_args.items())
 
-        elementwise = self._elementwise_bindings(bindings, num_points, reductions)
-
         return CompiledStep(
             kernel=kernel,
             task_name=task.task_name,
@@ -339,7 +347,7 @@ class TraceRecorder:
             kernel_seconds=record.kernel_seconds,
             communication_seconds=record.communication_seconds,
             overhead_seconds=record.overhead_seconds,
-            elementwise=elementwise,
+            verdict=pool.launch_verdict(kernel, bindings, num_points),
             defined_slots=tuple(defined_slots),
         )
 
@@ -362,32 +370,6 @@ class TraceRecorder:
         return tuple(
             (slot, reads, writes, reduces)
             for slot, (reads, writes, reduces) in sorted(merged.items())
-        )
-
-    @staticmethod
-    def _elementwise_bindings(bindings, num_points, reductions) -> bool:
-        """Is this launch a purely element-wise, contiguously-tiled one?
-
-        When every buffer's rect table tiles its full (1-D) store
-        contiguously in rank order and the kernel performs no
-        reductions, executing the closure over any contiguous merged
-        span of tiles is element-for-element identical to executing it
-        per point (NumPy ufuncs are elementwise, the tiles are disjoint
-        and cover the stores — the shared predicate in ``runtime.pool``,
-        here with the conservative full-cover condition).  Replay then
-        pays one set of ufunc calls per rank *chunk* — one per epoch at
-        dispatch width 1, exactly the PR-2 whole-domain batching — while
-        point dispatch can still split the launch.  The modelled kernel
-        time is untouched: it was captured from the per-point execution.
-        """
-        from repro.runtime.pool import contiguous_elementwise_tables
-
-        if reductions or not bindings:
-            return False
-        return contiguous_elementwise_tables(
-            (table for _name, _slot, _is_reduction, table in bindings),
-            num_points,
-            require_full_cover=True,
         )
 
     def _opaque_step(self, launch, record) -> OpaqueStep:

@@ -111,6 +111,24 @@ def format_sections(counters: Dict[str, object]) -> str:
     return f"super-kernel sections: {shapes}" + (f" ({reasons})" if reasons else "")
 
 
+def format_stacking(counters: Dict[str, object]) -> str:
+    """One line: launches that reduced in one call per chunk (stacked,
+    eager and replayed, super-kernel sections included), and reducing
+    launches that ran rank by rank, by reason."""
+    reasons = {
+        reason: counters[f"per_rank_reducing_{reason}"]
+        for reason in RANKED_REASONS
+        if counters[f"per_rank_reducing_{reason}"]
+    }
+    detail = ", ".join(f"{reason} {count}" for reason, count in reasons.items())
+    return (
+        f"stacked launches: {counters['stacked_launches']} "
+        f"({counters['stacked_calls']} calls); "
+        f"per-rank reducing launches: {sum(reasons.values())}"
+        + (f" ({detail})" if detail else "")
+    )
+
+
 def format_materialised(counters: Dict[str, object]) -> str:
     """One line: index tasks built from deferred records, in replayed
     epochs (each one a task the replay built to throw away), in missed
@@ -254,6 +272,7 @@ def main() -> int:
     if args.summary:
         print(format_summary(*telemetry.span_summary()))
         print(format_sections(snapshot))
+        print(format_stacking(snapshot))
         print(format_materialised(snapshot))
         print(format_capture(snapshot))
         slots = procpool.pool_size() if args.point_workers > 1 else 1

@@ -3,7 +3,7 @@
 PR-4's whole-domain batching collapsed a purely element-wise replay
 launch to a single rank, which intra-launch point dispatch could then
 not split.  The recorder now *marks* such launches instead
-(``CompiledStep.elementwise``) and both replay and the eager path
+(``CompiledStep.verdict``) and both replay and the eager path
 execute one merged closure call per rank chunk — one per epoch at
 dispatch width 1 (the PR-4 behaviour), several concurrent calls when
 point dispatch is on — and the same soundness argument makes the eager
@@ -36,22 +36,16 @@ def _run_bs(
     monkeypatch, *, trace, point_workers, batching=True, iterations=6, hotpath="1"
 ):
     if not batching:
-        # Suppress both batching sites — the eager detector and the
-        # recorder's elementwise verdict — for this run only (a plain
+        # Suppress batching — the one verdict the eager launch and the
+        # recorder both take — for this run only (a plain
         # monkeypatch.setattr would leak into the test's later runs).
-        import repro.runtime.executor as executor_module
-        import repro.runtime.trace as trace_module
+        import repro.runtime.pool as pool_module
 
         with monkeypatch.context() as scoped:
             scoped.setattr(
-                executor_module.TaskExecutor,
-                "_elementwise_launch",
-                lambda self, kernel, prepared, num_points: False,
-            )
-            scoped.setattr(
-                trace_module.TraceRecorder,
-                "_elementwise_bindings",
-                staticmethod(lambda bindings, num_points, reductions: False),
+                pool_module,
+                "launch_verdict",
+                lambda kernel, rows, num_points: pool_module.Verdict(False, why="single_rank"),
             )
             return _run_bs(
                 monkeypatch,

@@ -1,8 +1,8 @@
 """One chunk-dispatch path (``runtime/executor.py``): every kind of work
 on every substrate gives the eager interpreter's answer.
 
-The equivalence matrix is work kind (compiled per-rank, element-wise,
-super-kernel, opaque per-rank, opaque chunk) × substrate (inline,
+The equivalence matrix is work kind (compiled per-rank, compiled
+stacked, element-wise, super-kernel, opaque per-rank, opaque chunk) × substrate (inline,
 resident process, resident process whose first level frame loses its
 pool) × ``REPRO_WORKERS`` {1, 4} × kernel backend
 (codegen, differential): buffers, checksum AND the simulated seconds of
@@ -67,8 +67,14 @@ def _reload_flags_after():
 #: ran" predicate).
 KINDS = {
     "compiled-per-rank": (
-        "cg", dict(grid_points_per_gpu=12), ("SUPERKERNEL",),
+        "cfd", dict(points_per_gpu=24, pressure_iterations=2), ("SUPERKERNEL",),
         lambda p: p.superkernel_calls == 0 and p.replay_closure_calls > p.trace_hits,
+    ),
+    # CG's reducing launches without super-kernels: one stacked call per
+    # chunk, eager and replayed.
+    "compiled-stacked": (
+        "cg", dict(grid_points_per_gpu=12), ("SUPERKERNEL",),
+        lambda p: p.superkernel_calls == 0 and p.stacked_launches > 0,
     ),
     "element-wise": (
         "black-scholes", dict(elements_per_gpu=128), (),

@@ -61,8 +61,7 @@ from repro.kernel.kir import (
 from repro.kernel.lowering import _floats_equal, lower
 from repro.kernel.passes.compose import KernelBinding
 from repro.ir.domain import Rect
-from repro.runtime.executor import RectTable
-from repro.runtime.superkernel import _row_reduce_tile
+from repro.runtime.pool import RectTable, launch_verdict
 
 BLOCK = 8
 EXTENTS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7)
@@ -291,7 +290,9 @@ def _section_geometry(function: Function, ranks: int, tile: int):
     for slot, param in enumerate(function.buffer_params):
         table = replicated if param.name in SCALARS_0D else tiled
         bindings.append((param.name, slot, param.name in TARGETS, table))
-    return _row_reduce_tile(SimpleNamespace(buffer_bindings=bindings, num_points=ranks))
+    kernel = SimpleNamespace(reduces=True, executor=SimpleNamespace(stack_refusal=None))
+    verdict = launch_verdict(kernel, bindings, ranks)
+    return verdict.tile, verdict.why
 
 
 def _section_kernel(function, mode, tile=None):

@@ -34,7 +34,7 @@ from repro.kernel import codegen
 from repro.runtime import procpool, scheduler, superkernel
 from repro.runtime.executor import ChunkWork, TaskExecutor
 from repro.runtime.machine import MachineConfig
-from repro.runtime.pool import point_chunks, worker_pool
+from repro.runtime.pool import point_chunks, thread_split, worker_pool
 from repro.runtime.region import RegionManager
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
@@ -123,6 +123,8 @@ def launches(monkeypatch):
     launch = TaskExecutor.launch
 
     def recorded(self, work, chunks, width, shipped=None, threads=1):
+        if work.eager:
+            return launch(self, work, chunks, width, shipped, threads)
         ran = {}
         if threads > 1:
             run = work.run
@@ -195,13 +197,12 @@ class TestLoneStepThreads:
         never does."""
         monkeypatch.setattr(codegen, "BLOCK", BLOCK)
 
-        def step(volume):
-            table = [(None, volume)] * 4
-            return SimpleNamespace(buffer_bindings=[("x", 0, False, table)] * 3)
+        def tables(volume):
+            return [[(None, volume)] * 4] * 3
 
-        split = scheduler._thread_split(step(65536), 4, workers)
+        split = thread_split(tables(65536), 4, workers)
         assert split == point_chunks(4, min(workers, 4))
-        assert scheduler._thread_split(step(16384), 4, workers) is None
+        assert thread_split(tables(16384), 4, workers) is None
 
     @pytest.mark.parametrize(
         "workers, block, scheduled", [(1, SMALL_BLOCK, False), (2, SMALL_BLOCK, True), (2, BLOCK, False)]
@@ -328,7 +329,7 @@ class TestLoneStepThreads:
             return [None] * (stop - start), [float(start)] * (stop - start)
 
         class Kernel:
-            def scratch_elements(self, block):
+            def scratch_elements(self, block, tile=None):
                 return 0
 
         executor = TaskExecutor(RegionManager(), MachineConfig(num_gpus=4))

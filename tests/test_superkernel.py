@@ -26,7 +26,7 @@ from repro.experiments.harness import scaled_machine
 from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.fusion.engine import FusionConfig
-from repro.runtime import procpool
+from repro.runtime import pool, procpool
 from repro.runtime import superkernel as superkernel_module
 from repro.runtime.region import RegionManager
 
@@ -160,7 +160,22 @@ class TestSuperkernelParity:
                 assert ctx.profiler.snapshot()[shape] > 0, label
 
     def test_cg_closure_calls_drop(self, monkeypatch):
-        """The tentpole's point: >= 3x fewer compiled-closure calls."""
+        """The tentpole's point: >= 3x fewer compiled-closure calls where
+        reducing steps run rank by rank.  CG's reducing steps stack, which
+        already makes each one closure call per replay; with stacking
+        refused — what an unstackable tiling gets — lowering still pays."""
+        ctx_stacked, _state, checksum_stacked = _run_app(
+            "cg", monkeypatch, 5, superkernel="0", kernel_backend="codegen",
+            grid_points_per_gpu=8,
+        )
+        assert ctx_stacked.profiler.stacked_launches > 0
+        verdict = pool.launch_verdict
+
+        def refused(kernel, rows, num_points):
+            decided = verdict(kernel, rows, num_points)
+            return pool.Verdict(False, why="ragged_tiling") if decided.tile else decided
+
+        monkeypatch.setattr(pool, "launch_verdict", refused)
         ctx_off, _state, checksum_off = _run_app(
             "cg", monkeypatch, 5, superkernel="0", kernel_backend="codegen",
             grid_points_per_gpu=8,
@@ -169,7 +184,12 @@ class TestSuperkernelParity:
             "cg", monkeypatch, 5, superkernel="1", kernel_backend="codegen",
             grid_points_per_gpu=8,
         )
-        assert checksum_on == checksum_off
+        assert ctx_off.profiler.stacked_launches == 0
+        assert checksum_on == checksum_off == checksum_stacked
+        assert (
+            ctx_stacked.profiler.closure_calls_per_epoch
+            <= ctx_on.profiler.closure_calls_per_epoch
+        )
         assert ctx_on.profiler.superkernel_fusions > 0
         assert ctx_on.profiler.superkernel_calls > 0
         off_rate = ctx_off.profiler.closure_calls_per_epoch
@@ -531,7 +551,11 @@ class TestPartialArrays:
     def test_steady_cg_epoch_boxes_no_partial(self, monkeypatch):
         """A replayed CG epoch at 64 ranks builds no ``ReductionPartial``."""
         from repro.kernel import codegen
+        from repro.kernel.builder import KernelBuilder
+        from repro.kernel.codegen import CodegenExecutor
+        from repro.kernel.kir import ReduceKind
         from repro.kernel.lowering import ReductionPartial
+        from repro.kernel.passes.compose import KernelBinding
 
         constructed = []
 
@@ -552,14 +576,20 @@ class TestPartialArrays:
         try:
             app = build_application("cg", context=context, grid_points_per_gpu=4)
             app.run(8)
-            # The eager warm-up epochs fold per-rank kernel partials.
-            assert constructed
-            constructed.clear()
+            # The eager warm-up epochs stack their reductions too.
+            assert context.profiler.stacked_launches > 0
+            assert not constructed
             hits = context.profiler.trace_hits
             app.run(10)
             assert context.profiler.trace_hits == hits + 30
             assert context.profiler.snapshot()["superkernel_sections_stacked"] == 2
             assert constructed == []
+            # A per-rank call still boxes its partial: the patch is live.
+            builder = KernelBuilder("boxes_probe")
+            builder.buffers("a", "r")
+            builder.loop("a").reduce("r", "a", ReduceKind.SUM).end_loop()
+            CodegenExecutor(builder.build(), KernelBinding())({"a": np.ones(3), "r": None}, {})
+            assert constructed == [1]
         finally:
             set_context(None)
             codegen.clear_function_cache()
