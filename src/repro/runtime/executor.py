@@ -11,8 +11,9 @@ four steps:
    ``pool.launch_verdict`` allows when the rect tables tile every buffer
    contiguously in rank order — a kernel that reduces then *stacks*,
    reducing by ``(ranks, tile)`` rows into per-rank partials), epoch
-   super-kernel (built by the plan scheduler), and opaque (one library call per rank, or one per chunk when the operator
-   registers a chunk implementation; see ``runtime/opaque.py``).  The
+   super-kernel (built by the plan scheduler), and opaque (one library
+   call per rank, or one per chunk when the operator registers a chunk
+   implementation; see ``runtime/opaque.py``).  The
    runners — :func:`compiled_ranks`, ``superkernel.call_superkernel``
    and :func:`opaque_chunk` — are the ones a worker process calls on
    its share of a shipped step, over rows whose fields are the attached
@@ -30,9 +31,8 @@ four steps:
    on the calling thread, and so do the chunks of workers the frame
    lost.  Without worker processes, a big compiled step of a level that
    pools nothing — or a big eager launch — runs its chunks across the
-   idle plan threads
-   (:meth:`TaskExecutor._thread_chunks`), the calling thread taking
-   chunk 0.
+   idle plan threads (:meth:`TaskExecutor._thread_chunks`), the calling
+   thread taking chunk 0.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
    rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
    are bit-identical for every substrate and dispatch width.
@@ -633,9 +633,10 @@ class TaskExecutor:
 
         Chunk ``p`` runs on slot ``p % slots``: slot 0 is the calling
         (scheduling) thread, the others are plan-pool threads, idle
-        because the level pools nothing or the launch is eager.  Each chunk plans its blocks at
-        :func:`thread_block` elements: fewer, longer ufunc calls than at
-        ``codegen.BLOCK``, so the threads hand the GIL over less often.
+        because the level pools nothing or the launch is eager.  Each
+        chunk plans its blocks at :func:`thread_block` elements: fewer,
+        longer ufunc calls than at ``codegen.BLOCK``, so the threads
+        hand the GIL over less often.
         Every chunk cuts its registers from this executor's
         scratch reserve (:meth:`reserve_scratch`), so no thread allocates
         them and their pages stay mapped from one launch to the next.  Every

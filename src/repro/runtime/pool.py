@@ -1,20 +1,25 @@
-"""The plan scheduler's worker thread pool and rank-chunk partitioning.
+"""The worker thread pool, rank-chunk partitioning and launch geometry.
 
-The **plan scheduler** (``runtime/scheduler.py``) hands two kinds of
-work to the pool, sized by ``REPRO_WORKERS`` and resized lazily when
-that flag changes:
+Two kinds of work go to the pool, sized by ``REPRO_WORKERS`` and
+resized lazily when that flag changes:
 
 * independent steps of a wide level of a captured
-  :class:`ExecutionPlan`, each run whole on a pool thread;
+  :class:`ExecutionPlan`, each run whole on a pool thread by the **plan
+  scheduler** (``runtime/scheduler.py``);
 * without worker processes (``REPRO_POINT_WORKERS=1``), the rank chunks
-  of a big compiled step of a level that pools nothing — every level of
-  a chain plan — chunk 0 on the scheduling thread and the others here
+  (:func:`thread_split`) of a big compiled launch — an eager one, or a
+  step of a level that pools nothing, as every level of a chain plan —
+  chunk 0 on the calling thread and the others here
   (``TaskExecutor.launch`` with ``threads``).
 
 Only the scheduling thread submits, and only while no step of its level
 is on the pool, so a pool thread never waits on its own pool.  With
 worker processes the rank chunks of a launch run in them
 (``runtime/procpool.py``) or inline on the thread that runs the launch.
+
+How a compiled launch runs a rank range — one merged call, stacked when
+it reduces, or one call per rank — is decided once from its interned
+rect tables (:class:`RectTable`) by :func:`launch_verdict`.
 """
 
 from __future__ import annotations
@@ -72,26 +77,17 @@ config.register_reload_callback(_reload_shared_pool)
 atexit.register(shutdown_shared_pool)
 
 
-def contiguous_elementwise_tables(tables, num_points: int) -> bool:
-    """True when every per-rank rect table in ``tables`` tiles a 1-D span
-    contiguously in rank order (each tile starts where the previous one
-    ended).
-
-    Memoized per interned table as ``RectTable.contiguous``; the merged
-    calling convention of :func:`launch_verdict` rests on it.
-    """
-    if num_points <= 1:
+def _contiguous(table) -> bool:
+    """True when a per-rank rect table of more than one rank tiles a 1-D
+    span contiguously in rank order (each tile starts where the previous
+    one ended): ``RectTable.contiguous``."""
+    if len(table) <= 1:
         return False
-    for table in tables:
-        if len(table) != num_points:
+    cursor: Optional[int] = None
+    for rect, _volume in table:
+        if len(rect.lo) != 1 or (cursor is not None and rect.lo[0] != cursor):
             return False
-        cursor: Optional[int] = None
-        for rect, _volume in table:
-            if len(rect.lo) != 1:
-                return False
-            if cursor is not None and rect.lo[0] != cursor:
-                return False
-            cursor = rect.hi[0]
+        cursor = rect.hi[0]
     return True
 
 
@@ -118,7 +114,7 @@ class RectTable(list):
     def interned(cls, entries, store_shape) -> "RectTable":
         """A table over ``entries`` with its geometry memos filled in."""
         table = cls(entries)
-        table.contiguous = contiguous_elementwise_tables((table,), len(table))
+        table.contiguous = _contiguous(table)
         table.volume = sum(volume for _rect, volume in table)
         volumes = {volume for _rect, volume in table}
         table.tile = (volumes.pop() or None) if len(volumes) == 1 else None
@@ -189,9 +185,8 @@ def launch_verdict(kernel, rows: Sequence, num_points: int) -> Verdict:
 def merged_table_span(table: Sequence, start: int, stop: int) -> Rect:
     """The merged 1-D rect covering ranks ``[start, stop)`` of a table.
 
-    Only valid for tables that satisfied
-    :func:`contiguous_elementwise_tables`; used by the merged-call
-    paths of compiled launches and super-kernels.
+    Only valid for a contiguous table (``RectTable.contiguous``); used by
+    the merged-call paths of compiled launches and super-kernels.
     """
     return Rect(table[start][0].lo, table[stop - 1][0].hi)
 

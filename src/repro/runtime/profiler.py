@@ -42,11 +42,6 @@ RANKED_REASONS = (
     "unstackable_kernel",  # no tiled buffer, or a reducing loop not indexed by one
 )
 
-#: The reasons of :data:`RANKED_REASONS` that are the kernel's, not the
-#: tiling's: a reducing launch ranked for one of them had a tiling that
-#: stacks.
-KERNEL_REASONS = ("interpreter_backend", "unstackable_kernel")
-
 
 @dataclass
 class TaskRecord:

@@ -20,14 +20,17 @@ These tests hold that form to the interpreter rank by rank, bit for bit:
 
 from __future__ import annotations
 
-import math
+import os
 
 import numpy as np
 import pytest
 
+import repro.apps  # noqa: F401 - registers the applications
 import repro.frontend.cunumeric as cn
 from repro import config
+from repro.apps.base import build_application
 from repro.experiments.harness import scaled_machine
+from repro.frontend.cunumeric.array import ndarray as cn_ndarray
 from repro.frontend.legate.context import RuntimeContext, set_context
 from repro.kernel import codegen
 from repro.kernel.builder import KernelBuilder
@@ -237,7 +240,22 @@ def _program(x, y, z, k: float) -> list:
     ]
 
 
-def _run(monkeypatch, ranks: int, size: int, env: dict, superkernel=True, block=None):
+def _reductions(size: int):
+    """The reducing program over three arrays of ``size`` elements."""
+
+    def workload(context):
+        x, y, z = (cn.array(values) for values in _data(size))
+        values = []
+        for iteration in range(ITERATIONS):
+            context.begin_iteration()
+            values.append(_program(x, y, z, 0.5 + iteration))
+            context.flush()
+        return values, [array.to_numpy() for array in (x, y, z)]
+
+    return workload
+
+
+def _run(monkeypatch, ranks: int, workload, env: dict, superkernel=True, block=None):
     defaults = {
         "REPRO_TRACE": "1", "REPRO_KERNEL_BACKEND": "codegen", "REPRO_HOTPATH_CACHE": "1",
         "REPRO_WORKERS": "1", "REPRO_POINT_WORKERS": "1",
@@ -252,13 +270,7 @@ def _run(monkeypatch, ranks: int, size: int, env: dict, superkernel=True, block=
     context = RuntimeContext(num_gpus=ranks, fusion=True, machine=scaled_machine(ranks, 1e-4))
     set_context(context)
     try:
-        x, y, z = (cn.array(values) for values in _data(size))
-        values = []
-        for iteration in range(ITERATIONS):
-            context.begin_iteration()
-            values.append(_program(x, y, z, 0.5 + iteration))
-            context.flush()
-        state = [array.to_numpy() for array in (x, y, z)]
+        values, state = workload(context)
     finally:
         set_context(None)
     return context.profiler, values, state
@@ -270,21 +282,24 @@ _SEEDS = {}
 def _seed(monkeypatch, ranks: int, size: int):
     key = (ranks, size)
     if key not in _SEEDS:
-        _SEEDS[key] = _run(monkeypatch, ranks, size, SEED)
+        _SEEDS[key] = _run(monkeypatch, ranks, _reductions(size), SEED)
     return _SEEDS[key]
 
 
-def _assert_matches_seed(profiler, values, state, seed) -> None:
+def _assert_matches_seed(profiler, values, state, seed, from_replay=True) -> None:
     seed_profiler, seed_values, seed_state = seed
     assert _same(values, seed_values)
+    assert len(state) == len(seed_state)
     for array, expected in zip(state, seed_state):
         assert _same(array, expected)
     seconds, expected = profiler.iteration_seconds(), seed_profiler.iteration_seconds()
     assert len(seconds) == len(expected) == ITERATIONS
-    replayed = [record.iteration for record in profiler.records if record.replayed]
-    # A traced run's first epochs grow the fusion window differently from
-    # the untraced seed run; from its first replay on they charge alike.
-    first = min(replayed, default=0)
+    first = 0
+    if from_replay:
+        # A traced run's first epochs grow the fusion window differently
+        # from the untraced seed run; from its first replay on they
+        # charge alike.
+        first = min((r.iteration for r in profiler.records if r.replayed), default=0)
     assert seconds[first:] == expected[first:]
 
 
@@ -293,7 +308,7 @@ def _assert_matches_seed(profiler, values, state, seed) -> None:
 def test_every_stacked_path_matches_the_seed_path(path, ranks, monkeypatch, force_dispatch):
     env, superkernel, block = PATHS[path]
     size = 64 * ranks
-    profiler, values, state = _run(monkeypatch, ranks, size, env, superkernel, block)
+    profiler, values, state = _run(monkeypatch, ranks, _reductions(size), env, superkernel, block)
     _assert_matches_seed(profiler, values, state, _seed(monkeypatch, ranks, size))
     snapshot = profiler.snapshot()
     if ranks == 1:
@@ -317,7 +332,7 @@ def test_every_stacked_path_matches_the_seed_path(path, ranks, monkeypatch, forc
 def test_a_ragged_tiling_runs_per_rank_and_says_why(env, monkeypatch):
     """30 elements over 4 ranks: the tiles differ in size, so a reducing
     launch keeps one call per rank, records why, and still matches."""
-    profiler, values, state = _run(monkeypatch, 4, 30, env, superkernel=False)
+    profiler, values, state = _run(monkeypatch, 4, _reductions(30), env, superkernel=False)
     _assert_matches_seed(profiler, values, state, _seed(monkeypatch, 4, 30))
     snapshot = profiler.snapshot()
     assert snapshot["stacked_launches"] == 0
@@ -334,10 +349,62 @@ def test_the_seed_path_never_stacks(monkeypatch):
 
 def test_the_interpreter_runs_a_stackable_tiling_per_rank(monkeypatch):
     profiler, _values, _state = _run(
-        monkeypatch, 4, 256, {"REPRO_KERNEL_BACKEND": "interpreter", "REPRO_TRACE": "0"}
+        monkeypatch, 4, _reductions(256),
+        {"REPRO_KERNEL_BACKEND": "interpreter", "REPRO_TRACE": "0"},
     )
     assert profiler.snapshot()["per_rank_reducing_interpreter_backend"] > 0
     assert profiler.stacked_launches == 0
+
+
+#: The nine harness applications at their smoke sizes
+#: (``test_deferred_stream.HARNESS_APPS``).
+APPS = [
+    ("cg", dict(grid_points_per_gpu=24)),
+    ("jacobi", dict(rows_per_gpu=64)),
+    ("black-scholes", dict(elements_per_gpu=512)),
+    ("two-matvec", dict(rows_per_gpu=32)),
+    ("gmg", dict(grid_points_per_gpu=12)),
+    ("bicgstab", dict(grid_points_per_gpu=24)),
+    ("cfd", dict(points_per_gpu=24, pressure_iterations=2)),
+    ("torchswe", dict(points_per_gpu=24)),
+    ("torchswe-manual", dict(points_per_gpu=64)),
+]
+
+
+def _app(name: str, kwargs: dict, ranks: int):
+    """One harness application for ``ITERATIONS`` iterations; 64 ranks
+    take an eighth of the per-rank size along each axis."""
+    if ranks == 64:
+        kwargs = {key: value if key == "pressure_iterations" else max(4, value // 8)
+                  for key, value in kwargs.items()}
+
+    def workload(context):
+        app = build_application(name, context=context, **kwargs)
+        app.run(ITERATIONS)
+        state = [value.to_numpy() for _key, value in sorted(vars(app).items())
+                 if isinstance(value, cn_ndarray)]
+        return [app.checksum()], state
+
+    return workload
+
+
+@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
+@pytest.mark.parametrize("ranks", [1, 4, 64])
+@pytest.mark.parametrize("name, kwargs", APPS, ids=[name for name, _kwargs in APPS])
+def test_harness_apps_match_the_seed_path(name, kwargs, ranks, trace, monkeypatch):
+    """Buffers, checksum and the simulated seconds of every iteration of
+    every harness application, under the kernel backend of the
+    environment (the differential CI leg checks every stacked call row
+    by row), against the interpreter over plain per-launch tables with
+    the same ``REPRO_TRACE`` (traced and untraced runs of some
+    applications fuse their first windows differently)."""
+    backend = os.environ.get("REPRO_KERNEL_BACKEND", "codegen")
+    seed = _run(monkeypatch, ranks, _app(name, kwargs, ranks), dict(SEED, REPRO_TRACE=trace))
+    run = _run(
+        monkeypatch, ranks, _app(name, kwargs, ranks),
+        {"REPRO_TRACE": trace, "REPRO_KERNEL_BACKEND": backend},
+    )
+    _assert_matches_seed(*run, seed, from_replay=False)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +420,7 @@ def test_a_stacked_fused_kernel_compiles_exactly_one_body(monkeypatch):
 
     monkeypatch.setattr(codegen, "generate_source", recording)
     codegen.clear_function_cache()
-    profiler, _values, _state = _run(monkeypatch, 4, 256, {}, superkernel=False)
+    profiler, _values, _state = _run(monkeypatch, 4, _reductions(256), {}, superkernel=False)
     assert profiler.stacked_launches > 0
     fused = [(name, tile) for name, tile in generated if name.startswith("fused_")]
     assert fused
@@ -375,4 +442,3 @@ def test_a_stacked_body_compiles_once_per_tile():
             executor(_bound(function, buffers), {"k": 1.0}, tile=tile)
     assert sorted(executor._bodies) == [4, 8]
     assert stats.source_compilations - compiled <= 2
-    assert math.isfinite(executor.scratch_elements(codegen.BLOCK, 4))
