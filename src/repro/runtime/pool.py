@@ -144,7 +144,7 @@ class Verdict(NamedTuple):
 ELEMENTWISE = Verdict(True)
 
 
-def launch_verdict(kernel, rows: Sequence, num_points: int) -> Verdict:
+def launch_verdict(kernel, rows: Sequence, num_points: int, captured: bool = False) -> Verdict:
     """The one geometry verdict of a compiled launch, eager or captured.
 
     ``rows`` are ``(key, field, is_reduction, rect table)`` rows or a
@@ -159,6 +159,11 @@ def launch_verdict(kernel, rows: Sequence, num_points: int) -> Verdict:
     row ``i`` of ``reduce(x.reshape(-1, tile), axis=1)`` is bit for bit
     rank ``i``'s ``reduce(axis=None)``, and the partials come back in
     rank order, which is the order every fold takes them in.
+
+    Plain per-launch tables (``REPRO_HOTPATH_CACHE=0``, the seed path)
+    carry no geometry memo: an eager launch over them runs per rank, and
+    a ``captured`` step measures their contiguity once, so the seed
+    path's replays merge element-wise steps and never stack.
     """
     if num_points <= 1:
         return Verdict(False, why="single_rank")
@@ -168,7 +173,9 @@ def launch_verdict(kernel, rows: Sequence, num_points: int) -> Verdict:
     for table in tables:
         contiguous = getattr(table, "contiguous", None)
         if contiguous is None:
-            return Verdict(False, why="uninterned_table")
+            if not captured or kernel.reduces:
+                return Verdict(False, why="uninterned_table")
+            contiguous = _contiguous(table)
         if not contiguous or len(table) != num_points:
             return Verdict(False, why="nd_or_broadcast_tiling")
     if not kernel.reduces:

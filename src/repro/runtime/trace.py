@@ -347,7 +347,7 @@ class TraceRecorder:
             kernel_seconds=record.kernel_seconds,
             communication_seconds=record.communication_seconds,
             overhead_seconds=record.overhead_seconds,
-            verdict=pool.launch_verdict(kernel, bindings, num_points),
+            verdict=pool.launch_verdict(kernel, bindings, num_points, captured=True),
             defined_slots=tuple(defined_slots),
         )
 

@@ -45,7 +45,9 @@ def _run_bs(
             scoped.setattr(
                 pool_module,
                 "launch_verdict",
-                lambda kernel, rows, num_points: pool_module.Verdict(False, why="single_rank"),
+                lambda kernel, rows, num_points, captured=False: pool_module.Verdict(
+                    False, why="single_rank"
+                ),
             )
             return _run_bs(
                 monkeypatch,

@@ -18,7 +18,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest

@@ -168,11 +168,13 @@ class TestSuperkernelParity:
             "cg", monkeypatch, 5, superkernel="0", kernel_backend="codegen",
             grid_points_per_gpu=8,
         )
-        assert ctx_stacked.profiler.stacked_launches > 0
+        # Per-launch tables (the seed-path CI leg) never stack.
+        stacks = config.hotpath_cache_enabled()
+        assert (ctx_stacked.profiler.stacked_launches > 0) == stacks
         verdict = pool.launch_verdict
 
-        def refused(kernel, rows, num_points):
-            decided = verdict(kernel, rows, num_points)
+        def refused(kernel, rows, num_points, captured=False):
+            decided = verdict(kernel, rows, num_points, captured)
             return pool.Verdict(False, why="ragged_tiling") if decided.tile else decided
 
         monkeypatch.setattr(pool, "launch_verdict", refused)
@@ -186,10 +188,11 @@ class TestSuperkernelParity:
         )
         assert ctx_off.profiler.stacked_launches == 0
         assert checksum_on == checksum_off == checksum_stacked
-        assert (
-            ctx_stacked.profiler.closure_calls_per_epoch
-            <= ctx_on.profiler.closure_calls_per_epoch
-        )
+        if stacks:
+            assert (
+                ctx_stacked.profiler.closure_calls_per_epoch
+                <= ctx_on.profiler.closure_calls_per_epoch
+            )
         assert ctx_on.profiler.superkernel_fusions > 0
         assert ctx_on.profiler.superkernel_calls > 0
         off_rate = ctx_off.profiler.closure_calls_per_epoch
