@@ -15,7 +15,7 @@ cuPyNumeric library the paper evaluates.
 ...     assert abs(float(z.sum()) - 1024 * 7.0) < 1e-9
 """
 
-from repro.frontend.cunumeric.array import ndarray
+from repro.frontend.cunumeric.array import maximum_scalar, ndarray, nonzero_scalar
 from repro.frontend.cunumeric.creation import (
     arange,
     array,
@@ -47,9 +47,13 @@ from repro.frontend.cunumeric.ufuncs import (
 )
 from repro.frontend.cunumeric.reductions import amax, amin, dot, sum  # noqa: A004
 from repro.frontend.cunumeric import linalg, random
+from repro.ir.future import Future
 
 __all__ = [
     "ndarray",
+    "Future",
+    "maximum_scalar",
+    "nonzero_scalar",
     "array",
     "arange",
     "empty",

@@ -7,23 +7,31 @@ operation emits index tasks whose partitions carry the view's offset and
 bounds, so Diffuse sees exactly the aliasing structure the paper's fusion
 constraints reason about.
 
+Arithmetic whose operands are all 0-d arrays, futures or numbers builds
+a :class:`~repro.ir.future.Future` instead of a task: a reduction's
+result stays deferred until a launch takes it as a scalar argument, or
+the host reads it with ``float()``.
+
 Only ``float64`` data and step-1 slicing are supported; that is all the
 paper's applications need.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.ir import future as future_module
 from repro.ir.domain import Domain
+from repro.ir.future import Future
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
 from repro.frontend.legate.context import RuntimeContext, get_context
 
-Scalar = Union[int, float]
+Scalar = Union[int, float, Future]
 
 #: One argument of a launch skeleton: ``(partition, privilege, redop)``.
 Spec = Tuple[Partition, Privilege, Optional[ReductionOp]]
@@ -136,10 +144,11 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
         task_name: str,
         stores: Tuple[Store, ...],
         specs: Tuple[Spec, ...],
-        scalar_args: Tuple[float, ...] = (),
+        scalar_args: Tuple[Scalar, ...] = (),
     ) -> None:
         """Launch ``task_name`` over this view's launch domain, binding
-        ``stores`` to ``specs`` position by position."""
+        ``stores`` to ``specs`` position by position.  A scalar may be a
+        :class:`Future`: the launch resolves it when it runs."""
         context = self._context
         context.submit(
             context.skeleton(task_name, self.launch_domain(), specs), stores, scalar_args
@@ -207,10 +216,20 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
     # ------------------------------------------------------------------
     # Element-wise operator helpers.
     # ------------------------------------------------------------------
+    def future(self) -> Future:
+        """The deferred value of a 0-d array (no host read)."""
+        if self._shape:
+            raise ValueError("only a 0-d array has a future value")
+        return Future.load(self._store, self._context, self)
+
     def _binary(self, other, op: str, scalar_op: str, reverse: bool = False) -> "ndarray":
-        if isinstance(other, ndarray) and other.ndim == 0:
-            other = float(other)
-        if isinstance(other, ndarray):
+        if not self._shape and op in _FUTURE_OPS:
+            # Host arithmetic on a 0-d value stays deferred: a future, or
+            # (with an n-d operand) a launch taking the future as a scalar.
+            apply = _FUTURE_OPS[op]
+            this, other = self.future(), as_future(other)
+            return apply(other, this) if reverse else apply(this, other)
+        if isinstance(other, ndarray) and other._shape:
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
             out = self._fresh_like()
@@ -227,7 +246,7 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
             task,
             (self._store, out._store),
             (self.read_spec(), out.write_spec()),
-            (float(other),),
+            (other if type(other) is Future else scalar_arg(other),),
         )
         return out
 
@@ -237,9 +256,7 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
         return out
 
     def _inplace(self, other, op: str, scalar_op: str) -> "ndarray":
-        if isinstance(other, ndarray) and other.ndim == 0:
-            other = float(other)
-        if isinstance(other, ndarray):
+        if isinstance(other, ndarray) and other._shape:
             if other.shape != self.shape:
                 raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
             self._submit(
@@ -252,7 +269,7 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
                 scalar_op,
                 (self._store, self._store),
                 (self.read_spec(), self.write_spec()),
-                (float(other),),
+                (scalar_arg(other),),
             )
         return self
 
@@ -287,6 +304,8 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
         return self._binary(float(other), "power", "power_scalar")
 
     def __neg__(self):
+        if self.ndim == 0:
+            return -self.future()
         return self._unary("negative")
 
     def __iadd__(self, other):
@@ -396,6 +415,39 @@ class ndarray:  # noqa: N801 - mirrors the NumPy class name
         out = self._fresh_like(name="copy")
         self._submit("copy", (self._store, out._store), (self.read_spec(), out.write_spec()))
         return out
+
+
+#: Element-wise task -> the operator of its future form.
+_FUTURE_OPS = {
+    "add": operator.add, "subtract": operator.sub,
+    "multiply": operator.mul, "divide": operator.truediv,
+}
+
+
+def as_future(value):
+    """A 0-d array as its future; anything else as it is."""
+    if isinstance(value, ndarray) and not value._shape:
+        return value.future()
+    return value
+
+
+def scalar_arg(value):
+    """A scalar operand as a launch takes it: a 0-d array or a future
+    stays deferred, a number becomes a float."""
+    value = as_future(value)
+    return value if type(value) is Future else float(value)
+
+
+def maximum_scalar(a, b):
+    """Python ``max(a, b)`` over 0-d arrays, futures and numbers, deferred
+    (:func:`repro.ir.future.maximum`)."""
+    return future_module.maximum(as_future(a), as_future(b))
+
+
+def nonzero_scalar(value):
+    """``value``, or ``1e-300`` when exactly zero, deferred for a 0-d array
+    or a future (:func:`repro.ir.future.nonzero`)."""
+    return future_module.nonzero(as_future(value))
 
 
 def _full_like(template: ndarray, value: float) -> ndarray:

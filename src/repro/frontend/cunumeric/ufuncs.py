@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.frontend.cunumeric.array import ndarray, _full_like
+from repro.frontend.cunumeric.array import ndarray, _full_like, scalar_arg
 
 ArrayOrScalar = Union[ndarray, int, float]
 
@@ -70,8 +70,9 @@ def where(condition: ndarray, if_true: ArrayOrScalar, if_false: ArrayOrScalar) -
     return out
 
 
-def axpy(alpha: float, x: ndarray, y: ndarray) -> ndarray:
-    """The hand-fused ``alpha * x + y`` kernel.
+def axpy(alpha, x: ndarray, y: ndarray) -> ndarray:
+    """The hand-fused ``alpha * x + y`` kernel (``alpha`` may be a 0-d
+    array or a future).
 
     Naturally-written programs express this as a multiply followed by an
     add and rely on Diffuse to fuse them; the "manually fused" baselines
@@ -82,7 +83,7 @@ def axpy(alpha: float, x: ndarray, y: ndarray) -> ndarray:
         "axpy",
         (x.store, y.store, out.store),
         (x.read_spec(), y.read_spec(), out.write_spec()),
-        (float(alpha),),
+        (scalar_arg(alpha),),
     )
     return out
 

@@ -196,7 +196,8 @@ class RuntimeContext:
         scalar_args: Tuple[float, ...] = (),
     ) -> None:
         """Submit one launch in program order: ``stores`` bind the
-        skeleton's arguments position by position."""
+        skeleton's arguments position by position; a scalar may be a
+        future (``repro.ir.future``), resolved when the launch runs."""
         self.diffuse.submit(DeferredTask(skeleton, stores, scalar_args))
 
     def flush(self) -> None:
@@ -206,6 +207,11 @@ class RuntimeContext:
     def read_scalar(self, store: Store) -> float:
         """Blocking read of a scalar store (forces a flush)."""
         return self.diffuse.read_scalar(store)
+
+    def read_future(self, future) -> float:
+        """Blocking host read of a future (forces a flush)."""
+        self.flush()
+        return future.evaluate(self.legion.read_scalar)
 
     def read_array(self, store: Store) -> np.ndarray:
         """Blocking read of a full store (forces a flush)."""

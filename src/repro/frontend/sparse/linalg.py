@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.frontend.cunumeric.array import ndarray
+from repro.frontend.cunumeric.array import ndarray, nonzero_scalar
+from repro.ir.future import Future
 from repro.frontend.sparse.csr import csr_matrix
 
 
@@ -23,36 +24,39 @@ def cg(
     tolerance: float = 0.0,
     check_interval: int = 0,
     on_iteration: Optional[Callable[[int], None]] = None,
-) -> Tuple[ndarray, float]:
+) -> Tuple[ndarray, Future]:
     """Naturally-written conjugate gradient (paper Section 7.1).
 
-    ``check_interval`` controls how often the residual norm is converted
-    to a host value (forcing a flush); 0 keeps everything deferred, which
-    lets Diffuse fuse AXPYs and dot products across iteration boundaries
-    exactly as described in the paper.
-    Returns the solution and the final residual 2-norm squared.
+    The dot products stay futures (``repro.ir.future``): ``alpha`` and
+    ``beta`` are resolved by the launches that take them, so nothing is
+    read on the host unless ``check_interval`` is N > 0, which converts
+    the residual norm to a host value (forcing a flush) once every N
+    iterations and stops once it is below ``tolerance`` squared.  0
+    keeps everything deferred, which lets Diffuse fuse AXPYs and dot
+    products across iteration boundaries exactly as described in the
+    paper.
+    Returns the solution and the final residual 2-norm squared, a
+    future (``float()`` reads it).
     """
     x = x0
     r = rhs - matrix.dot(x)
     p = r.copy()
-    rs_old = r.dot(r)
-    rs_value = float(rs_old)
+    rs = r.dot(r).future()
     for iteration in range(iterations):
         if on_iteration is not None:
             on_iteration(iteration)
         ap = matrix.dot(p)
-        alpha = rs_value / _nonzero(float(p.dot(ap)))
+        alpha = rs / nonzero_scalar(p.dot(ap))
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = r.dot(r)
-        rs_value_new = float(rs_new)
-        beta = rs_value_new / _nonzero(rs_value)
+        rs_new = r.dot(r).future()
+        beta = rs_new / nonzero_scalar(rs)
         p = r + beta * p
-        rs_value = rs_value_new
+        rs = rs_new
         if check_interval and (iteration + 1) % check_interval == 0:
-            if tolerance and rs_value < tolerance * tolerance:
+            if float(rs) < tolerance * tolerance:
                 break
-    return x, rs_value
+    return x, rs
 
 
 def bicgstab(
@@ -76,22 +80,16 @@ def bicgstab(
         if on_iteration is not None:
             on_iteration(iteration)
         v = matrix.dot(p)
-        alpha = rho / _nonzero(float(r_hat.dot(v)))
+        alpha = rho / nonzero_scalar(float(r_hat.dot(v)))
         s = r - alpha * v
         t = matrix.dot(s)
-        omega = float(t.dot(s)) / _nonzero(float(t.dot(t)))
+        omega = float(t.dot(s)) / nonzero_scalar(float(t.dot(t)))
         x = x + alpha * p + omega * s
         r = s - omega * t
         rho_new = float(r_hat.dot(r))
-        beta = (rho_new / _nonzero(rho)) * (alpha / _nonzero(omega))
+        beta = (rho_new / nonzero_scalar(rho)) * (alpha / nonzero_scalar(omega))
         p = r + beta * (p - omega * v)
         rho = rho_new
         residual = float(r.dot(r))
     return x, residual
 
-
-def _nonzero(value: float) -> float:
-    """Guard a denominator against exact zero while preserving its sign."""
-    if value == 0.0:
-        return 1e-300
-    return value

@@ -30,7 +30,7 @@ from repro.kernel.compiler import JITCompiler
 from repro.kernel.generators import GeneratorRegistry, default_registry
 from repro.kernel.passes.pipeline import PassPipeline
 from repro.runtime.runtime import LegionRuntime
-from repro.runtime.trace import TraceController, TraceRecorder
+from repro.runtime.trace import TraceController, TraceRecorder, produced_since
 
 
 @dataclass
@@ -112,6 +112,10 @@ class DiffuseRuntime:
         ):
             self.trace = TraceController(self)
         self._recorder: Optional[TraceRecorder] = None
+        #: Untraced launches submitted since the last round fence or
+        #: flush: where a future's producer may still be pending
+        #: (``runtime.trace.produced_since``).
+        self._segment: List[DeferredTask] = []
 
     # ------------------------------------------------------------------
     # Task submission (the library-facing API).
@@ -130,6 +134,12 @@ class DiffuseRuntime:
             self.stats.forwarded_tasks += 1
             self.runtime.submit(self.materialise(task, "eager"))
             return
+        if task.sources and produced_since(self._segment, 0, task.sources):
+            # The round fence the traced pipeline places at this launch.
+            self.runtime.profiler.round_fences += 1
+            self.drain_window()
+            self._segment = []
+        self._segment.append(task)
         self.window_submit(self.materialise(task, "eager"))
 
     def materialise(self, task: DeferredTask, path: str) -> IndexTask:
@@ -154,6 +164,7 @@ class DiffuseRuntime:
         if self.trace is not None:
             self.trace.boundary()
             return
+        self._segment = []
         self.drain_window()
 
     def drain_window(self) -> None:

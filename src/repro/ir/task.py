@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.domain import Domain, Point, Rect, as_point
+from repro.ir.future import Future, future_sources
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp, promote, validate_reduction
 from repro.ir.store import Store
@@ -120,12 +121,14 @@ def scalar_group_pattern(values: Iterable[float]) -> Tuple[int, ...]:
     trace keys: iteration-dependent scalars (``alpha``/``beta``) keep
     hitting the caches as long as their *equality structure* is stable,
     while fused-kernel scalar deduplication stays sound because any
-    stream whose equalities differ produces a different key.
+    stream whose equalities differ produces a different key.  A
+    :class:`~repro.ir.future.Future` has no value yet: it is always a
+    group of its own, and kernels never share its parameter.
     """
-    groups: Dict[bytes, int] = {}
+    groups: Dict[object, int] = {}
     pattern: List[int] = []
     for value in values:
-        key = scalar_bits(value)
+        key = scalar_bits(value) if type(value) is not Future else object()
         index = groups.get(key)
         if index is None:
             index = len(groups)
@@ -272,7 +275,7 @@ class TaskSkeleton:
     equal, and the hash is computed once.
     """
 
-    __slots__ = ("task_name", "launch_domain", "specs", "_hash")
+    __slots__ = ("task_name", "launch_domain", "specs", "mutated", "_hash")
 
     def __init__(
         self,
@@ -286,6 +289,12 @@ class TaskSkeleton:
         self.task_name = task_name
         self.launch_domain = launch_domain
         self.specs = specs
+        #: Positions of the arguments the launch writes or reduces into.
+        self.mutated = tuple(
+            index
+            for index, (_partition, privilege, _redop) in enumerate(specs)
+            if privilege.writes or privilege.reduces
+        )
         self._hash = hash((task_name, launch_domain, specs))
 
     def __eq__(self, other: object) -> bool:
@@ -316,9 +325,13 @@ class DeferredTask:
     pipeline needs it: an epoch that misses the trace cache, an untraced
     engine, or the unfused baseline.  A replayed epoch reads the stores
     and scalars straight off the record.
+
+    ``sources`` are the stores the futures among the scalars read
+    (:func:`~repro.ir.future.future_sources`): the launch observes them
+    although they are none of its arguments.
     """
 
-    __slots__ = ("skeleton", "stores", "scalar_args")
+    __slots__ = ("skeleton", "stores", "scalar_args", "sources")
 
     def __init__(
         self,
@@ -329,6 +342,7 @@ class DeferredTask:
         self.skeleton = skeleton
         self.stores = stores
         self.scalar_args = scalar_args
+        self.sources = future_sources(scalar_args) if scalar_args else ()
 
     @classmethod
     def of(cls, task: IndexTask) -> "DeferredTask":

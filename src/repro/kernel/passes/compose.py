@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ir.partition import Partition
 from repro.ir.store import Store
+from repro.ir.future import Future
 from repro.ir.task import FusedTask, IndexTask, scalar_bits
 from repro.kernel.generators import GeneratorRegistry
 from repro.kernel.kir import (
@@ -171,7 +172,7 @@ def _compose(
     # 3. Generate, rename and concatenate each constituent's body.
     body: List[Stmt] = []
     scalar_params: List[Param] = []
-    scalar_names: Dict[bytes, str] = {}
+    scalar_names: Dict[object, str] = {}
     scalar_cursor = 0
     for task in constituents:
         fragment = registry.generate(task)
@@ -190,7 +191,8 @@ def _compose(
             flat_index = scalar_cursor + position
             mapping_name = None
             if dedupe_scalars:
-                bits = scalar_bits(value)
+                # A future's value is unknown until launch: never shared.
+                bits = scalar_bits(value) if type(value) is not Future else flat_index
                 mapping_name = scalar_names.get(bits)
                 if mapping_name is None:
                     mapping_name = f"s{flat_index}"

@@ -58,6 +58,7 @@ import numpy as np
 from repro import config
 from repro.config import hotpath_cache_enabled
 from repro.ir.privilege import Privilege, ReductionOp, numpy_ufunc_for
+from repro.ir.future import Future
 from repro.ir.task import IndexTask, StoreArg
 from repro.kernel import codegen
 from repro.kernel.compiler import CompiledKernel
@@ -423,6 +424,10 @@ class TaskExecutor:
             )
 
         task = task_of()
+        if any(type(value) is Future for value in task.scalar_args):
+            # The operator reads its scalars off the task: hand it one
+            # with the futures resolved.
+            task = IndexTask(task.task_name, task.launch_domain, task.args, scalars)
         points = list(task.launch_domain.points())
         bind = self._bind_opaque_ranks
 
@@ -463,6 +468,26 @@ class TaskExecutor:
                 pass
         self._opaque_binding_memo[key] = (tuple(row[1] for row in rows), bound)
         return bound
+
+    def scalar_value(self, value):
+        """A launch's scalar, a future resolved (``repro.ir.future``).
+
+        Called as the launch is prepared, after everything it depends on
+        has joined, so the future reads its sources' final values.
+        """
+        if type(value) is not Future:
+            return value
+        self.profiler.future_scalars += 1
+        return value.evaluate(self._read_scalar)
+
+    def scalar_values(self, scalar_args) -> tuple:
+        """:meth:`scalar_value` of every scalar of a launch."""
+        if not any(type(value) is Future for value in scalar_args):
+            return scalar_args
+        return tuple(self.scalar_value(value) for value in scalar_args)
+
+    def _read_scalar(self, store) -> float:
+        return self.regions.field(store).read_scalar()
 
     def point_chunk_plan(
         self, num_points: int, rows, width: Optional[int] = None
@@ -785,9 +810,9 @@ class TaskExecutor:
         """Run a task through its compiled kernel; returns kernel seconds."""
         binding = kernel.binding
         args = task.args
+        scalar_args = self.scalar_values(task.scalar_args)
         scalars = {
-            name: task.scalar_args[index]
-            for name, index in binding.scalar_args.items()
+            name: scalar_args[index] for name, index in binding.scalar_args.items()
         }
         buffer_order = binding.buffer_order or tuple(binding.buffer_args.items())
         rows = self._rows(
@@ -825,7 +850,7 @@ class TaskExecutor:
         """
         work = self.opaque_work(
             impl, self._rows(task, enumerate(task.args)),
-            task.launch_domain.volume, task.scalar_args, lambda: task,
+            task.launch_domain.volume, self.scalar_values(task.scalar_args), lambda: task,
         )
         return self.launch(work, [(0, work.num_points)], 1)
 

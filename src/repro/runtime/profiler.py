@@ -73,6 +73,9 @@ class IterationRecord:
     index_tasks: int = 0
     constituent_tasks: int = 0
     seconds: float = 0.0
+    #: Trace epochs the iteration replayed and ran through the pipeline.
+    replayed_epochs: int = 0
+    missed_epochs: int = 0
 
 
 class Profiler:
@@ -161,6 +164,11 @@ class Profiler:
         #: Trace epochs whose scalar equality pattern flipped on a known
         #: stream structure, forcing a conservative re-record.
         self.scalar_pattern_flips: int = 0
+        #: Futures (``repro.ir.future``) resolved as the launch taking
+        #: them ran, eager or replayed, and the round fences their
+        #: submissions placed (the window drained before the launch).
+        self.future_scalars: int = 0
+        self.round_fences: int = 0
         #: Super-kernel counters: fused units built by the plan→super-kernel
         #: lowering, the compiled constituent steps they absorbed, and the
         #: fused-closure invocations replay actually performed.
@@ -269,10 +277,14 @@ class Profiler:
         """Record an epoch replayed from a captured execution plan."""
         self.trace_hits += 1
         self.trace_replayed_tasks += tasks
+        if self._current_iteration is not None:
+            self._current_iteration.replayed_epochs += 1
 
     def record_trace_miss(self) -> None:
         """Record an epoch that went through the full resolve pipeline."""
         self.trace_misses += 1
+        if self._current_iteration is not None:
+            self._current_iteration.missed_epochs += 1
 
     def record_capture(self, plan, cold: bool) -> None:
         """Record a captured plan; ``cold``: its run missed memoization."""
@@ -472,6 +484,18 @@ class Profiler:
         return self.plan_dispatched_steps / self.plan_steps if self.plan_steps else 0.0
 
     @property
+    def epochs_per_replayed_iteration(self) -> float:
+        """Mean epochs of the iterations that replayed every epoch (0.0
+        without one): 1.0 when nothing inside an iteration reads a value
+        on the host."""
+        epochs = [
+            record.replayed_epochs
+            for record in self.iterations
+            if record.replayed_epochs and not record.missed_epochs
+        ]
+        return sum(epochs) / len(epochs) if epochs else 0.0
+
+    @property
     def trace_hit_rate(self) -> float:
         """Fraction of trace-delimited epochs replayed from a plan."""
         total = self.trace_hits + self.trace_misses
@@ -602,6 +626,8 @@ class Profiler:
                 "opaque_chunk_calls": self.opaque_chunk_calls,
                 "opaque_process_chunks": self.opaque_process_chunks,
                 "scalar_pattern_flips": self.scalar_pattern_flips,
+                "future_scalars": self.future_scalars,
+                "round_fences": self.round_fences,
                 "superkernel_fusions": self.superkernel_fusions,
                 "superkernel_fused_steps": self.superkernel_fused_steps,
                 "superkernel_calls": self.superkernel_calls,
@@ -631,6 +657,7 @@ class Profiler:
             counters["fields_uninitialised"] = self.fields_uninitialised
             counters["fields_zero_filled"] = self.fields_zero_filled
         counters["trace_hit_rate"] = self.trace_hit_rate
+        counters["epochs_per_replayed_iteration"] = self.epochs_per_replayed_iteration
         counters["plan_average_width"] = self.plan_average_width
         counters["worker_utilization"] = self.worker_utilization
         counters["point_chunks_per_launch"] = self.point_chunks_per_launch

@@ -153,7 +153,7 @@ class RegionField:
 
     def read_scalar(self) -> float:
         """The value of a rank-0 / single-element region."""
-        return float(self.data.reshape(-1)[0])
+        return self.data.item(0)
 
     def write_scalar(self, value: float) -> None:
         """Overwrite the value of a rank-0 / single-element region."""

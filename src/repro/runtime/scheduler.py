@@ -314,6 +314,11 @@ def _rebuild_opaque_task(
     return tasks[step.position].task()
 
 
+def _unresolved(value):
+    """A scalar as the record holds it (:meth:`PlanScheduler._step_work`)."""
+    return value
+
+
 def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     """Per-step ``(dispatched, point width, rank chunks)`` decisions.
 
@@ -565,15 +570,20 @@ class PlanScheduler:
         fields: Dict[int, object],
         uninitialised,
         entry: ScheduledStep,
+        resolve: bool = True,
     ) -> ChunkWork:
         """Prepare one step on the scheduling thread.
 
         Everything order-sensitive happens here — scalar rebinding from
         the epoch's tasks (the flat-offset arithmetic was done once, in
-        :func:`analyze_plan`) and slot→field resolution through the
-        per-replay ``fields`` memo — so the work's runner only computes
-        and workers never touch shared state.  Replayed compiled steps
-        carry no cost model: their seconds were captured at record time.
+        :func:`analyze_plan`), with futures resolved after the previous
+        level's join (a step resolving one depends on its producer), and
+        slot→field resolution through the per-replay ``fields`` memo —
+        so the work's runner only computes and workers never touch
+        shared state.  Without ``resolve`` a compiled step's futures stay
+        unresolved (a resident template only needs the scalar names).
+        Replayed compiled steps carry no cost model: their seconds were
+        captured at record time.
         """
         step = entry.step
         executor = self.runtime.executor
@@ -589,12 +599,15 @@ class PlanScheduler:
                     )
             rows.append((key, resolved, is_reduction, table))
         if not entry.compiled:
+            scalar_args = tasks[step.position].scalar_args
             return executor.opaque_work(
-                step.impl, rows, entry.num_points, tasks[step.position].scalar_args,
+                step.impl, rows, entry.num_points,
+                executor.scalar_values(scalar_args) if resolve else scalar_args,
                 partial(_rebuild_opaque_task, step, tasks, self.runtime.profiler),
             )
+        value = executor.scalar_value if resolve else _unresolved
         scalars = {
-            name: tasks[position].scalar_args[inner]
+            name: value(tasks[position].scalar_args[inner])
             for name, position, inner in entry.scalar_binds
         }
         if isinstance(step, SuperKernelStep):
@@ -679,7 +692,7 @@ class PlanScheduler:
             for index, (_dispatched, _width, chunks) in enumerate(decisions):
                 if len(chunks) > 1:
                     template = self.runtime.executor.resident_template(
-                        prepare(steps[index]), chunks
+                        prepare(steps[index], resolve=False), chunks
                     )
                     if template is not None:
                         templates[index] = template

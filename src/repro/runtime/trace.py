@@ -52,6 +52,12 @@ Correctness notes:
 * Stores referenced by still-buffered tasks hold *pending stream
   references* so temporary-store elimination sees the same liveness the
   eager pipeline would have seen (see ``Store.add_pending_stream_reference``).
+* A scalar argument may be a future (``repro.ir.future``): its source
+  stores get slots and pending references, and a launch whose future
+  reads a store produced since the last fence gets a *round fence*, part
+  of the key, at which the miss path drains the window as a host read
+  would have (``docs/architecture.md``, "Futures").  Replay resolves the
+  future when the step is prepared, after its producer's level joined.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
+from repro.ir.future import Future, future_sources
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
@@ -343,7 +350,7 @@ class TraceRecorder:
             scalar_order=tuple(scalar_order),
             scalar_positions=scalar_positions,
             reductions=reductions,
-            footprint=self._footprint(task.args),
+            footprint=self._footprint(task.args, constituents),
             kernel_seconds=record.kernel_seconds,
             communication_seconds=record.communication_seconds,
             overhead_seconds=record.overhead_seconds,
@@ -351,10 +358,19 @@ class TraceRecorder:
             defined_slots=tuple(defined_slots),
         )
 
-    def _footprint(self, args) -> StepFootprint:
-        """Merge the privileges of a launch's arguments per canonical slot."""
+    def _footprint(self, args, constituents=()) -> StepFootprint:
+        """Merge the privileges of a launch's arguments per canonical slot.
+
+        The stores the futures among the constituents' scalars read
+        count as read: the step resolves them when it launches, so the
+        plan orders it after their producers (and the super-kernel
+        lowering splits its unit there), though they bind no buffer.
+        """
         slot_of_uid = self.stream.slot_of_uid
         merged: Dict[int, List[bool]] = {}
+        for task in constituents:
+            for store in future_sources(task.scalar_args):
+                merged.setdefault(slot_of_uid[store.uid], [False, False, False])[0] = True
         for arg in args:
             slot = slot_of_uid[arg.store.uid]
             entry = merged.get(slot)
@@ -386,7 +402,7 @@ class TraceRecorder:
             arg_specs=arg_specs,
             num_points=task.launch_domain.volume,
             position=self.stream.position_of_uid[task.uid],
-            footprint=self._footprint(task.args),
+            footprint=self._footprint(task.args, (task,)),
             communication_seconds=record.communication_seconds,
             overhead_seconds=record.overhead_seconds,
             buffer_bindings=tuple(
@@ -430,6 +446,27 @@ class TraceRecorder:
         )
 
 
+def produced_since(
+    tasks: Sequence[DeferredTask], start: int, sources: Sequence[Store]
+) -> bool:
+    """True when one of ``tasks[start:]`` writes or reduces into one of
+    ``sources``.
+
+    Those are the launches submitted since the last round fence or epoch
+    boundary: a producer among them may still share a window round with
+    a launch resolving a future of its result, so that launch takes a
+    fence.  Scanned only for launches with futures.
+    """
+    # Newest first: a producer usually comes right before its consumer.
+    for position in range(len(tasks) - 1, start - 1, -1):
+        task = tasks[position]
+        stores = task.stores
+        for index in task.skeleton.mutated:
+            if stores[index] in sources:
+                return True
+    return False
+
+
 # ----------------------------------------------------------------------
 # Replay lives in ``repro.runtime.scheduler``: the plan scheduler builds
 # each plan's step-level dependence DAG from the captured footprints and
@@ -460,6 +497,7 @@ class TraceController:
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        self._profiler = engine.runtime.profiler
         #: ``(stream id, scalar pattern) -> plan``.
         self.cache: Dict[Tuple[int, Tuple[int, ...]], ExecutionPlan] = {}
         #: Pattern-blind key ``(task ids, liveness, entry states, window
@@ -494,12 +532,22 @@ class TraceController:
         self._structure: List[int] = []
         self._slot_stores: List[Store] = []
         self._slot_of_uid: Dict[int, int] = {}
+        #: Epoch positions of the launches a round fence precedes
+        #: (:meth:`_add_futures`); the window drains before each.
+        self._fences: List[int] = []
 
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
         """Number of tasks buffered in the current epoch."""
         return len(self._pending)
+
+    @property
+    def longest_run(self) -> int:
+        """The most tasks of the buffered epoch between two round fences
+        (or a fence and an end of the epoch)."""
+        bounds = [0] + self._fences + [len(self._pending)]
+        return max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
     def add(self, task: DeferredTask) -> None:
         """Defer one submitted record into the current epoch.
@@ -518,6 +566,8 @@ class TraceController:
         # Flat: skeleton id and scalar count, then a slot per argument,
         # each new slot preceded by its store's shape.
         canonical = [skeleton, len(task.scalar_args)]
+        if task.sources:
+            self._add_futures(task, canonical)
         for store in task.stores:
             store.add_pending_stream_reference()
             slot = slot_of_uid.get(store.uid)
@@ -534,6 +584,38 @@ class TraceController:
         self._pending.append(task)
         if len(self._pending) >= EPOCH_TASK_LIMIT:
             self.boundary()
+
+    def _add_futures(self, task: DeferredTask, canonical: list) -> None:
+        """Canonicalize the futures among ``task``'s scalars.
+
+        Each future joins the task's canonical form as its expression
+        shape and the slots of its source stores, which hold pending
+        references like arguments do, so none is reclaimed before the
+        launch resolves it.  When a source was produced since the last
+        fence (:func:`produced_since`) the launch gets a round fence,
+        also part of its canonical form: the window drains before it,
+        as a host read of the value would have drained it, and the
+        producer's round runs first.
+        """
+        pending, fences = self._pending, self._fences
+        fence = produced_since(pending, fences[-1] if fences else 0, task.sources)
+        if fence:
+            fences.append(len(pending))
+            self._profiler.round_fences += 1
+        entry = [fence]
+        slot_of_uid, slot_stores = self._slot_of_uid, self._slot_stores
+        for value in task.scalar_args:
+            if type(value) is Future:
+                entry.append(value.shape)
+                for store in value.sources:
+                    store.add_pending_stream_reference()
+                    slot = slot_of_uid.get(store.uid)
+                    if slot is None:
+                        slot = slot_of_uid[store.uid] = len(slot_stores)
+                        slot_stores.append(store)
+                        entry.append(store.shape)
+                    entry.append(slot)
+        canonical.append(tuple(entry))
 
     def references(self, store: Store) -> bool:
         """True when a buffered task touches ``store``.
@@ -566,6 +648,7 @@ class TraceController:
             return
         structure, slot_stores = tuple(self._structure), self._slot_stores
         slot_of_uid = self._slot_of_uid
+        fences, longest = self._fences, self.longest_run
         self._begin_epoch()
 
         coherence = engine.runtime.coherence
@@ -576,9 +659,10 @@ class TraceController:
         # adaptive window was still growing replays its (smaller-window)
         # fused structure forever if the size is not part of the key;
         # fingerprinting the size forces an automatic re-capture once the
-        # window has grown.  Sizes at or above the epoch length are
-        # equivalent (a single round), so the fingerprint saturates.
-        window_fingerprint = min(engine.window.size, len(tasks))
+        # window has grown.  A round fence drains the window, so sizes at
+        # or above the epoch's longest fence-free run are equivalent (one
+        # round per run), and the fingerprint saturates there.
+        window_fingerprint = min(engine.window.size, longest)
         # The scalar *equality pattern* completes the key (the same
         # helper the memoization window key uses): captured kernels may
         # deduplicate scalar parameters with bit-identical values, so a
@@ -642,9 +726,16 @@ class TraceController:
         ):
             engine.begin_capture(recorder)
             fed = 0
+            fence = iter(fences)
+            next_fence = next(fence, None)
             try:
                 for record, task in zip(records, tasks):
+                    if fed == next_fence:
+                        engine.drain_window()
+                        next_fence = next(fence, None)
                     for store in record.stores:
+                        store.remove_pending_stream_reference()
+                    for store in record.sources:
                         store.remove_pending_stream_reference()
                     fed += 1
                     engine.window_submit(task)
@@ -657,7 +748,7 @@ class TraceController:
         # An epoch that grew the adaptive window past its fingerprint
         # left a key no later boundary computes (the window only grows):
         # its plan could never be looked up.
-        if recorder.complete and min(engine.window.size, len(tasks)) == window_fingerprint:
+        if recorder.complete and min(engine.window.size, longest) == window_fingerprint:
             stats_deltas = (
                 stats.forwarded_tasks - stats_before[0],
                 stats.fused_tasks - stats_before[1],
@@ -674,6 +765,8 @@ class TraceController:
         """Drop the pending references of tasks not yet handed on."""
         for task in tasks[already_fed:]:
             for store in task.stores:
+                store.remove_pending_stream_reference()
+            for store in task.sources:
                 store.remove_pending_stream_reference()
 
     def _reclaim_dead_fields(self, slot_stores: Sequence[Store]) -> None:

@@ -21,7 +21,9 @@ replayed epoch (:func:`telemetry.span_summary`), then how many
 super-kernel sections run once over a merged span and why the others
 keep a rank loop, then the index tasks the run built, then the run of
 its epoch at which the first replay happened and the plans captured
-cold or never replayed, then the point-dispatch pool (the scheduling thread
+cold or never replayed, then the futures resolved at launch, the round
+fences and the replayed epochs per iteration, then the point-dispatch
+pool (the scheduling thread
 and its worker processes) with the level frames and worker chunks of a
 replayed epoch — or, in one process, the rank chunks a replayed epoch
 split across the plan threads — then what the kernel JIT compiled in
@@ -155,6 +157,18 @@ def format_capture(counters: Dict[str, object]) -> str:
     )
 
 
+def format_futures(counters: Dict[str, object]) -> str:
+    """One line: futures resolved at launch and round fences placed per
+    iteration, and the epochs of an iteration that replayed every epoch
+    (one when nothing inside it reads a value on the host)."""
+    iterations = max(1, counters["iterations"])
+    return (
+        f"futures: {counters['future_scalars'] / iterations:.2f} resolved at launch, "
+        f"{counters['round_fences'] / iterations:.2f} round fences per iteration; "
+        f"{counters['epochs_per_replayed_iteration']:.2f} epochs per replayed iteration"
+    )
+
+
 def format_dispatch(counters: Dict[str, object], slots: int) -> str:
     """One line: the pool's slots and placement, frames and worker chunks
     per epoch, and how often a round trip preempted the sending thread;
@@ -275,6 +289,7 @@ def main() -> int:
         print(format_stacking(snapshot))
         print(format_materialised(snapshot))
         print(format_capture(snapshot))
+        print(format_futures(snapshot))
         slots = procpool.pool_size() if args.point_workers > 1 else 1
         print(format_dispatch(snapshot, slots))
         print(format_jit(codegen_stats()))

@@ -196,7 +196,7 @@ def test_a_steady_cg_op_builds_no_task_and_its_nine_stores(monkeypatch, restore_
             "IndexTask": 0, "StoreArg": 0, "natural_partition": 0, "create_store": 90,
         }
         assert profiler.tasks_materialised == materialised
-        assert profiler.trace_hits - hits == 30
+        assert profiler.trace_hits - hits == 10
     finally:
         set_context(None)
 

@@ -101,6 +101,9 @@ class _Spy:
 
         def spied_boundary(controller):
             tasks, size = controller.pending, controller.engine.window.size
+            # Round fences drain the window: the fingerprint saturates at
+            # the longest fence-free run.
+            run = controller.longest_run
             profiler = controller.engine.runtime.profiler
             hits, captured = profiler.trace_hits, controller.captured_plans
             spy._rounds = []
@@ -108,7 +111,7 @@ class _Spy:
             if tasks and profiler.trace_hits == hits:
                 grown = controller.engine.window.size
                 spy.misses.append(
-                    (min(size, tasks) == min(grown, tasks), controller.captured_plans - captured)
+                    (min(size, run) == min(grown, run), controller.captured_plans - captured)
                 )
 
         def spied_charge(engine, analyzed_tasks, replay):

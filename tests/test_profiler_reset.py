@@ -69,6 +69,8 @@ def _dirty(profiler: Profiler) -> None:
     profiler.opaque_chunk_calls = 4
     profiler.opaque_process_chunks = 2
     profiler.scalar_pattern_flips = 1
+    profiler.future_scalars = 8
+    profiler.round_fences = 4
     profiler.record_superkernel_fusion(["merged", "stacked", "ragged_tiling"])
     profiler.superkernel_calls = 12
     profiler.replay_closure_calls = 40
