@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.ir.future import Future
 from repro.ir.partition import Partition
 from repro.ir.store import Store
-from repro.ir.future import Future
 from repro.ir.task import FusedTask, IndexTask, scalar_bits
 from repro.kernel.generators import GeneratorRegistry
 from repro.kernel.kir import (
