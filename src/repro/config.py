@@ -123,7 +123,7 @@ hotpath_cache_enabled = _getter(
     "REPRO_HOTPATH_CACHE", "True unless the launch caches are off (the seed path)."
 )
 trace_enabled = _getter(
-    "REPRO_TRACE", "True unless trace capture and replay are off (eager submission)."
+    "REPRO_TRACE", "True unless trace capture and replay are off (epochs run uncaptured)."
 )
 worker_count = _getter(
     "REPRO_WORKERS",

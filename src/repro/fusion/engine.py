@@ -13,7 +13,7 @@ pass-through, which is the "Unfused" baseline of every benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, Optional, Set
 
 from repro.ir.store import Store
 from repro.ir.task import DeferredTask, IndexTask
@@ -25,12 +25,11 @@ from repro.fusion.memoization import (
     canonicalize_window,
     resolve_temporaries,
 )
-from repro.config import trace_enabled
 from repro.kernel.compiler import JITCompiler
 from repro.kernel.generators import GeneratorRegistry, default_registry
 from repro.kernel.passes.pipeline import PassPipeline
 from repro.runtime.runtime import LegionRuntime
-from repro.runtime.trace import TraceController, TraceRecorder, produced_since
+from repro.runtime.trace import TraceController, TraceRecorder
 
 
 @dataclass
@@ -45,12 +44,9 @@ class FusionConfig:
     enable_kernel_fusion: bool = True
     #: Demote stores satisfying Definition 4 into task-local allocations.
     enable_temporary_elimination: bool = True
-    #: Memoize the fusion analysis on canonical task streams.
+    #: Memoize the fusion analysis on canonical task streams (trace
+    #: capture and replay, ``REPRO_TRACE``, also require it).
     enable_memoization: bool = True
-    #: Defer the task stream into epochs and capture/replay execution
-    #: plans for repeated epochs (also gated by the ``REPRO_TRACE``
-    #: environment variable; requires fusion and memoization).
-    enable_tracing: bool = True
     #: Task-window sizing (paper Figure 9 reports the adaptive result).
     initial_window_size: int = 5
     max_window_size: int = 256
@@ -100,22 +96,13 @@ class DiffuseRuntime:
         self.cache = MemoizationCache()
         self.stats = FusionStatistics()
         self._charged_compile_keys: Set[Hashable] = set()
-        #: Deferred task stream with trace capture/replay, or None when
-        #: tracing is disabled (flag sampled once per engine, like the
-        #: hot-path caches are sampled once per context).
-        self.trace: Optional[TraceController] = None
-        if (
-            self.config.enable_fusion
-            and self.config.enable_memoization
-            and self.config.enable_tracing
-            and trace_enabled()
-        ):
-            self.trace = TraceController(self)
+        #: The deferred task stream of a fused engine (whether it
+        #: captures and replays plans is ``TraceController.capture``);
+        #: None for the unfused pass-through.
+        self.trace: Optional[TraceController] = (
+            TraceController(self) if self.config.enable_fusion else None
+        )
         self._recorder: Optional[TraceRecorder] = None
-        #: Untraced launches submitted since the last round fence or
-        #: flush: where a future's producer may still be pending
-        #: (``runtime.trace.produced_since``).
-        self._segment: List[DeferredTask] = []
 
     # ------------------------------------------------------------------
     # Task submission (the library-facing API).
@@ -123,24 +110,15 @@ class DiffuseRuntime:
     def submit(self, task: DeferredTask) -> None:
         """Submit one launch in program order.
 
-        With tracing the record joins the deferred epoch as it is;
-        otherwise its index task is built here.
+        A fused engine defers the record into the epoch as it is; the
+        unfused baseline builds its index task and launches it here.
         """
         self.stats.submitted_tasks += 1
         if self.trace is not None:
             self.trace.add(task)
             return
-        if not self.config.enable_fusion:
-            self.stats.forwarded_tasks += 1
-            self.runtime.submit(self.materialise(task, "eager"))
-            return
-        if task.sources and produced_since(self._segment, 0, task.sources):
-            # The round fence the traced pipeline places at this launch.
-            self.runtime.profiler.round_fences += 1
-            self.drain_window()
-            self._segment = []
-        self._segment.append(task)
-        self.window_submit(self.materialise(task, "eager"))
+        self.stats.forwarded_tasks += 1
+        self.runtime.submit(self.materialise(task, "eager"))
 
     def materialise(self, task: DeferredTask, path: str) -> IndexTask:
         """The index task of a deferred record, counted by ``path``
@@ -149,7 +127,7 @@ class DiffuseRuntime:
         return task.task()
 
     def window_submit(self, task: IndexTask) -> None:
-        """Feed one task into the fusion window (the eager pipeline)."""
+        """Feed one task of an epoch into the fusion window."""
         self.window.add(task)
         if self.window.full:
             self._process_round()
@@ -157,15 +135,12 @@ class DiffuseRuntime:
     def flush_window(self) -> None:
         """Send all pending tasks through fusion to the runtime.
 
-        With tracing enabled this is an epoch boundary: the deferred
-        stream is either replayed from a captured plan or recorded while
-        it runs through the eager pipeline.
+        This is an epoch boundary: the deferred stream is replayed from
+        a captured plan, or runs through the window rounds (recorded
+        when it is captured).  The unfused baseline defers nothing.
         """
         if self.trace is not None:
             self.trace.boundary()
-            return
-        self._segment = []
-        self.drain_window()
 
     def drain_window(self) -> None:
         """Process window rounds until the window is empty."""
@@ -178,15 +153,11 @@ class DiffuseRuntime:
     # ------------------------------------------------------------------
     # Trace capture hooks (driven by the TraceController).
     # ------------------------------------------------------------------
-    def begin_capture(self, recorder: TraceRecorder) -> None:
-        """Route launches and charges of the current epoch to ``recorder``."""
+    def record_into(self, recorder: Optional[TraceRecorder]) -> None:
+        """Route launches and charges of the current epoch to ``recorder``
+        (None: nothing is captured)."""
         self._recorder = recorder
         self.runtime.trace_recorder = recorder
-
-    def end_capture(self) -> None:
-        """Stop routing launches to the epoch recorder."""
-        self._recorder = None
-        self.runtime.trace_recorder = None
 
     # ------------------------------------------------------------------
     # Future / scalar access (forces a flush like Legion futures do).
@@ -208,11 +179,9 @@ class DiffuseRuntime:
     def notify_host_write(self, store: Store) -> None:
         """A host-side write to ``store`` is about to happen.
 
-        With the deferred task stream a host write to a store referenced
-        by a buffered task would be reordered ahead of that task; force
-        an epoch boundary in that case (the eager pipeline needs no such
-        check because it never defers past a host interaction that the
-        applications perform).
+        A host write to a store referenced by a buffered task would be
+        reordered ahead of that task; force an epoch boundary in that
+        case.
         """
         if self.trace is not None and self.trace.references(store):
             self.trace.boundary()

@@ -138,13 +138,11 @@ class Store:
     def add_pending_stream_reference(self) -> None:
         """Record that a deferred (not yet analysed) task references this store.
 
-        The deferred task stream of the trace subsystem buffers whole
-        epochs of tasks before feeding them through the fusion window.
-        A store referenced by a still-buffered task must count as live
-        for temporary-store elimination — in the eager pipeline the
-        application handle used to build that later task would still
-        have been alive when the window was analysed, so this keeps the
-        deferred pipeline's liveness a faithful model of the eager one.
+        The deferred task stream buffers whole epochs of tasks before
+        feeding them through the fusion window.  A store referenced by a
+        still-buffered task must count as live for temporary-store
+        elimination: that later task reads it, although the application
+        may have dropped its handle since submitting it.
         """
         self._pending_stream_refs += 1
 

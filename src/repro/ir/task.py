@@ -322,9 +322,9 @@ class DeferredTask:
     What the frontends submit and the deferred task stream buffers.  The
     :class:`IndexTask` it stands for — one :class:`StoreArg` per
     ``(store, spec)`` pair — is built by :meth:`task` only where a
-    pipeline needs it: an epoch that misses the trace cache, an untraced
-    engine, or the unfused baseline.  A replayed epoch reads the stores
-    and scalars straight off the record.
+    pipeline needs it: an epoch that is not captured or misses the trace
+    cache (fed through the window rounds), or the unfused baseline.  A
+    replayed epoch reads the stores and scalars straight off the record.
 
     ``sources`` are the stores the futures among the scalars read
     (:func:`~repro.ir.future.future_sources`): the launch observes them

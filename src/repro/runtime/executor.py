@@ -480,11 +480,26 @@ class TaskExecutor:
         self.profiler.future_scalars += 1
         return value.evaluate(self._read_scalar)
 
+    def scalar_resolver(self) -> Callable:
+        """:meth:`scalar_value` for the scalars of one launch, each future
+        resolved once: a fused launch whose constituents share a future
+        (CG's ``alpha`` scales two updates) binds it to several scalars."""
+        resolved: Dict[int, float] = {}
+
+        def value(scalar):
+            if type(scalar) is not Future:
+                return scalar
+            if id(scalar) not in resolved:
+                resolved[id(scalar)] = self.scalar_value(scalar)
+            return resolved[id(scalar)]
+
+        return value
+
     def scalar_values(self, scalar_args) -> tuple:
-        """:meth:`scalar_value` of every scalar of a launch."""
+        """:meth:`scalar_resolver` over every scalar of a launch."""
         if not any(type(value) is Future for value in scalar_args):
             return scalar_args
-        return tuple(self.scalar_value(value) for value in scalar_args)
+        return tuple(map(self.scalar_resolver(), scalar_args))
 
     def _read_scalar(self, store) -> float:
         return self.regions.field(store).read_scalar()

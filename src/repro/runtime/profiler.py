@@ -101,8 +101,8 @@ class Profiler:
         self.plans_captured_cold: int = 0
         self.first_replay_run: int = 0
         #: Index tasks built from deferred records, by where: ``eager``
-        #: (every submission to an untraced or unfused engine), ``miss``
-        #: (every task of an epoch that missed the trace cache) and
+        #: (every task of an uncaptured epoch or an unfused engine),
+        #: ``miss`` (every task of an epoch that missed the trace cache) and
         #: ``replay`` (an opaque launch run per rank on replay, which
         #: hands its operator the task).  Nothing else in a replayed
         #: epoch builds one.
@@ -165,7 +165,7 @@ class Profiler:
         #: stream structure, forcing a conservative re-record.
         self.scalar_pattern_flips: int = 0
         #: Futures (``repro.ir.future``) resolved as the launch taking
-        #: them ran, eager or replayed, and the round fences their
+        #: them ran, eager or replayed, once per launch, and the round fences their
         #: submissions placed (the window drained before the launch).
         self.future_scalars: int = 0
         self.round_fences: int = 0

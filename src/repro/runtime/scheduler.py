@@ -605,7 +605,7 @@ class PlanScheduler:
                 executor.scalar_values(scalar_args) if resolve else scalar_args,
                 partial(_rebuild_opaque_task, step, tasks, self.runtime.profiler),
             )
-        value = executor.scalar_value if resolve else _unresolved
+        value = executor.scalar_resolver() if resolve else _unresolved
         scalars = {
             name: value(tasks[position].scalar_args[inner])
             for name, position, inner in entry.scalar_binds

@@ -39,6 +39,11 @@ dynamic tracing and Bohrium's runtime fusion of array operations:
    :class:`~repro.runtime.executor.TaskExecutor`, binding the current
    epoch's stores into the captured slots.
 
+With ``REPRO_TRACE=0`` (or memoization off) steps 3 and 4 are skipped:
+every epoch is still deferred to its boundary and fed through the same
+window rounds, fences and liveness, and its dead fields are reclaimed
+there, so buffers and simulated seconds do not depend on the flag.
+
 Correctness notes:
 
 * Scalar task arguments (``alpha``/``beta`` of CG, fill constants) are
@@ -50,12 +55,13 @@ Correctness notes:
   their time may depend on data (e.g. the sparsity pattern), which the
   alpha-equivalent key deliberately does not capture.
 * Stores referenced by still-buffered tasks hold *pending stream
-  references* so temporary-store elimination sees the same liveness the
-  eager pipeline would have seen (see ``Store.add_pending_stream_reference``).
+  references*, dropped as each task enters the window, so temporary-store
+  elimination sees the liveness of the program at its synchronisation
+  point (see ``Store.add_pending_stream_reference``).
 * A scalar argument may be a future (``repro.ir.future``): its source
   stores get slots and pending references, and a launch whose future
   reads a store produced since the last fence gets a *round fence*, part
-  of the key, at which the miss path drains the window as a host read
+  of the key, at which the feed drains the window as a host read
   would have (``docs/architecture.md``, "Futures").  Replay resolves the
   future when the step is prepared, after its producer's level joined.
 """
@@ -65,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
+from repro.config import trace_enabled
 from repro.ir.future import Future, future_sources
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
@@ -446,27 +453,6 @@ class TraceRecorder:
         )
 
 
-def produced_since(
-    tasks: Sequence[DeferredTask], start: int, sources: Sequence[Store]
-) -> bool:
-    """True when one of ``tasks[start:]`` writes or reduces into one of
-    ``sources``.
-
-    Those are the launches submitted since the last round fence or epoch
-    boundary: a producer among them may still share a window round with
-    a launch resolving a future of its result, so that launch takes a
-    fence.  Scanned only for launches with futures.
-    """
-    # Newest first: a producer usually comes right before its consumer.
-    for position in range(len(tasks) - 1, start - 1, -1):
-        task = tasks[position]
-        stores = task.stores
-        for index in task.skeleton.mutated:
-            if stores[index] in sources:
-                return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # Replay lives in ``repro.runtime.scheduler``: the plan scheduler builds
 # each plan's step-level dependence DAG from the captured footprints and
@@ -492,12 +478,19 @@ class TraceController:
     the same argument positions: captured rect tables and communication
     are only valid for the concrete partitions, not just their canonical
     positions.  Index tasks are built (``DiffuseRuntime.materialise``)
-    only when an epoch misses and runs through the eager pipeline.
+    only when an epoch misses, or is not captured, and runs through the
+    window rounds.
     """
 
     def __init__(self, engine) -> None:
         self.engine = engine
         self._profiler = engine.runtime.profiler
+        #: Whether :meth:`boundary` looks epochs up and captures plans:
+        #: ``REPRO_TRACE`` with memoization on (sampled once per engine,
+        #: as the hot-path caches are once per context).  Off, every
+        #: epoch is fed through the window rounds, with the same rounds,
+        #: fences, liveness and reclamation, and nothing is kept.
+        self.capture = engine.config.enable_memoization and trace_enabled()
         #: ``(stream id, scalar pattern) -> plan``.
         self.cache: Dict[Tuple[int, Tuple[int, ...]], ExecutionPlan] = {}
         #: Pattern-blind key ``(task ids, liveness, entry states, window
@@ -591,14 +584,21 @@ class TraceController:
         Each future joins the task's canonical form as its expression
         shape and the slots of its source stores, which hold pending
         references like arguments do, so none is reclaimed before the
-        launch resolves it.  When a source was produced since the last
-        fence (:func:`produced_since`) the launch gets a round fence,
-        also part of its canonical form: the window drains before it,
+        launch resolves it.  When a launch submitted since the last
+        fence (or the epoch's start) writes or reduces a source, this
+        launch gets a round fence, also part of its canonical form (a
+        producer may share its window round): the window drains before it,
         as a host read of the value would have drained it, and the
         producer's round runs first.
         """
-        pending, fences = self._pending, self._fences
-        fence = produced_since(pending, fences[-1] if fences else 0, task.sources)
+        pending, fences, sources = self._pending, self._fences, task.sources
+        fence = False
+        # Newest first: a producer usually comes right before its consumer.
+        for record in reversed(pending[fences[-1] if fences else 0:]):
+            stores = record.stores
+            if any(stores[index] in sources for index in record.skeleton.mutated):
+                fence = True
+                break
         if fence:
             fences.append(len(pending))
             self._profiler.round_fences += 1
@@ -631,7 +631,8 @@ class TraceController:
 
     # ------------------------------------------------------------------
     def boundary(self) -> None:
-        """Process the buffered epoch (replay a plan or record one).
+        """Process the buffered epoch: replay a plan, or feed it through
+        the window rounds (capturing a plan when :attr:`capture` is on).
 
         Liveness is sampled from *application* references only: pending
         stream references held by the epoch buffer itself exist for every
@@ -642,13 +643,15 @@ class TraceController:
         cannot change mid-feed).
         """
         engine = self.engine
-        tasks = self._pending
-        if not tasks:
-            engine.drain_window()
+        records = self._pending
+        if not records:
             return
-        structure, slot_stores = tuple(self._structure), self._slot_stores
-        slot_of_uid = self._slot_of_uid
-        fences, longest = self._fences, self.longest_run
+        slot_stores, fences = self._slot_stores, self._fences
+        if not self.capture:
+            self._begin_epoch()
+            tasks = [engine.materialise(record, "eager") for record in records]
+            return self._feed(records, tasks, fences, slot_stores, None)
+        structure, slot_of_uid, longest = tuple(self._structure), self._slot_of_uid, self.longest_run
         self._begin_epoch()
 
         coherence = engine.runtime.coherence
@@ -669,7 +672,7 @@ class TraceController:
         # plan is only valid for epochs with the same pattern.  Keeping
         # it out of the blind key tells pattern-only misses apart from
         # genuinely new streams.
-        scalar_pattern = stream_scalar_pattern(tasks)
+        scalar_pattern = stream_scalar_pattern(records)
         blind_key = (structure, liveness, entry_states, window_fingerprint)
         known = self._streams.get(blind_key)
         if known is None:
@@ -684,26 +687,25 @@ class TraceController:
         if plan is not None:
             if not profiler.trace_hits:
                 profiler.first_replay_run = self.misses.get(key, 0) + 1
-            profiler.record_trace_hit(len(tasks))
+            profiler.record_trace_hit(len(records))
             self.replayed_epochs += 1
             label = ""
             if telemetry.enabled():
-                label = f"epoch={self.replayed_epochs} tasks={len(tasks)}"
+                label = f"epoch={self.replayed_epochs} tasks={len(records)}"
             with telemetry.span(
                 "epoch.replay", label, sim=engine.runtime.simulated_seconds
             ):
                 try:
                     engine.runtime.plan_scheduler.execute(
-                        plan, engine, slot_stores, tasks
+                        plan, engine, slot_stores, records
                     )
                 finally:
-                    self._release(tasks, 0)
+                    self._release(records, 0)
                 self._reclaim_dead_fields(slot_stores)
             return
 
         profiler.record_trace_miss()
         self.misses[key] = self.misses.get(key, 0) + 1
-        records = tasks
         tasks = [engine.materialise(record, "miss") for record in records]
         stream = CanonicalStream(
             slot_stores=slot_stores,
@@ -724,26 +726,7 @@ class TraceController:
             f"tasks={len(tasks)}" if telemetry.enabled() else "",
             sim=engine.runtime.simulated_seconds,
         ):
-            engine.begin_capture(recorder)
-            fed = 0
-            fence = iter(fences)
-            next_fence = next(fence, None)
-            try:
-                for record, task in zip(records, tasks):
-                    if fed == next_fence:
-                        engine.drain_window()
-                        next_fence = next(fence, None)
-                    for store in record.stores:
-                        store.remove_pending_stream_reference()
-                    for store in record.sources:
-                        store.remove_pending_stream_reference()
-                    fed += 1
-                    engine.window_submit(task)
-                engine.drain_window()
-            finally:
-                engine.end_capture()
-                self._release(records, fed)
-            self._reclaim_dead_fields(slot_stores)
+            self._feed(records, tasks, fences, slot_stores, recorder)
 
         # An epoch that grew the adaptive window past its fingerprint
         # left a key no later boundary computes (the window only grows):
@@ -759,6 +742,38 @@ class TraceController:
             self.captured_plans += 1
             profiler.record_capture(plan, recorder.cold)
             engine.runtime.plan_scheduler.reserve(plan, slot_stores, records)
+
+    def _feed(self, records, tasks, fences, slot_stores, recorder) -> None:
+        """Run an epoch's tasks through the window rounds, then reclaim
+        the fields it killed.
+
+        The window drains at each round fence and at the end; each
+        record's pending references drop as its task enters the window,
+        so every round sees the liveness the host-read program would
+        have.  ``recorder`` captures the epoch's launches and charges
+        (None: the epoch is not captured).
+        """
+        engine = self.engine
+        engine.record_into(recorder)
+        fed = 0
+        fence = iter(fences)
+        next_fence = next(fence, None)
+        try:
+            for record, task in zip(records, tasks):
+                if fed == next_fence:
+                    engine.drain_window()
+                    next_fence = next(fence, None)
+                for store in record.stores:
+                    store.remove_pending_stream_reference()
+                for store in record.sources:
+                    store.remove_pending_stream_reference()
+                fed += 1
+                engine.window_submit(task)
+            engine.drain_window()
+        finally:
+            engine.record_into(None)
+            self._release(records, fed)
+        self._reclaim_dead_fields(slot_stores)
 
     @staticmethod
     def _release(tasks: Sequence[DeferredTask], already_fed: int) -> None:

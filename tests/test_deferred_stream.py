@@ -146,6 +146,15 @@ def test_apps_are_bit_identical_to_the_eager_task_frontend(
     )
 
 
+@pytest.mark.parametrize("app_name", [app[0] for app in HARNESS_APPS])
+def test_every_fused_configuration_charges_the_same_seconds(app_name, golden):
+    """Simulated seconds do not depend on the configuration: every fused
+    row of the golden file (traced or not, either backend, the seed
+    path, per-rank opaque launches) holds one ``iteration_seconds``."""
+    fused = [name for name, (_env, _opaque, fusion) in CONFIGS.items() if fusion]
+    assert len({tuple(golden[name][app_name]["iteration_seconds"]) for name in fused}) == 1
+
+
 # ----------------------------------------------------------------------
 # What a steady iteration builds.
 # ----------------------------------------------------------------------
@@ -213,6 +222,29 @@ def test_dead_stores_leave_the_registry_and_the_coherence_table(monkeypatch, res
         for _ in range(10):
             app.run(100)
             assert (len(context.stores), len(context.legion.coherence._states)) == sizes
+    finally:
+        set_context(None)
+
+
+@pytest.mark.parametrize("app_name, kwargs", [
+    ("cg", dict(grid_points_per_gpu=16)),
+    ("jacobi", dict(rows_per_gpu=48)),
+    ("torchswe", dict(points_per_gpu=16)),
+], ids=["cg", "jacobi", "torchswe"])
+def test_untraced_epochs_reclaim_dead_fields(app_name, kwargs, monkeypatch, restore_flags):
+    """With ``REPRO_TRACE=0`` the epoch boundary still reclaims the
+    fields each iteration kills: the live region fields stay flat."""
+    monkeypatch.setenv("REPRO_TRACE", "0")
+    config.reload_flags()
+    context = RuntimeContext(num_gpus=4)
+    set_context(context)
+    try:
+        app = build_application(app_name, context=context, **kwargs)
+        counts = []
+        for _ in range(6):
+            app.run(1)
+            counts.append(context.legion.regions.allocated_fields)
+        assert counts == counts[:1] * 6
     finally:
         set_context(None)
 

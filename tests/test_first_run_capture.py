@@ -8,8 +8,7 @@ eagerly, would pay.  For four harness apps and a generated
 
 * no epoch misses twice, so an epoch replays from its second run;
 * buffers and the simulated seconds of every iteration, the cold first
-  one included (see ``FIRST_COMPARED``), equal the untraced run and the
-  seed path;
+  one included, equal the untraced run and the seed path;
 * a plan's analysis charges are the memoization-hit charge of each of
   its window rounds, in order, also when the rounds missed;
 * an epoch that grew the adaptive window past its fingerprint is not
@@ -77,12 +76,6 @@ PROGRAMS = {
 #: Programs whose first run grows the adaptive window past its epoch's
 #: fingerprint.
 GROWS_THE_WINDOW = ("black-scholes", "churn")
-
-#: Programs whose first iteration is charged differently with tracing
-#: off whether or not epochs are captured: black-scholes' untraced
-#: window runs rounds while ``step()`` still holds its temporaries (21
-#: eliminated), its traced epoch after ``step()`` returned (28).
-FIRST_COMPARED = {"black-scholes": 1}
 
 
 class _Spy:
@@ -164,10 +157,7 @@ class TestFirstRunCapture:
             assert set(state) == set(other_state)
             for name, value in other_state.items():
                 assert state[name].tobytes() == value.tobytes(), name
-            assert len(seconds) == len(other_seconds)
-            assert seconds[FIRST_COMPARED.get(program, 0):] == (
-                other_seconds[FIRST_COMPARED.get(program, 0):]
-            )
+            assert seconds == other_seconds
 
     def test_plans_charge_what_a_memoization_hit_charges(self, flags, monkeypatch, program):
         context, _state, _seconds, spy = _run(flags, monkeypatch, program)

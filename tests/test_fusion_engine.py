@@ -210,10 +210,11 @@ class TestDiffuseEngine:
         assert runtime.profiler.total_index_tasks == engine.stats.submitted_tasks
         assert engine.stats.fused_tasks == 0
 
-    def test_memoization_avoids_recompilation(self):
+    def test_memoization_avoids_recompilation(self, flags):
         # Without tracing every rerun goes through the window rounds;
         # with it, a rerun replays its plan and never looks a window up.
-        config = FusionConfig(enable_fusion=True, enable_memoization=True, enable_tracing=False)
+        flags(REPRO_TRACE=0)
+        config = FusionConfig(enable_fusion=True, enable_memoization=True)
         manager = StoreManager()
         launch = Domain((4,))
         runtime = LegionRuntime(MachineConfig(num_gpus=4))

@@ -17,6 +17,8 @@ host reads used to cut.  These tests pin that
 * a launch resolving a future of the same epoch starts a new
   super-kernel unit;
 * ``float()`` of a future flushes;
+* a steady CG op resolves each future once, however many scalars of
+  its fused launches it binds;
 * a 0-d store that only a future still holds is not reclaimed;
 * ``linalg.cg`` reads on the host only every ``check_interval``
   iterations and computes the buffers of the host-read solver.
@@ -168,6 +170,23 @@ def test_cg_is_bit_identical_to_the_host_read_program(
         assert profiler.epochs_per_replayed_iteration == 1.0
     if point_workers > 1 and trace and num_gpus > 1:
         assert profiler.point_process_chunks > 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_a_steady_cg_op_resolves_each_future_once(trace, flags):
+    """``alpha`` scales two updates that fuse into one launch; a steady
+    op resolves each of its two futures (``alpha``, ``beta``) once."""
+    flags(REPRO_TRACE=trace, REPRO_POINT_WORKERS=1)
+    context = RuntimeContext(num_gpus=64)
+    set_context(context)
+    try:
+        app = ConjugateGradient(context=context, grid_points_per_gpu=4)
+        app.run(5)
+        resolved = context.profiler.future_scalars
+        app.run(10)
+        assert context.profiler.future_scalars - resolved == 2 * 10
+    finally:
+        set_context(None)
 
 
 # ----------------------------------------------------------------------
@@ -326,13 +345,9 @@ def test_float_of_a_future_flushes(trace, flags):
         future = x.dot(x) * 0.5
         y = x * future
         engine = context.diffuse
-        if trace:
-            assert engine.trace.pending == 3  # fill, dot, multiply
-        else:
-            assert not engine.window.empty
+        assert engine.trace.pending == 3  # fill, dot, multiply
         assert float(future) == 72.0
-        if trace:
-            assert engine.trace.pending == 0
+        assert engine.trace.pending == 0
         assert engine.window.empty
         assert np.array_equal(y.to_numpy(), np.full(16, 216.0))
     finally:

@@ -276,6 +276,8 @@ def _run(monkeypatch, ranks: int, workload, env: dict, superkernel=True, block=N
     return context.profiler, values, state
 
 
+#: Seed-path runs, by ``(ranks, size)`` of the reducing program or
+#: ``(app, ranks)`` of a harness application.
 _SEEDS = {}
 
 
@@ -286,21 +288,15 @@ def _seed(monkeypatch, ranks: int, size: int):
     return _SEEDS[key]
 
 
-def _assert_matches_seed(profiler, values, state, seed, from_replay=True) -> None:
+def _assert_matches_seed(profiler, values, state, seed) -> None:
     seed_profiler, seed_values, seed_state = seed
     assert _same(values, seed_values)
     assert len(state) == len(seed_state)
     for array, expected in zip(state, seed_state):
         assert _same(array, expected)
     seconds, expected = profiler.iteration_seconds(), seed_profiler.iteration_seconds()
-    assert len(seconds) == len(expected) == ITERATIONS
-    first = 0
-    if from_replay:
-        # A traced run's first epochs grow the fusion window differently
-        # from the untraced seed run; from its first replay on they
-        # charge alike.
-        first = min((r.iteration for r in profiler.records if r.replayed), default=0)
-    assert seconds[first:] == expected[first:]
+    assert len(seconds) == ITERATIONS
+    assert seconds == expected
 
 
 @pytest.mark.parametrize("ranks", [1, 2, 4, 64])
@@ -393,18 +389,19 @@ def _app(name: str, kwargs: dict, ranks: int):
 @pytest.mark.parametrize("name, kwargs", APPS, ids=[name for name, _kwargs in APPS])
 def test_harness_apps_match_the_seed_path(name, kwargs, ranks, trace, monkeypatch):
     """Buffers, checksum and the simulated seconds of every iteration of
-    every harness application, under the kernel backend of the
-    environment (the differential CI leg checks every stacked call row
-    by row), against the interpreter over plain per-launch tables with
-    the same ``REPRO_TRACE`` (traced and untraced runs of some
-    applications fuse their first windows differently)."""
+    every harness application, traced and untraced, under the kernel
+    backend of the environment (the differential CI leg checks every
+    stacked call row by row), against one untraced run of the
+    interpreter over plain per-launch tables."""
     backend = os.environ.get("REPRO_KERNEL_BACKEND", "codegen")
-    seed = _run(monkeypatch, ranks, _app(name, kwargs, ranks), dict(SEED, REPRO_TRACE=trace))
+    key = (name, ranks)
+    if key not in _SEEDS:
+        _SEEDS[key] = _run(monkeypatch, ranks, _app(name, kwargs, ranks), SEED)
     run = _run(
         monkeypatch, ranks, _app(name, kwargs, ranks),
         {"REPRO_TRACE": trace, "REPRO_KERNEL_BACKEND": backend},
     )
-    _assert_matches_seed(*run, seed, from_replay=False)
+    _assert_matches_seed(*run, _SEEDS[key])
 
 
 # ----------------------------------------------------------------------

@@ -131,13 +131,13 @@ class TestTraceController:
         monkeypatch.setenv("REPRO_TRACE", "0")
         config.reload_flags()
         engine = DiffuseRuntime(runtime=LegionRuntime(MachineConfig(num_gpus=2)))
-        assert engine.trace is None
+        assert engine.trace is not None and not engine.trace.capture
 
     def test_trace_requires_fusion_and_memoization(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
         config.reload_flags()
         runtime = LegionRuntime(MachineConfig(num_gpus=2))
-        assert DiffuseRuntime(runtime=runtime).trace is not None
+        assert DiffuseRuntime(runtime=runtime).trace.capture
         assert (
             DiffuseRuntime(
                 runtime=LegionRuntime(MachineConfig(num_gpus=2)),
@@ -145,19 +145,11 @@ class TestTraceController:
             ).trace
             is None
         )
-        assert (
+        assert not (
             DiffuseRuntime(
                 runtime=LegionRuntime(MachineConfig(num_gpus=2)),
                 config=FusionConfig(enable_memoization=False),
-            ).trace
-            is None
-        )
-        assert (
-            DiffuseRuntime(
-                runtime=LegionRuntime(MachineConfig(num_gpus=2)),
-                config=FusionConfig(enable_tracing=False),
-            ).trace
-            is None
+            ).trace.capture
         )
 
     def _chain_epoch(self, manager, launch, inputs, scalar):
@@ -574,14 +566,10 @@ class TestEpochKeyAdversarial:
                 scalar_args=(s1,),
             ))
             if odd and perturb == "attach":
-                # A host write to ``a`` while a buffered task reads it.
-                # The eager pipeline does not order host writes against
-                # its window, so the untraced run drains it here — where
-                # the traced run's forced boundary falls.
+                # A host write to ``a`` while a buffered task reads it
+                # forces a boundary, traced or not.
                 engine.notify_host_write(a)
-                if engine.trace is None:
-                    engine.flush_window()
-                assert engine.trace is None or engine.trace.pending == 0
+                assert engine.trace.pending == 0
                 runtime.attach_array(a, np.arange(16.0) * 3.0)
             _submit(engine, IndexTask(
                 "multiply_scalar", launch,
@@ -610,7 +598,7 @@ class TestEpochKeyAdversarial:
         counts = dict(
             hits=profiler.trace_hits,
             misses=profiler.trace_misses,
-            captures=0 if engine.trace is None else engine.trace.captured_plans,
+            captures=engine.trace.captured_plans,
             flips=profiler.scalar_pattern_flips,
         )
         buffers = [runtime.read_array(store) for store in [a, b] + outs]
