@@ -155,30 +155,31 @@ def run_application_experiment(
         application.run(warmup)
         warmup_seconds = sum(context.profiler.iteration_seconds()[:warmup])
         warmup_counters = context.profiler.snapshot()
-        # Measured iterations.
+        # Measured iterations.  The figures are read before the checksum,
+        # whose launch the profiler adds to the last timed iteration.
         application.run(iterations)
-        checksum = application.checksum()
+        profiler = context.profiler
+        result = RunResult(
+            app=app_name,
+            configuration=configuration or ("fused" if fusion else "unfused"),
+            num_gpus=num_gpus,
+            iterations=iterations,
+            warmup_iterations=warmup,
+            throughput=profiler.throughput(skip_warmup=warmup),
+            tasks_per_iteration=profiler.tasks_per_iteration(warmup, fused_view=False),
+            launched_tasks_per_iteration=profiler.tasks_per_iteration(warmup, fused_view=True),
+            avg_task_length_ms=profiler.average_task_length_seconds(skip_warmup=warmup) * 1e3,
+            window_size=context.diffuse.window.size,
+            warmup_seconds=warmup_seconds,
+            compile_seconds=profiler.compile_seconds,
+            checksum=0.0,
+            counters=profiler.snapshot(),
+            warmup_counters=warmup_counters,
+        )
+        result.checksum = application.checksum()
     finally:
         set_context(None)
-
-    profiler = context.profiler
-    return RunResult(
-        app=app_name,
-        configuration=configuration or ("fused" if fusion else "unfused"),
-        num_gpus=num_gpus,
-        iterations=iterations,
-        warmup_iterations=warmup,
-        throughput=profiler.throughput(skip_warmup=warmup),
-        tasks_per_iteration=profiler.tasks_per_iteration(skip_warmup=warmup, fused_view=False),
-        launched_tasks_per_iteration=profiler.tasks_per_iteration(skip_warmup=warmup, fused_view=True),
-        avg_task_length_ms=profiler.average_task_length_seconds(skip_warmup=warmup) * 1e3,
-        window_size=context.diffuse.window.size,
-        warmup_seconds=warmup_seconds,
-        compile_seconds=profiler.compile_seconds,
-        checksum=checksum,
-        counters=profiler.snapshot(),
-        warmup_counters=warmup_counters,
-    )
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@
 Sparse) and the Legion-like runtime substrate.  Libraries submit index
 tasks to it; Diffuse buffers them into a window, finds fusible prefixes,
 eliminates temporaries, JIT-compiles fused kernels (with memoization), and
-forwards the optimised tasks downstream.
+records the resolved launches into the epoch's plan (``runtime.trace``).
 
 Setting ``FusionConfig.enable_fusion`` to False turns the layer into a
 pass-through, which is the "Unfused" baseline of every benchmark.
@@ -136,8 +136,8 @@ class DiffuseRuntime:
         """Send all pending tasks through fusion to the runtime.
 
         This is an epoch boundary: the deferred stream is replayed from
-        a captured plan, or runs through the window rounds (recorded
-        when it is captured).  The unfused baseline defers nothing.
+        a captured plan, or recorded through the window rounds and run
+        as its plan.  The unfused baseline defers nothing.
         """
         if self.trace is not None:
             self.trace.boundary()
@@ -154,10 +154,9 @@ class DiffuseRuntime:
     # Trace capture hooks (driven by the TraceController).
     # ------------------------------------------------------------------
     def record_into(self, recorder: Optional[TraceRecorder]) -> None:
-        """Route launches and charges of the current epoch to ``recorder``
-        (None: nothing is captured)."""
+        """Route the resolved launches and the charges of the epoch's
+        window rounds to ``recorder`` (None between epochs)."""
         self._recorder = recorder
-        self.runtime.trace_recorder = recorder
 
     # ------------------------------------------------------------------
     # Future / scalar access (forces a flush like Legion futures do).
@@ -236,7 +235,7 @@ class DiffuseRuntime:
 
         if prefix_length < 2:
             self.stats.forwarded_tasks += 1
-            self.runtime.submit(prefix[0])
+            self._recorder.record_launch(self.runtime.resolve(prefix[0]))
             return
 
         fused = build_fused_task(prefix, temporaries)
@@ -245,13 +244,13 @@ class DiffuseRuntime:
         self.stats.fused_tasks += 1
         self.stats.fused_constituents += fused.constituent_count()
         self.stats.temporaries_eliminated += len(temporaries)
-        self.runtime.submit(fused, compiled=compiled)
+        self._recorder.record_launch(self.runtime.resolve(fused, compiled))
 
     # ------------------------------------------------------------------
     # Cost accounting for analysis and compilation.
     # ------------------------------------------------------------------
     def _charge_analysis(self, analyzed_tasks: int, replay: bool) -> None:
-        """Charge one round's analysis; a capturing epoch's recorder gets
+        """Hand one round's analysis charge to the epoch's recorder, with
         the charge a memoization hit on the same window makes (the one
         every later occurrence of the epoch pays, see ``runtime.trace``)."""
         hit_seconds = self.config.replay_seconds_per_task * analyzed_tasks
@@ -260,19 +259,14 @@ class DiffuseRuntime:
             if replay
             else self.config.analysis_seconds_per_task * analyzed_tasks
         )
-        if self._recorder is not None:
-            self._recorder.note_analysis(hit_seconds, missed=not replay)
-        self.runtime.add_simulated_seconds(seconds)
-        self.runtime.profiler.record_analysis_time(seconds)
-        self.runtime.profiler.add_iteration_seconds(seconds)
+        self._recorder.note_analysis(hit_seconds, seconds, missed=not replay)
 
     def _charge_compile_time(self, key: Optional[Hashable], seconds: float) -> None:
+        """Hand the round's compile charge to the recorder, once per key."""
         if seconds <= 0.0:
             return
         if key is not None:
             if key in self._charged_compile_keys:
                 return
             self._charged_compile_keys.add(key)
-        self.runtime.add_simulated_seconds(seconds)
-        self.runtime.profiler.record_compile_time(seconds)
-        self.runtime.profiler.add_iteration_seconds(seconds)
+        self._recorder.note_compile(seconds)

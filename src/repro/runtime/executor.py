@@ -1,6 +1,7 @@
 """Functional execution of index tasks over region fields.
 
-Every launch — eager or replayed, compiled or opaque — takes the same
+Every launch — a step of an epoch's plan, on its first run or replayed,
+or a launch of the unfused engine; compiled or opaque — takes the same
 four steps:
 
 1. **Prepare** a :class:`ChunkWork`: the launch's rows ``(key, region
@@ -20,8 +21,7 @@ four steps:
    shared-memory blocks: one copy of every calling convention.
 2. **Run the chunks**, per-chunk ``(partials_by_rank,
    seconds_by_rank)`` results in chunk order, on one of three rungs.  An
-   eager launch runs in this process, as one chunk or split across the
-   plan threads like a chain level's step.  A replayed step of a
+   unfused launch runs in this process as one chunk.  A replayed step of a
    plan resident in the worker processes (``REPRO_POINT_WORKERS`` > 1)
    ships with its whole level as one frame per worker
    (:meth:`TaskExecutor.run_resident_level`); the calling thread runs
@@ -29,15 +29,17 @@ four steps:
    chunk results.  A step the frame declines — the reason recorded by
    ``Profiler.record_decline`` — runs its chunks inline, in rank order,
    on the calling thread, and so do the chunks of workers the frame
-   lost.  Without worker processes, a big compiled step of a level that
-   pools nothing — or a big eager launch — runs its chunks across the
-   idle plan threads (:meth:`TaskExecutor._thread_chunks`), the calling
-   thread taking chunk 0.
+   lost; so do a plan's first run's steps, which never ship.  Without
+   worker processes, a big compiled step of a level that pools nothing
+   runs its chunks across the idle plan threads
+   (:meth:`TaskExecutor._thread_chunks`), the calling thread taking
+   chunk 0.
 3. **Fold** reduction partials and per-GPU simulated seconds in recorded
    rank order (:meth:`TaskExecutor.fold`), so buffers and simulated time
    are bit-identical for every substrate and dispatch width.
-4. **Account** the launch: the caller's job (``LegionRuntime`` for eager
-   launches, ``PlanScheduler._account`` for replayed ones).
+4. **Account** the launch: the caller's job (``LegionRuntime`` for
+   unfused launches, ``PlanScheduler._account`` for a plan's steps),
+   with compiled kernel seconds from :meth:`TaskExecutor.compiled_seconds`.
 
 ``REPRO_HOTPATH_CACHE=0`` is the seed path ``benchmarks/e2e``'s
 ``expected.json`` is generated through; it forks in one place,
@@ -73,7 +75,6 @@ from repro.runtime.pool import (
     merged_table_span,
     point_chunks,
     thread_block,
-    thread_split,
     worker_pool,
 )
 from repro.runtime.procpool import ChunkResult
@@ -140,8 +141,6 @@ class ChunkWork:
     #: A compiled launch's calling convention (``pool.launch_verdict``);
     #: ``None`` for super-kernel and opaque works.
     verdict: Optional[Verdict] = None
-    #: An eager launch (it models its own seconds), not a replayed step.
-    eager: bool = False
 
 
 class Shipped(NamedTuple):
@@ -362,43 +361,38 @@ class TaskExecutor:
         )
 
     def compiled_work(
-        self, kernel, rows, scalars, num_points: int, verdict: Verdict,
-        wanted, cost=None,
+        self, kernel, rows, scalars, num_points: int, verdict: Verdict, wanted
     ) -> ChunkWork:
-        """Work of a compiled launch, per rank or merged as ``verdict`` says.
-
-        ``cost`` makes the runner model per-rank seconds (eager
-        launches); replay passes none and charges captured seconds.
-        Interior tiles share one shape, so the modelled time is memoized
-        per tuple of sub-store volumes; the memo is shared by concurrent
-        chunks — ``estimate_seconds`` is a pure function of the volumes,
-        so a racing duplicate stores the same value.
-        """
+        """Work of a compiled launch, per rank or merged as ``verdict``
+        says; its seconds are :meth:`compiled_seconds`, not the runner's."""
         kernel_fn = kernel.executor
         bind = self._bind_ranks
-        machine = self.machine
-        memo: Dict[Tuple[int, ...], float] = {}
 
         def run(start: int, stop: int, block=None, scratch=None) -> ChunkResult:
             partials = compiled_ranks(
                 kernel_fn, rows, scalars, start, stop, verdict, bind, block, scratch
             )
-            if cost is None:
-                return partials, ()
-            seconds = []
-            for rank in range(start, stop):
-                volumes = tuple(row[3][rank][1] for row in rows)
-                modelled = memo.get(volumes)
-                if modelled is None:
-                    counts = {row[0]: volume for row, volume in zip(rows, volumes)}
-                    modelled = memo[volumes] = cost.estimate_seconds(counts, machine)
-                seconds.append(modelled)
-            return partials, seconds
+            return partials, ()
 
         return ChunkWork(
-            rows, num_points, run, wanted, kernel=kernel, scalars=scalars, verdict=verdict,
-            eager=cost is not None,
+            rows, num_points, run, wanted, kernel=kernel, scalars=scalars, verdict=verdict
         )
+
+    def compiled_seconds(self, kernel, rows, num_points: int) -> float:
+        """A compiled launch's kernel seconds: ``kernel.cost`` per rank over
+        its tiles' volumes in ``rows`` (or a step's ``buffer_bindings``),
+        memoized per volume tuple, folded by :meth:`fold`'s per-GPU rule."""
+        cost, machine = kernel.cost, self.machine
+        memo: Dict[Tuple[int, ...], float] = {}
+        seconds = []
+        for rank in range(num_points):
+            volumes = tuple(row[3][rank][1] for row in rows)
+            modelled = memo.get(volumes)
+            if modelled is None:
+                counts = {row[0]: volume for row, volume in zip(rows, volumes)}
+                modelled = memo[volumes] = cost.estimate_seconds(counts, machine)
+            seconds.append(modelled)
+        return self._fold_seconds(seconds)
 
     def opaque_work(
         self, impl: OpaqueTaskImpl, rows, num_points: int, scalars, task_of: Callable
@@ -673,7 +667,7 @@ class TaskExecutor:
 
         Chunk ``p`` runs on slot ``p % slots``: slot 0 is the calling
         (scheduling) thread, the others are plan-pool threads, idle
-        because the level pools nothing or the launch is eager.  Each
+        because the level pools nothing.  Each
         chunk plans its blocks at :func:`thread_block` elements: fewer,
         longer ufunc calls than at ``codegen.BLOCK``, so the threads
         hand the GIL over less often.
@@ -703,23 +697,20 @@ class TaskExecutor:
                     results[position] = run()
         finally:
             wait([future for future in futures if future is not None])
-        results = [
+        return [
             done if future is None else future.result()
             for done, future in zip(results, futures)
         ]
-        self.profiler.record_thread_chunks(len(chunks), block, work.eager)
-        return results
 
     def reserve_scratch(self, elements: int) -> np.ndarray:
         """The block scratch thread chunks cut their registers from.
 
         One buffer per executor, grown to ``elements`` when it is
         smaller and written whole when it grows, so its pages are mapped
-        by the thread that reserves it and never handed back.  The plan
-        scheduler reserves what a plan's split steps need when the plan
-        is captured (``PlanScheduler.reserve``), so its first replay
-        touches no fresh page for them.  Only the scheduling thread of
-        this executor's runtime uses it, one launch at a time.
+        by the thread that reserves it and never handed back: a plan's
+        first run grows it for its split steps, and its replays touch no
+        fresh page for them.  Only the scheduling thread of this
+        executor's runtime uses it, one launch at a time.
         """
         if self._scratch.size < elements:
             self._scratch = np.empty(elements)
@@ -762,15 +753,20 @@ class TaskExecutor:
                             )
                     elif partial:
                         totals.setdefault(key, []).append(partial)
+        return self._fold_seconds(seconds), totals
+
+    def _fold_seconds(self, seconds: Sequence[float]) -> float:
+        """Per-rank seconds in rank order -> the launch's: the maximum over
+        GPUs of the per-GPU sums, ranks dealt round-robin."""
         num_gpus = max(1, self.machine.num_gpus)
         if len(seconds) <= num_gpus:
             # One rank per GPU (the paper's execution model): each GPU's
             # sum is ``0.0 + seconds``, which is ``seconds`` exactly.
-            return max(seconds, default=0.0), totals
+            return max(seconds, default=0.0)
         per_gpu = [0.0] * num_gpus
         for rank, rank_seconds in enumerate(seconds):
             per_gpu[rank % num_gpus] += rank_seconds
-        return max(per_gpu), totals
+        return max(per_gpu)
 
     def launch(
         self, work: ChunkWork, chunks: Sequence[Tuple[int, int]], width: int,
@@ -819,7 +815,7 @@ class TaskExecutor:
         return self.fold(results, work.wanted)
 
     # ------------------------------------------------------------------
-    # The eager entry points: one chunk each, run in this process.
+    # The unfused engine's entry points: one inline chunk each.
     # ------------------------------------------------------------------
     def execute_compiled(self, task: IndexTask, kernel: CompiledKernel) -> float:
         """Run a task through its compiled kernel; returns kernel seconds."""
@@ -838,17 +834,11 @@ class TaskExecutor:
         num_points = len(rows[0][3]) if rows else task.launch_domain.volume
         verdict = pool_module.launch_verdict(kernel, rows, num_points)
         work = self.compiled_work(
-            kernel, rows, scalars, num_points, verdict, binding.buffer_args, kernel.cost
+            kernel, rows, scalars, num_points, verdict, binding.buffer_args
         )
-        # Without worker processes a big launch splits across the idle
-        # plan threads, as a chain level's replayed step does.
-        chunks = [(0, num_points)]
-        workers = config.worker_count()
-        if workers > 1 and config.point_worker_count() == 1:
-            chunks = thread_split([row[3] for row in rows], num_points, workers) or chunks
-        seconds, totals = self.launch(work, chunks, 1, threads=len(chunks))
+        _seconds, totals = self.launch(work, [(0, num_points)], 1)
         self._apply_reductions(args, totals, binding.buffer_args)
-        return seconds
+        return self.compiled_seconds(kernel, rows, num_points)
 
     def execute_opaque(self, task: IndexTask, impl: OpaqueTaskImpl) -> float:
         """Run a task through its opaque implementation; returns kernel seconds."""
@@ -884,8 +874,8 @@ class TaskExecutor:
         :class:`ReductionPartial` unboxed into one — are folded with one
         vectorised ``ufunc.reduce`` (the operators are associative and
         commutative by construction), then combined with the store's
-        current value.  Shared by the eager path and plan replay (which
-        resolves targets through captured slot bindings instead of task
+        current value.  Shared by unfused launches and plans (which
+        resolve targets through captured slot bindings instead of task
         arguments).
         """
         field = self.regions.field(store)

@@ -7,14 +7,14 @@ resized lazily when that flag changes:
   :class:`ExecutionPlan`, each run whole on a pool thread by the **plan
   scheduler** (``runtime/scheduler.py``);
 * without worker processes (``REPRO_POINT_WORKERS=1``), the rank chunks
-  (:func:`thread_split`) of a big compiled launch — an eager one, or a
-  step of a level that pools nothing, as every level of a chain plan —
-  chunk 0 on the calling thread and the others here
+  (:func:`thread_split`) of a big compiled step of a level that pools
+  nothing, as every level of a chain plan, on an epoch's first run as on
+  its replays — chunk 0 on the calling thread and the others here
   (``TaskExecutor.launch`` with ``threads``).
 
 Only the scheduling thread submits, and only while no step of its level
 is on the pool, so a pool thread never waits on its own pool.  With
-worker processes the rank chunks of a launch run in them
+worker processes the rank chunks of a replayed step run in them
 (``runtime/procpool.py``) or inline on the thread that runs the launch.
 
 How a compiled launch runs a rank range — one merged call, stacked when
@@ -144,8 +144,8 @@ class Verdict(NamedTuple):
 ELEMENTWISE = Verdict(True)
 
 
-def launch_verdict(kernel, rows: Sequence, num_points: int, captured: bool = False) -> Verdict:
-    """The one geometry verdict of a compiled launch, eager or captured.
+def launch_verdict(kernel, rows: Sequence, num_points: int) -> Verdict:
+    """The one geometry verdict of a compiled launch, unfused or a plan step.
 
     ``rows`` are ``(key, field, is_reduction, rect table)`` rows or a
     captured step's ``buffer_bindings`` (the same shape).  A launch
@@ -161,9 +161,9 @@ def launch_verdict(kernel, rows: Sequence, num_points: int, captured: bool = Fal
     rank order, which is the order every fold takes them in.
 
     Plain per-launch tables (``REPRO_HOTPATH_CACHE=0``, the seed path)
-    carry no geometry memo: an eager launch over them runs per rank, and
-    a ``captured`` step measures their contiguity once, so the seed
-    path's replays merge element-wise steps and never stack.
+    carry no geometry memo: their contiguity is measured per launch, so
+    the seed path merges element-wise launches, and a launch over them
+    that reduces never stacks.
     """
     if num_points <= 1:
         return Verdict(False, why="single_rank")
@@ -173,7 +173,7 @@ def launch_verdict(kernel, rows: Sequence, num_points: int, captured: bool = Fal
     for table in tables:
         contiguous = getattr(table, "contiguous", None)
         if contiguous is None:
-            if not captured or kernel.reduces:
+            if kernel.reduces:
                 return Verdict(False, why="uninterned_table")
             contiguous = _contiguous(table)
         if not contiguous or len(table) != num_points:

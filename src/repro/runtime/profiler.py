@@ -101,8 +101,8 @@ class Profiler:
         self.plans_captured_cold: int = 0
         self.first_replay_run: int = 0
         #: Index tasks built from deferred records, by where: ``eager``
-        #: (every task of an uncaptured epoch or an unfused engine),
-        #: ``miss`` (every task of an epoch that missed the trace cache) and
+        #: (every task of an unfused engine), ``miss`` (every task of a
+        #: fused epoch that was not replayed, captured or not) and
         #: ``replay`` (an opaque launch run per rank on replay, which
         #: hands its operator the task).  Nothing else in a replayed
         #: epoch builds one.
@@ -140,15 +140,13 @@ class Profiler:
         #: and the largest block (elements) such a chunk planned at.
         self.point_thread_chunks: int = 0
         self.point_thread_block: int = 0
-        #: The same for eager launches (``TaskExecutor.execute_compiled``).
-        self.eager_thread_chunks: int = 0
         #: Element-wise batching: launches executed as merged closure
         #: calls (one per rank chunk instead of one per rank) and the
         #: total merged calls they produced.
         self.batched_launches: int = 0
         self.batched_calls: int = 0
         #: The same for merged launches that reduce (stacked: their
-        #: reductions run by ``(ranks, tile)`` rows), eager and replayed,
+        #: reductions run by ``(ranks, tile)`` rows), first-run and replayed,
         #: replayed super-kernel sections included; and reducing launches
         #: that ran rank by rank, by reason (:data:`RANKED_REASONS`).
         self.stacked_launches: int = 0
@@ -165,7 +163,7 @@ class Profiler:
         #: stream structure, forcing a conservative re-record.
         self.scalar_pattern_flips: int = 0
         #: Futures (``repro.ir.future``) resolved as the launch taking
-        #: them ran, eager or replayed, once per launch, and the round fences their
+        #: them ran, once per launch, and the round fences their
         #: submissions placed (the window drained before the launch).
         self.future_scalars: int = 0
         self.round_fences: int = 0
@@ -281,7 +279,7 @@ class Profiler:
             self._current_iteration.replayed_epochs += 1
 
     def record_trace_miss(self) -> None:
-        """Record an epoch that went through the full resolve pipeline."""
+        """Record an epoch that missed the trace cache (with capture on)."""
         self.trace_misses += 1
         if self._current_iteration is not None:
             self._current_iteration.missed_epochs += 1
@@ -339,14 +337,11 @@ class Profiler:
             self.point_width_max = max(self.point_width_max, chunks)
             self.point_width_budget += max(1, width)
 
-    def record_thread_chunks(self, chunks: int, block: int, eager: bool = False) -> None:
-        """Record one launch whose ``chunks`` ran across the plan threads
-        at ``block`` elements per block (reported on the scheduling thread)."""
+    def record_thread_chunks(self, chunks: int, block: int) -> None:
+        """Record one replay whose steps ran ``chunks`` rank chunks across
+        the plan threads, at most ``block`` elements per block."""
         with self._lock:
-            if eager:
-                self.eager_thread_chunks += chunks
-            else:
-                self.point_thread_chunks += chunks
+            self.point_thread_chunks += chunks
             self.point_thread_block = max(self.point_thread_block, block)
 
     def record_merged_launch(self, calls: int, stacked: bool) -> None:
@@ -617,7 +612,6 @@ class Profiler:
                 "point_process_chunks": self.point_process_chunks,
                 "point_thread_chunks": self.point_thread_chunks,
                 "point_thread_block": self.point_thread_block,
-                "eager_thread_chunks": self.eager_thread_chunks,
                 "batched_launches": self.batched_launches,
                 "batched_calls": self.batched_calls,
                 "stacked_launches": self.stacked_launches,

@@ -1,10 +1,10 @@
 """The Legion-like runtime: the layer below Diffuse.
 
-The runtime accepts a stream of index tasks (fused or not), derives the
-communication each launch implies, executes the task functionally over
-region fields, and records analytically-modelled timings in the profiler.
-It is deliberately ignorant of fusion — Diffuse sits above it and simply
-forwards (possibly fused) tasks, exactly as in the paper's architecture.
+The runtime resolves index tasks (fused or not) — the communication each
+launch implies, the kernel or opaque operator that runs it — and executes
+the unfused baseline's launches, recording analytically-modelled timings
+in the profiler; a fused epoch runs as a plan (``runtime/scheduler.py``).
+It is deliberately ignorant of fusion, as in the paper's architecture.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ class ResolvedLaunch:
     """A task whose execution resources and charges are fully resolved.
 
     Splitting :meth:`LegionRuntime.submit` into *resolve* (coherence
-    pricing, kernel/opaque-impl selection) and *execute* lets a captured
+    pricing, kernel/opaque-impl selection) and *execute* lets an
     :class:`~repro.runtime.trace.ExecutionPlan` drive execution directly:
-    replay skips resolution entirely and feeds pre-resolved launches to
-    the executor.
+    a fused engine's window rounds only resolve, the epoch's recorder
+    turns the launches into a plan, and the plan runs them (its replays
+    skip resolution entirely).
     """
 
     task: IndexTask
@@ -72,9 +73,6 @@ class LegionRuntime:
         )
         self._task_variant_cache: Dict[Hashable, CompiledKernel] = {}
         self.simulated_seconds: float = 0.0
-        #: When set, every executed launch is reported to the recorder so
-        #: the trace subsystem can capture the epoch's execution plan.
-        self.trace_recorder = None
         self._plan_scheduler = None
 
     @property
@@ -108,7 +106,8 @@ class LegionRuntime:
         )
 
     def execute_resolved(self, launch: ResolvedLaunch) -> float:
-        """Execute a resolved launch; returns the simulated seconds it took."""
+        """Execute a resolved launch of the unfused engine, as one inline
+        chunk, and account it; returns the simulated seconds it took."""
         task = launch.task
         with telemetry.span(
             "task.execute",
@@ -134,8 +133,6 @@ class LegionRuntime:
             fused=task.is_fused,
         )
         self.simulated_seconds += record.total_seconds
-        if self.trace_recorder is not None:
-            self.trace_recorder.record_launch(launch, record)
         return record.total_seconds
 
     def submit(self, task: IndexTask, compiled: Optional[CompiledKernel] = None) -> float:

@@ -1,14 +1,15 @@
-"""Dependence-partitioned execution of captured execution plans.
+"""Dependence-partitioned execution of execution plans.
 
-The trace layer (``runtime/trace.py``) resolves every launch of a
-repeated epoch ahead of execution; this module replays the captured
-:class:`ExecutionPlan` with independent launches overlapping across the
-machine (paper Section 4), in the manner of runtime dependence-graph
-schedulers of fused array operations (Kristensen et al.,
-arXiv:1601.05400; Li et al., arXiv:2007.01277):
+The trace layer (``runtime/trace.py``) resolves every launch of a fused
+epoch ahead of execution into an :class:`ExecutionPlan`; this module
+runs the plan — the epoch's first run, and every replay of a captured
+one — with independent launches overlapping across the machine (paper
+Section 4), in the manner of runtime dependence-graph schedulers of
+fused array operations (Kristensen et al., arXiv:1601.05400; Li et al.,
+arXiv:2007.01277):
 
-1. **Plan analysis** (:func:`analyze_plan`) — once per captured plan,
-   cached on it.  The read/write/reduce slot footprints recorded in
+1. **Plan analysis** (:func:`analyze_plan`) — once per plan, cached on
+   it.  The read/write/reduce slot footprints recorded in
    every step induce the step-level dependence DAG (RAW, WAR and WAW
    hazards; reductions count as mutations), which is levelized: steps
    in one level are pairwise independent.  The same pass decides
@@ -24,7 +25,7 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    With ``REPRO_POINT_WORKERS`` > 1 the resident registration
    (:meth:`PlanScheduler._resident_plan`) bakes the same chunk plans
    into the workers' templates.
-3. **One plan loop** (:meth:`PlanScheduler.execute`) — executes the
+3. **One plan loop** (:meth:`PlanScheduler._run`) — executes the
    levels in order.  Every step is prepared into a
    :class:`~repro.runtime.executor.ChunkWork` on the scheduling thread
    and launched inline or on a plan-pool thread.  A plan resident in
@@ -38,10 +39,11 @@ arXiv:1601.05400; Li et al., arXiv:2007.01277):
    semantics are folded at join points **in recorded order** —
    reduction partials at each level's join, profiler records
    and simulated seconds after the last level (:meth:`_account`, the
-   only place a replayed step is recorded) — so buffers and simulated
+   only place a fused launch is recorded) — so buffers and simulated
    time are bit-identical for every ``REPRO_WORKERS`` ×
    ``REPRO_POINT_WORKERS`` combination.  A chain-shaped
-   plan is the same loop with every level inline.
+   plan is the same loop with every level inline, and so is an epoch's
+   first run (:meth:`PlanScheduler.first_run`), which never ships.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ from repro.runtime.superkernel import (
 )
 from repro.runtime.trace import (
     AnalysisCharge,
+    CompileCharge,
     CompiledStep,
     ExecutionPlan,
-    OpaqueStep,
 )
 
 #: Minimum number of elements a step must touch before it is handed to
@@ -142,6 +144,10 @@ class PlanDispatch:
     #: super-kernel subset.
     closure_calls: int
     superkernel_calls: int
+    #: Rank chunks one replay runs across the plan threads, and the
+    #: largest block (elements) such a chunk plans at.
+    thread_chunks: int = 0
+    thread_block: int = 0
 
 
 def analyze_plan(
@@ -302,16 +308,15 @@ def _step_volume(step: object, slot_stores: Sequence[Store]) -> int:
     return total
 
 
-def _rebuild_opaque_task(
-    step: OpaqueStep, tasks: Sequence[DeferredTask], profiler
-) -> IndexTask:
-    """The index task of an opaque launch, built from this epoch's record.
+def _rebuild_opaque_task(tasks: Sequence[DeferredTask], profiler, position: int) -> IndexTask:
+    """The index task of a replayed opaque launch, built from this
+    epoch's record at its ``position``.
 
-    The record at the step's position binds the same slots the captured
-    launch did (the stream key pins them), so its task is the launch's.
+    The record binds the same slots the captured launch did (the stream
+    key pins them), so its task is the launch's.
     """
     profiler.tasks_materialised["replay"] += 1
-    return tasks[step.position].task()
+    return tasks[position].task()
 
 
 def _unresolved(value):
@@ -319,8 +324,11 @@ def _unresolved(value):
     return value
 
 
-def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
-    """Per-step ``(dispatched, point width, rank chunks)`` decisions.
+def _plan_dispatch(
+    schedule: PlanSchedule, executor, workers: int, point_width: int
+) -> PlanDispatch:
+    """Per-step ``(dispatched, point width, rank chunks)`` decisions for
+    ``workers`` plan threads and a point width of ``point_width``.
 
     None of this depends on the epoch's stores or scalars (shapes and
     partitions are part of the trace key), so it is decided once per
@@ -344,7 +352,6 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
     ``REPRO_WORKERS``, that each still span two of their blocks
     (:func:`_thread_split`).
     """
-    workers, point_width = config.worker_count(), config.point_worker_count()
     flags = (
         workers, point_width,
         MIN_DISPATCH_VOLUME, executor_module.MIN_POINT_DISPATCH_VOLUME, codegen.BLOCK,
@@ -353,7 +360,7 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
         return schedule.dispatch[1]
     decisions: List[Optional[tuple]] = [None] * len(schedule.steps)
     levels, pooled = [], []
-    closure_calls = superkernel_calls = 0
+    closure_calls = superkernel_calls = thread_chunks = block = 0
     for level in schedule.levels:
         dispatched: Sequence[int] = ()
         if workers > 1 and len(level) > 1:
@@ -380,6 +387,8 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
                 split = _thread_split(entry.step, workers)
                 if split:
                     chunks, threads = split, len(split)
+                    thread_chunks += threads
+                    block = max(block, thread_block(threads))
             decisions[index] = (index in dispatched, width, chunks)
             launches.append((index, entry, width, chunks, threads))
             if isinstance(entry.step, SuperKernelStep):
@@ -391,7 +400,7 @@ def _plan_dispatch(schedule: PlanSchedule, executor) -> PlanDispatch:
         pooled.append(bool(dispatched))
     dispatch = PlanDispatch(
         workers, point_width, decisions, tuple(levels), tuple(pooled),
-        closure_calls, superkernel_calls,
+        closure_calls, superkernel_calls, thread_chunks, block,
     )
     schedule.dispatch = (flags, dispatch)
     return dispatch
@@ -439,18 +448,18 @@ class PlanScheduler:
     ) -> None:
         """Replay ``plan`` against the current epoch's stores."""
         runtime = self.runtime
-        executor, profiler = runtime.executor, runtime.profiler
+        profiler = runtime.profiler
         plan.replays += 1
         if config.superkernel_enabled():
             # Replay the plan's epoch super-kernels once it has earned
             # them (lowered once, cached on the plan).
             plan = lower_when_earned(plan, tasks, self, profiler) or plan
-        schedule = plan.schedule
-        if schedule is None:
-            schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
-        dispatch = _plan_dispatch(schedule, executor)
-        #: Per-replay slot -> region field memo shared by all steps.
-        prepare = partial(self._step_work, slot_stores, tasks, {}, plan.uninitialised_slots)
+        schedule, prepare = self._prepare(
+            plan, slot_stores, tasks, partial(_rebuild_opaque_task, tasks, profiler)
+        )
+        dispatch = _plan_dispatch(
+            schedule, runtime.executor, config.worker_count(), config.point_worker_count()
+        )
         resident = None
         if dispatch.point_width > 1:
             # Materialise the worker-process pool now, while no thread
@@ -464,7 +473,58 @@ class PlanScheduler:
             profiler.record_superkernel_calls(dispatch.superkernel_calls)
         if dispatch.closure_calls:
             profiler.add_replay_closure_calls(dispatch.closure_calls)
+        if dispatch.thread_chunks:
+            profiler.record_thread_chunks(dispatch.thread_chunks, dispatch.thread_block)
+        results, dispatched = self._run(schedule, dispatch, prepare, slot_stores, resident)
+        self._account(schedule, results)
+        _apply_plan_epilogue(plan, engine, slot_stores)
+        if dispatch.workers > 1 or dispatch.point_width > 1:
+            profiler.record_plan_execution(
+                steps=len(schedule.steps),
+                levels=len(schedule.levels),
+                width=schedule.width,
+                dispatched=dispatched,
+                level_widths=schedule.level_widths,
+            )
 
+    def first_run(
+        self, plan: ExecutionPlan, slot_stores: Sequence[Store],
+        tasks: Sequence[DeferredTask], recorder,
+    ) -> None:
+        """Run ``plan`` as the first run of the epoch ``recorder`` (its
+        :class:`~repro.runtime.trace.TraceRecorder`) just recorded: the
+        replay's levels, charging the rounds' own charges and handing
+        per-rank opaque steps the rounds' tasks.  No replay is counted,
+        nothing is lowered or shipped, and no epilogue is applied (the
+        rounds moved coherence and the fusion statistics already)."""
+        schedule, prepare = self._prepare(plan, slot_stores, tasks, recorder.tasks.__getitem__)
+        # The worker processes serve replays only, and the plan threads
+        # are left to them: with them every step runs here, whole.
+        workers = 1 if config.point_worker_count() > 1 else config.worker_count()
+        dispatch = _plan_dispatch(schedule, self.runtime.executor, workers, 1)
+        results, _dispatched = self._run(schedule, dispatch, prepare, slot_stores)
+        self._account(schedule, results, recorder.charges)
+
+    def _prepare(self, plan: ExecutionPlan, slot_stores, tasks, task_of: Callable):
+        """``plan``'s cached schedule, and :meth:`_step_work` over the
+        epoch with a slot -> field memo shared by the run's steps."""
+        schedule = plan.schedule
+        if schedule is None:
+            schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
+        prepare = partial(
+            self._step_work, slot_stores, tasks, {}, plan.uninitialised_slots, task_of
+        )
+        return schedule, prepare
+
+    def _run(
+        self, schedule: PlanSchedule, dispatch: PlanDispatch, prepare: Callable,
+        slot_stores: Sequence[Store], resident=None,
+    ) -> Tuple[List[tuple], int]:
+        """The plan loop (module docstring, step 3); returns each step's
+        ``(kernel seconds, partials)`` and the wide levels' steps that ran
+        off this thread."""
+        runtime = self.runtime
+        executor = runtime.executor
         #: Per-step ``(kernel seconds, reduction partials per key)``.
         results: List[Optional[tuple]] = [None] * len(schedule.steps)
         dispatched = 0
@@ -525,43 +585,7 @@ class PlanScheduler:
             if recorder is not None:
                 recorder.record("E", "plan.level", label, runtime.simulated_seconds)
 
-        self._account(schedule, results)
-        _apply_plan_epilogue(plan, engine, slot_stores)
-        if dispatch.workers > 1 or dispatch.point_width > 1:
-            profiler.record_plan_execution(
-                steps=len(schedule.steps),
-                levels=len(schedule.levels),
-                width=schedule.width,
-                dispatched=dispatched,
-                level_widths=schedule.level_widths,
-            )
-
-    def reserve(self, plan: ExecutionPlan, slot_stores: Sequence[Store], tasks) -> None:
-        """Reserve, when ``plan`` is captured, the block scratch its split
-        steps will need on replay (``TaskExecutor.reserve_scratch``).
-
-        The schedule and dispatch decisions are the ones replay reuses
-        (both cached on the plan).  A lowering at a later replay may
-        need more; the reserve then grows at that launch.  Without plan
-        threads to split across, or without a compiled step big enough
-        to split, the schedule stays lazy.
-        """
-        workers = config.worker_count()
-        if workers < 2 or config.point_worker_count() > 1:
-            return
-        if not any(
-            isinstance(step, CompiledStep) and _thread_split(step, workers)
-            for step in plan.steps
-        ):
-            return
-        schedule = plan.schedule = analyze_plan(plan, slot_stores, tasks)
-        executor = self.runtime.executor
-        for level in _plan_dispatch(schedule, executor).levels:
-            for _index, entry, _width, chunks, threads in level:
-                if threads > 1:
-                    step = entry.step
-                    share = step.kernel.scratch_elements(thread_block(threads), step.verdict.tile)
-                    executor.reserve_scratch(len(chunks) * share)
+        return results, dispatched
 
     def _step_work(
         self,
@@ -569,6 +593,7 @@ class PlanScheduler:
         tasks: Sequence[DeferredTask],
         fields: Dict[int, object],
         uninitialised,
+        task_of: Callable[[int], IndexTask],
         entry: ScheduledStep,
         resolve: bool = True,
     ) -> ChunkWork:
@@ -582,8 +607,8 @@ class PlanScheduler:
         so the work's runner only computes and workers never touch
         shared state.  Without ``resolve`` a compiled step's futures stay
         unresolved (a resident template only needs the scalar names).
-        Replayed compiled steps carry no cost model: their seconds were
-        captured at record time.
+        ``task_of(position)`` is the task a per-rank opaque step hands
+        its operator.  Compiled steps' seconds were modelled at record time.
         """
         step = entry.step
         executor = self.runtime.executor
@@ -603,7 +628,7 @@ class PlanScheduler:
             return executor.opaque_work(
                 step.impl, rows, entry.num_points,
                 executor.scalar_values(scalar_args) if resolve else scalar_args,
-                partial(_rebuild_opaque_task, step, tasks, self.runtime.profiler),
+                partial(task_of, step.position),
             )
         value = executor.scalar_resolver() if resolve else _unresolved
         scalars = {
@@ -703,7 +728,7 @@ class PlanScheduler:
             )
         return resident if resident.steps else None
 
-    def _account(self, schedule: PlanSchedule, results) -> None:
+    def _account(self, schedule: PlanSchedule, results, charges=None) -> None:
         """Fold the plan's time accounting in recorded order.
 
         A fused unit executed as one closure call but charges its
@@ -711,15 +736,23 @@ class PlanScheduler:
         analysis charges), so records, floating-point accumulation order
         and simulated seconds are bit-identical to unfused, serial
         replay.  Everything but an opaque launch's re-timed kernel
-        seconds was decided once per plan (:func:`_accounting`).
+        seconds was decided once per plan (:func:`_accounting`).  A first
+        run's ``charges`` (one list per window round) stand in for the
+        plan's analysis charges, one round per charge, and its launches
+        are recorded as not replayed.
         """
         runtime = self.runtime
         profiler = runtime.profiler
+        rounds = None if charges is None else iter(charges)
         for entry in schedule.accounting:
             if isinstance(entry, AnalysisCharge):
-                runtime.add_simulated_seconds(entry.seconds)
-                profiler.record_analysis_time(entry.seconds)
-                profiler.add_iteration_seconds(entry.seconds)
+                for charge in (entry,) if rounds is None else next(rounds):
+                    runtime.add_simulated_seconds(charge.seconds)
+                    if isinstance(charge, CompileCharge):
+                        profiler.record_compile_time(charge.seconds)
+                    else:
+                        profiler.record_analysis_time(charge.seconds)
+                    profiler.add_iteration_seconds(charge.seconds)
                 continue
             merged, index, record = entry
             if merged is not None:
@@ -727,5 +760,5 @@ class PlanScheduler:
             if index is not None:
                 record = record[:2] + (results[index][0],) + record[3:]
             runtime.simulated_seconds += profiler.record_task(
-                *record, replayed=True
+                *record, replayed=rounds is None
             ).total_seconds

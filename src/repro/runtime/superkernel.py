@@ -545,12 +545,10 @@ def maybe_lower_plan(plan: ExecutionPlan, tasks, profiler=None) -> Optional[Exec
         steps=tuple(steps),
         exit_states=plan.exit_states,
         bytes_moved=plan.bytes_moved,
-        analysis_seconds=plan.analysis_seconds,
         forwarded_tasks=plan.forwarded_tasks,
         fused_tasks=plan.fused_tasks,
         fused_constituents=plan.fused_constituents,
         temporaries_eliminated=plan.temporaries_eliminated,
-        task_count=plan.task_count,
         liveness=plan.liveness,
         uninitialised_slots=plan.uninitialised_slots,
     )

@@ -3,7 +3,7 @@
 Iterative applications issue an isomorphic stream of tasks every
 iteration, delimited by the synchronisation points they already contain
 (scalar reads of dot products and convergence checks, explicit flushes
-at iteration boundaries).  The eager pipeline pays the full
+at iteration boundaries).  The window rounds pay the full
 submit→buffer→canonicalize→coherence→profile cost for every task of
 every iteration even though the fusion *decisions* are memoized.  This
 module removes that overhead wholesale, in the spirit of Legion's
@@ -19,30 +19,29 @@ dynamic tracing and Bohrium's runtime fusion of array operations:
    each canonical task interned to a small int), so the boundary only
    samples per-slot liveness and entry-coherence state and the scalar
    equality pattern, and looks the plan up.  Index tasks are built only
-   for an epoch that misses.
-3. On the first occurrence of a key a :class:`TraceRecorder` captures
-   the fully-resolved sequence of launches the pipeline produced
-   (compiled kernels, per-rank rect tables, coherence charges) as an
-   immutable :class:`ExecutionPlan`, with each window round's analysis
-   charge recorded as what a memoization hit on that window charges.
-   That is exact, not an estimate: tracing runs only with memoization
-   on, so the first occurrence stores every round's decision under its
-   window key and pays each kernel's compile charge, which is charged
-   once per key.  The second occurrence run eagerly would hit every
-   round and charge no compile time — the plan's charges, in the same
-   order.  Only two kinds of epoch are refused: one with a launch
-   outside its canonical form, and one that grew the adaptive window
-   past its own fingerprint (its key can never be computed again).
+   for an epoch that is not replayed.
+3. An epoch that is not replayed is fed through the window rounds,
+   which only resolve its launches and hand them, with their charges,
+   to a :class:`TraceRecorder`; the epoch's first run executes the
+   recorded :class:`ExecutionPlan` (``PlanScheduler.first_run``).  A
+   kept plan charges each round what a memoization hit on its window
+   charges.  That is exact: capture runs only with memoization on, so
+   the first occurrence stores every round's decision and pays each
+   compile charge (once per key); the second, fed through the rounds,
+   would hit every round and compile nothing.  An epoch that grew the
+   adaptive window past its fingerprint is not kept (its key can never
+   be computed again).
 4. Every later occurrence of the key bypasses window buffering,
    dependence analysis, memoization lookups and per-task coherence
    recomputation entirely: the plan is replayed straight through
    :class:`~repro.runtime.executor.TaskExecutor`, binding the current
    epoch's stores into the captured slots.
 
-With ``REPRO_TRACE=0`` (or memoization off) steps 3 and 4 are skipped:
-every epoch is still deferred to its boundary and fed through the same
-window rounds, fences and liveness, and its dead fields are reclaimed
-there, so buffers and simulated seconds do not depend on the flag.
+With ``REPRO_TRACE=0`` (or memoization off) nothing is looked up or
+kept: every epoch is still deferred to its boundary, fed through the
+same window rounds, fences and liveness, run as its plan and its dead
+fields reclaimed there, so buffers and simulated seconds do not depend
+on the flag.
 
 Correctness notes:
 
@@ -68,7 +67,7 @@ Correctness notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.config import trace_enabled
@@ -76,7 +75,13 @@ from repro.ir.future import Future, future_sources
 from repro.ir.partition import Partition
 from repro.ir.privilege import Privilege, ReductionOp
 from repro.ir.store import Store
-from repro.ir.task import DeferredTask, FusedTask, TaskSkeleton, stream_scalar_pattern
+from repro.ir.task import (
+    DeferredTask,
+    FusedTask,
+    IndexTask,
+    TaskSkeleton,
+    stream_scalar_pattern,
+)
 from repro.runtime import pool, telemetry
 from repro.runtime.pool import Verdict
 
@@ -84,29 +89,6 @@ from repro.runtime.pool import Verdict
 #: synchronises still gets deterministic segmentation: the buffer is
 #: processed as a (partial) epoch whenever it reaches this many tasks.
 EPOCH_TASK_LIMIT = 2048
-
-
-# ----------------------------------------------------------------------
-# Canonical epoch streams.
-# ----------------------------------------------------------------------
-@dataclass
-class CanonicalStream:
-    """The canonical form of one epoch's task stream (cf. ``fusion.memoization``).
-
-    Built incrementally by :meth:`TraceController.add` as tasks arrive —
-    store uids become canonical slots in order of first appearance — and
-    handed to the :class:`TraceRecorder` of an epoch that misses.
-    """
-
-    #: Canonical slot -> the store bound to it in this epoch.
-    slot_stores: List[Store]
-    #: Store uid -> canonical slot.
-    slot_of_uid: Dict[int, int]
-    #: Task uid -> position in the epoch stream.
-    position_of_uid: Dict[int, int]
-    #: Per-slot application liveness sampled at the boundary (part of
-    #: the trace key).
-    liveness: Tuple[bool, ...]
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +126,7 @@ class CompiledStep:
     communication_seconds: float
     overhead_seconds: float
     #: The launch's calling convention, decided at capture by the one
-    #: geometry verdict the eager launch took (``pool.launch_verdict``):
+    #: geometry verdict (``pool.launch_verdict``):
     #: a merged step replays as one closure call per rank *chunk* (one
     #: per epoch at dispatch width 1), element-wise or stacked, which
     #: point dispatch can still split; a per-rank one records why.
@@ -192,39 +174,42 @@ class OpaqueStep:
 class AnalysisCharge:
     """An analysis-time charge, captured in stream order.
 
-    Replaying charges at their recorded positions (not as one lump sum)
-    reproduces the eager pipeline's exact floating-point accumulation
-    order, so per-iteration simulated seconds are bit-identical between
-    traced and untraced execution.
+    Charging at the recorded positions (not as one lump sum) reproduces
+    the window rounds' exact floating-point accumulation order, so
+    per-iteration simulated seconds are bit-identical between traced and
+    untraced execution.
     """
 
     seconds: float
 
 
 @dataclass
+class CompileCharge:
+    """A window round's compile charge (a first run's only)."""
+
+    seconds: float
+
+
+@dataclass
 class ExecutionPlan:
-    """The immutable resolved execution of one canonical epoch."""
+    """The immutable resolved execution of one canonical epoch (the
+    replay epilogue's fields are set when it is kept, :meth:`TraceRecorder.build_plan`)."""
 
     #: Launches and analysis charges in recorded (program) order.
     steps: Tuple[object, ...]
     #: Per-slot coherence snapshots at epoch exit, applied wholesale on
     #: replay instead of re-deriving coherence transitions per task.
-    exit_states: Tuple[Tuple[int, Optional[Tuple]], ...]
+    exit_states: Tuple[Tuple[int, Optional[Tuple]], ...] = ()
     #: Data movement charged during the recorded epoch.
-    bytes_moved: float
-    #: Total analysis-time charge of the recorded epoch (observability;
-    #: the per-step :class:`AnalysisCharge` entries carry the values).
-    analysis_seconds: float
+    bytes_moved: float = 0.0
     #: FusionStatistics deltas of the recorded epoch.
-    forwarded_tasks: int
-    fused_tasks: int
-    fused_constituents: int
-    temporaries_eliminated: int
-    #: Number of library tasks the plan stands for.
-    task_count: int
+    forwarded_tasks: int = 0
+    fused_tasks: int = 0
+    fused_constituents: int = 0
+    temporaries_eliminated: int = 0
     #: Lazily-computed dependence schedule (``runtime.scheduler``), cached
-    #: on the plan so the DAG is built once per captured plan, not once
-    #: per replay.
+    #: on the plan so the DAG is built once per plan — by the epoch's
+    #: first run — not once per replay.
     schedule: Optional[object] = None
     #: Per-slot application liveness sampled at canonicalization (part of
     #: the trace key, re-exposed here so the super-kernel lowering can
@@ -260,61 +245,62 @@ class ExecutionPlan:
 # Recording.
 # ----------------------------------------------------------------------
 class TraceRecorder:
-    """Captures the resolved launches of one epoch into a plan.
+    """Records the resolved launches of one epoch into a plan.
 
-    Installed as ``LegionRuntime.trace_recorder`` while the epoch's
-    tasks are fed through the eager pipeline; the runtime reports every
-    executed launch.  The Diffuse layer reports each window round's
-    analysis charge as the charge a memoization hit on that window
-    makes, whatever the round itself paid: that is what every later
-    occurrence of the epoch pays (module docstring, step 3).  Compile
-    charges never become plan steps.
+    Installed on the Diffuse layer (``DiffuseRuntime.record_into``)
+    while the epoch is fed through the window rounds.  The plan charges
+    each round what a memoization hit on its window charges (module
+    docstring, step 3); what the rounds paid, :attr:`charges`, is the
+    first run's.
     """
 
-    def __init__(self, runtime, stream: CanonicalStream) -> None:
+    def __init__(
+        self, runtime, slot_stores: Sequence[Store], slot_of_uid: Dict[int, int],
+        liveness: Tuple[bool, ...], tasks: Sequence[IndexTask],
+    ) -> None:
         self.runtime = runtime
-        self.stream = stream
+        #: The epoch's canonical form (``TraceController.add``) and its
+        #: index tasks, whose own the first run hands per-rank opaque launches.
+        self.slot_stores, self.slot_of_uid, self.liveness = slot_stores, slot_of_uid, liveness
+        self.tasks = tasks
+        self.position_of_uid = {task.uid: position for position, task in enumerate(tasks)}
         self.steps: List[object] = []
-        #: False once a launch fell outside the canonical epoch: such an
-        #: epoch is never captured.
-        self.complete = True
+        #: Per window round, its analysis charge (and compile charge).
+        self.charges: List[List[object]] = []
         #: True once a round missed memoization (a compiling round is
         #: always one: compile time is charged at the miss that stores
         #: the window's decision).
         self.cold = False
-        self.analysis_seconds = 0.0
         self._start_bytes = runtime.coherence.total_bytes_moved
 
     # -- notifications from the Diffuse layer ---------------------------
-    def note_analysis(self, hit_seconds: float, missed: bool) -> None:
-        """Record a round's memoization-hit analysis charge."""
-        self.analysis_seconds += hit_seconds
+    def note_analysis(self, hit_seconds: float, seconds: float, missed: bool) -> None:
+        """Record a round's analysis charge: ``seconds`` paid now, and
+        ``hit_seconds``, what a memoization hit on the window charges."""
         self.steps.append(AnalysisCharge(hit_seconds))
+        self.charges.append([AnalysisCharge(seconds)])
         if missed:
             self.cold = True
 
-    # -- notifications from the runtime ---------------------------------
-    def record_launch(self, launch, record) -> None:
-        """Capture one executed :class:`ResolvedLaunch` and its record."""
-        try:
-            if launch.kernel is not None:
-                step = self._compiled_step(launch, record)
-            else:
-                step = self._opaque_step(launch, record)
-        except KeyError:
-            # The launch referenced a store or constituent outside the
-            # canonicalized epoch; never let tracing break execution —
-            # simply refuse to capture this epoch.
-            self.complete = False
-            return
-        self.steps.append(step)
+    def note_compile(self, seconds: float) -> None:
+        """Record the current round's compile charge."""
+        self.charges[-1].append(CompileCharge(seconds))
 
-    def _compiled_step(self, launch, record) -> CompiledStep:
+    def record_launch(self, launch) -> None:
+        """Capture one resolved launch (``LegionRuntime.resolve``)."""
+        if launch.kernel is not None:
+            self.steps.append(self._compiled_step(launch))
+        else:
+            self.steps.append(self._opaque_step(launch))
+
+    def _compiled_step(self, launch) -> CompiledStep:
+        """The step of a compiled launch; its kernel seconds are modelled
+        here, from the rect tables, as they depend on nothing else."""
         task = launch.task
         kernel = launch.kernel
         binding = kernel.binding
         executor = self.runtime.executor
-        slot_of_uid = self.stream.slot_of_uid
+        slot_of_uid = self.slot_of_uid
         args = task.args
 
         buffer_order = binding.buffer_order or tuple(binding.buffer_args.items())
@@ -342,7 +328,7 @@ class TraceRecorder:
         constituents = (
             task.constituents if isinstance(task, FusedTask) else (task,)
         )
-        position_of_uid = self.stream.position_of_uid
+        position_of_uid = self.position_of_uid
         scalar_positions = tuple(position_of_uid[t.uid] for t in constituents)
         scalar_order = binding.scalar_order or tuple(binding.scalar_args.items())
 
@@ -351,17 +337,17 @@ class TraceRecorder:
             task_name=task.task_name,
             fused=task.is_fused,
             constituents=task.constituent_count(),
-            launches=record.launches,
+            launches=kernel.launches,
             num_points=num_points,
             buffer_bindings=tuple(bindings),
             scalar_order=tuple(scalar_order),
             scalar_positions=scalar_positions,
             reductions=reductions,
             footprint=self._footprint(task.args, constituents),
-            kernel_seconds=record.kernel_seconds,
-            communication_seconds=record.communication_seconds,
-            overhead_seconds=record.overhead_seconds,
-            verdict=pool.launch_verdict(kernel, bindings, num_points, captured=True),
+            kernel_seconds=executor.compiled_seconds(kernel, bindings, num_points),
+            communication_seconds=launch.communication_seconds,
+            overhead_seconds=executor.machine.task_launch_overhead,
+            verdict=pool.launch_verdict(kernel, bindings, num_points),
             defined_slots=tuple(defined_slots),
         )
 
@@ -373,7 +359,7 @@ class TraceRecorder:
         plan orders it after their producers (and the super-kernel
         lowering splits its unit there), though they bind no buffer.
         """
-        slot_of_uid = self.stream.slot_of_uid
+        slot_of_uid = self.slot_of_uid
         merged: Dict[int, List[bool]] = {}
         for task in constituents:
             for store in future_sources(task.scalar_args):
@@ -395,9 +381,9 @@ class TraceRecorder:
             for slot, (reads, writes, reduces) in sorted(merged.items())
         )
 
-    def _opaque_step(self, launch, record) -> OpaqueStep:
+    def _opaque_step(self, launch) -> OpaqueStep:
         task = launch.task
-        slot_of_uid = self.stream.slot_of_uid
+        slot_of_uid = self.slot_of_uid
         launch_rects = self.runtime.executor.launch_rects
         arg_specs = tuple(
             (slot_of_uid[arg.store.uid], arg.partition, arg.privilege, arg.redop)
@@ -408,10 +394,10 @@ class TraceRecorder:
             task_name=task.task_name,
             arg_specs=arg_specs,
             num_points=task.launch_domain.volume,
-            position=self.stream.position_of_uid[task.uid],
+            position=self.position_of_uid[task.uid],
             footprint=self._footprint(task.args, (task,)),
-            communication_seconds=record.communication_seconds,
-            overhead_seconds=record.overhead_seconds,
+            communication_seconds=launch.communication_seconds,
+            overhead_seconds=self.runtime.machine.task_launch_overhead,
             buffer_bindings=tuple(
                 (index, spec[0], arg.privilege is Privilege.REDUCE, launch_rects(arg, task))
                 for index, (spec, arg) in enumerate(zip(arg_specs, task.args))
@@ -419,14 +405,8 @@ class TraceRecorder:
         )
 
     # -- plan construction ----------------------------------------------
-    def build_plan(self, stats_deltas: Tuple[int, int, int, int]) -> ExecutionPlan:
-        """Freeze the captured epoch into an immutable plan."""
-        coherence = self.runtime.coherence
-        exit_states = tuple(
-            (slot, coherence.state_key(store))
-            for slot, store in enumerate(self.stream.slot_stores)
-        )
-        forwarded, fused, fused_constituents, temporaries = stats_deltas
+    def plan(self) -> ExecutionPlan:
+        """Freeze the recorded epoch into the plan its first run executes."""
         touched: set = set()
         uninitialised = set()
         for step in self.steps:
@@ -440,16 +420,28 @@ class TraceRecorder:
                         uninitialised.add(slot)
         return ExecutionPlan(
             steps=tuple(self.steps),
-            exit_states=exit_states,
+            liveness=self.liveness,
+            uninitialised_slots=frozenset(uninitialised),
+        )
+
+    def build_plan(
+        self, plan: ExecutionPlan, stats_deltas: Tuple[int, int, int, int]
+    ) -> ExecutionPlan:
+        """``plan`` as the cache keeps it, with what a replay applies after
+        its last level: exit coherence, bytes moved, statistics deltas."""
+        coherence = self.runtime.coherence
+        forwarded, fused, fused_constituents, temporaries = stats_deltas
+        return replace(
+            plan,
+            exit_states=tuple(
+                (slot, coherence.state_key(store))
+                for slot, store in enumerate(self.slot_stores)
+            ),
             bytes_moved=coherence.total_bytes_moved - self._start_bytes,
-            analysis_seconds=self.analysis_seconds,
             forwarded_tasks=forwarded,
             fused_tasks=fused,
             fused_constituents=fused_constituents,
             temporaries_eliminated=temporaries,
-            task_count=len(self.stream.position_of_uid),
-            liveness=self.stream.liveness,
-            uninitialised_slots=frozenset(uninitialised),
         )
 
 
@@ -478,8 +470,8 @@ class TraceController:
     the same argument positions: captured rect tables and communication
     are only valid for the concrete partitions, not just their canonical
     positions.  Index tasks are built (``DiffuseRuntime.materialise``)
-    only when an epoch misses, or is not captured, and runs through the
-    window rounds.
+    only for an epoch that is not replayed, to run through the window
+    rounds.
     """
 
     def __init__(self, engine) -> None:
@@ -511,7 +503,6 @@ class TraceController:
         #: Plans captured / replayed (observability; the profiler holds
         #: the canonical hit/miss counters).
         self.captured_plans = 0
-        self.replayed_epochs = 0
         #: Stores seen in a processed epoch that were still live at its
         #: boundary, re-checked at later boundaries — a handle dropped
         #: *after* the epoch holding the store's last task (e.g. a local
@@ -631,8 +622,9 @@ class TraceController:
 
     # ------------------------------------------------------------------
     def boundary(self) -> None:
-        """Process the buffered epoch: replay a plan, or feed it through
-        the window rounds (capturing a plan when :attr:`capture` is on).
+        """Process the buffered epoch: replay a plan, or record the epoch
+        through the window rounds and run it as its plan (kept when
+        :attr:`capture` is on).
 
         Liveness is sampled from *application* references only: pending
         stream references held by the epoch buffer itself exist for every
@@ -646,74 +638,65 @@ class TraceController:
         records = self._pending
         if not records:
             return
-        slot_stores, fences = self._slot_stores, self._fences
-        if not self.capture:
-            self._begin_epoch()
-            tasks = [engine.materialise(record, "eager") for record in records]
-            return self._feed(records, tasks, fences, slot_stores, None)
-        structure, slot_of_uid, longest = tuple(self._structure), self._slot_of_uid, self.longest_run
+        slot_stores, slot_of_uid, fences = self._slot_stores, self._slot_of_uid, self._fences
+        structure, longest = tuple(self._structure), self.longest_run
         self._begin_epoch()
 
-        coherence = engine.runtime.coherence
-        liveness = tuple([store.application_references > 0 for store in slot_stores])
-        entry_states = tuple([coherence.state_key(store) for store in slot_stores])
-        # The *window fingerprint* pins how the epoch would be chunked
-        # into fusion-window rounds.  An epoch captured while the
-        # adaptive window was still growing replays its (smaller-window)
-        # fused structure forever if the size is not part of the key;
-        # fingerprinting the size forces an automatic re-capture once the
-        # window has grown.  A round fence drains the window, so sizes at
-        # or above the epoch's longest fence-free run are equivalent (one
-        # round per run), and the fingerprint saturates there.
-        window_fingerprint = min(engine.window.size, longest)
-        # The scalar *equality pattern* completes the key (the same
-        # helper the memoization window key uses): captured kernels may
-        # deduplicate scalar parameters with bit-identical values, so a
-        # plan is only valid for epochs with the same pattern.  Keeping
-        # it out of the blind key tells pattern-only misses apart from
-        # genuinely new streams.
-        scalar_pattern = stream_scalar_pattern(records)
-        blind_key = (structure, liveness, entry_states, window_fingerprint)
-        known = self._streams.get(blind_key)
-        if known is None:
-            known = self._streams[blind_key] = [len(self._streams), scalar_pattern]
-        key = (known[0], scalar_pattern)
-
         profiler = engine.runtime.profiler
-        plan = self.cache.get(key)
-        if plan is None and known[1] != scalar_pattern:
-            profiler.record_scalar_pattern_flip()
-        known[1] = scalar_pattern
-        if plan is not None:
-            if not profiler.trace_hits:
-                profiler.first_replay_run = self.misses.get(key, 0) + 1
-            profiler.record_trace_hit(len(records))
-            self.replayed_epochs += 1
-            label = ""
-            if telemetry.enabled():
-                label = f"epoch={self.replayed_epochs} tasks={len(records)}"
-            with telemetry.span(
-                "epoch.replay", label, sim=engine.runtime.simulated_seconds
-            ):
-                try:
-                    engine.runtime.plan_scheduler.execute(
-                        plan, engine, slot_stores, records
-                    )
-                finally:
-                    self._release(records, 0)
-                self._reclaim_dead_fields(slot_stores)
-            return
+        liveness = tuple([store.application_references > 0 for store in slot_stores])
+        key = None
+        if self.capture:
+            coherence = engine.runtime.coherence
+            entry_states = tuple([coherence.state_key(store) for store in slot_stores])
+            # The *window fingerprint* pins how the epoch would be chunked
+            # into fusion-window rounds.  An epoch captured while the
+            # adaptive window was still growing replays its (smaller-window)
+            # fused structure forever if the size is not part of the key;
+            # fingerprinting the size forces an automatic re-capture once the
+            # window has grown.  A round fence drains the window, so sizes at
+            # or above the epoch's longest fence-free run are equivalent (one
+            # round per run), and the fingerprint saturates there.
+            window_fingerprint = min(engine.window.size, longest)
+            # The scalar *equality pattern* completes the key (the same
+            # helper the memoization window key uses): captured kernels may
+            # deduplicate scalar parameters with bit-identical values, so a
+            # plan is only valid for epochs with the same pattern.  Keeping
+            # it out of the blind key tells pattern-only misses apart from
+            # genuinely new streams.
+            scalar_pattern = stream_scalar_pattern(records)
+            blind_key = (structure, liveness, entry_states, window_fingerprint)
+            known = self._streams.get(blind_key)
+            if known is None:
+                known = self._streams[blind_key] = [len(self._streams), scalar_pattern]
+            key = (known[0], scalar_pattern)
 
-        profiler.record_trace_miss()
-        self.misses[key] = self.misses.get(key, 0) + 1
+            plan = self.cache.get(key)
+            if plan is None and known[1] != scalar_pattern:
+                profiler.record_scalar_pattern_flip()
+            known[1] = scalar_pattern
+            if plan is not None:
+                if not profiler.trace_hits:
+                    profiler.first_replay_run = self.misses.get(key, 0) + 1
+                profiler.record_trace_hit(len(records))
+                label = ""
+                if telemetry.enabled():
+                    label = f"epoch={profiler.trace_hits} tasks={len(records)}"
+                with telemetry.span(
+                    "epoch.replay", label, sim=engine.runtime.simulated_seconds
+                ):
+                    try:
+                        engine.runtime.plan_scheduler.execute(
+                            plan, engine, slot_stores, records
+                        )
+                    finally:
+                        self._release(records, 0)
+                    self._reclaim_dead_fields(slot_stores)
+                return
+            profiler.record_trace_miss()
+            self.misses[key] = self.misses.get(key, 0) + 1
+
         tasks = [engine.materialise(record, "miss") for record in records]
-        stream = CanonicalStream(
-            slot_stores=slot_stores,
-            slot_of_uid=slot_of_uid,
-            position_of_uid={task.uid: position for position, task in enumerate(tasks)},
-            liveness=liveness,
-        )
-        recorder = TraceRecorder(engine.runtime, stream)
+        recorder = TraceRecorder(engine.runtime, slot_stores, slot_of_uid, liveness, tasks)
         stats = engine.stats
         stats_before = (
             stats.forwarded_tasks,
@@ -726,32 +709,32 @@ class TraceController:
             f"tasks={len(tasks)}" if telemetry.enabled() else "",
             sim=engine.runtime.simulated_seconds,
         ):
-            self._feed(records, tasks, fences, slot_stores, recorder)
+            self._feed(records, tasks, fences, recorder)
+            plan = recorder.plan()
+            engine.runtime.plan_scheduler.first_run(plan, slot_stores, records, recorder)
+            self._reclaim_dead_fields(slot_stores)
 
         # An epoch that grew the adaptive window past its fingerprint
         # left a key no later boundary computes (the window only grows):
         # its plan could never be looked up.
-        if recorder.complete and min(engine.window.size, longest) == window_fingerprint:
-            stats_deltas = (
+        if key is not None and min(engine.window.size, longest) == window_fingerprint:
+            plan = self.cache[key] = recorder.build_plan(plan, (
                 stats.forwarded_tasks - stats_before[0],
                 stats.fused_tasks - stats_before[1],
                 stats.fused_constituents - stats_before[2],
                 stats.temporaries_eliminated - stats_before[3],
-            )
-            plan = self.cache[key] = recorder.build_plan(stats_deltas)
+            ))
             self.captured_plans += 1
             profiler.record_capture(plan, recorder.cold)
-            engine.runtime.plan_scheduler.reserve(plan, slot_stores, records)
 
-    def _feed(self, records, tasks, fences, slot_stores, recorder) -> None:
-        """Run an epoch's tasks through the window rounds, then reclaim
-        the fields it killed.
+    def _feed(self, records, tasks, fences, recorder: TraceRecorder) -> None:
+        """Run an epoch's tasks through the window rounds into ``recorder``.
 
-        The window drains at each round fence and at the end; each
-        record's pending references drop as its task enters the window,
-        so every round sees the liveness the host-read program would
-        have.  ``recorder`` captures the epoch's launches and charges
-        (None: the epoch is not captured).
+        The rounds resolve launches and charge nothing themselves: the
+        recorder receives every launch and charge.  The window drains
+        at each round fence and at the end; each record's pending
+        references drop as its task enters the window, so every round
+        sees the liveness the host-read program would have.
         """
         engine = self.engine
         engine.record_into(recorder)
@@ -773,7 +756,6 @@ class TraceController:
         finally:
             engine.record_into(None)
             self._release(records, fed)
-        self._reclaim_dead_fields(slot_stores)
 
     @staticmethod
     def _release(tasks: Sequence[DeferredTask], already_fed: int) -> None:

@@ -115,7 +115,7 @@ def format_sections(counters: Dict[str, object]) -> str:
 
 def format_stacking(counters: Dict[str, object]) -> str:
     """One line: launches that reduced in one call per chunk (stacked,
-    eager and replayed, super-kernel sections included), and reducing
+    first-run and replayed, super-kernel sections included), and reducing
     launches that ran rank by rank, by reason."""
     reasons = {
         reason: counters[f"per_rank_reducing_{reason}"]
@@ -134,7 +134,7 @@ def format_stacking(counters: Dict[str, object]) -> str:
 def format_materialised(counters: Dict[str, object]) -> str:
     """One line: index tasks built from deferred records, in replayed
     epochs (each one a task the replay built to throw away), in missed
-    epochs, and on the untraced path."""
+    epochs (traced or not), and eagerly by an unfused engine."""
     replayed = counters["tasks_materialised_replay"]
     return (
         f"tasks materialised: {replayed} in {counters['trace_hits']} replayed epochs "

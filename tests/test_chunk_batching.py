@@ -36,8 +36,8 @@ def _run_bs(
     monkeypatch, *, trace, point_workers, batching=True, iterations=6, hotpath="1"
 ):
     if not batching:
-        # Suppress batching — the one verdict the eager launch and the
-        # recorder both take — for this run only (a plain
+        # Suppress batching — the one verdict every compiled launch
+        # takes — for this run only (a plain
         # monkeypatch.setattr would leak into the test's later runs).
         import repro.runtime.pool as pool_module
 
@@ -45,7 +45,7 @@ def _run_bs(
             scoped.setattr(
                 pool_module,
                 "launch_verdict",
-                lambda kernel, rows, num_points, captured=False: pool_module.Verdict(
+                lambda kernel, rows, num_points: pool_module.Verdict(
                     False, why="single_rank"
                 ),
             )
@@ -105,8 +105,8 @@ class TestEagerBatching:
             monkeypatch, trace=False, point_workers=4, batching=True
         )
         assert ctx.profiler.batched_launches > 0
-        # Eager launches are one chunk in the parent at any point width:
-        # one merged call per batched launch.
+        # An epoch's first run keeps to the parent, one chunk per step,
+        # at any point width: one merged call per batched launch.
         assert ctx.profiler.batched_calls == ctx.profiler.batched_launches
         assert ctx.profiler.point_launches == 0
         assert checksum == checksum_plain
@@ -114,12 +114,15 @@ class TestEagerBatching:
         for name in state_plain:
             assert np.array_equal(state[name], state_plain[name]), name
 
-    def test_baseline_mode_does_not_batch(self, monkeypatch):
-        """``REPRO_HOTPATH_CACHE=0`` (the seed baseline) stays per-rank."""
+    def test_baseline_mode_batches_but_never_stacks(self, monkeypatch):
+        """``REPRO_HOTPATH_CACHE=0`` (the seed baseline) measures each
+        launch's plain rect tables: element-wise launches merge, and a
+        reducing one would run per rank."""
         ctx, _state, checksum, _sim = _run_bs(
             monkeypatch, trace=False, point_workers=1, batching=True, hotpath="0"
         )
-        assert ctx.profiler.batched_launches == 0
+        assert ctx.profiler.batched_launches > 0
+        assert ctx.profiler.stacked_launches == 0
         assert np.isfinite(checksum)
 
 

@@ -38,6 +38,9 @@ from repro.ir.store import StoreManager
 from repro.ir.task import DeferredTask, IndexTask, StoreArg, TaskSkeleton
 from repro.kernel import codegen
 from repro.runtime import superkernel
+from repro.runtime.executor import TaskExecutor
+from repro.runtime.scheduler import PlanScheduler
+from repro.runtime.trace import TraceController
 
 GOLDEN = Path(__file__).with_name("deferred_stream_golden.json")
 
@@ -153,6 +156,69 @@ def test_every_fused_configuration_charges_the_same_seconds(app_name, golden):
     path, per-rank opaque launches) holds one ``iteration_seconds``."""
     fused = [name for name, (_env, _opaque, fusion) in CONFIGS.items() if fusion]
     assert len({tuple(golden[name][app_name]["iteration_seconds"]) for name in fused}) == 1
+
+
+@pytest.mark.parametrize("app_name", [app[0] for app in HARNESS_APPS])
+def test_every_fused_configuration_computes_what_program_order_does(app_name, golden):
+    """The unfused engine launches every task as it is submitted, in
+    program order; every fused epoch runs as a plan, in the plan
+    scheduler's dependence levels.  Program order is the oracle: every
+    fused row's buffers and checksum are the unfused row's."""
+    oracle = golden["unfused"][app_name]
+    for name, (_env, _opaque, fusion) in CONFIGS.items():
+        if fusion:
+            row = golden[name][app_name]
+            assert (row["buffers"], row["checksum"]) == (
+                oracle["buffers"], oracle["checksum"]
+            ), name
+
+
+@pytest.mark.parametrize("trace", ["1", "0"], ids=["traced", "untraced"])
+@pytest.mark.parametrize("app_name, kwargs", HARNESS_APPS, ids=[app[0] for app in HARNESS_APPS])
+def test_a_fused_engine_runs_every_epoch_as_a_plan(
+    app_name, kwargs, trace, monkeypatch, restore_flags
+):
+    """No fused launch runs through the unfused engine's entry points:
+    an epoch that is not replayed runs its own plan once
+    (``PlanScheduler.first_run``), a replayed one the plan it hit."""
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a fused launch ran outside its epoch's plan")
+
+    monkeypatch.setattr(TaskExecutor, "execute_compiled", refused)
+    monkeypatch.setattr(TaskExecutor, "execute_opaque", refused)
+    runs = _Counting(monkeypatch, [
+        ("first_run", PlanScheduler, "first_run"), ("execute", PlanScheduler, "execute"),
+    ])
+    epochs = []
+    boundary = TraceController.boundary
+
+    def counted(controller):
+        epochs.append(controller.pending)
+        boundary(controller)
+
+    monkeypatch.setattr(TraceController, "boundary", counted)
+    for name, value in {"REPRO_TRACE": trace, "REPRO_KERNEL_BACKEND": "codegen",
+                        "REPRO_HOTPATH_CACHE": "1", "REPRO_POINT_WORKERS": "1"}.items():
+        monkeypatch.setenv(name, value)
+    config.reload_flags()
+    context = RuntimeContext(num_gpus=NUM_GPUS, machine=scaled_machine(NUM_GPUS, 1e-4))
+    set_context(context)
+    try:
+        app = build_application(app_name, context=context, **kwargs)
+        app.run(ITERATIONS)
+        app.checksum()
+    finally:
+        set_context(None)
+    profiler = context.profiler
+    assert runs.counts["first_run"] + runs.counts["execute"] == sum(map(bool, epochs))
+    assert runs.counts["execute"] == profiler.trace_hits
+    if trace == "1":
+        assert runs.counts["first_run"] == profiler.trace_misses > 0
+        assert profiler.trace_hits > 0
+    else:
+        assert runs.counts["first_run"] > 0 and profiler.trace_hits == 0
+    assert profiler.tasks_materialised["eager"] == 0
 
 
 # ----------------------------------------------------------------------

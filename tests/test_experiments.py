@@ -61,6 +61,30 @@ class TestRunners:
         unfused = run_application_experiment("cg", num_gpus=2, fusion=False, scale=TINY_KRYLOV)
         assert fused.checksum == pytest.approx(unfused.checksum, rel=1e-9)
 
+    def test_the_last_timed_cg_iteration_launches_as_many_tasks_as_the_others(
+        self, monkeypatch
+    ):
+        """The figures are read before the checksum, whose launch and
+        analysis charge the profiler adds to the last timed iteration."""
+        from repro.experiments import harness
+
+        contexts = []
+        set_context = harness.set_context
+
+        def recording(context):
+            if context is not None:
+                contexts.append(context)
+            set_context(context)
+
+        monkeypatch.setattr(harness, "set_context", recording)
+        scale = ExperimentScale({"grid_points_per_gpu": 8}, 1e-6, 4, 2)
+        result = run_application_experiment("cg", num_gpus=4, scale=scale)
+        (context,) = contexts
+        first = context.profiler.iterations[result.warmup_iterations].index_tasks
+        assert result.launched_tasks_per_iteration == first
+        timed = result.counters["total_index_tasks"] - result.warmup_counters["total_index_tasks"]
+        assert timed == first * result.iterations
+
     def test_petsc_runner(self):
         result = run_petsc_experiment("cg", num_gpus=2, grid_points_per_gpu=8,
                                       iterations=3, bandwidth_scale=1e-6)

@@ -1,9 +1,10 @@
 """An epoch is captured the first time it runs.
 
-The first occurrence of an epoch pays the miss-rate analysis and the
-compile time eagerly, and its plan records, per window round, the charge
-a memoization hit on that window makes: what the second occurrence, run
-eagerly, would pay.  For four harness apps and a generated
+The first occurrence of an epoch runs as its own plan and pays the
+miss-rate analysis and the compile time its window rounds charged, and
+the plan it keeps records, per window round, the charge a memoization
+hit on that window makes: what the second occurrence, fed through the
+rounds, would pay.  For four harness apps and a generated
 ``stream-churn`` program these tests pin that
 
 * no epoch misses twice, so an epoch replays from its second run;
@@ -108,14 +109,13 @@ class _Spy:
                 )
 
         def spied_charge(engine, analyzed_tasks, replay):
-            if engine._recorder is not None:
-                spy._rounds.append((analyzed_tasks, replay))
+            spy._rounds.append((analyzed_tasks, replay))
             charge(engine, analyzed_tasks, replay)
 
-        def spied_build(recorder, stats_deltas):
-            plan = build(recorder, stats_deltas)
-            spy.plans.append((plan, spy._rounds))
-            return plan
+        def spied_build(recorder, plan, stats_deltas):
+            kept = build(recorder, plan, stats_deltas)
+            spy.plans.append((kept, spy._rounds))
+            return kept
 
         monkeypatch.setattr(TraceController, "boundary", spied_boundary)
         monkeypatch.setattr(DiffuseRuntime, "_charge_analysis", spied_charge)

@@ -116,14 +116,13 @@ def small_blocks(monkeypatch):
 
 @pytest.fixture
 def launches(monkeypatch):
-    """Every replayed launch: ``(thread, threads, work, chunk threads)``,
-    the last the thread each of a split's chunks ran on, in chunk order."""
+    """Every launch of a plan, first run or replay: ``(thread, threads,
+    work, chunk threads)``, the last the thread each of a split's chunks
+    ran on, in chunk order."""
     seen = []
     launch = TaskExecutor.launch
 
     def recorded(self, work, chunks, width, shipped=None, threads=1):
-        if work.eager:
-            return launch(self, work, chunks, width, shipped, threads)
         ran = {}
         if threads > 1:
             run = work.run
@@ -204,14 +203,16 @@ class TestLoneStepThreads:
         assert thread_split(tables(16384), 4, workers) is None
 
     @pytest.mark.parametrize(
-        "workers, block, scheduled", [(1, SMALL_BLOCK, False), (2, SMALL_BLOCK, True), (2, BLOCK, False)]
+        "workers, block, splits", [(1, SMALL_BLOCK, False), (2, SMALL_BLOCK, True), (2, BLOCK, False)]
     )
-    def test_capture_schedules_only_a_plan_that_splits(
-        self, monkeypatch, workers, block, scheduled
+    def test_a_first_run_splits_as_its_replays_will(
+        self, monkeypatch, launches, workers, block, splits
     ):
-        """Capture reserves scratch, building the plan's schedule early, only
-        when a step can split: not with one plan thread, and not when the
-        step's chunks would not span two blocks."""
+        """An epoch's first run executes its plan: a step splits there
+        only where a replay's would — not with one plan thread, and not
+        when the step's chunks would not span two blocks — and the split
+        grows the scratch its replays cut registers from.  The schedule
+        the first run built is the one the replays reuse."""
         monkeypatch.setattr(codegen, "BLOCK", block)
         _set_flags(monkeypatch, workers)
         ranks, runner = PROGRAMS["black-scholes"]
@@ -226,7 +227,10 @@ class TestLoneStepThreads:
         (plan,) = context.diffuse.trace.cache.values()
         assert context.profiler.trace_hits == 0
         assert context.profiler.trace_misses == 2
-        assert (plan.schedule is not None) == scheduled
+        assert plan.schedule is not None
+        assert any(threads > 1 for _thread, threads, _work, _order in launches) == splits
+        assert (context.legion.executor._scratch.size > 0) == splits
+        assert context.profiler.point_thread_chunks == 0
 
     def test_slot_zero_is_the_scheduling_thread(self, monkeypatch, launches):
         _run(monkeypatch, "black-scholes", 2)
@@ -241,8 +245,8 @@ class TestLoneStepThreads:
 
     def test_thread_chunks_cut_registers_from_the_reserved_scratch(self, monkeypatch):
         """A thread chunk's block registers are views of the executor's
-        scratch reserve, sized when the plan was captured, never a
-        thread's own allocation."""
+        scratch reserve, grown by the plan's first run, never a thread's
+        own allocation."""
         seen = []
         blocks = codegen._Call.blocks
 
@@ -268,8 +272,8 @@ class TestLoneStepThreads:
         dispatches = []
         plan_dispatch = scheduler._plan_dispatch
 
-        def recorded(schedule, executor):
-            dispatch = plan_dispatch(schedule, executor)
+        def recorded(*args):
+            dispatch = plan_dispatch(*args)
             dispatches.append(dispatch)
             return dispatch
 
@@ -338,7 +342,6 @@ class TestLoneStepThreads:
                 ChunkWork((), 4, run, kernel=Kernel()), [(0, 2), (2, 4)], 1, threads=2
             )
         assert finished == [2 - failing * 2]
-        assert executor.profiler.point_thread_chunks == 0
 
         def good(start, stop, block=None, scratch=None):
             return [None] * (stop - start), [float(block)] * (stop - start)
@@ -348,4 +351,3 @@ class TestLoneStepThreads:
         )
         assert worker_pool() is pool
         assert seconds == 2 * SMALL_BLOCK and partials == {}
-        assert executor.profiler.point_thread_chunks == 2

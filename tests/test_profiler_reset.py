@@ -60,7 +60,6 @@ def _dirty(profiler: Profiler) -> None:
     profiler.point_width_max = 4
     profiler.point_width_budget = 32
     profiler.record_thread_chunks(2, 32768)
-    profiler.record_thread_chunks(2, 32768, eager=True)
     profiler.batched_launches = 3
     profiler.batched_calls = 9
     profiler.record_merged_launch(4, stacked=True)

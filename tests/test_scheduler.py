@@ -89,12 +89,10 @@ def _plan(steps):
         steps=tuple(steps),
         exit_states=(),
         bytes_moved=0.0,
-        analysis_seconds=0.0,
         forwarded_tasks=0,
         fused_tasks=0,
         fused_constituents=0,
         temporaries_eliminated=0,
-        task_count=len(steps),
     )
 
 

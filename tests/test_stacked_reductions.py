@@ -43,6 +43,7 @@ from repro.kernel.lowering import (
 )
 from repro.kernel.passes.compose import KernelBinding
 from repro.runtime import procpool
+from repro.runtime.executor import TaskExecutor
 
 
 @pytest.fixture(autouse=True)
@@ -304,6 +305,14 @@ def _assert_matches_seed(profiler, values, state, seed) -> None:
 def test_every_stacked_path_matches_the_seed_path(path, ranks, monkeypatch, force_dispatch):
     env, superkernel, block = PATHS[path]
     size = 64 * ranks
+    split = []
+    thread_chunks = TaskExecutor._thread_chunks
+
+    def counted(executor, work, chunks, slots):
+        split.append(len(chunks))
+        return thread_chunks(executor, work, chunks, slots)
+
+    monkeypatch.setattr(TaskExecutor, "_thread_chunks", counted)
     profiler, values, state = _run(monkeypatch, ranks, _reductions(size), env, superkernel, block)
     _assert_matches_seed(profiler, values, state, _seed(monkeypatch, ranks, size))
     snapshot = profiler.snapshot()
@@ -318,8 +327,9 @@ def test_every_stacked_path_matches_the_seed_path(path, ranks, monkeypatch, forc
     if env.get("REPRO_TRACE") != "0":
         assert profiler.trace_hits > 0
     if path.endswith("threads"):
-        split = snapshot["eager_thread_chunks" if path.startswith("eager") else "point_thread_chunks"]
-        assert split > 0
+        # Untraced, only first runs split: the counter counts replays.
+        assert split
+        assert (snapshot["point_thread_chunks"] > 0) == (path == "replay-threads")
     if path == "resident-process":
         assert snapshot["point_process_chunks"] > 0
 

@@ -173,8 +173,8 @@ class TestSuperkernelParity:
         assert (ctx_stacked.profiler.stacked_launches > 0) == stacks
         verdict = pool.launch_verdict
 
-        def refused(kernel, rows, num_points, captured=False):
-            decided = verdict(kernel, rows, num_points, captured)
+        def refused(kernel, rows, num_points):
+            decided = verdict(kernel, rows, num_points)
             return pool.Verdict(False, why="ragged_tiling") if decided.tile else decided
 
         monkeypatch.setattr(pool, "launch_verdict", refused)

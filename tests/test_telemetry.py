@@ -271,15 +271,16 @@ class TestSpanIntegrity:
             assert stack == [], f"unclosed spans on lane {(pid, tid)}: {stack}"
 
         # Epoch nesting on the parent's scheduling lane: every
-        # plan.level begin sits inside an open epoch.replay span.
+        # plan.level begin sits inside an open epoch span — a replay, or
+        # the first run of an epoch, which runs its plan too.
         for (pid, tid), entries in _lane_events(merged).items():
             depth = 0
             for _worker, event in entries:
                 phase, kind = event[0], event[1]
-                if kind == "epoch.replay":
+                if kind in ("epoch.replay", "epoch.capture"):
                     depth += 1 if phase == "B" else -1
                 elif kind == "plan.level" and phase == "B":
-                    assert depth > 0, "plan.level began outside an epoch.replay"
+                    assert depth > 0, "plan.level began outside an epoch span"
 
         # The merge preserves each worker's recording order.  The worker
         # ring is drained per reply, so sequence numbers restart at 0
@@ -469,7 +470,7 @@ class TestTracedump:
         )
         assert completed.returncode == 0, completed.stderr
         assert "replayed epochs" in completed.stdout and "plan.level" in completed.stdout
-        shapes = {"cg": "2 stacked, 0 ranked", "torchswe-manual": "0 stacked, 2 ranked (nd_or_broadcast_tiling 2)"}
+        shapes = {"cg": "2 stacked, 0 ranked", "torchswe-manual": "0 stacked, 1 ranked (nd_or_broadcast_tiling 1)"}
         assert "super-kernel sections: " in completed.stdout
         assert shapes[app] in completed.stdout
         # The default four-way pool: this thread and three worker
